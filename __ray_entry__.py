@@ -85,7 +85,7 @@ def _ensure_kg_ray(sf_dir: str) -> str:
         tagged_sentences,
     )
     from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import transcripts_for_sf
-    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import conflate_edges, conflate_nodes
+    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import conflate_edges, nodes_from_edges
 
     out, _ = _kg_dirs(sf_dir)
     outp = Path(out)
@@ -112,7 +112,8 @@ def _ensure_kg_ray(sf_dir: str) -> str:
     triples.write_parquet(str(outp / "triples"))
     tri_w = ray.data.read_parquet(str(outp / "triples"))
     conflate_edges(tri_w).write_parquet(str(outp / "edges"))
-    conflate_nodes(tri_w).write_parquet(str(outp / "nodes"))
+    # each triple adds 1 to each endpoint: nodes are the edges' endpoint sums
+    nodes_from_edges(ray.data.read_parquet(str(outp / "edges"))).write_parquet(str(outp / "nodes"))
     (outp / "_SUCCESS").touch()
     return out
 

@@ -1,41 +1,45 @@
 """The flagship pipeline: transcripts Parquet → knowledge-graph Parquet.
 
     read_parquet (column-pruned)
-      -> [resume filter: drop conversations whose output partition is done]
+      -> [resume filter: drop conversations whose triples partition is done]
       -> [optional sort(conv_id, turn_idx) — see run_kg_job(sort_turns=)]
-      -> map_batches(tokenize_batch)      # stateless tasks, Arrow in/out
-      -> map_batches(TaggerStage, concurrency=N)   # actor pool, 2 DNNs
-      -> map_batches(triples_batch)       # per-sentence extraction
-      -> map_batches(LinkerStage, ...)    # broadcast-dictionary hash join
-      -> conflate (partial-agg + groupby) # edges / nodes
-      -> write_parquet(partition_cols=[part]) + per-partition manifests
+      -> map_batches(kg_stage_fn)      # fused tokenize → tag → extract → link
+      -> add part = crc32(conv_id) % P -> write_parquet(partition_cols=[part])
+      -> one task per partition k: triples/part=k -> edges/part=k
+      -> one task per partition k: edges/part=k   -> nodes/part=k
+      -> per-table, per-partition manifests
 
-Partition id = crc32(conv_id) % P — a pure function of the data, so a
-resumed run reproduces identical partition contents. Every map stage is
-idempotent and deterministic (SURVEY.md §4 requirement).
+The partition id is a pure function of the data, so a resumed run
+reproduces identical partition contents. Every stage is idempotent and
+deterministic.
 
-Skew strategy (10^12-turn scale): extraction is PER-TURN (no cross-turn
-state), so a 10^8-turn conversation never pins a worker — only the sort
-needs conv locality, and Ray's sort range-partitions (conv_id, turn_idx)
-so a huge conversation spreads across contiguous ranges. The entity/edge
-conflation groupbys see skewed keys (hot entities), which the per-batch
-partial aggregation collapses to one row per key per batch BEFORE the
-shuffle — the combiner plays the role of salting (a salted two-phase
-groupby would only be needed if a single batch couldn't hold one row per
-distinct key, i.e. key cardinality ≈ batch size, which entity catalogs
-don't approach).
+Skew. Extraction is per turn (no cross-turn state) and the fused stage
+splits work by row ranges, never by conv_id, so a huge conversation
+spreads across map tasks. Edges and nodes are keyed by (part, ...), and
+``triples/part=k/`` already holds every triple of partition k, so each
+partition's edges and nodes are aggregated by ONE task reading that
+directory — no exchange. The partition is therefore the unit of reduce
+work: a task holds its whole partition (about turns / P, plus the whole of
+any conversation hashing into it) in memory, so P must grow with the
+input. ``test_extreme_conv_skew`` pins only the map side; a conversation
+too large for one reduce task would need its partition split.
 """
 from __future__ import annotations
 
+import json
+import os
+import shutil
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 
-from ..stages.conflate import EDGE_KEYS, conflate_edges, nodes_from_edges
+from ..stages.conflate import combine_edges, edge_node_partials, edge_partials
 from ..stages.linking import LinkerStage, put_linking_dict
 from ..stages.mentions import mentions_batch
 from ..stages.tag import TaggerStage
@@ -157,24 +161,48 @@ def _drop_done_parts(p: int, done: set[int]):
     return fn
 
 
-def _read_parts(base: str, parts: list[int], p: int) -> ray.data.Dataset:
-    """Hive-partitioned read restricted to ``parts``. Fresh runs pass all
-    ``p`` partitions -> plain full read (the benched hot path, unchanged).
-    Resumes pass a subset -> full read + vectorized part filter
-    (correctness over read pruning: hive partition dirs may legitimately
-    hold zero data files — the manifest writer creates the dir even for
-    empty partitions — so per-directory reads are brittle; the dropped
-    rows never leave the first map)."""
-    ds = ray.data.read_parquet(base)
-    if len(parts) >= p:
-        return ds
-    want = pa.array([str(x) for x in parts], pa.string())
+DATA_FILE = "data.parquet"  # the one file of an edges/ or nodes/ partition
 
-    def keep(batch: pa.Table) -> pa.Table:
-        col = pc.cast(batch.column("part"), pa.string())
-        return batch.filter(pc.is_in(col, value_set=want))
 
-    return ds.map_batches(keep, batch_format="pyarrow")
+def _read_part(base: str | Path, part: int, columns: list[str] | None = None) -> pa.Table | None:
+    """Rows of ``base/part=k/*.parquet`` (``part`` itself is not a column),
+    or None when the partition holds no data file."""
+    files = sorted(mf.partition_dir(base, part).glob("*.parquet"))
+    if not files:
+        return None
+    return pa.concat_tables([pq.read_table(f, columns=columns) for f in files],
+                            promote_options="default")
+
+
+def _per_partition(parts: list[int], fn) -> ray.data.Dataset:
+    """One Ray Data task per partition id k, returning ``fn(k)``."""
+    def task(batch: pa.Table) -> pa.Table:
+        return fn(batch.column("part")[0].as_py())
+
+    items = ray.data.from_items([{"part": k} for k in parts], override_num_blocks=len(parts))
+    return items.map_batches(task, batch_format="pyarrow", batch_size=1)
+
+
+def _conflate_parts(srcs: list[str], dst: str, parts: list[int], kernel) -> ray.data.Dataset:
+    """For each partition k: ``dst/part=k/DATA_FILE`` = ``kernel`` over the
+    rows of ``src/part=k/`` of every ``src``, written through a temp file
+    and ``os.replace``. A partition with no input rows gets no file (its
+    manifest records 0 rows). Returns the executed per-partition row
+    counts."""
+    def build(part: int) -> pa.Table:
+        tables = [t for t in (_read_part(s, part) for s in srcs) if t is not None]
+        rows = 0
+        if tables:
+            out = kernel(pa.concat_tables(tables, promote_options="default"))
+            pdir = mf.partition_dir(dst, part)
+            pdir.mkdir(parents=True, exist_ok=True)
+            tmp = pdir / (DATA_FILE + ".tmp")
+            pq.write_table(out, tmp)
+            os.replace(tmp, pdir / DATA_FILE)
+            rows = out.num_rows
+        return pa.table({"part": [part], "rows": [rows]})
+
+    return _per_partition(parts, build).materialize()
 
 
 def run_kg_job(
@@ -196,12 +224,11 @@ def run_kg_job(
     completes only missing (table, partition) pairs — manifests publish
     PER TABLE right after that table's write, so a kill between stages
     resumes by rebuilding only the downstream aggregates from the written
-    triples (the expensive tagging stage is skipped), partitions being
-    (re)computed are cleared of any un-manifested orphan files a dead run
-    flushed (a hive write would otherwise append beside them and
-    double-count), and each aggregate stage reads ONLY the partitions it
-    is rebuilding (deriving done partitions' aggregates again would
-    append duplicates into their directories).
+    triples (the expensive tagging stage is skipped), and partitions being
+    (re)computed are first cleared of any un-manifested orphan files a dead
+    run flushed (a hive write would otherwise append beside them and
+    double-count). Each edges/nodes partition is one file written by one
+    task from that partition's directory alone.
 
     ``sort_turns`` (default False) controls the global (conv_id,
     turn_idx) sort. Extraction is a pure per-turn function and every
@@ -246,15 +273,13 @@ def run_kg_job(
     # publishing their manifests, and a config change reuses partition
     # paths with stale contents — either way write_parquet(partition_cols=)
     # would APPEND beside the orphans and duplicate rows in the read-back
-    # view (for out-of-range stale dirs, the aggregate stages' full read
-    # would also double-count: a previous num_partitions=8 run's part=4..7
-    # holds the same conversations a num_partitions=4 rerun hashes into
-    # part=0..3). Invariant after this pass: every partition dir present
-    # under out_dir holds a complete SAME-CONFIG manifest — anything else
-    # (orphans of a dead run, any-config stale dirs, out-of-range parts)
-    # is cleared; done partitions are never touched.
-    import shutil as _shutil
-
+    # view (out-of-range stale dirs double-count too: a previous
+    # num_partitions=8 run's part=4..7 holds the same conversations a
+    # num_partitions=4 rerun hashes into part=0..3). Invariant after this
+    # pass: every partition dir present under out_dir holds a complete
+    # SAME-CONFIG manifest — anything else (orphans of a dead run,
+    # any-config stale dirs, out-of-range parts) is cleared; done
+    # partitions are never touched.
     for t in tables:
         root = Path(out[t])
         if not root.exists():
@@ -266,7 +291,7 @@ def run_kg_job(
                 part = -1
             if part not in done_by[t]:
                 if pdir.is_dir() and not pdir.is_symlink():
-                    _shutil.rmtree(pdir)
+                    shutil.rmtree(pdir)
                 else:  # stray file / dangling or linked entry: heal, not crash
                     pdir.unlink()
 
@@ -296,52 +321,56 @@ def run_kg_job(
         # 60 MB table costs more to re-open than to aggregate)
         triples = triples.repartition(max(p, 16))
 
-        # write triples once; aggregate edges from the written Parquet;
-        # derive nodes from the (already aggregated, small) edges table —
-        # each triple contributes 1 to each endpoint, so per-endpoint sum
-        # of edge weights equals conflate_nodes over the raw triples (one
-        # fewer full pass)
         triples.write_parquet(out["triples"], partition_cols=["part"])
         if stats_out is not None:
             stats_out.append(("triples", triples.stats()))
         _publish("triples")
 
+    # edges and nodes are keyed by (part, ...): each partition's are built
+    # from its own directory, so only the partitions being rebuilt are read
     if need["edges"]:
-        tri_written = _read_parts(out["triples"], need["edges"], p)
-        # NOTE: a repartition(1) single-task final combine
-        # (conflate._single_task_agg) was tried here and REJECTED by a
-        # temporally-adjacent A/B at 240k turns / 32 CPUs: 19.9 s vs 11.3 s
-        # for the salted exchange (and 66.7 vs 40.9 in a steal band). The
-        # single collector task serializes the combine AND the downstream
-        # write, which costs more than the sort barrier it saves; the
-        # salted exchange keeps combine + write parallel.
-        edges_ds = conflate_edges(tri_written, extra_keys=["part"])
-        edges_ds.write_parquet(out["edges"], partition_cols=["part"])
+        edges_ds = _conflate_parts([out["triples"]], out["edges"], need["edges"],
+                                   edge_partials)
         if stats_out is not None:
             stats_out.append(("edges", edges_ds.stats()))
         _publish("edges")
 
     if need["nodes"]:
-        edges_written = _read_parts(out["edges"], need["nodes"], p)
-        nodes_ds = nodes_from_edges(edges_written, extra_keys=["part"])
-        nodes_ds.write_parquet(out["nodes"], partition_cols=["part"])
+        nodes_ds = _conflate_parts([out["edges"]], out["nodes"], need["nodes"],
+                                   edge_node_partials)
         if stats_out is not None:
             stats_out.append(("nodes", nodes_ds.stats()))
         _publish("nodes")
-
-    import json as _json
 
     rows = {}
     for t in tables:
         n = 0
         for part in todo:
             mp = mf.partition_dir(out[t], part) / mf.MANIFEST_NAME
-            n += _json.loads(mp.read_text())["rows"]
+            n += json.loads(mp.read_text())["rows"]
         rows[t] = n
     return {"skipped": False, "partitions_done": sorted(done), "partitions_run": todo, "rows": rows}
 
 
-def _assert_disjoint_runs(run_dirs: list[str]) -> None:
+def _num_partitions(run_dirs: list[str]) -> int:
+    """The one ``num_partitions`` every run's edges manifests record; raise
+    if the runs do not share one (their ``part=k`` would hold different
+    conversations, so a per-partition merge would be wrong)."""
+    found = {
+        d: {json.loads(m.read_text())["inputs"].get("num_partitions")
+            for m in Path(d).glob(f"edges/part=*/{mf.MANIFEST_NAME}")}
+        for d in run_dirs
+    }
+    ps = set().union(*found.values())
+    if len(ps) != 1 or None in ps or not all(found.values()):
+        raise ValueError(
+            "merge_kg_runs: runs must share one num_partitions recorded in their "
+            f"edges manifests; found {found}"
+        )
+    return ps.pop()
+
+
+def _assert_disjoint_runs(run_dirs: list[str], p: int) -> None:
     """Raise if two delta runs share a conversation — merged edge weights
     would silently double-count. Two layers:
 
@@ -352,19 +381,15 @@ def _assert_disjoint_runs(run_dirs: list[str]) -> None:
        (two disjoint drops staged through the same overwritten input
        path share {v, partitions, path}) only warns and falls through to
        the exact check, which decides;
-    2. exact check: column-pruned read of each run's triples ``conv_id``
-       only, per-batch distinct partials tagged with their run index,
-       one salted exchange over O(distinct convs x runs) rows, raise on
-       any conv seen in >= 2 runs. No driver pull beyond a 5-row sample
-       of the violations. A run dir whose triples/ directory is absent
-       (pruned fact log / edges-only run) is skipped with a warning —
-       the merge itself only reads edges/.
+    2. exact check: the runs share ``p``, so a conversation lives in the
+       same ``part=k`` of every run; one task per partition reads the
+       runs' triples ``conv_id`` column there and raises on any conv seen
+       in >= 2 runs. Only a 5-row sample of the violations is pulled
+       back. A run dir whose triples/ directory is absent (pruned
+       fact log / edges-only run) is skipped with a warning — the merge
+       itself only reads edges/.
     """
-    import json as _json
     import warnings
-
-    import numpy as np
-    import pandas as pd
 
     seen_cfg: dict[str, tuple[str, str]] = {}  # cfg_hash -> (dir, content_fp)
     for d in run_dirs:
@@ -372,8 +397,8 @@ def _assert_disjoint_runs(run_dirs: list[str]) -> None:
         chs: set[str] = set()
         for mpath in sorted(Path(d).glob("triples/part=*/" + mf.MANIFEST_NAME)):
             try:
-                m = _json.loads(mpath.read_text())
-            except (OSError, _json.JSONDecodeError):
+                m = json.loads(mpath.read_text())
+            except (OSError, json.JSONDecodeError):
                 continue
             if m.get("config_hash"):
                 chs.add(m["config_hash"])
@@ -398,30 +423,17 @@ def _assert_disjoint_runs(run_dirs: list[str]) -> None:
             else:
                 seen_cfg[ch] = (d, fp)
 
-    parts: list[ray.data.Dataset] = []
-    for i, d in enumerate(run_dirs):
-        if not Path(d, "triples").exists():
+    checked = []
+    for d in run_dirs:
+        if Path(d, "triples").exists():
+            checked.append(f"{d}/triples")
+        else:
             warnings.warn(
                 f"merge_kg_runs: {d!r} has no triples/ directory (edges-only or "
                 "pruned run) — skipping its exact conv_id overlap check",
                 stacklevel=2,
             )
-            continue
-        ds = ray.data.read_parquet(f"{d}/triples", columns=["conv_id"])
-
-        def distinct_tag(batch: pa.Table, run: int = i) -> pa.Table:
-            u = pc.unique(batch.column("conv_id"))
-            h = pd.util.hash_pandas_object(
-                pd.Series(u.to_pandas()), index=False
-            ).to_numpy()
-            return pa.Table.from_arrays(
-                [u, pa.array(np.full(len(u), run, dtype=np.int32)),
-                 pa.array((h % 512).astype("int64"))],
-                names=["conv_id", "run", "salt"],
-            )
-
-        parts.append(ds.map_batches(distinct_tag, batch_format="pyarrow"))
-    if len(parts) < 2:
+    if len(checked) < 2:
         if len(run_dirs) >= 2:
             warnings.warn(
                 "merge_kg_runs: fewer than 2 runs have a readable triples/ "
@@ -430,20 +442,17 @@ def _assert_disjoint_runs(run_dirs: list[str]) -> None:
                 stacklevel=2,
             )
         return  # 0/1 checkable runs: nothing left to compare
-    tagged = parts[0]
-    for p_ in parts[1:]:
-        tagged = tagged.union(p_)
 
-    def overlaps(g: pd.DataFrame) -> pd.DataFrame:
-        vc = g.drop_duplicates(["conv_id", "run"]).groupby("conv_id")["run"].nunique()
-        bad = vc[vc > 1].index
-        return pd.DataFrame({"conv_id": pd.Series(bad, dtype=g["conv_id"].dtype)})
+    def overlaps(part: int) -> pa.Table:
+        runs_of = Counter()
+        for base in checked:
+            t = _read_part(base, part, columns=["conv_id"])
+            if t is not None:
+                runs_of.update(pc.unique(t.column("conv_id")).to_pylist())
+        return pa.table({"conv_id": pa.array(sorted(c for c, n in runs_of.items() if n > 1),
+                                             pa.string())})
 
-    bad_rows = (
-        tagged.groupby("salt")
-        .map_groups(overlaps, batch_format="pandas")
-        .take(5)
-    )
+    bad_rows = _per_partition(list(range(p)), overlaps).take(5)
     if bad_rows:
         sample = [r["conv_id"] for r in bad_rows]
         raise ValueError(
@@ -462,33 +471,31 @@ def merge_kg_runs(
     drops each processed by ``run_kg_job``) into one edges/nodes view
     WITHOUT re-running extraction.
 
+    The runs must share ``num_partitions`` (read from their edges
+    manifests); otherwise this raises before anything is written.
     ``check_overlap`` (default on) verifies the disjointness contract
-    (see ``_assert_disjoint_runs``) — exact, column-pruned, one salted
-    exchange bounded by distinct conversations, raising before any output
-    is written. Disable only when disjointness is guaranteed upstream.
+    (see ``_assert_disjoint_runs``) — exact, column-pruned, one task per
+    partition, raising before any output is written. Disable only when
+    disjointness is guaranteed upstream.
 
-    Edge rows are already partial aggregates keyed (part, subj_id, pred,
-    obj_id) with mergeable stats (weight = sum, canon/type = min), so the
-    merge is exactly one salted final combine over the concatenated edge
-    tables — input size O(distinct edges), never O(triples). Nodes are
-    re-derived from the merged edges (each triple contributes 1 to each
-    endpoint, same identity ``run_kg_job`` uses). Triples stay where each
-    delta wrote them: they are an append-only fact log partitioned by
-    hash(conv_id), and conversation-disjoint deltas never produce the
-    same triple twice, so their union needs no rewrite.
+    Edge rows are aggregates keyed (part, subj_id, pred, obj_id) with
+    mergeable stats (weight = sum, canon/type = min), so the merge of
+    partition k is one in-task combine of the runs' ``edges/part=k`` —
+    input size O(distinct edges), never O(triples). Nodes are re-derived
+    from the merged edges (each triple contributes 1 to each endpoint,
+    same identity ``run_kg_job`` uses). Both tables get manifests, so a
+    merged view can itself be merged. Triples stay where each delta wrote
+    them: they are an append-only fact log partitioned by hash(conv_id),
+    and conversation-disjoint deltas never produce the same triple twice,
+    so their union needs no rewrite.
 
-    ``out_dir`` must not already hold edges/ or nodes/ partitions:
-    write_parquet(partition_cols=) APPENDS files beside existing ones, so
-    merging into a previous merge's directory would silently double the
-    read-back view. Non-empty targets raise; ``overwrite=True`` replaces
-    them atomically-enough (rmtree then write).
+    ``out_dir`` must not already hold edges/ or nodes/ partitions: merging
+    into a previous merge's directory would silently mix two views.
+    Non-empty targets raise; ``overwrite=True`` replaces them
+    (rmtree then write).
 
     This merged-view-equals-one-shot-run identity is pinned by
     tests/test_pipeline_ray.py::test_kg_incremental_merge."""
-    import shutil
-
-    from ..stages.conflate import _salted_final_agg
-
     # duplicate run dirs are the cheapest-to-catch double-count (and would
     # dodge the exact check entirely when their triples/ were pruned)
     seen_paths: set[str] = set()
@@ -502,46 +509,37 @@ def merge_kg_runs(
             "merge_kg_runs: out_dir is one of the input run dirs — the "
             "merged write (or an overwrite rmtree) would clobber an input"
         )
-    # validate the non-destructive preconditions FIRST: a failed overlap
-    # check must leave a pre-existing merged view intact, so the
-    # overwrite rmtree happens only after every check has passed (and
-    # reads of the run dirs happen before anything under out_dir is
-    # touched, in case out_dir nests near an input)
-    for t in ("edges", "nodes"):
-        tdir = Path(out_dir) / t
+    # validate the non-destructive preconditions FIRST: a failed check
+    # must leave a pre-existing merged view intact, so the overwrite
+    # rmtree happens only after every check has passed (and reads of the
+    # run dirs happen before anything under out_dir is touched, in case
+    # out_dir nests near an input)
+    out = {t: str(Path(out_dir) / t) for t in ("edges", "nodes")}
+    for tdir in map(Path, out.values()):
         if tdir.exists() and any(tdir.iterdir()) and not overwrite:
             raise FileExistsError(
-                f"merge_kg_runs: {tdir} already contains output — a hive "
-                "write would append beside it and double-count the merged "
-                "view. Pass overwrite=True to replace, or merge into a "
-                "fresh out_dir."
+                f"merge_kg_runs: {tdir} already contains output — merging "
+                "into it would mix two views. Pass overwrite=True to "
+                "replace, or merge into a fresh out_dir."
             )
+    p = _num_partitions(run_dirs)
     if check_overlap:
-        _assert_disjoint_runs(run_dirs)
-    for t in ("edges", "nodes"):
-        tdir = Path(out_dir) / t
-        if tdir.exists() and any(tdir.iterdir()):
+        _assert_disjoint_runs(run_dirs, p)
+    for tdir in map(Path, out.values()):
+        if tdir.exists():
             shutil.rmtree(tdir)
-    reads = [ray.data.read_parquet(f"{d}/edges") for d in run_dirs]
-    edges = reads[0]
-    for r in reads[1:]:
-        edges = edges.union(r)
-    keys = ["part"] + EDGE_KEYS
-    merged = _salted_final_agg(
-        edges, keys,
-        sums=["weight"],
-        mins=["subj_type", "obj_type", "subj_canon", "obj_canon"],
-    )
-    out = {t: str(Path(out_dir) / t) for t in ("edges", "nodes")}
-    merged.write_parquet(out["edges"], partition_cols=["part"])
-    edges_written = ray.data.read_parquet(out["edges"])
-    nodes_ds = nodes_from_edges(edges_written, extra_keys=["part"])
-    nodes_ds.write_parquet(out["nodes"], partition_cols=["part"])
-    return {
-        "edges": ray.data.read_parquet(out["edges"]).count(),
-        "nodes": ray.data.read_parquet(out["nodes"]).count(),
-        "triples_dirs": [f"{d}/triples" for d in run_dirs],
-    }
+    cfg = {"v": 1, "num_partitions": p, "merged_from": sorted(seen_paths)}
+    ch = mf.config_hash(cfg)
+    counts = {}
+    for table, srcs, kernel in (
+        ("edges", [f"{d}/edges" for d in run_dirs], combine_edges),
+        ("nodes", [out["edges"]], edge_node_partials),
+    ):
+        done = _conflate_parts(srcs, out[table], list(range(p)), kernel)
+        counts[table] = sum(r["rows"] for r in done.take_all())
+        for part in range(p):
+            mf.write_manifest(out[table], part, ch, inputs=cfg)
+    return {**counts, "triples_dirs": [f"{d}/triples" for d in run_dirs]}
 
 
 def _main() -> None:

@@ -1,43 +1,57 @@
-"""Ray Data stage: conflation / canonicalization of linked triples into
-node and edge tables.
+"""Conflation / canonicalization of linked triples into edge and node tables.
 
-Shuffle-discipline (SURVEY.md §2.5, §4): a bare ``groupby`` would move
-every triple row through an all-to-all exchange. Instead we PRE-AGGREGATE
-inside ``map_batches`` with Arrow's vectorized hash-aggregation
-(``Table.group_by``) — one partial row per key per batch — then run the
-small final ``ds.groupby(...).aggregate(...)``. Hot entities (skewed keys)
-therefore contribute one row per batch, not one per mention: the partial
-combine IS the salt. Keys are exact-dedup style hash keys:
     edges: (subj_id, pred, obj_id)        weight = count
     nodes: entity_id                      n_mentions = count
-Canonical forms resolve deterministically via ``min`` (not "first seen",
-which would depend on block arrival order).
+
+Canonical forms and types resolve deterministically via ``min`` (not
+"first seen", which would depend on block arrival order).
+
+The kernels are plain Arrow hash aggregations (``Table.group_by``):
+``edge_partials`` (triples → edges), ``node_partials`` (triples → nodes),
+``edge_node_partials`` (edges → nodes: each triple contributes exactly 1 to
+its subject and to its object, so the per-endpoint sum of edge weights is
+the node's mention count) and ``combine_edges`` (edges → edges, for merging
+runs). Applied to ALL rows of a key, each is the final aggregate: that is
+how ``pipelines.kg`` uses them, one task per hive partition, because every
+key carries its partition and ``triples/part=k/`` holds every triple of
+partition k.
+
+``conflate_edges`` and ``nodes_from_edges`` are the Dataset-level forms for
+streams that are not partitioned by key: the kernel runs per batch as a
+partial combine (one row per key per batch, so a hot key contributes one
+row per batch, not one per mention), then ``_salted_final_agg`` routes
+the partials through one hash exchange for the final combine.
 """
 from __future__ import annotations
 
 import pyarrow as pa
 
 from ray.data import Dataset
-from ray.data.aggregate import Min, Sum
 
 EDGE_KEYS = ["subj_id", "pred", "obj_id"]
+EDGE_MINS = ["subj_type", "obj_type", "subj_canon", "obj_canon"]
+NODE_MINS = ["canonical", "type"]
+
+_N_SALTS = 512  # final-combine hash partitions (≈16× cluster cores)
+
+
+def arrow_agg(t: pa.Table, keys: list[str], sums: list[str], mins: list[str]) -> pa.Table:
+    """One row per key (null keys form a group): ``sums`` summed, ``mins``
+    min'd. Columns: keys + sums + mins."""
+    g = t.group_by(keys).aggregate([(c, "sum") for c in sums] + [(c, "min") for c in mins])
+    return g.rename_columns(keys + sums + mins)
 
 
 def edge_partials(batch: pa.Table, extra_keys: list[str] | None = None) -> pa.Table:
     keys = (extra_keys or []) + EDGE_KEYS
-    t = batch.select(keys + ["subj_type", "obj_type", "subj_canon", "obj_canon"])
-    g = t.group_by(keys).aggregate(
-        [
-            ("subj_type", "min"),
-            ("obj_type", "min"),
-            ("subj_canon", "min"),
-            ("obj_canon", "min"),
-            ([], "count_all"),
-        ]
-    )
-    return g.rename_columns(
-        keys + ["subj_type", "obj_type", "subj_canon", "obj_canon", "weight"]
-    )
+    t = batch.select(keys + EDGE_MINS)
+    g = t.group_by(keys).aggregate([([], "count_all")] + [(c, "min") for c in EDGE_MINS])
+    return g.rename_columns(keys + ["weight"] + EDGE_MINS)
+
+
+def combine_edges(edges: pa.Table) -> pa.Table:
+    """Edge rows of several runs → one row per edge key."""
+    return arrow_agg(edges, EDGE_KEYS, ["weight"], EDGE_MINS)
 
 
 def node_partials(batch: pa.Table) -> pa.Table:
@@ -61,36 +75,19 @@ def node_partials(batch: pa.Table) -> pa.Table:
     return g.rename_columns(["entity_id", "canonical", "type", "n_mentions"])
 
 
-_N_SALTS = 512  # final-combine hash partitions (≈16× cluster cores)
-
-# Below this (in-memory) partial-stream size the final combine skips the
-# salted sort exchange entirely: partial rows are already one-per-key-per-
-# batch, every aggregate here is associative+commutative (int sum, string
-# min), so a repartition(1) + one vectorized groupby task is exact — and
-# removes a whole all-to-all barrier whose fixed latency (~8-15 s per
-# stage at 32 CPUs) dominated the KG job's tail at bench scale. Above the
-# threshold the salted exchange is the scale path, unchanged.
-_SMALL_COMBINE_BYTES = 256 << 20
-
-
-def _single_task_agg(
-    partial: Dataset, keys: list[str], sums: list[str], mins: list[str]
-) -> Dataset:
-    import pandas as pd
-
-    agg_spec = {c: "sum" for c in sums} | {c: "min" for c in mins}
-    out_cols = keys + sums + mins
-
-    def final(batch: pd.DataFrame) -> pd.DataFrame:
-        # dropna=False: null-keyed rows must aggregate like any other key
-        # (pandas' default silently drops them — a row-loss divergence vs
-        # the salted route)
-        out = batch.groupby(keys, as_index=False, dropna=False).agg(agg_spec)
-        return out[out_cols]
-
-    return partial.repartition(1).map_batches(
-        final, batch_format="pandas", batch_size=None
-    )
+def edge_node_partials(edges: pa.Table, extra_keys: list[str] | None = None) -> pa.Table:
+    """Edges → nodes: each endpoint gets its edges' weights summed."""
+    extra = extra_keys or []
+    parts = [
+        pa.Table.from_arrays(
+            [edges.column(k) for k in extra]
+            + [edges.column(f"{side}_id"), edges.column(f"{side}_canon"),
+               edges.column(f"{side}_type"), edges.column("weight")],
+            names=extra + ["entity_id", "canonical", "type", "n_mentions"],
+        )
+        for side in ("subj", "obj")
+    ]
+    return arrow_agg(pa.concat_tables(parts), extra + ["entity_id"], ["n_mentions"], NODE_MINS)
 
 
 def _salted_final_agg(
@@ -100,7 +97,7 @@ def _salted_final_agg(
     Ray's sort-based ``groupby().aggregate()`` pays per-group overhead at
     tens of thousands of distinct keys (measured 15-40 s on the edge
     table); hashing rows into _N_SALTS bounded partitions and running ONE
-    vectorized pandas groupby per partition is O(partitions) dispatch.
+    ``arrow_agg`` per partition is O(partitions) dispatch.
     Row→partition uses pd.util.hash_pandas_object (fixed hash key —
     deterministic across processes), so all partials of a key co-locate."""
     import pandas as pd
@@ -113,112 +110,27 @@ def _salted_final_agg(
         ).to_numpy()
         return batch.append_column("salt", pa.array((h % _N_SALTS).astype("int64")))
 
-    agg_spec = {c: "sum" for c in sums} | {c: "min" for c in mins}
-    out_cols = keys + sums + mins
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(keys, as_index=False, dropna=False).agg(agg_spec)
-        return out[out_cols]
-
     return (
         partial.map_batches(add_salt, batch_format="pyarrow")
         .groupby("salt")
-        .map_groups(final, batch_format="pandas")
+        .map_groups(lambda g: arrow_agg(g, keys, sums, mins), batch_format="pyarrow")
     )
 
 
-def conflate_edges(
-    triples: Dataset,
-    extra_keys: list[str] | None = None,
-    size_hint_bytes: int | None = None,
-) -> Dataset:
-    """``size_hint_bytes``: estimated in-memory size of the INPUT stream
-    (e.g. from the written triples Parquet metadata). Small inputs take
-    the barrier-free single-task combine; unknown/large sizes take the
-    salted exchange."""
+def conflate_edges(triples: Dataset, extra_keys: list[str] | None = None) -> Dataset:
     keys = (extra_keys or []) + EDGE_KEYS
     partial = triples.map_batches(
         edge_partials, batch_format="pyarrow", fn_kwargs={"extra_keys": extra_keys}
     )
-    sums, mins = ["weight"], ["subj_type", "obj_type", "subj_canon", "obj_canon"]
-    if size_hint_bytes is not None and size_hint_bytes <= _SMALL_COMBINE_BYTES:
-        return _single_task_agg(partial, keys, sums, mins)
-    return _salted_final_agg(partial, keys, sums=sums, mins=mins)
+    return _salted_final_agg(partial, keys, sums=["weight"], mins=EDGE_MINS)
 
 
-def nodes_from_edges(
-    edges: Dataset,
-    extra_keys: list[str] | None = None,
-    size_hint_bytes: int | None = None,
-) -> Dataset:
-    """Node table derived from the already-aggregated edge table: each
-    triple contributed exactly 1 to its subject and object, so the
-    per-endpoint sum of edge weights equals ``conflate_nodes`` over the
-    raw triples — at a fraction of the input size. ``size_hint_bytes``
-    as in conflate_edges (the edge table is aggregated, so it is small
-    whenever the entity catalog is)."""
-    keys = (extra_keys or []) + ["entity_id"]
-
-    def partials(batch: pa.Table) -> pa.Table:
-        parts = []
-        for side in ("subj", "obj"):
-            parts.append(
-                pa.Table.from_arrays(
-                    [batch.column(k) for k in (extra_keys or [])]
-                    + [
-                        batch.column(f"{side}_id"),
-                        batch.column(f"{side}_canon"),
-                        batch.column(f"{side}_type"),
-                        batch.column("weight"),
-                    ],
-                    names=(extra_keys or []) + ["entity_id", "canonical", "type", "n_mentions"],
-                )
-            )
-        t = pa.concat_tables(parts)
-        g = t.group_by(keys).aggregate(
-            [("canonical", "min"), ("type", "min"), ("n_mentions", "sum")]
-        )
-        return g.rename_columns(keys + ["canonical", "type", "n_mentions"])
-
-    partial = edges.map_batches(partials, batch_format="pyarrow")
-    if size_hint_bytes is not None and size_hint_bytes <= _SMALL_COMBINE_BYTES:
-        return _single_task_agg(
-            partial, keys, sums=["n_mentions"], mins=["canonical", "type"]
-        )
-    return partial.groupby(keys).aggregate(
-        Sum("n_mentions", alias_name="n_mentions"),
-        Min("canonical", alias_name="canonical"),
-        Min("type", alias_name="type"),
+def nodes_from_edges(edges: Dataset, extra_keys: list[str] | None = None) -> Dataset:
+    """Node table derived from the already-aggregated edge table — the
+    same result as counting endpoints over the raw triples, at a fraction
+    of the input size."""
+    partial = edges.map_batches(
+        edge_node_partials, batch_format="pyarrow", fn_kwargs={"extra_keys": extra_keys}
     )
-
-
-def conflate_nodes(triples: Dataset, extra_keys: list[str] | None = None) -> Dataset:
-    def partials(batch: pa.Table) -> pa.Table:
-        if extra_keys:
-            parts = []
-            for side in ("subj", "obj"):
-                parts.append(
-                    pa.Table.from_arrays(
-                        [batch.column(k) for k in extra_keys]
-                        + [
-                            batch.column(f"{side}_id"),
-                            batch.column(f"{side}_canon"),
-                            batch.column(f"{side}_type"),
-                        ],
-                        names=extra_keys + ["entity_id", "canonical", "type"],
-                    )
-                )
-            t = pa.concat_tables(parts)
-            g = t.group_by(extra_keys + ["entity_id"]).aggregate(
-                [("canonical", "min"), ("type", "min"), ([], "count_all")]
-            )
-            return g.rename_columns(extra_keys + ["entity_id", "canonical", "type", "n_mentions"])
-        return node_partials(batch)
-
     keys = (extra_keys or []) + ["entity_id"]
-    partial = triples.map_batches(partials, batch_format="pyarrow")
-    return partial.groupby(keys).aggregate(
-        Sum("n_mentions", alias_name="n_mentions"),
-        Min("canonical", alias_name="canonical"),
-        Min("type", alias_name="type"),
-    )
+    return _salted_final_agg(partial, keys, sums=["n_mentions"], mins=NODE_MINS)

@@ -121,19 +121,3 @@ def test_tagger_dict_ratio(ray_session):
     r = out.column("ner_dict_ratio").to_pylist()[0]
     assert 0.0 <= r <= 1.0
 
-
-def test_salted_groupby_sum(ray_session):
-    import pyarrow as pa
-    import ray.data
-
-    from lingvo__postagger_ner_ru_dnn_ray.functions.salted import salted_groupby_sum
-
-    # 'hot' owns 90% of rows — the salted path must still be exact
-    keys = ["hot"] * 900 + [f"k{i}" for i in range(100)]
-    vals = list(range(1000))
-    ds = ray.data.from_arrow(pa.table({"k": keys, "v": vals})).repartition(8)
-    got = salted_groupby_sum(ds, "k", "v", num_salts=8).to_pandas()
-    got = got.set_index("k")["v"].to_dict()
-    assert got["hot"] == sum(range(900))
-    assert got["k0"] == 900
-    assert len(got) == 101

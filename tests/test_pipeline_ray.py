@@ -5,6 +5,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray.data
@@ -574,39 +576,117 @@ def test_linker_fuzzy_fallback(ray_session):
     assert LinkerStage(fuzzy=True)(batch).column("subj_id")[0].as_py() == got
 
 
-def test_single_task_agg_equals_salted(ray_session):
-    """The barrier-free small-stream combine and the salted exchange must
-    produce identical edge/node tables (same aggregates, different
-    physical plans) — the size hint only changes the route."""
+def test_salted_final_agg_equals_arrow_group_by(ray_session):
+    """The salted exchange must equal one in-process Arrow group_by over
+    the same rows, null-keyed groups included."""
     import numpy as np
     import pandas as pd
-    import pyarrow as pa
-    import ray.data
 
-    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import (
-        _salted_final_agg,
-        _single_task_agg,
-    )
+    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import _salted_final_agg
 
     rng = np.random.RandomState(5)
     n = 20_000
-    # every 97th k2 is NULL: both routes must aggregate null keys as a
-    # real group (regression: pandas groupby default dropna=True silently
-    # dropped them on the single-task route)
+    # every 97th k2 is NULL: null keys must aggregate as a real group
     tbl = pa.table({
         "k1": pa.array(rng.randint(0, 500, n), pa.int64()),
         "k2": pa.array([None if i % 97 == 0 else f"p{i%7}" for i in range(n)], pa.string()),
         "weight": pa.array(rng.randint(1, 9, n), pa.int64()),
         "canon": pa.array([f"c{rng.randint(0, 9)}" for _ in range(n)], pa.string()),
     })
-    ds = ray.data.from_arrow(tbl).repartition(32)
-    a = _single_task_agg(ds, ["k1", "k2"], sums=["weight"], mins=["canon"]).to_pandas()
-    b = _salted_final_agg(ds, ["k1", "k2"], sums=["weight"], mins=["canon"]).to_pandas()
     key = ["k1", "k2"]
+    a = (tbl.group_by(key).aggregate([("weight", "sum"), ("canon", "min")])
+         .rename_columns(key + ["weight", "canon"]).to_pandas())
+    ds = ray.data.from_arrow(tbl).repartition(32)
+    b = _salted_final_agg(ds, key, sums=["weight"], mins=["canon"]).to_pandas()
     a = a.sort_values(key).reset_index(drop=True)
     b = b[a.columns].sort_values(key).reset_index(drop=True)
     assert a["k2"].isna().any()  # the null-key groups survived
     pd.testing.assert_frame_equal(a, b)
+
+
+def _write_input(tbl, d: Path) -> str:
+    d.mkdir()
+    pq.write_table(tbl, d / "part-0.parquet")
+    return str(d)
+
+
+def _global(tbl, keys, aggs):
+    """Sum a per-partition aggregate over ``part``: the global view."""
+    g = tbl.group_by(keys).aggregate(aggs).rename_columns(keys + [c for c, _ in aggs])
+    return _sorted_df(g, keys)
+
+
+EDGE_AGG = [("weight", "sum"), ("subj_type", "min"), ("obj_type", "min"),
+            ("subj_canon", "min"), ("obj_canon", "min")]
+NODE_AGG = [("n_mentions", "sum"), ("canonical", "min"), ("type", "min")]
+
+
+def test_kg_job_empty_partitions_and_nodes_resume(ray_session, tmp_path):
+    """More partitions than conversations: the empty partitions still get
+    a complete 0-row manifest in every table and the output equals the
+    oracle. Deleting only some nodes partitions rebuilds exactly those,
+    from the written edges, which stay untouched."""
+    tbl = synth_transcripts_table(60, seed=7)
+    n_convs = len(set(tbl.column("conv_id").to_pylist()))
+    p = n_convs + 8
+    src = _write_input(tbl, tmp_path / "src")
+    out = tmp_path / "kg"
+    run_kg_job(src, str(out), num_partitions=p, tag_concurrency=2)
+
+    oracle = oracle_tables(tbl)
+    empty = set(range(p)) - {int(d.name.split("=")[1])
+                             for d in (out / "triples").glob("part=*")
+                             if list(d.glob("*.parquet"))}
+    assert len(empty) >= 8
+    for t in ("triples", "edges", "nodes"):
+        for k in range(p):
+            m = json.loads((out / t / f"part={k}" / "_manifest.json").read_text())
+            assert m["complete"] and m["partition"] == k
+            if k in empty:
+                assert m["rows"] == 0 and m["files"] == [], (t, k)
+    got = pq.read_table(out / "triples").drop(["part"])
+    assert _sorted_df(got, TRIPLE_KEYS).equals(_sorted_df(oracle["triples"], TRIPLE_KEYS))
+    edge_keys = ["subj_id", "pred", "obj_id"]
+    assert _global(pq.read_table(out / "edges"), edge_keys, EDGE_AGG).equals(
+        _sorted_df(oracle["edges"], edge_keys))
+    assert _global(pq.read_table(out / "nodes"), ["entity_id"], NODE_AGG).equals(
+        _sorted_df(oracle["nodes"], ["entity_id"]))
+
+    nodes_before = pq.read_table(out / "nodes")
+    edge_mtimes = {f: f.stat().st_mtime_ns for f in (out / "edges").rglob("*")}
+    full = sorted(set(range(p)) - empty)
+    gone = [full[0], full[-1], sorted(empty)[0]]
+    for k in gone:
+        shutil.rmtree(out / "nodes" / f"part={k}")
+    stats: list = []
+    res = run_kg_job(src, str(out), num_partitions=p, tag_concurrency=2, stats_out=stats)
+    assert res["partitions_run"] == sorted(gone)
+    assert [s[0] for s in stats] == ["nodes"]
+    assert {f: f.stat().st_mtime_ns for f in (out / "edges").rglob("*")} == edge_mtimes
+    keys = ["part", "entity_id"]
+    assert _sorted_df(pq.read_table(out / "nodes"), keys).equals(
+        _sorted_df(nodes_before, keys))
+
+
+def test_kg_merge_refuses_mismatched_partitions(ray_session, tmp_path):
+    """Runs written with different num_partitions hash a conversation into
+    different part=k, so a per-partition merge would be wrong: refuse,
+    writing nothing."""
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import merge_kg_runs
+
+    tbl = synth_transcripts_table(60, seed=3)
+    convs = sorted(set(tbl.column("conv_id").to_pylist()))
+    half = pa.array(convs[: len(convs) // 2])
+    in_half = pc.is_in(tbl.column("conv_id"), value_set=half)
+    runs = []
+    for name, mask, p in (("a", in_half, 2), ("b", pc.invert(in_half), 4)):
+        src = _write_input(tbl.filter(mask), tmp_path / f"src_{name}")
+        runs.append(str(tmp_path / f"kg_{name}"))
+        run_kg_job(src, runs[-1], num_partitions=p, tag_concurrency=2)
+    merged = tmp_path / "kg_merged"
+    with pytest.raises(ValueError, match="num_partitions"):
+        merge_kg_runs(runs, str(merged))
+    assert not merged.exists()
 
 
 def test_turn_memo_overflow_mid_batch(ray_session):
