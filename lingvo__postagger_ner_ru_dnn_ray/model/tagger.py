@@ -17,7 +17,12 @@ embedding carries an amplified one-hot of each token's label, attention
 output-projection and FFN second matrices are zero (residual passthrough),
 and the head reads the label block. The matmul/softmax/LayerNorm work is
 identical to a trained model of the same shape, so the benchmark numbers
-are representative.
+are representative; the forward never looks at which blocks are zero.
+
+The forward runs on chunks of sentences of one exact length, so nothing is
+padded and no attention mask is needed. Each projection is a single 2-D
+GEMM over the chunk's B·L token rows (Q, K and V as one matmul against
+[wq|wk|wv]); only the attention scores stay batched per sentence and head.
 
 Long-sentence chunking reproduces SeqLabel.Predict_Full
 (Applications/SeqLabel.cs:259-311): overflow ≤ 10% of max_len → truncate
@@ -25,9 +30,11 @@ Long-sentence chunking reproduces SeqLabel.Predict_Full
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
+
 import numpy as np
 
-from .vocab import EOS_ID, Vocab
+from .vocab import UNK_ID, Vocab
 
 MAX_PREDICT_SENT_LENGTH = 220  # Options.cs:31-32
 CUT_DROPOUT = 0.1  # SeqLabel.cs:259 cutDropout
@@ -46,15 +53,23 @@ def sinusoidal_pos_emb(max_len: int, dim: int) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + 1e-5) * g + b
+    """LayerNorm over the last axis. The variance reuses the centred
+    ``x − μ``, which is the arithmetic ``np.var`` does; the result is
+    written over that centred copy."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xc /= np.sqrt(var + 1e-5)
+    xc *= g
+    xc += b
+    return xc
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in place."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 class SeqLabelModel:
@@ -70,6 +85,18 @@ class SeqLabelModel:
         self.n_heads = n_heads
         self.max_ending_length = max_ending_length
         self._pos = sinusoidal_pos_emb(MAX_PREDICT_SENT_LENGTH + 8, dim)
+        # forward-ready arrays derived from ``w`` (which stays the saved
+        # form): the embedding pre-scaled by sqrt(D), and per layer one
+        # [D, 3D] QKV projection [wq|wk|wv]
+        w = weights
+        self._emb = w["emb"] * np.float32(np.sqrt(dim))
+        self._layers = [
+            (np.concatenate([w[p + "wq"], w[p + "wk"], w[p + "wv"]], axis=1),
+             w[p + "wo"], w[p + "ln1g"], w[p + "ln1b"],
+             w[p + "w1"], w[p + "b1"], w[p + "w2"], w[p + "ln2g"], w[p + "ln2b"])
+            for p in (f"l{li}_" for li in range(n_layers))
+        ]
+        self._label_arr = np.array(labels, dtype=object)
         # per-model sentence→labels memo (bounded, self-clearing like the
         # dataops hash memos). Distinct turns share sentences heavily on
         # real transcript streams (fixture: 46% of sentences in a batch are
@@ -79,50 +106,49 @@ class SeqLabelModel:
         self._label_memo: dict[tuple[str, ...], list[str]] = {}
 
     _MEMO_CAP = 1 << 17
-    # length-bucketed forward: cap B·L per chunk so short sentences never
-    # pad to a long straggler's length (attention is O(B·H·L²); flat
-    # padding wastes ~60% of its FLOPs on the fixture length mix).
+    # exact-length chunks hold at most this many token slots (B·L), which
+    # bounds the peak memory of one forward
     _AREA_CAP = 1 << 15
 
     # ------------------------------------------------------------------ #
-    def forward_ids(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """ids [B,L] int32, mask [B,L] bool(valid) -> label ids [B,L]."""
-        return self._forward_logits(ids, mask).argmax(axis=-1)
+    def forward_ids(self, ids: np.ndarray) -> np.ndarray:
+        """ids [B,L] int32, every row a whole sentence -> label ids [B,L]."""
+        return self._forward_logits(ids).argmax(axis=-1)
 
-    def _forward_logits(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        w = self.w
-        x = w["emb"][ids] * np.sqrt(self.dim)
-        x = x + self._pos[: ids.shape[1]][None, :, :]
-        neg = np.where(mask[:, None, None, :], 0.0, -1e9).astype(np.float32)  # [B,1,1,L]
-        H = self.n_heads
-        B, L, D = x.shape
+    def _forward_logits(self, ids: np.ndarray) -> np.ndarray:
+        """Logits [B,L,C] for a chunk of B sentences of exactly L tokens:
+        no padding, so no attention mask. Every projection is one 2-D GEMM
+        over the B·L token rows."""
+        B, L = ids.shape
+        D, H = self.dim, self.n_heads
         dh = D // H
-        for li in range(self.n_layers):
-            p = f"l{li}_"
-            q = (x @ w[p + "wq"]).reshape(B, L, H, dh).transpose(0, 2, 1, 3)
-            k = (x @ w[p + "wk"]).reshape(B, L, H, dh).transpose(0, 2, 1, 3)
-            v = (x @ w[p + "wv"]).reshape(B, L, H, dh).transpose(0, 2, 1, 3)
-            att = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh) + neg
-            att = _softmax(att)
-            ctx = (att @ v).transpose(0, 2, 1, 3).reshape(B, L, D)
-            x = _layer_norm(x + ctx @ w[p + "wo"], w[p + "ln1g"], w[p + "ln1b"])
-            h = np.maximum(x @ w[p + "w1"] + w[p + "b1"], 0.0)
-            x = _layer_norm(x + h @ w[p + "w2"], w[p + "ln2g"], w[p + "ln2b"])
-        return x @ w["head_w"] + w["head_b"]
+        scale = np.float32(np.sqrt(dh))
+        x = (self._emb[ids] + self._pos[:L]).reshape(B * L, D)
+        for wqkv, wo, ln1g, ln1b, w1, b1, w2, ln2g, ln2b in self._layers:
+            qkv = (x @ wqkv).reshape(B, L, 3, H, dh)
+            q = qkv[:, :, 0].transpose(0, 2, 1, 3)  # [B,H,L,dh]
+            k = qkv[:, :, 1].transpose(0, 2, 3, 1)  # [B,H,dh,L]
+            v = qkv[:, :, 2].transpose(0, 2, 1, 3)
+            att = q @ k
+            att /= scale
+            ctx = (_softmax_(att) @ v).transpose(0, 2, 1, 3).reshape(B * L, D)
+            x = _layer_norm(x + ctx @ wo, ln1g, ln1b)
+            h = x @ w1
+            h += b1
+            np.maximum(h, 0.0, out=h)
+            x = _layer_norm(x + h @ w2, ln2g, ln2b)
+        return (x @ self.w["head_w"] + self.w["head_b"]).reshape(B, L, -1)
 
     # ------------------------------------------------------------------ #
     def predict_batch(self, sents: list[list[str]]) -> list[list[str]]:
-        """Label a batch of model-token sentences (vectorized across the
-        batch; pad with </s> per BuildInTokens.PadSentences, Corpus/
-        BuildInTokens.cs:29-53). Applies Predict_Full chunking semantics.
+        """Label a batch of model-token sentences. Applies Predict_Full
+        chunking semantics to sentences over MAX_PREDICT_SENT_LENGTH.
 
         Duplicate sentences run the forward pass once (memoized across
-        batches per worker), and unique sentences run in length-sorted
-        chunks so padding is tight. Outputs are bitwise identical to the
-        flat-padded path: masked attention keys sit at -1e9, so their
-        softmax terms underflow to exactly 0.0 and a valid token's labels
-        do not depend on how far its sentence was padded (pinned by
-        tests/test_model.py::test_predict_batch_padding_invariant)."""
+        batches per worker), and the unique ones run in chunks of a single
+        length, so no sentence is padded and its labels cannot depend on
+        the rest of the batch (pinned by tests/test_model.py::
+        test_predict_batch_padding_invariant and test_chunks_have_one_length)."""
         if not sents:
             return []
         out: list[list[str] | None] = [None] * len(sents)
@@ -136,20 +162,11 @@ class SeqLabelModel:
                 # + SetPosTaggerOutputType min-length loop)
                 plain.append((idx, toks[:MAX_PREDICT_SENT_LENGTH]))
             else:
-                labels: list[str] = []
-                for ofs in range(0, len(toks), MAX_PREDICT_SENT_LENGTH):
-                    part = toks[ofs : ofs + MAX_PREDICT_SENT_LENGTH]
-                    labels.extend(self._predict_plain([part])[0])
-                out[idx] = labels
+                parts = [toks[ofs : ofs + MAX_PREDICT_SENT_LENGTH]
+                         for ofs in range(0, len(toks), MAX_PREDICT_SENT_LENGTH)]
+                out[idx] = [lab for part in self._forward_unique(parts) for lab in part]
         if plain:
-            import os
-
-            # see fused.py: within-batch dedup stays; only the cross-batch
-            # cache is disabled under the scaling diagnostic
-            memo = (
-                {} if os.environ.get("GRAFT_KG_NO_MEMO") == "1"
-                else self._label_memo
-            )
+            memo = self._label_memo
             keys = [tuple(toks) for _, toks in plain]
             todo = list({k for k in keys if k not in memo})
             if todo:
@@ -165,77 +182,44 @@ class SeqLabelModel:
                 out[idx] = list(memo[key])
         return out  # type: ignore[return-value]
 
-    def _forward_unique(self, sent_keys: list[tuple[str, ...]]) -> list[list[str]]:
-        """Forward a set of UNIQUE sentences in length-sorted chunks with
-        B·L ≤ _AREA_CAP per chunk (tight padding, bounded peak memory)."""
-        order = sorted(range(len(sent_keys)), key=lambda i: len(sent_keys[i]))
-        results: list[list[str] | None] = [None] * len(sent_keys)
-        i, n = 0, len(order)
-        while i < n:
-            j = i + 1
-            while j < n and (j + 1 - i) * len(sent_keys[order[j]]) <= self._AREA_CAP:
-                j += 1
-            chunk = [list(sent_keys[order[k]]) for k in range(i, j)]
-            for k, lab in zip(range(i, j), self._predict_plain(chunk)):
-                results[order[k]] = lab
-            i = j
-        return results  # type: ignore[return-value]
-
-    def _predict_plain(self, sents: list[list[str]]) -> list[list[str]]:
-        lens = [len(t) for t in sents]
-        L = max(lens) if lens else 0
-        if L == 0:
-            return [[] for _ in sents]
-        B = len(sents)
-        ids = np.full((B, L), EOS_ID, dtype=np.int32)
+    def _chunks(self, sents: Sequence[Sequence[str]]) -> Iterator[tuple[list[int], np.ndarray]]:
+        """Group ``sents`` by exact length and split each group so that
+        B·L ≤ _AREA_CAP. Yields (positions in ``sents``, ids [B, L]) per
+        chunk; empty sentences are in no chunk."""
+        by_len: dict[int, list[int]] = {}
+        for i, toks in enumerate(sents):
+            by_len.setdefault(len(toks), []).append(i)
+        by_len.pop(0, None)
         g = self.src_vocab.word_to_index.get
-        unk = 2
-        for r, toks in enumerate(sents):
-            ids[r, : len(toks)] = [g(t, unk) for t in toks]
-        mask = np.zeros((B, L), dtype=bool)
-        for r, ln in enumerate(lens):
-            mask[r, :ln] = True
-        lab_ids = self.forward_ids(ids, mask)
-        labels_arr = np.array(self.labels, dtype=object)
-        lab_strs = labels_arr[lab_ids]  # [B, L] object array, one fancy-index
-        return [lab_strs[r, : lens[r]].tolist() for r in range(B)]
+        for L, rows in sorted(by_len.items()):
+            step = max(1, self._AREA_CAP // L)
+            for a in range(0, len(rows), step):
+                chunk = rows[a : a + step]
+                yield chunk, np.array([[g(t, UNK_ID) for t in sents[r]] for r in chunk],
+                                      dtype=np.int32)
+
+    def _forward_unique(self, sents: Sequence[Sequence[str]]) -> list[list[str]]:
+        """Labels for each of ``sents`` (meant to be unique), forwarded in
+        exact-length chunks."""
+        results: list[list[str]] = [[] for _ in sents]
+        for rows, ids in self._chunks(sents):
+            for r, lab in zip(rows, self._label_arr[self.forward_ids(ids)].tolist()):
+                results[r] = lab
+        return results
 
     def topk_class_probs(self, sents: list[list[str]], k: int = 3) -> list[list[list[tuple[str, float]]]]:
         """Per-token top-k (label, probability) ranked by probability desc
         — the UI's class-probability sort (SeqLabel.cs:205-213; comparer
         BaseSeq2SeqFramework.cs:34-46). Ties broken by label id (stable
         argsort), matching the reference's stable OrderByDescending."""
-        if not sents:
-            return []
-        lens = [len(t) for t in sents]
-        L = max(lens)
-        if L == 0:
-            return [[] for _ in sents]
-        B = len(sents)
-        ids = np.full((B, L), EOS_ID, dtype=np.int32)
-        g = self.src_vocab.word_to_index.get
-        for r, toks in enumerate(sents):
-            ids[r, : len(toks)] = [g(t, 2) for t in toks]
-        mask = np.zeros((B, L), dtype=bool)
-        for r, ln in enumerate(lens):
-            mask[r, :ln] = True
-        probs = self.forward_probs(ids, mask)  # [B, L, C]
-        k = min(k, probs.shape[-1])
-        order = np.argsort(-probs, axis=-1, kind="stable")[..., :k]
-        out = []
-        for r, ln in enumerate(lens):
-            sent_out = []
-            for j in range(ln):
-                sent_out.append(
-                    [(self.labels[c], float(probs[r, j, c])) for c in order[r, j]]
-                )
-            out.append(sent_out)
+        out: list[list[list[tuple[str, float]]]] = [[] for _ in sents]
+        for rows, ids in self._chunks(sents):
+            probs = _softmax_(self._forward_logits(ids))  # [B, L, C]
+            order = np.argsort(-probs, axis=-1, kind="stable")[..., :k]
+            for b, r in enumerate(rows):
+                out[r] = [[(self.labels[c], float(probs[b, j, c])) for c in order[b, j]]
+                          for j in range(ids.shape[1])]
         return out
-
-    def forward_probs(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Like forward_ids but returns the softmax distribution [B,L,C]."""
-        logits = self._forward_logits(ids, mask)
-        return _softmax(logits)
 
     def words_in_dict_ratio(self, sents: list[list[str]]) -> list[float]:
         """Fraction of tokens found in the source vocab per sentence

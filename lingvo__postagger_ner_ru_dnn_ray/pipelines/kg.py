@@ -245,7 +245,23 @@ def run_kg_job(
     ``stats_out``: optional list that
     receives (stage_name, ds.stats() text) per executed dataset — the
     epoch/throughput-counter surface (BaseSeq2SeqFramework.cs:261-321
-    analogue) bench.py summarizes into its JSON."""
+    analogue) bench.py summarizes into its JSON.
+
+    ``tag_concurrency`` (an actor pool) must be below the cluster's CPU
+    count: each actor holds one CPU for the whole job, and a pool holding
+    every CPU leaves none for the read tasks that feed it, so the job
+    would hang. Such a pool raises ``ValueError`` before anything is read."""
+    cpus = ray.cluster_resources().get("CPU", 8)
+    if tag_concurrency is None:
+        pool = int(cpus)
+    else:
+        pool = tag_concurrency if isinstance(tag_concurrency, int) else max(tag_concurrency)
+        if pool >= cpus:
+            raise ValueError(
+                f"run_kg_job: a tagging pool of {pool} actors holds all {cpus:g} CPUs of "
+                "the cluster and leaves none for the read tasks that feed it, so the job "
+                "would hang; pass tag_concurrency below the CPU count, or None for "
+                "stateless tasks")
     p = num_partitions
     cfg = {"v": 1, "num_partitions": p, "input": str(input_path)}
     if artifact_dir is not None:
@@ -300,10 +316,6 @@ def run_kg_job(
             mf.write_manifest(out[table], part, ch, inputs=cfg)
 
     if need["triples"]:
-        if tag_concurrency is None:
-            pool = int(ray.cluster_resources().get("CPU", 8))
-        else:
-            pool = tag_concurrency if isinstance(tag_concurrency, int) else tag_concurrency[-1]
         ds = read_transcripts(input_path, override_num_blocks=max(64, pool * 8))
         skip = set(range(p)) - set(need["triples"])
         if skip:

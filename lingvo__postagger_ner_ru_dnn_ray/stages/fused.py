@@ -175,13 +175,7 @@ class KgStage:
         turn = batch.column("turn_idx").to_pylist()
         text = batch.column("text").to_pylist()
 
-        # GRAFT_KG_NO_MEMO=1: measurement diagnostic — keep WITHIN-batch
-        # dedup (worker-count independent) but drop the cross-batch memo,
-        # whose hit rate rises as worker count falls (8 workers see hotter
-        # caches than 32) and therefore depresses measured scaling
-        # efficiency. Production leaves it on: it is a large absolute win
-        # at every cluster size.
-        memo = {} if os.environ.get("GRAFT_KG_NO_MEMO") == "1" else self._turn_memo
+        memo = self._turn_memo
         todo = list({x for x in text if x and x not in memo})
         if todo:
             if len(memo) + len(todo) > (1 << 18):

@@ -5,9 +5,10 @@ ConcurrentFactory.cs:56-108: semaphore-bounded predictors with the model
 loaded once and shared) expressed as Ray's ActorPoolStrategy: pass this
 CLASS to ``ds.map_batches(TaggerStage, concurrency=N, batch_size=B,
 batch_format="pyarrow")``; both models load once per actor in __init__;
-each __call__ labels every sentence of the Arrow batch in a single padded
-[B, L] forward pass per model (vs. the reference's batch=1 console path,
-ConsoleDemo/Program.cs:263-272).
+each __call__ labels every sentence of the Arrow batch in one
+``predict_batch`` per model, which forwards the batch's unique sentences in
+unpadded chunks of one exact length each (vs. the reference's batch=1
+console path, ConsoleDemo/Program.cs:263-272).
 
 Adds to the sentence rows:
     pos      list<string>  corrected PosTaggerOutputType names

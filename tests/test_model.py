@@ -9,7 +9,11 @@ from lingvo__postagger_ner_ru_dnn_ray.model.lexicon import (
     pos_token_label,
     taggers,
 )
-from lingvo__postagger_ner_ru_dnn_ray.model.tagger import MAX_PREDICT_SENT_LENGTH
+from lingvo__postagger_ner_ru_dnn_ray.model.tagger import (
+    MAX_PREDICT_SENT_LENGTH,
+    SeqLabelModel,
+    sinusoidal_pos_emb,
+)
 from lingvo__postagger_ner_ru_dnn_ray.model.vocab import BOS_ID, EOS_ID, UNK_ID, Vocab
 
 
@@ -69,10 +73,11 @@ def test_batched_equals_single():
 
 def test_predict_batch_padding_invariant():
     """A sentence's labels must not depend on batch composition: alone,
-    padded next to a 200-token straggler (flat-pad worst case), duplicated,
-    or memo-warm — all identical. This pins the dedup+bucketing fast path
-    (tagger.py predict_batch/_forward_unique) to the flat-padded semantics:
-    masked keys underflow to exactly 0.0 in the attention softmax."""
+    next to a 200-token straggler, duplicated, or memo-warm — all
+    identical. The forward runs exact-length chunks (tagger.py
+    predict_batch/_forward_unique), so a straggler lands in a chunk of its
+    own and nothing is padded; this pins that a batch's other sentences,
+    the memo and its clearing cannot change a sentence's labels."""
     pos, _ = taggers()
     vocab_toks = list(pos_token_label())
     short = vocab_toks[:5] + ["_unk_pad_x"]
@@ -202,3 +207,138 @@ def test_memo_overflow_mid_batch():
     finally:
         pos.__dict__.pop("_MEMO_CAP", None)
         pos._label_memo.clear()
+
+
+def _mixed_batch():
+    """Three sentences of every length 1..40 drawn from the POS vocab plus
+    unknown words, each twice, and one 250-token sentence (> 10% over
+    MAX_PREDICT_SENT_LENGTH, so Predict_Full chunks it)."""
+    vocab_toks = list(pos_token_label())
+    sents = [
+        [vocab_toks[(7 * n + 5 * v + j) % len(vocab_toks)] if j % 3 else f"_unk{n}_{v}_{j}"
+         for j in range(n)]
+        for n in range(1, 41) for v in range(3)
+    ]
+    sents += [list(s) for s in sents[::-1]]
+    sents.append((vocab_toks * 3)[:MAX_PREDICT_SENT_LENGTH + 30])
+    return sents
+
+
+def test_chunks_have_one_length():
+    """Every ids chunk the forward receives holds sentences of a single
+    length with no padding slot, within _AREA_CAP (lowered here so that
+    groups split), and the batched labels equal each sentence predicted
+    alone."""
+    pos, _ = taggers()
+    sents = _mixed_batch()
+    pos._label_memo.clear()
+    seen = []
+    forward = pos._forward_logits
+    pos.__dict__["_forward_logits"] = lambda ids: seen.append(ids.copy()) or forward(ids)
+    pos.__dict__["_AREA_CAP"] = 64
+    try:
+        batched = pos.predict_batch(sents)
+    finally:
+        pos.__dict__.pop("_forward_logits")
+        pos.__dict__.pop("_AREA_CAP")
+        pos._label_memo.clear()
+    assert seen
+    for ids in seen:
+        # a sentence longer than the cap is a chunk of its own
+        assert ids.ndim == 2 and (ids.shape[0] == 1 or ids.size <= 64)
+        assert (ids != EOS_ID).all()  # no token slot is padding
+    assert len(seen) > len({ids.shape[1] for ids in seen})  # groups were split
+    # each unique sentence (and each piece of the long one) went through the
+    # forward exactly once: the slots sum to the real token count
+    uniq = {tuple(s) for s in sents if len(s) <= MAX_PREDICT_SENT_LENGTH}
+    long_toks = sum(len(s) for s in sents if len(s) > MAX_PREDICT_SENT_LENGTH)
+    assert sum(ids.size for ids in seen) == sum(map(len, uniq)) + long_toks
+    assert {ids.shape[1] for ids in seen} == set(range(1, 41)) | {
+        MAX_PREDICT_SENT_LENGTH, 30}
+    single = []
+    for s in sents:
+        pos._label_memo.clear()
+        single.append(pos.predict_batch([s])[0])
+    assert batched == single
+    assert len(batched[-1]) == MAX_PREDICT_SENT_LENGTH + 30
+
+
+def test_artifact_models_equal_lexicon_models(tmp_path):
+    """save_artifact -> load_taggers gives models that label a batch of
+    mixed lengths exactly as the lexicon-built ones, and the .npz archive
+    keeps its keys: the meta blob plus one w__<name> per weight tensor."""
+    from lingvo__postagger_ner_ru_dnn_ray.model.artifact import (
+        load_taggers,
+        save_artifact,
+    )
+
+    pos, ner = taggers()
+    save_artifact(pos, tmp_path / "pos.npz")
+    save_artifact(ner, tmp_path / "ner.npz")
+    pos2, ner2 = load_taggers(tmp_path)
+    sents = _mixed_batch()
+    assert pos2.predict_batch(sents) == pos.predict_batch(sents)
+    assert ner2.predict_batch(sents) == ner.predict_batch(sents)
+    layer_keys = ("wq", "wk", "wv", "wo", "ln1g", "ln1b", "w1", "b1", "w2", "ln2g", "ln2b")
+    want = {"meta", "w__emb", "w__head_w", "w__head_b"} | {
+        f"w__l{li}_{k}" for li in range(pos.n_layers) for k in layer_keys}
+    for name in ("pos.npz", "ner.npz"):
+        with np.load(tmp_path / name) as npz:
+            assert set(npz.files) == want
+
+
+def _reference_logits(m, toks):
+    """Per-sentence float64 transformer forward written head by head from
+    the formula in tagger.py's docstring: the yardstick for the batched
+    float32 forward."""
+    w, D, H = m.w, m.dim, m.n_heads
+    dh = D // H
+
+    def ln(x, g, b):
+        return (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-5) * g + b
+
+    ids = [m.src_vocab.id(t) for t in toks]
+    x = w["emb"][ids].astype(np.float64) * np.sqrt(D) + sinusoidal_pos_emb(len(ids), D)
+    for li in range(m.n_layers):
+        p = f"l{li}_"
+        ctx = np.zeros_like(x)
+        for h in range(H):
+            cols = slice(h * dh, (h + 1) * dh)
+            q, k, v = (x @ w[p + n][:, cols] for n in ("wq", "wk", "wv"))
+            a = q @ k.T / np.sqrt(dh)
+            a = np.exp(a - a.max(-1, keepdims=True))
+            ctx[:, cols] = (a / a.sum(-1, keepdims=True)) @ v
+        x = ln(x + ctx @ w[p + "wo"], w[p + "ln1g"], w[p + "ln1b"])
+        ffn = np.maximum(x @ w[p + "w1"] + w[p + "b1"], 0.0) @ w[p + "w2"]
+        x = ln(x + ffn, w[p + "ln2g"], w[p + "ln2b"])
+    return x @ w["head_w"] + w["head_b"]
+
+
+def test_forward_matches_reference_transformer():
+    """With random weights in EVERY block (the lexicon weights zero wo and
+    w2, so attention and FFN there cannot move a label), the exact-length
+    chunked forward equals a per-sentence reference transformer, and
+    topk_class_probs maps each chunk row back to its sentence."""
+    pos, _ = taggers()
+    rng = np.random.RandomState(0)
+    w = {k: rng.normal(0, 0.3, v.shape).astype(np.float32) for k, v in pos.w.items()}
+    m = SeqLabelModel(pos.src_vocab, pos.labels, w, pos.dim, pos.n_layers,
+                      pos.n_heads, pos.max_ending_length)
+    m._AREA_CAP = 64
+    sents = _mixed_batch()[:120]
+    n_chunks = 0
+    for rows, ids in m._chunks(sents):
+        got = m._forward_logits(ids)
+        for b, r in enumerate(rows):
+            np.testing.assert_allclose(got[b], _reference_logits(m, sents[r]),
+                                       rtol=1e-3, atol=1e-3)
+        n_chunks += 1
+    assert n_chunks > len({len(s) for s in sents})
+    ranked = m.topk_class_probs(sents, k=2)
+    for toks, r in zip(sents, ranked):
+        ref = _reference_logits(m, toks)
+        ref = np.exp(ref - ref.max(-1, keepdims=True))
+        assert len(r) == len(toks)
+        np.testing.assert_allclose([tok_ranks[0][1] for tok_ranks in r],
+                                   (ref / ref.sum(-1, keepdims=True)).max(-1),
+                                   rtol=1e-3, atol=1e-4)

@@ -718,3 +718,18 @@ def test_turn_memo_overflow_mid_batch(ray_session):
         st._turn_memo[f"_pad{i}"] = []
     out = st(mk([t2, t1]))  # t1 memoized, t2 new -> clear fires
     assert out.num_rows >= base  # t1's rows survived the clear
+
+
+@pytest.mark.parametrize("pool", [4, 6, (1, 4)])
+def test_kg_job_refuses_pool_holding_every_cpu(fixture_path, tmp_path, pool):
+    """A tagging pool as large as the 4-CPU cluster leaves no CPU for the
+    read tasks and would hang; run_kg_job raises at once instead, before it
+    reads or writes anything."""
+    import time
+
+    out = tmp_path / "kg_pool"
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="leaves none for the read tasks"):
+        run_kg_job(fixture_path, str(out), num_partitions=2, tag_concurrency=pool)
+    assert time.monotonic() - t0 < 5
+    assert not out.exists()

@@ -226,3 +226,47 @@ def test_bundled_input_label_snapshot():
     assert flat["Сергея"] == {"B-PER"}
     assert flat["Козлова"] <= {"I-PER"}
     assert flat["Истра"] == {"B-LOC"}
+
+
+def test_fixture_tokens_label_snapshot():
+    """Tokens → taggers → labels from the fixtures alone, so the label pin
+    runs without the reference's bundled input (the raw-text test above
+    still covers the tokenizer where that input exists). The token fixture
+    holds every token's value, type and flags for the 15 bundled lines; all
+    their sentences, on both dot variants, go through TaggerStage in ONE
+    batch of mixed lengths and must give the labels in
+    fixtures/reference_input_labels.json.
+
+    That label fixture is this repo's own snapshot, written by
+    scripts/gen_label_fixture.py: it guards the tagger's forward pass
+    against regressions on real lines, and is NOT parity with the C#
+    reference's labels."""
+    import json
+    import os
+
+    import pyarrow as pa
+
+    from lingvo__postagger_ner_ru_dnn_ray.stages.tag import TaggerStage
+    from lingvo__postagger_ner_ru_dnn_ray.textkit.features import INPUT_TYPE_NAMES
+
+    fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    toks = json.load(open(os.path.join(fx, "reference_input_tokens.json"), encoding="utf-8"))
+    want = json.load(open(os.path.join(fx, "reference_input_labels.json"), encoding="utf-8"))
+    assert len(toks) == len(want) == 15
+    sents, expect = [], []
+    for t_line, w_line in zip(toks, want):
+        assert len(t_line["simple"]) == len(w_line["simple"])
+        sents += t_line["simple"] + [t_line["console"]]
+        expect += w_line["simple"] + [w_line["console"]]
+    type_id = {name: i for i, name in enumerate(INPUT_TYPE_NAMES)}
+    batch = pa.table({
+        "values": pa.array([[w["v"] for w in s] for s in sents], pa.list_(pa.string())),
+        "input_types": pa.array([[type_id[w["t"]] for w in s] for s in sents],
+                                pa.list_(pa.int32())),
+        "extras": pa.array([[w["x"] for w in s] for s in sents], pa.list_(pa.int32())),
+    })
+    assert len({len(s) for s in sents}) > 10  # a real mix of lengths
+    out = TaggerStage()(batch)
+    assert out.column("values").to_pylist() == [e["tokens"] for e in expect]
+    assert out.column("pos").to_pylist() == [e["pos"] for e in expect]
+    assert out.column("ner").to_pylist() == [e["ner"] for e in expect]
