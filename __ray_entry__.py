@@ -97,13 +97,9 @@ def _ensure_kg_ray(sf_dir: str) -> str:
         shutil.rmtree(outp)
     path = transcripts_for_sf(sf_dir)
     ds = read_transcripts(path).sort(["conv_id", "turn_idx"])
-    import ray
     import ray.data
 
-    # size the tagger pool from the cluster (same as entry()) instead of
-    # the default 4 — the kg-family replay otherwise underuses 32 CPUs
-    pool = max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
-    sents = tagged_sentences(ds, tag_concurrency=pool)
+    sents = tagged_sentences(ds)
 
     sents.write_parquet(str(outp / "sentences"))
     sents_w = ray.data.read_parquet(str(outp / "sentences"))
@@ -144,7 +140,7 @@ def _webjson_paths(sf_dir: str) -> tuple[str, str, str]:
 def _webjson_requests_table(sf_dir: str):
     """The request set: one ``{"id": "conv:turn", "text": ...}`` record per
     synthetic transcript turn (the same deterministic fixture the kg family
-    replays), already in the transcript shape WebJsonStage consumes."""
+    replays), already in the transcript shape webjson_batch consumes."""
     import pyarrow as pa
 
     from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import (
@@ -191,9 +187,8 @@ def _ensure_webjson_requests(sf_dir: str) -> str:
 
 def _ensure_webjson_ray(sf_dir: str) -> str:
     """Run (once) the DISTRIBUTED batch JSON boundary — JSONL ingest →
-    WebJsonStage actor pool — and materialize its (id, sents_json) rows."""
-    import ray
-
+    web-JSON tasks over the kernel — and materialize its (id, sents_json)
+    rows."""
     from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import (
         read_json_requests,
         tag_requests,
@@ -208,25 +203,24 @@ def _ensure_webjson_ray(sf_dir: str) -> str:
 
         shutil.rmtree(outp)
     reqs = read_json_requests(_ensure_webjson_requests(sf_dir))
-    pool = max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
-    tag_requests(reqs, model_type="ner", concurrency=pool).write_parquet(out)
+    tag_requests(reqs, model_type="ner").write_parquet(out)
     (outp / "_SUCCESS").touch()
     return out
 
 
 def _ensure_webjson_oracle(sf_dir: str) -> str:
-    """Single-process oracle for the batch JSON boundary: ONE WebJsonStage
+    """Single-process oracle for the batch JSON boundary: ONE webjson_batch
     call over the whole request table (the FIXTURES.md F5 pattern — same
     pure transforms, no Ray), materialized to Parquet for the SQL side."""
     import pyarrow.parquet as pq
 
-    from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import WebJsonStage
+    from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import webjson_batch
 
     _, _, orc = _webjson_paths(sf_dir)
     p = Path(orc)
     if p.exists():
         return orc
-    out = WebJsonStage(model_type="ner")(_webjson_requests_table(sf_dir))
+    out = webjson_batch(_webjson_requests_table(sf_dir), model_type="ner")
     p.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(orc + ".tmp")
     pq.write_table(out, tmp)
@@ -241,8 +235,8 @@ def _web_json_tagged(sf_dir: str):
 
 
 def entry() -> Any:
-    """Flagship: transcripts → sorted → tokenize → tag (actor pool) →
-    triples → linked triples, at sf0.001 scale."""
+    """Flagship: transcripts → sorted → tokenize → tag → triples → linked
+    triples, at sf0.001 scale."""
     from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import (
         linked_triples,
         read_transcripts,
@@ -250,14 +244,9 @@ def entry() -> Any:
     )
     from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import transcripts_for_sf
 
-    import ray
-
     path = transcripts_for_sf("/root/testdata/sf0.001")
     ds = read_transcripts(path).sort(["conv_id", "turn_idx"])
-    # size the tagger pool from the cluster the driver gave us (leave a
-    # few CPUs for read/sort/link tasks) instead of a hardcoded 2
-    pool = max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
-    return linked_triples(tagged_sentences(ds, tag_concurrency=pool))
+    return linked_triples(tagged_sentences(ds))
 
 
 def _seqlabel_f1(sf_dir: str):

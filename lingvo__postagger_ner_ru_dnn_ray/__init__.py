@@ -5,14 +5,12 @@ Reimplements the query/data-processing capabilities of the reference
 zamgi/lingvo--PosTagger-NER-ru-dnn (C#) as an idiomatic Ray Data pipeline:
 
     transcripts (conv_id, turn_idx, role, text, tool, ts)
-      -> sort(conv_id, turn_idx)                        # stable turn ordering
-      -> map_batches(tokenize)                          # textkit: sent-split + tokenizer + features
-      -> map_batches(TaggerActor, concurrency=N)        # POS + NER DNN inference (actor pool)
-      -> map_batches(decode_mentions)                   # BIO decode
-      -> map_batches(extract_triples)                   # subj/pred/obj per sentence
-      -> map_batches(LinkerActor)                       # broadcast entity-dictionary join
-      -> groupby(entity_key).aggregate                  # conflation / canonicalization
-      -> write nodes/edges Parquet (+ lineage manifests for resume)
+      -> map_batches(KgStage)         # the per-turn kernel (stages/kernel.py):
+                                      #   tokenize -> POS + NER DNN tagging ->
+                                      #   triple extraction -> entity linking
+      -> write triples Parquet, hash-partitioned by conv_id
+      -> per partition: edges, then nodes    # conflation / canonicalization
+      -> lineage manifests per table and partition (for resume)
 
 No code is ported from the reference; behavior parity is established from
 the reference sources cited per-module (file:line) and covered by

@@ -40,11 +40,9 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..stages.conflate import combine_edges, edge_node_partials, edge_partials
-from ..stages.linking import LinkerStage, put_linking_dict
+from ..stages.kernel import Tagged, kernel, linked_table, sentence_table, turn_keys
+from ..stages.linking import put_linking_dict
 from ..stages.mentions import mentions_batch
-from ..stages.tag import TaggerStage
-from ..stages.tokenize import tokenize_batch
-from ..stages.triples import triples_batch
 from ..state import manifest as mf
 
 TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text"]
@@ -64,39 +62,29 @@ def read_transcripts(input_path: str, override_num_blocks: int | None = None) ->
     )
 
 
-def tagged_sentences(
-    ds: ray.data.Dataset,
-    *,
-    tag_concurrency: int | tuple[int, int] = 4,
-    tag_batch_size: int = 512,
-) -> ray.data.Dataset:
-    ds = ds.map_batches(tokenize_batch, batch_format="pyarrow")
-    return ds.map_batches(
-        TaggerStage,
-        batch_format="pyarrow",
-        batch_size=tag_batch_size,
-        concurrency=tag_concurrency,
-    )
+def _sentences_batch(batch: pa.Table) -> pa.Table:
+    return sentence_table(turn_keys(batch), kernel().tag_texts(batch.column("text").to_pylist()))
 
 
-def linked_triples(
-    sent_ds: ray.data.Dataset,
-    *,
-    link_concurrency: int | tuple[int, int] = 4,
-    dict_ref=None,
-) -> ray.data.Dataset:
-    t = sent_ds.map_batches(triples_batch, batch_format="pyarrow")
-    if dict_ref is None:
-        dict_ref = put_linking_dict()
-    # dict lookups are cheap: fractional CPU per linker actor so the pool
-    # never starves the read/sort/write task operators (guide §actor-pools)
-    return t.map_batches(
-        LinkerStage,
-        batch_format="pyarrow",
-        concurrency=link_concurrency,
-        num_cpus=0.25,
-        fn_constructor_kwargs={"dict_ref": dict_ref, "columns": ("subj", "obj")},
-    )
+def tagged_sentences(ds: ray.data.Dataset, *, tag_batch_size: int = 512) -> ray.data.Dataset:
+    """transcripts → tagged sentence rows (stages/kernel.py SENT_SCHEMA):
+    the kernel's first step as stateless tasks, models loaded once per
+    worker process."""
+    return ds.map_batches(_sentences_batch, batch_format="pyarrow", batch_size=tag_batch_size)
+
+
+def _linked_batch(batch: pa.Table) -> pa.Table:
+    k = kernel()
+    cols = [batch.column(n).to_pylist() for n in ("conv_id", "turn_idx", "sent_idx")]
+    tagged = zip(*(batch.column(n).to_pylist() for n in Tagged._fields))
+    return linked_table([(c, t, si) + row for c, t, si, s in zip(*cols, tagged)
+                         for row in k.link(Tagged(*s))])
+
+
+def linked_triples(sent_ds: ray.data.Dataset) -> ray.data.Dataset:
+    """tagged sentence rows → linked triple rows: the kernel's second step
+    as stateless tasks."""
+    return sent_ds.map_batches(_linked_batch, batch_format="pyarrow")
 
 
 def mention_rows(sent_ds: ray.data.Dataset) -> ray.data.Dataset:

@@ -1,11 +1,11 @@
-"""Single-process oracle: the same pure per-record transforms run
-sequentially in plain Python (no Ray) over a pyarrow Table.
+"""Single-process oracle: the per-turn kernel (stages/kernel.py) run ONCE
+over the whole transcripts table in plain Python (no Ray, no turn memo).
 
 This is FIXTURES.md F5's golden generator: the distributed pipeline at any
 parallelism must produce exactly these tables (compared order-insensitively)
-— the test that partitioning, shuffles and actor pools add no
-nondeterminism. The reference's analogous oracle is its single-threaded
-console path (ConsoleDemo/Program.cs:243-315).
+— the test that the job's turn memo, its batching, partitioning and Ray
+add nothing to the kernel. The reference's analogous oracle is its
+single-threaded console path (ConsoleDemo/Program.cs:243-315).
 """
 from __future__ import annotations
 
@@ -13,21 +13,20 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.conflate import edge_partials, node_partials
-from ..stages.linking import LinkerStage
+from ..stages.kernel import Kernel, linked_table, sentence_table, turn_keys
 from ..stages.mentions import mentions_batch
-from ..stages.tag import TaggerStage
-from ..stages.tokenize import tokenize_batch
-from ..stages.triples import triples_batch
 
 
 def oracle_tables(transcripts: pa.Table) -> dict[str, pa.Table]:
     """sentences, mentions, triples, edges, nodes from a transcripts table."""
     transcripts = transcripts.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
-    sents = tokenize_batch(transcripts)
-    sents = TaggerStage()(sents)
+    k = Kernel()
+    keys = turn_keys(transcripts)
+    tagged = k.tag_texts(transcripts.column("text").to_pylist())
+    sents = sentence_table(keys, tagged)
     mentions = mentions_batch(sents)
-    triples = triples_batch(sents)
-    triples = LinkerStage(None)(triples)
+    triples = linked_table([(c, t, si) + row for (c, t, _), ss in zip(keys, tagged)
+                            for si, s in enumerate(ss) for row in k.link(s)])
 
     # final aggregates: the per-batch partial over the WHOLE table is exact
     edges = edge_partials(triples)

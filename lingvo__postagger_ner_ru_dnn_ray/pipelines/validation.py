@@ -26,8 +26,8 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
+from ..functions.hashing import _md5_u64
 from ..functions.metrics import fscore_counts_batch
-from ..stages.dataops import _md5_u64
 from ..textkit.features import POS_LABELS
 
 _PERTURB_MOD = 7

@@ -10,9 +10,10 @@ the reference's plug-in interfaces:
     evaluation metrics consumed by the validator (Validator.cs:79-97).
 
 Both are name-keyed registries: names serialize cleanly into actor-pool
-constructor kwargs (``KgStage(input_type_processor="my-proc")``), the way
-the reference's JSON config names processors/models rather than passing
-object graphs.
+constructor kwargs (``KgStage(input_type_processor="my-proc")``, which
+resolves the name and hands the processor to its per-turn kernel,
+stages/kernel.py), the way the reference's JSON config names
+processors/models rather than passing object graphs.
 """
 from __future__ import annotations
 

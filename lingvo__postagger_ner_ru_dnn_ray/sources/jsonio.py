@@ -3,19 +3,20 @@ request/response surface (PosTaggerController.cs:33-60 routes POST
 ``{text, modelType}`` through the shared predictor pool; Models/VM.cs:10-62
 shapes the reply as ``{sents: [{tuples: [{word, label}, ...]}, ...]}``),
 re-expressed Ray-Data-first: JSONL request records in, one tagged JSON
-record per request out, with the tagging done by the same tokenizer +
-TaggerStage actor pool the rest of the engine uses.
+record per request out, with the tokenizing and tagging done by the same
+per-turn kernel (stages/kernel.py) the rest of the engine uses.
 
 Request  (one JSON object per line): ``{"text": "...", "id": "..."?}``
 Response (one JSON object per line): ``{"id": ..., "sents": [...]}`` in the
 VM shape above, sentences in document order, one tuple per token.
 
 Design notes (scale):
-- The whole request → response path is ONE ``map_batches`` over an actor
-  pool (models load once per actor in ``__init__``): a request's text is a
-  single input row, so every sentence it produces exists inside the same
-  batch and assembly is batch-local — no groupby/shuffle anywhere, the
-  pipeline streams.
+- The whole request → response path is ONE ``map_batches`` of stateless
+  tasks (models load once per worker process, keyed by ``artifact_dir``),
+  so it needs no pool size and runs on any cluster, one CPU included: a
+  request's text is a single input row, so every sentence it produces
+  exists inside the same batch and assembly is batch-local — no
+  groupby/shuffle anywhere, the pipeline streams.
 - Requests are keyed by ``id`` when present, else by an md5 content
   fingerprint; duplicate keys inside a batch collapse to one response
   (idempotent, cache-like semantics — the natural contract for a batch
@@ -68,71 +69,44 @@ def _content_id(text: str | None) -> str:
     return hashlib.md5((text or "").encode("utf-8")).hexdigest()
 
 
-class WebJsonStage:
-    """Actor-pool stage: request rows → one VM-shaped JSON record per
-    request. Tokenizer LUTs are module singletons; both DNN models load
-    once per actor (the ConcurrentFactory.cs:56-108 pool semantics)."""
+def webjson_batch(batch: pa.Table, model_type: str = "ner",
+                  artifact_dir: str | None = None) -> pa.Table:
+    """Request rows → one VM-shaped JSON record per request, through this
+    process's kernel (models load once per worker process)."""
+    from ..stages.kernel import kernel
 
-    def __init__(self, model_type: str = "ner", artifact_dir: str | None = None):
-        if model_type not in _MODEL_TYPES:
-            raise ValueError(f"model_type must be one of {_MODEL_TYPES}")
-        from ..stages.tag import TaggerStage
-
-        self.model_type = model_type
-        self.tagger = TaggerStage(artifact_dir=artifact_dir)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.tokenize import tokenize_batch
-
-        # batch-local request registry, first occurrence wins (duplicate
-        # keys collapse — see module docstring)
-        ids: list[str] = []
-        keep: list[int] = []
-        seen: set[str] = set()
-        for i, cid in enumerate(batch.column("conv_id").to_pylist()):
-            if cid not in seen:
-                seen.add(cid)
-                ids.append(cid)
-                keep.append(i)
-        sents: dict[str, list[dict]] = {cid: [] for cid in ids}
-
-        tagged = self.tagger(tokenize_batch(batch.take(keep)))
-
-        words_col = tagged.column("values").to_pylist()
-        label_col = tagged.column(self.model_type).to_pylist()
-        for cid, words, labels in zip(
-            tagged.column("conv_id").to_pylist(), words_col, label_col
-        ):
-            sents[cid].append(
-                {"tuples": [{"word": w, "label": l} for w, l in zip(words, labels)]}
-            )
-
-        # one row per request, empty-text requests included with sents: []
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.string()),
-                pa.array([json.dumps(sents[cid], ensure_ascii=False) for cid in ids],
-                         pa.string()),
-            ],
-            names=["id", "sents_json"],
-        )
+    if model_type not in _MODEL_TYPES:
+        raise ValueError(f"model_type must be one of {_MODEL_TYPES}")
+    # batch-local request registry, first occurrence wins (duplicate keys
+    # collapse — see module docstring)
+    first: dict[str, str] = {}
+    for cid, text in zip(batch.column("conv_id").to_pylist(),
+                         batch.column("text").to_pylist()):
+        first.setdefault(cid, text)
+    tagged = kernel(artifact_dir).tag_texts(list(first.values()))
+    # one row per request, empty-text requests included with sents: []
+    sents = [
+        json.dumps([{"tuples": [{"word": w, "label": l}
+                                for w, l in zip(s.values, getattr(s, model_type))]}
+                    for s in ss], ensure_ascii=False)
+        for ss in tagged
+    ]
+    return pa.Table.from_arrays(
+        [pa.array(list(first), pa.string()), pa.array(sents, pa.string())],
+        names=["id", "sents_json"],
+    )
 
 
 def tag_requests(
     requests: ray.data.Dataset,
     model_type: str = "ner",
-    concurrency: int | None = None,
     artifact_dir: str | None = None,
 ) -> ray.data.Dataset:
-    """Request rows → ``(id, sents_json)`` rows via the WebJsonStage actor
-    pool (``concurrency=None`` lets Ray size the pool; tests pass small)."""
-    kwargs: dict = {"batch_format": "pyarrow"}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
+    """Request rows → ``(id, sents_json)`` rows, as stateless tasks."""
     return requests.map_batches(
-        WebJsonStage,
-        fn_constructor_kwargs={"model_type": model_type, "artifact_dir": artifact_dir},
-        **kwargs,
+        webjson_batch,
+        batch_format="pyarrow",
+        fn_kwargs={"model_type": model_type, "artifact_dir": artifact_dir},
     )
 
 
@@ -140,7 +114,6 @@ def run_webjson_job(
     in_path: str,
     out_dir: str,
     model_type: str = "ner",
-    concurrency: int | None = None,
     artifact_dir: str | None = None,
 ) -> None:
     """End-to-end batch replay of the web surface: JSONL requests at
@@ -148,10 +121,7 @@ def run_webjson_job(
     ``{"id", "sents"}`` object per line; sents parsed back from the
     stage's JSON string so the on-disk record is the nested VM shape)."""
     tagged = tag_requests(
-        read_json_requests(in_path),
-        model_type=model_type,
-        concurrency=concurrency,
-        artifact_dir=artifact_dir,
+        read_json_requests(in_path), model_type=model_type, artifact_dir=artifact_dir
     )
 
     def to_record(batch: pa.Table):

@@ -25,6 +25,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from ..functions.hashing import _md5_u64
+
 # --------------------------------------------------------------------------- #
 # helpers
 
@@ -241,11 +243,6 @@ _MH_N_SALTS = 1024
 _MH_RNG = np.random.RandomState(1234)
 _MH_A = _MH_RNG.randint(1, int(_MH_P), size=_MH_PERMS).astype(np.uint64)
 _MH_B = _MH_RNG.randint(0, int(_MH_P), size=_MH_PERMS).astype(np.uint64)
-
-
-def _md5_u64(s: str) -> int:
-    """First 8 bytes of md5, little-endian == DuckDB md5_number_upper()."""
-    return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little")
 
 
 _JOIN_SALTS = 512  # scale knob: ≈ 16-32 × cluster cores

@@ -1,14 +1,15 @@
-"""Ray Data stage: entity linking — broadcast hash join against the
-canonical entity dictionary.
+"""Entity linking — a hash join against the canonical entity dictionary.
 
 The dictionary is the small side (≪ mentions), so this is a broadcast
-join, not a shuffle join (SURVEY.md §2.4): the driver ``ray.put``s the
-normalized-surface-form → (entity_id, canonical) map ONCE; each actor
-``ray.get``s it in __init__ (zero-copy from the local object store) and
-does dict lookups per batch. Misses keep the NIL id (left-outer
-semantics). At 10^12-turn scale the dictionary would still be broadcast
-(it is entity-catalog sized); only if it outgrew worker memory would this
-become a hash-partitioned join on the normalized key.
+join, not a shuffle join (SURVEY.md §2.4): every process holds the
+normalized-surface-form → (entity_id, canonical) map — built once per
+process, or ``ray.put`` ONCE by the driver and ``ray.get`` by each KgStage
+actor in __init__ (zero-copy from the local object store) — and the
+per-turn kernel (stages/kernel.py) does one dict lookup per triple
+surface. Misses keep the NIL id (left-outer semantics). At 10^12-turn
+scale the dictionary would still be broadcast (it is entity-catalog
+sized); only if it outgrew worker memory would this become a
+hash-partitioned join on the normalized key.
 
 Surface normalization = the reference's model-token projection at
 mel=10000: lower-invariant + ё→е + NonSpacingMark strip
@@ -16,16 +17,14 @@ mel=10000: lower-invariant + ё→е + NonSpacingMark strip
 """
 from __future__ import annotations
 
-import pyarrow as pa
+from functools import lru_cache
+
 import ray
 
 from ..model.lexicon import entity_dictionary
 from ..textkit.features import to_model_token_str
 
 NIL = "NIL"
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=1 << 17)
@@ -47,67 +46,3 @@ def build_linking_dict() -> dict[str, tuple[str, str]]:
 
 def put_linking_dict() -> "ray.ObjectRef":
     return ray.put(build_linking_dict())
-
-
-def build_deletion_index(lookup: dict) -> dict[str, tuple[str, ...]]:
-    """FastSS deletion index over the dictionary's normalized surface
-    forms: key = surface or any 1-deletion of it → sorted candidate
-    surfaces. O(|dict|·L) keys, built ONCE per actor (the dictionary is
-    already broadcast); same blocking structure as
-    dataops.part_spelling_variants."""
-    tmp: dict[str, set[str]] = {}
-    for sf in lookup:
-        keys = {sf} | {sf[:i] + sf[i + 1:] for i in range(len(sf))}
-        for v in keys:
-            tmp.setdefault(v, set()).add(sf)
-    return {k: tuple(sorted(v)) for k, v in tmp.items()}
-
-
-class LinkerStage:
-    """Adds ``<col>_id`` / ``<col>_canon`` for each configured surface column.
-
-    Use ``fn_constructor_kwargs={"dict_ref": put_linking_dict(), "columns":
-    [...]}`` so every actor fetches the broadcast dictionary once.
-    """
-
-    def __init__(self, dict_ref=None, columns=("subj", "obj"), fuzzy=False):
-        if dict_ref is None:
-            self.lookup = build_linking_dict()
-        else:
-            self.lookup = ray.get(dict_ref)
-        self.columns = columns
-        # opt-in ED≤1 fallback for the NIL tail (typo'd mentions):
-        # default OFF so exact-linking parity with the sequential oracle
-        # is untouched; the deletion index is per-actor one-time state
-        self.del_idx = build_deletion_index(self.lookup) if fuzzy else None
-
-    def _fuzzy_hit(self, m: str):
-        from .dataops import _ed1
-
-        idx = self.del_idx
-        cands: set[str] = set()
-        for key in {m} | {m[:i] + m[i + 1:] for i in range(len(m))}:
-            cands.update(idx.get(key, ()))
-        best = min((sf for sf in cands if sf != m and _ed1(m, sf)), default=None)
-        return self.lookup[best] if best is not None else None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lookup = self.lookup
-        for col in self.columns:
-            surfaces = batch.column(col).to_pylist()
-            ids: list[str] = []
-            canons: list[str] = []
-            for s in surfaces:
-                norm = normalize_surface(s)
-                hit = lookup.get(norm)
-                if hit is None and self.del_idx is not None:
-                    hit = self._fuzzy_hit(norm)
-                if hit is None:
-                    ids.append(NIL)
-                    canons.append(norm)
-                else:
-                    ids.append(hit[0])
-                    canons.append(hit[1])
-            batch = batch.append_column(f"{col}_id", pa.array(ids, pa.string()))
-            batch = batch.append_column(f"{col}_canon", pa.array(canons, pa.string()))
-        return batch

@@ -1,4 +1,4 @@
-"""Ray Data stage: triple extraction — tagged sentence rows → (subj, pred, obj).
+"""Triple extraction — a tagged sentence → (subj, pred, obj) tuples.
 
 Rule (north_star): within one sentence, for each consecutive pair of NER
 mentions (m1, m2), the predicate is the first run of verb-group tokens
@@ -8,7 +8,8 @@ sentence — no cross-turn or cross-block state, so extraction order is
 stable under any scheduling (the per-turn text-equality invariant is pinned
 upstream by sorting turns per conv_id).
 
-Stateless map_batches; one sentence row → 0..n triple rows:
+The per-turn kernel (stages/kernel.py) calls it per sentence; the
+triple rows it builds have TRIPLE_SCHEMA:
     conv_id, turn_idx, sent_idx, triple_idx,
     subj, subj_type, pred, obj, obj_type,
     subj_start, subj_len, obj_start, obj_len
@@ -66,27 +67,3 @@ def extract_sentence_triples(vals, starts, lens, pos, ner):
             )
         )
     return out
-
-
-def triples_batch(batch: pa.Table) -> pa.Table:
-    conv = batch.column("conv_id").to_pylist()
-    turn = batch.column("turn_idx").to_pylist()
-    sidx = batch.column("sent_idx").to_pylist()
-    values = batch.column("values").to_pylist()
-    starts = batch.column("starts").to_pylist()
-    lens = batch.column("lens").to_pylist()
-    poss = batch.column("pos").to_pylist()
-    ners = batch.column("ner").to_pylist()
-
-    rows = {name: [] for name in TRIPLE_SCHEMA.names}
-    for c, t, s, vals, st, ln, pos, ner in zip(conv, turn, sidx, values, starts, lens, poss, ners):
-        for ti, tup in enumerate(extract_sentence_triples(vals, st, ln, pos, ner)):
-            rows["conv_id"].append(c)
-            rows["turn_idx"].append(t)
-            rows["sent_idx"].append(s)
-            rows["triple_idx"].append(ti)
-            for name, v in zip(TRIPLE_SCHEMA.names[4:], tup):
-                rows[name].append(v)
-    return pa.Table.from_arrays(
-        [pa.array(rows[f.name], f.type) for f in TRIPLE_SCHEMA], schema=TRIPLE_SCHEMA
-    )

@@ -19,9 +19,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
-import pyarrow as pa
-
-from lingvo__postagger_ner_ru_dnn_ray.stages.tag import TaggerStage
+from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
 from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import (
     tokenize_text,
     tokenize_text_console,
@@ -32,29 +30,21 @@ OUT = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                    "reference_input_labels.json")
 
 
-def tag(sent_words, ts):
-    batch = pa.table({
-        "values": pa.array([[w.value for w in ws] for ws in sent_words],
-                           pa.list_(pa.string())),
-        "input_types": pa.array([[w.input_type for w in ws] for ws in sent_words],
-                                pa.list_(pa.int32())),
-        "extras": pa.array([[w.extra for w in ws] for ws in sent_words],
-                           pa.list_(pa.int32())),
-    })
-    out = ts(batch)
-    return out.column("pos").to_pylist(), out.column("ner").to_pylist()
+def tag(sent_words, k):
+    out = k.tag_sentences(sent_words)
+    return [s.pos for s in out], [s.ner for s in out]
 
 
 def main():
     lines = [l for l in open(REF, encoding="utf-8-sig").read().splitlines()
              if l.strip()]
-    ts = TaggerStage()
+    k = Kernel()
     snap = []
     for i, line in enumerate(lines):
         simple_sents = tokenize_text(line)
-        s_pos, s_ner = tag(simple_sents, ts)
+        s_pos, s_ner = tag(simple_sents, k)
         console_words = tokenize_text_console(line)
-        c_pos, c_ner = tag([console_words], ts)
+        c_pos, c_ner = tag([console_words], k)
         snap.append({
             "line_idx": i,
             "simple": [

@@ -107,17 +107,17 @@ def test_length_histogram(ray_session, corpus_dir):
 
 
 def test_tagger_dict_ratio(ray_session):
-    import pyarrow as pa
+    from lingvo__postagger_ner_ru_dnn_ray.model.lexicon import taggers
+    from lingvo__postagger_ner_ru_dnn_ray.stages.tag import _model_token_cached
+    from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import tokenize_text
 
-    from lingvo__postagger_ner_ru_dnn_ray.stages.tag import TaggerStage
-    from lingvo__postagger_ner_ru_dnn_ray.stages.tokenize import tokenize_batch
-
-    batch = pa.table(
-        {"conv_id": ["c"], "turn_idx": pa.array([0], pa.int32()),
-         "role": ["user"], "text": ["Вася Козлов посетил Москву."]}
-    )
-    out = TaggerStage(with_dict_ratio=True)(tokenize_batch(batch))
-    assert "pos_dict_ratio" in out.column_names
-    r = out.column("ner_dict_ratio").to_pylist()[0]
+    sents = tokenize_text("Вася Козлов посетил Москву.")
+    pos_model, ner_model = taggers()
+    # SeqLabel.cs:194-216 WordsInDictRatio per sentence, over each model's tokens
+    pos_ratio = pos_model.words_in_dict_ratio(
+        [[_model_token_cached(w.value, w.input_type, 4) for w in ws] for ws in sents])
+    ner_ratio = ner_model.words_in_dict_ratio(
+        [[_model_token_cached(w.value, w.input_type, 10000) for w in ws] for ws in sents])
+    assert len(pos_ratio) == len(sents)
+    r = ner_ratio[0]
     assert 0.0 <= r <= 1.0
-

@@ -49,7 +49,7 @@ def test_webjson_matches_pinned_labels(ray_session, tmp_path, model_type):
         pytest.skip("reference input lines fixture absent")
     in_path = _write_requests(tmp_path, lines)
     out_dir = str(tmp_path / f"out_{model_type}")
-    run_webjson_job(in_path, out_dir, model_type=model_type, concurrency=1)
+    run_webjson_job(in_path, out_dir, model_type=model_type)
     recs = _read_records(out_dir)
     assert len(recs) == len(lines)
     for entry in FIXTURE:
@@ -77,7 +77,7 @@ def test_webjson_empty_text_and_content_ids(ray_session, tmp_path):
         f.write(json.dumps({"text": "Он приехал в Петербурге."}, ensure_ascii=False) + "\n")
 
     reqs = read_json_requests(str(p)).repartition(1)
-    out = tag_requests(reqs, model_type="ner", concurrency=1).to_pandas()
+    out = tag_requests(reqs, model_type="ner").to_pandas()
     # 3 requests, 2 distinct contents -> 2 records (duplicate collapsed)
     assert len(out) == 2
     by_id = {r["id"]: json.loads(r["sents_json"]) for _, r in out.iterrows()}
@@ -92,8 +92,8 @@ def test_webjson_empty_text_and_content_ids(ray_session, tmp_path):
 
 
 def test_webjson_driver_query_matches_single_process_oracle(ray_session, monkeypatch):
-    """The web_json_tagged driver query (JSONL ingest -> WebJsonStage actor
-    pool, materialized) must equal ONE single-process WebJsonStage call over
+    """The web_json_tagged driver query (JSONL ingest -> web-JSON tasks,
+    materialized) must equal ONE single-process webjson_batch call over
     the same request table — the F5 invariant extended to the JSON boundary."""
     import shutil
 
@@ -127,3 +127,50 @@ def test_webjson_driver_query_matches_single_process_oracle(ray_session, monkeyp
         for p in e._webjson_paths(sf_dir):
             shutil.rmtree(p, ignore_errors=True)
             Path(p).unlink(missing_ok=True)
+
+
+def _two_requests(tmp_path):
+    return _write_requests(tmp_path, ["Он приехал в Петербурге.", ""])
+
+
+def _check_two_records(out_dir):
+    recs = _read_records(out_dir)
+    assert set(recs) == {"line-0", "line-1"}
+    assert recs["line-1"] == []
+    labels = {t["word"]: t["label"] for t in recs["line-0"][0]["tuples"]}
+    assert labels["Петербурге"] == "B-LOC"
+
+
+def test_webjson_default_arguments(ray_session, tmp_path):
+    """``run_webjson_job(in, out)`` with every default: no pool size to
+    choose, NER labels."""
+    from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import run_webjson_job
+
+    out_dir = str(tmp_path / "out")
+    run_webjson_job(_two_requests(tmp_path), out_dir)
+    _check_two_records(out_dir)
+
+
+_ONE_CPU_JOB = """
+import sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import run_webjson_job
+run_webjson_job(sys.argv[1], sys.argv[2])
+ray.shutdown()
+"""
+
+
+def test_webjson_finishes_on_one_cpu(tmp_path):
+    """The web-JSON job on a 1-CPU cluster finishes (its own Ray session,
+    in a subprocess) instead of waiting forever for a CPU."""
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    out_dir = str(tmp_path / "out")
+    subprocess.run([sys.executable, "-c", _ONE_CPU_JOB, _two_requests(tmp_path), out_dir],
+                   cwd=root, check=True, timeout=120)
+    _check_two_records(out_dir)

@@ -51,7 +51,7 @@ TRIPLE_KEYS = ["conv_id", "turn_idx", "sent_idx", "triple_idx"]
 def test_distributed_equals_oracle(fixture_path, oracle, num_blocks):
     ds = read_transcripts(fixture_path).repartition(num_blocks)
     ds = ds.sort(["conv_id", "turn_idx"])
-    sents = tagged_sentences(ds, tag_concurrency=2, tag_batch_size=64)
+    sents = tagged_sentences(ds, tag_batch_size=64)
     tri = linked_triples(sents).to_pandas()
     want = oracle["triples"].to_pandas()
     assert _sorted_df(tri, TRIPLE_KEYS).equals(_sorted_df(want, TRIPLE_KEYS))
@@ -85,7 +85,7 @@ def test_fused_actor_pool_from_artifact(fixture_path, oracle, tmp_path_factory):
 
 def test_mentions_match_oracle(fixture_path, oracle):
     ds = read_transcripts(fixture_path).sort(["conv_id", "turn_idx"])
-    m = mention_rows(tagged_sentences(ds, tag_concurrency=2)).to_pandas()
+    m = mention_rows(tagged_sentences(ds)).to_pandas()
     want = oracle["mentions"].to_pandas()
     keys = ["conv_id", "turn_idx", "sent_idx", "mention_idx"]
     assert _sorted_df(m, keys).equals(_sorted_df(want, keys))
@@ -311,26 +311,6 @@ def test_extreme_conv_skew(ray_session, tmp_path):
     assert t_max <= 2 * t_mean, (t_min, t_max, t_mean, n_tasks)
 
 
-def test_deep_fused_equals_modular_chain(fixture_path, oracle):
-    """The deep-fused single-pass path (Python structures end to end, one
-    Arrow build) must be column-for-column identical to the stage-by-stage
-    composition it replaces."""
-    import pyarrow as pa
-
-    from lingvo__postagger_ner_ru_dnn_ray.stages.fused import KgStage
-
-    stage = KgStage()
-    tbl = pa.concat_tables(
-        [b for b in read_transcripts(fixture_path).sort(["conv_id", "turn_idx"])
-         .to_pandas().pipe(lambda df: [pa.Table.from_pandas(df, preserve_index=False)])]
-    )
-    deep = stage(tbl).to_pandas()
-    modular = stage.call_modular(tbl).to_pandas()
-    assert list(deep.columns) == list(modular.columns)
-    k = TRIPLE_KEYS
-    assert _sorted_df(deep, k).equals(_sorted_df(modular, k))
-
-
 def test_kg_job_unsorted_equals_sorted(fixture_path, tmp_path):
     """The global (conv_id, turn_idx) sort is physical layout only: with
     or without it, the job emits the identical keyed ROW SET into the
@@ -543,37 +523,6 @@ def test_kg_job_artifact_path(ray_session, tmp_path, tmp_path_factory):
         fused_linked_triples(
             read_transcripts(str(src)), concurrency=None, artifact_dir=str(adir)
         )
-
-
-def test_linker_fuzzy_fallback(ray_session):
-    """Opt-in ED<=1 linking: a typo'd known surface form links through the
-    per-actor FastSS deletion index; exact mode (the default, which the
-    kg oracles pin) still NILs it. Selection is deterministic (lexico-
-    graphically smallest verified surface)."""
-    import pyarrow as pa
-
-    from lingvo__postagger_ner_ru_dnn_ray.stages.linking import (
-        NIL,
-        LinkerStage,
-        build_linking_dict,
-    )
-
-    lookup = build_linking_dict()
-    sf = next(s for s in sorted(lookup) if len(s) >= 5 and " " not in s)
-    typo = sf[:2] + sf[3:]
-    assert typo not in lookup
-    batch = pa.table({"subj": [typo], "obj": [sf]})
-
-    exact = LinkerStage()(batch)
-    assert exact.column("subj_id")[0].as_py() == NIL
-    assert exact.column("obj_id")[0].as_py() == lookup[sf][0]
-
-    fz = LinkerStage(fuzzy=True)(batch)
-    got = fz.column("subj_id")[0].as_py()
-    assert got != NIL
-    assert fz.column("obj_id")[0].as_py() == lookup[sf][0]  # exact path intact
-    # deterministic across instances
-    assert LinkerStage(fuzzy=True)(batch).column("subj_id")[0].as_py() == got
 
 
 def test_salted_final_agg_equals_arrow_group_by(ray_session):

@@ -162,9 +162,7 @@ def test_bundled_input_label_snapshot():
 
     if not os.path.exists(_REF_INPUT):
         pytest.skip("reference bundled input not available")
-    import pyarrow as pa
-
-    from lingvo__postagger_ner_ru_dnn_ray.stages.tag import TaggerStage
+    from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
     from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import (
         tokenize_text_console,
     )
@@ -175,19 +173,11 @@ def test_bundled_input_label_snapshot():
     want = json.load(open(os.path.join(os.path.dirname(__file__), "..",
                                        "fixtures", "reference_input_labels.json")))
     assert len(want) == 15
-    ts = TaggerStage()
+    k = Kernel()
 
     def tag(sent_words):
-        batch = pa.table({
-            "values": pa.array([[w.value for w in ws] for ws in sent_words],
-                               pa.list_(pa.string())),
-            "input_types": pa.array(
-                [[w.input_type for w in ws] for ws in sent_words], pa.list_(pa.int32())),
-            "extras": pa.array([[w.extra for w in ws] for ws in sent_words],
-                               pa.list_(pa.int32())),
-        })
-        out = ts(batch)
-        return out.column("pos").to_pylist(), out.column("ner").to_pylist()
+        out = k.tag_sentences(sent_words)
+        return [s.pos for s in out], [s.ner for s in out]
 
     valid_ner = {"O", "B-PER", "I-PER", "B-ORG", "I-ORG", "B-LOC", "I-LOC"}
     for line, snap in zip(lines, want):
@@ -233,8 +223,8 @@ def test_fixture_tokens_label_snapshot():
     runs without the reference's bundled input (the raw-text test above
     still covers the tokenizer where that input exists). The token fixture
     holds every token's value, type and flags for the 15 bundled lines; all
-    their sentences, on both dot variants, go through TaggerStage in ONE
-    batch of mixed lengths and must give the labels in
+    their sentences, on both dot variants, go through the kernel's tagging
+    step in ONE batch of mixed lengths and must give the labels in
     fixtures/reference_input_labels.json.
 
     That label fixture is this repo's own snapshot, written by
@@ -244,10 +234,9 @@ def test_fixture_tokens_label_snapshot():
     import json
     import os
 
-    import pyarrow as pa
-
-    from lingvo__postagger_ner_ru_dnn_ray.stages.tag import TaggerStage
+    from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
     from lingvo__postagger_ner_ru_dnn_ray.textkit.features import INPUT_TYPE_NAMES
+    from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import Word
 
     fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
     toks = json.load(open(os.path.join(fx, "reference_input_tokens.json"), encoding="utf-8"))
@@ -259,14 +248,10 @@ def test_fixture_tokens_label_snapshot():
         sents += t_line["simple"] + [t_line["console"]]
         expect += w_line["simple"] + [w_line["console"]]
     type_id = {name: i for i, name in enumerate(INPUT_TYPE_NAMES)}
-    batch = pa.table({
-        "values": pa.array([[w["v"] for w in s] for s in sents], pa.list_(pa.string())),
-        "input_types": pa.array([[type_id[w["t"]] for w in s] for s in sents],
-                                pa.list_(pa.int32())),
-        "extras": pa.array([[w["x"] for w in s] for s in sents], pa.list_(pa.int32())),
-    })
+    words = [[Word(w["v"], None, w["s"], w["l"], type_id[w["t"]], w["x"]) for w in s]
+             for s in sents]
     assert len({len(s) for s in sents}) > 10  # a real mix of lengths
-    out = TaggerStage()(batch)
-    assert out.column("values").to_pylist() == [e["tokens"] for e in expect]
-    assert out.column("pos").to_pylist() == [e["pos"] for e in expect]
-    assert out.column("ner").to_pylist() == [e["ner"] for e in expect]
+    out = Kernel().tag_sentences(words)
+    assert [s.values for s in out] == [e["tokens"] for e in expect]
+    assert [s.pos for s in out] == [e["pos"] for e in expect]
+    assert [s.ner for s in out] == [e["ner"] for e in expect]
