@@ -153,7 +153,8 @@ def turn_keys(batch: pa.Table) -> list[tuple]:
 
 
 def _table(rows: list[tuple], schema: pa.Schema) -> pa.Table:
-    cols = list(zip(*rows)) if rows else [()] * len(schema)
+    # lists, not the tuples zip yields: pa.array converts a tuple ~6× slower
+    cols = [list(c) for c in zip(*rows)] if rows else [[]] * len(schema)
     return pa.Table.from_arrays([pa.array(c, f.type) for c, f in zip(cols, schema)],
                                 schema=schema)
 
