@@ -22,7 +22,7 @@ def oracle_tables(transcripts: pa.Table) -> dict[str, pa.Table]:
     transcripts = transcripts.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
     k = Kernel()
     keys = turn_keys(transcripts)
-    tagged = k.tag_texts(transcripts.column("text").to_pylist())
+    tagged = list(k.tag_texts(transcripts.column("text").to_pylist()))
     sents = sentence_table(keys, tagged)
     mentions = mentions_batch(sents)
     triples = linked_table([(c, t, si) + row for (c, t, _), ss in zip(keys, tagged)

@@ -20,6 +20,7 @@ builds Arrow only at its own boundary, with ``sentence_table`` and
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -96,30 +97,34 @@ class Kernel:
         self.lookup = build_linking_dict() if lookup is None else lookup
         self.itp = input_type_processor
 
-    def tag_texts(self, texts: list[str]) -> list[list[Tagged]]:
-        """Each text's tagged sentences, in order."""
+    def tag_texts(self, texts: list[str]) -> Iterator[list[Tagged]]:
+        """Each text's tagged sentences, in order. Lazy: a caller that
+        consumes text by text holds one text's ``Tagged`` at a time, which
+        keeps the garbage collector's young generations small."""
         per_text = [tokenize_text(x, input_type_processor=self.itp) if x else []
                     for x in texts]
-        tagged = iter(self.tag_sentences([ws for sents in per_text for ws in sents]))
-        return [[next(tagged) for _ in sents] for sents in per_text]
+        tagged = self._tag([ws for sents in per_text for ws in sents])
+        for sents in per_text:
+            yield [next(tagged) for _ in sents]
 
     def tag_sentences(self, sents: list[list]) -> list[Tagged]:
         """Tokenized sentences (lists of textkit ``Word``) → ``Tagged``."""
+        return list(self._tag(sents))
+
+    def _tag(self, sents: list[list]) -> Iterator[Tagged]:
         mt = _model_token_cached
         pos_raw = self.pos_model.predict_batch(
             [[mt(w.value, w.input_type, 4) for w in ws] for ws in sents])
         ner_raw = self.ner_model.predict_batch(
             [[mt(w.value, w.input_type, 10000) for w in ws] for ws in sents])
-        out = []
         for ws, praw, nraw in zip(sents, pos_raw, ner_raw):
             its = [w.input_type for w in ws]
             exs = [w.extra for w in ws]
             n = len(ws)
-            out.append(Tagged(
+            yield Tagged(
                 [w.value for w in ws], [w.start for w in ws], [w.length for w in ws],
                 its, exs, _correct_pos(its, exs, praw), _pad(praw, n, ""), _pad(nraw, n, "O"),
-            ))
-        return out
+            )
 
     def link(self, s: Tagged) -> list[tuple]:
         """(triple_idx, *triple, subj_id, subj_canon, obj_id, obj_canon) rows:
@@ -159,7 +164,7 @@ def _table(rows: list[tuple], schema: pa.Schema) -> pa.Table:
                                 schema=schema)
 
 
-def sentence_table(keys: list[tuple], tagged: list[list[Tagged]]) -> pa.Table:
+def sentence_table(keys: list[tuple], tagged: Iterable[list[Tagged]]) -> pa.Table:
     """SENT_SCHEMA rows from each turn's (conv_id, turn_idx, role) and its
     tagged sentences."""
     return _table([k + (si,) + s for k, sents in zip(keys, tagged)
