@@ -97,8 +97,8 @@ class SeqLabelModel:
             for p in (f"l{li}_" for li in range(n_layers))
         ]
         self._label_arr = np.array(labels, dtype=object)
-        # per-model sentence→labels memo (bounded, self-clearing like the
-        # dataops hash memos). Distinct turns share sentences heavily on
+        # per-model sentence→labels memo (bounded: cleared whole when it
+        # would pass _MEMO_CAP). Distinct turns share sentences heavily on
         # real transcript streams (fixture: 46% of sentences in a batch are
         # repeats of another turn's sentence), and the forward pass is the
         # single most expensive kernel in the engine — dedup-before-infer

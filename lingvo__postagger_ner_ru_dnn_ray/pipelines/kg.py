@@ -233,7 +233,7 @@ def run_kg_job(
     ``stats_out``: optional list that
     receives (stage_name, ds.stats() text) per executed dataset — the
     epoch/throughput-counter surface (BaseSeq2SeqFramework.cs:261-321
-    analogue) bench.py summarizes into its JSON.
+    analogue) that perfbench reads for its per-layer metrics.
 
     ``tag_concurrency`` (an actor pool) must be below the cluster's CPU
     count: each actor holds one CPU for the whole job, and a pool holding

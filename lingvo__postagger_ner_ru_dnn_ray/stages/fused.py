@@ -90,9 +90,9 @@ class KgStage:
         # turn TEXT (conv/turn are only output keys), and real transcript
         # streams are duplicate-heavy ("ok", "thanks" — the bench fixture
         # alone repeats 29% of turns), so identical turns replay cached
-        # rows instead of re-running tokenizer FSM + two DNNs. Bounded +
-        # self-clearing like the dataops hash memos; deterministic, so
-        # resume/retry replay is unaffected.
+        # rows instead of re-running tokenizer FSM + two DNNs. Bounded
+        # (cleared whole when full); deterministic, so resume/retry replay
+        # is unaffected.
         self._turn_memo: dict[str, list[tuple]] = {}
         self._memo_stats = _memo_stats_handle()
 

@@ -1,8 +1,13 @@
 """Local stand-in for the driver's correctness gate: run every queries()
-entry at sf0.01 and compare against oracle_sql() via DuckDB (row count,
-column names, order-insensitive values). Usage:
+entry (the nine KG entries) and compare it against its oracle_sql() query
+in DuckDB (row count, column names, order-insensitive values). Every
+oracle reads Parquet that oracle_sql() materializes from the
+single-process run, so no input table is registered here. Usage:
 
-    python scripts/check_correctness.py [sf_dir]
+    python scripts/check_correctness.py [sf_dir] [name,name,...]
+
+sf_dir defaults to sf0.01; the optional second argument limits the run to
+the named queries.
 """
 from __future__ import annotations
 
@@ -15,11 +20,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 SF_DIR = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-# validate the kg-family / IVF / PQ oracles at the replay scale too
-# (the driver's gate leaves this unset and pins sf0.01)
+# build the oracles at the replay scale too (the driver's gate leaves this
+# unset and pins sf0.01)
 os.environ.setdefault("GRAFT_ORACLE_SF_DIR", SF_DIR)
 ONLY = set(sys.argv[2].split(",")) if len(sys.argv) > 2 else None
-TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
 
 def to_pandas(obj):
@@ -49,7 +53,7 @@ def main():
     import duckdb
     import ray
 
-    ray.init(address="local", num_cpus=16, include_dashboard=False,
+    ray.init(address="local", num_cpus=4, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     import logging
 
@@ -61,9 +65,6 @@ def main():
     import __ray_entry__ as e
 
     con = duckdb.connect()
-    for t in TABLES:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF_DIR}/{t}.parquet')")
-
     qs = e.queries()
     sqls = e.oracle_sql()
     results = {}
@@ -75,10 +76,6 @@ def main():
             got = canon(to_pandas(fn(SF_DIR)))
         except Exception as ex:
             results[name] = f"RAY-ERROR: {ex}"
-            print(name, results[name])
-            continue
-        if name not in sqls:
-            results[name] = f"rows-only: {len(got)} rows ({time.time()-t0:.1f}s)"
             print(name, results[name])
             continue
         try:
@@ -99,10 +96,9 @@ def main():
         )
         print(name, results[name])
         if not ok_vals and ok_rows and ok_cols:
-            diff = (got != want).any(axis=0) if got.shape == want.shape else None
             print("   first rows got:", got.head(2).to_dict("records"))
             print("   first rows want:", want.head(2).to_dict("records"))
-    bad = {k: v for k, v in results.items() if "OK" not in v and "rows-only" not in v}
+    bad = {k: v for k, v in results.items() if not v.startswith("OK")}
     print(json.dumps({"total": len(results), "bad": bad}, ensure_ascii=False, indent=1))
     ray.shutdown()
 

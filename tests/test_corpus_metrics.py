@@ -1,9 +1,10 @@
-"""CoNLL corpus source + distributed F-score metric tests
+"""CoNLL corpus source + distributed F-score metric + debug formatter tests
 (SURVEY.md §2.1 corpus reader, §2.5 metrics, §2.6 split)."""
 import pyarrow as pa
 import pytest
 import ray.data
 
+from lingvo__postagger_ner_ru_dnn_ray.functions.format import tagged_lines, validation_lines
 from lingvo__postagger_ner_ru_dnn_ray.functions.metrics import seq_fscore, triple_prf
 from lingvo__postagger_ner_ru_dnn_ray.sources.conll import (
     build_vocab_table,
@@ -121,3 +122,16 @@ def test_tagger_dict_ratio(ray_session):
     assert len(pos_ratio) == len(sents)
     r = ner_ratio[0]
     assert 0.0 <= r <= 1.0
+
+
+def test_tagged_lines():
+    s = tagged_lines(["Вася", "работает", "."], ["B-PER", "O", "O"])
+    lines = s.splitlines()
+    assert lines[0].startswith("Вася")
+    assert lines[1].startswith("B-PER")
+    assert "-" in lines[1]  # 'O' renders as '-'
+
+
+def test_validation_lines():
+    s = validation_lines(["a", "b"], ["O", "B-LOC"], ["O", "O"])
+    assert s == "src: a b\nref: O B-LOC\nhyp: O O\n"

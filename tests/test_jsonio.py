@@ -46,7 +46,7 @@ def test_webjson_matches_pinned_labels(ray_session, tmp_path, model_type):
 
     lines = INPUT_LINES
     if lines is None:
-        pytest.skip("reference input lines fixture absent")
+        pytest.skip(f"reference raw input absent: {_REF_INPUT}")
     in_path = _write_requests(tmp_path, lines)
     out_dir = str(tmp_path / f"out_{model_type}")
     run_webjson_job(in_path, out_dir, model_type=model_type)

@@ -109,7 +109,7 @@ def test_bundled_input_verbatim_snapshot():
     import pytest
 
     if not os.path.exists(_REF_INPUT):
-        pytest.skip("reference bundled input not available")
+        pytest.skip(f"reference raw input absent: {_REF_INPUT}")
     lines = [
         l for l in open(_REF_INPUT, encoding="utf-8-sig").read().splitlines()
         if l.strip()  # reference skips blank lines, ConsoleDemo/Program.cs:243
@@ -128,7 +128,7 @@ def test_bundled_input_key_phenomena():
     import pytest
 
     if not os.path.exists(_REF_INPUT):
-        pytest.skip("reference bundled input not available")
+        pytest.skip(f"reference raw input absent: {_REF_INPUT}")
     lines = [
         l for l in open(_REF_INPUT, encoding="utf-8-sig").read().splitlines() if l.strip()
     ]
@@ -161,7 +161,7 @@ def test_bundled_input_label_snapshot():
     import pytest
 
     if not os.path.exists(_REF_INPUT):
-        pytest.skip("reference bundled input not available")
+        pytest.skip(f"reference raw input absent: {_REF_INPUT}")
     from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
     from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import (
         tokenize_text_console,
