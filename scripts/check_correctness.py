@@ -1,8 +1,8 @@
-"""Local stand-in for the driver's correctness gate: run every queries()
-entry (the nine KG entries) and compare it against its oracle_sql() query
-in DuckDB (row count, column names, order-insensitive values). Every
-oracle reads Parquet that oracle_sql() materializes from the
-single-process run, so no input table is registered here. Usage:
+"""Local correctness gate: run every queries() entry and compare it
+against its oracle_sql() query in DuckDB (row count, column names,
+order-insensitive values). The KG oracles read Parquet that oracle_sql()
+materializes from the single-process run; the operator oracles read the
+input tables, registered here as DuckDB views over ``sf_dir``. Usage:
 
     python scripts/check_correctness.py [sf_dir] [name,name,...]
 
@@ -24,6 +24,7 @@ SF_DIR = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
 # unset and pins sf0.01)
 os.environ.setdefault("GRAFT_ORACLE_SF_DIR", SF_DIR)
 ONLY = set(sys.argv[2].split(",")) if len(sys.argv) > 2 else None
+TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
 
 def to_pandas(obj):
@@ -65,6 +66,9 @@ def main():
     import __ray_entry__ as e
 
     con = duckdb.connect()
+    for t in TABLES:
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF_DIR}/{t}.parquet')")
+
     qs = e.queries()
     sqls = e.oracle_sql()
     results = {}
