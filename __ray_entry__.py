@@ -75,17 +75,20 @@ def _ensure_kg_oracle(sf_dir: str) -> str:
 
 
 def _ensure_kg_ray(sf_dir: str) -> str:
-    """Run the DISTRIBUTED pipeline once per scale and materialize its five
-    output tables; the kg_* queries read from here (one Ray execution is
-    shared by the whole query family instead of re-tagging per query)."""
+    """Run the DISTRIBUTED pipeline once per scale: ``run_kg_job`` writes
+    triples/, edges/ and nodes/, and the sentence and mention stages write
+    sentences/ and mentions/. The kg_* queries read from here (one Ray
+    execution is shared by the whole query family instead of re-tagging
+    per query)."""
+    import ray.data
+
     from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import (
-        linked_triples,
         mention_rows,
         read_transcripts,
+        run_kg_job,
         tagged_sentences,
     )
     from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import transcripts_for_sf
-    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import conflate_edges, nodes_from_edges
 
     out, _ = _kg_dirs(sf_dir)
     outp = Path(out)
@@ -96,29 +99,40 @@ def _ensure_kg_ray(sf_dir: str) -> str:
 
         shutil.rmtree(outp)
     path = transcripts_for_sf(sf_dir)
-    ds = read_transcripts(path).sort(["conv_id", "turn_idx"])
-    import ray.data
-
-    sents = tagged_sentences(ds)
-
-    sents.write_parquet(str(outp / "sentences"))
-    sents_w = ray.data.read_parquet(str(outp / "sentences"))
-    mention_rows(sents_w).write_parquet(str(outp / "mentions"))
-    triples = linked_triples(sents_w)
-    triples.write_parquet(str(outp / "triples"))
-    tri_w = ray.data.read_parquet(str(outp / "triples"))
-    conflate_edges(tri_w).write_parquet(str(outp / "edges"))
-    # each triple adds 1 to each endpoint: nodes are the edges' endpoint sums
-    nodes_from_edges(ray.data.read_parquet(str(outp / "edges"))).write_parquet(str(outp / "nodes"))
+    run_kg_job(path, out)
+    tagged_sentences(read_transcripts(path)).write_parquet(str(outp / "sentences"))
+    sents = ray.data.read_parquet(str(outp / "sentences"))
+    mention_rows(sents).write_parquet(str(outp / "mentions"))
     (outp / "_SUCCESS").touch()
     return out
 
 
 def _kg_table(sf_dir: str, name: str):
+    """One table of the shared run. The job's hive-partitioned tables are
+    read without their ``part`` column."""
     import ray.data
 
     out = _ensure_kg_ray(sf_dir)
-    return ray.data.read_parquet(f"{out}/{name}")
+    return ray.data.read_parquet(f"{out}/{name}", partitioning=None)
+
+
+def _global_edges(out: str):
+    """The job's per-partition edges summed over partitions."""
+    import pyarrow.parquet as pq
+
+    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import combine_edges
+
+    return combine_edges(pq.read_table(f"{out}/edges", partitioning=None))
+
+
+def _global_nodes(out: str):
+    """The job's per-partition nodes summed over partitions."""
+    import pyarrow.parquet as pq
+
+    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import NODE_MINS, arrow_agg
+
+    nodes = pq.read_table(f"{out}/nodes", partitioning=None)
+    return arrow_agg(nodes, ["entity_id"], ["n_mentions"], NODE_MINS)
 
 
 def _webjson_paths(sf_dir: str) -> tuple[str, str, str]:
@@ -235,18 +249,16 @@ def _web_json_tagged(sf_dir: str):
 
 
 def entry() -> Any:
-    """Flagship: transcripts → sorted → tokenize → tag → triples → linked
+    """Flagship: transcripts → fused tokenize → tag → triples → linked
     triples, at sf0.001 scale."""
     from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import (
-        linked_triples,
+        fused_linked_triples,
         read_transcripts,
-        tagged_sentences,
     )
     from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import transcripts_for_sf
 
     path = transcripts_for_sf("/root/testdata/sf0.001")
-    ds = read_transcripts(path).sort(["conv_id", "turn_idx"])
-    return linked_triples(tagged_sentences(ds))
+    return fused_linked_triples(read_transcripts(path))
 
 
 def _seqlabel_f1(sf_dir: str):
@@ -258,14 +270,24 @@ def _seqlabel_f1(sf_dir: str):
     return seqlabel_f1_counts(_kg_table(sf_dir, "sentences"))
 
 
+def _sum_sentence_partials(sf_dir: str, partials, key: str, count: str):
+    """``partials`` maps each block of the shared run's sentences to
+    (key, count) rows; the driver sums those few rows with one Arrow
+    aggregation."""
+    import pyarrow as pa
+    import ray
+
+    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import arrow_agg
+
+    part = _kg_table(sf_dir, "sentences").map_batches(partials, batch_format="pyarrow")
+    return arrow_agg(pa.concat_tables(ray.get(part.to_arrow_refs())), [key], [count], [])
+
+
 def _kg_sentence_len_histogram(sf_dir: str):
     """Sentence token-length histogram over the tagged sentences — the
     Corpus.cs:210-316 length-bucket analogue (partial counts → tiny sum)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    sents = _kg_table(sf_dir, "sentences")
 
     def partials(batch: pa.Table) -> pa.Table:
         lens = pc.list_value_length(batch.column("values"))
@@ -274,17 +296,12 @@ def _kg_sentence_len_histogram(sf_dir: str):
         g = t.group_by(["len_bucket"]).aggregate([([], "count_all")])
         return g.rename_columns(["len_bucket", "n_sents"])
 
-    part = sents.map_batches(partials, batch_format="pyarrow")
-    return part.groupby("len_bucket").aggregate(Sum("n_sents", alias_name="n_sents"))
+    return _sum_sentence_partials(sf_dir, partials, "len_bucket", "n_sents")
 
 
 def _kg_pos_label_counts(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    sents = _kg_table(sf_dir, "sentences")
 
     def partials(batch: pa.Table) -> pa.Table:
         flat = pc.list_flatten(batch.column("pos"))
@@ -292,36 +309,25 @@ def _kg_pos_label_counts(sf_dir: str):
         g = t.group_by(["pos"]).aggregate([([], "count_all")])
         return g.rename_columns(["pos", "n_tokens"])
 
-    part = sents.map_batches(partials, batch_format="pyarrow")
-    return part.groupby("pos").aggregate(Sum("n_tokens", alias_name="n_tokens"))
+    return _sum_sentence_partials(sf_dir, partials, "pos", "n_tokens")
 
 
 def _kg_edges_artifact(sf_dir: str):
-    """kg edges computed through the ARTIFACT deployment path: KgStage
-    ACTOR POOL, each actor loading the sha256-verified .npz weights once
-    in __init__ — the reference's model-shipped-as-file layout
-    (ConcurrentFactory.cs:56-108 / BaseSeq2SeqFramework.cs:204-228). The
-    oracle is the same edges table as kg_edges: the artifact round-trip
-    is exact, so the two weight sources must produce identical graphs."""
-    import ray
-
+    """kg edges computed through the ARTIFACT deployment path:
+    ``run_kg_job(artifact_dir=)``, each worker process loading the
+    sha256-verified .npz weights once — the reference's
+    model-shipped-as-file layout (ConcurrentFactory.cs:56-108 /
+    BaseSeq2SeqFramework.cs:204-228). The oracle is the same edges table
+    as kg_edges: the artifact round-trip is exact, so the two weight
+    sources must produce identical graphs. The job's manifests make a
+    repeated call a no-op."""
     from lingvo__postagger_ner_ru_dnn_ray.model.artifact import ensure_default_artifacts
-    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import (
-        fused_linked_triples,
-        read_transcripts,
-    )
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import run_kg_job
     from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import transcripts_for_sf
-    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import conflate_edges
 
-    adir = ensure_default_artifacts()
-    pool = max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
-    tri = fused_linked_triples(
-        read_transcripts(transcripts_for_sf(sf_dir)),
-        concurrency=(2, pool),
-        batch_size=256,
-        artifact_dir=adir,
-    )
-    return conflate_edges(tri)
+    out = _kg_dirs(sf_dir)[0] + "_artifact"
+    run_kg_job(transcripts_for_sf(sf_dir), out, artifact_dir=ensure_default_artifacts())
+    return _global_edges(out)
 
 
 def _ivf_dir(sf_dir: str) -> str:
@@ -448,13 +454,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_dup_triangles": _graph_q("doc_dup_triangles"),
         "doc_dup_pagerank": _graph_q("doc_dup_pagerank"),
         "kg_edges_artifact": _kg_edges_artifact,
-        # new in r5 session 3/4: the batch JSON boundary (web surface
-        # replay) — actor-pool path vs the single-process oracle
+        # the batch JSON boundary (web surface replay): web-JSON tasks vs
+        # the single-process oracle
         "web_json_tagged": _web_json_tagged,
         "kg_triples": lambda sf: _kg_table(sf, "triples"),
         "kg_mentions": lambda sf: _kg_table(sf, "mentions"),
-        "kg_edges": lambda sf: _kg_table(sf, "edges"),
-        "kg_nodes": lambda sf: _kg_table(sf, "nodes"),
+        "kg_edges": lambda sf: _global_edges(_ensure_kg_ray(sf)),
+        "kg_nodes": lambda sf: _global_nodes(_ensure_kg_ray(sf)),
         "kg_pos_label_counts": _kg_pos_label_counts,
         "kg_sentence_len_histogram": _kg_sentence_len_histogram,
         "seqlabel_f1": _seqlabel_f1,
@@ -535,7 +541,7 @@ def _kg_sql(orc: str) -> dict[str, str]:
         "kg_triples": f"SELECT * FROM read_parquet('{orc}/triples.parquet')",
         "kg_mentions": f"SELECT * FROM read_parquet('{orc}/mentions.parquet')",
         "kg_edges": f"SELECT * FROM read_parquet('{orc}/edges.parquet')",
-        # artifact-loaded actor pool must reproduce the lexicon-weights
+        # the artifact-loaded job must reproduce the lexicon-weights
         # graph exactly (save/load round trip is bitwise on the weights)
         "kg_edges_artifact": f"SELECT * FROM read_parquet('{orc}/edges.parquet')",
         "kg_nodes": f"SELECT * FROM read_parquet('{orc}/nodes.parquet')",

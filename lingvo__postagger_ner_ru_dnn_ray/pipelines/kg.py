@@ -1,17 +1,20 @@
 """The flagship pipeline: transcripts Parquet → knowledge-graph Parquet.
 
-    read_parquet (column-pruned)
+    read_parquet (column-pruned, schema metadata dropped)
       -> [resume filter: drop conversations whose triples partition is done]
-      -> [optional sort(conv_id, turn_idx) — see run_kg_job(sort_turns=)]
       -> map_batches(kg_stage_fn)      # fused tokenize → tag → extract → link
       -> add part = crc32(conv_id) % P -> write_parquet(partition_cols=[part])
       -> one task per partition k: triples/part=k -> edges/part=k
       -> one task per partition k: edges/part=k   -> nodes/part=k
       -> per-table, per-partition manifests
 
-The partition id is a pure function of the data, so a resumed run
-reproduces identical partition contents. Every stage is idempotent and
-deterministic.
+The fused stage runs as stateless tasks: each worker process keeps one
+``KgStage`` per ``artifact_dir`` (stages/fused.py), so the scheduler uses
+every free CPU and no pool size is tuned. The partition id is a pure
+function of the data, so a resumed run reproduces identical partition
+contents. Every stage is idempotent and deterministic, and nothing sorts:
+every output row is keyed by (conv_id, turn_idx, ...), so the row set does
+not depend on block order.
 
 Skew. Extraction is per turn (no cross-turn state) and the fused stage
 splits work by row ranges, never by conv_id, so a huge conversation
@@ -36,12 +39,13 @@ from pathlib import Path
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray.data
 
 from ..stages.conflate import combine_edges, edge_node_partials, edge_partials
-from ..stages.kernel import Tagged, kernel, linked_table, sentence_table, turn_keys
-from ..stages.linking import put_linking_dict
+from ..stages.fused import kg_stage_fn
+from ..stages.kernel import kernel, sentence_table, turn_keys
 from ..stages.mentions import mentions_batch
 from ..state import manifest as mf
 
@@ -53,12 +57,15 @@ def _crc_parts(conv_ids: list[str], p: int) -> np.ndarray:
 
 
 def read_transcripts(input_path: str, override_num_blocks: int | None = None) -> ray.data.Dataset:
-    """Column-pruned read. ``override_num_blocks`` sets shuffle/actor-pool
-    granularity: an actor-pool task consumes one block, so blocks should
-    outnumber pool actors ~8× to smooth stragglers (64 blocks over a
-    30-actor pool = two waves + a long tail)."""
+    """Column-pruned read; ``override_num_blocks`` sets the number of read
+    tasks. The blocks carry the input's column types without its schema
+    metadata: pandas-written Parquet stores a ``pandas`` entry there, and
+    Ray cannot hash such schemas when it unifies blocks, so every task
+    would log "Failed to hash the schemas"."""
+    schema = pads.dataset(input_path, format="parquet").schema
     return ray.data.read_parquet(
-        input_path, columns=TRANSCRIPT_COLUMNS, override_num_blocks=override_num_blocks
+        input_path, columns=TRANSCRIPT_COLUMNS, override_num_blocks=override_num_blocks,
+        schema=pa.schema([schema.field(c) for c in TRANSCRIPT_COLUMNS]),
     )
 
 
@@ -73,61 +80,19 @@ def tagged_sentences(ds: ray.data.Dataset, *, tag_batch_size: int = 512) -> ray.
     return ds.map_batches(_sentences_batch, batch_format="pyarrow", batch_size=tag_batch_size)
 
 
-def _linked_batch(batch: pa.Table) -> pa.Table:
-    k = kernel()
-    cols = [batch.column(n).to_pylist() for n in ("conv_id", "turn_idx", "sent_idx")]
-    tagged = zip(*(batch.column(n).to_pylist() for n in Tagged._fields))
-    return linked_table([(c, t, si) + row for c, t, si, s in zip(*cols, tagged)
-                         for row in k.link(Tagged(*s))])
-
-
-def linked_triples(sent_ds: ray.data.Dataset) -> ray.data.Dataset:
-    """tagged sentence rows → linked triple rows: the kernel's second step
-    as stateless tasks."""
-    return sent_ds.map_batches(_linked_batch, batch_format="pyarrow")
-
-
 def mention_rows(sent_ds: ray.data.Dataset) -> ray.data.Dataset:
     return sent_ds.map_batches(mentions_batch, batch_format="pyarrow")
 
 
 def fused_linked_triples(
-    ds: ray.data.Dataset,
-    *,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 256,
-    dict_ref=None,
-    artifact_dir: str | None = None,
+    ds: ray.data.Dataset, *, batch_size: int = 256, artifact_dir: str | None = None,
 ) -> ray.data.Dataset:
-    """transcripts → linked triples in ONE fused stage (stages/fused.py).
-
-    Default (``concurrency=None``): stateless tasks with module-singleton
-    state — warm workers are reused across executions and the scheduler
-    uses every free CPU. Pass an int/tuple to run the KgStage actor pool
-    instead — the layout for models shipped as external artifacts; give
-    ``artifact_dir`` (see model/artifact.py) and each actor loads the
-    sha-verified .npz weights once in __init__."""
-    if concurrency is None:
-        if artifact_dir is not None:
-            raise ValueError(
-                "artifact_dir requires the actor-pool mode (pass concurrency=): "
-                "stateless-task mode uses the module-singleton lexicon taggers "
-                "and would silently ignore the artifact weights"
-            )
-        from ..stages.fused import kg_stage_fn
-
-        return ds.map_batches(kg_stage_fn, batch_format="pyarrow", batch_size=batch_size)
-    from ..stages.fused import KgStage
-
-    if dict_ref is None:
-        dict_ref = put_linking_dict()
-    return ds.map_batches(
-        KgStage,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_kwargs={"dict_ref": dict_ref, "artifact_dir": artifact_dir},
-    )
+    """transcripts → linked triples in ONE fused stage (stages/fused.py),
+    as stateless tasks. ``artifact_dir`` loads the models from its
+    sha-verified .npz artifacts (model/artifact.py) instead of the
+    lexicon-built ones; each worker process loads them once."""
+    return ds.map_batches(kg_stage_fn, batch_format="pyarrow", batch_size=batch_size,
+                          fn_kwargs={"artifact_dir": artifact_dir})
 
 
 def _add_part(p: int):
@@ -199,10 +164,9 @@ def run_kg_job(
     *,
     num_partitions: int = 8,
     resume: bool = True,
-    tag_concurrency: int | tuple[int, int] | None = None,
+    tag_concurrency: None = None,
     tag_batch_size: int = 512,
     stats_out: list | None = None,
-    sort_turns: bool = False,
     artifact_dir: str | None = None,
 ) -> dict:
     """End-to-end job: writes triples/, edges/, nodes/ under ``out_dir``,
@@ -218,38 +182,18 @@ def run_kg_job(
     double-count). Each edges/nodes partition is one file written by one
     task from that partition's directory alone.
 
-    ``sort_turns`` (default False) controls the global (conv_id,
-    turn_idx) sort. Extraction is a pure per-turn function and every
-    output row is uniquely keyed by (conv_id, turn_idx, sent_idx,
-    triple_idx), so the emitted ROW SET — and the partitioned output
-    files, keyed by hash(conv_id) — are identical either way (pinned by
-    tests/test_pipeline_ray.py::test_kg_job_unsorted_equals_sorted): the
-    stable-turn-ordering invariant is carried by the KEYS, not by
-    physical block order. The sort was the single most expensive
-    exchange in the job (≈40 s of a 63 s run at 32 CPUs on the
-    960k-turn bench) and every downstream consumer is key-based, so the
-    default skips it — "minimize shuffles" — and ``sort_turns=True``
-    remains for consumers that want physically clustered conv ranges.
-    ``stats_out``: optional list that
-    receives (stage_name, ds.stats() text) per executed dataset — the
-    epoch/throughput-counter surface (BaseSeq2SeqFramework.cs:261-321
-    analogue) that perfbench reads for its per-layer metrics.
-
-    ``tag_concurrency`` (an actor pool) must be below the cluster's CPU
-    count: each actor holds one CPU for the whole job, and a pool holding
-    every CPU leaves none for the read tasks that feed it, so the job
-    would hang. Such a pool raises ``ValueError`` before anything is read."""
-    cpus = ray.cluster_resources().get("CPU", 8)
-    if tag_concurrency is None:
-        pool = int(cpus)
-    else:
-        pool = tag_concurrency if isinstance(tag_concurrency, int) else max(tag_concurrency)
-        if pool >= cpus:
-            raise ValueError(
-                f"run_kg_job: a tagging pool of {pool} actors holds all {cpus:g} CPUs of "
-                "the cluster and leaves none for the read tasks that feed it, so the job "
-                "would hang; pass tag_concurrency below the CPU count, or None for "
-                "stateless tasks")
+    The fused stage runs as stateless tasks over ``max(64, 8 × cluster
+    CPUs)`` read blocks; ``artifact_dir`` selects the model weights (see
+    ``fused_linked_triples``) and is part of the lineage config.
+    ``stats_out``: optional list that receives (stage_name, ds.stats()
+    text) per executed dataset — the epoch/throughput-counter surface
+    (BaseSeq2SeqFramework.cs:261-321 analogue) that perfbench reads for
+    its per-layer metrics. ``tag_concurrency`` accepts only None: the
+    actor-pool mode it selected is gone."""
+    if tag_concurrency is not None:
+        raise ValueError(
+            f"run_kg_job: tag_concurrency {tag_concurrency!r} selects the removed "
+            "actor-pool mode; the fused stage runs as stateless tasks, pass None")
     p = num_partitions
     cfg = {"v": 1, "num_partitions": p, "input": str(input_path)}
     if artifact_dir is not None:
@@ -304,17 +248,13 @@ def run_kg_job(
             mf.write_manifest(out[table], part, ch, inputs=cfg)
 
     if need["triples"]:
-        ds = read_transcripts(input_path, override_num_blocks=max(64, pool * 8))
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+        ds = read_transcripts(input_path, override_num_blocks=max(64, 8 * cpus))
         skip = set(range(p)) - set(need["triples"])
         if skip:
             ds = ds.map_batches(_drop_done_parts(p, skip), batch_format="pyarrow")
-        if sort_turns:
-            ds = ds.sort(["conv_id", "turn_idx"])
-
-        triples = fused_linked_triples(
-            ds, concurrency=tag_concurrency, batch_size=tag_batch_size,
-            artifact_dir=artifact_dir,
-        )
+        triples = fused_linked_triples(ds, batch_size=tag_batch_size,
+                                       artifact_dir=artifact_dir)
         triples = triples.map_batches(_add_part(p), batch_format="pyarrow")
         # coalesce before the hive-partitioned write: N blocks × P partition
         # values would otherwise explode into N·P tiny files (a 4000-file

@@ -9,8 +9,8 @@ the reference's plug-in interfaces:
   * ``Metric``              — ``IMetric`` (Metrics/IMetric.cs), pluggable
     evaluation metrics consumed by the validator (Validator.cs:79-97).
 
-Both are name-keyed registries: names serialize cleanly into actor-pool
-constructor kwargs (``KgStage(input_type_processor="my-proc")``, which
+Both are name-keyed registries: names serialize cleanly into Ray task and
+stage arguments (``KgStage(input_type_processor="my-proc")``, which
 resolves the name and hands the processor to its per-turn kernel,
 stages/kernel.py), the way the reference's JSON config names
 processors/models rather than passing object graphs.

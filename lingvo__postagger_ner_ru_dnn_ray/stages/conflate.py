@@ -20,7 +20,9 @@ partition k.
 streams that are not partitioned by key: the kernel runs per batch as a
 partial combine (one row per key per batch, so a hot key contributes one
 row per batch, not one per mention), then ``_salted_final_agg`` routes
-the partials through one hash exchange for the final combine.
+the partials through one hash exchange for the final combine. Neither the
+job nor the driver calls them; they remain only for perfbench's traced
+probe, which imports them.
 """
 from __future__ import annotations
 

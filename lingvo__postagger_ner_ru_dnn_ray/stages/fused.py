@@ -1,7 +1,7 @@
 """Fused per-turn stage: tokenize → tag → extract triples → link, in ONE
-``map_batches``.
+``map_batches`` of stateless tasks (``kg_stage_fn``).
 
-The stage is the per-turn kernel (stages/kernel.py) behind a per-worker
+The stage is the per-turn kernel (stages/kernel.py) behind a per-process
 turn memo: every step after the read is a pure per-turn function, so the
 whole chain runs over Python structures and builds ONE Arrow table at the
 end. The memo, the batching and Ray must add nothing to the kernel:
@@ -73,15 +73,16 @@ def _memo_stats_handle():
 
 
 class KgStage:
-    """transcript rows -> linked triple rows (one actor = both DNNs + the
-    broadcast entity dictionary, loaded once)."""
+    """transcript rows -> linked triple rows (both DNNs + the entity
+    dictionary, loaded once, and the turn memo)."""
 
     def __init__(self, dict_ref=None, artifact_dir: str | None = None,
                  input_type_processor: str | None = None):
-        """``input_type_processor``: NAME of a registered plug-in
-        (plugins.input_type_processor) — the TokenizerConfig
-        PosTaggerInputTypeProcessor slot; names (not callables) so the
-        kwarg serializes cleanly into actor constructors."""
+        """``dict_ref``: an object ref of a ``build_linking_dict()`` map;
+        default: build it here. ``input_type_processor``: NAME of a
+        registered plug-in (plugins.input_type_processor) — the
+        TokenizerConfig PosTaggerInputTypeProcessor slot; names (not
+        callables) so the kwarg serializes cleanly into task arguments."""
         from ..plugins import input_type_processor as _resolve
 
         lookup = None if dict_ref is None else ray.get(dict_ref)
@@ -124,19 +125,17 @@ class KgStage:
                              for row in memo[x]])
 
 
-_FUSED_SINGLETON: KgStage | None = None
+_STAGES: dict[str | None, KgStage] = {}
 
 
-def kg_stage_fn(batch: pa.Table) -> pa.Table:
-    """Stateless-TASK variant of KgStage: state lives in a module-level
-    singleton built once per WORKER PROCESS (Ray task workers are reused
-    across executions, so a warm cluster pays zero per-execution actor
-    startup, and the scheduler spreads tasks over every free CPU with no
-    pool-size tuning). Valid here because the models + dictionary are
-    deterministic module-level constructibles; a model shipped as a large
-    external artifact would use the KgStage actor + ray.put broadcast
-    instead."""
-    global _FUSED_SINGLETON
-    if _FUSED_SINGLETON is None:
-        _FUSED_SINGLETON = KgStage(dict_ref=None)
-    return _FUSED_SINGLETON(batch)
+def kg_stage_fn(batch: pa.Table, artifact_dir: str | None = None) -> pa.Table:
+    """Stateless-task form of KgStage: this worker process's stage for
+    ``artifact_dir``, built on first use. Ray reuses task workers across
+    executions, so a warm cluster loads the models once per process, and
+    the scheduler spreads tasks over every free CPU with no pool size.
+    Keyed by ``artifact_dir``, so neither the models nor the turn memo are
+    shared between weight sources."""
+    stage = _STAGES.get(artifact_dir)
+    if stage is None:
+        stage = _STAGES[artifact_dir] = KgStage(artifact_dir=artifact_dir)
+    return stage(batch)

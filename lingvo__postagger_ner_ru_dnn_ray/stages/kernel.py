@@ -3,7 +3,7 @@
 Every path from transcript text to tagged sentences or linked triples runs
 these two steps: the job's fused stage (stages/fused.py, behind its turn
 memo), the single-process oracle (pipelines/oracle.py), the driver's
-sentence and triple stages (pipelines/kg.py) and the web-JSON stage
+sentence stage (pipelines/kg.py) and the web-JSON stage
 (sources/jsonio.py). The steps work on Python structures; each caller
 builds Arrow only at its own boundary, with ``sentence_table`` and
 ``linked_table``.

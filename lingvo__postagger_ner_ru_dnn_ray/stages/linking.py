@@ -1,10 +1,8 @@
 """Entity linking — a hash join against the canonical entity dictionary.
 
 The dictionary is the small side (≪ mentions), so this is a broadcast
-join, not a shuffle join (SURVEY.md §2.4): every process holds the
-normalized-surface-form → (entity_id, canonical) map — built once per
-process, or ``ray.put`` ONCE by the driver and ``ray.get`` by each KgStage
-actor in __init__ (zero-copy from the local object store) — and the
+join, not a shuffle join (SURVEY.md §2.4): every worker process builds
+the normalized-surface-form → (entity_id, canonical) map once, and the
 per-turn kernel (stages/kernel.py) does one dict lookup per triple
 surface. Misses keep the NIL id (left-outer semantics). At 10^12-turn
 scale the dictionary would still be broadcast (it is entity-catalog
@@ -18,8 +16,6 @@ mel=10000: lower-invariant + ё→е + NonSpacingMark strip
 from __future__ import annotations
 
 from functools import lru_cache
-
-import ray
 
 from ..model.lexicon import entity_dictionary
 from ..textkit.features import to_model_token_str
@@ -42,7 +38,3 @@ def build_linking_dict() -> dict[str, tuple[str, str]]:
         for sf in row["surface_forms"]:
             out.setdefault(sf, (row["entity_id"], row["canonical"]))
     return out
-
-
-def put_linking_dict() -> "ray.ObjectRef":
-    return ray.put(build_linking_dict())

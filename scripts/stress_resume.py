@@ -43,7 +43,7 @@ DataContext.get_current().enable_progress_bars = False
 logging.getLogger("ray.data").setLevel(logging.ERROR)
 from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import run_kg_job
 res = run_kg_job({tpath!r}, {out!r}, num_partitions={parts}, resume=True,
-                 tag_concurrency=None, tag_batch_size=512)
+                 tag_batch_size=512)
 import json
 print("DONE " + json.dumps({{"run": res.get("partitions_run") or [],
                              "done": res.get("partitions_done") or []}}))

@@ -198,7 +198,7 @@ def main() -> None:
             sampler.start()
             t0 = time.perf_counter()
             res = run_kg_job(tpath, out_dir, num_partitions=64, resume=False,
-                             tag_concurrency=None, tag_batch_size=512)
+                             tag_batch_size=512)
             dt = round(time.perf_counter() - t0, 1)
             rows = res["rows"]["triples"]
             extra = {"fixture_gen_s": gen_s, "n_turns": N_TURNS,

@@ -12,7 +12,7 @@ import pytest
 import ray.data
 
 from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import (
-    linked_triples,
+    fused_linked_triples,
     mention_rows,
     read_transcripts,
     run_kg_job,
@@ -50,42 +50,47 @@ TRIPLE_KEYS = ["conv_id", "turn_idx", "sent_idx", "triple_idx"]
 @pytest.mark.parametrize("num_blocks", [2, 16])
 def test_distributed_equals_oracle(fixture_path, oracle, num_blocks):
     ds = read_transcripts(fixture_path).repartition(num_blocks)
-    ds = ds.sort(["conv_id", "turn_idx"])
-    sents = tagged_sentences(ds, tag_batch_size=64)
-    tri = linked_triples(sents).to_pandas()
+    tri = fused_linked_triples(ds, batch_size=64).to_pandas()
     want = oracle["triples"].to_pandas()
     assert _sorted_df(tri, TRIPLE_KEYS).equals(_sorted_df(want, TRIPLE_KEYS))
 
 
-@pytest.mark.parametrize("concurrency", [None, 2])  # task mode and actor pool
-def test_fused_equals_modular(fixture_path, oracle, concurrency):
-    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import fused_linked_triples
-
-    ds = read_transcripts(fixture_path).sort(["conv_id", "turn_idx"])
-    tri = fused_linked_triples(ds, concurrency=concurrency, batch_size=64).to_pandas()
+def test_fused_equals_modular(fixture_path, oracle):
+    tri = fused_linked_triples(read_transcripts(fixture_path), batch_size=64).to_pandas()
     want = oracle["triples"].to_pandas()
     assert _sorted_df(tri, TRIPLE_KEYS).equals(_sorted_df(want, TRIPLE_KEYS))
 
 
-def test_fused_actor_pool_from_artifact(fixture_path, oracle, tmp_path_factory):
-    """Actor-pool mode loading the sha-verified .npz artifacts in actor
-    __init__ (the production model-shipped-as-file path) must reproduce
-    the oracle exactly."""
+def test_fused_from_artifact(fixture_path, oracle, tmp_path_factory):
+    """The fused stage loading the sha-verified .npz artifacts in each
+    worker process (the production model-shipped-as-file path) must
+    reproduce the oracle exactly."""
     from lingvo__postagger_ner_ru_dnn_ray.model.artifact import ensure_default_artifacts
-    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import fused_linked_triples
 
     adir = ensure_default_artifacts(tmp_path_factory.mktemp("models"))
-    ds = read_transcripts(fixture_path).sort(["conv_id", "turn_idx"])
-    tri = fused_linked_triples(
-        ds, concurrency=2, batch_size=64, artifact_dir=adir
-    ).to_pandas()
+    ds = read_transcripts(fixture_path)
+    tri = fused_linked_triples(ds, batch_size=64, artifact_dir=adir).to_pandas()
     want = oracle["triples"].to_pandas()
     assert _sorted_df(tri, TRIPLE_KEYS).equals(_sorted_df(want, TRIPLE_KEYS))
+
+
+def test_read_transcripts_drops_schema_metadata(ray_session, tmp_path):
+    """Parquet written from pandas stores a ``pandas`` schema-metadata
+    entry; Ray cannot hash such schemas and logs "Failed to hash the
+    schemas" in every task, so the read must not carry it."""
+    tbl = pa.Table.from_pandas(synth_transcripts_table(50, seed=5).to_pandas(),
+                               preserve_index=False)
+    assert b"pandas" in tbl.schema.metadata
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(tbl, src / "part-0.parquet")
+    batch = next(iter(read_transcripts(str(src)).iter_batches(batch_format="pyarrow")))
+    assert batch.num_rows > 0
+    assert batch.schema.metadata is None
 
 
 def test_mentions_match_oracle(fixture_path, oracle):
-    ds = read_transcripts(fixture_path).sort(["conv_id", "turn_idx"])
-    m = mention_rows(tagged_sentences(ds)).to_pandas()
+    m = mention_rows(tagged_sentences(read_transcripts(fixture_path))).to_pandas()
     want = oracle["mentions"].to_pandas()
     keys = ["conv_id", "turn_idx", "sent_idx", "mention_idx"]
     assert _sorted_df(m, keys).equals(_sorted_df(want, keys))
@@ -101,7 +106,10 @@ def test_bio_decode():
 
 def test_kg_job_and_resume(fixture_path, oracle, tmp_path):
     out = tmp_path / "kg"
-    res = run_kg_job(fixture_path, str(out), num_partitions=4, tag_concurrency=2)
+    with pytest.raises(ValueError, match="removed actor-pool mode"):
+        run_kg_job(fixture_path, str(out), tag_concurrency=2)
+    assert not out.exists()
+    res = run_kg_job(fixture_path, str(out), num_partitions=4)
     assert res["rows"]["triples"] == oracle["triples"].num_rows
 
     full_triples = pq.read_table(out / "triples").drop(["part"])
@@ -120,7 +128,7 @@ def test_kg_job_and_resume(fixture_path, oracle, tmp_path):
     for t in ("triples", "edges", "nodes"):
         for p in (1, 2):
             shutil.rmtree(out / t / f"part={p}", ignore_errors=True)
-    res3 = run_kg_job(fixture_path, str(out), num_partitions=4, tag_concurrency=2)
+    res3 = run_kg_job(fixture_path, str(out), num_partitions=4)
     assert res3["partitions_run"] == [1, 2]
     assert (out / "triples" / "part=0" / "_manifest.json").stat().st_mtime_ns == untouched
 
@@ -141,8 +149,7 @@ def test_kg_job_and_resume(fixture_path, oracle, tmp_path):
         for p in range(4):
             shutil.rmtree(out / t / f"part={p}", ignore_errors=True)
     stats3: list = []
-    res_staged = run_kg_job(fixture_path, str(out), num_partitions=4,
-                            tag_concurrency=2, stats_out=stats3)
+    res_staged = run_kg_job(fixture_path, str(out), num_partitions=4, stats_out=stats3)
     assert res_staged["partitions_run"] == [0, 1, 2, 3]
     assert [s[0] for s in stats3] == ["edges", "nodes"], (
         "tag-skip resume must not execute the triples stage"
@@ -163,7 +170,7 @@ def test_kg_job_and_resume(fixture_path, oracle, tmp_path):
     (orphan_dir / "_manifest.json").unlink()
     src = next(f for f in orphan_dir.glob("*.parquet"))
     shutil.copy(src, orphan_dir / "orphan_from_dead_run.parquet")
-    res4 = run_kg_job(fixture_path, str(out), num_partitions=4, tag_concurrency=2)
+    res4 = run_kg_job(fixture_path, str(out), num_partitions=4)
     assert res4["partitions_run"] == [1]
     assert pq.read_table(orphan_dir).num_rows == orphan_rows, (
         "resume must not append beside a dead run's orphan files"
@@ -179,8 +186,8 @@ def test_kg_job_repartition_reuse(fixture_path, oracle, tmp_path):
     into part=0..1 by the new config) would silently double every edge
     weight in the read-back view."""
     out = tmp_path / "kg_shrink"
-    run_kg_job(fixture_path, str(out), num_partitions=4, tag_concurrency=2)
-    res = run_kg_job(fixture_path, str(out), num_partitions=2, tag_concurrency=2)
+    run_kg_job(fixture_path, str(out), num_partitions=4)
+    res = run_kg_job(fixture_path, str(out), num_partitions=2)
     assert res["partitions_run"] == [0, 1]
     for t in ("triples", "edges", "nodes"):
         assert sorted(d.name for d in (out / t).glob("part=*")) == ["part=0", "part=1"], t
@@ -195,7 +202,7 @@ def test_kg_job_repartition_reuse(fixture_path, oracle, tmp_path):
 
 def test_edges_nodes_global_view(fixture_path, oracle, tmp_path):
     out = tmp_path / "kg2"
-    run_kg_job(fixture_path, str(out), num_partitions=2, tag_concurrency=2)
+    run_kg_job(fixture_path, str(out), num_partitions=2)
     e = pq.read_table(out / "edges").to_pandas()
     e_glob = e.groupby(["subj_id", "pred", "obj_id"], as_index=False).agg(
         weight=("weight", "sum"),
@@ -273,7 +280,7 @@ def test_extreme_conv_skew(ray_session, tmp_path):
     """One conversation owns ~95% of all turns (the 10^8-turn-conv story):
     the job must still partition, aggregate and match the oracle exactly —
     AND no single fused-stage task may process a disproportionate share.
-    Work is split by row ranges (sort_turns=False default), never by
+    Work is split by row ranges (the job never sorts), never by
     conv_id, so a giant conversation spreads across tasks; the per-task
     row stats from ds.stats() pin that property (SURVEY §4)."""
     import re
@@ -298,8 +305,7 @@ def test_extreme_conv_skew(ray_session, tmp_path):
 
     out = tmp_path / "kg_skew"
     stats: list = []
-    run_kg_job(str(src), str(out), num_partitions=4, tag_concurrency=2,
-               stats_out=stats)
+    run_kg_job(str(src), str(out), num_partitions=4, stats_out=stats)
     got = pq_mod.read_table(out / "triples").drop(["part"])
     want = oracle_tables(tbl)["triples"]
     assert _sorted_df(got, TRIPLE_KEYS).equals(_sorted_df(want, TRIPLE_KEYS))
@@ -307,7 +313,7 @@ def test_extreme_conv_skew(ray_session, tmp_path):
     # fused-stage task balance: max per-task rows <= 2x mean, several tasks
     triples_stats = dict(stats)["triples"]
     m = re.search(
-        r"MapBatches\(KgStage\).*?Output rows per task: (\d+) min, (\d+) max, "
+        r"MapBatches\(kg_stage_fn\)->MapBatches\(fn\).*?Output rows per task: (\d+) min, (\d+) max, "
         r"(\d+) mean, (\d+) tasks used",
         triples_stats, re.S,
     )
@@ -315,28 +321,6 @@ def test_extreme_conv_skew(ray_session, tmp_path):
     t_min, t_max, t_mean, n_tasks = map(int, m.groups())
     assert n_tasks >= 2
     assert t_max <= 2 * t_mean, (t_min, t_max, t_mean, n_tasks)
-
-
-def test_kg_job_unsorted_equals_sorted(fixture_path, tmp_path):
-    """The global (conv_id, turn_idx) sort is physical layout only: with
-    or without it, the job emits the identical keyed ROW SET into the
-    identical hash(conv_id) partitions — the stable-turn-ordering
-    invariant lives in the keys. This pins the sort_turns=False default
-    of run_kg_job."""
-    out_a = tmp_path / "kg_sorted"
-    out_b = tmp_path / "kg_unsorted"
-    run_kg_job(fixture_path, str(out_a), num_partitions=4, tag_concurrency=2,
-               sort_turns=True)
-    run_kg_job(fixture_path, str(out_b), num_partitions=4, tag_concurrency=2,
-               sort_turns=False)
-    for table, keys in (
-        ("triples", TRIPLE_KEYS + ["part"]),
-        ("edges", ["part", "subj_id", "pred", "obj_id"]),
-        ("nodes", ["part", "entity_id"]),
-    ):
-        a = pq.read_table(out_a / table)
-        b = pq.read_table(out_b / table)
-        assert _sorted_df(a, keys).equals(_sorted_df(b, keys)), table
 
 
 def test_kg_incremental_merge(ray_session, tmp_path):
@@ -366,8 +350,7 @@ def test_kg_incremental_merge(ray_session, tmp_path):
     outs = {}
     for name in ("a", "b", "full"):
         outs[name] = tmp_path / f"kg_{name}"
-        run_kg_job(str(tmp_path / f"src_{name}"), str(outs[name]),
-                   num_partitions=4, tag_concurrency=2)
+        run_kg_job(str(tmp_path / f"src_{name}"), str(outs[name]), num_partitions=4)
 
     merged = tmp_path / "kg_merged"
     res = merge_kg_runs([str(outs["a"]), str(outs["b"])], str(merged))
@@ -446,7 +429,7 @@ def test_kg_merge_output_guard_and_pruned_triples(ray_session, tmp_path):
         )
         pq_mod.write_table(t, src / "part-0.parquet")
         outs[name] = tmp_path / f"kg_{name}"
-        run_kg_job(str(src), str(outs[name]), num_partitions=2, tag_concurrency=2)
+        run_kg_job(str(src), str(outs[name]), num_partitions=2)
 
     runs = [str(outs["a"]), str(outs["b"])]
     merged = tmp_path / "kg_merged"
@@ -490,15 +473,22 @@ def test_kg_merge_output_guard_and_pruned_triples(ray_session, tmp_path):
 
 def test_kg_job_artifact_path(ray_session, tmp_path, tmp_path_factory):
     """run_kg_job(artifact_dir=) — the production deployment layout end to
-    end: actor pool, sha-verified .npz loaded per actor, output identical
-    to the lexicon-weights job; the lineage config hash folds the artifact
-    dir in (a resume must never mix weight sources); task mode + artifact
-    raises instead of silently ignoring the weights."""
+    end: sha-verified .npz weights loaded per worker process, output
+    identical to the lexicon-weights job; the lineage config hash folds the
+    artifact dir in (a resume must never mix weight sources). All jobs run
+    in one Ray session, so task workers are reused: an artifact whose NER
+    labels B-PER and B-LOC are swapped must give its own triples, not the
+    models or turn memo a worker built for another weight source."""
     import pyarrow as pa
     import pyarrow.parquet as pq_mod
 
-    from lingvo__postagger_ner_ru_dnn_ray.model.artifact import ensure_default_artifacts
-    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import fused_linked_triples
+    from lingvo__postagger_ner_ru_dnn_ray.model.artifact import (
+        ensure_default_artifacts,
+        load_artifact,
+        save_artifact,
+    )
+    from lingvo__postagger_ner_ru_dnn_ray.model.tagger import SeqLabelModel
+    from lingvo__postagger_ner_ru_dnn_ray.stages.fused import KgStage
 
     src = tmp_path / "src"
     src.mkdir()
@@ -508,9 +498,8 @@ def test_kg_job_artifact_path(ray_session, tmp_path, tmp_path_factory):
 
     out_lex = tmp_path / "kg_lex"
     out_art = tmp_path / "kg_art"
-    run_kg_job(str(src), str(out_lex), num_partitions=2, tag_concurrency=2)
-    run_kg_job(str(src), str(out_art), num_partitions=2, tag_concurrency=2,
-               artifact_dir=adir)
+    run_kg_job(str(src), str(out_lex), num_partitions=2)
+    run_kg_job(str(src), str(out_art), num_partitions=2, artifact_dir=adir)
     keys = ["part", "subj_id", "pred", "obj_id"]
     lex = pq_mod.read_table(out_lex / "edges").to_pandas()
     art = pq_mod.read_table(out_art / "edges").to_pandas()
@@ -525,10 +514,22 @@ def test_kg_job_artifact_path(ray_session, tmp_path, tmp_path_factory):
     m_art = json.loads((out_art / "triples" / "part=0" / "_manifest.json").read_text())
     assert m_lex["config_hash"] != m_art["config_hash"]
 
-    with pytest.raises(ValueError, match="actor-pool mode"):
-        fused_linked_triples(
-            read_transcripts(str(src)), concurrency=None, artifact_dir=str(adir)
-        )
+    ner = load_artifact(Path(adir) / "ner.npz")
+    swap = {"B-PER": "B-LOC", "B-LOC": "B-PER"}
+    sdir = tmp_path_factory.mktemp("models_swapped")
+    save_artifact(SeqLabelModel(ner.src_vocab, tuple(swap.get(x, x) for x in ner.labels),
+                                ner.w, dim=ner.dim, n_layers=ner.n_layers,
+                                n_heads=ner.n_heads, max_ending_length=ner.max_ending_length),
+                  sdir / "ner.npz")
+    for f in ("pos.npz", "pos.npz.manifest.json"):
+        shutil.copy(Path(adir) / f, sdir / f)
+    out_swap = tmp_path / "kg_swap"
+    run_kg_job(str(src), str(out_swap), num_partitions=2, artifact_dir=str(sdir))
+    got = pq_mod.read_table(out_swap / "triples").drop(["part"])
+    want = KgStage(artifact_dir=str(sdir))(t)
+    lex_tri = pq_mod.read_table(out_lex / "triples").drop(["part"])
+    assert not _sorted_df(want, TRIPLE_KEYS).equals(_sorted_df(lex_tri, TRIPLE_KEYS))
+    assert _sorted_df(got, TRIPLE_KEYS).equals(_sorted_df(want, TRIPLE_KEYS))
 
 
 def test_salted_final_agg_equals_arrow_group_by(ray_session):
@@ -586,7 +587,7 @@ def test_kg_job_empty_partitions_and_nodes_resume(ray_session, tmp_path):
     p = n_convs + 8
     src = _write_input(tbl, tmp_path / "src")
     out = tmp_path / "kg"
-    run_kg_job(src, str(out), num_partitions=p, tag_concurrency=2)
+    run_kg_job(src, str(out), num_partitions=p)
 
     oracle = oracle_tables(tbl)
     empty = set(range(p)) - {int(d.name.split("=")[1])
@@ -614,7 +615,7 @@ def test_kg_job_empty_partitions_and_nodes_resume(ray_session, tmp_path):
     for k in gone:
         shutil.rmtree(out / "nodes" / f"part={k}")
     stats: list = []
-    res = run_kg_job(src, str(out), num_partitions=p, tag_concurrency=2, stats_out=stats)
+    res = run_kg_job(src, str(out), num_partitions=p, stats_out=stats)
     assert res["partitions_run"] == sorted(gone)
     assert [s[0] for s in stats] == ["nodes"]
     assert {f: f.stat().st_mtime_ns for f in (out / "edges").rglob("*")} == edge_mtimes
@@ -637,7 +638,7 @@ def test_kg_merge_refuses_mismatched_partitions(ray_session, tmp_path):
     for name, mask, p in (("a", in_half, 2), ("b", pc.invert(in_half), 4)):
         src = _write_input(tbl.filter(mask), tmp_path / f"src_{name}")
         runs.append(str(tmp_path / f"kg_{name}"))
-        run_kg_job(src, runs[-1], num_partitions=p, tag_concurrency=2)
+        run_kg_job(src, runs[-1], num_partitions=p)
     merged = tmp_path / "kg_merged"
     with pytest.raises(ValueError, match="num_partitions"):
         merge_kg_runs(runs, str(merged))
@@ -673,18 +674,3 @@ def test_turn_memo_overflow_mid_batch(ray_session):
         st._turn_memo[f"_pad{i}"] = []
     out = st(mk([t2, t1]))  # t1 memoized, t2 new -> clear fires
     assert out.num_rows >= base  # t1's rows survived the clear
-
-
-@pytest.mark.parametrize("pool", [4, 6, (1, 4)])
-def test_kg_job_refuses_pool_holding_every_cpu(fixture_path, tmp_path, pool):
-    """A tagging pool as large as the 4-CPU cluster leaves no CPU for the
-    read tasks and would hang; run_kg_job raises at once instead, before it
-    reads or writes anything."""
-    import time
-
-    out = tmp_path / "kg_pool"
-    t0 = time.monotonic()
-    with pytest.raises(ValueError, match="leaves none for the read tasks"):
-        run_kg_job(fixture_path, str(out), num_partitions=2, tag_concurrency=pool)
-    assert time.monotonic() - t0 < 5
-    assert not out.exists()
