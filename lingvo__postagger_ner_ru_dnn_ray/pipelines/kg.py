@@ -3,29 +3,32 @@
     read_parquet (column-pruned, schema metadata dropped)
       -> [resume filter: drop conversations whose triples partition is done]
       -> map_batches(kg_stage_fn)      # fused tokenize → tag → extract → link
-      -> add part = crc32(conv_id) % P -> write_parquet(partition_cols=[part])
-      -> one task per partition k: triples/part=k -> edges/part=k
-      -> one task per partition k: edges/part=k   -> nodes/part=k
+      -> TriplesSink: part = crc32(conv_id) % P, file triples/part=k/t<task>.parquet
+      -> one task per partition k: triples/part=k -> edges/part=k -> nodes/part=k
       -> per-table, per-partition manifests
 
-The fused stage runs as stateless tasks: each worker process keeps one
-``KgStage`` per ``artifact_dir`` (stages/fused.py), so the scheduler uses
-every free CPU and no pool size is tuned. The partition id is a pure
-function of the data, so a resumed run reproduces identical partition
-contents. Every stage is idempotent and deterministic, and nothing sorts:
-every output row is keyed by (conv_id, turn_idx, ...), so the row set does
-not depend on block order.
+Two Ray Data executions: Ray fuses the read, the fused stage and the sink
+into one operator, so each map task writes its own rows and nothing is
+exchanged; then one task per partition builds that partition's edges and,
+from the edges table it holds, its nodes. The fused stage runs as
+stateless tasks: each worker process keeps one ``KgStage`` per
+``artifact_dir`` (stages/fused.py), so the scheduler uses every free CPU
+and no pool size is tuned. The partition id is a pure function of the
+data, so a resumed run reproduces identical partition contents. Every
+stage is idempotent and deterministic, and nothing sorts: every output row
+is keyed by (conv_id, turn_idx, ...), so the row set does not depend on
+block order.
 
 Skew. Extraction is per turn (no cross-turn state) and the fused stage
 splits work by row ranges, never by conv_id, so a huge conversation
 spreads across map tasks. Edges and nodes are keyed by (part, ...), and
-``triples/part=k/`` already holds every triple of partition k, so each
-partition's edges and nodes are aggregated by ONE task reading that
-directory — no exchange. The partition is therefore the unit of reduce
-work: a task holds its whole partition (about turns / P, plus the whole of
-any conversation hashing into it) in memory, so P must grow with the
-input. ``test_extreme_conv_skew`` pins only the map side; a conversation
-too large for one reduce task would need its partition split.
+``triples/part=k/`` holds every triple of partition k, so each partition's
+edges and nodes are aggregated by ONE task reading that directory — no
+exchange. The partition is therefore the unit of reduce work: a task holds
+its whole partition (about turns / P, plus the whole of any conversation
+hashing into it) in memory, so P must grow with the input.
+``test_extreme_conv_skew`` checks both sides: the map tasks' triples and
+the reduce output of a partition holding one dominant conversation.
 """
 from __future__ import annotations
 
@@ -42,6 +45,8 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray.data
+from ray.data.block import BlockAccessor
+from ray.data.datasource import Datasink
 
 from ..stages.conflate import combine_edges, edge_node_partials, edge_partials
 from ..stages.fused import kg_stage_fn
@@ -95,14 +100,6 @@ def fused_linked_triples(
                           fn_kwargs={"artifact_dir": artifact_dir})
 
 
-def _add_part(p: int):
-    def fn(batch: pa.Table) -> pa.Table:
-        parts = _crc_parts(batch.column("conv_id").to_pylist(), p)
-        return batch.append_column("part", pa.array(parts, pa.int32()))
-
-    return fn
-
-
 def _drop_done_parts(p: int, done: set[int]):
     done_arr = pa.array(sorted(done), pa.int32())
 
@@ -136,26 +133,84 @@ def _per_partition(parts: list[int], fn) -> ray.data.Dataset:
     return items.map_batches(task, batch_format="pyarrow", batch_size=1)
 
 
-def _conflate_parts(srcs: list[str], dst: str, parts: list[int], kernel) -> ray.data.Dataset:
-    """For each partition k: ``dst/part=k/DATA_FILE`` = ``kernel`` over the
-    rows of ``src/part=k/`` of every ``src``, written through a temp file
-    and ``os.replace``. A partition with no input rows gets no file (its
-    manifest records 0 rows). Returns the executed per-partition row
-    counts."""
-    def build(part: int) -> pa.Table:
-        tables = [t for t in (_read_part(s, part) for s in srcs) if t is not None]
-        rows = 0
-        if tables:
-            out = kernel(pa.concat_tables(tables, promote_options="default"))
-            pdir = mf.partition_dir(dst, part)
-            pdir.mkdir(parents=True, exist_ok=True)
-            tmp = pdir / (DATA_FILE + ".tmp")
-            pq.write_table(out, tmp)
-            os.replace(tmp, pdir / DATA_FILE)
-            rows = out.num_rows
-        return pa.table({"part": [part], "rows": [rows]})
+def _write_data(base: str, part: int, table: pa.Table | None) -> int:
+    """``base/part=k/DATA_FILE`` = ``table``, written through a temp file
+    and ``os.replace``; None writes no file (the manifest records 0 rows).
+    Returns the rows written."""
+    if table is None:
+        return 0
+    pdir = mf.partition_dir(base, part)
+    pdir.mkdir(parents=True, exist_ok=True)
+    tmp = pdir / (DATA_FILE + ".tmp")
+    pq.write_table(table, tmp)
+    os.replace(tmp, pdir / DATA_FILE)
+    return table.num_rows
 
-    return _per_partition(parts, build).materialize()
+
+def _edges_then_nodes(srcs: list[str], kernel, out: dict[str, str],
+                      edge_parts: list[int], node_parts: list[int]) -> ray.data.Dataset:
+    """One task per partition k of ``edge_parts`` ∪ ``node_parts``. For k in
+    ``edge_parts``, ``edges/part=k`` = ``kernel`` over the rows of
+    ``src/part=k/`` of every ``src``; for any other k the task reads the
+    written ``edges/part=k`` and leaves it untouched. For k in
+    ``node_parts``, ``nodes/part=k`` is then derived from the edges table
+    the task holds. Returns the executed (part, edges, nodes) row counts."""
+    need_edges, need_nodes = set(edge_parts), set(node_parts)
+
+    def build(part: int) -> pa.Table:
+        if part in need_edges:
+            tables = [t for t in (_read_part(s, part) for s in srcs) if t is not None]
+            edges = kernel(pa.concat_tables(tables, promote_options="default")) if tables else None
+            n_edges = _write_data(out["edges"], part, edges)
+        else:
+            edges, n_edges = _read_part(out["edges"], part), 0
+        n_nodes = 0
+        if part in need_nodes:
+            nodes = None if edges is None else edge_node_partials(edges)
+            n_nodes = _write_data(out["nodes"], part, nodes)
+        return pa.table({"part": [part], "edges": [n_edges], "nodes": [n_nodes]})
+
+    return _per_partition(sorted(need_edges | need_nodes), build).materialize()
+
+
+class TriplesSink(Datasink):
+    """The fused stage's rows straight into ``root/part=k/``, k =
+    crc32(conv_id) % P: each write task streams its rows of partition k
+    through one ``pq.ParquetWriter`` to ``t{task_idx:05d}.parquet.tmp`` and
+    publishes it with ``os.replace`` once its input is done. The file name
+    is a function of the task index alone, so a retried task replaces its
+    own files instead of adding second copies, and a reader never sees a
+    half-written file. A task killed mid-write leaves files in partition
+    directories that have no manifest; the next run clears them."""
+
+    def __init__(self, root: str, num_partitions: int):
+        self.root = root
+        self.p = num_partitions
+
+    def write(self, blocks, ctx) -> None:
+        name = f"t{ctx.task_idx:05d}.parquet"
+        writers: dict[int, pq.ParquetWriter] = {}
+        try:
+            for block in blocks:
+                t = BlockAccessor.for_block(block).to_arrow()
+                if t.num_rows == 0:
+                    continue
+                parts = _crc_parts(t.column("conv_id").to_pylist(), self.p)
+                for k in np.unique(parts).tolist():
+                    if k not in writers:
+                        pdir = mf.partition_dir(self.root, k)
+                        pdir.mkdir(parents=True, exist_ok=True)
+                        writers[k] = pq.ParquetWriter(pdir / (name + ".tmp"), t.schema)
+                    writers[k].write_table(t.filter(pa.array(parts == k)))
+        except BaseException:
+            for k, w in writers.items():
+                w.close()
+                (mf.partition_dir(self.root, k) / (name + ".tmp")).unlink(missing_ok=True)
+            raise
+        for k, w in writers.items():
+            w.close()
+            pdir = mf.partition_dir(self.root, k)
+            os.replace(pdir / (name + ".tmp"), pdir / name)
 
 
 def run_kg_job(
@@ -174,22 +229,26 @@ def run_kg_job(
     the global view is the sum over partitions) with lineage manifests.
     Returns summary counts. Idempotent: re-running after a partial failure
     completes only missing (table, partition) pairs — manifests publish
-    PER TABLE right after that table's write, so a kill between stages
-    resumes by rebuilding only the downstream aggregates from the written
-    triples (the expensive tagging stage is skipped), and partitions being
-    (re)computed are first cleared of any un-manifested orphan files a dead
-    run flushed (a hive write would otherwise append beside them and
-    double-count). Each edges/nodes partition is one file written by one
-    task from that partition's directory alone.
+    PER TABLE after the execution that wrote the table, so a kill after
+    the triples are published resumes by rebuilding only the aggregates
+    from the written triples (the expensive tagging stage is skipped), and
+    partitions being (re)computed are first cleared of any un-manifested
+    orphan files a dead run flushed (they would otherwise sit beside the
+    new files and double-count). Each edges/nodes partition is one file
+    written by one task from that partition's directory alone.
 
-    The fused stage runs as stateless tasks over ``max(64, 8 × cluster
-    CPUs)`` read blocks; ``artifact_dir`` selects the model weights (see
-    ``fused_linked_triples``) and is part of the lineage config.
-    ``stats_out``: optional list that receives (stage_name, ds.stats()
-    text) per executed dataset — the epoch/throughput-counter surface
-    (BaseSeq2SeqFramework.cs:261-321 analogue) that perfbench reads for
-    its per-layer metrics. ``tag_concurrency`` accepts only None: the
-    actor-pool mode it selected is gone."""
+    The read makes ``2 × cluster CPUs`` blocks: two map tasks per CPU
+    balance the load, and each writes at most one triples file per
+    partition, so the table holds at most 2·CPUs·P files (on one CPU, 4
+    read blocks measured no faster than 2). ``artifact_dir`` selects the
+    model weights (see ``fused_linked_triples``) and is part of the
+    lineage config.
+    ``stats_out``: optional list that receives (name, ds.stats() text) per
+    execution, named after the first table it built ("triples", "edges"
+    — which also builds the nodes — or "nodes" when only nodes were
+    missing); perfbench reads it for its per-layer metrics.
+    ``tag_concurrency`` accepts only None: the actor-pool mode it selected
+    is gone."""
     if tag_concurrency is not None:
         raise ValueError(
             f"run_kg_job: tag_concurrency {tag_concurrency!r} selects the removed "
@@ -210,18 +269,17 @@ def run_kg_job(
     todo = sorted(set(range(p)) - done)
     if not todo:
         return {"skipped": True, "partitions_done": sorted(done)}
-    # per-TABLE work lists: a kill between stage writes leaves e.g. triples
-    # manifested but edges/nodes not — the resume then skips the expensive
-    # tagging stage entirely and rebuilds only the downstream aggregates
-    # from the written triples (manifests publish PER TABLE, right after
-    # that table's write, below)
+    # per-TABLE work lists: a kill after the triples manifests are
+    # published leaves edges/nodes missing — the resume then skips the
+    # expensive tagging stage entirely and rebuilds only the aggregates
+    # from the written triples
     need = {t: [part for part in todo if part not in done_by[t]] for t in tables}
 
     # crash hygiene: a killed run may have flushed partition files WITHOUT
     # publishing their manifests, and a config change reuses partition
-    # paths with stale contents — either way write_parquet(partition_cols=)
-    # would APPEND beside the orphans and duplicate rows in the read-back
-    # view (out-of-range stale dirs double-count too: a previous
+    # paths with stale contents — either way the new files would land
+    # BESIDE the orphans and duplicate rows in the read-back view
+    # (out-of-range stale dirs double-count too: a previous
     # num_partitions=8 run's part=4..7 holds the same conversations a
     # num_partitions=4 rerun hashes into part=0..3). Invariant after this
     # pass: every partition dir present under out_dir holds a complete
@@ -249,37 +307,25 @@ def run_kg_job(
 
     if need["triples"]:
         cpus = int(ray.cluster_resources().get("CPU", 8))
-        ds = read_transcripts(input_path, override_num_blocks=max(64, 8 * cpus))
+        ds = read_transcripts(input_path, override_num_blocks=2 * cpus)
         skip = set(range(p)) - set(need["triples"])
         if skip:
             ds = ds.map_batches(_drop_done_parts(p, skip), batch_format="pyarrow")
         triples = fused_linked_triples(ds, batch_size=tag_batch_size,
                                        artifact_dir=artifact_dir)
-        triples = triples.map_batches(_add_part(p), batch_format="pyarrow")
-        # coalesce before the hive-partitioned write: N blocks × P partition
-        # values would otherwise explode into N·P tiny files (a 4000-file
-        # 60 MB table costs more to re-open than to aggregate)
-        triples = triples.repartition(max(p, 16))
-
-        triples.write_parquet(out["triples"], partition_cols=["part"])
+        triples.write_datasink(TriplesSink(out["triples"], p))
         if stats_out is not None:
             stats_out.append(("triples", triples.stats()))
         _publish("triples")
 
     # edges and nodes are keyed by (part, ...): each partition's are built
     # from its own directory, so only the partitions being rebuilt are read
-    if need["edges"]:
-        edges_ds = _conflate_parts([out["triples"]], out["edges"], need["edges"],
-                                   edge_partials)
+    if need["edges"] or need["nodes"]:
+        built = _edges_then_nodes([out["triples"]], edge_partials, out,
+                                  need["edges"], need["nodes"])
         if stats_out is not None:
-            stats_out.append(("edges", edges_ds.stats()))
+            stats_out.append(("edges" if need["edges"] else "nodes", built.stats()))
         _publish("edges")
-
-    if need["nodes"]:
-        nodes_ds = _conflate_parts([out["edges"]], out["nodes"], need["nodes"],
-                                   edge_node_partials)
-        if stats_out is not None:
-            stats_out.append(("nodes", nodes_ds.stats()))
         _publish("nodes")
 
     rows = {}
@@ -421,9 +467,10 @@ def merge_kg_runs(
     Edge rows are aggregates keyed (part, subj_id, pred, obj_id) with
     mergeable stats (weight = sum, canon/type = min), so the merge of
     partition k is one in-task combine of the runs' ``edges/part=k`` —
-    input size O(distinct edges), never O(triples). Nodes are re-derived
-    from the merged edges (each triple contributes 1 to each endpoint,
-    same identity ``run_kg_job`` uses). Both tables get manifests, so a
+    input size O(distinct edges), never O(triples). The same task then
+    derives the partition's nodes from the merged edges it holds (each
+    triple contributes 1 to each endpoint, same identity ``run_kg_job``
+    uses): one execution for both tables. Both tables get manifests, so a
     merged view can itself be merged. Triples stay where each delta wrote
     them: they are an append-only fact log partitioned by hash(conv_id),
     and conversation-disjoint deltas never produce the same triple twice,
@@ -470,14 +517,12 @@ def merge_kg_runs(
             shutil.rmtree(tdir)
     cfg = {"v": 1, "num_partitions": p, "merged_from": sorted(seen_paths)}
     ch = mf.config_hash(cfg)
-    counts = {}
-    for table, srcs, kernel in (
-        ("edges", [f"{d}/edges" for d in run_dirs], combine_edges),
-        ("nodes", [out["edges"]], edge_node_partials),
-    ):
-        done = _conflate_parts(srcs, out[table], list(range(p)), kernel)
-        counts[table] = sum(r["rows"] for r in done.take_all())
-        for part in range(p):
+    parts = list(range(p))
+    built = _edges_then_nodes([f"{d}/edges" for d in run_dirs], combine_edges, out,
+                              parts, parts).take_all()
+    counts = {t: sum(r[t] for r in built) for t in ("edges", "nodes")}
+    for table in ("edges", "nodes"):
+        for part in parts:
             mf.write_manifest(out[table], part, ch, inputs=cfg)
     return {**counts, "triples_dirs": [f"{d}/triples" for d in run_dirs]}
 
