@@ -386,32 +386,6 @@ def _emb_pq_recall(sf_dir: str):
     )
 
 
-def _interval_q(sf_dir: str):
-    from lingvo__postagger_ner_ru_dnn_ray.stages.intervals import (
-        events_interval_join,
-    )
-
-    return events_interval_join(sf_dir)
-
-
-def _bloom_q(name: str) -> Callable[[str], Any]:
-    def run(sf_dir: str):
-        from lingvo__postagger_ner_ru_dnn_ray.stages import bloom as b
-
-        return getattr(b, name)(sf_dir)
-
-    return run
-
-
-def _graph_q(name: str) -> Callable[[str], Any]:
-    def run(sf_dir: str):
-        from lingvo__postagger_ner_ru_dnn_ray.stages import graph as g
-
-        return getattr(g, name)(sf_dir)
-
-    return run
-
-
 def _typed_empty_ok(fn: Callable[[str], Any], cols: list[str]) -> Callable[[str], Any]:
     """Adapt a Dataset-returning query for the driver compare: an all-empty
     Ray dataset loses its schema under to_pandas(), so substitute a typed
@@ -432,8 +406,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     """One callable per operator, keyed by name; each takes ``sf_dir``.
     The nine ``kg_*`` / ``seqlabel_f1`` / ``web_json_tagged`` entries run
     the KG job and its boundaries; the rest are the relational, dedup,
-    similarity and windowing operators of ``stages/{dataops,graph,bloom,
-    intervals}.py``. Order carries no meaning.
+    similarity and windowing operators of ``stages/dataops.py``. Order
+    carries no meaning.
     """
     from lingvo__postagger_ner_ru_dnn_ray.stages import dataops as d
 
@@ -449,10 +423,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "emb_pq_recall": _emb_pq_recall,
         "doc_minhash_pairs": d.doc_minhash_pairs,
         "doc_dedup_minhash": d.doc_dedup_minhash,
-        "doc_dedup_cc": _graph_q("doc_dedup_cc"),
-        "doc_dup_components": _graph_q("doc_dup_components"),
-        "doc_dup_triangles": _graph_q("doc_dup_triangles"),
-        "doc_dup_pagerank": _graph_q("doc_dup_pagerank"),
         "kg_edges_artifact": _kg_edges_artifact,
         # the batch JSON boundary (web surface replay): web-JSON tasks vs
         # the single-process oracle
@@ -507,9 +477,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "supplier_stats": d.supplier_stats,
         "supplier_topk_per_nation": d.supplier_topk_per_nation,
         "doc_posting_lists": d.doc_posting_lists,
-        "events_interval_join": _interval_q,
         "events_type_pivot": d.events_type_pivot,
-        "orders_bloom_registers": _bloom_q("orders_bloom_registers"),
         "orders_by_month": d.orders_by_month,
         "region_nation_counts": d.region_nation_counts,
         "events_attribution": d.events_attribution,
@@ -523,9 +491,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "part_spelling_variants": d.part_spelling_variants,
         "orders_by_nation": d.orders_by_nation,
         "events_user_rolling": d.events_user_rolling,
-        "lineitem_bloom_semijoin": _bloom_q("lineitem_bloom_semijoin"),
         "events_type_transitions": d.events_type_transitions,
-        "lineitem_bloom_fp_stats": _bloom_q("lineitem_bloom_fp_stats"),
         # 0.9 on the synthetic vectors legitimately yields zero pairs, and
         # Ray's Dataset.to_pandas() drops the schema of an all-empty
         # dataset, so hand the driver a typed frame (the oracle compares
@@ -559,14 +525,9 @@ def _dataops_sql() -> dict[str, str]:
     reproduced EXACTLY in SQL via DuckDB's md5_number_upper — see the
     *_ORACLE_SQL constants next to each operator in stages/dataops.py."""
     from lingvo__postagger_ner_ru_dnn_ray.stages import dataops as d
-    from lingvo__postagger_ner_ru_dnn_ray.stages import graph as _g
 
     return {
         "doc_minhash_pairs": d.minhash_oracle_sql(),
-        "doc_dup_components": _g.dup_components_oracle_sql(),
-        "doc_dedup_cc": _g.dedup_cc_oracle_sql(),
-        "doc_dup_pagerank": _g.dup_pagerank_oracle_sql(),
-        "doc_dup_triangles": _g.dup_triangles_oracle_sql(),
         "doc_dedup_minhash": d.dedup_minhash_oracle_sql(),
         "doc_clean_corpus": d.clean_corpus_oracle_sql(),
         "events_window_sliding": (
@@ -768,18 +729,6 @@ def _dataops_sql() -> dict[str, str]:
         "doc_rep_ngram_signals": d.REP_NGRAM_ORACLE_SQL,
         "doc_decontaminate": d.DECONTAMINATE_ORACLE_SQL,
         "doc_dup_spans": d.DUP_SPANS_ORACLE_SQL,
-    } | _interval_bloom_sql()
-
-
-def _interval_bloom_sql() -> dict[str, str]:
-    from lingvo__postagger_ner_ru_dnn_ray.stages import bloom as b
-    from lingvo__postagger_ner_ru_dnn_ray.stages import intervals as iv
-
-    return {
-        "events_interval_join": iv.EVENTS_INTERVAL_ORACLE_SQL,
-        "orders_bloom_registers": b.bloom_registers_oracle_sql(),
-        "lineitem_bloom_semijoin": b.bloom_semijoin_oracle_sql(),
-        "lineitem_bloom_fp_stats": b.bloom_fp_stats_oracle_sql(),
     }
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -58,7 +57,7 @@ TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text"]
 
 
 def _crc_parts(conv_ids: list[str], p: int) -> np.ndarray:
-    return np.array([zlib.crc32(c.encode("utf-8")) % p for c in conv_ids], dtype=np.int32)
+    return np.array([mf.partition_of(c, p) for c in conv_ids], dtype=np.int32)
 
 
 def read_transcripts(input_path: str, override_num_blocks: int | None = None) -> ray.data.Dataset:
@@ -175,13 +174,14 @@ def _edges_then_nodes(srcs: list[str], kernel, out: dict[str, str],
 
 class TriplesSink(Datasink):
     """The fused stage's rows straight into ``root/part=k/``, k =
-    crc32(conv_id) % P: each write task streams its rows of partition k
-    through one ``pq.ParquetWriter`` to ``t{task_idx:05d}.parquet.tmp`` and
-    publishes it with ``os.replace`` once its input is done. The file name
-    is a function of the task index alone, so a retried task replaces its
-    own files instead of adding second copies, and a reader never sees a
-    half-written file. A task killed mid-write leaves files in partition
-    directories that have no manifest; the next run clears them."""
+    ``mf.partition_of(conv_id, P)``: each write task streams its rows of
+    partition k through one ``pq.ParquetWriter`` to
+    ``t{task_idx:05d}.parquet.tmp`` and publishes it with ``os.replace``
+    once its input is done. The file name is a function of the task index
+    alone, so a retried task replaces its own files instead of adding
+    second copies, and a reader never sees a half-written file. A task
+    killed mid-write leaves files in partition directories that have no
+    manifest; the next run clears them."""
 
     def __init__(self, root: str, num_partitions: int):
         self.root = root

@@ -2491,25 +2491,12 @@ _LM_TRAIN_CAP = 100  # doc_id < cap trains the LM (fixed, broadcastable)
 _LM_N = 3
 
 
-def _charlm_counts(texts) -> tuple[dict, dict]:
-    ctx: dict[str, int] = {}
-    full: dict[str, int] = {}
-    for t in texts:
-        s = f"^^{t}$"
-        for i in range(len(s) - _LM_N + 1):
-            g = s[i : i + _LM_N]
-            full[g] = full.get(g, 0) + 1
-            c = g[:-1]
-            ctx[c] = ctx.get(c, 0) + 1
-    return ctx, full
-
-
 def _charlm_counts_distributed(train: ray.data.Dataset) -> tuple[dict, dict]:
     """DISTRIBUTED trigram trainer: per-batch Counter partials → salted
     combine → one driver pull bounded by the DISTINCT-GRAM vocabulary
     (≈ charset³ worst case, thousands in practice), never by the number
-    of training documents. Exact integer counts — identical model to the
-    sequential _charlm_counts, any training-set size."""
+    of training documents. Exact integer counts — the same model as one
+    sequential pass over the texts, any training-set size."""
 
     def partials(batch: pa.Table) -> pa.Table:
         from collections import Counter
@@ -4390,10 +4377,10 @@ def events_user_rolling(sf_dir: str) -> ray.data.Dataset:
         )
         return done_t, fix_t
 
-    # phase-1 output rides ONE kind-tagged union table (the graph-module
-    # _ROW_SCHEMA pattern) so the grouped scan — the operator's dominant
-    # shuffle+sort — runs exactly once; done/fix rows split downstream
-    # with cheap vectorized block filters.
+    # phase-1 output rides ONE kind-tagged union table (one fixed schema,
+    # null where a kind has no column) so the grouped scan — the
+    # operator's dominant shuffle+sort — runs exactly once; done/fix rows
+    # split downstream with cheap vectorized block filters.
     tagged_schema = pa.schema(
         [("event_id", pa.int64()), ("user_id", pa.int64()),
          ("cents", pa.int64()), ("roll_sum_cents", pa.int64()),

@@ -7,8 +7,6 @@ Workloads:
   kg       — kg_e2e at 2.4M turns (sf1.0-equivalent transcripts, the
              deterministic fixture generator at 10x the bench input)
   minhash  — doc_minhash_pairs over a 10x documents table
-  cc       — doc_dedup_cc (LSH star links -> distributed CC) over same
-  pagerank — doc_dup_pagerank over same
   rolling  — events_user_rolling over a 10x events table
 
 The 10x doc/events tables are synthesized DETERMINISTICALLY from the
@@ -25,7 +23,7 @@ RSS (sampled from /proc/meminfo MemAvailable), and Ray object-store
 spill (the raylet's LocalObjectManager counters in debug_state.txt —
 memory_summary needs grpc, which this container lacks). Usage:
 
-    python scripts/stress_sf1.py [kg|minhash|cc|pagerank|rolling] ...
+    python scripts/stress_sf1.py [kg|minhash|rolling] ...
 
 One Ray session per invocation; run workloads in separate invocations
 for clean per-workload spill/RSS attribution.
@@ -213,14 +211,6 @@ def main() -> None:
                 from lingvo__postagger_ner_ru_dnn_ray.stages import dataops
 
                 rows = dataops.doc_minhash_pairs(sf1).count()
-            elif name == "cc":
-                from lingvo__postagger_ner_ru_dnn_ray.stages import graph
-
-                rows = graph.doc_dedup_cc(sf1).count()
-            elif name == "pagerank":
-                from lingvo__postagger_ner_ru_dnn_ray.stages import graph
-
-                rows = graph.doc_dup_pagerank(sf1).count()
             elif name == "rolling":
                 from lingvo__postagger_ner_ru_dnn_ray.stages import dataops
 

@@ -48,13 +48,9 @@ SQL_QUERIES = [
     "doc_sample_stratified",
     "doc_token_hll_registers",
     "doc_token_hll_estimate",
-    "doc_dup_components",
-    "doc_dedup_cc",
-    "doc_dup_pagerank",
     "doc_token_cms_registers",
     "doc_token_cms_estimate",
     "doc_tfidf_topk",
-    "doc_dup_triangles",
     "doc_rep_ngram_signals",
     "doc_decontaminate",
     "doc_dup_spans",
@@ -67,10 +63,6 @@ SQL_QUERIES = [
     "events_type_pivot",
     "doc_token_heavy_hitters",
     "part_spelling_variants",
-    "events_interval_join",
-    "orders_bloom_registers",
-    "lineitem_bloom_semijoin",
-    "lineitem_bloom_fp_stats",
     "events_user_rolling",
     "events_retention_cohorts",
     "events_user_type_set",
@@ -588,25 +580,6 @@ FROM s a, s b WHERE a.doc_id < b.doc_id AND len(list_intersect(a.sh,b.sh)) > 0
 """).df().sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     assert len(a) == len(bf) > 0
     assert a.astype("int64").equals(bf.astype("int64"))
-
-
-def test_bloom_prefilter_is_selective_and_exact(ray_session):
-    """The bloom stage must actually DROP non-matching probe rows before
-    the shuffle (that is its whole point), never drop a true match (no
-    false negatives), and keep the final answer exact. All four counters
-    come from the driver query itself, which test_dataops_vs_duckdb
-    already value-checks against the SQL re-derivation."""
-    from lingvo__postagger_ner_ru_dnn_ray.stages import bloom as b
-
-    row = b.lineitem_bloom_fp_stats(SF).to_pandas().iloc[0]
-    assert row["n_probe"] > 0
-    # every true match passes (bloom has no false negatives)
-    assert row["n_pass_bloom"] >= row["n_true_match"]
-    assert row["n_false_pos"] == row["n_pass_bloom"] - row["n_true_match"]
-    # and the filter rejects the bulk of the non-matching probe rows:
-    # at 16-bit m / k=4 the FP rate is well under 1% at test scale
-    non_match = row["n_probe"] - row["n_true_match"]
-    assert row["n_false_pos"] <= max(1, non_match // 20)
 
 
 def test_daily_hll_estimate_accuracy(ray_session, con):
