@@ -99,10 +99,10 @@ class SeqLabelModel:
         self._label_arr = np.array(labels, dtype=object)
         # per-model sentence→labels memo (bounded: cleared whole when it
         # would pass _MEMO_CAP). Distinct turns share sentences heavily on
-        # real transcript streams (fixture: 46% of sentences in a batch are
-        # repeats of another turn's sentence), and the forward pass is the
-        # single most expensive kernel in the engine — dedup-before-infer
-        # is the standard serving optimization.
+        # real transcript streams (perfbench measures a tagger hit ratio of
+        # 0.489 on kg_dup), and the forward pass is the single most
+        # expensive kernel in the engine — dedup-before-infer is the
+        # standard serving optimization.
         self._label_memo: dict[tuple[str, ...], list[str]] = {}
 
     _MEMO_CAP = 1 << 17

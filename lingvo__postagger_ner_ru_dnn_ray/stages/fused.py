@@ -1,7 +1,8 @@
 """Fused per-turn stage: tokenize → tag → extract triples → link, in ONE
 ``map_batches`` of stateless tasks (``kg_stage_fn``).
 
-The stage is the per-turn kernel (stages/kernel.py) behind a per-process
+The stage is the per-turn kernel (stages/kernel.py, ``Kernel.link_texts``:
+POS runs only on sentences where a triple can form) behind a per-process
 turn memo: every step after the read is a pure per-turn function, so the
 whole chain runs over Python structures and builds ONE Arrow table at the
 end. The memo, the batching and Ray must add nothing to the kernel:
@@ -23,11 +24,10 @@ _MEMO_STATS_ACTOR = "graft_kg_memo_stats"
 
 class _MemoStats:
     """Cluster-wide memo-hit counters (opt-in, GRAFT_KG_MEMO_STATS=1): the
-    fused stage's turn-memo hit rate is the documented scaling-efficiency
-    ceiling (8 workers see hotter caches than 32), so the bench surfaces
-    MEASURED unique-compute fractions per run instead of a modeled one.
-    Workers post per-batch deltas fire-and-forget; the driver reads the
-    aggregate after the job (approximate by a few in-flight batches)."""
+    fused stage's turn-memo hit rate, so perfbench reports the MEASURED
+    share of turns the stage computed in each traced job. Workers post
+    per-batch deltas fire-and-forget; the driver reads the aggregate after
+    the job (approximate by a few in-flight batches)."""
 
     def __init__(self):
         self.reset()
@@ -89,9 +89,9 @@ class KgStage:
         self.kernel = Kernel(artifact_dir, lookup, _resolve(input_type_processor))
         # per-worker turn memo: the whole chain is a pure function of the
         # turn TEXT (conv/turn are only output keys), and real transcript
-        # streams are duplicate-heavy ("ok", "thanks" — the bench fixture
-        # alone repeats 29% of turns), so identical turns replay cached
-        # rows instead of re-running tokenizer FSM + two DNNs. Bounded
+        # streams are duplicate-heavy ("ok", "thanks"; perfbench measures a
+        # hit ratio of 0.148 on kg_dup and 0 on kg_unique), so identical
+        # turns replay cached rows instead of re-running the kernel. Bounded
         # (cleared whole when full); deterministic, so resume/retry replay
         # is unaffected.
         self._turn_memo: dict[str, list[tuple]] = {}
@@ -112,10 +112,9 @@ class KgStage:
                 # at ≥2^18 unique turns per worker)
                 memo.clear()
                 todo = list({x for x in text if x})
-            k = self.kernel
             # sentences of ALL unique texts tag in one predict_batch per model
-            for x, sents in zip(todo, k.tag_texts(todo)):
-                memo[x] = [(si,) + row for si, s in enumerate(sents) for row in k.link(s)]
+            for x, sents in zip(todo, self.kernel.link_texts(todo)):
+                memo[x] = [(si,) + row for si, rows in enumerate(sents) for row in rows]
         if self._memo_stats is not None:
             uniq = len({x for x in text if x})
             self._memo_stats.add.remote(

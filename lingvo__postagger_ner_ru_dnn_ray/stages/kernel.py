@@ -1,7 +1,7 @@
 """The per-turn kernel: tokenize → tag, then extract → link, written once.
 
 Every path from transcript text to tagged sentences or linked triples runs
-these two steps: the job's fused stage (stages/fused.py, behind its turn
+these steps: the job's fused stage (stages/fused.py, behind its turn
 memo), the single-process oracle (pipelines/oracle.py), the driver's
 sentence stage (pipelines/kg.py) and the web-JSON stage
 (sources/jsonio.py). The steps work on Python structures; each caller
@@ -17,6 +17,15 @@ builds Arrow only at its own boundary, with ``sentence_table`` and
 2. ``Kernel.link``: a tagged sentence → its triples (stages/triples.py),
    each with both surfaces looked up in the entity dictionary
    (stages/linking.py; a miss keeps the NIL id and the normalized surface).
+
+``Kernel.link_texts`` (and ``link_sentences`` for tokenized sentences) is
+steps 1 and 2 for a caller that needs the links alone, tagged in the order
+extraction reads the labels: NER on every sentence, then POS only on the
+sentences where a triple can form (``can_form_triple``); every other
+sentence has no link rows. It builds no ``Tagged``, and its rows equal
+``link`` over ``tag_texts``. The job's stage uses it; the oracle, the
+driver and web-JSON tag every sentence, because their sentence tables
+need POS everywhere.
 """
 from __future__ import annotations
 
@@ -28,10 +37,15 @@ import pyarrow as pa
 
 from ..textkit.tokenizer import tokenize_text
 from .linking import NIL, build_linking_dict, normalize_surface
+from .mentions import decode_bio
 from .tag import _correct_pos, _model_token_cached
-from .triples import TRIPLE_SCHEMA, extract_sentence_triples
+from .triples import TRIPLE_SCHEMA, can_form_triple, span_triples
 
 _STR_LIST = pa.list_(pa.string())
+
+# the model-token max ending length of each model (predict_pos.json:8-9,
+# predict_ner.json:6-7)
+_POS_MEL, _NER_MEL = 4, 10000
 
 # one row per sentence; pos = corrected PosTaggerOutputType names
 # (PosTaggerExtensions.cs:16-59), pos_raw = raw model labels, ner = BIO tags
@@ -101,8 +115,7 @@ class Kernel:
         """Each text's tagged sentences, in order. Lazy: a caller that
         consumes text by text holds one text's ``Tagged`` at a time, which
         keeps the garbage collector's young generations small."""
-        per_text = [tokenize_text(x, input_type_processor=self.itp) if x else []
-                    for x in texts]
+        per_text = self._tokenize(texts)
         tagged = self._tag([ws for sents in per_text for ws in sents])
         for sents in per_text:
             yield [next(tagged) for _ in sents]
@@ -111,12 +124,40 @@ class Kernel:
         """Tokenized sentences (lists of textkit ``Word``) → ``Tagged``."""
         return list(self._tag(sents))
 
-    def _tag(self, sents: list[list]) -> Iterator[Tagged]:
+    def link_texts(self, texts: list[str]) -> list[list[list[tuple]]]:
+        """Each text's sentences' ``link`` rows, in order, with no
+        ``Tagged`` built (see ``link_sentences``)."""
+        per_text = self._tokenize(texts)
+        rows = iter(self.link_sentences([ws for sents in per_text for ws in sents]))
+        return [[next(rows) for _ in sents] for sents in per_text]
+
+    def link_sentences(self, sents: list[list]) -> list[list[tuple]]:
+        """Each tokenized sentence's ``link`` rows. NER labels every
+        sentence; POS labels only those whose spans ``can_form_triple``,
+        since ``link`` of any other sentence is []."""
+        spans = [decode_bio(ner) for ner in self._labels(self.ner_model, sents, _NER_MEL)]
+        todo = [i for i, sp in enumerate(spans) if can_form_triple(sp)]
+        out: list[list[tuple]] = [[] for _ in sents]
+        for i, praw in zip(todo, self._labels(self.pos_model, [sents[i] for i in todo], _POS_MEL)):
+            ws = sents[i]
+            pos = _correct_pos([w.input_type for w in ws], [w.extra for w in ws], praw)
+            out[i] = self._link_rows([w.value for w in ws], [w.start for w in ws],
+                                     [w.length for w in ws], pos, spans[i])
+        return out
+
+    def _tokenize(self, texts: list[str]) -> list[list[list]]:
+        return [tokenize_text(x, input_type_processor=self.itp) if x else [] for x in texts]
+
+    @staticmethod
+    def _labels(model, sents: list[list], mel: int) -> list[list[str]]:
+        """``model``'s raw labels of each sentence, on its model tokens of
+        max ending length ``mel``."""
         mt = _model_token_cached
-        pos_raw = self.pos_model.predict_batch(
-            [[mt(w.value, w.input_type, 4) for w in ws] for ws in sents])
-        ner_raw = self.ner_model.predict_batch(
-            [[mt(w.value, w.input_type, 10000) for w in ws] for ws in sents])
+        return model.predict_batch([[mt(w.value, w.input_type, mel) for w in ws] for ws in sents])
+
+    def _tag(self, sents: list[list]) -> Iterator[Tagged]:
+        pos_raw = self._labels(self.pos_model, sents, _POS_MEL)
+        ner_raw = self._labels(self.ner_model, sents, _NER_MEL)
         for ws, praw, nraw in zip(sents, pos_raw, ner_raw):
             its = [w.input_type for w in ws]
             exs = [w.extra for w in ws]
@@ -129,11 +170,12 @@ class Kernel:
     def link(self, s: Tagged) -> list[tuple]:
         """(triple_idx, *triple, subj_id, subj_canon, obj_id, obj_canon) rows:
         LINKED_SCHEMA from triple_idx on."""
+        return self._link_rows(s.values, s.starts, s.lens, s.pos, decode_bio(s.ner))
+
+    def _link_rows(self, vals, starts, lens, pos, spans) -> list[tuple]:
         lookup = self.lookup
         rows = []
-        for ti, tup in enumerate(
-            extract_sentence_triples(s.values, s.starts, s.lens, s.pos, s.ner)
-        ):
+        for ti, tup in enumerate(span_triples(vals, starts, lens, pos, spans)):
             link: tuple = ()
             for surface in (tup[0], tup[3]):
                 norm = normalize_surface(surface)

@@ -3,10 +3,14 @@
 Rule (north_star): within one sentence, for each consecutive pair of NER
 mentions (m1, m2), the predicate is the first run of verb-group tokens
 (POS ∈ {Verb, AuxiliaryVerb, Infinitive}) strictly between them; subject =
-m1, object = m2. A deterministic pure function of the turn's tagged
-sentence — no cross-turn or cross-block state, so extraction order is
-stable under any scheduling (the per-turn text-equality invariant is pinned
-upstream by sorting turns per conv_id).
+m1, object = m2. A deterministic pure function of one tagged sentence —
+no cross-sentence, cross-turn or cross-block state — so a sentence's
+triples and their order are the same under any batching or scheduling.
+
+So a sentence can yield a triple only if some consecutive pair of mentions
+has a token between them (``can_form_triple``): that depends on the NER
+spans alone, and POS labels matter only for such sentences. The job's stage
+runs the POS model on those sentences only (stages/kernel.py).
 
 The per-turn kernel (stages/kernel.py) calls it per sentence; the
 triple rows it builds have TRIPLE_SCHEMA:
@@ -42,12 +46,21 @@ TRIPLE_SCHEMA = pa.schema(
 )
 
 
+def can_form_triple(spans: list[tuple[int, int, str]]) -> bool:
+    """Whether some consecutive pair of ``decode_bio`` spans has a token
+    between them: for any other sentence ``extract_sentence_triples``
+    returns [] whatever its POS labels."""
+    return any(b1 < a2 for (_, b1, _), (a2, _, _) in zip(spans, spans[1:]))
+
+
 def extract_sentence_triples(vals, starts, lens, pos, ner):
     """Pure per-sentence extraction; returns list of tuples in TRIPLE_SCHEMA
     column order minus the id columns."""
-    spans = decode_bio(ner)
-    if len(spans) < 2:
-        return []
+    return span_triples(vals, starts, lens, pos, decode_bio(ner))
+
+
+def span_triples(vals, starts, lens, pos, spans):
+    """``extract_sentence_triples`` over the sentence's decoded NER spans."""
     out = []
     for (a1, b1, t1), (a2, b2, t2) in zip(spans, spans[1:]):
         run: list[int] = []
