@@ -1,12 +1,14 @@
 """Alternating perfbench pairs between two checkouts of this repository.
 
     python scripts/ab_pairs.py PARENT_ROOT CHANGE_ROOT --workload kg_unique \\
-        --seeds 11-14 21-26 [--seconds 10] [--trace 0]
+        --seeds 11-14 21-26 [--trace 0]
 
-For each seed it runs ``perfbench/run.py`` once from each root, one run
-after the other: the parent goes first in pairs 0, 2, 4, … and the change
-in pairs 1, 3, 5, …, so that a drift in the host's speed does not favour
-one side. ``--trace 1`` with two seeds gives a parent/change/change/parent
+For each seed it runs ``perfbench/run.py`` once from each root, for the
+``run_seconds`` that ``BENCHMARK.json`` declares, one run after the
+other: the parent goes first in pairs 0, 2, 4, … and the change in pairs
+1, 3, 5, …, so that a drift in the host's speed does not favour one
+side. The run length is not an option, because the claim rule compares
+both sides at the benchmark's own length. ``--trace 1`` with two seeds gives a parent/change/change/parent
 traced window.
 
 It prints every session's ``job_cpu_s``, ``job_steal_s`` and metrics as
@@ -71,15 +73,13 @@ def main(argv: list[str]) -> int:
     ap.add_argument("change", type=Path, help="checkout root of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", nargs="+", required=True, help="seeds or ranges, e.g. 11-14 21")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="perfbench --seconds (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
 
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     ok = True
