@@ -7,10 +7,11 @@
       -> one task per partition k: triples/part=k -> edges/part=k -> nodes/part=k
       -> per-table, per-partition manifests
 
-Two Ray Data executions: Ray fuses the read, the fused stage and the sink
-into one operator, so each map task writes its own rows and nothing is
-exchanged; then one task per partition builds that partition's edges and,
-from the edges table it holds, its nodes. The fused stage runs as
+One Ray Data execution, then one plain Ray task per partition: Ray fuses
+the read, the fused stage and the sink into one operator, so each map task
+writes its own rows and nothing is exchanged; then one ``ray.remote`` task
+per partition (``_per_partition``) builds that partition's edges and, from
+the edges table it holds, its nodes. The fused stage runs as
 stateless tasks: each worker process keeps one ``KgStage`` per
 ``artifact_dir`` (stages/fused.py), so the scheduler uses every free CPU
 and no pool size is tuned. The partition id is a pure function of the
@@ -35,14 +36,17 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import time
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
+import ray
 import ray.data
 from ray.data.block import BlockAccessor
 from ray.data.datasource import Datasink
@@ -123,13 +127,47 @@ def _read_part(base: str | Path, part: int, columns: list[str] | None = None) ->
                             promote_options="default")
 
 
-def _per_partition(parts: list[int], fn) -> ray.data.Dataset:
-    """One Ray Data task per partition id k, returning ``fn(k)``."""
-    def task(batch: pa.Table) -> pa.Table:
-        return fn(batch.column("part")[0].as_py())
+def _run_part(fn, part: int) -> tuple:
+    t0 = time.perf_counter()
+    out = fn(part)
+    return out, time.perf_counter() - t0
 
-    items = ray.data.from_items([{"part": k} for k in parts], override_num_blocks=len(parts))
-    return items.map_batches(task, batch_format="pyarrow", batch_size=1)
+
+# the contract of Ray Data's own tasks (ray/data/_internal/remote_fn.py):
+# one CPU, retried without limit on system errors (a lost worker), never
+# on an error the task itself raises
+_part_task = ray.remote(num_cpus=1, max_retries=-1,
+                        retry_exceptions=[ray.exceptions.RaySystemError])(_run_part)
+
+
+class _Step(NamedTuple):
+    """What ``_per_partition`` ran: each task's result and wall seconds, in
+    partition order, and the step's elapsed seconds on the driver."""
+
+    results: list
+    task_s: list[float]
+    elapsed_s: float
+
+    def stats(self) -> str:
+        """The step in the two line forms of a Ray Data ``Dataset.stats()``
+        operator, which ``stats_out`` readers parse."""
+        ts = self.task_s
+        mean = sum(ts) / len(ts) if ts else 0.0
+        return (f"Operator 0 PartitionTasks: {len(ts)} tasks executed in {self.elapsed_s:.6f}s\n"
+                f"* Remote wall time: {min(ts, default=0.0):.6f}s min, "
+                f"{max(ts, default=0.0):.6f}s max, {mean:.6f}s mean, {sum(ts):.6f}s total\n")
+
+
+def _per_partition(parts: list[int], fn) -> _Step:
+    """``fn(k)`` for each partition id k, one Ray task each. If a task
+    fails, this raises only after every other task has finished, so a
+    resume never runs beside a task of the failed step."""
+    t0 = time.perf_counter()
+    fn_ref = ray.put(fn)
+    refs = [_part_task.remote(fn_ref, k) for k in parts]
+    ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    done = ray.get(refs)
+    return _Step([r for r, _ in done], [s for _, s in done], time.perf_counter() - t0)
 
 
 def _write_data(base: str, part: int, table: pa.Table | None) -> int:
@@ -147,16 +185,17 @@ def _write_data(base: str, part: int, table: pa.Table | None) -> int:
 
 
 def _edges_then_nodes(srcs: list[str], kernel, out: dict[str, str],
-                      edge_parts: list[int], node_parts: list[int]) -> ray.data.Dataset:
+                      edge_parts: list[int], node_parts: list[int]) -> _Step:
     """One task per partition k of ``edge_parts`` ∪ ``node_parts``. For k in
     ``edge_parts``, ``edges/part=k`` = ``kernel`` over the rows of
     ``src/part=k/`` of every ``src``; for any other k the task reads the
     written ``edges/part=k`` and leaves it untouched. For k in
     ``node_parts``, ``nodes/part=k`` is then derived from the edges table
-    the task holds. Returns the executed (part, edges, nodes) row counts."""
+    the task holds. Each task's result is its {part, edges, nodes} row
+    counts."""
     need_edges, need_nodes = set(edge_parts), set(node_parts)
 
-    def build(part: int) -> pa.Table:
+    def build(part: int) -> dict:
         if part in need_edges:
             tables = [t for t in (_read_part(s, part) for s in srcs) if t is not None]
             edges = kernel(pa.concat_tables(tables, promote_options="default")) if tables else None
@@ -167,9 +206,9 @@ def _edges_then_nodes(srcs: list[str], kernel, out: dict[str, str],
         if part in need_nodes:
             nodes = None if edges is None else edge_node_partials(edges)
             n_nodes = _write_data(out["nodes"], part, nodes)
-        return pa.table({"part": [part], "edges": [n_edges], "nodes": [n_nodes]})
+        return {"part": part, "edges": n_edges, "nodes": n_nodes}
 
-    return _per_partition(sorted(need_edges | need_nodes), build).materialize()
+    return _per_partition(sorted(need_edges | need_nodes), build)
 
 
 class TriplesSink(Datasink):
@@ -229,7 +268,7 @@ def run_kg_job(
     the global view is the sum over partitions) with lineage manifests.
     Returns summary counts. Idempotent: re-running after a partial failure
     completes only missing (table, partition) pairs — manifests publish
-    PER TABLE after the execution that wrote the table, so a kill after
+    PER TABLE after the step that wrote the table, so a kill after
     the triples are published resumes by rebuilding only the aggregates
     from the written triples (the expensive tagging stage is skipped), and
     partitions being (re)computed are first cleared of any un-manifested
@@ -243,10 +282,12 @@ def run_kg_job(
     read blocks measured no faster than 2). ``artifact_dir`` selects the
     model weights (see ``fused_linked_triples``) and is part of the
     lineage config.
-    ``stats_out``: optional list that receives (name, ds.stats() text) per
-    execution, named after the first table it built ("triples", "edges"
-    — which also builds the nodes — or "nodes" when only nodes were
-    missing); perfbench reads it for its per-layer metrics.
+    ``stats_out``: optional list that receives (name, stats text) per
+    step, named after the first table it built: "triples" (the Ray Data
+    execution's ``ds.stats()``), then "edges" — which also builds the
+    nodes — or "nodes" when only nodes were missing (``_Step.stats``: the
+    task count, the elapsed seconds and the tasks' summed wall time);
+    perfbench reads it for its per-layer metrics.
     ``tag_concurrency`` accepts only None: the actor-pool mode it selected
     is gone."""
     if tag_concurrency is not None:
@@ -370,8 +411,8 @@ def _assert_disjoint_runs(run_dirs: list[str], p: int) -> None:
     2. exact check: the runs share ``p``, so a conversation lives in the
        same ``part=k`` of every run; one task per partition reads the
        runs' triples ``conv_id`` column there and raises on any conv seen
-       in >= 2 runs. Only a 5-row sample of the violations is pulled
-       back. A run dir whose triples/ directory is absent (pruned
+       in >= 2 runs. Each task returns at most a 5-row sample of its
+       violations. A run dir whose triples/ directory is absent (pruned
        fact log / edges-only run) is skipped with a warning — the merge
        itself only reads edges/.
     """
@@ -429,18 +470,16 @@ def _assert_disjoint_runs(run_dirs: list[str], p: int) -> None:
             )
         return  # 0/1 checkable runs: nothing left to compare
 
-    def overlaps(part: int) -> pa.Table:
+    def overlaps(part: int) -> list[str]:
         runs_of = Counter()
         for base in checked:
             t = _read_part(base, part, columns=["conv_id"])
             if t is not None:
                 runs_of.update(pc.unique(t.column("conv_id")).to_pylist())
-        return pa.table({"conv_id": pa.array(sorted(c for c, n in runs_of.items() if n > 1),
-                                             pa.string())})
+        return sorted(c for c, n in runs_of.items() if n > 1)[:5]
 
-    bad_rows = _per_partition(list(range(p)), overlaps).take(5)
-    if bad_rows:
-        sample = [r["conv_id"] for r in bad_rows]
+    sample = [c for bad in _per_partition(list(range(p)), overlaps).results for c in bad][:5]
+    if sample:
         raise ValueError(
             "merge_kg_runs: delta runs overlap — conversations present in "
             f">=2 runs (sample: {sample}); merging would double-count edge "
@@ -470,11 +509,11 @@ def merge_kg_runs(
     input size O(distinct edges), never O(triples). The same task then
     derives the partition's nodes from the merged edges it holds (each
     triple contributes 1 to each endpoint, same identity ``run_kg_job``
-    uses): one execution for both tables. Both tables get manifests, so a
-    merged view can itself be merged. Triples stay where each delta wrote
-    them: they are an append-only fact log partitioned by hash(conv_id),
-    and conversation-disjoint deltas never produce the same triple twice,
-    so their union needs no rewrite.
+    uses): one task per partition for both tables. Both tables get
+    manifests, so a merged view can itself be merged. Triples stay where
+    each delta wrote them: they are an append-only fact log partitioned by
+    hash(conv_id), and conversation-disjoint deltas never produce the same
+    triple twice, so their union needs no rewrite.
 
     ``out_dir`` must not already hold edges/ or nodes/ partitions: merging
     into a previous merge's directory would silently mix two views.
@@ -519,7 +558,7 @@ def merge_kg_runs(
     ch = mf.config_hash(cfg)
     parts = list(range(p))
     built = _edges_then_nodes([f"{d}/edges" for d in run_dirs], combine_edges, out,
-                              parts, parts).take_all()
+                              parts, parts).results
     counts = {t: sum(r[t] for r in built) for t in ("edges", "nodes")}
     for table in ("edges", "nodes"):
         for part in parts:

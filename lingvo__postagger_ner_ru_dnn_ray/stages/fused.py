@@ -12,6 +12,7 @@ whole table at once.
 """
 from __future__ import annotations
 
+import gc
 import os
 
 import pyarrow as pa
@@ -133,8 +134,15 @@ def kg_stage_fn(batch: pa.Table, artifact_dir: str | None = None) -> pa.Table:
     executions, so a warm cluster loads the models once per process, and
     the scheduler spreads tasks over every free CPU with no pool size.
     Keyed by ``artifact_dir``, so neither the models nor the turn memo are
-    shared between weight sources."""
+    shared between weight sources.
+
+    Once the stage is built, ``gc.freeze()`` moves every object the
+    process holds (models, vocabularies, dictionary, imported modules)
+    out of the collector's generations: they live as long as the process,
+    and a full collection would otherwise walk them all again. Objects
+    made later, memo entries included, stay collectable."""
     stage = _STAGES.get(artifact_dir)
     if stage is None:
         stage = _STAGES[artifact_dir] = KgStage(artifact_dir=artifact_dir)
+        gc.freeze()
     return stage(batch)

@@ -9,8 +9,9 @@ builds Arrow only at its own boundary, with ``sentence_table`` and
 ``linked_table``.
 
 1. ``Kernel.tag_texts``: texts → sentences (TryTokenizeBySents,
-   PosTaggerExtensions.cs:61-72; empty texts yield none), all sentences of
-   the call labelled by ONE ``predict_batch`` per model.
+   PosTaggerExtensions.cs:61-72, through ``tokenize_texts``, which does
+   the character work once per slice of texts; empty texts yield none),
+   all sentences of the call labelled by ONE ``predict_batch`` per model.
    ``Kernel.tag_sentences`` is the same step for sentences already
    tokenized. A sentence comes back as a ``Tagged``: the payload of one
    SENT_SCHEMA row.
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import pyarrow as pa
 
-from ..textkit.tokenizer import tokenize_text
+from ..textkit.tokenizer import tokenize_texts
 from .linking import NIL, build_linking_dict, normalize_surface
 from .mentions import decode_bio
 from .tag import _correct_pos, _model_token_cached
@@ -146,7 +147,7 @@ class Kernel:
         return out
 
     def _tokenize(self, texts: list[str]) -> list[list[list]]:
-        return [tokenize_text(x, input_type_processor=self.itp) if x else [] for x in texts]
+        return tokenize_texts(texts, input_type_processor=self.itp)
 
     @staticmethod
     def _labels(model, sents: list[list], mel: int) -> list[list[str]]:

@@ -20,17 +20,24 @@ NOT split, and the mid-line-dot quirk is preserved: after a dot whose
 whitespace run does not reach a newline, the scanner resumes one char past
 the first non-whitespace char (SentSplitter.cs:571 + :814 interplay).
 
+The sentence-relevant chars ('.', '…', '?', '!') are sparse, so the FSM
+visits only their positions: ``sent_end_hits`` finds them with one
+vectorized pass (over one text, or over a whole batch of texts that the
+tokenizer's front then splits per text), and ``split_sents`` jumps between
+them.
+
 Pure function of the text + static resources; safe in stateless Ray tasks.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from . import xlat
 from .resources import STREETS_ENDS_COMPLEX_SUFFIX, STREETS_ENDS_SEPARATE
 from .urls import UrlSpan, allocate_urls
 
-_CTN = xlat.CHARTYPE           # vectorized path
 _CT = xlat.CHARTYPE_L          # scalar per-char path
 _SC = xlat.SENTCHARTYPE_L
 _UP = xlat.UPPER_INVARIANT_L
@@ -53,20 +60,26 @@ class Sent(NamedTuple):
     urls: tuple[UrlSpan, ...]
 
 
-def _is_all_punct_or_ws(u, start: int, length: int) -> bool:
-    seg = _CTN[u[start : start + length]]
-    return bool(((seg & (_WS | _PUNCT)) != 0).all())
+_IS_HIT = (xlat.SENTCHARTYPE & (xlat.SC_DOT | xlat.SC_EXCLUDE_IN_BRACKET_AND_QUOTE)) != 0
+
+
+def sent_end_hits(u16: np.ndarray) -> np.ndarray:
+    """Ascending positions of the sentence-relevant chars in ``u16``."""
+    return np.flatnonzero(_IS_HIT[u16])
 
 
 def split_sents_simple(text: str, u16=None, urls: list[UrlSpan] | None = None) -> list[Sent]:
     if u16 is None:
         u16 = xlat.to_u16(text)
-    u = u16
-    n = len(u)
     if urls is None:
-        urls = allocate_urls(text, u)
+        urls = allocate_urls(text, u16)
+    return split_sents(u16.tolist(), sent_end_hits(u16).tolist(), urls)
 
-    ul = u.tolist()
+
+def split_sents(ul: list[int], hits: list[int], urls: list[UrlSpan]) -> list[Sent]:
+    """The sentences of the text whose code units are ``ul``, given its
+    ``sent_end_hits`` and its URL spans."""
+    n = len(ul)
 
     def ch(i: int) -> int:
         return ul[i] if 0 <= i < n else 0
@@ -179,19 +192,11 @@ def split_sents_simple(text: str, u16=None, urls: list[UrlSpan] | None = None) -
                 return i
             i += 1
 
-    # sentence-relevant chars ('.', '…', '?', '!') are sparse — one
-    # vectorized scan finds them all and the FSM jumps between hits
-    # instead of visiting every character. URL spans are consumed lazily
-    # at the first hit at-or-after their start (same relative order as
-    # the char-by-char scanner: a span is folded into whatever sentence
-    # is open when the scanner passes it).
-    import numpy as np
-
-    scs = xlat.SENTCHARTYPE[u]
-    hits = np.nonzero(
-        (scs & (xlat.SC_DOT | xlat.SC_EXCLUDE_IN_BRACKET_AND_QUOTE)) != 0
-    )[0].tolist()
-
+    # the FSM jumps between the hits instead of visiting every
+    # character. URL spans are consumed lazily at the first hit
+    # at-or-after their start (same relative order as the char-by-char
+    # scanner: a span is folded into whatever sentence is open when the
+    # scanner passes it).
     i = 0
     for p in hits:
         if p < i:

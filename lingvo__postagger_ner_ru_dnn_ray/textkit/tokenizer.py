@@ -21,12 +21,21 @@ SentSplitterProcessSentCallback_Simple path
     :1213-1278)
   * URL spans re-enter the word list sorted by startIndex (:314-351)
 
+``tokenize_texts`` tokenizes a batch. Its front (``_Front``) does the
+character work once per slice of ``_FRONT_TEXTS`` texts: the UTF-16
+encode, the char-class gathers, the FSM's jump table and the URL-trigger
+and sentence-end scans. Each text's URL scanner, sentence splitter and FSM
+then read that text's slice of those arrays, so a text's tokens do not
+depend on its batch neighbours. ``tokenize_text`` is a one-text batch.
+
 Pure function of text + static LUTs: run as stateless Ray tasks; the LUTs
 are module-level singletons built once per worker process.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import accumulate
+
+import numpy as np
 
 from . import xlat
 from .features import (
@@ -40,8 +49,8 @@ from .features import (
     normalize_umlautes,
 )
 from .resources import DIGITS_SPEC_ENDS, NUM_PLACEHOLDER
-from .sentsplit import Sent, split_sents_simple
-from .urls import EMAIL, UrlSpan, allocate_urls
+from .sentsplit import Sent, sent_end_hits, split_sents
+from .urls import EMAIL, scan_urls, url_triggers
 
 _CT = xlat.CHARTYPE_L          # scalar per-char path (list: faster indexing)
 _SP = xlat.SPECTYPE_L
@@ -53,6 +62,14 @@ _LD = xlat.IS_LETTER | xlat.IS_DIGIT
 
 _KEEP_PUNCT_1 = frozenset(ord(c) for c in ":.,;?!()/%&…")
 _KEEP_QUOTE_1 = frozenset(ord(c) for c in "\"'[]")
+
+# chars the FSM must inspect: whitespace or any SPECTYPE flag; the plain
+# letter/digit runs between them are consumed in one jump
+_INSPECT = ((xlat.CHARTYPE & _WS) != 0) | (xlat.SPECTYPE != 0)
+
+# texts per front: bounds the batch arrays of a caller that passes a
+# whole table (the job's batches are this size)
+_FRONT_TEXTS = 512
 
 
 class Word:
@@ -79,39 +96,69 @@ _TOKEN_MEMO: dict[bytes, tuple] = {}
 _TOKEN_MEMO_MAX = 1_000_000
 
 
+class _Front:
+    """The character arrays of a batch of texts, each built by one numpy
+    pass over the concatenated UTF-16 code units; text k owns the units
+    ``offs[k]:offs[k + 1]``. ``nxt[i]`` is the smallest j >= i whose char
+    the FSM must inspect; it may point past the end of i's text, which the
+    FSM's sentence-end cap absorbs. The trigger and sentence-end hits are
+    cut per text with ``searchsorted``."""
+
+    __slots__ = ("offs", "u", "ub", "ul", "cts", "sps", "nxt",
+                 "url_hits", "url_cut", "sent_hits", "sent_cut")
+
+    def __init__(self, texts: list[str | None]):
+        bs = [x.encode(xlat._ENC) if x else b"" for x in texts]
+        self.offs = [0, *accumulate(len(b) >> 1 for b in bs)]
+        self.ub = b"".join(bs)
+        u = self.u = np.frombuffer(self.ub, dtype=np.uint16)
+        self.ul = u.tolist()
+        self.cts = xlat.CHARTYPE[u].tolist()
+        self.sps = xlat.SPECTYPE[u].tolist()
+        n = len(u)
+        idx = np.where(_INSPECT[u], np.arange(n), n)
+        self.nxt = np.minimum.accumulate(idx[::-1])[::-1].tolist()
+        offs = np.asarray(self.offs)
+        uh, sh = url_triggers(u), sent_end_hits(u)
+        self.url_hits, self.url_cut = uh.tolist(), np.searchsorted(uh, offs).tolist()
+        self.sent_hits, self.sent_cut = sh.tolist(), np.searchsorted(sh, offs).tolist()
+
+    def __len__(self) -> int:
+        return len(self.offs) - 1
+
+    def url_triggers_of(self, k: int) -> list[int]:
+        """Text k's URL-trigger positions, relative to its start."""
+        o = self.offs[k]
+        return [p - o for p in self.url_hits[self.url_cut[k]:self.url_cut[k + 1]]]
+
+    def sent_hits_of(self, k: int) -> list[int]:
+        """Text k's sentence-end hits, relative to its start."""
+        o = self.offs[k]
+        return [p - o for p in self.sent_hits[self.sent_cut[k]:self.sent_cut[k + 1]]]
+
+
 class _SentTokenizer:
+    """The FSM over one text of a ``_Front``: list slices of the front's
+    arrays, its URL spans, and the front's jump table read at the text's
+    offset ``off``."""
+
     __slots__ = (
         "u", "ul", "ub", "n", "s", "end", "words", "start_index", "cur_len",
         "is_prev_num", "last_num", "replace_nums", "dot_variant", "cts", "sps",
-        "itp", "nxt",
+        "itp", "nxt", "off", "urls",
     )
 
-    def __init__(self, u16, replace_nums: bool, dot_variant: str = "simple",
+    def __init__(self, front: _Front, k: int, replace_nums: bool, dot_variant: str = "simple",
                  input_type_processor=None):
-        import numpy as np
-
-        self.u = u16
-        self.ul = u16.tolist()  # per-char access path
-        self.ub = u16.tobytes()  # bytes-slice memo keys (2 bytes per unit)
-        # one vectorized LUT gather per text replaces two Python LUT
-        # indexes per character inside the scan loops
-        ct_arr = xlat.CHARTYPE[u16]
-        sp_arr = xlat.SPECTYPE[u16]
-        self.cts = ct_arr.tolist()
-        self.sps = sp_arr.tolist()
-        n = len(u16)
-        # nxt[i] = smallest j >= i whose char the FSM must inspect
-        # (whitespace or any SPECTYPE flag); plain letter/digit runs in
-        # between are consumed in one jump instead of one loop iteration
-        # per character — the scan loop is the fused stage's hottest
-        # Python after the round-3 inference rewrite
-        if n:
-            idx = np.where(((ct_arr & _WS) != 0) | (sp_arr != 0),
-                           np.arange(n, dtype=np.int64), n)
-            self.nxt = np.minimum.accumulate(idx[::-1])[::-1].tolist()
-        else:
-            self.nxt = []
-        self.n = n
+        o, e = front.offs[k], front.offs[k + 1]
+        self.off, self.n = o, e - o
+        self.u = front.u[o:e]
+        self.ul = front.ul[o:e]  # per-char access path
+        self.ub = front.ub[2 * o:2 * e]  # bytes-slice memo keys (2 bytes per unit)
+        self.cts = front.cts[o:e]
+        self.sps = front.sps[o:e]
+        self.nxt = front.nxt
+        self.urls = scan_urls(self.ul, front.url_triggers_of(k))
         self.replace_nums = replace_nums
         # "simple": always unstick dots (WebService path, Tokenizer.cs:732-744)
         # "console": keep a dot in the word; flush immediately when the next
@@ -247,7 +294,7 @@ class _SentTokenizer:
 
         end = self._trim_end(s, realy_end)
 
-        ul, cts, sps, nxt = self.ul, self.cts, self.sps, self.nxt
+        ul, cts, sps, nxt, off = self.ul, self.cts, self.sps, self.nxt, self.off
         i = s
         while i <= end:
             if next_url_start <= i:
@@ -263,7 +310,7 @@ class _SentTokenizer:
 
             # consume the whole plain letter/digit run to the next char the
             # FSM must inspect (capped at sentence end and the next URL)
-            j = nxt[i]
+            j = nxt[off + i] - off
             if j > i:
                 if j > end + 1:
                     j = end + 1
@@ -423,22 +470,27 @@ def _clear_value_original(v: str, extra: int, u, start: int, length: int) -> str
     return v
 
 
+def tokenize_texts(texts: list[str | None], replace_nums: bool = True,
+                   input_type_processor=None) -> list[list[list[Word]]]:
+    """``tokenize_text`` of each text, with one front per slice of
+    ``_FRONT_TEXTS`` texts. None and "" yield no sentences."""
+    out = []
+    for lo in range(0, len(texts), _FRONT_TEXTS):
+        front = _Front(texts[lo:lo + _FRONT_TEXTS])
+        for k in range(len(front)):
+            tk = _SentTokenizer(front, k, replace_nums, input_type_processor=input_type_processor)
+            sents = split_sents(tk.ul, front.sent_hits_of(k), tk.urls) if tk.n else ()
+            out.append([ws for ws in map(tk.tokenize, sents) if ws])
+    return out
+
+
 def tokenize_text(text: str, replace_nums: bool = True,
                   input_type_processor=None) -> list[list[Word]]:
     """TryTokenizeBySents (PosTaggerExtensions.cs:61-72): Simple sentence
     split + Simple tokenize per sentence, empty sentences dropped.
     ``input_type_processor`` swaps the graphemic classifier (the
     IPosTaggerInputTypeProcessor slot); None = the default _En port."""
-    u = xlat.to_u16(text)
-    urls = allocate_urls(text, u)
-    sents = split_sents_simple(text, u, urls)
-    tk = _SentTokenizer(u, replace_nums, input_type_processor=input_type_processor)
-    out = []
-    for sent in sents:
-        words = tk.tokenize(sent)
-        if words:
-            out.append(words)
-    return out
+    return tokenize_texts([text], replace_nums, input_type_processor)[0]
 
 
 def tokenize_text_console(text: str, replace_nums: bool = True) -> list[Word]:
@@ -446,11 +498,8 @@ def tokenize_text_console(text: str, replace_nums: bool = True) -> list[Word]:
     the whole line is ONE sentence (no sentence splitting), URLs detected,
     plain dot variant (dot kept in the word, uppercase-next flushes; this
     is how 'U.N.' / '2010г.' stay single tokens on the console path)."""
-    u = xlat.to_u16(text)
-    urls = allocate_urls(text, u)
-    sent = Sent(0, len(u), tuple(urls))
-    tk = _SentTokenizer(u, replace_nums, dot_variant="console")
-    return tk.tokenize(sent)
+    tk = _SentTokenizer(_Front([text]), 0, replace_nums, dot_variant="console")
+    return tk.tokenize(Sent(0, tk.n, tuple(tk.urls)))
 
 
 def get_original_value(w: Word, text: str) -> str:

@@ -11,10 +11,17 @@ Behavioral re-implementation of the reference's UrlDetector
 
 Spans are (start, length, type) in UTF-16 code units. Pure function of the
 text + static resource sets — safe to run in stateless Ray tasks.
+
+The trigger chars ('.' and ':') are sparse, so the detector visits only
+their positions: ``url_triggers`` finds them with one vectorized pass
+(over one text, or over a whole batch of texts that the tokenizer's front
+then splits per text), and ``scan_urls`` runs the scanner from each.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
+
+import numpy as np
 
 from . import xlat
 from .resources import (
@@ -37,13 +44,21 @@ class UrlSpan(NamedTuple):
     type: int  # URL | EMAIL
 
 
-class _Scanner:
-    __slots__ = ("u", "ul", "n", "i")
+_IS_TRIGGER = np.zeros(0x10000, dtype=bool)
+_IS_TRIGGER[[0x2E, 0x3A]] = True  # '.' ':'
 
-    def __init__(self, u16):
-        self.u = u16
-        self.ul = u16.tolist()
-        self.n = len(u16)
+
+def url_triggers(u16: np.ndarray) -> np.ndarray:
+    """Ascending positions of the trigger chars in the code units ``u16``."""
+    return np.flatnonzero(_IS_TRIGGER[u16])
+
+
+class _Scanner:
+    __slots__ = ("ul", "n", "i")
+
+    def __init__(self, ul: list[int]):
+        self.ul = ul
+        self.n = len(ul)
         self.i = 0
 
     def ch(self, i: int) -> int:
@@ -231,21 +246,23 @@ def allocate_urls(text: str, u16=None) -> list[UrlSpan]:
     """Scan ``text`` for URL / e-mail spans (AllocateUrls, UrlDetector.cs:234-311)."""
     if u16 is None:
         u16 = xlat.to_u16(text)
-    out: list[UrlSpan] = []
-    # trigger chars ('.' and ':') are sparse — one vectorized scan finds
-    # them and the detector jumps between hits instead of visiting every
-    # character (same FSM, same scanner state transitions)
-    import numpy as np
+    hits = url_triggers(u16)
+    return scan_urls(u16.tolist(), hits.tolist()) if len(hits) else []
 
-    hits = np.nonzero((u16 == 0x2E) | (u16 == 0x3A))[0]
-    if len(hits) == 0:
+
+def scan_urls(ul: list[int], hits: list[int]) -> list[UrlSpan]:
+    """The spans of the text whose code units are ``ul``, scanning from its
+    trigger positions ``hits`` (ascending) instead of from every char (same
+    FSM, same scanner state transitions)."""
+    out: list[UrlSpan] = []
+    if not hits:
         return out
-    s = _Scanner(u16)
-    for p in hits.tolist():
+    s = _Scanner(ul)
+    for p in hits:
         if p < s.i:
             continue  # hit consumed by a previously detected span
         s.i = p
-        c = s.ul[p]
+        c = ul[p]
         if c == 0x2E:  # '.'
             r = s._by_www()
             if r is None:

@@ -726,3 +726,92 @@ def test_turn_memo_overflow_mid_batch(ray_session):
         st._turn_memo[f"_pad{i}"] = []
     out = st(mk([t2, t1]))  # t1 memoized, t2 new -> clear fires
     assert out.num_rows >= base  # t1's rows survived the clear
+
+
+def _manifest_mtimes(table_dir: Path) -> dict:
+    return {str(m): m.stat().st_mtime_ns for m in table_dir.glob("part=*/_manifest.json")}
+
+
+def test_reduce_task_failure_then_resume(fixture_path, oracle, tmp_path, monkeypatch):
+    """A partition task of the reduce raises: the job raises after the
+    step's other tasks have finished, and publishes no edges or nodes
+    manifest. The resume then rebuilds only edges and nodes, leaves the
+    triples manifests untouched and equals the oracle exactly."""
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines import kg
+    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import edge_partials
+    from lingvo__postagger_ner_ru_dnn_ray.state.manifest import partition_of
+
+    p, bad_part = 4, 2
+    convs = sorted(set(oracle["triples"].column("conv_id").to_pylist()))
+    hot = next(c for c in convs if partition_of(c, p) == bad_part)
+
+    def failing_edges(t):
+        if hot in t.column("conv_id").to_pylist():
+            raise RuntimeError("injected reduce failure")
+        return edge_partials(t)
+
+    out = tmp_path / "kg"
+    monkeypatch.setattr(kg, "edge_partials", failing_edges)
+    with pytest.raises(RuntimeError, match="injected reduce failure"):
+        run_kg_job(fixture_path, str(out), num_partitions=p)
+    monkeypatch.undo()
+    for t in ("edges", "nodes"):
+        assert not list((out / t).glob("part=*/_manifest.json")), t
+    # every other task of the step ran to its end before the raise
+    for k in set(range(p)) - {bad_part}:
+        assert (out / "edges" / f"part={k}" / kg.DATA_FILE).exists(), k
+        assert (out / "nodes" / f"part={k}" / kg.DATA_FILE).exists(), k
+    triples_before = _manifest_mtimes(out / "triples")
+    assert len(triples_before) == p
+
+    stats: list = []
+    res = run_kg_job(fixture_path, str(out), num_partitions=p, stats_out=stats)
+    assert res["partitions_run"] == list(range(p))
+    assert [s[0] for s in stats] == ["edges"]
+    assert _manifest_mtimes(out / "triples") == triples_before
+    got = pq.read_table(out / "triples").drop(["part"])
+    assert _sorted_df(got, TRIPLE_KEYS).equals(_sorted_df(oracle["triples"], TRIPLE_KEYS))
+    edge_keys = ["subj_id", "pred", "obj_id"]
+    assert _global(pq.read_table(out / "edges"), edge_keys, EDGE_AGG).equals(
+        _sorted_df(oracle["edges"], edge_keys))
+    assert _global(pq.read_table(out / "nodes"), ["entity_id"], NODE_AGG).equals(
+        _sorted_df(oracle["nodes"], ["entity_id"]))
+
+
+# the two line forms of a Ray Data operator in ``Dataset.stats()`` text
+_OP_LINE = r"Operator \d+ (.+?): (\d+) tasks .*in ([\d.]+)s$"
+_WALL_LINE = r"Remote wall time: .* ([\d.]+)(us|ms|s) total"
+
+
+def _reduce_stats(text: str) -> tuple[int, float, float]:
+    """(tasks, elapsed s, summed task wall s) of a reduce step's text."""
+    import re
+
+    units = {"us": 1e-6, "ms": 1e-3, "s": 1.0}
+    (op,) = [m for line in text.splitlines() if (m := re.match(_OP_LINE, line))]
+    (wall,) = [m for line in text.splitlines() if (m := re.search(_WALL_LINE, line))]
+    return int(op.group(2)), float(op.group(3)), float(wall.group(1)) * units[wall.group(2)]
+
+
+def test_reduce_stats_text(fixture_path, tmp_path):
+    """The reduce step's ``stats_out`` entry states its task count, its
+    elapsed seconds and the tasks' summed wall time, which is the sum of
+    the per-task times."""
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import _edges_then_nodes
+    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import edge_partials
+
+    out = tmp_path / "kg"
+    stats: list = []
+    run_kg_job(fixture_path, str(out), num_partitions=4, stats_out=stats)
+    assert [s[0] for s in stats] == ["triples", "edges"]
+    n, ran_s, total_s = _reduce_stats(stats[1][1])
+    assert n == 4 and ran_s > 0 and total_s > 0
+
+    parts = [0, 1, 2, 3]
+    rebuilt = {t: str(tmp_path / "again" / t) for t in ("edges", "nodes")}
+    step = _edges_then_nodes([str(out / "triples")], edge_partials, rebuilt, parts, parts)
+    assert [r["part"] for r in step.results] == parts
+    assert len(step.task_s) == 4 and all(s > 0 for s in step.task_s)
+    n, ran_s, total_s = _reduce_stats(step.stats())
+    assert n == 4 and ran_s == pytest.approx(step.elapsed_s, abs=1e-6)
+    assert total_s > 0 and total_s == pytest.approx(sum(step.task_s), abs=1e-6)

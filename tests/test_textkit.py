@@ -2,6 +2,8 @@
 from the reference rules cited in SURVEY.md §2.2."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lingvo__postagger_ner_ru_dnn_ray.textkit import xlat
 from lingvo__postagger_ner_ru_dnn_ray.textkit.features import (
@@ -250,3 +252,73 @@ def test_num_collapse_length_fixup_quirk():
     assert (w_end.value, w_end.start, w_end.length) == ("[%NUM%]", 9, 3)
     w_mid = [x for x in tt("выпущено 100 200 штук")[0] if x.value == "[%NUM%]"][0]
     assert (w_mid.start, w_mid.length) == (9, 7)
+
+
+# --------------------------- batch front ------------------------------------
+def _fixture_lines() -> list[str]:
+    """The 15 lines of fixtures/reference_input_tokens.json, rebuilt from
+    their console tokens (spans over spaces; a number placeholder becomes
+    digits of its length)."""
+    import json
+    from pathlib import Path
+
+    fx = Path(__file__).resolve().parents[1] / "fixtures" / "reference_input_tokens.json"
+    lines = []
+    for line in json.loads(fx.read_text(encoding="utf-8")):
+        chars = [" "] * max(w["s"] + w["l"] for w in line["console"])
+        for w in line["console"]:
+            v = w["v"] if len(w["v"]) == w["l"] else "7" * w["l"]
+            chars[w["s"]:w["s"] + w["l"]] = v
+        lines.append("".join(chars))
+    return lines
+
+
+def _fields(sents) -> list:
+    return [[(w.value, w.upper, w.start, w.length, w.input_type, w.extra, w.upper_umlauts)
+             for w in ws] for ws in sents]
+
+
+def _assert_batch_independent(batches: list[list]) -> None:
+    from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import tokenize_texts
+
+    for batch in batches:
+        got = tokenize_texts(batch)
+        assert len(got) == len(batch)
+        for text, sents in zip(batch, got):
+            assert _fields(sents) == _fields(tokenize_text(text)), text
+
+
+def test_front_independent_of_batch_neighbours():
+    """Each text's words from a batch front equal the text tokenized
+    alone: on the fixture lines, and on the synthetic transcripts in one
+    batch longer than a front's slice and in batches cut at odd points."""
+    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcripts_table
+
+    lines = _fixture_lines()
+    assert len(lines) == 15 and all(tokenize_text(x) for x in lines)
+    synth = synth_transcripts_table(300, seed=7).column("text").to_pylist()
+    _assert_batch_independent([lines, lines[::-1] + [None, ""] + lines])
+    _assert_batch_independent([synth + lines + synth[::-1]])
+    _assert_batch_independent([synth[a:b] for a, b in ((0, 7), (7, 120), (120, 121), (121, 300))])
+
+
+_PIECES = [
+    "Вася Козлов посетил Москву.", "Варкалось. Хливкие шорьки пырялись.", "Да! Нет?",
+    "в июле 2010г. военный", "на сумму 9,5 млн руб.", "выпущено 100 200 штук", "…",
+    "сайт www.example.ru открыт", "см. http://example.com/path?q=1", "info@mail.ru",
+    "адрес example.ru/x.", "info(at)mail.ru", "Гло́кая ку́здра", "Ёж é", "𝔘𝔫𝔦 𝔠𝔬𝔡𝔢",
+    "С.Козлов", "U.N.", "Str.", ":", ".", " ", "\n", "«Чарт-Пилот»", "слово\xadперенос",
+]
+_piece_text = st.lists(
+    st.one_of(st.sampled_from(_PIECES),
+              st.text(alphabet="абв АБ.:…!?,-–0123456789@/\n w", max_size=12)),
+    max_size=8,
+).map(" ".join)
+_batch_texts = st.lists(st.one_of(st.none(), st.just(""), _piece_text), max_size=14)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_batch_texts, st.lists(st.integers(0, 14), max_size=4))
+def test_front_independent_property(texts, cuts):
+    bounds = [0, *sorted(c for c in cuts if c <= len(texts)), len(texts)]
+    _assert_batch_independent([texts[a:b] for a, b in zip(bounds, bounds[1:])])
