@@ -97,15 +97,7 @@ class SeqLabelModel:
             for p in (f"l{li}_" for li in range(n_layers))
         ]
         self._label_arr = np.array(labels, dtype=object)
-        # per-model sentence→labels memo (bounded: cleared whole when it
-        # would pass _MEMO_CAP). Distinct turns share sentences heavily on
-        # real transcript streams (perfbench measures a tagger hit ratio of
-        # 0.489 on kg_dup), and the forward pass is the single most
-        # expensive kernel in the engine — dedup-before-infer is the
-        # standard serving optimization.
-        self._label_memo: dict[tuple[str, ...], list[str]] = {}
 
-    _MEMO_CAP = 1 << 17
     # exact-length chunks hold at most this many token slots (B·L), which
     # bounds the peak memory of one forward
     _AREA_CAP = 1 << 15
@@ -144,11 +136,11 @@ class SeqLabelModel:
         """Label a batch of model-token sentences. Applies Predict_Full
         chunking semantics to sentences over MAX_PREDICT_SENT_LENGTH.
 
-        Duplicate sentences run the forward pass once (memoized across
-        batches per worker), and the unique ones run in chunks of a single
-        length, so no sentence is padded and its labels cannot depend on
-        the rest of the batch (pinned by tests/test_model.py::
-        test_predict_batch_padding_invariant and test_chunks_have_one_length)."""
+        Duplicate sentences of the call run the forward pass once, and the
+        unique ones run in chunks of a single length, so no sentence is
+        padded and its labels cannot depend on the rest of the batch (pinned
+        by tests/test_model.py::test_predict_batch_padding_invariant and
+        test_chunks_have_one_length). The model holds no cache."""
         if not sents:
             return []
         out: list[list[str] | None] = [None] * len(sents)
@@ -165,21 +157,11 @@ class SeqLabelModel:
                 parts = [toks[ofs : ofs + MAX_PREDICT_SENT_LENGTH]
                          for ofs in range(0, len(toks), MAX_PREDICT_SENT_LENGTH)]
                 out[idx] = [lab for part in self._forward_unique(parts) for lab in part]
-        if plain:
-            memo = self._label_memo
-            keys = [tuple(toks) for _, toks in plain]
-            todo = list({k for k in keys if k not in memo})
-            if todo:
-                if len(memo) + len(todo) > self._MEMO_CAP:
-                    # recompute EVERY key this batch needs after a clear —
-                    # keys that were memoized before the clear would
-                    # otherwise KeyError below
-                    memo.clear()
-                    todo = list(set(keys))
-                for k, lab in zip(todo, self._forward_unique(todo)):
-                    memo[k] = lab
-            for (idx, _), key in zip(plain, keys):
-                out[idx] = list(memo[key])
+        keys = [tuple(toks) for _, toks in plain]
+        uniq = list(dict.fromkeys(keys))
+        labels = dict(zip(uniq, self._forward_unique(uniq)))
+        for (idx, _), key in zip(plain, keys):
+            out[idx] = list(labels[key])
         return out  # type: ignore[return-value]
 
     def _chunks(self, sents: Sequence[Sequence[str]]) -> Iterator[tuple[list[int], np.ndarray]]:

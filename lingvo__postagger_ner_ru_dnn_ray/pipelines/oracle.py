@@ -1,9 +1,9 @@
 """Single-process oracle: the per-turn kernel (stages/kernel.py) run ONCE
-over the whole transcripts table in plain Python (no Ray, no turn memo).
+over the whole transcripts table in plain Python (no Ray, no memo).
 
 This is FIXTURES.md F5's golden generator: the distributed pipeline at any
 parallelism must produce exactly these tables (compared order-insensitively)
-— the test that the job's turn memo, its batching, partitioning and Ray
+— the test that the job's sentence memo, its batching, partitioning and Ray
 add nothing to the kernel. The reference's analogous oracle is its
 single-threaded console path (ConsoleDemo/Program.cs:243-315).
 """

@@ -1,12 +1,11 @@
 """The per-turn kernel: tokenize → tag, then extract → link, written once.
 
 Every path from transcript text to tagged sentences or linked triples runs
-these steps: the job's fused stage (stages/fused.py, behind its turn
-memo), the single-process oracle (pipelines/oracle.py), the driver's
-sentence stage (pipelines/kg.py) and the web-JSON stage
-(sources/jsonio.py). The steps work on Python structures; each caller
-builds Arrow only at its own boundary, with ``sentence_table`` and
-``linked_table``.
+these steps: the job's fused stage (stages/fused.py), the single-process
+oracle (pipelines/oracle.py), the driver's sentence stage
+(pipelines/kg.py) and the web-JSON stage (sources/jsonio.py). The steps
+work on Python structures; each caller builds Arrow only at its own
+boundary, with ``sentence_table`` and ``linked_table``.
 
 1. ``Kernel.tag_texts``: texts → sentences (TryTokenizeBySents,
    PosTaggerExtensions.cs:61-72, through ``tokenize_texts``, which does
@@ -26,7 +25,8 @@ sentences where a triple can form (``can_form_triple``); every other
 sentence has no link rows. It builds no ``Tagged``, and its rows equal
 ``link`` over ``tag_texts``. The job's stage uses it; the oracle, the
 driver and web-JSON tag every sentence, because their sentence tables
-need POS everywhere.
+need POS everywhere, and keep no memo. ``link_texts`` memoizes each
+sentence's link rows (``_sent_key``), the job's one cross-batch cache.
 """
 from __future__ import annotations
 
@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import pyarrow as pa
 
-from ..textkit.tokenizer import tokenize_texts
+from ..textkit.sentsplit import Sent
+from ..textkit.tokenizer import split_texts, tokenize_texts
 from .linking import NIL, build_linking_dict, normalize_surface
 from .mentions import decode_bio
 from .tag import _correct_pos, _model_token_cached
@@ -47,6 +48,9 @@ _STR_LIST = pa.list_(pa.string())
 # the model-token max ending length of each model (predict_pos.json:8-9,
 # predict_ner.json:6-7)
 _POS_MEL, _NER_MEL = 4, 10000
+
+# sentences ``link_texts`` keeps before it clears its memo whole
+_MEMO_SENTS = 1 << 18
 
 # one row per sentence; pos = corrected PosTaggerOutputType names
 # (PosTaggerExtensions.cs:16-59), pos_raw = raw model labels, ner = BIO tags
@@ -111,12 +115,14 @@ class Kernel:
             self.pos_model, self.ner_model = load_taggers(artifact_dir)
         self.lookup = build_linking_dict() if lookup is None else lookup
         self.itp = input_type_processor
+        self._memo: dict[bytes | tuple, tuple | None] = {}
+        self.missed_texts = 0
 
     def tag_texts(self, texts: list[str]) -> Iterator[list[Tagged]]:
         """Each text's tagged sentences, in order. Lazy: a caller that
         consumes text by text holds one text's ``Tagged`` at a time, which
         keeps the garbage collector's young generations small."""
-        per_text = self._tokenize(texts)
+        per_text = tokenize_texts(texts, input_type_processor=self.itp)
         tagged = self._tag([ws for sents in per_text for ws in sents])
         for sents in per_text:
             yield [next(tagged) for _ in sents]
@@ -127,10 +133,33 @@ class Kernel:
 
     def link_texts(self, texts: list[str]) -> list[list[list[tuple]]]:
         """Each text's sentences' ``link`` rows, in order, with no
-        ``Tagged`` built (see ``link_sentences``)."""
-        per_text = self._tokenize(texts)
-        rows = iter(self.link_sentences([ws for sents in per_text for ws in sents]))
-        return [[next(rows) for _ in sents] for sents in per_text]
+        ``Tagged`` built (see ``link_sentences``). Each distinct text of the
+        call is split into sentences; a sentence in the memo takes its
+        stored rows, shifted by its offset. The others are tokenized once
+        per key and all go through one ``link_sentences``. A sentence with
+        no words is stored as None and takes no ``sent_idx``; one with no
+        rows as ``()``. ``got`` holds the call's rows, so a clear of the
+        memo loses none. ``missed_texts``: the call's texts with a sentence
+        that missed the memo."""
+        memo, todo, split = self._memo, {}, {}
+        uniq = list(dict.fromkeys(texts))
+        for x, (tk, sents) in zip(uniq, split_texts(uniq, input_type_processor=self.itp)):
+            keys = split[x] = [(_sent_key(tk.ub, s), s.start) for s in sents]
+            for (key, o), s in zip(keys, sents):
+                if key not in memo and key not in todo:
+                    todo[key] = (tk.tokenize(s), o)  # missed key → (words, offset)
+        per_text = [split[x] for x in texts]
+        got = {k: memo[k] for keys in split.values() for k, _ in keys if k not in todo}
+        # every missed sentence with words, once per sentence as in tag_texts
+        misses = [k for keys in per_text for k, _ in keys if k in todo and todo[k][0]]
+        self.missed_texts = sum(any(k in todo for k, _ in keys) for keys in per_text)
+        for key, rows in zip(misses, self.link_sentences([todo[k][0] for k in misses])):
+            got[key] = tuple(_shift(r, -todo[key][1]) for r in rows) if rows else ()
+        if len(memo) + len(todo) > _MEMO_SENTS:
+            memo.clear()
+        memo.update((k, got.setdefault(k, None)) for k in todo)  # None: no words
+        return [[[_shift(r, o) for r in got[k]] for k, o in keys if got[k] is not None]
+                for keys in per_text]
 
     def link_sentences(self, sents: list[list]) -> list[list[tuple]]:
         """Each tokenized sentence's ``link`` rows. NER labels every
@@ -145,9 +174,6 @@ class Kernel:
             out[i] = self._link_rows([w.value for w in ws], [w.start for w in ws],
                                      [w.length for w in ws], pos, spans[i])
         return out
-
-    def _tokenize(self, texts: list[str]) -> list[list[list]]:
-        return tokenize_texts(texts, input_type_processor=self.itp)
 
     @staticmethod
     def _labels(model, sents: list[list], mel: int) -> list[list[str]]:
@@ -183,6 +209,21 @@ class Kernel:
                 link += lookup.get(norm, (NIL, norm))
             rows.append((ti,) + tup + link)
         return rows
+
+
+def _sent_key(ub: bytes, s: Sent) -> bytes | tuple:
+    """What a sentence's words are read from: its UTF-16 code units and
+    each URL span's start relative to it, code units and type (a span
+    may start before the sentence)."""
+    o = s.start
+    units = ub[2 * o:2 * (o + s.length)]
+    return (units, tuple((u.start - o, ub[2 * u.start:2 * (u.start + u.length)], u.type)
+                         for u in s.urls)) if s.urls else units
+
+
+def _shift(row: tuple, d: int) -> tuple:
+    """A ``link`` row with its subj_start and obj_start moved by ``d``."""
+    return row[:6] + (row[6] + d, row[7], row[8] + d) + row[9:]
 
 
 @lru_cache(maxsize=None)

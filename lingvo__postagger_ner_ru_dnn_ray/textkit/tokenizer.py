@@ -21,7 +21,7 @@ SentSplitterProcessSentCallback_Simple path
     :1213-1278)
   * URL spans re-enter the word list sorted by startIndex (:314-351)
 
-``tokenize_texts`` tokenizes a batch. Its front (``_Front``) does the
+``split_texts`` splits a batch. Its front (``_Front``) does the
 character work once per slice of ``_FRONT_TEXTS`` texts: the UTF-16
 encode, the char-class gathers, the FSM's jump table and the URL-trigger
 and sentence-end scans. Each text's URL scanner, sentence splitter and FSM
@@ -33,6 +33,7 @@ are module-level singletons built once per worker process.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import accumulate
 
 import numpy as np
@@ -470,18 +471,23 @@ def _clear_value_original(v: str, extra: int, u, start: int, length: int) -> str
     return v
 
 
-def tokenize_texts(texts: list[str | None], replace_nums: bool = True,
-                   input_type_processor=None) -> list[list[list[Word]]]:
-    """``tokenize_text`` of each text, with one front per slice of
-    ``_FRONT_TEXTS`` texts. None and "" yield no sentences."""
-    out = []
+def split_texts(texts: list[str | None], replace_nums: bool = True,
+                input_type_processor=None) -> Iterator[tuple[_SentTokenizer, list[Sent]]]:
+    """Each text's FSM and its sentences, with one front per slice of
+    ``_FRONT_TEXTS`` texts; ``tk.tokenize(sent)`` gives a sentence's words
+    (possibly none). None and "" yield no sentences."""
     for lo in range(0, len(texts), _FRONT_TEXTS):
         front = _Front(texts[lo:lo + _FRONT_TEXTS])
         for k in range(len(front)):
             tk = _SentTokenizer(front, k, replace_nums, input_type_processor=input_type_processor)
-            sents = split_sents(tk.ul, front.sent_hits_of(k), tk.urls) if tk.n else ()
-            out.append([ws for ws in map(tk.tokenize, sents) if ws])
-    return out
+            yield tk, split_sents(tk.ul, front.sent_hits_of(k), tk.urls) if tk.n else []
+
+
+def tokenize_texts(texts: list[str | None], replace_nums: bool = True,
+                   input_type_processor=None) -> list[list[list[Word]]]:
+    """``tokenize_text`` of each text, over ``split_texts``."""
+    return [[ws for ws in map(tk.tokenize, sents) if ws]
+            for tk, sents in split_texts(texts, replace_nums, input_type_processor)]
 
 
 def tokenize_text(text: str, replace_nums: bool = True,
@@ -501,9 +507,3 @@ def tokenize_text_console(text: str, replace_nums: bool = True) -> list[Word]:
     tk = _SentTokenizer(_Front([text]), 0, replace_nums, dot_variant="console")
     return tk.tokenize(Sent(0, tk.n, tuple(tk.urls)))
 
-
-def get_original_value(w: Word, text: str) -> str:
-    # Tokenizer.GetOriginalValue (Tokenizer.cs:1347-1354)
-    if w.input_type == IT_NUM:
-        return text[w.start : w.start + w.length]
-    return w.value

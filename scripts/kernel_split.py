@@ -12,11 +12,16 @@ on an empty batch first, as a worker builds it in the warm-up job, so the
 model load is not timed. ``ray.data`` is imported first, so the process
 holds the modules a Ray Data worker holds.
 
-It reports process CPU seconds: the whole pass, the tokenizer
-(``Kernel._tokenize``), the NER and the POS forwards (``Kernel._labels``)
-and the rest. The collector's passes, by generation, are timed through
-``gc.callbacks``; they are included in the layer they interrupt and also
-shown on their own (``tokenize_gc``: the passes inside the tokenizer).
+It reports process CPU seconds: the whole pass; the tokenizer's parts,
+timed at names that every checkout since the batch front calls (the front,
+``_Front``; the per-text ``_SentTokenizer`` init; ``split_sents``; the FSM,
+``_SentTokenizer.tokenize``); the NER and the POS forwards
+(``Kernel._labels``); and the rest. ``misses`` counts the sentences the
+FSM tokenized, i.e. those that missed whatever cache the checkout keeps
+ahead of the FSM. The collector's passes, by generation, are timed
+through ``gc.callbacks``; they are included in the layer they interrupt
+and also shown on their own (``tokenize_gc``: the passes inside the
+tokenizer's parts).
 It imports ``perfbench/workloads.py`` and ``perfbench/run.py`` read-only
 from this checkout and edits nothing.
 """
@@ -32,8 +37,10 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BATCH_TURNS = 512  # the job's tag_batch_size
-COLUMNS = ["total", "tokenize", "ner", "pos", "rest", "gc0", "gc1", "gc2", "gc2_passes",
-           "tokenize_gc"]
+TOKENIZE = ["front", "init", "split", "fsm"]
+COLUMNS = ["total", *TOKENIZE, "ner", "pos", "rest", "gc0", "gc1", "gc2", "gc2_passes",
+           "tokenize_gc", "misses"]
+COUNTS = {"gc2_passes", "misses"}
 
 
 def seeds(specs: list[str]) -> list[int]:
@@ -57,24 +64,32 @@ def child(root: str, workload: str, seed: int) -> dict:
 
     from lingvo__postagger_ner_ru_dnn_ray.stages import fused
     from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import _NER_MEL, Kernel
+    from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer as tz
 
     clock = time.process_time
     acc = dict.fromkeys(COLUMNS, 0.0)
     layer = [None]
 
     def timed(key, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             t0 = clock()
             layer[0] = key
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 layer[0] = None
                 acc[key] += clock() - t0
         return wrapper
 
-    tokenize, labels = Kernel._tokenize, Kernel._labels
-    Kernel._tokenize = timed("tokenize", tokenize)
+    def fsm(tk, sent, tokenize=tz._SentTokenizer.tokenize):
+        acc["misses"] += 1
+        return tokenize(tk, sent)
+
+    tz._Front.__init__ = timed("front", tz._Front.__init__)
+    tz._SentTokenizer.__init__ = timed("init", tz._SentTokenizer.__init__)
+    tz.split_sents = timed("split", tz.split_sents)
+    tz._SentTokenizer.tokenize = timed("fsm", fsm)
+    labels = Kernel._labels
     ner, pos = timed("ner", labels), timed("pos", labels)
     Kernel._labels = staticmethod(lambda model, sents, mel: (ner if mel == _NER_MEL else pos)(
         model, sents, mel))
@@ -88,7 +103,7 @@ def child(root: str, workload: str, seed: int) -> dict:
             dt = clock() - gc_t0[0]
             acc[f"gc{info['generation']}"] += dt
             acc["gc2_passes"] += info["generation"] == 2
-            if layer[0] == "tokenize":
+            if layer[0] in TOKENIZE:
                 acc["tokenize_gc"] += dt
 
     wl = run.WORKLOADS[workload]
@@ -103,8 +118,12 @@ def child(root: str, workload: str, seed: int) -> dict:
         fused.kg_stage_fn(table.slice(ofs, BATCH_TURNS))
     acc["total"] = clock() - t0
     gc.callbacks.remove(on_gc)
-    acc["rest"] = acc["total"] - acc["tokenize"] - acc["ner"] - acc["pos"]
+    acc["rest"] = acc["total"] - sum(acc[k] for k in (*TOKENIZE, "ner", "pos"))
     return acc
+
+
+def fmt(key: str, v: float) -> str:
+    return f"{v:.0f}" if key in COUNTS else f"{v:.3f}"
 
 
 def run_one(root: Path, workload: str, seed: int) -> dict:
@@ -133,14 +152,14 @@ def main(argv: list[str]) -> int:
             rec = run_one(getattr(args, side), args.workload, seed)
             sides[side].append(rec)
             print(f"pair {i} seed {seed} {side:6s} "
-                  + " ".join(f"{k}={rec[k]:.3f}" for k in COLUMNS), flush=True)
+                  + " ".join(f"{k}={fmt(k, rec[k])}" for k in COLUMNS), flush=True)
     print(f"{args.workload}: median over {len(sides['parent'])} runs a side "
           "(process CPU s; gc inside the layers)")
     for k in COLUMNS:
         a = statistics.median(r[k] for r in sides["parent"])
         b = statistics.median(r[k] for r in sides["change"])
         rel = f"{(b - a) / a:+.1%}" if a else "n/a"
-        print(f"  {k:10s} {a:8.3f} -> {b:8.3f}  {rel}")
+        print(f"  {k:11s} {fmt(k, a):>8s} -> {fmt(k, b):>8s}  {rel}")
     return 0
 
 

@@ -1,4 +1,5 @@
 """Tagger model + vocab tests (SURVEY.md §2.2 rows 10-13, §2.3 row 1)."""
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -73,41 +74,36 @@ def test_batched_equals_single():
 
 def test_predict_batch_padding_invariant():
     """A sentence's labels must not depend on batch composition: alone,
-    next to a 200-token straggler, duplicated, or memo-warm — all
+    next to a 200-token straggler, duplicated, or in a later batch — all
     identical. The forward runs exact-length chunks (tagger.py
     predict_batch/_forward_unique), so a straggler lands in a chunk of its
-    own and nothing is padded; this pins that a batch's other sentences,
-    the memo and its clearing cannot change a sentence's labels."""
+    own and nothing is padded; this pins that a batch's other sentences
+    cannot change a sentence's labels."""
     pos, _ = taggers()
     vocab_toks = list(pos_token_label())
     short = vocab_toks[:5] + ["_unk_pad_x"]
     long = (vocab_toks * 40)[:200]
 
     alone = pos.predict_batch([short])[0]
-    pos._label_memo.clear()
     with_straggler = pos.predict_batch([long, short, short])
     assert with_straggler[1] == alone and with_straggler[2] == alone
-    # memo-warm replay (same worker, later batch)
+    # replay (same worker, later batch)
     assert pos.predict_batch([short])[0] == alone
-    # forced memo clear mid-stream changes nothing
-    pos._label_memo.clear()
+    # straggler second
     assert pos.predict_batch([short, long])[0] == alone
 
 
-def test_predict_batch_memo_bounded():
+def test_predict_batch_is_pure():
+    """``predict_batch`` changes nothing in the model, and a batch and its
+    reversal get the same labels."""
     pos, _ = taggers()
-    pos._label_memo.clear()
-    old_cap = pos._MEMO_CAP
-    try:
-        type(pos).__dict__  # keep attribute on instance, not class
-        pos.__dict__["_MEMO_CAP"] = 8
-        for i in range(40):
-            pos.predict_batch([[f"_m{i}_{j}" for j in range(3)]])
-        assert len(pos._label_memo) <= 8
-    finally:
-        pos.__dict__.pop("_MEMO_CAP", None)
-        assert pos._MEMO_CAP == old_cap
-        pos._label_memo.clear()
+    sents = _mixed_batch()
+    before = pickle.dumps(vars(pos))
+    ids = {k: id(v) for k, v in vars(pos).items()}
+    labels = pos.predict_batch(sents)
+    assert pos.predict_batch(sents[::-1]) == labels[::-1]
+    assert pickle.dumps(vars(pos)) == before
+    assert {k: id(v) for k, v in vars(pos).items()} == ids
 
 
 def test_entity_dictionary_shape():
@@ -189,26 +185,6 @@ def test_topk_class_probs():
         assert 0.0 < probs[0] <= 1.0
 
 
-def test_memo_overflow_mid_batch():
-    """When the label memo clears mid-stream, keys that were memoized
-    BEFORE the clear but needed by the current batch must be recomputed
-    (the drop-and-KeyError bug hit at ≥2^17 unique sentences/worker)."""
-    pos, _ = taggers()
-    pos._label_memo.clear()
-    s1, s2 = ["_ovf_a"], ["_ovf_b"]
-    try:
-        pos.__dict__["_MEMO_CAP"] = 2
-        alone = pos.predict_batch([s1])[0]
-        pos.predict_batch([s2])  # memo now holds 2 keys == cap
-        # batch needs s1 (memoized) + two new keys -> forces a clear;
-        # s1 must still resolve
-        got = pos.predict_batch([["_ovf_c"], s1, ["_ovf_d"]])
-        assert got[1] == alone
-    finally:
-        pos.__dict__.pop("_MEMO_CAP", None)
-        pos._label_memo.clear()
-
-
 def _mixed_batch():
     """Three sentences of every length 1..40 drawn from the POS vocab plus
     unknown words, each twice, and one 250-token sentence (> 10% over
@@ -231,7 +207,6 @@ def test_chunks_have_one_length():
     alone."""
     pos, _ = taggers()
     sents = _mixed_batch()
-    pos._label_memo.clear()
     seen = []
     forward = pos._forward_logits
     pos.__dict__["_forward_logits"] = lambda ids: seen.append(ids.copy()) or forward(ids)
@@ -241,7 +216,6 @@ def test_chunks_have_one_length():
     finally:
         pos.__dict__.pop("_forward_logits")
         pos.__dict__.pop("_AREA_CAP")
-        pos._label_memo.clear()
     assert seen
     for ids in seen:
         # a sentence longer than the cap is a chunk of its own
@@ -255,10 +229,7 @@ def test_chunks_have_one_length():
     assert sum(ids.size for ids in seen) == sum(map(len, uniq)) + long_toks
     assert {ids.shape[1] for ids in seen} == set(range(1, 41)) | {
         MAX_PREDICT_SENT_LENGTH, 30}
-    single = []
-    for s in sents:
-        pos._label_memo.clear()
-        single.append(pos.predict_batch([s])[0])
+    single = [pos.predict_batch([s])[0] for s in sents]
     assert batched == single
     assert len(batched[-1]) == MAX_PREDICT_SENT_LENGTH + 30
 

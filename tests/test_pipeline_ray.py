@@ -530,7 +530,7 @@ def test_kg_job_artifact_path(ray_session, tmp_path, tmp_path_factory):
     artifact dir in (a resume must never mix weight sources). All jobs run
     in one Ray session, so task workers are reused: an artifact whose NER
     labels B-PER and B-LOC are swapped must give its own triples, not the
-    models or turn memo a worker built for another weight source."""
+    models or sentence memo a worker built for another weight source."""
     import pyarrow as pa
     import pyarrow.parquet as pq_mod
 
@@ -695,37 +695,6 @@ def test_kg_merge_refuses_mismatched_partitions(ray_session, tmp_path):
     with pytest.raises(ValueError, match="num_partitions"):
         merge_kg_runs(runs, str(merged))
     assert not merged.exists()
-
-
-def test_turn_memo_overflow_mid_batch(ray_session):
-    """Same overflow discipline for the fused stage's turn memo: a batch
-    whose texts straddle a memo clear must still emit every turn's rows
-    (KeyError at ≥2^18 unique turns/worker before the fix)."""
-    import pyarrow as pa
-
-    from lingvo__postagger_ner_ru_dnn_ray.stages import fused as fz
-
-    st = fz.KgStage(dict_ref=None)
-    t1 = "Иван Смирнов встретил «СКР»."
-    t2 = "Ущерб составил более 9,5 млн руб."
-    mk = lambda texts: pa.table({
-        "conv_id": pa.array([f"c{i}" for i in range(len(texts))]),
-        "turn_idx": pa.array(list(range(len(texts))), pa.int32()),
-        "text": pa.array(texts),
-    })
-    base = st(mk([t1])).num_rows
-    import lingvo__postagger_ner_ru_dnn_ray.stages.fused as fmod
-
-    # shrink the cap by monkeypatching the literal via instance memo fill
-    st._turn_memo.clear()
-    st(mk([t1]))  # memo: {t1}
-    # simulate the cap being reached: preload memo to the clear threshold
-    for i in range((1 << 18)):
-        if len(st._turn_memo) >= (1 << 18):
-            break
-        st._turn_memo[f"_pad{i}"] = []
-    out = st(mk([t2, t1]))  # t1 memoized, t2 new -> clear fires
-    assert out.num_rows >= base  # t1's rows survived the clear
 
 
 def _manifest_mtimes(table_dir: Path) -> dict:

@@ -1,0 +1,97 @@
+"""The job's one cross-batch cache: ``Kernel.link_texts`` memoizes each
+sentence's link rows, keyed by its code units and URL spans. Called one
+batch at a time on one reused kernel, so that the memo is warm, its rows
+must equal ``Kernel.link`` over ``tag_texts``, which keeps no memo.
+
+A sentence's URL span may start before the sentence: after "http…'/." the
+sentence "ru/Иван Смирнов купил Газпром." holds the URL "/.ru/Иван", which
+takes "Иван" out of the subject. The same code units alone form a sentence
+with no URL, so a key without the spans returns the wrong subject."""
+import importlib.util
+from pathlib import Path
+
+import pyarrow as pa
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_textkit import _fixture_lines
+
+from lingvo__postagger_ner_ru_dnn_ray.pipelines.oracle import oracle_tables
+from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcripts_table
+from lingvo__postagger_ner_ru_dnn_ray.stages import kernel as kernel_mod
+from lingvo__postagger_ner_ru_dnn_ray.stages.fused import KgStage
+from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _workloads():
+    """perfbench/workloads.py, imported read-only."""
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  _ROOT / "perfbench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _assert_memo_exact(k: Kernel, batches: list[list[str]]) -> None:
+    for batch in batches:
+        want = [[k.link(s) for s in ss] for ss in k.tag_texts(batch)]
+        assert k.link_texts(batch) == want
+
+
+def test_memo_equals_full_tagging_on_fixtures_and_workloads():
+    """Every fixture line and 300 turns of each perfbench generator, in
+    batches of 50 through one kernel; each input goes through twice, the
+    second time at other batch boundaries, so that most sentences hit."""
+    wl = _workloads()
+    texts = (_fixture_lines()
+             + wl.transcripts(300, 1).column("text").to_pylist()
+             + wl.transcripts(300, 1, unique=True).column("text").to_pylist())
+    k = Kernel()
+    batches = [texts[a:a + 50] for a in range(0, len(texts), 50)]
+    batches += [texts[a:a + 50] for a in range(25, len(texts), 50)]
+    _assert_memo_exact(k, batches)
+    assert k.missed_texts == 0  # the second pass came from the memo alone
+
+
+_PIECES = [
+    "Иван Смирнов купил Газпром.", "Сергей Козлов и Иван Смирнов в Москве.",
+    "Смирнов купил Газпром!", "ru/Иван Смирнов купил Газпром.", "Да?", "ok",
+    "www.example.ru", "http://example.com/path?q=1", "info@mail.ru", "info(at)mail.ru",
+    "example.ru/x.", "http…'/.", "¤",
+]
+_SEPS = ["", " ", "\n", ". ", "! ", "\n\n"]
+_text = st.lists(st.sampled_from(_PIECES) | st.sampled_from(_SEPS), max_size=8).map("".join)
+_batches = st.lists(st.lists(_text | st.sampled_from(_PIECES), min_size=1, max_size=6),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batches)
+@example([["Иван Смирнов купил Газпром."], ["Да! Иван Смирнов купил Газпром."]])
+@example([["ru/Иван Смирнов купил Газпром."], ["http…'/.ru/Иван Смирнов купил Газпром."]])
+@example([["Иван Смирнов купил Газпром! ¤", "Иван Смирнов купил Газпром."]])
+def test_memo_equals_full_tagging_on_repeats(batches):
+    """Sentences, URLs and e-mails repeated at other offsets, within a
+    batch and across batches; a "¤"-only sentence tokenizes to nothing."""
+    _assert_memo_exact(Kernel(), batches)
+
+
+def test_memo_overflow_mid_batch(monkeypatch):
+    """A batch whose sentences straddle a clear of the memo (some were
+    stored by the batch before, the rest push it past its cap) emits every
+    turn's rows, equal to the oracle's."""
+    table = synth_transcripts_table(300, seed=7).select(["conv_id", "turn_idx", "text"])
+    first, second = table.slice(0, 100), table.slice(100)
+    stage = KgStage()
+    out = [stage(first)]
+    memo = stage.kernel._memo
+    before = dict(memo)
+    monkeypatch.setattr(kernel_mod, "_MEMO_SENTS", len(memo))
+    out.append(stage(second))
+    turns = sum(1 for x in second.column("text").to_pylist() if x)
+    assert stage.kernel.missed_texts < turns  # some turns hit the memo
+    assert not before.keys() <= memo.keys()  # and then it was cleared
+    key = lambda r: (r["conv_id"], r["turn_idx"], r["sent_idx"], r["triple_idx"])  # noqa: E731
+    want = oracle_tables(table)["triples"].to_pylist()
+    assert sorted(pa.concat_tables(out).to_pylist(), key=key) == sorted(want, key=key)
