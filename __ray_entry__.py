@@ -10,8 +10,8 @@ SINGLE-PROCESS reference implementation (pipelines/oracle.py — same pure
 transforms run sequentially without Ray) materialized to Parquet and read
 via read_parquet(): the comparison therefore checks that the distributed
 execution adds no nondeterminism. Pure-SQL semantic oracles cover the
-relational / dedup / similarity / windowing operators over the driver
-tables.
+document and event operators over the driver's ``documents`` and
+``events`` tables.
 
 Ray is initialised by the driver BEFORE this module is imported; nothing
 here calls ray.init()/ray.shutdown().
@@ -330,97 +330,17 @@ def _kg_edges_artifact(sf_dir: str):
     return _global_edges(out)
 
 
-def _ivf_dir(sf_dir: str) -> str:
-    """Deterministic materialization path for the IVF result at this scale
-    (shared by the emb_ann_ivf_recall query and its SQL oracle)."""
-    tag = Path(sf_dir).name
-    return f"/tmp/graft_data/ivf_{tag}_{_code_fingerprint()}"
-
-
-def _ivf_cent_dir(sf_dir: str) -> str:
-    """Pinned IVF centroid fixture for this scale — the shared state the
-    emb_ann_ivf DIRECT hash oracle (ann_ivf_oracle_sql) derives from."""
-    tag = Path(sf_dir).name
-    return f"/tmp/graft_data/ivf_cent_{tag}_{_code_fingerprint()}"
-
-
-def _emb_ann_ivf(sf_dir: str):
-    from lingvo__postagger_ner_ru_dnn_ray.stages.dataops import emb_ann_ivf
-
-    return emb_ann_ivf(sf_dir, centroids_path=_ivf_cent_dir(sf_dir))
-
-
-def _emb_ann_ivf_recall(sf_dir: str):
-    from lingvo__postagger_ner_ru_dnn_ray.stages.dataops import emb_ann_ivf_recall
-
-    return emb_ann_ivf_recall(
-        sf_dir, ivf_path=_ivf_dir(sf_dir), centroids_path=_ivf_cent_dir(sf_dir)
-    )
-
-
-def _pq_dir(sf_dir: str) -> str:
-    """Deterministic materialization path for the PQ/ADC result at this
-    scale (shared by the emb_pq_recall query and its SQL oracle)."""
-    tag = Path(sf_dir).name
-    return f"/tmp/graft_data/pq_{tag}_{_code_fingerprint()}"
-
-
-def _pq_fix_dir(sf_dir: str) -> str:
-    """Pinned PQ codebook + ADC-table fixture — the shared state the
-    emb_pq_topk DIRECT hash oracle (pq_topk_oracle_sql) derives from."""
-    tag = Path(sf_dir).name
-    return f"/tmp/graft_data/pq_fix_{tag}_{_code_fingerprint()}"
-
-
-def _emb_pq_topk(sf_dir: str):
-    from lingvo__postagger_ner_ru_dnn_ray.stages.dataops import emb_pq_topk
-
-    return emb_pq_topk(sf_dir, fixture_path=_pq_fix_dir(sf_dir))
-
-
-def _emb_pq_recall(sf_dir: str):
-    from lingvo__postagger_ner_ru_dnn_ray.stages.dataops import emb_pq_recall
-
-    return emb_pq_recall(
-        sf_dir, pq_path=_pq_dir(sf_dir), fixture_path=_pq_fix_dir(sf_dir)
-    )
-
-
-def _typed_empty_ok(fn: Callable[[str], Any], cols: list[str]) -> Callable[[str], Any]:
-    """Adapt a Dataset-returning query for the driver compare: an all-empty
-    Ray dataset loses its schema under to_pandas(), so substitute a typed
-    int64 empty frame with the declared column names."""
-
-    def run(sf_dir: str):
-        import pandas as pd
-
-        df = fn(sf_dir).to_pandas()
-        if df.shape[1] == 0:
-            return pd.DataFrame({c: pd.Series(dtype="int64") for c in cols})
-        return df
-
-    return run
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
     """One callable per operator, keyed by name; each takes ``sf_dir``.
     The nine ``kg_*`` / ``seqlabel_f1`` / ``web_json_tagged`` entries run
-    the KG job and its boundaries; the rest are the relational, dedup,
-    similarity and windowing operators of ``stages/dataops.py``. Order
-    carries no meaning.
+    the KG job and its boundaries; the rest are the document and event
+    operators of ``stages/dataops.py`` (dedup, similarity, statistics and
+    windowing). Order carries no meaning.
     """
     from lingvo__postagger_ner_ru_dnn_ray.stages import dataops as d
 
     return {
-        # 0.45 = the only threshold with nonzero pairs on the synthetic
-        # vectors (documented low-recall LSH regime); the production 0.9
-        # default is checked as emb_neardup_lsh_prod
-        "emb_neardup_lsh": lambda sf: d.emb_neardup_lsh(sf, threshold=0.45),
         "doc_simhash_neardup_pairs": d.doc_simhash_neardup_pairs,
-        "emb_ann_ivf": _emb_ann_ivf,
-        "emb_pq_topk": _emb_pq_topk,
-        "emb_ann_ivf_recall": _emb_ann_ivf_recall,
-        "emb_pq_recall": _emb_pq_recall,
         "doc_minhash_pairs": d.doc_minhash_pairs,
         "doc_dedup_minhash": d.doc_dedup_minhash,
         "kg_edges_artifact": _kg_edges_artifact,
@@ -438,8 +358,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_token_hll_registers": d.doc_token_hll_registers,
         "doc_token_freq": d.doc_token_freq,
         "doc_decontaminate": d.doc_decontaminate,
-        "emb_ann_topk": d.emb_ann_topk,
-        "emb_neardup_pairs": d.emb_neardup_pairs,
         "events_window_sliding": d.events_window_sliding,
         "doc_bm25_topk": d.doc_bm25_topk,
         "doc_dedup_exact": d.doc_dedup_exact,
@@ -458,9 +376,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_sample": d.doc_sample,
         "doc_sample_stratified": d.doc_sample_stratified,
         "doc_table_checksum": d.doc_table_checksum,
-        "lineitem_pricing": d.lineitem_pricing,
-        "lineitem_rollup": d.lineitem_rollup,
-        "part_topk": d.part_topk,
         "doc_quality": d.doc_quality,
         "doc_token_count": d.doc_token_count,
         "doc_fingerprint": d.doc_fingerprint,
@@ -474,31 +389,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_props_extract": d.events_props_extract,
         "events_top_users": d.events_top_users,
         "events_user_type_set": d.events_user_type_set,
-        "supplier_stats": d.supplier_stats,
-        "supplier_topk_per_nation": d.supplier_topk_per_nation,
         "doc_posting_lists": d.doc_posting_lists,
         "events_type_pivot": d.events_type_pivot,
-        "orders_by_month": d.orders_by_month,
-        "region_nation_counts": d.region_nation_counts,
         "events_attribution": d.events_attribution,
         "events_daily_hll_estimate": d.events_daily_hll_estimate,
         "events_distinct_users": d.events_distinct_users,
         "events_retention_cohorts": d.events_retention_cohorts,
         "events_funnel": d.events_funnel,
-        "customers_without_orders": d.customers_without_orders,
         "events_percent_rank": d.events_percent_rank,
-        "orders_upsert_merge": d.orders_upsert_merge,
-        "part_spelling_variants": d.part_spelling_variants,
-        "orders_by_nation": d.orders_by_nation,
         "events_user_rolling": d.events_user_rolling,
         "events_type_transitions": d.events_type_transitions,
-        # 0.9 on the synthetic vectors legitimately yields zero pairs, and
-        # Ray's Dataset.to_pandas() drops the schema of an all-empty
-        # dataset, so hand the driver a typed frame (the oracle compares
-        # column names)
-        "emb_neardup_lsh_prod": _typed_empty_ok(
-            d.emb_neardup_lsh, ["vec_a", "vec_b"]
-        ),
     }
 
 
@@ -539,17 +439,6 @@ def _dataops_sql() -> dict[str, str]:
             "SELECT event_type, make_timestamp(ws) AS window_start, "
             "sum(cents)::BIGINT AS sum_cents, count(*)::BIGINT AS n_events "
             "FROM w GROUP BY event_type, ws"
-        ),
-        "lineitem_rollup": (
-            "SELECT 0::BIGINT AS level, l_returnflag, l_linestatus, "
-            "sum(cast(round(l_extendedprice*100) AS BIGINT))::BIGINT AS sum_cents, "
-            "count(*)::BIGINT AS n_rows FROM lineitem GROUP BY l_returnflag, l_linestatus "
-            "UNION ALL SELECT 1, l_returnflag, '(all)', "
-            "sum(cast(round(l_extendedprice*100) AS BIGINT))::BIGINT, count(*)::BIGINT "
-            "FROM lineitem GROUP BY l_returnflag "
-            "UNION ALL SELECT 2, '(all)', '(all)', "
-            "sum(cast(round(l_extendedprice*100) AS BIGINT))::BIGINT, count(*)::BIGINT "
-            "FROM lineitem"
         ),
         "doc_simhash": d.SIMHASH_ORACLE_SQL,
         "doc_simhash_neardup_pairs": d.SIMHASH_NEARDUP_ORACLE_SQL,
@@ -598,21 +487,6 @@ def _dataops_sql() -> dict[str, str]:
             "SELECT unnest(string_split(text,' ')) AS token FROM documents) "
             "GROUP BY token ORDER BY freq DESC, token LIMIT 100"
         ),
-        "emb_ann_topk": (
-            "SELECT q.vec_id AS query_id, row_number() OVER ("
-            "PARTITION BY q.vec_id ORDER BY "
-            "list_cosine_similarity(q.embedding, c.embedding) DESC, c.vec_id) AS rank, "
-            "c.vec_id AS neighbor_id "
-            "FROM embeddings q, embeddings c WHERE q.vec_id < 5 AND c.vec_id >= 5 "
-            "QUALIFY rank <= 3"
-        ),
-        "emb_neardup_pairs": (
-            "SELECT a.vec_id AS vec_a, b.vec_id AS vec_b FROM embeddings a, embeddings b "
-            "WHERE a.vec_id < b.vec_id AND a.vec_id < 2000 AND b.vec_id < 2000 "
-            "AND list_cosine_similarity(a.embedding, b.embedding) >= 0.45"
-        ),
-        "emb_neardup_lsh": d.emb_neardup_lsh_oracle_sql(threshold=0.45),
-        "emb_neardup_lsh_prod": d.emb_neardup_lsh_oracle_sql(),
         "events_window": (
             "SELECT user_id, event_type, date_trunc('hour', ts) AS window_start, "
             "sum(cast(round(value*100) AS BIGINT))::BIGINT AS sum_cents, "
@@ -629,61 +503,11 @@ def _dataops_sql() -> dict[str, str]:
             "SELECT user_id, min(ts) AS session_start, max(ts) AS session_end, "
             "count(*)::BIGINT AS n_events FROM y GROUP BY user_id, sess"
         ),
-        "lineitem_pricing": (
-            "SELECT l_returnflag, l_linestatus, "
-            "sum(cast(l_quantity AS BIGINT))::BIGINT AS sum_qty, "
-            "sum(cast(round(l_extendedprice*100) AS BIGINT))::BIGINT AS sum_price_cents, "
-            "count(*)::BIGINT AS n_rows "
-            "FROM lineitem GROUP BY l_returnflag, l_linestatus"
-        ),
-        "orders_by_nation": (
-            "SELECT n.n_name AS nation, "
-            "sum(cast(round(o.o_totalprice*100) AS BIGINT))::BIGINT AS sum_cents, "
-            "count(*)::BIGINT AS n_orders "
-            "FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey "
-            "JOIN nation n ON c.c_nationkey = n.n_nationkey "
-            "GROUP BY n.n_name"
-        ),
-        "part_topk": (
-            "SELECT p_partkey, cast(round(p_retailprice*100) AS BIGINT) AS price_cents "
-            "FROM part ORDER BY price_cents DESC, p_partkey LIMIT 10"
-        ),
-        "supplier_stats": (
-            "SELECT s_nationkey, "
-            "min(cast(round(s_acctbal*100) AS BIGINT))::BIGINT AS min_bal, "
-            "max(cast(round(s_acctbal*100) AS BIGINT))::BIGINT AS max_bal, "
-            "sum(cast(round(s_acctbal*100) AS BIGINT))::BIGINT AS sum_bal, "
-            "count(*)::BIGINT AS n_suppliers "
-            "FROM supplier GROUP BY s_nationkey"
-        ),
-        "orders_by_month": (
-            "SELECT date_trunc('month', o_orderdate) AS month, o_orderstatus, "
-            "sum(cast(round(o_totalprice*100) AS BIGINT))::BIGINT AS sum_cents, "
-            "count(*)::BIGINT AS n_orders "
-            "FROM orders GROUP BY date_trunc('month', o_orderdate), o_orderstatus"
-        ),
-        "region_nation_counts": (
-            "SELECT r.r_name AS region, count(*)::BIGINT AS n_customers "
-            "FROM customer c JOIN nation n ON c.c_nationkey = n.n_nationkey "
-            "JOIN region r ON n.n_regionkey = r.r_regionkey GROUP BY r.r_name"
-        ),
         "events_top_users": (
             "SELECT user_id, count(*)::BIGINT AS n_events FROM events "
             "GROUP BY user_id ORDER BY n_events DESC, user_id LIMIT 20"
         ),
         "doc_sample": d.doc_sample_oracle_sql(),
-        "supplier_topk_per_nation": (
-            "SELECT s_nationkey, row_number() OVER (PARTITION BY s_nationkey "
-            "ORDER BY cast(round(s_acctbal*100) AS BIGINT) DESC, s_suppkey) AS rank, "
-            "s_suppkey, cast(round(s_acctbal*100) AS BIGINT) AS bal_cents "
-            "FROM supplier QUALIFY rank <= 3"
-        ),
-        "customers_without_orders": (
-            "SELECT c_custkey FROM customer c WHERE NOT EXISTS "
-            "(SELECT 1 FROM orders o WHERE o.o_custkey = c.c_custkey "
-            "AND o.o_orderdate >= TIMESTAMP '1997-06-01' "
-            "AND o.o_orderdate < TIMESTAMP '1997-07-01')"
-        ),
         "events_user_cumsum": (
             "SELECT user_id, ts, sum(cents) OVER (PARTITION BY user_id ORDER BY ts "
             "ROWS UNBOUNDED PRECEDING)::BIGINT AS cum_cents FROM ("
@@ -718,12 +542,10 @@ def _dataops_sql() -> dict[str, str]:
         "doc_posting_lists": d.POSTING_LISTS_ORACLE_SQL,
         "doc_bpe_pair_counts": d.BPE_PAIR_ORACLE_SQL,
         "doc_table_checksum": d.TABLE_CHECKSUM_ORACLE_SQL,
-        "orders_upsert_merge": d.UPSERT_ORACLE_SQL,
         "events_type_transitions": d.TYPE_TRANSITIONS_ORACLE_SQL,
         "doc_token_cms_registers": d.CMS_REGISTERS_ORACLE_SQL,
         "doc_token_cms_estimate": d.CMS_ESTIMATE_ORACLE_SQL,
         "doc_token_heavy_hitters": d.HEAVY_HITTERS_ORACLE_SQL,
-        "part_spelling_variants": d.SPELLING_VARIANTS_ORACLE_SQL,
         "doc_tfidf_topk": d.tfidf_oracle_sql(),
         "doc_bm25_topk": d.bm25_oracle_sql(),
         "doc_rep_ngram_signals": d.REP_NGRAM_ORACLE_SQL,
@@ -733,21 +555,12 @@ def _dataops_sql() -> dict[str, str]:
 
 
 def oracle_sql() -> dict[str, str]:
-    # the kg_* oracles read the single-process reference run at sf0.01 (the
-    # driver's correctness scale); materialized here so the SQL can read it.
-    # emb_ann_ivf_recall's oracle reads the materialized IVF result and
-    # recomputes the exact top-k independently in SQL.
-    from lingvo__postagger_ner_ru_dnn_ray.stages.dataops import (
-        ann_ivf_recall_oracle_sql,
-        emb_ann_ivf_recall,
-    )
-
-    # The driver's correctness gate runs both sides at sf0.01, so the
-    # kg-family oracle fixtures (sequential-run parquet) and the IVF/PQ
-    # materialization paths default to that scale. GRAFT_ORACLE_SF_DIR
-    # lets local replays validate the same families at other scales
-    # (e.g. scripts/check_correctness.py /root/testdata/sf0.1) — the
-    # driver never sets it, so its behavior is unchanged.
+    # The driver's correctness gate runs both sides at sf0.01, so the kg_*
+    # and web_json_tagged oracles read single-process reference runs
+    # materialized here as Parquet at that scale. GRAFT_ORACLE_SF_DIR lets
+    # local replays validate the same families at other scales (e.g.
+    # scripts/check_correctness.py /root/testdata/sf0.1) — the driver
+    # never sets it, so its behavior is unchanged.
     sf = os.environ.get("GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01")
     from lingvo__postagger_ner_ru_dnn_ray.pipelines.validation import (
         seqlabel_f1_oracle_sql,
@@ -764,31 +577,4 @@ def oracle_sql() -> dict[str, str]:
         "SELECT len(\"values\") // 10 AS len_bucket, count(*)::BIGINT AS n_sents "
         f"FROM read_parquet('{orc}/sentences.parquet') GROUP BY len(\"values\") // 10"
     )
-    ivf_path = _ivf_dir(sf)
-    emb_ann_ivf_recall(
-        sf, ivf_path=ivf_path, centroids_path=_ivf_cent_dir(sf)
-    ).count()  # materialize once
-    sql["emb_ann_ivf_recall"] = ann_ivf_recall_oracle_sql(ivf_path)
-    # DIRECT hash oracles for the IVF / PQ searches themselves (round-5):
-    # pin the trained centroids / codebooks+ADC-table once, re-derive the
-    # full search in SQL from the same fixture
-    from lingvo__postagger_ner_ru_dnn_ray.stages.dataops import (
-        ann_ivf_oracle_sql,
-        emb_pq_recall,
-        materialize_ivf_centroids,
-        materialize_pq_fixture,
-        pq_recall_oracle_sql,
-        pq_topk_oracle_sql,
-    )
-
-    materialize_ivf_centroids(sf, _ivf_cent_dir(sf))
-    sql["emb_ann_ivf"] = ann_ivf_oracle_sql(_ivf_cent_dir(sf))
-    materialize_pq_fixture(sf, _pq_fix_dir(sf))
-    sql["emb_pq_topk"] = pq_topk_oracle_sql(_pq_fix_dir(sf))
-
-    pq_path = _pq_dir(sf)
-    emb_pq_recall(
-        sf, pq_path=pq_path, fixture_path=_pq_fix_dir(sf)
-    ).count()  # materialize once
-    sql["emb_pq_recall"] = pq_recall_oracle_sql(pq_path)
     return sql

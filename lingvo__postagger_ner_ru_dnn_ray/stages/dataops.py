@@ -1,13 +1,12 @@
 """Large-scale training-data operations over the driver's generic tables
-(documents / embeddings / events / TPC-H-ish star schema).
+(documents / events).
 
 These are the first-class data-pipeline operators a 100 TB corpus engine
 needs beyond the reference's NLP stages: deduplication (exact, n-gram
-Jaccard, MinHash+LSH, SimHash), similarity search (brute-force cosine
-top-k + the LSH-bucketed scale path), text analysis (language-ID, quality
-scoring, token counting, fingerprinting), windowed/sessionized event
-aggregation, and the relational basics (group-agg, broadcast join,
-sort/limit). Every operator is a streaming ``map_batches`` composition with
+Jaccard, MinHash+LSH, SimHash), lexical similarity and retrieval (prefix
+Jaccard join, TF-IDF, BM25), text analysis (language-ID, quality scoring,
+token counting, fingerprinting, sketches), and windowed/sessionized event
+aggregation. Every operator is a streaming ``map_batches`` composition with
 explicit partial-aggregation before any shuffle; small sides are broadcast
 with ``ray.put``.
 """
@@ -320,41 +319,6 @@ def _mh_to_bands(batch: pa.Table) -> pa.Table:
 _LSH_BUCKET_DOC_CAP = 256
 
 
-def _distinct_pairs(pairs: ray.data.Dataset) -> ray.data.Dataset:
-    """DISTINCT (doc_a, doc_b) via salted hash partitions: a per-key
-    groupby would dispatch Python per group (O(#pairs) groups); instead
-    hash the pair into _JOIN_SALTS bounded partitions and drop_duplicates
-    vectorized inside each — O(partitions) dispatch."""
-
-    def tag(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64()), pa.array([], pa.int64()),
-                 pa.array([], pa.int64())],
-                names=["doc_a", "doc_b", "salt"],
-            )
-        a = np.asarray(batch.column("doc_a"), dtype=np.int64)
-        b = np.asarray(batch.column("doc_b"), dtype=np.int64)
-        key = (a << np.int64(32)) ^ b  # doc ids fit 32 bits
-        return pa.Table.from_arrays(
-            [pa.array(a), pa.array(b), pa.array(_key_salt(key))],
-            names=["doc_a", "doc_b", "salt"],
-        )
-
-    def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.drop_duplicates(["doc_a", "doc_b"])
-        return pd.DataFrame({
-            "doc_a": pd.Series(out["doc_a"].to_numpy(), dtype="int64"),
-            "doc_b": pd.Series(out["doc_b"].to_numpy(), dtype="int64"),
-        })
-
-    return (
-        pairs.map_batches(tag, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(distinct, batch_format="pandas")
-    )
-
-
 def _verify_candidate_pairs(
     docs: ray.data.Dataset, cand: ray.data.Dataset, verify_threshold_pct: int,
     emit: str = "pairs", dedup_cand: bool = False,
@@ -379,7 +343,7 @@ def _verify_candidate_pairs(
     fact instead of a dedicated upstream shuffle: every copy of (a, b)
     carries k = a, so all copies land in the same salt group and a
     vectorized drop_duplicates there IS global distinct — one whole
-    sort-shuffle cheaper than chaining _distinct_pairs in front."""
+    sort-shuffle cheaper than a separate DISTINCT pass in front."""
 
     def tag_docs(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -568,7 +532,7 @@ def doc_minhash_pairs(sf_dir: str, verify_threshold_pct: int = 1) -> ray.data.Da
     cand = bands.groupby("salt").map_groups(salted_pairs, batch_format="pandas")
     # cross-band candidate dedup happens INSIDE verification pass 1
     # (dedup_cand: partition-local distinct == global distinct) — no
-    # dedicated _distinct_pairs shuffle
+    # dedicated DISTINCT shuffle
     return _verify_candidate_pairs(docs, cand, verify_threshold_pct, dedup_cand=True)
 
 
@@ -901,276 +865,6 @@ FROM fps GROUP BY doc_id
 
 
 # --------------------------------------------------------------------------- #
-# similarity search over embeddings
-
-_ANN_N_QUERIES = 5
-_ANN_K = 3
-
-
-def emb_ann_topk(sf_dir: str) -> ray.data.Dataset:
-    """Brute-force cosine top-k: query vectors (vec_id < 5) broadcast once;
-    each batch computes a [Q, B] sim matrix (numpy matmul) and emits its
-    per-batch top-k partials; a final tiny per-query group picks global
-    top-k. Ties broken by neighbor id."""
-    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    qdf = emb.filter(expr=f"vec_id < {_ANN_N_QUERIES}").to_pandas()
-    Q = np.stack(qdf["embedding"].to_numpy()).astype(np.float64)
-    Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
-    qids = qdf["vec_id"].to_numpy()
-    ref = ray.put((qids, Qn))
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        qids, Qn = ray.get(ref)
-        vids = np.asarray(batch.column("vec_id"))
-        keep = vids >= _ANN_N_QUERIES
-        if not keep.any():
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64()), pa.array([], pa.int64()), pa.array([], pa.float64())],
-                names=["query_id", "neighbor_id", "sim"],
-            )
-        M = np.stack(batch.column("embedding").to_pandas().to_numpy()[keep]).astype(np.float64)
-        Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
-        sims = Qn @ Mn.T  # [Q, B]
-        vkeep = vids[keep]
-        q_out, n_out, s_out = [], [], []
-        k = min(_ANN_K, sims.shape[1])
-        for qi in range(sims.shape[0]):
-            idx = np.argsort(-sims[qi], kind="stable")[:k]
-            for j in idx:
-                q_out.append(int(qids[qi]))
-                n_out.append(int(vkeep[j]))
-                s_out.append(float(sims[qi, j]))
-        return pa.Table.from_arrays(
-            [pa.array(q_out, pa.int64()), pa.array(n_out, pa.int64()),
-             pa.array(s_out, pa.float64())],
-            names=["query_id", "neighbor_id", "sim"],
-        )
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "neighbor_id"], ascending=[False, True]).head(_ANN_K)
-        g = g.reset_index(drop=True)
-        return pd.DataFrame(
-            {"query_id": g["query_id"], "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-             "neighbor_id": g["neighbor_id"]}
-        )
-
-    cand = emb.map_batches(partial_topk, batch_format="pyarrow")
-    return cand.groupby("query_id").map_groups(final_topk, batch_format="pandas")
-
-
-_NEARDUP_CAP = 2000
-_NEARDUP_THRESH = 0.45
-
-
-def emb_neardup_pairs(sf_dir: str) -> ray.data.Dataset:
-    """Embedding-cosine near-duplicate pairs (vec_id < 2000 cap): broadcast
-    the capped normalized matrix, per-batch matmul, threshold."""
-    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    capped = emb.filter(expr=f"vec_id < {_NEARDUP_CAP}").to_pandas()
-    M = np.stack(capped["embedding"].to_numpy()).astype(np.float64)
-    Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
-    ids = capped["vec_id"].to_numpy()
-    ref = ray.put((ids, Mn))
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        all_ids, Mn = ray.get(ref)
-        vids = np.asarray(batch.column("vec_id"))
-        keep = vids < _NEARDUP_CAP
-        a_out, b_out = [], []
-        if keep.any():
-            idx = {int(v): i for i, v in enumerate(all_ids)}
-            rows = np.array([idx[int(v)] for v in vids[keep]])
-            sims = Mn[rows] @ Mn.T
-            for r, a in zip(range(len(rows)), vids[keep]):
-                hits = np.where(sims[r] >= _NEARDUP_THRESH)[0]
-                for h in hits:
-                    b = int(all_ids[h])
-                    if b > int(a):
-                        a_out.append(int(a))
-                        b_out.append(b)
-        return pa.Table.from_arrays(
-            [pa.array(a_out, pa.int64()), pa.array(b_out, pa.int64())],
-            names=["vec_a", "vec_b"],
-        )
-
-    return emb.filter(expr=f"vec_id < {_NEARDUP_CAP}").map_batches(pairs, batch_format="pyarrow")
-
-
-# --------------------------------------------------------------------------- #
-# embedding near-dup at scale: random-hyperplane LSH (no cap, no broadcast
-# of the corpus matrix)
-
-_EMB_LSH_BITS = 16
-_EMB_LSH_CHUNKS = 4  # 4×4-bit chunks: hamming ≤ 3 on the signature => candidate
-_EMB_LSH_QUANT = 1_000_000  # embeddings quantized to ints so the sign of the
-# plane dot product is EXACT integer arithmetic on both numpy and DuckDB
-_EMB_LSH_RNG = np.random.RandomState(7)
-_EMB_LSH_PLANES = _EMB_LSH_RNG.choice([-1, 1], size=(_EMB_LSH_BITS, 64)).astype(np.int64)
-
-# production default: true near-duplicates (cosine >= 0.9). At this regime
-# hyperplane LSH approaches full recall (bit-agreement prob 1 - theta/pi >=
-# 0.856 per bit => P(>=1 of 4 chunk matches) ~ 0.95+, pinned by
-# test_emb_lsh_recall_at_prod_threshold on planted near-dups). The 0.45
-# test point (the only threshold with nonzero pairs on the synthetic
-# vectors) stays available via the explicit parameter and is the
-# documented low-recall regime.
-_EMB_LSH_PROD_THRESH = 0.9
-
-
-def emb_neardup_lsh(
-    sf_dir: str, threshold: float = _EMB_LSH_PROD_THRESH
-) -> ray.data.Dataset:
-    """Embedding-cosine near-dup pairs via random-hyperplane LSH — the
-    at-scale path (the brute-force emb_neardup_pairs broadcasts a capped
-    matrix; this one never materializes or broadcasts the corpus):
-
-    1. 16 sign bits per vector from ±1 hyperplanes over the 1e6-quantized
-       embedding (integer dot products — numpy and DuckDB agree exactly,
-       no float sign flips), split into 4×4-bit chunks.
-    2. Candidates = chunk-equality buckets (pigeonhole: signature hamming
-       ≤ 3 always collides) in salted bounded partitions, per-bucket doc
-       cap as in the text LSH.
-    3. Vectors ride along with the bucket rows, so verification
-       (cosine ≥ threshold) is one matmul inside the candidate group.
-
-    Approximate by design — recall vs the exact baseline is pinned by
-    pytest (hyperplane LSH at the 0.45 threshold trades recall for
-    never touching O(n²); at true near-dup thresholds (≥0.9) the same
-    structure approaches full recall). The SQL oracle reproduces the
-    identical approximate semantics."""
-    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-
-    def to_chunks(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column("vec_id"), dtype=np.int64)
-        M = np.stack(batch.column("embedding").to_pandas().to_numpy()).astype(np.float64)
-        Q = np.round(M * _EMB_LSH_QUANT).astype(np.int64)
-        bits = (Q @ _EMB_LSH_PLANES.T >= 0).astype(np.int64)  # [n, 16]
-        n = len(ids)
-        per = _EMB_LSH_BITS // _EMB_LSH_CHUNKS
-        w = 1 << np.arange(per, dtype=np.int64)
-        chunk_vals = np.stack(
-            [(bits[:, c * per:(c + 1) * per] * w).sum(1) for c in range(_EMB_LSH_CHUNKS)],
-            axis=1,
-        )  # [n, chunks]
-        ids_r = np.repeat(ids, _EMB_LSH_CHUNKS)
-        chunk_idx = np.tile(np.arange(_EMB_LSH_CHUNKS, dtype=np.int64), n)
-        cv = chunk_vals.reshape(-1)
-        salt = (
-            (cv.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-            ^ (chunk_idx.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F))
-        ) % np.uint64(_MH_N_SALTS)
-        # replicate the list column by take-indices
-        emb_col = batch.column("embedding")
-        take_idx = np.repeat(np.arange(n, dtype=np.int64), _EMB_LSH_CHUNKS)
-        emb_rep = (
-            emb_col.combine_chunks() if isinstance(emb_col, pa.ChunkedArray) else emb_col
-        ).take(pa.array(take_idx))
-        return pa.Table.from_arrays(
-            [pa.array(ids_r), pa.array(chunk_idx), pa.array(cv),
-             emb_rep, pa.array(salt.astype(np.int64))],
-            names=["vec_id", "chunk_idx", "chunk_val", "embedding", "salt"],
-        )
-
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        g = group[group.duplicated(["chunk_idx", "chunk_val"], keep=False)]
-        empty = pd.DataFrame({
-            "doc_a": pd.Series([], dtype="int64"),
-            "doc_b": pd.Series([], dtype="int64"),
-        })
-        if g.empty:
-            return empty
-        a_out, b_out = [], []
-        dropped = 0
-        for _, sub in g.groupby(["chunk_idx", "chunk_val"], sort=False):
-            sub = sub.drop_duplicates("vec_id").sort_values("vec_id")
-            if len(sub) > _LSH_BUCKET_DOC_CAP:
-                dropped += len(sub) - _LSH_BUCKET_DOC_CAP
-                sub = sub.iloc[:_LSH_BUCKET_DOC_CAP]
-            ids = sub["vec_id"].to_numpy(dtype=np.int64)
-            E = np.stack(sub["embedding"].to_numpy()).astype(np.float64)
-            En = E / np.linalg.norm(E, axis=1, keepdims=True)
-            sims = En @ En.T
-            ii, jj = np.triu_indices(len(ids), k=1)
-            keep = sims[ii, jj] >= threshold
-            a_out.append(ids[ii][keep])
-            b_out.append(ids[jj][keep])
-        if dropped:
-            print(
-                f"[emb_neardup_lsh] bucket cap {_LSH_BUCKET_DOC_CAP}: "
-                f"dropped {dropped} vectors from pair emission"
-            )
-        if not a_out:
-            return empty
-        return pd.DataFrame({
-            "doc_a": pd.Series(np.concatenate(a_out), dtype="int64"),
-            "doc_b": pd.Series(np.concatenate(b_out), dtype="int64"),
-        })
-
-    cand = (
-        emb.map_batches(to_chunks, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
-
-    out_schema = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64())])
-
-    def rename(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return out_schema.empty_table()
-        return batch.rename_columns(["vec_a", "vec_b"])
-
-    # seed one typed empty block: with zero candidate pairs (the normal
-    # case at the 0.9 production threshold on clean corpora) the groupby
-    # inside _distinct_pairs emits zero blocks, and a zero-block dataset
-    # loses its schema (to_pandas -> 0 columns, breaking the oracle's
-    # column compare on the legitimate empty result)
-    return (
-        _distinct_pairs(cand)
-        .map_batches(lambda b: rename(b), batch_format="pyarrow")
-        .union(ray.data.from_arrow(out_schema.empty_table()))
-    )
-
-
-def emb_neardup_lsh_oracle_sql(threshold: float = _EMB_LSH_PROD_THRESH) -> str:
-    # VALUES rows "(j, [1,-1,...])" — the hyperplane matrix as SQL literals
-    rows = []
-    for j in range(_EMB_LSH_BITS):
-        vals = ",".join(str(int(v)) for v in _EMB_LSH_PLANES[j])
-        rows.append(f"({j}, [{vals}])")
-    planes = ", ".join(rows)
-    per = _EMB_LSH_BITS // _EMB_LSH_CHUNKS
-    return f"""
-WITH q AS (
-  SELECT vec_id, embedding,
-         list_transform(embedding, x -> round(x * {_EMB_LSH_QUANT})::BIGINT) AS qe
-  FROM embeddings
-), planes(j, h) AS (VALUES {planes}),
-bits AS (
-  SELECT vec_id, j,
-         CASE WHEN list_dot_product(qe, h) >= 0 THEN 1 ELSE 0 END AS bit
-  FROM q, planes
-), chunks AS (
-  SELECT vec_id, j // {per} AS chunk_idx,
-         sum(bit * (1 << (j % {per})))::BIGINT AS chunk_val
-  FROM bits GROUP BY vec_id, j // {per}
-), capped AS (
-  SELECT vec_id, chunk_idx, chunk_val FROM (
-    SELECT *, row_number() OVER (
-      PARTITION BY chunk_idx, chunk_val ORDER BY vec_id) AS rn
-    FROM chunks) WHERE rn <= {_LSH_BUCKET_DOC_CAP}
-), cand AS (
-  SELECT DISTINCT a.vec_id AS vec_a, b.vec_id AS vec_b
-  FROM capped a JOIN capped b
-    ON a.chunk_idx = b.chunk_idx AND a.chunk_val = b.chunk_val
-   AND a.vec_id < b.vec_id
-)
-SELECT c.vec_a, c.vec_b
-FROM cand c JOIN q ea ON c.vec_a = ea.vec_id JOIN q eb ON c.vec_b = eb.vec_id
-WHERE list_cosine_similarity(ea.embedding, eb.embedding) >= {threshold}
-"""
-
-
-# --------------------------------------------------------------------------- #
 # event-stream shaped: tumbling window + gap sessionization
 
 def events_window(sf_dir: str) -> ray.data.Dataset:
@@ -1299,474 +993,7 @@ def events_sessions(sf_dir: str) -> ray.data.Dataset:
 
 
 # --------------------------------------------------------------------------- #
-# relational basics over the star schema
-
-def lineitem_pricing(sf_dir: str) -> ray.data.Dataset:
-    """TPC-H Q1-shaped aggregate; money kept in integer cents so the
-    distributed sum is exact and order-independent."""
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
-    )
-
-    def partials(batch: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
-            [batch.column("l_returnflag"), batch.column("l_linestatus"),
-             pc.cast(batch.column("l_quantity"), pa.int64()),
-             _cents(batch.column("l_extendedprice"))],
-            names=["l_returnflag", "l_linestatus", "qty", "price_cents"],
-        )
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("price_cents", "sum"), ([], "count_all")]
-        )
-        return g.rename_columns(
-            ["l_returnflag", "l_linestatus", "sum_qty", "sum_price_cents", "n_rows"]
-        )
-
-    part = li.map_batches(partials, batch_format="pyarrow")
-    return part.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_price_cents", alias_name="sum_price_cents"),
-        Sum("n_rows", alias_name="n_rows"),
-    )
-
-
-def orders_by_nation(sf_dir: str) -> ray.data.Dataset:
-    """orders ⋈ customer ⋈ nation. Customer is fact-proportional (1.5M
-    rows × sf), so the orders⋈customer leg is a HASH-PARTITIONED shuffle
-    join on custkey — orders are pre-aggregated per custkey (partial
-    combine before the shuffle) so the join input is one row per customer,
-    and neither side ever touches the driver. Only the genuinely tiny
-    nation table (25 rows) is broadcast."""
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-    )
-
-    def order_partials(batch: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
-            [batch.column("o_custkey"), _cents(batch.column("o_totalprice"))],
-            names=["o_custkey", "cents"],
-        )
-        g = t.group_by(["o_custkey"]).aggregate([("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["o_custkey", "sum_cents", "n_orders"])
-
-    per_cust = (
-        orders.map_batches(order_partials, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("sum_cents", alias_name="sum_cents"),
-                   Sum("n_orders", alias_name="n_orders"))
-    )
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    )
-    n_parts = max(4, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    joined = per_cust.join(
-        cust, "inner", n_parts, on=("o_custkey",), right_on=("c_custkey",)
-    )
-
-    nation = ray.data.read_parquet(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-    ).to_pandas()
-    n2name_ref = ray.put(dict(zip(nation["n_nationkey"], nation["n_name"])))
-
-    def nation_partials(batch: pa.Table) -> pa.Table:
-        n2name = ray.get(n2name_ref)
-        names = [n2name.get(k, "UNKNOWN")
-                 for k in batch.column("c_nationkey").to_pylist()]
-        t = pa.Table.from_arrays(
-            [pa.array(names, pa.string()), batch.column("sum_cents"),
-             batch.column("n_orders")],
-            names=["nation", "sum_cents", "n_orders"],
-        )
-        g = t.group_by(["nation"]).aggregate([("sum_cents", "sum"), ("n_orders", "sum")])
-        return g.rename_columns(["nation", "sum_cents", "n_orders"])
-
-    part = joined.map_batches(nation_partials, batch_format="pyarrow")
-    return part.groupby("nation").aggregate(
-        Sum("sum_cents", alias_name="sum_cents"), Sum("n_orders", alias_name="n_orders")
-    )
-
-
-def part_topk(sf_dir: str, k: int = 10) -> ray.data.Dataset:
-    """Global sort + limit (top-k by retail price, tie-broken by key)."""
-    p = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_retailprice"]
-    )
-
-    def to_cents(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [batch.column("p_partkey"), _cents(batch.column("p_retailprice"))],
-            names=["p_partkey", "price_cents"],
-        )
-
-    return (
-        p.map_batches(to_cents, batch_format="pyarrow")
-        .sort(["price_cents", "p_partkey"], descending=[True, False])
-        .limit(k)
-    )
-
-
-# --------------------------------------------------------------------------- #
-# IVF-bucketed ANN — the at-scale similarity-search path
-
-_IVF_CLUSTERS = 16
-_IVF_NPROBE = 4
-
-
-def _ivf_centroids_distributed(
-    emb: ray.data.Dataset, k: int = _IVF_CLUSTERS, iters: int = 3
-) -> np.ndarray:
-    """DISTRIBUTED spherical k-means over the full embedding table: each
-    iteration is one streaming pass — per-batch assign + per-cluster
-    (sum, count) partials, a k-group combine, and a k-row driver pull
-    (the only driver materialization; bounded by k, never by the data).
-    Partial rows carry the batch's min vec_id and the combine sums in
-    that order, so the float reduction is deterministic regardless of
-    block arrival order. Init = the k lowest vec_ids (bounded pull)."""
-    head = emb.filter(expr=f"vec_id < {k}").to_pandas()  # k rows
-    c = np.stack(head.sort_values("vec_id")["embedding"].to_numpy()).astype(np.float64)
-    c = c / np.linalg.norm(c, axis=1, keepdims=True)
-    for _ in range(iters):
-        ref = ray.put(c)
-
-        def partials(batch: pa.Table) -> pa.Table:
-            cent = ray.get(ref)
-            kk, dim = cent.shape
-            M = np.stack(batch.column("embedding").to_pandas().to_numpy()).astype(np.float64)
-            Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
-            assign = (Mn @ cent.T).argmax(1)
-            sums = np.zeros((kk, dim))
-            np.add.at(sums, assign, Mn)
-            counts = np.bincount(assign, minlength=kk).astype(np.int64)
-            pk = int(np.asarray(batch.column("vec_id")).min())
-            return pa.Table.from_arrays(
-                [pa.array(np.arange(kk, dtype=np.int64)), pa.array(counts),
-                 pa.array([r.tolist() for r in sums], pa.list_(pa.float64())),
-                 pa.array([pk] * kk, pa.int64())],
-                names=["cluster", "n", "vec_sum", "part_key"],
-            )
-
-        def combine(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values("part_key")  # deterministic float-sum order
-            s = np.sum(np.stack(g["vec_sum"].to_numpy()), axis=0)
-            return pd.DataFrame({
-                "cluster": pd.Series([int(g["cluster"].iloc[0])], dtype="int64"),
-                "n": pd.Series([int(g["n"].sum())], dtype="int64"),
-                "vec_sum": pd.Series([s.tolist()], dtype="object"),
-            })
-
-        agg = (
-            emb.map_batches(partials, batch_format="pyarrow")
-            .groupby("cluster")
-            .map_groups(combine, batch_format="pandas")
-            .to_pandas()  # k rows — bounded
-        )
-        newc = c.copy()
-        for _, row in agg.iterrows():
-            if row["n"] > 0:
-                v = np.asarray(row["vec_sum"], dtype=np.float64) / row["n"]
-                nv = np.linalg.norm(v)
-                if nv > 0:
-                    newc[int(row["cluster"])] = v / nv
-        c = newc
-    return c
-
-
-def materialize_ivf_centroids(sf_dir: str, path: str) -> np.ndarray:
-    """Train the IVF centroids once per (scale, code version) and pin them
-    to Parquet (cluster, centroid). The materialized file is the SHARED
-    FIXTURE of the emb_ann_ivf hash oracle: the Ray query and the SQL
-    oracle both run the bucketed SEARCH from these exact float64 values,
-    independently — the same trust model as the kg-family oracle tables
-    (training state is a fixture; the distributed search is what the
-    driver hash-checks)."""
-    import os
-
-    import pyarrow.parquet as _pq
-
-    if not os.path.exists(f"{path}/_SUCCESS"):
-        import shutil
-
-        shutil.rmtree(path, ignore_errors=True)
-        emb = ray.data.read_parquet(
-            f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-        )
-        cent = _ivf_centroids_distributed(emb, _IVF_CLUSTERS)
-        os.makedirs(path, exist_ok=True)
-        t = pa.Table.from_arrays(
-            [pa.array(np.arange(len(cent), dtype=np.int64)),
-             pa.array([r.tolist() for r in cent], pa.list_(pa.float64()))],
-            names=["cluster", "centroid"],
-        )
-        _pq.write_table(t, f"{path}/centroids.parquet")
-        open(f"{path}/_SUCCESS", "w").close()
-    t = _pq.read_table(f"{path}/centroids.parquet")
-    order = np.argsort(np.asarray(t.column("cluster")))
-    return np.stack(
-        [np.asarray(t.column("centroid")[int(i)].as_py(), dtype=np.float64) for i in order]
-    )
-
-
-def emb_ann_ivf(sf_dir: str, centroids_path: str | None = None) -> ray.data.Dataset:
-    """IVF top-k: corpus vectors bucketed by nearest centroid; each query
-    probes its _IVF_NPROBE nearest buckets only. Centroids + query matrix
-    broadcast once; per-batch work is two numpy matmuls over the probed
-    subset. Approximate (recall tested vs the brute-force baseline).
-
-    ``centroids_path``: materialize-once fixture dir (see
-    materialize_ivf_centroids) — with it, the result is a pure function of
-    (embeddings, pinned centroids) and ann_ivf_oracle_sql() hash-checks the
-    whole search in SQL; without it, centroids are retrained in-process."""
-    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    # centroids trained DISTRIBUTED (partial-sum k-means over the whole
-    # table; only k rows ever reach the driver), then broadcast once
-    if centroids_path is not None:
-        cent = materialize_ivf_centroids(sf_dir, centroids_path)
-    else:
-        cent = _ivf_centroids_distributed(emb, _IVF_CLUSTERS)
-
-    qdf = emb.filter(expr=f"vec_id < {_ANN_N_QUERIES}").to_pandas()
-    Q = np.stack(qdf["embedding"].to_numpy()).astype(np.float64)
-    Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
-    qids = qdf["vec_id"].to_numpy()
-    # buckets each query probes — STABLE sort so a tie at the nprobe
-    # boundary resolves cluster-ascending, the same (sim DESC, cluster)
-    # order the direct hash oracle's row_number uses
-    probes = np.argsort(-(Qn @ cent.T), axis=1, kind="stable")[:, :_IVF_NPROBE]
-    ref = ray.put((qids, Qn, cent, probes))
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        qids, Qn, cent, probes = ray.get(ref)
-        vids = np.asarray(batch.column("vec_id"))
-        keep = vids >= _ANN_N_QUERIES
-        q_out, n_out, s_out = [], [], []
-        if keep.any():
-            M = np.stack(batch.column("embedding").to_pandas().to_numpy()[keep]).astype(np.float64)
-            Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
-            clusters = (Mn @ cent.T).argmax(1)
-            vkeep = vids[keep]
-            for qi in range(len(qids)):
-                sel = np.isin(clusters, probes[qi])
-                if not sel.any():
-                    continue
-                sims = Qn[qi] @ Mn[sel].T
-                vs = vkeep[sel]
-                k = min(_ANN_K, len(vs))
-                # (sim desc, vec_id asc) — the same total order the final
-                # combine and the SQL oracle use, so the per-batch cut is
-                # independent of row order inside the block
-                idx = np.lexsort((vs, -sims))[:k]
-                for j in idx:
-                    q_out.append(int(qids[qi]))
-                    n_out.append(int(vs[j]))
-                    s_out.append(float(sims[j]))
-        return pa.Table.from_arrays(
-            [pa.array(q_out, pa.int64()), pa.array(n_out, pa.int64()),
-             pa.array(s_out, pa.float64())],
-            names=["query_id", "neighbor_id", "sim"],
-        )
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "neighbor_id"], ascending=[False, True]).head(_ANN_K)
-        g = g.reset_index(drop=True)
-        return pd.DataFrame(
-            {"query_id": g["query_id"], "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-             "neighbor_id": g["neighbor_id"]}
-        )
-
-    cand = emb.map_batches(partial_topk, batch_format="pyarrow")
-    return cand.groupby("query_id").map_groups(final_topk, batch_format="pandas")
-
-
-def emb_ann_ivf_recall(
-    sf_dir: str, ivf_path: str | None = None, centroids_path: str | None = None
-) -> ray.data.Dataset:
-    """Recall@k of the IVF path against the exact brute-force top-k,
-    computed distributed: both result sets are joined per query and the
-    hit count emitted as (query_id, n_hits, k). The driver oracle reads
-    the MATERIALIZED ivf output (written here, deterministically) and
-    recomputes the exact top-k independently in SQL — so the recall
-    numbers are hash-checked against an independent exact baseline."""
-    ivf = emb_ann_ivf(sf_dir, centroids_path=centroids_path)
-    if ivf_path is not None:
-        import os
-        import shutil
-
-        if not os.path.exists(f"{ivf_path}/_SUCCESS"):
-            shutil.rmtree(ivf_path, ignore_errors=True)
-            ivf.write_parquet(ivf_path)
-            open(f"{ivf_path}/_SUCCESS", "w").close()
-        ivf = ray.data.read_parquet(ivf_path, columns=["query_id", "rank", "neighbor_id"])
-
-    def tag(src: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            return pa.Table.from_arrays(
-                [pc.cast(batch.column("query_id"), pa.int64()),
-                 pc.cast(batch.column("neighbor_id"), pa.int64()),
-                 pa.array([src] * batch.num_rows, pa.int8())],
-                names=["query_id", "neighbor_id", "src"],
-            )
-
-        return fn
-
-    both = ivf.map_batches(tag(0), batch_format="pyarrow").union(
-        emb_ann_topk(sf_dir).map_batches(tag(1), batch_format="pyarrow")
-    )
-
-    def hits(g: pd.DataFrame) -> pd.DataFrame:
-        a = set(g.loc[g["src"] == 0, "neighbor_id"])
-        b = set(g.loc[g["src"] == 1, "neighbor_id"])
-        return pd.DataFrame(
-            {"query_id": [int(g["query_id"].iloc[0])],
-             "n_hits": pd.Series([len(a & b)], dtype="int64"),
-             "k": pd.Series([_ANN_K], dtype="int64")}
-        )
-
-    # bounded groups (2k rows per query) — union + per-query intersection
-    return both.groupby("query_id").map_groups(hits, batch_format="pandas")
-
-
-def ann_ivf_recall_oracle_sql(ivf_path: str) -> str:
-    """Exact top-k recomputed in SQL; IVF side read from its materialized
-    Parquet; per-query intersection count."""
-    return f"""
-WITH exact AS (
-  SELECT q.vec_id AS query_id, c.vec_id AS neighbor_id,
-         row_number() OVER (PARTITION BY q.vec_id ORDER BY
-           list_cosine_similarity(q.embedding, c.embedding) DESC, c.vec_id) AS rnk
-  FROM embeddings q, embeddings c
-  WHERE q.vec_id < {_ANN_N_QUERIES} AND c.vec_id >= {_ANN_N_QUERIES}
-  QUALIFY rnk <= {_ANN_K}
-), ivf AS (
-  SELECT query_id, neighbor_id FROM read_parquet('{ivf_path}/*.parquet')
-)
-SELECT e.query_id, count(i.neighbor_id)::BIGINT AS n_hits, {_ANN_K}::BIGINT AS k
-FROM exact e LEFT JOIN ivf i
-  ON e.query_id = i.query_id AND e.neighbor_id = i.neighbor_id
-GROUP BY e.query_id
-"""
-
-
-def ann_ivf_oracle_sql(centroids_path: str) -> str:
-    """DIRECT value oracle for emb_ann_ivf: the full IVF search re-derived
-    in SQL from the materialized centroids — corpus-vector bucket
-    assignment (argmax inner product; numpy argmax takes the FIRST max, so
-    ties break cluster-ascending), per-query probe-set selection, and the
-    cosine top-k inside probed buckets. Ordering by raw inner product
-    equals the Ray side's normalized-vector dot ordering (positive scale
-    per fixed vector)."""
-    return f"""
-WITH cent AS (
-  SELECT cluster, centroid FROM read_parquet('{centroids_path}/centroids.parquet')
-), assign AS (
-  SELECT e.vec_id, c.cluster,
-         row_number() OVER (PARTITION BY e.vec_id ORDER BY
-           list_inner_product(e.embedding::DOUBLE[], c.centroid) DESC, c.cluster) AS rn
-  FROM embeddings e, cent c WHERE e.vec_id >= {_ANN_N_QUERIES}
-), corpus AS (
-  SELECT vec_id, cluster FROM assign WHERE rn = 1
-), probes AS (
-  SELECT q.vec_id AS query_id, c.cluster,
-         row_number() OVER (PARTITION BY q.vec_id ORDER BY
-           list_inner_product(q.embedding::DOUBLE[], c.centroid) DESC, c.cluster) AS rn
-  FROM embeddings q, cent c WHERE q.vec_id < {_ANN_N_QUERIES}
-), probed AS (
-  SELECT query_id, cluster FROM probes WHERE rn <= {_IVF_NPROBE}
-)
-SELECT p.query_id,
-       row_number() OVER (PARTITION BY p.query_id ORDER BY
-         list_cosine_similarity(q.embedding, e.embedding) DESC, co.vec_id) AS rank,
-       co.vec_id AS neighbor_id
-FROM probed p
-JOIN corpus co ON co.cluster = p.cluster
-JOIN embeddings q ON q.vec_id = p.query_id
-JOIN embeddings e ON e.vec_id = co.vec_id
-QUALIFY rank <= {_ANN_K}
-"""
-
-
-# --------------------------------------------------------------------------- #
-# additional relational coverage (all integer-exact vs the SQL oracles)
-
-def supplier_stats(sf_dir: str) -> ray.data.Dataset:
-    """Per-nation supplier account stats (min/max/count in cents)."""
-    s = ray.data.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_nationkey", "s_acctbal"]
-    )
-
-    def partials(batch: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
-            [batch.column("s_nationkey"), _cents(batch.column("s_acctbal"))],
-            names=["s_nationkey", "bal_cents"],
-        )
-        g = t.group_by(["s_nationkey"]).aggregate(
-            [("bal_cents", "min"), ("bal_cents", "max"), ("bal_cents", "sum"), ([], "count_all")]
-        )
-        return g.rename_columns(
-            ["s_nationkey", "min_bal", "max_bal", "sum_bal", "n_suppliers"]
-        )
-
-    part = s.map_batches(partials, batch_format="pyarrow")
-    return part.groupby("s_nationkey").aggregate(
-        Min("min_bal", alias_name="min_bal"),
-        Max("max_bal", alias_name="max_bal"),
-        Sum("sum_bal", alias_name="sum_bal"),
-        Sum("n_suppliers", alias_name="n_suppliers"),
-    )
-
-
-def orders_by_month(sf_dir: str) -> ray.data.Dataset:
-    """Tumbling month window over o_orderdate with status breakdown."""
-    o = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_orderstatus", "o_totalprice"]
-    )
-
-    def partials(batch: pa.Table) -> pa.Table:
-        d = batch.column("o_orderdate")
-        if pa.types.is_date(d.type) or pa.types.is_timestamp(d.type):
-            month = pc.floor_temporal(pc.cast(d, pa.timestamp("us")), unit="month")
-        else:  # string dates: YYYY-MM-DD -> first of month
-            month = pc.cast(
-                pc.strptime(pc.binary_join_element_wise(pc.utf8_slice_codeunits(d, 0, 7), "-01", ""),
-                            format="%Y-%m-%d", unit="us"),
-                pa.timestamp("us"),
-            )
-        t = pa.Table.from_arrays(
-            [month, batch.column("o_orderstatus"), _cents(batch.column("o_totalprice"))],
-            names=["month", "o_orderstatus", "cents"],
-        )
-        g = t.group_by(["month", "o_orderstatus"]).aggregate(
-            [("cents", "sum"), ([], "count_all")]
-        )
-        return g.rename_columns(["month", "o_orderstatus", "sum_cents", "n_orders"])
-
-    part = o.map_batches(partials, batch_format="pyarrow")
-    return part.groupby(["month", "o_orderstatus"]).aggregate(
-        Sum("sum_cents", alias_name="sum_cents"), Sum("n_orders", alias_name="n_orders")
-    )
-
-
-def region_nation_counts(sf_dir: str) -> ray.data.Dataset:
-    """3-way dimension join region ⋈ nation ⋈ customer, all broadcast."""
-    nation = ray.data.read_parquet(f"{sf_dir}/nation.parquet").to_pandas()
-    region = ray.data.read_parquet(f"{sf_dir}/region.parquet").to_pandas()
-    n2r = dict(zip(nation["n_nationkey"], nation["n_regionkey"]))
-    r2name = dict(zip(region["r_regionkey"], region["r_name"]))
-    ref = ray.put((n2r, r2name))
-
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_nationkey"])
-
-    def partials(batch: pa.Table) -> pa.Table:
-        n2r, r2name = ray.get(ref)
-        names = [r2name.get(n2r.get(k), "UNKNOWN") for k in batch.column("c_nationkey").to_pylist()]
-        t = pa.Table.from_arrays([pa.array(names, pa.string())], names=["region"])
-        g = t.group_by(["region"]).aggregate([([], "count_all")])
-        return g.rename_columns(["region", "n_customers"])
-
-    part = cust.map_batches(partials, batch_format="pyarrow")
-    return part.groupby("region").aggregate(Sum("n_customers", alias_name="n_customers"))
-
+# additional coverage (all integer-exact vs the SQL oracles)
 
 def events_top_users(sf_dir: str, k: int = 20) -> ray.data.Dataset:
     """Top-k users by event count (partial count -> groupby -> sort/limit)."""
@@ -1984,47 +1211,6 @@ def events_window_sliding(sf_dir: str) -> ray.data.Dataset:
     return agg.map_batches(to_ts, batch_format="pyarrow")
 
 
-def lineitem_rollup(sf_dir: str) -> ray.data.Dataset:
-    """GROUPING-SETS rollup: (returnflag, linestatus) → (returnflag) →
-    grand total, all emitted from ONE pass — each batch pre-aggregates
-    every grouping level locally (the level id disambiguates), so the
-    shuffle carries three tiny partial tables instead of three scans."""
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_returnflag", "l_linestatus", "l_extendedprice"]
-    )
-    ALL = "(all)"
-
-    def partials(batch: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
-            [batch.column("l_returnflag"), batch.column("l_linestatus"),
-             _cents(batch.column("l_extendedprice"))],
-            names=["l_returnflag", "l_linestatus", "cents"],
-        )
-        outs = []
-        for lvl, keys in ((0, ["l_returnflag", "l_linestatus"]), (1, ["l_returnflag"]), (2, [])):
-            if keys:
-                g = t.group_by(keys).aggregate([("cents", "sum"), ([], "count_all")])
-                g = g.rename_columns(keys + ["sum_cents", "n_rows"])
-            else:
-                g = pa.Table.from_arrays(
-                    [pa.array([int(pc.sum(t.column("cents")).as_py() or 0)], pa.int64()),
-                     pa.array([t.num_rows], pa.int64())],
-                    names=["sum_cents", "n_rows"],
-                )
-            n = g.num_rows
-            for col in ("l_returnflag", "l_linestatus"):
-                if col not in g.column_names:
-                    g = g.append_column(col, pa.array([ALL] * n, pa.string()))
-            g = g.append_column("level", pa.array([lvl] * n, pa.int64()))
-            outs.append(g.select(["level", "l_returnflag", "l_linestatus", "sum_cents", "n_rows"]))
-        return pa.concat_tables(outs)
-
-    part = li.map_batches(partials, batch_format="pyarrow")
-    return part.groupby(["level", "l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_cents", alias_name="sum_cents"), Sum("n_rows", alias_name="n_rows")
-    )
-
-
 # --------------------------------------------------------------------------- #
 # deterministic hash sampling — resumable, RNG-free corpus subsetting
 
@@ -2061,112 +1247,6 @@ def doc_sample_oracle_sql() -> str:
         "SELECT doc_id, length(text)::BIGINT AS n_chars FROM documents "
         "WHERE ((((doc_id::HUGEINT * 11400714819323198485) % 18446744073709551616)"
         f" // 8589934592) % 100)::BIGINT < {_SAMPLE_PCT}"
-    )
-
-
-# --------------------------------------------------------------------------- #
-# per-group top-k ranking (window-function analogue)
-
-def supplier_topk_per_nation(sf_dir: str, k: int = 3) -> ray.data.Dataset:
-    """Top-k suppliers by account balance per nation: bounded
-    groupby(nation).map_groups ranking (25 groups × suppliers-per-nation;
-    at true scale this pre-filters with a per-batch partial top-k per
-    nation before the shuffle, same shape as emb_ann_topk)."""
-    s = ray.data.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey", "s_acctbal"]
-    )
-
-    def to_cents(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [batch.column("s_nationkey"), batch.column("s_suppkey"),
-             _cents(batch.column("s_acctbal"))],
-            names=["s_nationkey", "s_suppkey", "bal_cents"],
-        )
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        # combine BEFORE the shuffle: only k rows per nation leave a batch
-        df = batch.to_pandas()
-        out = (
-            df.sort_values(["bal_cents", "s_suppkey"], ascending=[False, True])
-            .groupby("s_nationkey", sort=False)
-            .head(k)
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["bal_cents", "s_suppkey"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        return pd.DataFrame({
-            "s_nationkey": g["s_nationkey"],
-            "rank": pd.Series(np.arange(1, len(g) + 1), dtype="int64"),
-            "s_suppkey": g["s_suppkey"],
-            "bal_cents": g["bal_cents"],
-        })
-
-    part = s.map_batches(to_cents, batch_format="pyarrow").map_batches(
-        partial_topk, batch_format="pyarrow"
-    )
-    return part.groupby("s_nationkey").map_groups(final_topk, batch_format="pandas")
-
-
-# --------------------------------------------------------------------------- #
-# anti-join (set difference) via reduce-side co-partitioned merge
-
-_ANTI_MONTH = ("1997-06-01", "1997-07-01")
-
-
-def customers_without_orders(sf_dir: str) -> ray.data.Dataset:
-    """Customers with zero orders in the _ANTI_MONTH window, June 1997
-    (the inactive-cohort
-    anti-join): both sides hash-partition on salt(custkey) — orders
-    pre-deduped per batch so at most one row per (batch, custkey)
-    shuffles — and each bounded partition runs one vectorized isin
-    difference over all its keys."""
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"]
-    )
-
-    def tag_cust(batch: pa.Table) -> pa.Table:
-        k = np.asarray(batch.column("c_custkey"), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [pa.array(k), pa.array(_key_salt(k)),
-             pa.array([0] * len(k), pa.int8())],
-            names=["k", "salt", "kind"],
-        )
-
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        d = batch.column("o_orderdate")
-        lo = pa.scalar(np.datetime64(_ANTI_MONTH[0], "us"))
-        hi = pa.scalar(np.datetime64(_ANTI_MONTH[1], "us"))
-        keep = pc.and_(pc.greater_equal(d, lo), pc.less(d, hi))
-        uniq = pc.unique(batch.filter(keep).column("o_custkey"))
-        k = np.asarray(uniq, dtype=np.int64)
-        return pa.Table.from_arrays(
-            [pa.array(k), pa.array(_key_salt(k)),
-             pa.array([1] * len(k), pa.int8())],
-            names=["k", "salt", "kind"],
-        )
-
-    def anti(g: pd.DataFrame) -> pd.DataFrame:
-        have = g.loc[g["kind"] == 1, "k"].unique()
-        out = g.loc[(g["kind"] == 0) & ~g["k"].isin(have), "k"]
-        return pd.DataFrame({"c_custkey": pd.Series(out.to_numpy(), dtype="int64")})
-
-    both = cust.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-    )
-    out_schema = pa.schema([("c_custkey", pa.int64())])
-
-    def stamp(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return out_schema.empty_table()
-        return batch.select(out_schema.names).cast(out_schema)
-
-    return (
-        both.groupby("salt")
-        .map_groups(anti, batch_format="pandas")
-        .map_batches(stamp, batch_format="pyarrow")
     )
 
 
@@ -3610,7 +2690,7 @@ def _bm25_scores(tf: np.ndarray, dl: np.ndarray, idf: np.ndarray,
     fixed left-assoc multiply chain feeding it) is IEEE-deterministic, so
     DuckDB computes bit-identical doubles; flooring to int64 BEFORE the
     per-query sum makes the total order-independent. (Same
-    quantize-before-decide discipline as emb_neardup_lsh / doc_sample.)"""
+    quantize-before-decide discipline as doc_sample.)"""
     den = 20 * t * tf + 6 * t + 18 * dl * n  # int64, exact
     num = ((idf.astype(np.float64) * 44.0) * tf.astype(np.float64)) * float(t)
     return np.floor(num / den.astype(np.float64)).astype(np.int64)
@@ -3618,7 +2698,7 @@ def _bm25_scores(tf: np.ndarray, dl: np.ndarray, idf: np.ndarray,
 
 def doc_bm25_topk(sf_dir: str, k: int = _BM25_K) -> ray.data.Dataset:
     """Top-k documents per query under BM25 — the lexical-retrieval
-    complement of emb_ann_topk (dense) and doc_tfidf_topk (per-doc terms).
+    complement of doc_tfidf_topk (per-doc terms).
 
     Scale shape:
     1. ONE stats pass, partial-aggregated: per-batch (term → per-doc df
@@ -3924,7 +3004,7 @@ def doc_decontaminate(sf_dir: str) -> ray.data.Dataset:
     the held-out benchmark slice (here: doc_id % {_DECON_MOD} == 0 plays
     the benchmark). Scale shape: the benchmark is the SMALL side — its
     distinct n-grams are collected once (driver pull bounded by benchmark
-    size, the same discipline as the entity dictionary and IVF centroids)
+    size, the same discipline as the entity dictionary)
     and broadcast via ``ray.put``; the 100-TB training side streams through
     one pure membership ``map_batches`` (pandas ``isin`` against the
     broadcast set — C-speed, no shuffle, no join). Emits
@@ -4172,118 +3252,6 @@ UNION ALL
 SELECT 2::BIGINT, 'click', count(*)::BIGINT FROM c
 UNION ALL
 SELECT 3::BIGINT, 'purchase', count(*)::BIGINT FROM p
-"""
-
-
-# --------------------------------------------------------------------------- #
-# fuzzy string matching: edit-distance-1 vocabulary pairs via FastSS
-# deletion-index blocking — the entity-resolution / typo-clustering
-# primitive (catalog normalization, surface-form conflation for the KG
-# linker's NIL tail). The all-pairs levenshtein join is O(V²); the
-# deletion index is O(V·L) keys and only same-key buckets ever meet.
-
-def _ed1(a: str, b: str) -> bool:
-    """Exact edit-distance==1 check (two-pointer; candidates already
-    share a deletion key so lengths differ by ≤1)."""
-    la, lb = len(a), len(b)
-    if la == lb:
-        return sum(x != y for x, y in zip(a, b)) == 1
-    if la > lb:
-        a, b, la, lb = b, a, lb, la
-    if lb - la != 1:
-        return False
-    i = 0
-    while i < la and a[i] == b[i]:
-        i += 1
-    return a[i:] == b[i + 1:]
-
-
-def part_spelling_variants(sf_dir: str) -> ray.data.Dataset:
-    """Distinct part-name token pairs at edit distance exactly 1.
-
-    Blocking: each vocabulary token emits |token|+1 deletion keys
-    ({token} ∪ 1-deletions) — tokens at ED≤1 always share a key (FastSS),
-    tokens sharing one are at ED≤2, so each bucket pair is verified with
-    the exact two-pointer check. Keys route to salted partitions
-    (pd.util.hash_pandas_object — deterministic across processes); the
-    in-partition candidate join is one vectorized self-merge per key
-    group. A pair can surface under several keys in several partitions,
-    so a second salted pass dedups (tok_a, tok_b). Vocabulary extraction
-    itself is the usual per-batch-unique → tiny-groupby pattern, so the
-    per-token Python work is O(|vocab|·L), never O(corpus)."""
-    parts = ray.data.read_parquet(f"{sf_dir}/part.parquet", columns=["p_name"])
-
-    def vocab_partials(batch: pa.Table) -> pa.Table:
-        toks = pc.unique(pc.list_flatten(pc.split_pattern(batch.column("p_name"), " ")))
-        return pa.Table.from_arrays([toks], names=["token"])
-
-    vocab = (
-        parts.map_batches(vocab_partials, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Count(alias_name="_n"))
-        .select_columns(["token"])
-    )
-
-    def deletion_keys(batch: pa.Table) -> pa.Table:
-        keys, toks = [], []
-        for t in batch.column("token").to_pylist():
-            keys.append(t)
-            toks.append(t)
-            for i in range(len(t)):
-                keys.append(t[:i] + t[i + 1:])
-                toks.append(t)
-        df = pd.DataFrame({"key": keys, "token": toks})
-        h = pd.util.hash_pandas_object(df["key"], index=False).to_numpy()
-        df["salt"] = (h % _JOIN_SALTS).astype("int64")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    pair_schema = pa.schema(
-        [("tok_a", pa.string()), ("tok_b", pa.string()), ("salt2", pa.int64())]
-    )
-    out_schema = pa.schema([("tok_a", pa.string()), ("tok_b", pa.string())])
-
-    def bucket_pairs(g: pd.DataFrame) -> pa.Table:
-        # return schema'd Arrow directly: empty object-dtype pandas blocks
-        # both lose their schema and trip Ray's block-size estimator
-        m = g.merge(g, on="key")
-        m = m[m["token_x"] < m["token_y"]].drop_duplicates(["token_x", "token_y"])
-        if not m.empty:
-            keep = [_ed1(a, b) for a, b in zip(m["token_x"], m["token_y"])]
-            m = m[np.asarray(keep, dtype=bool)]
-        if m.empty:
-            return pair_schema.empty_table()
-        a, b = m["token_x"].astype(str), m["token_y"].astype(str)
-        h = pd.util.hash_pandas_object(a + "\x00" + b, index=False).to_numpy()
-        return pa.Table.from_arrays(
-            [pa.array(a.to_numpy(dtype=object)), pa.array(b.to_numpy(dtype=object)),
-             pa.array((h % _JOIN_SALTS).astype("int64"))],
-            schema=pair_schema,
-        )
-
-    def distinct(g: pd.DataFrame) -> pa.Table:
-        out = g.drop_duplicates(["tok_a", "tok_b"])
-        return pa.Table.from_arrays(
-            [pa.array(out["tok_a"].to_numpy(dtype=object)),
-             pa.array(out["tok_b"].to_numpy(dtype=object))],
-            schema=out_schema,
-        )
-
-    return (
-        vocab.map_batches(deletion_keys, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(bucket_pairs, batch_format="pandas")
-        .groupby("salt2")
-        .map_groups(distinct, batch_format="pandas")
-    )
-
-
-SPELLING_VARIANTS_ORACLE_SQL = """
-WITH v AS (
-  SELECT DISTINCT unnest(string_split(p_name, ' ')) AS tok FROM part
-)
-SELECT a.tok AS tok_a, b.tok AS tok_b
-FROM v a, v b
-WHERE a.tok < b.tok AND levenshtein(a.tok, b.tok) = 1
 """
 
 
@@ -4651,352 +3619,6 @@ FROM td GROUP BY 1, 2
 
 
 # --------------------------------------------------------------------------- #
-# product-quantization ANN — the compressed-scan scale path next to IVF
-
-_PQ_M = 8        # subspaces (dim 64 -> 8 floats each)
-_PQ_KSUB = 16    # codes per subspace -> 8 bytes/vector, 32x vs float64
-
-
-def _pq_codebooks_distributed(
-    emb: ray.data.Dataset, m: int = _PQ_M, ksub: int = _PQ_KSUB, iters: int = 3
-) -> np.ndarray:
-    """Distributed PQ codebook training: k-means in each of the ``m``
-    subspaces, ALL subspaces in one streaming pass per iteration (partials
-    keyed (subspace, cluster)); the driver pull per iteration is m·ksub
-    rows — bounded by the codebook, never the data. Same deterministic
-    float-sum discipline as _ivf_centroids_distributed (partials carry the
-    batch's min vec_id; the combine sums in that order). Vectors are
-    L2-normalized before splitting so codes approximate cosine via ADC."""
-    head = emb.filter(expr=f"vec_id < {ksub}").to_pandas()
-    X = np.stack(head.sort_values("vec_id")["embedding"].to_numpy()).astype(np.float64)
-    X = X / np.linalg.norm(X, axis=1, keepdims=True)
-    dim = X.shape[1]
-    dsub = dim // m
-    cb = X.reshape(ksub, m, dsub).transpose(1, 0, 2).copy()  # [m, ksub, dsub]
-
-    for _ in range(iters):
-        ref = ray.put(cb)
-
-        def partials(batch: pa.Table) -> pa.Table:
-            cb = ray.get(ref)
-            m, ksub, dsub = cb.shape
-            M_ = np.stack(batch.column("embedding").to_pandas().to_numpy()).astype(np.float64)
-            Mn = M_ / np.linalg.norm(M_, axis=1, keepdims=True)
-            S = Mn.reshape(len(Mn), m, dsub)
-            pk = int(np.asarray(batch.column("vec_id")).min())
-            sub_l, cl_l, n_l, sum_l = [], [], [], []
-            for mi in range(m):
-                d2 = ((S[:, mi, None, :] - cb[mi][None, :, :]) ** 2).sum(-1)
-                assign = d2.argmin(1)
-                sums = np.zeros((ksub, dsub))
-                np.add.at(sums, assign, S[:, mi, :])
-                counts = np.bincount(assign, minlength=ksub).astype(np.int64)
-                sub_l.extend([mi] * ksub)
-                cl_l.extend(range(ksub))
-                n_l.extend(counts.tolist())
-                sum_l.extend(r.tolist() for r in sums)
-            return pa.Table.from_arrays(
-                [pa.array(sub_l, pa.int64()), pa.array(cl_l, pa.int64()),
-                 pa.array(n_l, pa.int64()), pa.array(sum_l, pa.list_(pa.float64())),
-                 pa.array([pk] * (m * ksub), pa.int64())],
-                names=["sub", "cluster", "n", "vec_sum", "part_key"],
-            )
-
-        def combine(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values("part_key")
-            s = np.sum(np.stack(g["vec_sum"].to_numpy()), axis=0)
-            return pd.DataFrame({
-                "sub": pd.Series([int(g["sub"].iloc[0])], dtype="int64"),
-                "cluster": pd.Series([int(g["cluster"].iloc[0])], dtype="int64"),
-                "n": pd.Series([int(g["n"].sum())], dtype="int64"),
-                "vec_sum": pd.Series([s.tolist()], dtype="object"),
-            })
-
-        agg = (
-            emb.map_batches(partials, batch_format="pyarrow")
-            .groupby(["sub", "cluster"])
-            .map_groups(combine, batch_format="pandas")
-            .to_pandas()  # m*ksub rows — bounded
-        )
-        newcb = cb.copy()
-        for _, row in agg.iterrows():
-            if row["n"] > 0:
-                newcb[int(row["sub"]), int(row["cluster"])] = (
-                    np.asarray(row["vec_sum"], dtype=np.float64) / row["n"]
-                )
-        cb = newcb
-    return cb
-
-
-_PQ_RERANK = 128       # GLOBAL ADC shortlist size per query before exact rerank
-                       # (128: measured recall ≥0.8 at sf0.001/0.01/0.1 — ADC
-                       # with m=8, ksub=16 is weakly informative on the i.i.d.
-                       # synthetic vectors, so the honest global shortlist
-                       # needs more headroom than a clustered corpus would)
-_ADC_SCALE = 1 << 24   # fixed-point grid for ADC lookup entries (int64 sums)
-
-
-def materialize_pq_fixture(sf_dir: str, path: str):
-    """Train the PQ codebooks once per (scale, code version) and pin BOTH
-    halves of the ADC state to Parquet:
-
-    - ``codebooks.parquet`` (sub, code, centroid) — the encode side;
-    - ``adc_table.parquet`` (query_id, sub, code, t_fp) — the query-side
-      lookup table, fixed-point ``floor(q_sub · codeword × 2^24)`` int64.
-
-    ADC scores are integer sums of t_fp entries, so they are exactly
-    order-independent and exactly reproducible in SQL (same-code vectors
-    tie EXACTLY on both sides; ties break by vec_id). The fixture is the
-    shared state of the emb_pq_topk hash oracle — the Ray query and
-    pq_topk_oracle_sql() both run encode + ADC scan + exact rerank from
-    it, independently."""
-    import os
-
-    import pyarrow.parquet as _pq
-
-    if not os.path.exists(f"{path}/_SUCCESS"):
-        import shutil
-
-        shutil.rmtree(path, ignore_errors=True)
-        emb = ray.data.read_parquet(
-            f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-        )
-        cb = _pq_codebooks_distributed(emb)
-        m, ksub, dsub = cb.shape
-        qdf = emb.filter(expr=f"vec_id < {_ANN_N_QUERIES}").to_pandas().sort_values("vec_id")
-        Q = np.stack(qdf["embedding"].to_numpy()).astype(np.float64)
-        Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
-        qids = qdf["vec_id"].to_numpy()
-        T = np.einsum("qmd,mkd->qmk", Qn.reshape(len(Qn), m, dsub), cb)
-        Tq = np.floor(T * _ADC_SCALE).astype(np.int64)
-        os.makedirs(path, exist_ok=True)
-        subs = np.repeat(np.arange(m, dtype=np.int64), ksub)
-        codes_col = np.tile(np.arange(ksub, dtype=np.int64), m)
-        _pq.write_table(
-            pa.Table.from_arrays(
-                [pa.array(subs), pa.array(codes_col),
-                 pa.array([r.tolist() for r in cb.reshape(m * ksub, dsub)],
-                          pa.list_(pa.float64()))],
-                names=["sub", "code", "centroid"],
-            ),
-            f"{path}/codebooks.parquet",
-        )
-        nq = len(qids)
-        _pq.write_table(
-            pa.Table.from_arrays(
-                [pa.array(np.repeat(qids.astype(np.int64), m * ksub)),
-                 pa.array(np.tile(subs, nq)), pa.array(np.tile(codes_col, nq)),
-                 pa.array(Tq.reshape(nq * m * ksub))],
-                names=["query_id", "sub", "code", "t_fp"],
-            ),
-            f"{path}/adc_table.parquet",
-        )
-        open(f"{path}/_SUCCESS", "w").close()
-    cbt = _pq.read_table(f"{path}/codebooks.parquet").sort_by([("sub", "ascending"), ("code", "ascending")])
-    cent = np.stack([np.asarray(r, dtype=np.float64) for r in cbt.column("centroid").to_pylist()])
-    m = int(pc.max(cbt.column("sub")).as_py()) + 1
-    ksub = int(pc.max(cbt.column("code")).as_py()) + 1
-    cb = cent.reshape(m, ksub, cent.shape[1])
-    at = _pq.read_table(f"{path}/adc_table.parquet").sort_by(
-        [("query_id", "ascending"), ("sub", "ascending"), ("code", "ascending")]
-    )
-    qids = np.unique(np.asarray(at.column("query_id")))
-    Tq = np.asarray(at.column("t_fp")).reshape(len(qids), m, ksub)
-    return cb, qids, Tq
-
-
-def emb_pq_topk(sf_dir: str, fixture_path: str | None = None) -> ray.data.Dataset:
-    """PQ/ADC top-k with exact rerank: corpus vectors are encoded to _PQ_M
-    uint8 codes; each query precomputes a (m × ksub) lookup table against
-    the broadcast codebooks, and ADC-scoring a vector is m table lookups +
-    an int64 sum — the scan touches 8 bytes per vector instead of 512,
-    which is what makes a 100 TB embedding table scannable. Each batch
-    emits its ADC-top-_PQ_RERANK candidates (with exact cosine computed
-    for just those — at scale the rerank fetches full vectors by id; here
-    they are in the batch already); the final per-query group cuts the
-    GLOBAL ADC-top-_PQ_RERANK shortlist, then ranks it by exact cosine —
-    so the result is a pure function of (embeddings, codebooks),
-    independent of block/batch layout. Encode + scan fuse into ONE
-    map_batches (codes never materialize); approximate (the true neighbor
-    can miss the shortlist), recall-checked by emb_pq_recall and — with
-    ``fixture_path`` (see materialize_pq_fixture) — hash-checked end to
-    end by pq_topk_oracle_sql()."""
-    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    # vec_id-sorted so Qn rows align with the fixture's query_id-sorted
-    # ADC table (and with the non-fixture qids) by construction
-    qdf = emb.filter(expr=f"vec_id < {_ANN_N_QUERIES}").to_pandas().sort_values("vec_id")
-    Q = np.stack(qdf["embedding"].to_numpy()).astype(np.float64)
-    Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
-    if fixture_path is not None:
-        cb, qids, Tq = materialize_pq_fixture(sf_dir, fixture_path)
-    else:
-        cb = _pq_codebooks_distributed(emb)
-        m_, ksub_, dsub_ = cb.shape
-        qids = qdf["vec_id"].to_numpy()
-        T = np.einsum("qmd,mkd->qmk", Qn.reshape(len(Qn), m_, dsub_), cb)
-        Tq = np.floor(T * _ADC_SCALE).astype(np.int64)
-    ref = ray.put((qids, Qn, Tq, cb))
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        qids, Qn, Tq, cb = ray.get(ref)
-        m, ksub, dsub = cb.shape
-        vids = np.asarray(batch.column("vec_id"))
-        keep = vids >= _ANN_N_QUERIES
-        q_out, n_out, a_out, s_out = [], [], [], []
-        if keep.any():
-            M_ = np.stack(batch.column("embedding").to_pandas().to_numpy()[keep]).astype(np.float64)
-            Mn = M_ / np.linalg.norm(M_, axis=1, keepdims=True)
-            S = Mn.reshape(len(Mn), m, dsub)
-            codes = np.empty((len(Mn), m), dtype=np.int64)
-            for mi in range(m):
-                d2 = ((S[:, mi, None, :] - cb[mi][None, :, :]) ** 2).sum(-1)
-                codes[:, mi] = d2.argmin(1)
-            vkeep = vids[keep]
-            for qi in range(len(qids)):
-                # int64 sum of m table lookups — exactly order-independent
-                sims = np.zeros(len(Mn), dtype=np.int64)
-                for mi in range(m):
-                    sims += Tq[qi, mi, codes[:, mi]]
-                r = min(_PQ_RERANK, len(vkeep))
-                # (adc desc, vec_id asc): same total order as the final
-                # combine and the SQL oracle -> per-batch cut loses only
-                # rows the global shortlist cut would lose anyway
-                short = np.lexsort((vkeep, -sims))[:r]
-                exact = Qn[qi] @ Mn[short].T
-                for j, e in zip(short, exact):
-                    q_out.append(int(qids[qi]))
-                    n_out.append(int(vkeep[j]))
-                    a_out.append(int(sims[j]))
-                    s_out.append(float(e))
-        return pa.Table.from_arrays(
-            [pa.array(q_out, pa.int64()), pa.array(n_out, pa.int64()),
-             pa.array(a_out, pa.int64()), pa.array(s_out, pa.float64())],
-            names=["query_id", "neighbor_id", "adc_fp", "sim"],
-        )
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["adc_fp", "neighbor_id"], ascending=[False, True]).head(_PQ_RERANK)
-        g = g.sort_values(["sim", "neighbor_id"], ascending=[False, True]).head(_ANN_K)
-        g = g.reset_index(drop=True)
-        return pd.DataFrame(
-            {"query_id": g["query_id"], "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-             "neighbor_id": g["neighbor_id"]}
-        )
-
-    cand = emb.map_batches(partial_topk, batch_format="pyarrow")
-    return cand.groupby("query_id").map_groups(final_topk, batch_format="pandas")
-
-
-def pq_topk_oracle_sql(fixture_path: str) -> str:
-    """DIRECT value oracle for emb_pq_topk: encode (per-subspace argmin L2
-    against the pinned codebooks; numpy argmin takes the FIRST min, so
-    ties break code-ascending), integer ADC scan from the pinned lookup
-    table, global top-_PQ_RERANK shortlist (adc desc, vec_id asc), exact
-    cosine rerank — all re-derived in SQL."""
-    m, dsub = _PQ_M, 64 // _PQ_M
-    return f"""
-WITH cb AS (
-  SELECT sub, code, centroid FROM read_parquet('{fixture_path}/codebooks.parquet')
-), adct AS (
-  SELECT query_id, sub, code, t_fp FROM read_parquet('{fixture_path}/adc_table.parquet')
-), norm AS (
-  SELECT vec_id,
-         list_transform(embedding::DOUBLE[], x ->
-           x / sqrt(list_inner_product(embedding::DOUBLE[], embedding::DOUBLE[]))) AS e
-  FROM embeddings WHERE vec_id >= {_ANN_N_QUERIES}
-), code_rank AS (
-  SELECT n.vec_id, c.sub, c.code,
-         row_number() OVER (PARTITION BY n.vec_id, c.sub ORDER BY
-           list_distance(list_slice(n.e, c.sub*{dsub}+1, c.sub*{dsub}+{dsub}),
-                         c.centroid) ASC, c.code) AS rn
-  FROM norm n, cb c
-), vcodes AS (
-  SELECT vec_id, sub, code FROM code_rank WHERE rn = 1
-), adc AS (
-  SELECT t.query_id, v.vec_id AS neighbor_id, sum(t.t_fp)::BIGINT AS adc_fp
-  FROM vcodes v JOIN adct t ON t.sub = v.sub AND t.code = v.code
-  GROUP BY t.query_id, v.vec_id
-), short AS (
-  SELECT query_id, neighbor_id,
-         row_number() OVER (PARTITION BY query_id
-                            ORDER BY adc_fp DESC, neighbor_id) AS rn
-  FROM adc
-)
-SELECT s.query_id,
-       row_number() OVER (PARTITION BY s.query_id ORDER BY
-         list_cosine_similarity(q.embedding, e.embedding) DESC, s.neighbor_id) AS rank,
-       s.neighbor_id
-FROM short s
-JOIN embeddings q ON q.vec_id = s.query_id
-JOIN embeddings e ON e.vec_id = s.neighbor_id
-WHERE s.rn <= {_PQ_RERANK}
-QUALIFY rank <= {_ANN_K}
-"""
-
-
-def emb_pq_recall(
-    sf_dir: str, pq_path: str | None = None, fixture_path: str | None = None
-) -> ray.data.Dataset:
-    """Recall@k of the PQ/ADC path vs the exact top-k — same materialize-
-    then-independent-SQL-baseline construction as emb_ann_ivf_recall."""
-    pq_ds = emb_pq_topk(sf_dir, fixture_path=fixture_path)
-    if pq_path is not None:
-        import os
-        import shutil
-
-        if not os.path.exists(f"{pq_path}/_SUCCESS"):
-            shutil.rmtree(pq_path, ignore_errors=True)
-            pq_ds.write_parquet(pq_path)
-            open(f"{pq_path}/_SUCCESS", "w").close()
-        pq_ds = ray.data.read_parquet(pq_path, columns=["query_id", "rank", "neighbor_id"])
-
-    def tag(src: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            return pa.Table.from_arrays(
-                [pc.cast(batch.column("query_id"), pa.int64()),
-                 pc.cast(batch.column("neighbor_id"), pa.int64()),
-                 pa.array([src] * batch.num_rows, pa.int8())],
-                names=["query_id", "neighbor_id", "src"],
-            )
-
-        return fn
-
-    both = pq_ds.map_batches(tag(0), batch_format="pyarrow").union(
-        emb_ann_topk(sf_dir).map_batches(tag(1), batch_format="pyarrow")
-    )
-
-    def hits(g: pd.DataFrame) -> pd.DataFrame:
-        a = set(g.loc[g["src"] == 0, "neighbor_id"])
-        b = set(g.loc[g["src"] == 1, "neighbor_id"])
-        return pd.DataFrame(
-            {"query_id": [int(g["query_id"].iloc[0])],
-             "n_hits": pd.Series([len(a & b)], dtype="int64"),
-             "k": pd.Series([_ANN_K], dtype="int64")}
-        )
-
-    return both.groupby("query_id").map_groups(hits, batch_format="pandas")
-
-
-def pq_recall_oracle_sql(pq_path: str) -> str:
-    return f"""
-WITH exact AS (
-  SELECT q.vec_id AS query_id, c.vec_id AS neighbor_id,
-         row_number() OVER (PARTITION BY q.vec_id ORDER BY
-           list_cosine_similarity(q.embedding, c.embedding) DESC, c.vec_id) AS rnk
-  FROM embeddings q, embeddings c
-  WHERE q.vec_id < {_ANN_N_QUERIES} AND c.vec_id >= {_ANN_N_QUERIES}
-  QUALIFY rnk <= {_ANN_K}
-), pq AS (
-  SELECT query_id, neighbor_id FROM read_parquet('{pq_path}/*.parquet')
-)
-SELECT e.query_id, count(p.neighbor_id)::BIGINT AS n_hits, {_ANN_K}::BIGINT AS k
-FROM exact e LEFT JOIN pq p
-  ON e.query_id = p.query_id AND e.neighbor_id = p.neighbor_id
-GROUP BY e.query_id
-"""
-
-
-# --------------------------------------------------------------------------- #
 # BPE-style pair statistics — the tokenizer-training primitive (one merge
 # round = argmax over these counts; the reference's vocab build is the
 # same count-then-truncate shape, Corpus/CorpusBatch.cs:98-149)
@@ -5097,77 +3719,6 @@ SELECT count(*)::BIGINT AS n_rows,
        (sum(md5_number_upper(doc_id::VARCHAR || chr(0) || text)::HUGEINT)
         % {_CHECKSUM_MOD})::BIGINT AS checksum
 FROM documents
-"""
-
-
-# --------------------------------------------------------------------------- #
-# last-writer-wins upsert merge — CDC / incremental-maintenance primitive
-
-def orders_upsert_merge(sf_dir: str) -> ray.data.Dataset:
-    """Apply a delta (updates for every o_orderkey % 7 == 0, synthesized
-    deterministically from the same table — no external data) onto the
-    base orders table, last-writer-wins by version. The merge is the
-    engine's salted co-partitioned pattern: tag + union both sides, hash
-    partition by key, one vectorized keep-max per partition. Never
-    re-sorts the base table globally; delta size governs the work."""
-    cols = ["o_orderkey", "o_orderstatus"]
-    base = ray.data.read_parquet(f"{sf_dir}/orders.parquet", columns=cols)
-
-    def tag_base(batch: pa.Table) -> pa.Table:
-        keys = np.asarray(batch.column("o_orderkey"), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [batch.column("o_orderkey"), batch.column("o_orderstatus"),
-             pa.array(np.ones(len(keys), dtype=np.int64)),
-             pa.array(_key_salt(keys))],
-            names=["o_orderkey", "o_orderstatus", "version", "salt"],
-        )
-
-    def tag_delta(batch: pa.Table) -> pa.Table:
-        keys = np.asarray(batch.column("o_orderkey"), dtype=np.int64)
-        sel = keys % 7 == 0
-        keys = keys[sel]
-        return pa.Table.from_arrays(
-            [pa.array(keys), pa.array(np.full(len(keys), "X", dtype=object)),
-             pa.array(np.full(len(keys), 2, dtype=np.int64)),
-             pa.array(_key_salt(keys))],
-            names=["o_orderkey", "o_orderstatus", "version", "salt"],
-        )
-
-    out_schema = pa.schema(
-        [("o_orderkey", pa.int64()), ("o_orderstatus", pa.string()),
-         ("version", pa.int64())]
-    )
-
-    def lww(g: pd.DataFrame) -> pa.Table:
-        if g.empty:
-            return out_schema.empty_table()
-        g = g.sort_values(["o_orderkey", "version"]).drop_duplicates(
-            ["o_orderkey"], keep="last"
-        )
-        return pa.Table.from_arrays(
-            [pa.array(g["o_orderkey"].to_numpy(np.int64)),
-             pa.array(g["o_orderstatus"].to_numpy(dtype=object)),
-             pa.array(g["version"].to_numpy(np.int64))],
-            schema=out_schema,
-        )
-
-    both = base.map_batches(tag_base, batch_format="pyarrow").union(
-        base.map_batches(tag_delta, batch_format="pyarrow")
-    )
-    return both.groupby("salt").map_groups(lww, batch_format="pandas")
-
-
-UPSERT_ORACLE_SQL = """
-WITH base AS (
-  SELECT o_orderkey, o_orderstatus, 1::BIGINT AS version FROM orders
-), delta AS (
-  SELECT o_orderkey, 'X' AS o_orderstatus, 2::BIGINT AS version
-  FROM orders WHERE o_orderkey % 7 = 0
-), u AS (
-  SELECT * FROM base UNION ALL SELECT * FROM delta
-)
-SELECT o_orderkey, o_orderstatus, version FROM u
-QUALIFY row_number() OVER (PARTITION BY o_orderkey ORDER BY version DESC) = 1
 """
 
 
