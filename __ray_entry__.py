@@ -10,8 +10,7 @@ SINGLE-PROCESS reference implementation (pipelines/oracle.py — same pure
 transforms run sequentially without Ray) materialized to Parquet and read
 via read_parquet(): the comparison therefore checks that the distributed
 execution adds no nondeterminism. Pure-SQL semantic oracles cover the
-document and event operators over the driver's ``documents`` and
-``events`` tables.
+document operators over the driver's ``documents`` table.
 
 Ray is initialised by the driver BEFORE this module is imported; nothing
 here calls ray.init()/ray.shutdown().
@@ -19,12 +18,17 @@ here calls ray.init()/ray.shutdown().
 from __future__ import annotations
 
 import os
+import re
 import zlib
 from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
 _PKG = Path(__file__).parent / "lingvo__postagger_ner_ru_dnn_ray"
+# the driver's result caches; an entry's name carries the fingerprint of the
+# code that wrote it
+_CACHE = Path("/tmp/graft_data")
+_FP_IN_NAME = re.compile(r"_([0-9a-f]{8})(?=[_.]|$)")
 
 
 def _code_fingerprint() -> str:
@@ -36,6 +40,22 @@ def _code_fingerprint() -> str:
     return f"{h:08x}"
 
 
+def _evict_stale() -> None:
+    """Delete the cache entries that other code wrote: each one whose name
+    carries a fingerprint other than the current one. Entries without a
+    fingerprint (the transcript inputs) and other scales stay."""
+    import shutil
+
+    fp = _code_fingerprint()
+    for p in _CACHE.glob("*"):
+        m = _FP_IN_NAME.search(p.name)
+        if m and m.group(1) != fp:
+            if p.is_dir():
+                shutil.rmtree(p, ignore_errors=True)
+            else:
+                p.unlink(missing_ok=True)
+
+
 def _kg_dirs(sf_dir: str) -> tuple[str, str]:
     """(ray_products_dir, oracle_dir) for this scale — both deterministic,
     cached by (n_turns, seed, code fingerprint)."""
@@ -43,8 +63,7 @@ def _kg_dirs(sf_dir: str) -> tuple[str, str]:
 
     n = max(200, int(600_000 * sf_of_dir(sf_dir)))
     fp = _code_fingerprint()
-    base = Path("/tmp/graft_data")
-    return str(base / f"kg_ray_n{n}_{fp}"), str(base / f"kg_oracle_n{n}_{fp}")
+    return str(_CACHE / f"kg_ray_n{n}_{fp}"), str(_CACHE / f"kg_oracle_n{n}_{fp}")
 
 
 def _ensure_kg_oracle(sf_dir: str) -> str:
@@ -65,6 +84,7 @@ def _ensure_kg_oracle(sf_dir: str) -> str:
         import shutil
 
         shutil.rmtree(outp)
+    _evict_stale()
     n = max(200, int(600_000 * sf_of_dir(sf_dir)))
     tables = oracle_tables(synth_transcripts_table(n, seed=42))
     outp.mkdir(parents=True, exist_ok=True)
@@ -98,6 +118,7 @@ def _ensure_kg_ray(sf_dir: str) -> str:
         import shutil
 
         shutil.rmtree(outp)
+    _evict_stale()
     path = transcripts_for_sf(sf_dir)
     run_kg_job(path, out)
     tagged_sentences(read_transcripts(path)).write_parquet(str(outp / "sentences"))
@@ -143,11 +164,10 @@ def _webjson_paths(sf_dir: str) -> tuple[str, str, str]:
 
     n = max(200, int(600_000 * sf_of_dir(sf_dir)))
     fp = _code_fingerprint()
-    base = Path("/tmp/graft_data")
     return (
-        str(base / f"webjson_reqs_n{n}_{fp}.jsonl"),
-        str(base / f"webjson_ray_n{n}_{fp}"),
-        str(base / f"webjson_oracle_n{n}_{fp}.parquet"),
+        str(_CACHE / f"webjson_reqs_n{n}_{fp}.jsonl"),
+        str(_CACHE / f"webjson_ray_n{n}_{fp}"),
+        str(_CACHE / f"webjson_oracle_n{n}_{fp}.parquet"),
     )
 
 
@@ -187,6 +207,7 @@ def _ensure_webjson_requests(sf_dir: str) -> str:
     p = Path(reqs_path)
     if p.exists():
         return reqs_path
+    _evict_stale()
     tbl = _webjson_requests_table(sf_dir)
     p.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(reqs_path + ".tmp")
@@ -216,6 +237,7 @@ def _ensure_webjson_ray(sf_dir: str) -> str:
         import shutil
 
         shutil.rmtree(outp)
+    _evict_stale()
     reqs = read_json_requests(_ensure_webjson_requests(sf_dir))
     tag_requests(reqs, model_type="ner").write_parquet(out)
     (outp / "_SUCCESS").touch()
@@ -234,6 +256,7 @@ def _ensure_webjson_oracle(sf_dir: str) -> str:
     p = Path(orc)
     if p.exists():
         return orc
+    _evict_stale()
     out = webjson_batch(_webjson_requests_table(sf_dir), model_type="ner")
     p.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(orc + ".tmp")
@@ -326,6 +349,7 @@ def _kg_edges_artifact(sf_dir: str):
     from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import transcripts_for_sf
 
     out = _kg_dirs(sf_dir)[0] + "_artifact"
+    _evict_stale()
     run_kg_job(transcripts_for_sf(sf_dir), out, artifact_dir=ensure_default_artifacts())
     return _global_edges(out)
 
@@ -333,9 +357,9 @@ def _kg_edges_artifact(sf_dir: str):
 def queries() -> dict[str, Callable[[str], Any]]:
     """One callable per operator, keyed by name; each takes ``sf_dir``.
     The nine ``kg_*`` / ``seqlabel_f1`` / ``web_json_tagged`` entries run
-    the KG job and its boundaries; the rest are the document and event
-    operators of ``stages/dataops.py`` (dedup, similarity, statistics and
-    windowing). Order carries no meaning.
+    the KG job and its boundaries; the rest are the document operators of
+    ``stages/dataops.py`` (dedup, similarity and statistics). Order carries
+    no meaning.
     """
     from lingvo__postagger_ner_ru_dnn_ray.stages import dataops as d
 
@@ -358,18 +382,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_token_hll_registers": d.doc_token_hll_registers,
         "doc_token_freq": d.doc_token_freq,
         "doc_decontaminate": d.doc_decontaminate,
-        "events_window_sliding": d.events_window_sliding,
         "doc_bm25_topk": d.doc_bm25_topk,
         "doc_dedup_exact": d.doc_dedup_exact,
-        "events_value_quantiles": d.events_value_quantiles,
         "doc_charlm_ppl": d.doc_charlm_ppl,
         "doc_token_cms_estimate": d.doc_token_cms_estimate,
         "doc_token_heavy_hitters": d.doc_token_heavy_hitters,
-        "events_window": d.events_window,
         "doc_tfidf_topk": d.doc_tfidf_topk,
-        "events_sessions": d.events_sessions,
         "doc_dup_spans": d.doc_dup_spans,
-        "events_user_cumsum": d.events_user_cumsum,
         "doc_jaccard_pairs": d.doc_jaccard_pairs,
         "doc_clean_corpus": d.doc_clean_corpus,
         "doc_jaccard_join_prefix": d.doc_jaccard_join_prefix,
@@ -385,20 +404,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_token_hll_estimate": d.doc_token_hll_estimate,
         "doc_rep_ngram_signals": d.doc_rep_ngram_signals,
         "doc_bpe_pair_counts": d.doc_bpe_pair_counts,
-        "events_daily_hll_registers": d.events_daily_hll_registers,
-        "events_props_extract": d.events_props_extract,
-        "events_top_users": d.events_top_users,
-        "events_user_type_set": d.events_user_type_set,
         "doc_posting_lists": d.doc_posting_lists,
-        "events_type_pivot": d.events_type_pivot,
-        "events_attribution": d.events_attribution,
-        "events_daily_hll_estimate": d.events_daily_hll_estimate,
-        "events_distinct_users": d.events_distinct_users,
-        "events_retention_cohorts": d.events_retention_cohorts,
-        "events_funnel": d.events_funnel,
-        "events_percent_rank": d.events_percent_rank,
-        "events_user_rolling": d.events_user_rolling,
-        "events_type_transitions": d.events_type_transitions,
     }
 
 
@@ -430,16 +436,6 @@ def _dataops_sql() -> dict[str, str]:
         "doc_minhash_pairs": d.minhash_oracle_sql(),
         "doc_dedup_minhash": d.dedup_minhash_oracle_sql(),
         "doc_clean_corpus": d.clean_corpus_oracle_sql(),
-        "events_window_sliding": (
-            "WITH x AS (SELECT event_type, epoch_us(ts) AS t, "
-            "cast(round(value*100) AS BIGINT) AS cents FROM events), "
-            "w AS (SELECT event_type, "
-            "((t // 900000000) * 900000000 - i * 900000000) AS ws, cents "
-            "FROM x, generate_series(0, 3) g(i)) "
-            "SELECT event_type, make_timestamp(ws) AS window_start, "
-            "sum(cents)::BIGINT AS sum_cents, count(*)::BIGINT AS n_events "
-            "FROM w GROUP BY event_type, ws"
-        ),
         "doc_simhash": d.SIMHASH_ORACLE_SQL,
         "doc_simhash_neardup_pairs": d.SIMHASH_NEARDUP_ORACLE_SQL,
         "doc_fingerprint": d.FINGERPRINT_ORACLE_SQL,
@@ -487,62 +483,14 @@ def _dataops_sql() -> dict[str, str]:
             "SELECT unnest(string_split(text,' ')) AS token FROM documents) "
             "GROUP BY token ORDER BY freq DESC, token LIMIT 100"
         ),
-        "events_window": (
-            "SELECT user_id, event_type, date_trunc('hour', ts) AS window_start, "
-            "sum(cast(round(value*100) AS BIGINT))::BIGINT AS sum_cents, "
-            "count(*)::BIGINT AS n_events "
-            "FROM events GROUP BY user_id, event_type, date_trunc('hour', ts)"
-        ),
-        "events_sessions": (
-            "WITH x AS (SELECT user_id, ts, CASE WHEN "
-            "lag(ts) OVER (PARTITION BY user_id ORDER BY ts) IS NULL OR "
-            "ts - lag(ts) OVER (PARTITION BY user_id ORDER BY ts) > INTERVAL 30 MINUTE "
-            "THEN 1 ELSE 0 END AS brk FROM events), "
-            "y AS (SELECT user_id, ts, sum(brk) OVER (PARTITION BY user_id ORDER BY ts "
-            "ROWS UNBOUNDED PRECEDING) AS sess FROM x) "
-            "SELECT user_id, min(ts) AS session_start, max(ts) AS session_end, "
-            "count(*)::BIGINT AS n_events FROM y GROUP BY user_id, sess"
-        ),
-        "events_top_users": (
-            "SELECT user_id, count(*)::BIGINT AS n_events FROM events "
-            "GROUP BY user_id ORDER BY n_events DESC, user_id LIMIT 20"
-        ),
         "doc_sample": d.doc_sample_oracle_sql(),
-        "events_user_cumsum": (
-            "SELECT user_id, ts, sum(cents) OVER (PARTITION BY user_id ORDER BY ts "
-            "ROWS UNBOUNDED PRECEDING)::BIGINT AS cum_cents FROM ("
-            "SELECT user_id, ts, sum(cast(round(value*100) AS BIGINT)) AS cents "
-            "FROM events GROUP BY user_id, ts)"
-        ),
-        "events_value_quantiles": (
-            "SELECT event_type, quantile_disc(cents, 0.50)::BIGINT AS p50_cents, "
-            "quantile_disc(cents, 0.90)::BIGINT AS p90_cents, "
-            "quantile_disc(cents, 0.99)::BIGINT AS p99_cents FROM ("
-            "SELECT event_type, cast(round(value*100) AS BIGINT) AS cents FROM events) "
-            "GROUP BY event_type"
-        ),
         "doc_jaccard_join_prefix": d.prefix_join_oracle_sql(),
-        "events_attribution": d.ATTRIBUTION_ORACLE_SQL,
-        "events_funnel": d.FUNNEL_ORACLE_SQL,
-        "events_distinct_users": (
-            "SELECT event_type, count(DISTINCT user_id)::BIGINT AS n_users "
-            "FROM events GROUP BY event_type"
-        ),
         "doc_sample_stratified": d.stratified_sample_oracle_sql(),
         "doc_token_hll_registers": d.HLL_REGISTERS_ORACLE_SQL,
         "doc_token_hll_estimate": d.HLL_ESTIMATE_ORACLE_SQL,
-        "events_daily_hll_registers": d.DAILY_HLL_REGISTERS_ORACLE_SQL,
-        "events_daily_hll_estimate": d.DAILY_HLL_ESTIMATE_ORACLE_SQL,
-        "events_props_extract": d.PROPS_EXTRACT_ORACLE_SQL,
-        "events_percent_rank": d.PERCENT_RANK_ORACLE_SQL,
-        "events_type_pivot": d.pivot_oracle_sql(),
-        "events_user_rolling": d.ROLLING_ORACLE_SQL,
-        "events_retention_cohorts": d.RETENTION_ORACLE_SQL,
-        "events_user_type_set": d.TYPE_SET_ORACLE_SQL,
         "doc_posting_lists": d.POSTING_LISTS_ORACLE_SQL,
         "doc_bpe_pair_counts": d.BPE_PAIR_ORACLE_SQL,
         "doc_table_checksum": d.TABLE_CHECKSUM_ORACLE_SQL,
-        "events_type_transitions": d.TYPE_TRANSITIONS_ORACLE_SQL,
         "doc_token_cms_registers": d.CMS_REGISTERS_ORACLE_SQL,
         "doc_token_cms_estimate": d.CMS_ESTIMATE_ORACLE_SQL,
         "doc_token_heavy_hitters": d.HEAVY_HITTERS_ORACLE_SQL,

@@ -47,13 +47,3 @@ class Vocab:
         if vocab_size is not None:
             items = items[: max(0, vocab_size - START_MEANING_INDEX)]
         return cls(w for w, _ in items)
-
-    def to_dict(self) -> dict[str, int]:
-        return dict(self.word_to_index)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, int]) -> "Vocab":
-        v = cls.__new__(cls)
-        v.word_to_index = dict(d)
-        v.index_to_word = {i: w for w, i in d.items()}
-        return v

@@ -10,7 +10,6 @@ single-threaded console path (ConsoleDemo/Program.cs:243-315).
 from __future__ import annotations
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..stages.conflate import edge_partials, node_partials
 from ..stages.kernel import Kernel, linked_table, sentence_table, turn_keys
@@ -40,11 +39,3 @@ def oracle_tables(transcripts: pa.Table) -> dict[str, pa.Table]:
         "edges": edges,
         "nodes": nodes,
     }
-
-
-def pos_label_counts(sents: pa.Table) -> pa.Table:
-    """Token count per corrected POS label (validation-metric shaped)."""
-    flat = pc.list_flatten(sents.column("pos"))
-    t = pa.Table.from_arrays([flat], names=["pos"])
-    g = t.group_by(["pos"]).aggregate([([], "count_all")])
-    return g.rename_columns(["pos", "n_tokens"]).sort_by([("pos", "ascending")])

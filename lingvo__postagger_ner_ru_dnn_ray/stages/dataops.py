@@ -1,14 +1,13 @@
-"""Large-scale training-data operations over the driver's generic tables
-(documents / events).
+"""Large-scale training-data operations over the driver's ``documents``
+table.
 
 These are the first-class data-pipeline operators a 100 TB corpus engine
 needs beyond the reference's NLP stages: deduplication (exact, n-gram
 Jaccard, MinHash+LSH, SimHash), lexical similarity and retrieval (prefix
-Jaccard join, TF-IDF, BM25), text analysis (language-ID, quality scoring,
-token counting, fingerprinting, sketches), and windowed/sessionized event
-aggregation. Every operator is a streaming ``map_batches`` composition with
-explicit partial-aggregation before any shuffle; small sides are broadcast
-with ``ray.put``.
+Jaccard join, TF-IDF, BM25) and text analysis (language-ID, quality
+scoring, token counting, fingerprinting, sketches). Every operator is a
+streaming ``map_batches`` composition with explicit partial-aggregation
+before any shuffle; small sides are broadcast with ``ray.put``.
 """
 from __future__ import annotations
 
@@ -31,10 +30,6 @@ from ..functions.hashing import _md5_u64
 
 def _docs(sf_dir: str, columns=None) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
-
-
-def _cents(x) -> pa.Array:
-    return pc.cast(pc.round(pc.multiply(x, 100.0)), pa.int64())
 
 
 # --------------------------------------------------------------------------- #
@@ -865,148 +860,7 @@ FROM fps GROUP BY doc_id
 
 
 # --------------------------------------------------------------------------- #
-# event-stream shaped: tumbling window + gap sessionization
-
-def events_window(sf_dir: str) -> ray.data.Dataset:
-    """Tumbling 1-hour window per (user, event_type): count + value cents."""
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts", "value"]
-    )
-
-    def partials(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch.column("ts"), unit="hour")
-        t = pa.Table.from_arrays(
-            [batch.column("user_id"), batch.column("event_type"), hour,
-             _cents(batch.column("value"))],
-            names=["user_id", "event_type", "window_start", "cents"],
-        )
-        g = t.group_by(["user_id", "event_type", "window_start"]).aggregate(
-            [("cents", "sum"), ([], "count_all")]
-        )
-        return g.rename_columns(
-            ["user_id", "event_type", "window_start", "sum_cents", "n_events"]
-        )
-
-    part = ev.map_batches(partials, batch_format="pyarrow")
-    return part.groupby(["user_id", "event_type", "window_start"]).aggregate(
-        Sum("sum_cents", alias_name="sum_cents"), Sum("n_events", alias_name="n_events")
-    )
-
-
-_SESSION_GAP_US = 30 * 60 * 1_000_000
-
-
-_SESSION_BUCKET_US = 24 * 3600 * 1_000_000  # 1 day ≫ the 30-min gap
-
-
-def _user_hash_salt(users, mix: np.ndarray | None = None) -> np.ndarray:
-    """Deterministic salt for user keys (int64 multiply-hash),
-    optionally mixed with a second int key (bucket)."""
-    uh = np.asarray(users, dtype=np.int64).astype(np.uint64) * np.uint64(
-        0x9E3779B97F4A7C15
-    )
-    if mix is not None:
-        uh = uh ^ mix.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
-    return ((uh >> np.uint64(17)) % np.uint64(_JOIN_SALTS)).astype(np.int64)
-
-
-def events_sessions(sf_dir: str) -> ray.data.Dataset:
-    """Gap-based sessionization (30 min) per user — scale-safe two-phase:
-
-    Phase 1 sessionizes within (user_id, day-bucket) cells so no step ever
-    holds a whole user's history (a hot bot with 10^8 events spreads over
-    its days); cells are processed in _JOIN_SALTS hash partitions (the
-    scale knob: ≈ 16-32 × cluster cores keeps a partition block-sized)
-    with a fully VECTORIZED multi-cell sessionizer inside. Phase 2 merges
-    bucket-boundary sessions per user; its input is SESSION rows, bounded
-    by bucket_len/gap = 48 rows per user-day regardless of event volume.
-    Interval-merging maximal within-bucket sessions under the same gap
-    rule is exactly event-level sessionization: two adjacent sessions
-    merge iff next.start − cur.end ≤ gap, the same predicate the
-    event-level pass applies at that boundary."""
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        ts_us = pc.cast(batch.column("ts"), pa.int64())
-        bucket = pc.divide(ts_us, _SESSION_BUCKET_US)
-        salt = _user_hash_salt(np.asarray(batch.column("user_id")), np.asarray(bucket))
-        return pa.Table.from_arrays(
-            [batch.column("user_id"), batch.column("ts"), bucket, pa.array(salt)],
-            names=["user_id", "ts", "bucket", "salt"],
-        )
-
-    def bucket_sessions(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized over every (user, bucket) cell in this partition
-        g = g.sort_values(["user_id", "bucket", "ts"]).reset_index(drop=True)
-        ts_us = g["ts"].astype("int64").to_numpy()
-        u = g["user_id"].to_numpy()
-        b = g["bucket"].to_numpy()
-        brk = np.ones(len(g), dtype=bool)
-        if len(g) > 1:
-            same_cell = (u[1:] == u[:-1]) & (b[1:] == b[:-1])
-            brk[1:] = ~(same_cell & ((ts_us[1:] - ts_us[:-1]) <= _SESSION_GAP_US))
-        sid = brk.cumsum()
-        out = g.groupby(sid).agg(
-            user_id=("user_id", "first"), session_start=("ts", "min"),
-            session_end=("ts", "max"), n_events=("ts", "count"),
-        )
-        out["n_events"] = out["n_events"].astype("int64")
-        return out.reset_index(drop=True)
-
-    def add_user_salt(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return pa.schema(
-                [("user_id", pa.int64()), ("session_start", pa.timestamp("us")),
-                 ("session_end", pa.timestamp("us")), ("n_events", pa.int64()),
-                 ("salt", pa.int64())]
-            ).empty_table()
-        users = np.asarray(batch.column("user_id"))
-        return batch.append_column("salt", pa.array(_user_hash_salt(users)))
-
-    def merge_user_sessions(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized over every user in this partition: per-user running
-        # max end, per-user shift, gap predicate
-        g = g.sort_values(["user_id", "session_start"]).reset_index(drop=True)
-        end_us = g["session_end"].astype("int64")
-        cm = end_us.groupby(g["user_id"], sort=False).cummax()
-        prev_end = cm.groupby(g["user_id"], sort=False).shift(1)
-        start_us = g["session_start"].astype("int64")
-        brk = (start_us - prev_end.fillna(-(1 << 62))) > _SESSION_GAP_US
-        sid = brk.cumsum()
-        out = g.groupby(sid).agg(
-            user_id=("user_id", "first"), session_start=("session_start", "min"),
-            session_end=("session_end", "max"), n_events=("n_events", "sum"),
-        )
-        out["n_events"] = out["n_events"].astype("int64")
-        return out.reset_index(drop=True)
-
-    part = (
-        ev.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(bucket_sessions, batch_format="pandas")
-        .map_batches(add_user_salt, batch_format="pyarrow")
-    )
-    return (
-        part.groupby("salt")
-        .map_groups(merge_user_sessions, batch_format="pandas")
-    )
-
-
-# --------------------------------------------------------------------------- #
-# additional coverage (all integer-exact vs the SQL oracles)
-
-def events_top_users(sf_dir: str, k: int = 20) -> ray.data.Dataset:
-    """Top-k users by event count (partial count -> groupby -> sort/limit)."""
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-
-    def partials(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["user_id"]).aggregate([([], "count_all")])
-        return g.rename_columns(["user_id", "n_events"])
-
-    part = ev.map_batches(partials, batch_format="pyarrow")
-    agg = part.groupby("user_id").aggregate(Sum("n_events", alias_name="n_events"))
-    return agg.sort(["n_events", "user_id"], descending=[True, False]).limit(k)
-
+# near-duplicate removal and corpus cleaning (integer-exact vs the SQL oracles)
 
 _DEDUP_KEEP_THRESHOLD = 50  # jaccard % above which doc_b is dropped
 
@@ -1161,57 +1015,6 @@ SELECT doc_id FROM documents WHERE doc_id NOT IN (SELECT doc_id FROM dropped)
 
 
 # --------------------------------------------------------------------------- #
-# sliding (hopping) windows — each event lands in window_len/hop windows
-
-_SLIDE_WINDOW_US = 3600 * 1_000_000
-_SLIDE_HOP_US = 900 * 1_000_000  # 15 min -> 4 windows per event
-
-
-def events_window_sliding(sf_dir: str) -> ray.data.Dataset:
-    """1-hour windows hopping every 15 min per event_type: map_batches
-    REPLICATES each event into its window_len/hop = 4 windows (vectorized
-    repeat + offset arithmetic), partial-aggregates per batch, then a
-    small groupby — the standard stream-processing hop expansion with the
-    combine still ahead of the shuffle."""
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
-    k = _SLIDE_WINDOW_US // _SLIDE_HOP_US
-
-    def partials(batch: pa.Table) -> pa.Table:
-        ts_us = np.asarray(pc.cast(batch.column("ts"), pa.int64()))
-        cents = np.asarray(_cents(batch.column("value")))
-        types = batch.column("event_type").to_pylist()
-        # window starts: the k hop-aligned starts whose window covers ts
-        base = (ts_us // _SLIDE_HOP_US) * _SLIDE_HOP_US
-        offs = (np.arange(k, dtype=np.int64) * _SLIDE_HOP_US)[None, :]
-        starts = (base[:, None] - offs).reshape(-1)  # [n*k]
-        t = pa.Table.from_arrays(
-            [pa.array(np.repeat(np.array(types, dtype=object), k)),
-             pa.array(starts, pa.int64()),
-             pa.array(np.repeat(cents, k), pa.int64())],
-            names=["event_type", "window_start_us", "cents"],
-        )
-        g = t.group_by(["event_type", "window_start_us"]).aggregate(
-            [("cents", "sum"), ([], "count_all")]
-        )
-        return g.rename_columns(["event_type", "window_start_us", "sum_cents", "n_events"])
-
-    part = ev.map_batches(partials, batch_format="pyarrow")
-    agg = part.groupby(["event_type", "window_start_us"]).aggregate(
-        Sum("sum_cents", alias_name="sum_cents"), Sum("n_events", alias_name="n_events")
-    )
-
-    def to_ts(batch: pa.Table) -> pa.Table:
-        ws = pc.cast(batch.column("window_start_us"), pa.timestamp("us"))
-        return pa.Table.from_arrays(
-            [batch.column("event_type"), ws, batch.column("sum_cents"),
-             batch.column("n_events")],
-            names=["event_type", "window_start", "sum_cents", "n_events"],
-        )
-
-    return agg.map_batches(to_ts, batch_format="pyarrow")
-
-
-# --------------------------------------------------------------------------- #
 # deterministic hash sampling — resumable, RNG-free corpus subsetting
 
 _SAMPLE_PCT = 10
@@ -1248,320 +1051,6 @@ def doc_sample_oracle_sql() -> str:
         "WHERE ((((doc_id::HUGEINT * 11400714819323198485) % 18446744073709551616)"
         f" // 8589934592) % 100)::BIGINT < {_SAMPLE_PCT}"
     )
-
-
-# --------------------------------------------------------------------------- #
-# distributed prefix sum: running per-user total ordered by time
-
-def events_user_cumsum(sf_dir: str) -> ray.data.Dataset:
-    """Cumulative value-cents per user ordered by ts — the distributed
-    prefix-sum pattern: (1) aggregate per distinct (user, ts) and cumsum
-    within each (user, day-bucket) cell; (2) per user, exclusive
-    prefix-sum the per-bucket totals (input bounded by #buckets, not
-    #events); (3) co-partitioned merge adds each bucket's offset back to
-    its rows. Rows are aggregated at (user, ts) so ties in ts can't make
-    the running total order-dependent. Every phase runs over _JOIN_SALTS
-    hash partitions with a vectorized multi-cell interior — per-group
-    Python dispatch is O(partitions)."""
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        ts_us = pc.cast(batch.column("ts"), pa.int64())
-        bucket = pc.divide(ts_us, _SESSION_BUCKET_US)
-        salt = _user_hash_salt(np.asarray(batch.column("user_id")), np.asarray(bucket))
-        return pa.Table.from_arrays(
-            [batch.column("user_id"), batch.column("ts"), bucket,
-             _cents(batch.column("value")), pa.array(salt)],
-            names=["user_id", "ts", "bucket", "cents", "salt"],
-        )
-
-    def bucket_cumsum(g: pd.DataFrame) -> pd.DataFrame:
-        # all (user, bucket) cells of this partition, vectorized
-        per_ts = (
-            g.groupby(["user_id", "bucket", "ts"], sort=True)["cents"]
-            .sum()
-            .reset_index()
-        )
-        per_ts["in_bucket_cum"] = (
-            per_ts.groupby(["user_id", "bucket"], sort=False)["cents"].cumsum()
-        )
-        return pd.DataFrame({
-            "user_id": per_ts["user_id"],
-            "bucket": per_ts["bucket"].astype("int64"),
-            "ts": per_ts["ts"],
-            "in_bucket_cum": per_ts["in_bucket_cum"].astype("int64"),
-        })
-
-    rows_schema = pa.schema(
-        [("user_id", pa.int64()), ("bucket", pa.int64()),
-         ("ts", pa.timestamp("us")), ("in_bucket_cum", pa.int64())]
-    )
-
-    def rows_to_arrow(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return rows_schema.empty_table()
-        return batch.select(rows_schema.names).cast(rows_schema)
-
-    rows = (
-        ev.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(bucket_cumsum, batch_format="pandas")
-        .map_batches(rows_to_arrow, batch_format="pyarrow")
-    )
-
-    # per-bucket totals (partial per batch) -> per-user exclusive prefix
-    def bucket_totals(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        tot = df.groupby(["user_id", "bucket"], sort=False)["in_bucket_cum"].max().reset_index()
-        users = tot["user_id"].to_numpy(dtype=np.int64)
-        return pa.Table.from_arrays(
-            [pa.array(users), pa.array(tot["bucket"], pa.int64()),
-             pa.array(tot["in_bucket_cum"], pa.int64()),
-             pa.array(_user_hash_salt(users))],
-            names=["user_id", "bucket", "total", "salt"],
-        )
-
-    def user_offsets(g: pd.DataFrame) -> pd.DataFrame:
-        # all users of this partition, vectorized per-user prefix.
-        # bucket_totals emits PER-BATCH partial maxes, so a (user, bucket)
-        # cell split across map_batches batches yields duplicate rows —
-        # collapse to the true per-bucket max first (safe: the salt is by
-        # user, so every partial of a user's bucket lands in this group).
-        g = g.groupby(["user_id", "bucket"], as_index=False)["total"].max()
-        t = g.sort_values(["user_id", "bucket"]).reset_index(drop=True)
-        cum = t.groupby("user_id", sort=False)["total"].cumsum()
-        off = (cum - t["total"]).astype("int64")  # exclusive prefix
-        users = t["user_id"].to_numpy(dtype=np.int64)
-        buckets = t["bucket"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({
-            "user_id": t["user_id"],
-            "bucket": pd.Series(buckets, dtype="int64"),
-            "offset": off,
-            "salt2": pd.Series(
-                _user_hash_salt(users, buckets), dtype="int64"
-            ),
-        })
-
-    off_schema = pa.schema(
-        [("user_id", pa.int64()), ("bucket", pa.int64()), ("offset", pa.int64()),
-         ("salt2", pa.int64())]
-    )
-
-    def off_to_arrow(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return off_schema.empty_table()
-        return batch.select(off_schema.names).cast(off_schema)
-
-    offsets = (
-        rows.map_batches(bucket_totals, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(user_offsets, batch_format="pandas")
-        .map_batches(off_to_arrow, batch_format="pyarrow")
-    )
-
-    # merge offset into rows, co-partitioned on salt(user, bucket)
-    def tag_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        salt = _user_hash_salt(
-            np.asarray(batch.column("user_id")), np.asarray(batch.column("bucket"))
-        )
-        return pa.Table.from_arrays(
-            [batch.column("user_id"), batch.column("bucket"), pa.array(salt),
-             pa.array([0] * n, pa.int8()), batch.column("ts"),
-             batch.column("in_bucket_cum")],
-            names=["user_id", "bucket", "salt", "kind", "ts", "val"],
-        )
-
-    def tag_offsets(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.Table.from_arrays(
-            [batch.column("user_id"), batch.column("bucket"),
-             batch.column("salt2"), pa.array([1] * n, pa.int8()),
-             pa.nulls(n, pa.timestamp("us")), batch.column("offset")],
-            names=["user_id", "bucket", "salt", "kind", "ts", "val"],
-        )
-
-    def add_offset(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized merge over all (user, bucket) cells of the partition
-        off = g[g["kind"] == 1][["user_id", "bucket", "val"]].rename(
-            columns={"val": "offset"}
-        )
-        r = g[g["kind"] == 0]
-        if r.empty:
-            return pd.DataFrame({
-                "user_id": pd.Series([], dtype="int64"),
-                "ts": pd.Series([], dtype="datetime64[us]"),
-                "cum_cents": pd.Series([], dtype="int64"),
-            })
-        m = r.merge(off, on=["user_id", "bucket"], how="left")
-        return pd.DataFrame({
-            "user_id": m["user_id"],
-            "ts": m["ts"],
-            "cum_cents": (m["val"] + m["offset"].fillna(0)).astype("int64"),
-        })
-
-    both = rows.map_batches(tag_rows, batch_format="pyarrow").union(
-        offsets.map_batches(tag_offsets, batch_format="pyarrow")
-    )
-    return both.groupby("salt").map_groups(add_offset, batch_format="pandas")
-
-
-# --------------------------------------------------------------------------- #
-# exact quantiles from a distributed value histogram (no global sort)
-
-_QUANTILES = (50, 90, 99)
-
-
-def events_value_quantiles(sf_dir: str) -> ray.data.Dataset:
-    """p50/p90/p99 of value-cents per event_type, EXACTLY, without a
-    global sort: per-batch (event_type, cents) partial counts → groupby
-    sum (histogram; bounded by distinct cents per type) → per-type
-    quantile walk over the sorted histogram. Matches DuckDB quantile_disc
-    (element at index ceil(q·n)−1)."""
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-
-    def partials(batch: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
-            [batch.column("event_type"), _cents(batch.column("value"))],
-            names=["event_type", "cents"],
-        )
-        g = t.group_by(["event_type", "cents"]).aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "cents", "n"])
-
-    hist = (
-        ev.map_batches(partials, batch_format="pyarrow")
-        .groupby(["event_type", "cents"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-    def quantiles(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("cents").reset_index(drop=True)
-        counts = g["n"].to_numpy()
-        cum = counts.cumsum()
-        n = int(cum[-1])
-        out = {"event_type": [g["event_type"].iloc[0]]}
-        for q in _QUANTILES:
-            idx = max(0, -(-q * n // 100) - 1)  # ceil(q*n/100) - 1
-            pos = int(np.searchsorted(cum, idx + 1))
-            out[f"p{q}_cents"] = [int(g["cents"].iloc[pos])]
-        df = pd.DataFrame(out)
-        for q in _QUANTILES:
-            df[f"p{q}_cents"] = df[f"p{q}_cents"].astype("int64")
-        return df
-
-    return hist.groupby("event_type").map_groups(quantiles, batch_format="pandas")
-
-
-def events_percent_rank(sf_dir: str) -> ray.data.Dataset:
-    """percent_rank() over every event row WITHOUT a global sort — the
-    window-function emulation at scale: the same bounded value histogram
-    events_value_quantiles builds becomes a broadcast (value → min-rank)
-    table, and ranking is then a zero-shuffle per-batch merge. Driver
-    pull is O(distinct (type, cents)) — price-like columns have bounded
-    level sets, never O(rows). Integer-exact: pr_micro =
-    (rank−1)·10⁶ // (n−1), ties share the min rank (SQL rank())."""
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
-    )
-
-    def partials(batch: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
-            [batch.column("event_type"), _cents(batch.column("value"))],
-            names=["event_type", "cents"],
-        )
-        g = t.group_by(["event_type", "cents"]).aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "cents", "n"])
-
-    hist = (
-        ev.map_batches(partials, batch_format="pyarrow")
-        .groupby(["event_type", "cents"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # O(distinct (type, cents)) rows — see docstring
-        .sort_values(["event_type", "cents"])
-        .reset_index(drop=True)
-    )
-    cum = hist.groupby("event_type")["n"].cumsum() - hist["n"]
-    tot = hist.groupby("event_type")["n"].transform("sum")
-    lut = pd.DataFrame({
-        "event_type": hist["event_type"], "cents": hist["cents"],
-        "rank": (cum + 1).astype("int64"), "n_tot": tot.astype("int64"),
-    })
-    lut_ref = ray.put(lut)
-
-    out_schema = pa.schema(
-        [("event_id", pa.int64()), ("event_type", pa.string()),
-         ("cents", pa.int64()), ("pr_micro", pa.int64())]
-    )
-
-    def rank_batch(batch: pa.Table) -> pa.Table:
-        lut = ray.get(lut_ref)
-        df = pd.DataFrame({
-            "event_id": np.asarray(batch.column("event_id"), dtype=np.int64),
-            "event_type": batch.column("event_type").to_pylist(),
-            "cents": np.asarray(_cents(batch.column("value")), dtype=np.int64),
-        })
-        m = df.merge(lut, on=["event_type", "cents"], how="left")
-        denom = np.maximum(m["n_tot"].to_numpy(np.int64) - 1, 1)
-        pr = (m["rank"].to_numpy(np.int64) - 1) * 1_000_000 // denom
-        return pa.Table.from_arrays(
-            [pa.array(m["event_id"].to_numpy(np.int64)),
-             pa.array(m["event_type"].to_numpy(dtype=object)),
-             pa.array(m["cents"].to_numpy(np.int64)), pa.array(pr)],
-            schema=out_schema,
-        )
-
-    return ev.map_batches(rank_batch, batch_format="pyarrow")
-
-
-_PIVOT_TYPES = ("click", "error", "purchase", "signup", "view")
-
-
-def events_type_pivot(sf_dir: str) -> ray.data.Dataset:
-    """Pivot the event log wide: one row per user, one count column per
-    event type (fixed column set — schemas are static in a distributed
-    pipeline). Conditional partial sums inside the batch, then one
-    groupby over ≤|users| partial rows; no per-type passes."""
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
-    cols = [f"n_{t}" for t in _PIVOT_TYPES]
-
-    def partials(batch: pa.Table) -> pa.Table:
-        et = batch.column("event_type")
-        arrays = [batch.column("user_id")]
-        for t in _PIVOT_TYPES:
-            arrays.append(pc.cast(pc.equal(et, t), pa.int64()))
-        arrays.append(pa.array(np.ones(batch.num_rows, dtype=np.int64)))
-        t = pa.Table.from_arrays(arrays, names=["user_id"] + cols + ["n_total"])
-        return t.group_by(["user_id"]).aggregate(
-            [(c, "sum") for c in cols + ["n_total"]]
-        ).rename_columns(["user_id"] + cols + ["n_total"])
-
-    return (
-        ev.map_batches(partials, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(*[Sum(c, alias_name=c) for c in cols + ["n_total"]])
-    )
-
-
-def pivot_oracle_sql() -> str:
-    sums = ", ".join(
-        f"sum((event_type = '{t}')::BIGINT)::BIGINT AS n_{t}" for t in _PIVOT_TYPES
-    )
-    return (
-        f"SELECT user_id, {sums}, count(*)::BIGINT AS n_total "
-        "FROM events GROUP BY user_id"
-    )
-
-
-PERCENT_RANK_ORACLE_SQL = """
-SELECT event_id, event_type, cents,
-  ((rank() OVER (PARTITION BY event_type ORDER BY cents) - 1) * 1000000
-   // greatest(count(*) OVER (PARTITION BY event_type) - 1, 1))::BIGINT
-    AS pr_micro
-FROM (SELECT event_id, event_type,
-             cast(round(value*100) AS BIGINT) AS cents FROM events)
-"""
 
 
 # --------------------------------------------------------------------------- #
@@ -1691,152 +1180,6 @@ GROUP BY doc_id
 
 
 # --------------------------------------------------------------------------- #
-# as-of (temporal attribution) join — an operator Ray Data has no built-in for
-
-def events_attribution(sf_dir: str) -> ray.data.Dataset:
-    """Backward as-of join: each *purchase* event is matched to the most
-    recent *click* of the same user STRICTLY before it (classic marketing
-    attribution; the general shape is the financial tick as-of join).
-
-    Ray Data has no as-of join, and a naive approach would global-sort
-    the whole stream. Instead both sides are hash-co-partitioned on
-    salt(user_id) — ONE bounded shuffle — and each partition runs a
-    vectorized ``pd.merge_asof`` over its users (sorted within the
-    partition only). Ties (two clicks at the same microsecond) break
-    deterministically to the larger event_id, matching the SQL oracle's
-    window ordering. At 100 TB the same pipeline adds a coarse time-range
-    sub-key to the salt so a partition holds (user × time-slice), exactly
-    like events_sessions' (user, day-bucket) cells."""
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
-    )
-
-    def prep(batch: pa.Table) -> pa.Table:
-        t = batch.filter(
-            pc.is_in(batch.column("event_type"),
-                     value_set=pa.array(["click", "purchase"]))
-        )
-        uid = np.asarray(t.column("user_id"), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [t.column("event_id"),
-             pc.cast(pc.cast(t.column("ts"), pa.timestamp("us")), pa.int64()),
-             t.column("user_id"),
-             pa.array(_key_salt(uid)),
-             pc.equal(t.column("event_type"), "purchase")],
-            names=["event_id", "ts_us", "user_id", "salt", "is_purchase"],
-        )
-
-    out_schema = pa.schema(
-        [("purchase_event_id", pa.int64()), ("user_id", pa.int64()),
-         ("purchase_ts_us", pa.int64()), ("click_event_id", pa.int64()),
-         ("lag_us", pa.int64())]
-    )
-
-    def asof(g: pd.DataFrame) -> pd.DataFrame:
-        cols = ["purchase_event_id", "user_id", "purchase_ts_us",
-                "click_event_id", "lag_us"]
-        p = (
-            g[g["is_purchase"]]
-            .sort_values(["ts_us", "event_id"])
-            .rename(columns={"event_id": "purchase_event_id",
-                             "ts_us": "purchase_ts_us"})
-            [["purchase_event_id", "user_id", "purchase_ts_us"]]
-        )
-        if p.empty:
-            return pd.DataFrame({c: pd.Series([], dtype="int64") for c in cols})
-        c = (
-            g[~g["is_purchase"]]
-            .sort_values(["ts_us", "event_id"])  # ties -> last = max event_id
-            .rename(columns={"event_id": "click_event_id",
-                             "ts_us": "click_ts_us"})
-            [["click_event_id", "user_id", "click_ts_us"]]
-        )
-        if c.empty:
-            m = p.assign(click_event_id=np.nan, click_ts_us=np.nan)
-        else:
-            m = pd.merge_asof(
-                p, c, left_on="purchase_ts_us", right_on="click_ts_us",
-                by="user_id", direction="backward", allow_exact_matches=False,
-            )
-        m["lag_us"] = m["purchase_ts_us"] - m["click_ts_us"]
-        for col in ("purchase_event_id", "user_id", "purchase_ts_us"):
-            m[col] = m[col].astype("int64")
-        for col in ("click_event_id", "lag_us"):
-            m[col] = m[col].astype("Int64")  # nullable: purchases w/o click
-        return m[cols]
-
-    def stamp(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return out_schema.empty_table()
-        return batch.select(out_schema.names).cast(out_schema)
-
-    return (
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(asof, batch_format="pandas")
-        .map_batches(stamp, batch_format="pyarrow")
-    )
-
-
-ATTRIBUTION_ORACLE_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, epoch_us(ts) AS t,
-         (event_type = 'purchase') AS isp
-  FROM events WHERE event_type IN ('click', 'purchase')
-), w AS (
-  SELECT *,
-    last_value(CASE WHEN NOT isp
-                    THEN t::HUGEINT * 4294967296 + event_id END IGNORE NULLS)
-      OVER (PARTITION BY user_id ORDER BY t, isp DESC, event_id
-            ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS enc
-  FROM e
-)
-SELECT event_id AS purchase_event_id, user_id, t AS purchase_ts_us,
-  (enc % 4294967296)::BIGINT AS click_event_id,
-  (t - enc // 4294967296)::BIGINT AS lag_us
-FROM w WHERE isp
-"""
-
-
-# --------------------------------------------------------------------------- #
-# exact distinct count at scale: pre-dedup inside the batch BEFORE the shuffle
-
-def events_distinct_users(sf_dir: str) -> ray.data.Dataset:
-    """Exact COUNT(DISTINCT user_id) per event_type. The scale trick is
-    the per-batch dedup: only distinct (event_type, user_id) pairs leave
-    a batch, so the wide groupby sees at most |types|×|users| rows, not
-    |events| — the exact-counting complement of the doc_token_hll sketch
-    (which bounds memory when the distinct set itself is too large)."""
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
-    )
-
-    def dedup_batch(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["event_type", "user_id"]).aggregate([])
-        return g
-
-    pairs = ev.map_batches(dedup_batch, batch_format="pyarrow")
-    # distinct across batches, then count per type: two bounded groupbys
-    distinct = pairs.groupby(["event_type", "user_id"]).aggregate(
-        Count(alias_name="_n")
-    )
-
-    count_schema = pa.schema([("event_type", pa.string()), ("n_users", pa.int64())])
-
-    def count_partials(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return count_schema.empty_table()
-        g = batch.group_by(["event_type"]).aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "n_users"]).cast(count_schema)
-
-    return (
-        distinct.map_batches(count_partials, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("n_users", alias_name="n_users"))
-    )
-
-
-# --------------------------------------------------------------------------- #
 # stratified deterministic sampling — per-language rates over DETECTED language
 
 _STRAT_RATES = {"ru": 20, "en": 5}  # keep % per detected language
@@ -1924,7 +1267,7 @@ def _hll_register_partials(batch: pa.Table) -> pa.Table:
 def doc_token_hll_registers(sf_dir: str) -> ray.data.Dataset:
     """HyperLogLog(m=1024) register table over the corpus token stream —
     the mergeable sketch for COUNT DISTINCT when the distinct set itself
-    is too large to shuffle (the exact complement: events_distinct_users).
+    is too large to shuffle.
     Register maxima are associative/commutative, so per-batch partials
     (≤1024 rows each) flow through one tiny groupby-max; duplicates never
     matter. Hashing is the engine's md5 word hash, reproduced exactly in
@@ -2002,190 +1345,6 @@ WITH toks AS (
 SELECT n_used AS n_registers_used, sum_scaled,
   floor((CASE WHEN est <= 2.5 * 1024 AND n_used < 1024
               THEN 1024 * ln(1024 / (1024.0 - n_used))
-              ELSE est END) * 1000.0)::BIGINT AS est_millis
-FROM raw
-"""
-
-
-# --------------------------------------------------------------------------- #
-# semi-structured extraction: parse a JSON-ish props column with Arrow's
-# vectorized RE2, then the standard partial-agg + tiny-groupby pattern.
-# The point at 100 TB: payload parsing stays a zero-shuffle Arrow kernel
-# (no per-row json.loads Python loop), and only (type, bucket) partial
-# rows enter the exchange.
-
-def events_props_extract(sf_dir: str) -> ray.data.Dataset:
-    """Extract the integer ``k`` field from the JSON ``props`` column and
-    aggregate (event_type, k//10 bucket) → (n_events, sum_k)."""
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "props"]
-    )
-
-    def partials(batch: pa.Table) -> pa.Table:
-        m = pc.extract_regex(batch.column("props"), r'"k": (?P<k>\d+)')
-        k = pc.cast(pc.struct_field(m, "k"), pa.int64())
-        t = pa.Table.from_arrays(
-            [batch.column("event_type"),
-             pc.divide(k, 10),  # integer floor division on int64
-             k],
-            names=["event_type", "k_bucket", "k"],
-        )
-        g = t.group_by(["event_type", "k_bucket"]).aggregate(
-            [([], "count_all"), ("k", "sum")]
-        )
-        return g.rename_columns(["event_type", "k_bucket", "n_events", "sum_k"])
-
-    return (
-        ev.map_batches(partials, batch_format="pyarrow")
-        .groupby(["event_type", "k_bucket"])
-        .aggregate(Sum("n_events", alias_name="n_events"),
-                   Sum("sum_k", alias_name="sum_k"))
-    )
-
-
-PROPS_EXTRACT_ORACLE_SQL = """
-SELECT event_type,
-       CAST(regexp_extract(props, '"k": (\\d+)', 1) AS BIGINT) // 10 AS k_bucket,
-       count(*)::BIGINT AS n_events,
-       sum(CAST(regexp_extract(props, '"k": (\\d+)', 1) AS BIGINT))::BIGINT AS sum_k
-FROM events GROUP BY 1, 2
-"""
-
-
-# --------------------------------------------------------------------------- #
-# GROUPED HLL — one sketch per group key, merged by (group, register).
-# Unlike the global doc_token_hll_* pair (driver reads the one 1024-row
-# register table), the grouped form never touches the driver at all: the
-# estimate runs inside map_groups and the result itself is O(groups).
-# This is the "distinct users per day over a year of 100 TB logs" shape —
-# groups × 1024 bounded rows through the only shuffle.
-
-_DAY_US = 86_400_000_000
-
-
-def _hll_int_partials(day: np.ndarray, uid: np.ndarray) -> pd.DataFrame:
-    """(day, register, max_rho) partials for int64 keys — fully
-    vectorized multiply-shift hashing (no per-item md5: integer keys get
-    the HUGEINT-reproducible golden-ratio hash, cf. doc_sample)."""
-    pairs = pd.DataFrame({"day": day, "uid": uid}).drop_duplicates()
-    h = pairs["uid"].to_numpy(np.int64).astype(np.uint64) * np.uint64(
-        0x9E3779B97F4A7C15
-    )
-    reg = (h % np.uint64(_HLL_M)).astype(np.int64)
-    v = ((h >> np.uint64(_HLL_B)) & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    rho = np.where(v > 0, 33 - np.frexp(v.astype(np.float64))[1], 33).astype(np.int64)
-    g = pd.DataFrame({"day": pairs["day"].to_numpy(np.int64), "register": reg,
-                      "max_rho": rho}).groupby(
-        ["day", "register"], as_index=False
-    )["max_rho"].max()
-    return g
-
-
-def events_daily_hll_registers(sf_dir: str) -> ray.data.Dataset:
-    """Per-day HLL(m=1024) register tables over event user_ids."""
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
-
-    def partials(batch: pa.Table) -> pa.Table:
-        ts_us = np.asarray(
-            pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64())
-        )
-        g = _hll_int_partials(
-            ts_us // _DAY_US, np.asarray(batch.column("user_id"), dtype=np.int64)
-        )
-        return pa.Table.from_arrays(
-            [pa.array(g["day"].to_numpy(np.int64)),
-             pa.array(g["register"].to_numpy(np.int64)),
-             pa.array(g["max_rho"].to_numpy(np.int64))],
-            names=["day", "register", "max_rho"],
-        )
-
-    return (
-        ev.map_batches(partials, batch_format="pyarrow")
-        .groupby(["day", "register"])
-        .aggregate(Max("max_rho", alias_name="max_rho"))
-    )
-
-
-_DAILY_HLL_SCHEMA = pa.schema(
-    [("day", pa.int64()), ("n_registers_used", pa.int64()),
-     ("sum_scaled", pa.int64()), ("est_millis", pa.int64())]
-)
-
-
-def events_daily_hll_estimate(sf_dir: str) -> ray.data.Dataset:
-    """Per-day distinct-user estimates from the grouped register tables —
-    the estimate math of doc_token_hll_estimate, run DISTRIBUTED inside
-    map_groups (each group ≤ 1024 register rows; Python dispatch is
-    O(days), the interior integer-exact with one IEEE division + libm
-    log, identical to DuckDB)."""
-    regs = events_daily_hll_registers(sf_dir)
-
-    def estimate(g: pd.DataFrame) -> pd.DataFrame:
-        rho = g["max_rho"].to_numpy(np.int64)
-        n_used = len(g)
-        sum_scaled = int((np.int64(1) << (np.int64(33) - rho)).sum()) + (
-            (_HLL_M - n_used) << 33
-        )
-        alpha = 0.7213 / (1 + 1.079 / _HLL_M)
-        est = alpha * _HLL_M * _HLL_M * 8589934592.0 / sum_scaled
-        n_empty = _HLL_M - n_used
-        if est <= 2.5 * _HLL_M and n_empty > 0:
-            est = _HLL_M * math.log(_HLL_M / n_empty)
-        return pd.DataFrame({
-            "day": pd.Series([int(g["day"].iloc[0])], dtype="int64"),
-            "n_registers_used": pd.Series([n_used], dtype="int64"),
-            "sum_scaled": pd.Series([sum_scaled], dtype="int64"),
-            "est_millis": pd.Series([int(np.floor(est * 1000.0))], dtype="int64"),
-        })
-
-    def stamp(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return _DAILY_HLL_SCHEMA.empty_table()
-        return batch.select(_DAILY_HLL_SCHEMA.names).cast(_DAILY_HLL_SCHEMA)
-
-    return (
-        regs.groupby("day")
-        .map_groups(estimate, batch_format="pandas")
-        .map_batches(stamp, batch_format="pyarrow")
-    )
-
-
-_DAILY_HLL_R_CTE = f"""
-WITH p AS (
-  SELECT DISTINCT epoch_us(ts) // {_DAY_US} AS day, user_id FROM events
-), h AS (
-  SELECT day,
-    ((user_id::HUGEINT * 11400714819323198485) % 18446744073709551616) AS h
-  FROM p
-), r AS (
-  SELECT day, (h % {_HLL_M})::BIGINT AS register,
-         ((h // {_HLL_M}) % 4294967296)::BIGINT AS v
-  FROM h
-), regs AS (
-  SELECT day, register,
-    max(CASE WHEN v = 0 THEN 33 ELSE 33 - length(bin(v)) END)::BIGINT AS max_rho
-  FROM r GROUP BY day, register
-)"""
-
-DAILY_HLL_REGISTERS_ORACLE_SQL = _DAILY_HLL_R_CTE + """
-SELECT day, register, max_rho FROM regs
-"""
-
-DAILY_HLL_ESTIMATE_ORACLE_SQL = _DAILY_HLL_R_CTE + f"""
-, agg AS (
-  SELECT day, count(*)::BIGINT AS n_used,
-    (sum((1::BIGINT << (33 - max_rho))) +
-     ({_HLL_M} - count(*))::BIGINT * 8589934592)::BIGINT AS sum_scaled
-  FROM regs GROUP BY day
-), raw AS (
-  SELECT day, n_used, sum_scaled,
-    (0.7213 / (1 + 1.079 / {_HLL_M})) * {_HLL_M} * {_HLL_M} * 8589934592.0
-      / sum_scaled AS est
-  FROM agg
-)
-SELECT day, n_used AS n_registers_used, sum_scaled,
-  floor((CASE WHEN est <= 2.5 * {_HLL_M} AND n_used < {_HLL_M}
-              THEN {_HLL_M} * ln({_HLL_M} / ({_HLL_M}.0 - n_used))
               ELSE est END) * 1000.0)::BIGINT AS est_millis
 FROM raw
 """
@@ -3186,365 +2345,6 @@ FROM documents d LEFT JOIN dup ON dup.doc_id = d.doc_id
 """
 
 
-_FUNNEL_STEPS = ("view", "click", "purchase")
-
-
-def events_funnel(sf_dir: str) -> ray.data.Dataset:
-    """Strict-order conversion funnel over the event stream: per user the
-    earliest 'view', then the earliest 'click' strictly after it, then the
-    earliest 'purchase' strictly after that; emits (step, step_name,
-    n_users) for the three stages. One salted exchange co-locates each
-    user's events; the per-partition interior is three vectorized
-    groupby-min/merge passes; the final combine is 3·P partial rows."""
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts"]
-    )
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        uid = np.asarray(batch.column("user_id"), dtype=np.int64)
-        return batch.append_column("salt", pa.array(_key_salt(uid)))
-
-    def funnel_part(g: pd.DataFrame) -> pd.DataFrame:
-        t1 = (
-            g[g["event_type"] == _FUNNEL_STEPS[0]]
-            .groupby("user_id", sort=False)["ts"].min().rename("t_prev")
-        )
-        counts = [len(t1)]
-        prev = t1
-        for step in _FUNNEL_STEPS[1:]:
-            e = g[g["event_type"] == step].merge(
-                prev, left_on="user_id", right_index=True, how="inner"
-            )
-            e = e[e["ts"] > e["t_prev"]]
-            prev = e.groupby("user_id", sort=False)["ts"].min().rename("t_prev")
-            counts.append(len(prev))
-        return pd.DataFrame({
-            "step": pd.Series([1, 2, 3], dtype="int64"),
-            "step_name": pd.Series(list(_FUNNEL_STEPS), dtype="object"),
-            "n_users": pd.Series(counts, dtype="int64"),
-        })
-
-    part = (
-        ev.map_batches(add_salt, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(funnel_part, batch_format="pandas")
-    )
-    return part.groupby(["step", "step_name"]).aggregate(
-        Sum("n_users", alias_name="n_users")
-    )
-
-
-FUNNEL_ORACLE_SQL = """
-WITH v AS (
-  SELECT user_id, min(ts) AS t1 FROM events
-  WHERE event_type = 'view' GROUP BY user_id
-), c AS (
-  SELECT e.user_id, min(e.ts) AS t2 FROM events e
-  JOIN v ON e.user_id = v.user_id AND e.ts > v.t1
-  WHERE e.event_type = 'click' GROUP BY e.user_id
-), p AS (
-  SELECT e.user_id, min(e.ts) AS t3 FROM events e
-  JOIN c ON e.user_id = c.user_id AND e.ts > c.t2
-  WHERE e.event_type = 'purchase' GROUP BY e.user_id
-)
-SELECT 1::BIGINT AS step, 'view' AS step_name, count(*)::BIGINT AS n_users FROM v
-UNION ALL
-SELECT 2::BIGINT, 'click', count(*)::BIGINT FROM c
-UNION ALL
-SELECT 3::BIGINT, 'purchase', count(*)::BIGINT FROM p
-"""
-
-
-# --------------------------------------------------------------------------- #
-# per-user ROWS-window rolling aggregate — bounded-lookback window emulation
-# at scale (the missing piece next to events_percent_rank's unbounded rank)
-
-_ROLL_K = 3  # window = current row + (K-1) preceding rows per user
-
-
-def events_user_rolling(sf_dir: str) -> ray.data.Dataset:
-    """sum(cents)/count over the last 3 events per user (SQL ``ROWS BETWEEN
-    2 PRECEDING AND CURRENT ROW`` ordered by (ts, event_id)) — NO per-user
-    global sort: a user's history is split into day buckets processed in
-    hash partitions (exactly events_sessions' skew strategy, a hot bot
-    never pins a worker), the within-bucket window is two vectorized
-    shifts, and only the first K-1 rows of each (user, bucket) cell —
-    whose window reaches into the previous cell — go through a second
-    bounded pass. That fix-up pass sees ≤ 2·(K-1) rows per cell (cell
-    heads + cell tails) regardless of event volume, and the collected
-    subsequence contains every head's true K-1 predecessors with nothing
-    spurious between (heads of a cell are preceded in collection order by
-    their own cell's earlier heads, then the previous cell's tails — the
-    same rows that precede them in the full stream)."""
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
-    )
-    k = _ROLL_K
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        ts_us = pc.cast(batch.column("ts"), pa.int64())
-        bucket = pc.divide(ts_us, _SESSION_BUCKET_US)
-        salt = _user_hash_salt(np.asarray(batch.column("user_id")), np.asarray(bucket))
-        return pa.Table.from_arrays(
-            [batch.column("event_id"), batch.column("user_id"), batch.column("ts"),
-             _cents(batch.column("value")), bucket, pa.array(salt)],
-            names=["event_id", "user_id", "ts", "cents", "bucket", "salt"],
-        )
-
-    done_schema = pa.schema(
-        [("event_id", pa.int64()), ("user_id", pa.int64()),
-         ("cents", pa.int64()), ("roll_sum_cents", pa.int64()),
-         ("roll_n", pa.int64())]
-    )
-    fix_schema = pa.schema(
-        [("event_id", pa.int64()), ("user_id", pa.int64()),
-         ("ts", pa.timestamp("us")), ("cents", pa.int64()),
-         ("bucket", pa.int64()), ("is_head", pa.bool_()), ("salt2", pa.int64())]
-    )
-
-    def _roll(g: pd.DataFrame, cell_cols: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized K-row rolling sum/count across every cell of the
-        sorted frame; cells delimited by ``cell_cols``."""
-        c = g["cents"].to_numpy(np.int64)
-        pos = g.groupby(list(cell_cols), sort=False).cumcount().to_numpy()
-        s = c.copy()
-        n = np.ones(len(g), dtype=np.int64)
-        for j in range(1, k):
-            in_win = pos >= j
-            s[j:] += np.where(in_win[j:], c[:-j], 0)
-            n[j:] += in_win[j:].astype(np.int64)
-        return s, n
-
-    def bucket_roll(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["user_id", "bucket", "ts", "event_id"]).reset_index(drop=True)
-        s, n = _roll(g, ["user_id", "bucket"])
-        pos = g.groupby(["user_id", "bucket"], sort=False).cumcount().to_numpy()
-        size = g.groupby(["user_id", "bucket"], sort=False)["cents"].transform("size").to_numpy()
-        head = pos < (k - 1)
-        tail = pos >= size - (k - 1)
-        done = g[~head]
-        done_t = pa.Table.from_arrays(
-            [pa.array(done["event_id"].to_numpy(np.int64)),
-             pa.array(done["user_id"].to_numpy(np.int64)),
-             pa.array(done["cents"].to_numpy(np.int64)),
-             pa.array(s[~head]), pa.array(n[~head])],
-            schema=done_schema,
-        )
-        fx = g[head | tail].copy()
-        fx_mask = (head | tail)
-        fx["is_head"] = head[fx_mask]
-        salt2 = _user_hash_salt(fx["user_id"].to_numpy())
-        fix_t = pa.Table.from_arrays(
-            [pa.array(fx["event_id"].to_numpy(np.int64)),
-             pa.array(fx["user_id"].to_numpy(np.int64)),
-             pa.array(fx["ts"].to_numpy("datetime64[us]")),
-             pa.array(fx["cents"].to_numpy(np.int64)),
-             pa.array(fx["bucket"].to_numpy(np.int64)),
-             pa.array(fx["is_head"].to_numpy(bool)), pa.array(salt2)],
-            schema=fix_schema,
-        )
-        return done_t, fix_t
-
-    # phase-1 output rides ONE kind-tagged union table (one fixed schema,
-    # null where a kind has no column) so the grouped scan — the
-    # operator's dominant shuffle+sort — runs exactly once; done/fix rows
-    # split downstream with cheap vectorized block filters.
-    tagged_schema = pa.schema(
-        [("event_id", pa.int64()), ("user_id", pa.int64()),
-         ("cents", pa.int64()), ("roll_sum_cents", pa.int64()),
-         ("roll_n", pa.int64()), ("ts", pa.timestamp("us")),
-         ("bucket", pa.int64()), ("is_head", pa.bool_()),
-         ("salt2", pa.int64()), ("kind", pa.int8())]
-    )
-
-    def _pad_to_tagged(t: pa.Table, kind: int) -> pa.Table:
-        arrays = []
-        for f in tagged_schema:
-            if f.name == "kind":
-                arrays.append(pa.array(np.full(t.num_rows, kind, dtype=np.int8)))
-            elif f.name in t.schema.names:
-                arrays.append(t.column(f.name))
-            else:
-                arrays.append(pa.nulls(t.num_rows, f.type))
-        return pa.Table.from_arrays(arrays, schema=tagged_schema)
-
-    def bucket_roll_tagged(g: pd.DataFrame) -> pa.Table:
-        if g.empty:
-            return tagged_schema.empty_table()
-        done_t, fix_t = bucket_roll(g)
-        return pa.concat_tables([_pad_to_tagged(done_t, 0), _pad_to_tagged(fix_t, 1)])
-
-    def take_done(batch: pa.Table) -> pa.Table:
-        out = batch.filter(pc.equal(batch.column("kind"), 0))
-        return out.select(done_schema.names)
-
-    def take_fix(batch: pa.Table) -> pa.Table:
-        out = batch.filter(pc.equal(batch.column("kind"), 1))
-        return out.select(fix_schema.names)
-
-    def head_fix(g: pd.DataFrame) -> pa.Table:
-        if g.empty:
-            return done_schema.empty_table()
-        g = g.sort_values(["user_id", "bucket", "ts", "event_id"]).reset_index(drop=True)
-        s, n = _roll(g, ["user_id"])
-        h = g["is_head"].to_numpy(bool)
-        out = g[h]
-        return pa.Table.from_arrays(
-            [pa.array(out["event_id"].to_numpy(np.int64)),
-             pa.array(out["user_id"].to_numpy(np.int64)),
-             pa.array(out["cents"].to_numpy(np.int64)),
-             pa.array(s[h]), pa.array(n[h])],
-            schema=done_schema,
-        )
-
-    base = ev.map_batches(add_bucket, batch_format="pyarrow")
-    # materialized so the two downstream branches re-read blocks instead
-    # of re-running the shuffle (without it each branch re-executes the
-    # whole grouped scan — Ray plans are per-consumer); the tagged table
-    # is ~input-sized and object-store/spill-bounded.
-    tagged = (
-        base.groupby("salt")
-        .map_groups(bucket_roll_tagged, batch_format="pandas")
-        .materialize()
-    )
-    done_ds = tagged.map_batches(take_done, batch_format="pyarrow")
-    fix_ds = (
-        tagged.map_batches(take_fix, batch_format="pyarrow")
-        .groupby("salt2").map_groups(head_fix, batch_format="pandas")
-    )
-    return done_ds.union(fix_ds)
-
-
-ROLLING_ORACLE_SQL = """
-SELECT event_id, user_id, cents,
-  sum(cents) OVER w::BIGINT AS roll_sum_cents,
-  count(*)  OVER w::BIGINT AS roll_n
-FROM (SELECT event_id, user_id, ts,
-             cast(round(value*100) AS BIGINT) AS cents FROM events)
-WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
-             ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)
-"""
-
-
-# --------------------------------------------------------------------------- #
-# retention cohorts: first-touch day × day-offset distinct-user matrix
-
-def events_retention_cohorts(sf_dir: str) -> ray.data.Dataset:
-    """Classic cohort retention: users grouped by first-event day, counted
-    on each later active day. Scale shape: per-batch distinct (user, day)
-    partials bound every exchange by users × days (never event volume);
-    the cohort assignment runs INSIDE user-hash partitions (a user's full
-    day set co-locates, so first-day needs no second shuffle or broadcast
-    of a per-user table), emitting per-partition (cohort_day, offset)
-    partial counts into one tiny final groupby."""
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-
-    def day_partials(batch: pa.Table) -> pa.Table:
-        day = pc.floor_temporal(batch.column("ts"), unit="day")
-        t = pa.Table.from_arrays(
-            [batch.column("user_id"), day], names=["user_id", "day"]
-        )
-        g = t.group_by(["user_id", "day"]).aggregate([([], "count_all")])
-        users = np.asarray(g.column("user_id"))
-        return pa.Table.from_arrays(
-            [g.column("user_id"), g.column("day"), pa.array(_user_hash_salt(users))],
-            names=["user_id", "day", "salt"],
-        )
-
-    part_schema = pa.schema(
-        [("cohort_day", pa.timestamp("us")), ("day_offset", pa.int64()),
-         ("n_users", pa.int64())]
-    )
-
-    def cohort_counts(g: pd.DataFrame) -> pa.Table:
-        if g.empty:
-            return part_schema.empty_table()
-        g = g.drop_duplicates(["user_id", "day"])
-        day_us = g["day"].astype("datetime64[us]").astype("int64")
-        first = day_us.groupby(g["user_id"], sort=False).transform("min")
-        off = (day_us - first) // (24 * 3600 * 1_000_000)
-        out = (
-            pd.DataFrame({"cohort_us": first, "day_offset": off})
-            .groupby(["cohort_us", "day_offset"], sort=False).size().reset_index(name="n_users")
-        )
-        return pa.Table.from_arrays(
-            [pa.array(out["cohort_us"].to_numpy("datetime64[us]")),
-             pa.array(out["day_offset"].to_numpy(np.int64)),
-             pa.array(out["n_users"].to_numpy(np.int64))],
-            schema=part_schema,
-        )
-
-    return (
-        ev.map_batches(day_partials, batch_format="pyarrow")
-        .groupby("salt").map_groups(cohort_counts, batch_format="pandas")
-        .groupby(["cohort_day", "day_offset"])
-        .aggregate(Sum("n_users", alias_name="n_users"))
-    )
-
-
-RETENTION_ORACLE_SQL = """
-WITH a AS (SELECT DISTINCT user_id, date_trunc('day', ts)::TIMESTAMP AS d FROM events),
-f AS (SELECT user_id, min(d) AS fd FROM a GROUP BY user_id)
-SELECT f.fd AS cohort_day, date_diff('day', f.fd, a.d)::BIGINT AS day_offset,
-       count(*)::BIGINT AS n_users
-FROM a JOIN f USING (user_id) GROUP BY 1, 2
-"""
-
-
-# --------------------------------------------------------------------------- #
-# grouped distinct-set aggregation (collect_set analogue, deterministic)
-
-def events_user_type_set(sf_dir: str) -> ray.data.Dataset:
-    """Per user: count + sorted '|'-join of DISTINCT event types. The
-    collect_set-shaped aggregate: per-batch distinct pairs bound the
-    shuffle by users × |type alphabet|, assembly runs inside user-hash
-    partitions. Output is deterministic (sorted join) so it value-hashes."""
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
-
-    def pair_partials(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["user_id", "event_type"]).aggregate([([], "count_all")])
-        users = np.asarray(g.column("user_id"))
-        return pa.Table.from_arrays(
-            [g.column("user_id"), g.column("event_type"),
-             pa.array(_user_hash_salt(users))],
-            names=["user_id", "event_type", "salt"],
-        )
-
-    out_schema = pa.schema(
-        [("user_id", pa.int64()), ("n_types", pa.int64()), ("type_set", pa.string())]
-    )
-
-    def assemble(g: pd.DataFrame) -> pa.Table:
-        if g.empty:
-            return out_schema.empty_table()
-        g = g.drop_duplicates(["user_id", "event_type"]).sort_values(
-            ["user_id", "event_type"]
-        )
-        out = g.groupby("user_id", sort=False)["event_type"].agg(["size", "|".join])
-        out.columns = ["n_types", "type_set"]
-        out = out.reset_index()
-        return pa.Table.from_arrays(
-            [pa.array(out["user_id"].to_numpy(np.int64)),
-             pa.array(out["n_types"].to_numpy(np.int64)),
-             pa.array(out["type_set"].to_numpy(dtype=object))],
-            schema=out_schema,
-        )
-
-    return (
-        ev.map_batches(pair_partials, batch_format="pyarrow")
-        .groupby("salt").map_groups(assemble, batch_format="pandas")
-    )
-
-
-TYPE_SET_ORACLE_SQL = """
-SELECT user_id, count(DISTINCT event_type)::BIGINT AS n_types,
-       string_agg(DISTINCT event_type, '|' ORDER BY event_type) AS type_set
-FROM events GROUP BY user_id
-"""
-
-
 # --------------------------------------------------------------------------- #
 # sharded inverted-index build (search-engine posting lists)
 
@@ -3719,134 +2519,4 @@ SELECT count(*)::BIGINT AS n_rows,
        (sum(md5_number_upper(doc_id::VARCHAR || chr(0) || text)::HUGEINT)
         % {_CHECKSUM_MOD})::BIGINT AS checksum
 FROM documents
-"""
-
-
-# --------------------------------------------------------------------------- #
-# per-user event-type transition counts (Markov matrix over sequences)
-
-def events_type_transitions(sf_dir: str) -> ray.data.Dataset:
-    """Count (prev_type → event_type) over each user's event sequence
-    ordered by (ts, event_id) — the Markov-chain statistic for behavioral
-    modeling. Same skew-safe shape as events_user_rolling: within-cell
-    (user × day-bucket) pairs are one vectorized shift; ONLY each cell's
-    first and last rows (2 per cell, volume-independent) enter a second
-    pass that counts the cross-cell pairs — two collected rows are
-    adjacent in the original stream iff they are consecutive in collected
-    order, the earlier is its cell's last row and the later is another
-    cell's first row (any intervening original row would have put its own
-    cell's boundary rows between them)."""
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "event_type"]
-    )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        ts_us = pc.cast(batch.column("ts"), pa.int64())
-        bucket = pc.divide(ts_us, _SESSION_BUCKET_US)
-        salt = _user_hash_salt(np.asarray(batch.column("user_id")), np.asarray(bucket))
-        return pa.Table.from_arrays(
-            [batch.column("event_id"), batch.column("user_id"), batch.column("ts"),
-             batch.column("event_type"), bucket, pa.array(salt)],
-            names=["event_id", "user_id", "ts", "event_type", "bucket", "salt"],
-        )
-
-    cnt_schema = pa.schema(
-        [("prev_type", pa.string()), ("event_type", pa.string()), ("n", pa.int64())]
-    )
-    bnd_schema = pa.schema(
-        [("event_id", pa.int64()), ("user_id", pa.int64()), ("ts", pa.timestamp("us")),
-         ("event_type", pa.string()), ("bucket", pa.int64()),
-         ("is_first", pa.bool_()), ("is_last", pa.bool_()), ("salt2", pa.int64())]
-    )
-
-    def _sorted(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["user_id", "bucket", "ts", "event_id"]).reset_index(drop=True)
-
-    def cell_pairs(g: pd.DataFrame) -> pa.Table:
-        if g.empty:
-            return cnt_schema.empty_table()
-        g = _sorted(g)
-        u, b = g["user_id"].to_numpy(), g["bucket"].to_numpy()
-        et = g["event_type"].to_numpy(dtype=object)
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = (u[1:] == u[:-1]) & (b[1:] == b[:-1])
-        prev, nxt = et[:-1][same[1:]], et[1:][same[1:]]
-        out = (
-            pd.DataFrame({"prev_type": prev, "event_type": nxt})
-            .groupby(["prev_type", "event_type"], sort=False).size().reset_index(name="n")
-        )
-        return pa.Table.from_arrays(
-            [pa.array(out["prev_type"].to_numpy(dtype=object)),
-             pa.array(out["event_type"].to_numpy(dtype=object)),
-             pa.array(out["n"].to_numpy(np.int64))],
-            schema=cnt_schema,
-        )
-
-    def cell_bounds(g: pd.DataFrame) -> pa.Table:
-        if g.empty:
-            return bnd_schema.empty_table()
-        g = _sorted(g)
-        pos = g.groupby(["user_id", "bucket"], sort=False).cumcount().to_numpy()
-        size = g.groupby(["user_id", "bucket"], sort=False)["event_id"].transform("size").to_numpy()
-        first, last = pos == 0, pos == size - 1
-        sel = first | last
-        out = g[sel]
-        return pa.Table.from_arrays(
-            [pa.array(out["event_id"].to_numpy(np.int64)),
-             pa.array(out["user_id"].to_numpy(np.int64)),
-             pa.array(out["ts"].to_numpy("datetime64[us]")),
-             pa.array(out["event_type"].to_numpy(dtype=object)),
-             pa.array(out["bucket"].to_numpy(np.int64)),
-             pa.array(first[sel]), pa.array(last[sel]),
-             pa.array(_user_hash_salt(out["user_id"].to_numpy()))],
-            schema=bnd_schema,
-        )
-
-    def boundary_pairs(g: pd.DataFrame) -> pa.Table:
-        if g.empty:
-            return cnt_schema.empty_table()
-        g = _sorted(g)
-        u = g["user_id"].to_numpy()
-        b = g["bucket"].to_numpy()
-        et = g["event_type"].to_numpy(dtype=object)
-        isf, isl = g["is_first"].to_numpy(bool), g["is_last"].to_numpy(bool)
-        take = np.zeros(len(g) - 1, dtype=bool) if len(g) > 1 else np.zeros(0, dtype=bool)
-        if len(g) > 1:
-            take = (u[1:] == u[:-1]) & (b[1:] != b[:-1]) & isl[:-1] & isf[1:]
-        prev, nxt = et[:-1][take], et[1:][take]
-        if not len(prev):
-            return cnt_schema.empty_table()
-        out = (
-            pd.DataFrame({"prev_type": prev, "event_type": nxt})
-            .groupby(["prev_type", "event_type"], sort=False).size().reset_index(name="n")
-        )
-        return pa.Table.from_arrays(
-            [pa.array(out["prev_type"].to_numpy(dtype=object)),
-             pa.array(out["event_type"].to_numpy(dtype=object)),
-             pa.array(out["n"].to_numpy(np.int64))],
-            schema=cnt_schema,
-        )
-
-    base = ev.map_batches(add_bucket, batch_format="pyarrow")
-    within = base.groupby("salt").map_groups(cell_pairs, batch_format="pandas")
-    cross = (
-        base.groupby("salt").map_groups(cell_bounds, batch_format="pandas")
-        .groupby("salt2").map_groups(boundary_pairs, batch_format="pandas")
-    )
-    return (
-        within.union(cross)
-        .groupby(["prev_type", "event_type"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-
-TYPE_TRANSITIONS_ORACLE_SQL = """
-WITH o AS (
-  SELECT user_id, event_type,
-         lag(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id)
-           AS prev_type
-  FROM events
-)
-SELECT prev_type, event_type, count(*)::BIGINT AS n
-FROM o WHERE prev_type IS NOT NULL GROUP BY 1, 2
 """

@@ -24,7 +24,7 @@ SF_DIR = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
 # unset and pins sf0.01)
 os.environ.setdefault("GRAFT_ORACLE_SF_DIR", SF_DIR)
 ONLY = set(sys.argv[2].split(",")) if len(sys.argv) > 2 else None
-TABLES = ["events", "documents"]
+TABLES = ["documents"]
 
 
 def to_pandas(obj):

@@ -7,23 +7,20 @@ Workloads:
   kg       — kg_e2e at 2.4M turns (sf1.0-equivalent transcripts, the
              deterministic fixture generator at 10x the bench input)
   minhash  — doc_minhash_pairs over a 10x documents table
-  rolling  — events_user_rolling over a 10x events table
 
-The 10x doc/events tables are synthesized DETERMINISTICALLY from the
-provided sf0.1 parquet: 10 replicas with id offsets; doc texts get a
+The 10x documents table is synthesized DETERMINISTICALLY from the
+provided sf0.1 parquet: 10 replicas with doc_id offsets; doc texts get a
 per-replica suffix token so cross-replica texts are NOT byte-identical
 (replicating identical texts would multiply every dup cluster 10x and
 change the workload's character instead of its scale — the suffix keeps
-per-replica dup structure identical to sf0.1). Events offset user_id and
-event_id per replica; rolling windows are per-user so the workload is a
-clean 10x. All scratch under /tmp.
+per-replica dup structure identical to sf0.1). All scratch under /tmp.
 
 Measurements per workload: wall seconds, rows out, peak driver+cluster
 RSS (sampled from /proc/meminfo MemAvailable), and Ray object-store
 spill (the raylet's LocalObjectManager counters in debug_state.txt —
 memory_summary needs grpc, which this container lacks). Usage:
 
-    python scripts/stress_sf1.py [kg|minhash|rolling] ...
+    python scripts/stress_sf1.py [kg|minhash] ...
 
 One Ray session per invocation; run workloads in separate invocations
 for clean per-workload spill/RSS attribution.
@@ -108,9 +105,9 @@ def _spill_stats() -> dict:
 
 
 def _ensure_10x_tables() -> str:
-    """Deterministic 10x documents/events parquet under /tmp (replica id
-    offsets; doc text perturbed per replica so dup structure scales
-    linearly, see module docstring). Idempotent."""
+    """Deterministic 10x documents parquet under /tmp (replica id offsets;
+    doc text perturbed per replica so dup structure scales linearly, see
+    module docstring). Idempotent."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -139,19 +136,6 @@ def _ensure_10x_tables() -> str:
         )
         reps.append(t)
     pq.write_table(pa.concat_tables(reps), outp / "documents.parquet")
-
-    ev = pq.read_table(f"{SF_DIR}/events.parquet")
-    n_ev = ev.num_rows
-    reps = []
-    for r in range(REPLICAS):
-        t = ev
-        for col, off in (("event_id", r * 100_000_000), ("user_id", r * 10_000_000)):
-            t = t.set_column(
-                t.schema.get_field_index(col), col,
-                pc.add(t.column(col), off),
-            )
-        reps.append(t)
-    pq.write_table(pa.concat_tables(reps), outp / "events.parquet")
     (outp / "_SUCCESS").touch()
     return OUT_DIR
 
@@ -211,10 +195,6 @@ def main() -> None:
                 from lingvo__postagger_ner_ru_dnn_ray.stages import dataops
 
                 rows = dataops.doc_minhash_pairs(sf1).count()
-            elif name == "rolling":
-                from lingvo__postagger_ner_ru_dnn_ray.stages import dataops
-
-                rows = dataops.events_user_rolling(sf1).count()
             else:
                 raise SystemExit(f"unknown workload {name}")
             dt = round(time.perf_counter() - t0, 1)

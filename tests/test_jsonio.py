@@ -129,6 +129,30 @@ def test_webjson_driver_query_matches_single_process_oracle(ray_session, monkeyp
             Path(p).unlink(missing_ok=True)
 
 
+def test_driver_cache_evicts_other_fingerprints(tmp_path, monkeypatch):
+    """Writing a driver cache entry deletes every entry that other code
+    wrote (its `_artifact` twin too), and keeps the current code's entries
+    at other scales and the transcript inputs, whose names carry no
+    fingerprint."""
+    import __ray_entry__ as e
+
+    monkeypatch.setattr(e, "_CACHE", tmp_path)
+    fp = e._code_fingerprint()
+    stale = f"{int(fp, 16) ^ 1:08x}"
+    for name in (f"kg_ray_n6000_{stale}", f"kg_ray_n6000_{stale}_artifact",
+                 f"kg_oracle_n6000_{fp}", "transcripts_n6000_s42"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "_SUCCESS").touch()
+
+    e._ensure_webjson_requests("sf0.001")  # 600 requests
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"kg_oracle_n6000_{fp}",
+        "transcripts_n6000_s42",
+        f"webjson_reqs_n600_{fp}.jsonl",
+    ]
+
+
 def _two_requests(tmp_path):
     return _write_requests(tmp_path, ["Он приехал в Петербурге.", ""])
 

@@ -254,6 +254,21 @@ def test_num_collapse_length_fixup_quirk():
     assert (w_mid.start, w_mid.length) == (9, 7)
 
 
+def test_sentence_split_inside_url_span():
+    """The splitter cuts after "http…'/." although the URL "/.ru/Иван"
+    starts at unit 6, so the second sentence's first token begins before
+    the sentence does. This pins today's behaviour only: it has not been
+    checked against the reference's AllocateSents_Simple (SURVEY.md)."""
+    text = "http…'/.ru/Иван Смирнов купил Газпром."
+    assert allocate_urls(text) == [(6, 9, URL)]
+    got = [[(w.value, w.start, w.length) for w in s] for s in tokenize_text(text)]
+    assert got == [
+        [("http", 0, 4), ("…", 4, 1), ("'", 5, 1), ("/", 6, 1), (".", 7, 1)],
+        [("/.ru/Иван", 6, 9), ("Смирнов", 16, 7), ("купил", 24, 5),
+         ("Газпром", 30, 7), (".", 37, 1)],
+    ]
+
+
 # --------------------------- batch front ------------------------------------
 def _fixture_lines() -> list[str]:
     """The 15 lines of fixtures/reference_input_tokens.json, rebuilt from
