@@ -19,10 +19,17 @@ and the head reads the label block. The matmul/softmax/LayerNorm work is
 identical to a trained model of the same shape, so the benchmark numbers
 are representative; the forward never looks at which blocks are zero.
 
-The forward runs on chunks of sentences of one exact length, so nothing is
-padded and no attention mask is needed. Each projection is a single 2-D
-GEMM over the chunk's B·L token rows (Q, K and V as one matmul against
-[wq|wk|wv]); only the attention scores stay batched per sentence and head.
+The model's input is vocabulary ids: ``predict_ids`` deduplicates a call's
+sentences by their id tuples, so sentences that differ only in
+out-of-vocabulary words forward once, and ``predict_batch`` maps model-token
+strings to ids and calls it. The forward runs on chunks of sentences of one
+exact length, so nothing is padded and no attention mask is needed. Each
+projection is a single 2-D GEMM over the chunk's B·L token rows (Q, K and V
+as one matmul against [wq|wk|wv]); only the attention scores stay batched
+per sentence and head. The reductions run along long axes: the scores are
+held keys-by-queries, [B,H,Lk,Lq], so the softmax's max is Lk elementwise
+maxima over B·H·Lq scores and its sum one GEMV against ones, and the
+LayerNorm mean and variance are GEMVs of the [B·L, D] rows against 1/D.
 
 Long-sentence chunking reproduces SeqLabel.Predict_Full
 (Applications/SeqLabel.cs:259-311): overflow ≤ 10% of max_len → truncate
@@ -52,16 +59,31 @@ def sinusoidal_pos_emb(max_len: int, dim: int) -> np.ndarray:
     return out
 
 
-def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """LayerNorm over the last axis. The variance reuses the centred
-    ``x − μ``, which is the arithmetic ``np.var`` does; the result is
-    written over that centred copy."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    xc /= np.sqrt(var + 1e-5)
-    xc *= g
-    xc += b
-    return xc
+def _layer_norm_(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """LayerNorm of the rows of x [N, D], in place. The mean and the
+    variance of the centred rows are GEMVs against 1/D, which BLAS runs
+    along the N rows instead of one short reduction per row."""
+    avg = np.full(x.shape[1], 1.0 / x.shape[1], dtype=x.dtype)
+    x -= (x @ avg)[:, None]
+    var = (x * x) @ avg
+    var += 1e-5
+    x /= np.sqrt(var)[:, None]
+    x *= g
+    x += b
+    return x
+
+
+def _softmax_keys_(att: np.ndarray) -> np.ndarray:
+    """Softmax over the keys of scores [B,H,Lk,Lq], in place. Both
+    reductions run along the long B·H·Lq axis: the max as Lk elementwise
+    maxima and the sum as one GEMV against ones."""
+    m = att[:, :, 0].copy()
+    for i in range(1, att.shape[2]):
+        np.maximum(m, att[:, :, i], out=m)
+    att -= m[:, :, None]
+    np.exp(att, out=att)
+    att /= (np.ones(att.shape[2], dtype=att.dtype) @ att)[:, :, None]
+    return att
 
 
 def _softmax_(x: np.ndarray) -> np.ndarray:
@@ -110,7 +132,8 @@ class SeqLabelModel:
     def _forward_logits(self, ids: np.ndarray) -> np.ndarray:
         """Logits [B,L,C] for a chunk of B sentences of exactly L tokens:
         no padding, so no attention mask. Every projection is one 2-D GEMM
-        over the B·L token rows."""
+        over the B·L token rows; the scores are keys against queries, so
+        the softmax reduces over axis 2."""
         B, L = ids.shape
         D, H = self.dim, self.n_heads
         dh = D // H
@@ -118,71 +141,77 @@ class SeqLabelModel:
         x = (self._emb[ids] + self._pos[:L]).reshape(B * L, D)
         for wqkv, wo, ln1g, ln1b, w1, b1, w2, ln2g, ln2b in self._layers:
             qkv = (x @ wqkv).reshape(B, L, 3, H, dh)
-            q = qkv[:, :, 0].transpose(0, 2, 1, 3)  # [B,H,L,dh]
-            k = qkv[:, :, 1].transpose(0, 2, 3, 1)  # [B,H,dh,L]
-            v = qkv[:, :, 2].transpose(0, 2, 1, 3)
-            att = q @ k
+            q = qkv[:, :, 0].transpose(0, 2, 3, 1)  # [B,H,dh,Lq]
+            k = qkv[:, :, 1].transpose(0, 2, 1, 3)  # [B,H,Lk,dh]
+            v = qkv[:, :, 2].transpose(0, 2, 1, 3)  # [B,H,Lk,dh]
+            att = k @ q  # [B,H,Lk,Lq]
             att /= scale
-            ctx = (_softmax_(att) @ v).transpose(0, 2, 1, 3).reshape(B * L, D)
-            x = _layer_norm(x + ctx @ wo, ln1g, ln1b)
+            ctx = (_softmax_keys_(att).transpose(0, 1, 3, 2) @ v).transpose(0, 2, 1, 3)
+            x = _layer_norm_(x + ctx.reshape(B * L, D) @ wo, ln1g, ln1b)
             h = x @ w1
             h += b1
             np.maximum(h, 0.0, out=h)
-            x = _layer_norm(x + h @ w2, ln2g, ln2b)
+            x = _layer_norm_(x + h @ w2, ln2g, ln2b)
         return (x @ self.w["head_w"] + self.w["head_b"]).reshape(B, L, -1)
 
     # ------------------------------------------------------------------ #
     def predict_batch(self, sents: list[list[str]]) -> list[list[str]]:
-        """Label a batch of model-token sentences. Applies Predict_Full
-        chunking semantics to sentences over MAX_PREDICT_SENT_LENGTH.
+        """Label a batch of model-token sentences: their vocabulary ids
+        through ``predict_ids``."""
+        g = self.src_vocab.word_to_index.get
+        return self.predict_ids([tuple([g(t, UNK_ID) for t in toks]) for toks in sents])
 
-        Duplicate sentences of the call run the forward pass once, and the
-        unique ones run in chunks of a single length, so no sentence is
-        padded and its labels cannot depend on the rest of the batch (pinned
-        by tests/test_model.py::test_predict_batch_padding_invariant and
-        test_chunks_have_one_length). The model holds no cache."""
+    def predict_ids(self, sents: Sequence[Sequence[int]]) -> list[list[str]]:
+        """Label a batch of sentences given as vocabulary ids. Applies
+        Predict_Full chunking semantics to sentences over
+        MAX_PREDICT_SENT_LENGTH.
+
+        Sentences of the call with equal id tuples run the forward pass
+        once (so do sentences that differ only in out-of-vocabulary
+        words), and the unique ones run in chunks of a single length, so no
+        sentence is padded and its labels cannot depend on the rest of the
+        batch (pinned by tests/test_model.py::test_predict_batch_padding_invariant
+        and test_chunks_have_one_length). The model holds no cache."""
         if not sents:
             return []
         out: list[list[str] | None] = [None] * len(sents)
-        plain: list[tuple[int, list[str]]] = []
-        for idx, toks in enumerate(sents):
-            d = len(toks) - MAX_PREDICT_SENT_LENGTH
+        plain: list[tuple[int, tuple[int, ...]]] = []
+        for idx, ids in enumerate(sents):
+            ids = tuple(ids)
+            d = len(ids) - MAX_PREDICT_SENT_LENGTH
             if d <= 0:
-                plain.append((idx, toks))
+                plain.append((idx, ids))
             elif d <= MAX_PREDICT_SENT_LENGTH * CUT_DROPOUT:
                 # truncate: excess tokens receive no label (SeqLabel.cs:269-274
                 # + SetPosTaggerOutputType min-length loop)
-                plain.append((idx, toks[:MAX_PREDICT_SENT_LENGTH]))
+                plain.append((idx, ids[:MAX_PREDICT_SENT_LENGTH]))
             else:
-                parts = [toks[ofs : ofs + MAX_PREDICT_SENT_LENGTH]
-                         for ofs in range(0, len(toks), MAX_PREDICT_SENT_LENGTH)]
+                parts = [ids[ofs : ofs + MAX_PREDICT_SENT_LENGTH]
+                         for ofs in range(0, len(ids), MAX_PREDICT_SENT_LENGTH)]
                 out[idx] = [lab for part in self._forward_unique(parts) for lab in part]
-        keys = [tuple(toks) for _, toks in plain]
-        uniq = list(dict.fromkeys(keys))
+        uniq = list(dict.fromkeys(ids for _, ids in plain))
         labels = dict(zip(uniq, self._forward_unique(uniq)))
-        for (idx, _), key in zip(plain, keys):
-            out[idx] = list(labels[key])
+        for idx, ids in plain:
+            out[idx] = list(labels[ids])
         return out  # type: ignore[return-value]
 
-    def _chunks(self, sents: Sequence[Sequence[str]]) -> Iterator[tuple[list[int], np.ndarray]]:
-        """Group ``sents`` by exact length and split each group so that
-        B·L ≤ _AREA_CAP. Yields (positions in ``sents``, ids [B, L]) per
-        chunk; empty sentences are in no chunk."""
+    def _chunks(self, sents: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], np.ndarray]]:
+        """Group the id sentences ``sents`` by exact length and split each
+        group so that B·L ≤ _AREA_CAP. Yields (positions in ``sents``,
+        ids [B, L]) per chunk; empty sentences are in no chunk."""
         by_len: dict[int, list[int]] = {}
-        for i, toks in enumerate(sents):
-            by_len.setdefault(len(toks), []).append(i)
+        for i, ids in enumerate(sents):
+            by_len.setdefault(len(ids), []).append(i)
         by_len.pop(0, None)
-        g = self.src_vocab.word_to_index.get
         for L, rows in sorted(by_len.items()):
             step = max(1, self._AREA_CAP // L)
             for a in range(0, len(rows), step):
                 chunk = rows[a : a + step]
-                yield chunk, np.array([[g(t, UNK_ID) for t in sents[r]] for r in chunk],
-                                      dtype=np.int32)
+                yield chunk, np.array([sents[r] for r in chunk], dtype=np.int32)
 
-    def _forward_unique(self, sents: Sequence[Sequence[str]]) -> list[list[str]]:
-        """Labels for each of ``sents`` (meant to be unique), forwarded in
-        exact-length chunks."""
+    def _forward_unique(self, sents: Sequence[Sequence[int]]) -> list[list[str]]:
+        """Labels for each of the id sentences ``sents`` (meant to be
+        unique), forwarded in exact-length chunks."""
         results: list[list[str]] = [[] for _ in sents]
         for rows, ids in self._chunks(sents):
             for r, lab in zip(rows, self._label_arr[self.forward_ids(ids)].tolist()):
@@ -195,7 +224,7 @@ class SeqLabelModel:
         BaseSeq2SeqFramework.cs:34-46). Ties broken by label id (stable
         argsort), matching the reference's stable OrderByDescending."""
         out: list[list[list[tuple[str, float]]]] = [[] for _ in sents]
-        for rows, ids in self._chunks(sents):
+        for rows, ids in self._chunks([self.src_vocab.ids(toks) for toks in sents]):
             probs = _softmax_(self._forward_logits(ids))  # [B, L, C]
             order = np.argsort(-probs, axis=-1, kind="stable")[..., :k]
             for b, r in enumerate(rows):

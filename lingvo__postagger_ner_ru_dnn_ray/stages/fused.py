@@ -116,9 +116,20 @@ def kg_stage_fn(batch: pa.Table, artifact_dir: str | None = None) -> pa.Table:
     process holds (models, vocabularies, dictionary, imported modules)
     out of the collector's generations: they live as long as the process,
     and a full collection would otherwise walk them all again. Objects
-    made later, memo entries included, stay collectable."""
+    made later, memo entries included, stay collectable.
+
+    Each batch runs with the cyclic collector paused (re-enabled in a
+    ``finally``, so also when the kernel raises): the batch builds no
+    reference cycles, so a pass inside it frees nothing, yet the young
+    passes it triggered cost 0.11 s of the stage's CPU on ``kg_unique``
+    and the full ones 0.015 s more (``scripts/kernel_split.py``).
+    Reference counting still frees the batch's objects as they die."""
     stage = _STAGES.get(artifact_dir)
     if stage is None:
         stage = _STAGES[artifact_dir] = KgStage(artifact_dir=artifact_dir)
         gc.freeze()
-    return stage(batch)
+    gc.disable()
+    try:
+        return stage(batch)
+    finally:
+        gc.enable()

@@ -10,10 +10,19 @@ boundary, with ``sentence_table`` and ``linked_table``.
 1. ``Kernel.tag_texts``: texts → sentences (TryTokenizeBySents,
    PosTaggerExtensions.cs:61-72, through ``tokenize_texts``, which does
    the character work once per slice of texts; empty texts yield none),
-   all sentences of the call labelled by ONE ``predict_batch`` per model.
+   all sentences of the call labelled by ONE ``predict_ids`` per model.
    ``Kernel.tag_sentences`` is the same step for sentences already
    tokenized. A sentence comes back as a ``Tagged``: the payload of one
    SENT_SCHEMA row.
+
+   Vocabulary ids are the models' token currency: each word maps to both
+   models' ids through the kernel's id map (``Kernel._labels``), which
+   gives what ``vocab.id(to_model_token(value, input_type, mel))`` gives
+   without building the model-token string again. Its key is decided the
+   way ``to_model_token`` decides: by input type first (Num → the num
+   placeholder, Url/Email → the URL placeholder), by value otherwise.
+   Each kernel has its own map, because artifact weights carry their own
+   vocabularies.
 2. ``Kernel.link``: a tagged sentence → its triples (stages/triples.py),
    each with both surfaces looked up in the entity dictionary
    (stages/linking.py; a miss keeps the NIL id and the normalized surface).
@@ -26,7 +35,8 @@ sentence has no link rows. It builds no ``Tagged``, and its rows equal
 ``link`` over ``tag_texts``. The job's stage uses it; the oracle, the
 driver and web-JSON tag every sentence, because their sentence tables
 need POS everywhere, and keep no memo. ``link_texts`` memoizes each
-sentence's link rows (``_sent_key``), the job's one cross-batch cache.
+sentence's link rows (``_sent_key``), the job's one cross-batch cache of
+results; the id map is the kernel's other cache, one entry per word key.
 """
 from __future__ import annotations
 
@@ -36,11 +46,12 @@ from typing import NamedTuple
 
 import pyarrow as pa
 
+from ..textkit.features import IT_EMAIL, IT_NUM, IT_OTHER, IT_URL, to_model_token
 from ..textkit.sentsplit import Sent
 from ..textkit.tokenizer import split_texts, tokenize_texts
 from .linking import NIL, build_linking_dict, normalize_surface
 from .mentions import decode_bio
-from .tag import _correct_pos, _model_token_cached
+from .tag import _correct_pos
 from .triples import TRIPLE_SCHEMA, can_form_triple, span_triples
 
 _STR_LIST = pa.list_(pa.string())
@@ -51,6 +62,12 @@ _POS_MEL, _NER_MEL = 4, 10000
 
 # sentences ``link_texts`` keeps before it clears its memo whole
 _MEMO_SENTS = 1 << 18
+
+# the id map's key of a word whose input type alone decides its model token
+# (a placeholder); every other word's key is its value
+_PLACEHOLDER_KEY = {IT_NUM: IT_NUM, IT_URL: IT_URL, IT_EMAIL: IT_URL}
+# keys the id map keeps before it is cleared whole
+_IDS_MAX = 1_000_000
 
 # one row per sentence; pos = corrected PosTaggerOutputType names
 # (PosTaggerExtensions.cs:16-59), pos_raw = raw model labels, ner = BIO tags
@@ -116,6 +133,7 @@ class Kernel:
         self.lookup = build_linking_dict() if lookup is None else lookup
         self.itp = input_type_processor
         self._memo: dict[bytes | tuple, tuple | None] = {}
+        self._ids: dict[str | int, tuple[int, int]] = {}  # key → (POS id, NER id)
         self.missed_texts = 0
 
     def tag_texts(self, texts: list[str]) -> Iterator[list[Tagged]]:
@@ -165,26 +183,39 @@ class Kernel:
         """Each tokenized sentence's ``link`` rows. NER labels every
         sentence; POS labels only those whose spans ``can_form_triple``,
         since ``link`` of any other sentence is []."""
-        spans = [decode_bio(ner) for ner in self._labels(self.ner_model, sents, _NER_MEL)]
+        spans = [decode_bio(ner) for ner in self._labels(self.ner_model, sents)]
         todo = [i for i, sp in enumerate(spans) if can_form_triple(sp)]
         out: list[list[tuple]] = [[] for _ in sents]
-        for i, praw in zip(todo, self._labels(self.pos_model, [sents[i] for i in todo], _POS_MEL)):
+        for i, praw in zip(todo, self._labels(self.pos_model, [sents[i] for i in todo])):
             ws = sents[i]
             pos = _correct_pos([w.input_type for w in ws], [w.extra for w in ws], praw)
             out[i] = self._link_rows([w.value for w in ws], [w.start for w in ws],
                                      [w.length for w in ws], pos, spans[i])
         return out
 
-    @staticmethod
-    def _labels(model, sents: list[list], mel: int) -> list[list[str]]:
-        """``model``'s raw labels of each sentence, on its model tokens of
-        max ending length ``mel``."""
-        mt = _model_token_cached
-        return model.predict_batch([[mt(w.value, w.input_type, mel) for w in ws] for ws in sents])
+    def _labels(self, model, sents: list[list]) -> list[list[str]]:
+        """``model``'s raw labels of each sentence, forwarded on the
+        vocabulary ids the id map holds for its words (``_new_ids`` on a
+        miss)."""
+        j = 1 if model is self.ner_model else 0
+        get, key, new = self._ids.get, _PLACEHOLDER_KEY.get, self._new_ids
+        return model.predict_ids([tuple([(get(k := key(w.input_type, w.value)) or new(k))[j]
+                                         for w in ws]) for ws in sents])
+
+    def _new_ids(self, k: str | int) -> tuple[int, int]:
+        """Both models' vocabulary ids of id-map key ``k``, stored in the
+        map, which is cleared whole at ``_IDS_MAX`` keys."""
+        value, it = ("", k) if isinstance(k, int) else (k, IT_OTHER)
+        ids = self._ids
+        if len(ids) >= _IDS_MAX:
+            ids.clear()
+        ids[k] = (self.pos_model.src_vocab.id(to_model_token(value, it, _POS_MEL)),
+                  self.ner_model.src_vocab.id(to_model_token(value, it, _NER_MEL)))
+        return ids[k]
 
     def _tag(self, sents: list[list]) -> Iterator[Tagged]:
-        pos_raw = self._labels(self.pos_model, sents, _POS_MEL)
-        ner_raw = self._labels(self.ner_model, sents, _NER_MEL)
+        pos_raw = self._labels(self.pos_model, sents)
+        ner_raw = self._labels(self.ner_model, sents)
         for ws, praw, nraw in zip(sents, pos_raw, ner_raw):
             its = [w.input_type for w in ws]
             exs = [w.extra for w in ws]

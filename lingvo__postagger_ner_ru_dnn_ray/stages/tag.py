@@ -1,13 +1,17 @@
 """POS/NER tagging helpers of the per-turn kernel (stages/kernel.py).
 
-The kernel labels every sentence of a call with one ``predict_batch`` per
-model, which forwards the call's unique sentences in unpadded chunks of
+The kernel labels every sentence of a call with one ``predict_ids`` per
+model, which forwards the call's unique id sentences in unpadded chunks of
 one exact length each (model/tagger.py; vs. the reference's batch=1
 console path, ConsoleDemo/Program.cs:263-272). These are the per-token
 steps around it:
 
   * ``_model_token_cached`` — the token → model-token projection
-    (Tokenizer.ToPosTaggerToken), mel=4 for POS and mel=10000 for NER;
+    (Tokenizer.ToPosTaggerToken), mel=4 for POS and mel=10000 for NER, as
+    strings. It is off the job's path (the kernel maps words to vocabulary
+    ids with its own id map) and kept for perfbench's layer pass, which
+    measures this string path, and for the tests that compare the kernel
+    with it;
   * ``_correct_pos`` — SetPosTaggerOutputType (PosTaggerExtensions.cs:
     16-59): Num→Numeral, Url/Email→Other, punctuation-flag→Punctuation.
 """
@@ -27,8 +31,9 @@ from ..textkit.features import (
 
 @lru_cache(maxsize=1_000_000)
 def _model_token_cached(v: str, it: int, mel: int) -> str:
-    """Per-worker token→model-token cache (Zipfian hit rate; the projection
-    is a pure function of the token value + input type)."""
+    """Token→model-token cache (the projection is a pure function of the
+    token value + input type), kept for perfbench's layer pass and the
+    tests; the kernel maps words to vocabulary ids instead."""
     return to_model_token(v, it, mel)
 
 

@@ -8,12 +8,18 @@ Re-implements:
     (.../Tokenizing/PosTaggerInputTypeProcessor.cs:90-312);
   * Tokenizer.ToPosTaggerToken (.../Tokenizing/Tokenizer.cs:1282-1334) —
     lower-invariant + ё→е + NonSpacingMark strip + `_`-prefixed ending
-    truncation at ``max_ending_length`` (mel=4 POS / mel=10000 NER);
+    truncation at ``max_ending_length`` (mel=4 POS / mel=10000 NER); the
+    per-char step is one ``str.translate`` over a table built from
+    ``xlat.LOWER_INVARIANT`` and its Mn mask, with a per-char loop for a
+    token that holds an astral-plane char;
   * UmlautesNormalizer (.../Tokenizing/UmlautesNormalizer.cs:16-85).
 """
 from __future__ import annotations
 
+import re
 import unicodedata
+
+import numpy as np
 
 from . import xlat
 from .resources import NUM_PLACEHOLDER, URL_PLACEHOLDER
@@ -201,23 +207,36 @@ def to_model_token(value: str, input_type: int, max_ending_length: int) -> str:
     return to_model_token_str(value, max_ending_length)
 
 
-from functools import lru_cache
+def _model_token_table() -> dict[int, str | None]:
+    """The ``str.translate`` table of ToPosTaggerToken's per-char step on the
+    BMP: lower-invariant (LOWER_INVARIANT already folds ё→е), then drop the
+    char if the lowered one is a non-spacing mark (Mn). Only the code points
+    that change are in it."""
+    drop = xlat.NON_SPACING_MARK[_LO]
+    changed = np.flatnonzero((_LO != np.arange(len(_LO))) | drop).tolist()
+    return {c: None if drop[c] else chr(_LO[c]) for c in changed}
 
 
-@lru_cache(maxsize=1 << 18)
+_MODEL_TOKEN_TABLE = _model_token_table()
+_ASTRAL = re.compile("[\U00010000-\U0010ffff]").search
+
+
 def to_model_token_str(token: str, max_ending_length: int) -> str:
-    # memoized per worker: token surface forms are heavy-tailed, so the
-    # per-char lower/fold/strip loop amortizes to a dict hit
+    """ToPosTaggerToken of a word whose input type does not make it a
+    placeholder (``to_model_token`` decides that first)."""
     if token == NUM_PLACEHOLDER:
         return NUM_PLACEHOLDER
-    chars = []
-    for c in token:
-        ch = chr(_LO[ord(c)]) if ord(c) < 0x10000 else c
-        if ch == "ё":
-            ch = "е"
-        if unicodedata.category(ch) != "Mn":  # NonSpacingMark
-            chars.append(ch)
-    d = len(chars) - max_ending_length - 1
-    if d >= 0:
-        return "_" + "".join(chars[d + 1 :])
-    return "".join(chars)
+    if _ASTRAL(token) is None:
+        s = token.translate(_MODEL_TOKEN_TABLE)
+    else:  # astral plane: per char; only BMP chars are lowered
+        chars = []
+        for c in token:
+            ch = chr(_LO[ord(c)]) if ord(c) < 0x10000 else c
+            if ch == "ё":
+                ch = "е"
+            if unicodedata.category(ch) != "Mn":  # NonSpacingMark
+                chars.append(ch)
+        s = "".join(chars)
+    if len(s) > max_ending_length:
+        return "_" + s[len(s) - max_ending_length :]
+    return s

@@ -92,9 +92,13 @@ class Word:
 # Token-intern cache: every derived attribute of a token (canonical value,
 # upper form, input type, flags) is a pure function of its code units, and
 # token frequency is Zipfian — one dict probe replaces two string builds +
-# the per-char feature scan for every repeated token. Per-worker, bounded.
-_TOKEN_MEMO: dict[bytes, tuple] = {}
+# the per-char feature scan for every repeated token. A number token
+# (IsDigits_WithPunctuations_WithSpecEnds, also a pure function of the code
+# units) is stored as ``_IS_NUM`` alone: with replace_nums it becomes the
+# [%NUM%] placeholder, and nothing else of it is read. Per-worker, bounded.
+_TOKEN_MEMO: dict[bytes, tuple | object] = {}
 _TOKEN_MEMO_MAX = 1_000_000
+_IS_NUM = object()
 
 
 class _Front:
@@ -194,8 +198,22 @@ class _SentTokenizer:
         if self.cur_len == 0:
             return
         start, length = self.start_index, self.cur_len
+        key = self.ub[2 * start : 2 * (start + length)]
+        # the shared memo is only valid for the default processor — a
+        # custom input_type_processor computes uncached
+        cache = self.itp is None
+        hit = _TOKEN_MEMO.get(key) if cache else None
+        if hit is None:
+            if (cache or self.replace_nums) and self._is_num_token(start, length):
+                hit = _IS_NUM
+            else:
+                hit = self._fields(key, start, length)
+            if cache:
+                if len(_TOKEN_MEMO) > _TOKEN_MEMO_MAX:
+                    _TOKEN_MEMO.clear()
+                _TOKEN_MEMO[key] = hit
         if self.replace_nums:
-            if self._is_num_token(start, length):
+            if hit is _IS_NUM:
                 if not self.is_prev_num:
                     self.is_prev_num = True
                     w = Word(NUM_PLACEHOLDER, NUM_PLACEHOLDER, start, length, IT_NUM, EX_INTEGER_NUMBER)
@@ -214,26 +232,22 @@ class _SentTokenizer:
                 self.last_num.length = start - self.last_num.start - i + 1
                 self.last_num = None
             self.is_prev_num = False
-
-        key = self.ub[2 * start : 2 * (start + length)]
-        # the shared memo is only valid for the default processor — a
-        # custom input_type_processor computes uncached
-        hit = _TOKEN_MEMO.get(key) if self.itp is None else None
-        if hit is None:
-            value = key.decode(xlat._ENC, "surrogatepass")
-            upper = xlat.from_u16(_UPN[self.u[start : start + length]], 0, length)
-            input_type, extra = (self.itp or get_input_type)(self.ul, start, length)
-            upper_uml = normalize_umlautes(upper, upper=True) if extra & EX_HAS_UMLAUTES else None
-            value = _clear_value_original(value, extra, self.u, start, length)
-            hit = (value, upper, input_type, extra, upper_uml)
-            if self.itp is None:
-                if len(_TOKEN_MEMO) > _TOKEN_MEMO_MAX:
-                    _TOKEN_MEMO.clear()
-                _TOKEN_MEMO[key] = hit
+        elif hit is _IS_NUM:
+            hit = self._fields(key, start, length)  # a plain word without replace_nums
         value, upper, input_type, extra, upper_uml = hit
         self.words.append(Word(value, upper, start, length, input_type, extra, upper_uml))
         self.start_index += length
         self.cur_len = 0
+
+    def _fields(self, key: bytes, start: int, length: int) -> tuple:
+        """(value, upper, input_type, extra, upper_umlauts) of the token
+        whose code units are ``key``, at ``start``."""
+        value = key.decode(xlat._ENC, "surrogatepass")
+        upper = xlat.from_u16(_UPN[self.u[start : start + length]], 0, length)
+        input_type, extra = (self.itp or get_input_type)(self.ul, start, length)
+        upper_uml = normalize_umlautes(upper, upper=True) if extra & EX_HAS_UMLAUTES else None
+        value = _clear_value_original(value, extra, self.u, start, length)
+        return value, upper, input_type, extra, upper_uml
 
     # -- MergePunctuation (Tokenizer.cs:1131-1171); returns (ok, new_i) --
     def _merge_punct(self, i: int, begin_ch: int, end: int) -> tuple[bool, int]:

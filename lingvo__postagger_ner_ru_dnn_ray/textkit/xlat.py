@@ -70,8 +70,10 @@ _PUNCT_CATS = {"Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po"}
 _N = 0x10000
 
 
-def _build_chartype() -> np.ndarray:
+def _build_chartype() -> tuple[np.ndarray, np.ndarray]:
+    """CHARTYPE, and the non-spacing-mark (Mn) mask from the same BMP pass."""
     ct = np.zeros(_N, dtype=np.uint16)
+    marks = []
     cat = unicodedata.category
     for c in range(_N):
         ch = chr(c)
@@ -81,6 +83,8 @@ def _build_chartype() -> np.ndarray:
             f |= IS_UPPER
         elif k == "Ll":
             f |= IS_LOWER
+        elif k == "Mn":
+            marks.append(c)
         if k in _LETTER_CATS:
             f |= IS_LETTER
         if k == "Nd":
@@ -112,7 +116,9 @@ def _build_chartype() -> np.ndarray:
         ct[ord(s)] |= IS_BRACKET_LEFT
     for s in ")›}]":
         ct[ord(s)] |= IS_BRACKET_RIGHT
-    return ct
+    mn = np.zeros(_N, dtype=bool)
+    mn[marks] = True
+    return ct, mn
 
 
 def _map_yo(c: int) -> int:
@@ -181,7 +187,7 @@ def _build_sentchartype(ct: np.ndarray) -> np.ndarray:
     return sc
 
 
-CHARTYPE: np.ndarray = _build_chartype()
+CHARTYPE, NON_SPACING_MARK = _build_chartype()
 UPPER_INVARIANT, LOWER_INVARIANT = _build_case_maps()
 SPECTYPE: np.ndarray = _build_spectype(CHARTYPE)
 SENTCHARTYPE: np.ndarray = _build_sentchartype(CHARTYPE)

@@ -15,13 +15,17 @@ holds the modules a Ray Data worker holds.
 It reports process CPU seconds: the whole pass; the tokenizer's parts,
 timed at names that every checkout since the batch front calls (the front,
 ``_Front``; the per-text ``_SentTokenizer`` init; ``split_sents``; the FSM,
-``_SentTokenizer.tokenize``); the NER and the POS forwards
-(``Kernel._labels``); and the rest. ``misses`` counts the sentences the
-FSM tokenized, i.e. those that missed whatever cache the checkout keeps
-ahead of the FSM. The collector's passes, by generation, are timed
-through ``gc.callbacks``; they are included in the layer they interrupt
-and also shown on their own (``tokenize_gc``: the passes inside the
-tokenizer's parts).
+``_SentTokenizer.tokenize``); the NER and the POS steps (``Kernel._labels``,
+a staticmethod ``(model, sents, mel)`` before the kernel's id map and a
+method ``(self, model, sents)`` since; either form is wrapped), and inside
+each the forward alone (``ner_fwd``, ``pos_fwd``: ``SeqLabelModel._forward_logits``),
+so the forward and the glue around it are split; and the rest. ``misses``
+counts the sentences the FSM tokenized, i.e. those that missed whatever
+cache the checkout keeps ahead of the FSM; ``ner_rows`` and ``pos_rows``
+count the token rows each model forwarded. The collector's passes, by
+generation, are timed through ``gc.callbacks``; they are included in the
+layer they interrupt and also shown on their own (``tokenize_gc``: the
+passes inside the tokenizer's parts).
 It imports ``perfbench/workloads.py`` and ``perfbench/run.py`` read-only
 from this checkout and edits nothing.
 """
@@ -38,9 +42,9 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BATCH_TURNS = 512  # the job's tag_batch_size
 TOKENIZE = ["front", "init", "split", "fsm"]
-COLUMNS = ["total", *TOKENIZE, "ner", "pos", "rest", "gc0", "gc1", "gc2", "gc2_passes",
-           "tokenize_gc", "misses"]
-COUNTS = {"gc2_passes", "misses"}
+COLUMNS = ["total", *TOKENIZE, "ner", "pos", "ner_fwd", "pos_fwd", "rest", "gc0", "gc1", "gc2",
+           "gc2_passes", "tokenize_gc", "misses", "ner_rows", "pos_rows"]
+COUNTS = {"gc2_passes", "misses", "ner_rows", "pos_rows"}
 
 
 def seeds(specs: list[str]) -> list[int]:
@@ -55,6 +59,7 @@ def seeds(specs: list[str]) -> list[int]:
 def child(root: str, workload: str, seed: int) -> dict:
     """One pass of the fused stage from ``root``, in this process."""
     import gc
+    import inspect
     import time
 
     sys.path[:0] = [root, str(PERFBENCH)]
@@ -62,6 +67,7 @@ def child(root: str, workload: str, seed: int) -> dict:
     import run
     import workloads
 
+    from lingvo__postagger_ner_ru_dnn_ray.model.tagger import SeqLabelModel
     from lingvo__postagger_ner_ru_dnn_ray.stages import fused
     from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import _NER_MEL, Kernel
     from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer as tz
@@ -89,10 +95,24 @@ def child(root: str, workload: str, seed: int) -> dict:
     tz._SentTokenizer.__init__ = timed("init", tz._SentTokenizer.__init__)
     tz.split_sents = timed("split", tz.split_sents)
     tz._SentTokenizer.tokenize = timed("fsm", fsm)
-    labels = Kernel._labels
+    static = isinstance(inspect.getattr_static(Kernel, "_labels"), staticmethod)
+    labels = Kernel._labels  # the plain function in either form
     ner, pos = timed("ner", labels), timed("pos", labels)
-    Kernel._labels = staticmethod(lambda model, sents, mel: (ner if mel == _NER_MEL else pos)(
-        model, sents, mel))
+    if static:  # (model, sents, mel)
+        Kernel._labels = staticmethod(lambda *a: (ner if a[2] == _NER_MEL else pos)(*a))
+    else:  # (self, model, sents)
+        Kernel._labels = lambda *a: (ner if a[1] is a[0].ner_model else pos)(*a)
+
+    def forward(model, ids, fwd=SeqLabelModel._forward_logits):
+        t0 = clock()
+        try:
+            return fwd(model, ids)
+        finally:
+            if layer[0] in ("ner", "pos"):
+                acc[f"{layer[0]}_fwd"] += clock() - t0
+                acc[f"{layer[0]}_rows"] += ids.size
+
+    SeqLabelModel._forward_logits = forward
 
     gc_t0 = [0.0]
 

@@ -1,0 +1,125 @@
+"""The kernel's id path: each word maps to both models' vocabulary ids
+through the kernel's id map, the tagger deduplicates and forwards
+sentences by their id tuples, and the job's stage runs each batch with the
+cyclic collector paused. Each test checks the id path against the string
+path it replaces (``_model_token_cached`` and ``predict_batch``)."""
+import gc
+
+import pyarrow as pa
+import pytest
+from test_link_texts import _fixture_sentences
+from test_model import _mixed_batch
+
+from lingvo__postagger_ner_ru_dnn_ray.model.lexicon import taggers
+from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import _NER_MEL, _POS_MEL, Kernel
+from lingvo__postagger_ner_ru_dnn_ray.stages.tag import _model_token_cached
+from lingvo__postagger_ner_ru_dnn_ray.textkit.features import (
+    EX_INTEGER_NUMBER,
+    IT_NUM,
+    IT_OTHER,
+    to_model_token,
+)
+from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import Word, tokenize_texts
+
+
+def _all_num(u, start, length):
+    """An input-type processor that types every word as Num."""
+    return IT_NUM, EX_INTEGER_NUMBER
+
+
+@pytest.fixture
+def id_inputs(monkeypatch):
+    """The id sentences each model's ``predict_ids`` receives, by model."""
+    pos, ner = taggers()
+    seen: dict[str, list[list[int]]] = {"pos": [], "ner": []}
+    for name, model in (("pos", pos), ("ner", ner)):
+        def spy(sents, real=model.predict_ids, name=name):
+            seen[name].extend(map(list, sents))
+            return real(sents)
+
+        monkeypatch.setattr(model, "predict_ids", spy)
+    return seen
+
+
+def test_id_map_equals_model_token_ids(id_inputs):
+    """One kernel's id map gives each word ``vocab.id(to_model_token(value,
+    input_type, mel))`` for both models, and ``_labels`` equals
+    ``predict_batch`` over ``_model_token_cached`` strings: on the reference
+    sentences, on ``_mixed_batch()``, and on the reference lines typed by a
+    processor that types every word as Num. The same kernel sees a value
+    under several input types, so a map keyed by value alone (or by value
+    and the type it was first seen with) fails."""
+    pos, ner = taggers()
+    lines = [" ".join(w.value for w in ws) for ws in _fixture_sentences()]
+    groups = [
+        _fixture_sentences(),
+        [[Word(t, None, 0, len(t), IT_OTHER, 0) for t in toks] for toks in _mixed_batch()],
+        [ws for sents in tokenize_texts(lines, input_type_processor=_all_num) for ws in sents],
+    ]
+    assert all(w.input_type == IT_NUM for ws in groups[2] for w in ws)
+    # values the kernel sees typed otherwise first, then as Num
+    assert len({w.value for ws in groups[0] for w in ws if w.input_type != IT_NUM}
+               & {w.value for ws in groups[2] for w in ws}) > 100
+    k = Kernel()
+    for sents in groups:
+        del id_inputs["pos"][:], id_inputs["ner"][:]
+        k.tag_sentences(sents)
+        for name, model, mel in (("pos", pos, _POS_MEL), ("ner", ner, _NER_MEL)):
+            want = [[model.src_vocab.id(to_model_token(w.value, w.input_type, mel)) for w in ws]
+                    for ws in sents]
+            assert id_inputs[name] == want
+            strings = [[_model_token_cached(w.value, w.input_type, mel) for w in ws]
+                       for ws in sents]
+            assert k._labels(model, sents) == model.predict_batch(strings)
+
+
+def test_out_of_vocabulary_variants_forward_once():
+    """Two sentences that differ only in out-of-vocabulary tokens have one
+    id tuple, so they go through one forward row set, and each gets the
+    labels it gets alone."""
+    _, ner = taggers()
+    known = [t for t in ("иван", "смирнов", "купил", "газпром") if t in ner.src_vocab.word_to_index]
+    assert len(known) == 4
+    a, b = known + ["qqqzz1"], known + ["qqqzz2"]
+    assert ner.src_vocab.ids(a) == ner.src_vocab.ids(b)
+    alone = [ner.predict_batch([a])[0], ner.predict_batch([b])[0]]
+    rows = []
+    forward = ner._forward_logits
+    ner.__dict__["_forward_logits"] = lambda ids: rows.append(ids.shape[0]) or forward(ids)
+    try:
+        both = ner.predict_batch([a, b])
+    finally:
+        ner.__dict__.pop("_forward_logits")
+    assert rows == [1]
+    assert both == alone
+
+
+def test_stage_fn_pauses_the_collector_per_batch(monkeypatch):
+    """``kg_stage_fn`` runs a batch with the cyclic collector paused and
+    enables it again afterwards, also when the kernel raises."""
+    from lingvo__postagger_ner_ru_dnn_ray.stages import fused
+
+    stage = fused.KgStage()
+    monkeypatch.setitem(fused._STAGES, None, stage)  # built: no gc.freeze() here
+    batch = pa.table({"conv_id": ["c"], "turn_idx": pa.array([0], pa.int32()),
+                      "text": ["Иван Смирнов купил Газпром."]})
+    link_texts = stage.kernel.link_texts
+    enabled = []
+
+    def spy(texts):
+        enabled.append(gc.isenabled())
+        return link_texts(texts)
+
+    monkeypatch.setattr(stage.kernel, "link_texts", spy)
+    assert gc.isenabled()
+    assert fused.kg_stage_fn(batch).num_rows == 1
+    assert enabled == [False] and gc.isenabled()
+
+    def boom(texts):
+        enabled.append(gc.isenabled())
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(stage.kernel, "link_texts", boom)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        fused.kg_stage_fn(batch)
+    assert enabled == [False, False] and gc.isenabled()

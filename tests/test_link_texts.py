@@ -61,20 +61,20 @@ EDGE_ROWS = [
 
 @pytest.fixture
 def pos_inputs(monkeypatch):
-    """The model-token sentences every POS ``predict_batch`` call receives,
-    in call order (the lexicon models are process singletons, so this sees
-    every Kernel's calls)."""
+    """The id sentences every POS ``predict_ids`` call receives, in call
+    order (the lexicon models are process singletons, so this sees every
+    Kernel's calls)."""
     from lingvo__postagger_ner_ru_dnn_ray.model.lexicon import taggers
 
     pos_model = taggers()[0]
-    seen: list[list[str]] = []
-    real = pos_model.predict_batch
+    seen: list[list[int]] = []
+    real = pos_model.predict_ids
 
     def spy(sents):
-        seen.extend(sents)
+        seen.extend(map(list, sents))
         return real(sents)
 
-    monkeypatch.setattr(pos_model, "predict_batch", spy)
+    monkeypatch.setattr(pos_model, "predict_ids", spy)
     return seen
 
 
@@ -83,8 +83,12 @@ def _can_form(s) -> bool:
     return bool(extract_sentence_triples(s.values, s.starts, s.lens, all_verbs, s.ner))
 
 
-def _pos_tokens(s) -> list[str]:
-    return [_model_token_cached(v, it, 4) for v, it in zip(s.values, s.input_types)]
+def _pos_tokens(s) -> list[int]:
+    """The POS vocabulary ids of a tagged sentence's model-token strings."""
+    from lingvo__postagger_ner_ru_dnn_ray.model.lexicon import taggers
+
+    return taggers()[0].src_vocab.ids(
+        _model_token_cached(v, it, 4) for v, it in zip(s.values, s.input_types))
 
 
 def _fixture_sentences() -> list[list]:

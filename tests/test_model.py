@@ -222,9 +222,9 @@ def test_chunks_have_one_length():
         assert ids.ndim == 2 and (ids.shape[0] == 1 or ids.size <= 64)
         assert (ids != EOS_ID).all()  # no token slot is padding
     assert len(seen) > len({ids.shape[1] for ids in seen})  # groups were split
-    # each unique sentence (and each piece of the long one) went through the
-    # forward exactly once: the slots sum to the real token count
-    uniq = {tuple(s) for s in sents if len(s) <= MAX_PREDICT_SENT_LENGTH}
+    # each unique id sentence (and each piece of the long one) went through
+    # the forward exactly once: the slots sum to the real token count
+    uniq = {tuple(pos.src_vocab.ids(s)) for s in sents if len(s) <= MAX_PREDICT_SENT_LENGTH}
     long_toks = sum(len(s) for s in sents if len(s) > MAX_PREDICT_SENT_LENGTH)
     assert sum(ids.size for ids in seen) == sum(map(len, uniq)) + long_toks
     assert {ids.shape[1] for ids in seen} == set(range(1, 41)) | {
@@ -298,7 +298,7 @@ def test_forward_matches_reference_transformer():
     m._AREA_CAP = 64
     sents = _mixed_batch()[:120]
     n_chunks = 0
-    for rows, ids in m._chunks(sents):
+    for rows, ids in m._chunks([m.src_vocab.ids(s) for s in sents]):
         got = m._forward_logits(ids)
         for b, r in enumerate(rows):
             np.testing.assert_allclose(got[b], _reference_logits(m, sents[r]),

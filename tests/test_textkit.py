@@ -337,3 +337,76 @@ _batch_texts = st.lists(st.one_of(st.none(), st.just(""), _piece_text), max_size
 def test_front_independent_property(texts, cuts):
     bounds = [0, *sorted(c for c in cuts if c <= len(texts)), len(texts)]
     _assert_batch_independent([texts[a:b] for a, b in zip(bounds, bounds[1:])])
+
+
+# --------------------------- model token and token memo ---------------------
+def _model_token_str_per_char(token: str, max_ending_length: int) -> str:
+    """ToPosTaggerToken's string step char by char: the reference for the
+    ``str.translate`` form."""
+    import unicodedata
+
+    from lingvo__postagger_ner_ru_dnn_ray.textkit.resources import NUM_PLACEHOLDER
+
+    if token == NUM_PLACEHOLDER:
+        return NUM_PLACEHOLDER
+    chars = []
+    for c in token:
+        ch = chr(xlat.LOWER_INVARIANT[ord(c)]) if ord(c) < 0x10000 else c
+        if ch == "ё":
+            ch = "е"
+        if unicodedata.category(ch) != "Mn":
+            chars.append(ch)
+    d = len(chars) - max_ending_length - 1
+    return "_" + "".join(chars[d + 1:]) if d >= 0 else "".join(chars)
+
+
+def test_model_token_equals_per_char_reference():
+    """Every BMP code point as a one-char token, and tokens with ё/Ё, a
+    combining acute, an astral letter and an astral non-spacing mark, at
+    both models' max ending lengths."""
+    tokens = [chr(c) for c in range(0x10000)] + [
+        "ёлка", "Ёж", "Фёдоров", "Гло́кая", "́", "а́б", "𝔘𝔫𝔦", "следовател𝔢й",
+        "\U0001D167", "ку\U0001D167здра", "Ёлка́\U0001D167", "[%NUM%]", "HTTP://X.RU", "",
+    ]
+    for mel in (4, 10000):
+        got = [to_model_token_str(t, mel) for t in tokens]
+        assert got == [_model_token_str_per_char(t, mel) for t in tokens]
+    assert to_model_token_str("ку\U0001D167здра", 10000) == "куздра"
+    assert to_model_token_str("𝔘𝔫𝔦", 10000) == "𝔘𝔫𝔦"
+
+
+def _memo_texts() -> list[str]:
+    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcripts_table
+
+    synth = synth_transcripts_table(60, seed=7).column("text").to_pylist()
+    return _fixture_lines() + _PIECES + synth
+
+
+def test_token_memo_cold_equals_warm():
+    """The words of the fixture texts are the same with a cold token memo
+    and with a memo warmed by any tokenizer configuration: replace_nums on
+    and off, the default and a custom input-type processor (which bypasses
+    the memo)."""
+    from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer as tz
+    from lingvo__postagger_ner_ru_dnn_ray.textkit.features import IT_NUM
+    from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import tokenize_texts
+
+    def odd_num(u, start, length):
+        return (IT_NUM, 0) if length % 2 else get_input_type(u, start, length)
+
+    texts = _memo_texts()
+    configs = [(rn, itp) for rn in (True, False) for itp in (None, odd_num)]
+
+    def words(cfg):
+        return [_fields(sents) for sents in tokenize_texts(texts, *cfg)]
+
+    cold = {}
+    for cfg in configs:
+        tz._TOKEN_MEMO.clear()
+        cold[cfg] = words(cfg)
+    assert len({repr(v) for v in cold.values()}) == 4  # each configuration differs
+    for warm_with in configs:
+        for cfg in configs:
+            tz._TOKEN_MEMO.clear()
+            words(warm_with)
+            assert words(cfg) == cold[cfg], (warm_with, cfg)
