@@ -357,16 +357,12 @@ def _kg_edges_artifact(sf_dir: str):
 def queries() -> dict[str, Callable[[str], Any]]:
     """One callable per operator, keyed by name; each takes ``sf_dir``.
     The nine ``kg_*`` / ``seqlabel_f1`` / ``web_json_tagged`` entries run
-    the KG job and its boundaries; the rest are the document operators of
-    ``stages/dataops.py`` (dedup, similarity and statistics). Order carries
-    no meaning.
+    the KG job and its boundaries; the rest are the document-statistics
+    operators of ``stages/dataops.py``. Order carries no meaning.
     """
     from lingvo__postagger_ner_ru_dnn_ray.stages import dataops as d
 
     return {
-        "doc_simhash_neardup_pairs": d.doc_simhash_neardup_pairs,
-        "doc_minhash_pairs": d.doc_minhash_pairs,
-        "doc_dedup_minhash": d.doc_dedup_minhash,
         "kg_edges_artifact": _kg_edges_artifact,
         # the batch JSON boundary (web surface replay): web-JSON tasks vs
         # the single-process oracle
@@ -381,17 +377,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_token_cms_registers": d.doc_token_cms_registers,
         "doc_token_hll_registers": d.doc_token_hll_registers,
         "doc_token_freq": d.doc_token_freq,
-        "doc_decontaminate": d.doc_decontaminate,
         "doc_bm25_topk": d.doc_bm25_topk,
-        "doc_dedup_exact": d.doc_dedup_exact,
         "doc_charlm_ppl": d.doc_charlm_ppl,
         "doc_token_cms_estimate": d.doc_token_cms_estimate,
         "doc_token_heavy_hitters": d.doc_token_heavy_hitters,
         "doc_tfidf_topk": d.doc_tfidf_topk,
-        "doc_dup_spans": d.doc_dup_spans,
-        "doc_jaccard_pairs": d.doc_jaccard_pairs,
-        "doc_clean_corpus": d.doc_clean_corpus,
-        "doc_jaccard_join_prefix": d.doc_jaccard_join_prefix,
         "doc_sample": d.doc_sample,
         "doc_sample_stratified": d.doc_sample_stratified,
         "doc_table_checksum": d.doc_table_checksum,
@@ -400,7 +390,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_fingerprint": d.doc_fingerprint,
         "doc_langid": d.doc_langid,
         "doc_len_histogram": d.doc_len_histogram,
-        "doc_simhash": d.doc_simhash,
         "doc_token_hll_estimate": d.doc_token_hll_estimate,
         "doc_rep_ngram_signals": d.doc_rep_ngram_signals,
         "doc_bpe_pair_counts": d.doc_bpe_pair_counts,
@@ -427,39 +416,17 @@ def _kg_sql(orc: str) -> dict[str, str]:
 
 def _dataops_sql() -> dict[str, str]:
     """Pure-SQL semantic oracles (no side effects; unit-testable at any sf).
-    The md5-hash-seeded operators (minhash/simhash/fingerprint/charlm) are
+    The md5-hash-seeded operators (fingerprint and the sketches) are
     reproduced EXACTLY in SQL via DuckDB's md5_number_upper — see the
     *_ORACLE_SQL constants next to each operator in stages/dataops.py."""
     from lingvo__postagger_ner_ru_dnn_ray.stages import dataops as d
 
     return {
-        "doc_minhash_pairs": d.minhash_oracle_sql(),
-        "doc_dedup_minhash": d.dedup_minhash_oracle_sql(),
-        "doc_clean_corpus": d.clean_corpus_oracle_sql(),
-        "doc_simhash": d.SIMHASH_ORACLE_SQL,
-        "doc_simhash_neardup_pairs": d.SIMHASH_NEARDUP_ORACLE_SQL,
         "doc_fingerprint": d.FINGERPRINT_ORACLE_SQL,
         "doc_charlm_ppl": d.CHARLM_ORACLE_SQL,
         "doc_len_histogram": (
             "SELECT length(text) // 100 AS len_bucket, count(*)::BIGINT AS n_docs "
             "FROM documents GROUP BY length(text) // 100"
-        ),
-        "doc_dedup_exact": (
-            "SELECT min(doc_id) AS doc_id, count(*) AS n_dups "
-            "FROM documents GROUP BY md5(text)"
-        ),
-        "doc_jaccard_pairs": (
-            "WITH s AS (SELECT doc_id, list_distinct(list_transform("
-            "generate_series(1, len(string_split(text,' '))-2), i -> "
-            "string_split(text,' ')[i] || ' ' || string_split(text,' ')[i+1] || ' ' || "
-            "string_split(text,' ')[i+2])) AS sh FROM documents WHERE doc_id < 500) "
-            "SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, "
-            "100*len(list_intersect(a.sh,b.sh)) // "
-            "(len(a.sh)+len(b.sh)-len(list_intersect(a.sh,b.sh))) AS jaccard_pct "
-            "FROM s a, s b WHERE a.doc_id < b.doc_id "
-            "AND len(list_intersect(a.sh,b.sh)) > 0 "
-            "AND 100*len(list_intersect(a.sh,b.sh)) // "
-            "(len(a.sh)+len(b.sh)-len(list_intersect(a.sh,b.sh))) >= 1"
         ),
         "doc_token_count": (
             "SELECT doc_id, len(string_split(text,' '))::BIGINT AS n_ws_tokens, "
@@ -484,7 +451,6 @@ def _dataops_sql() -> dict[str, str]:
             "GROUP BY token ORDER BY freq DESC, token LIMIT 100"
         ),
         "doc_sample": d.doc_sample_oracle_sql(),
-        "doc_jaccard_join_prefix": d.prefix_join_oracle_sql(),
         "doc_sample_stratified": d.stratified_sample_oracle_sql(),
         "doc_token_hll_registers": d.HLL_REGISTERS_ORACLE_SQL,
         "doc_token_hll_estimate": d.HLL_ESTIMATE_ORACLE_SQL,
@@ -497,8 +463,6 @@ def _dataops_sql() -> dict[str, str]:
         "doc_tfidf_topk": d.tfidf_oracle_sql(),
         "doc_bm25_topk": d.bm25_oracle_sql(),
         "doc_rep_ngram_signals": d.REP_NGRAM_ORACLE_SQL,
-        "doc_decontaminate": d.DECONTAMINATE_ORACLE_SQL,
-        "doc_dup_spans": d.DUP_SPANS_ORACLE_SQL,
     }
 
 

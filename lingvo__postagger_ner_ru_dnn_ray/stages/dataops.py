@@ -1,17 +1,15 @@
 """Large-scale training-data operations over the driver's ``documents``
 table.
 
-These are the first-class data-pipeline operators a 100 TB corpus engine
-needs beyond the reference's NLP stages: deduplication (exact, n-gram
-Jaccard, MinHash+LSH, SimHash), lexical similarity and retrieval (prefix
-Jaccard join, TF-IDF, BM25) and text analysis (language-ID, quality
-scoring, token counting, fingerprinting, sketches). Every operator is a
-streaming ``map_batches`` composition with explicit partial-aggregation
-before any shuffle; small sides are broadcast with ``ray.put``.
+These are the document-statistics operators a corpus engine runs beside
+the reference's NLP stages: lexical retrieval (TF-IDF, BM25) and text
+analysis (language-ID, quality scoring, token counting, fingerprinting,
+sampling, sketches, n-gram signals). Every operator is a streaming
+``map_batches`` composition with explicit partial-aggregation before any
+shuffle; small sides are broadcast with ``ray.put``.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import zlib
 
@@ -21,7 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Max, Sum
 
 from ..functions.hashing import _md5_u64
 
@@ -32,39 +30,29 @@ def _docs(sf_dir: str, columns=None) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
 
 
-# --------------------------------------------------------------------------- #
-# exact dedup: hash-partition on content hash + per-group representative
-
-_TEXT_MD5_MEMO: dict[str, str] = {}  # per-worker; duplicate-heavy corpora hit it
+_JOIN_SALTS = 512  # scale knob: ≈ 16-32 × cluster cores
 
 
-def _text_md5(t: str) -> str:
-    h = _TEXT_MD5_MEMO.get(t)
+def _key_salt(k: np.ndarray) -> np.ndarray:
+    """Multiply-hash int64 keys into _JOIN_SALTS bounded partitions
+    (vectorized; the partition is the map_groups unit so per-group Python
+    dispatch is O(partitions), never O(keys))."""
+    return (
+        ((k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33))
+        % np.uint64(_JOIN_SALTS)
+    ).astype(np.int64)
+
+
+_WORD_HASH_MEMO: dict[str, int] = {}  # per-worker Zipfian word-hash cache
+
+
+def _word_hash(w: str) -> int:
+    h = _WORD_HASH_MEMO.get(w)
     if h is None:
-        if len(_TEXT_MD5_MEMO) > 100_000:  # bound worker heap (keys are texts)
-            _TEXT_MD5_MEMO.clear()
-        h = _TEXT_MD5_MEMO[t] = hashlib.md5(t.encode()).hexdigest()
+        if len(_WORD_HASH_MEMO) > 1_000_000:  # bound worker heap
+            _WORD_HASH_MEMO.clear()
+        h = _WORD_HASH_MEMO[w] = _md5_u64(w)
     return h
-
-
-def doc_dedup_exact(sf_dir: str) -> ray.data.Dataset:
-    """Keep min(doc_id) per exact text duplicate group.
-    Oracle: GROUP BY md5(text). The hash is only the shuffle key — grouping
-    is identical for any collision-free hash, so values match the oracle.
-    (md5 itself can't be vectorized from Python; the per-worker memo
-    absorbs the duplicate mass, which is exactly the hot case here.)"""
-
-    def add_hash(batch: pa.Table) -> pa.Table:
-        h = [_text_md5(t) for t in batch.column("text").to_pylist()]
-        return pa.Table.from_arrays(
-            [batch.column("doc_id"), pa.array(h, pa.string())], names=["doc_id", "h"]
-        )
-
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(add_hash, batch_format="pyarrow")
-    out = ds.groupby("h").aggregate(
-        Min("doc_id", alias_name="doc_id"), Count(alias_name="n_dups")
-    )
-    return out.select_columns(["doc_id", "n_dups"])
 
 
 # --------------------------------------------------------------------------- #
@@ -161,645 +149,7 @@ def doc_token_freq(sf_dir: str, top_k: int = 100) -> ray.data.Dataset:
 
 
 # --------------------------------------------------------------------------- #
-# n-gram Jaccard near-dup (exact, capped) — the SQL-checkable baseline
-
-_JACCARD_CAP = 500  # doc_id < cap on both sides keeps the O(n²) pair space fixed
-
-
-def _shingles(text: str, n: int = 3) -> frozenset:
-    ws = text.split(" ")
-    if len(ws) < n:
-        return frozenset({" ".join(ws)})
-    return frozenset(" ".join(ws[i : i + n]) for i in range(len(ws) - n + 1))
-
-
-def doc_jaccard_pairs(sf_dir: str, threshold_pct: int = 1) -> ray.data.Dataset:
-    """All-pairs 3-gram Jaccard over doc_id < 500 (exact O(n²) baseline;
-    the MinHash+LSH operator below is the at-scale path). The small side
-    (all capped shingle sets) is broadcast via ray.put once."""
-    tbl = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .filter(expr=f"doc_id < {_JACCARD_CAP}")
-        .to_pandas()
-    )
-    sets = {int(r.doc_id): _shingles(r.text) for r in tbl.itertuples()}
-    ref = ray.put(sets)
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        all_sets = ray.get(ref)
-        a_out, b_out, j_out = [], [], []
-        for a in batch.column("doc_id").to_pylist():
-            sa = all_sets.get(a)
-            if sa is None:
-                continue
-            for b, sb in all_sets.items():
-                if b <= a:
-                    continue
-                inter = len(sa & sb)
-                if inter == 0:
-                    continue
-                jac = (100 * inter) // (len(sa) + len(sb) - inter)
-                if jac >= threshold_pct:
-                    a_out.append(a)
-                    b_out.append(b)
-                    j_out.append(jac)
-        return pa.Table.from_arrays(
-            [pa.array(a_out, pa.int64()), pa.array(b_out, pa.int64()),
-             pa.array(j_out, pa.int64())],
-            names=["doc_a", "doc_b", "jaccard_pct"],
-        )
-
-    return (
-        _docs(sf_dir, ["doc_id"])
-        .filter(expr=f"doc_id < {_JACCARD_CAP}")
-        .map_batches(pairs, batch_format="pyarrow")
-    )
-
-
-# --------------------------------------------------------------------------- #
-# MinHash + LSH near-dup — the at-scale path (shingle→minhash→band→groupby)
-#
-# All hashing is md5-derived and the modulus is the Mersenne prime 2^31-1,
-# so a*h+b stays below 2^62 and numpy-uint64 / DuckDB-BIGINT arithmetic
-# agree EXACTLY — the driver oracle recomputes the identical pair set in
-# pure SQL (md5_number_upper == little-endian first 8 bytes of md5).
-
-_MH_PERMS = 64
-_MH_BANDS = 32  # 32 bands × 2 rows: P(candidate | j=0.5) ≈ 0.9997
-_MH_P = np.uint64((1 << 31) - 1)  # 2147483647
-# LSH rows group on salt = hash(band, bucket) % N_SALTS: group size is a
-# bounded 1/N_SALTS slice of the band rows (scale knob: set ≈ 32-64 ×
-# cluster cores so groups stay block-sized), group COUNT is fixed so the
-# per-group Python dispatch cost stays constant, and the duplicated-
-# bucket scan inside each group is vectorized pandas.
-_MH_N_SALTS = 1024
-
-_MH_RNG = np.random.RandomState(1234)
-_MH_A = _MH_RNG.randint(1, int(_MH_P), size=_MH_PERMS).astype(np.uint64)
-_MH_B = _MH_RNG.randint(0, int(_MH_P), size=_MH_PERMS).astype(np.uint64)
-
-
-_JOIN_SALTS = 512  # scale knob: ≈ 16-32 × cluster cores
-
-
-def _key_salt(k: np.ndarray) -> np.ndarray:
-    """Multiply-hash int64 keys into _JOIN_SALTS bounded partitions
-    (vectorized; the partition is the map_groups unit so per-group Python
-    dispatch is O(partitions), never O(keys))."""
-    return (
-        ((k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33))
-        % np.uint64(_JOIN_SALTS)
-    ).astype(np.int64)
-
-
-_EMPTY_MERGE_FRAME = pd.DataFrame({
-    "k": pd.Series([], dtype="int64"), "salt": pd.Series([], dtype="int64"),
-    "kind": pd.Series([], dtype="int8"), "other": pd.Series([], dtype="int64"),
-    "payload": pd.Series([], dtype="object"),
-})
-
-
-_SHINGLE_HASH_MEMO: dict[str, int] = {}  # per-worker cache (Zipfian shingles)
-
-
-def _shingle_hash(s: str) -> int:
-    """md5-derived shingle hash mod 2^31-1, memoized per worker — the
-    per-shingle Python md5 is the minhash family's wall-clock dominator
-    and md5 itself is load-bearing for the SQL oracle, so memoization is
-    the available lever (bounded + self-clearing like _word_hash)."""
-    h = _SHINGLE_HASH_MEMO.get(s)
-    if h is None:
-        if len(_SHINGLE_HASH_MEMO) > 1_000_000:  # bound worker heap
-            _SHINGLE_HASH_MEMO.clear()
-        h = _SHINGLE_HASH_MEMO[s] = int(_md5_u64(s)) % 2147483647
-    return h
-
-
-def _minhash_sig(sh: frozenset) -> np.ndarray:
-    if not sh:
-        return np.zeros(_MH_PERMS, dtype=np.uint64)
-    hv = np.fromiter((_shingle_hash(s) for s in sh), dtype=np.uint64, count=len(sh))
-    # universal hashing (a*x + b) mod p — products < 2^62, no uint64 wrap
-    return ((_MH_A[:, None] * hv[None, :] + _MH_B[:, None]) % _MH_P).min(axis=1)
-
-
-def _mh_to_bands(batch: pa.Table) -> pa.Table:
-    """Per doc, _MH_BANDS rows (doc_id, band, bucket, salt) where bucket is
-    the EXACT (s0<<31 | s1) encoding of the band's two 31-bit signature
-    rows and salt = hash(band, bucket) % _MH_N_SALTS."""
-    n = batch.num_rows
-    ids = np.repeat(np.asarray(batch.column("doc_id"), dtype=np.int64), _MH_BANDS)
-    bands = np.tile(np.arange(_MH_BANDS, dtype=np.int32), n)
-    buckets = np.empty(n * _MH_BANDS, dtype=np.int64)
-    for r, text in enumerate(batch.column("text").to_pylist()):
-        sig = _minhash_sig(_shingles(text))
-        packed = (sig[0::2].astype(np.int64) << 31) | sig[1::2].astype(np.int64)
-        buckets[r * _MH_BANDS : (r + 1) * _MH_BANDS] = packed
-    salt = (
-        (buckets.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-        ^ (bands.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F))
-    ) % np.uint64(_MH_N_SALTS)
-    return pa.Table.from_arrays(
-        [pa.array(ids), pa.array(bands), pa.array(buckets),
-         pa.array(salt.astype(np.int64))],
-        names=["doc_id", "band", "bucket", "salt"],
-    )
-
-
-# pair LISTING only: emit pairs among at most this many (sorted) docs per
-# duplicated (band, bucket) — a web-scale duplicate cluster of 10^5 docs
-# would otherwise emit C(m,2) ≈ 5·10^9 pairs from one bucket. Truncation
-# is deterministic (lowest doc_ids win) and logged. The dedup operator
-# does NOT go through pairs at all — it uses linear representative links.
-_LSH_BUCKET_DOC_CAP = 256
-
-
-def _verify_candidate_pairs(
-    docs: ray.data.Dataset, cand: ray.data.Dataset, verify_threshold_pct: int,
-    emit: str = "pairs", dedup_cand: bool = False,
-) -> ray.data.Dataset:
-    """Exact-Jaccard verification of candidate (doc_a, doc_b) pairs via two
-    reduce-side co-partitioned groupby merges (hash-partitioned on the doc
-    id; nothing is ever materialized on the driver). Each partition
-    receives every needed text ONCE per (partition, doc) — pair rows carry
-    only ids; a-side texts ship as separate deduplicated payload rows —
-    so the shuffle payload is linear in docs-per-partition, not in pairs.
-    (groupby-on-salt rather than Dataset.join: Ray 2.49's join aggregator
-    synthesizes schema-less tables for empty hash partitions and Acero
-    then rejects the key field; salting keeps per-group Python dispatch
-    at O(partitions).) ``emit="pairs"`` yields (doc_a, doc_b,
-    jaccard_pct ≥ threshold); ``emit="keep"`` yields the DEDUP KEEP-LIST
-    (doc_id) directly — pass 2 is co-partitioned on salt(doc_b) with
-    EVERY doc's row present, so "this doc has no verified lower-id link"
-    is a partition-local fact and the separate anti-join stage of the
-    old keep-list construction disappears.
-
-    ``dedup_cand=True`` makes candidate DISTINCT a pass-1 partition-local
-    fact instead of a dedicated upstream shuffle: every copy of (a, b)
-    carries k = a, so all copies land in the same salt group and a
-    vectorized drop_duplicates there IS global distinct — one whole
-    sort-shuffle cheaper than a separate DISTINCT pass in front."""
-
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        k = np.asarray(batch.column("doc_id"), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [pa.array(k), pa.array(_key_salt(k)), pa.array([0] * n, pa.int8()),
-             pa.nulls(n, pa.int64()), batch.column("text")],
-            names=["k", "salt", "kind", "other", "payload"],
-        )
-
-    def tag_cand(batch: pa.Table) -> pa.Table:
-        # key on doc_a for the first merge
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64()), pa.array([], pa.int64()),
-                 pa.array([], pa.int8()), pa.array([], pa.int64()),
-                 pa.array([], pa.string())],
-                names=["k", "salt", "kind", "other", "payload"],
-            )
-        n = batch.num_rows
-        k = np.asarray(batch.column("doc_a"), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [pa.array(k), pa.array(_key_salt(k)), pa.array([1] * n, pa.int8()),
-             batch.column("doc_b"), pa.nulls(n, pa.string())],
-            names=["k", "salt", "kind", "other", "payload"],
-        )
-
-    def attach_text_a(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized hash-merge of all keys in this salt partition; re-key
-        # pairs on doc_b for pass 2. text_a is NOT carried per pair: pair
-        # rows (kind 1) are id-only, and one payload row (kind 2) per
-        # distinct (target partition, doc_a) carries the text.
-        docs_g = g[g["kind"] == 0][["k", "payload"]].rename(columns={"payload": "text_a"})
-        c = g[g["kind"] == 1][["k", "other"]]
-        if dedup_cand and not c.empty:
-            # all copies of (a, b) share k = a → this group sees them all;
-            # local drop_duplicates == global DISTINCT
-            c = c.drop_duplicates(["k", "other"])
-        if docs_g.empty or c.empty:
-            return _EMPTY_MERGE_FRAME.copy()
-        m = c.merge(docs_g, on="k", how="inner")
-        k2 = m["other"].to_numpy(dtype=np.int64)
-        salt2 = _key_salt(k2)
-        pair_rows = pd.DataFrame({
-            "k": pd.Series(k2, dtype="int64"),
-            "salt": pd.Series(salt2, dtype="int64"),
-            "kind": pd.Series([1] * len(m), dtype="int8"),
-            "other": pd.Series(m["k"].to_numpy(), dtype="int64"),
-            "payload": pd.Series([None] * len(m), dtype="object"),
-        })
-        pay = pd.DataFrame({
-            "k": pd.Series(m["k"].to_numpy(), dtype="int64"),
-            "salt": pd.Series(salt2, dtype="int64"),
-            "kind": pd.Series([2] * len(m), dtype="int8"),
-            "other": pd.Series([0] * len(m), dtype="int64"),
-            "payload": pd.Series(m["text_a"].to_numpy(), dtype="object"),
-        }).drop_duplicates(["salt", "k"])
-        return pd.concat([pair_rows, pay], ignore_index=True)
-
-    def verify_partition(g: pd.DataFrame) -> pd.DataFrame:
-        docs_g = g[g["kind"] == 0]
-        texts_b = dict(zip(docs_g["k"], docs_g["payload"]))
-        texts_a_g = g[g["kind"] == 2]
-        texts_a = dict(zip(texts_a_g["k"], texts_a_g["payload"]))
-        c = g[g["kind"] == 1]
-        a_out, b_out, j_out = [], [], []
-        sh_memo: dict = {}  # doc id -> shingle set, both sides
-
-        def sh_of(doc_id, texts):
-            s = sh_memo.get(doc_id)
-            if s is None:
-                s = sh_memo[doc_id] = _shingles(texts[doc_id])
-            return s
-
-        dropped: set = set()
-        for b_key, a_id in zip(c["k"], c["other"]):
-            if b_key not in texts_b or a_id not in texts_a:
-                continue
-            if emit == "keep" and b_key in dropped:
-                continue
-            sa = sh_of(a_id, texts_a)
-            sb = sh_of(b_key, texts_b)
-            inter = len(sa & sb)
-            if inter == 0:
-                continue
-            jac = (100 * inter) // (len(sa) + len(sb) - inter)
-            if jac >= verify_threshold_pct:
-                if emit == "keep":
-                    dropped.add(b_key)
-                else:
-                    a_out.append(int(a_id))
-                    b_out.append(int(b_key))
-                    j_out.append(jac)
-        if emit == "keep":
-            keep = np.sort(
-                np.array([k for k in texts_b if k not in dropped], dtype=np.int64)
-            )
-            return pd.DataFrame({"doc_id": pd.Series(keep, dtype="int64")})
-        return pd.DataFrame({
-            "doc_a": pd.Series(a_out, dtype="int64"),
-            "doc_b": pd.Series(b_out, dtype="int64"),
-            "jaccard_pct": pd.Series(j_out, dtype="int64"),
-        })
-
-    union_schema = pa.schema(
-        [("k", pa.int64()), ("salt", pa.int64()), ("kind", pa.int8()),
-         ("other", pa.int64()), ("payload", pa.string())]
-    )
-
-    def to_arrow(batch: pa.Table) -> pa.Table:
-        # unioned datasets must share one block type; re-stamp the pandas
-        # map_groups output as schema'd Arrow
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return union_schema.empty_table()
-        return batch.select(union_schema.names).cast(union_schema)
-
-    docs_tagged = docs.map_batches(tag_docs, batch_format="pyarrow")
-    cand_tagged = cand.map_batches(tag_cand, batch_format="pyarrow")
-    with_a = (
-        docs_tagged.union(cand_tagged)
-        .groupby("salt")
-        .map_groups(attach_text_a, batch_format="pandas")
-        .map_batches(to_arrow, batch_format="pyarrow")
-    )
-    return docs_tagged.union(with_a).groupby("salt").map_groups(
-        verify_partition, batch_format="pandas"
-    )
-
-
-def doc_minhash_pairs(sf_dir: str, verify_threshold_pct: int = 1) -> ray.data.Dataset:
-    """MinHash(64) + LSH(32×2) near-duplicate PAIR LISTING, scale-safe:
-
-    1. _mh_to_bands: per doc, 32 rows (doc_id, band, bucket) — bucket is
-       the exact (s0<<31 | s1) signature encoding, so the candidate set is
-       precisely signature equality (no hash collisions).
-    2. candidates: groupby salt = hash(band, bucket) % N_SALTS — all rows
-       of one (band, bucket) land in one bounded group; the duplicated-
-       bucket pair scan inside each group is vectorized numpy
-       (triu_indices), emission per bucket is CAPPED at
-       C(_LSH_BUCKET_DOC_CAP, 2) with deterministic lowest-ids-win
-       truncation (logged) so one giant duplicate cluster cannot emit a
-       quadratic pair set; cross-band dedup happens inside verification
-       pass 1 (dedup_cand — partition-local distinct == global
-       distinct). (The dedup REMOVAL operator doc_dedup_minhash does not
-       go through pairs at all — linear representative links.)
-    3. verify: exact Jaccard via _verify_candidate_pairs (two reduce-side
-       co-partitioned merges; texts cross the shuffle once per partition,
-       not once per pair).
-
-    Emits verified pairs (doc_a, doc_b, jaccard_pct). The SQL oracle
-    reproduces the per-bucket cap exactly (row_number over doc_id), so
-    Ray == oracle at ANY scale, including buckets past the cap."""
-    rows_per_band = _MH_PERMS // _MH_BANDS
-    assert rows_per_band == 2  # bucket packing assumes 2×31-bit rows
-
-    def salted_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        # one group per salt: vectorized scan over its (band, bucket) runs
-        g = group[group.duplicated(["band", "bucket"], keep=False)]
-        if g.empty:
-            return pd.DataFrame(
-                {"doc_a": pd.Series([], dtype="int64"), "doc_b": pd.Series([], dtype="int64")}
-            )
-        a_out, b_out = [], []
-        dropped = 0
-        for _, ids in g.groupby(["band", "bucket"], sort=False)["doc_id"]:
-            u = np.unique(ids.to_numpy())
-            if len(u) > _LSH_BUCKET_DOC_CAP:
-                dropped += len(u) - _LSH_BUCKET_DOC_CAP
-                u = u[:_LSH_BUCKET_DOC_CAP]
-            ii, jj = np.triu_indices(len(u), k=1)
-            a_out.append(u[ii])
-            b_out.append(u[jj])
-        if dropped:
-            print(
-                f"[doc_minhash_pairs] bucket cap {_LSH_BUCKET_DOC_CAP}: "
-                f"dropped {dropped} docs from pair emission"
-            )
-        a = np.concatenate(a_out) if a_out else np.array([], dtype=np.int64)
-        b = np.concatenate(b_out) if b_out else np.array([], dtype=np.int64)
-        return pd.DataFrame(
-            {"doc_a": pd.Series(a, dtype="int64"), "doc_b": pd.Series(b, dtype="int64")}
-        )
-
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    bands = docs.map_batches(_mh_to_bands, batch_format="pyarrow")
-    cand = bands.groupby("salt").map_groups(salted_pairs, batch_format="pandas")
-    # cross-band candidate dedup happens INSIDE verification pass 1
-    # (dedup_cand: partition-local distinct == global distinct) — no
-    # dedicated DISTINCT shuffle
-    return _verify_candidate_pairs(docs, cand, verify_threshold_pct, dedup_cand=True)
-
-
-def _mh_band_cte() -> str:
-    """Shared WITH-prefix (shingles → md5 hashes → 64 permutations →
-    32 packed band buckets) used by both minhash oracles — computes the
-    identical bands the Ray side computes, bit for bit."""
-    perm_vals = ", ".join(
-        f"({i},{int(_MH_A[i])},{int(_MH_B[i])})" for i in range(_MH_PERMS)
-    )
-    return f"""
-WITH d AS (
-  SELECT doc_id, string_split(text, ' ') AS ws FROM documents
-), s AS (
-  SELECT doc_id, list_distinct(list_transform(
-    generate_series(1, greatest(1, len(ws)-2)),
-    i -> array_to_string(list_slice(ws, i, i+2), ' '))) AS sh
-  FROM d
-), hv AS (
-  SELECT doc_id, (md5_number_upper(unnest(sh)) % 2147483647)::BIGINT AS h FROM s
-), perms(i, a, b) AS (VALUES {perm_vals}),
-sig AS (
-  SELECT doc_id, i, min((a * h + b) % 2147483647) AS v FROM hv, perms GROUP BY doc_id, i
-), band AS (
-  SELECT doc_id, i // 2 AS band,
-         (min(CASE WHEN i % 2 = 0 THEN v END) << 31)
-         | min(CASE WHEN i % 2 = 1 THEN v END) AS bucket
-  FROM sig GROUP BY doc_id, i // 2
-)"""
-
-
-def minhash_oracle_sql(verify_threshold_pct: int = 1) -> str:
-    """DuckDB SQL that reproduces doc_minhash_pairs EXACTLY (same md5-based
-    shingle hashes, same (a,b) permutation constants, same band equality,
-    same integer Jaccard verification, same per-bucket doc cap — the Ray
-    side keeps the _LSH_BUCKET_DOC_CAP lowest doc ids per (band, bucket),
-    deterministic + logged, and the row_number cap below reproduces it)."""
-    return f"""{_mh_band_cte()}, bandc AS (
-  SELECT doc_id, band, bucket FROM (
-    SELECT doc_id, band, bucket, row_number() OVER (
-      PARTITION BY band, bucket ORDER BY doc_id) AS rn
-    FROM (SELECT DISTINCT doc_id, band, bucket FROM band))
-  WHERE rn <= {_LSH_BUCKET_DOC_CAP}
-), cand AS (
-  SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b
-  FROM bandc a JOIN bandc b ON a.band = b.band AND a.bucket = b.bucket
-                            AND a.doc_id < b.doc_id
-)
-SELECT c.doc_a, c.doc_b,
-  100 * len(list_intersect(sa.sh, sb.sh)) //
-  (len(sa.sh) + len(sb.sh) - len(list_intersect(sa.sh, sb.sh))) AS jaccard_pct
-FROM cand c JOIN s sa ON c.doc_a = sa.doc_id JOIN s sb ON c.doc_b = sb.doc_id
-WHERE len(list_intersect(sa.sh, sb.sh)) > 0
-  AND 100 * len(list_intersect(sa.sh, sb.sh)) //
-      (len(sa.sh) + len(sb.sh) - len(list_intersect(sa.sh, sb.sh)))
-      >= {verify_threshold_pct}
-"""
-
-
-# --------------------------------------------------------------------------- #
-# SimHash fingerprints
-
-_WORD_HASH_MEMO: dict[str, int] = {}  # per-worker Zipfian word-hash cache
-
-
-def _word_hash(w: str) -> int:
-    h = _WORD_HASH_MEMO.get(w)
-    if h is None:
-        if len(_WORD_HASH_MEMO) > 1_000_000:  # bound worker heap
-            _WORD_HASH_MEMO.clear()
-        h = _WORD_HASH_MEMO[w] = _md5_u64(w)
-    return h
-
-
-def _simhash_arr(texts: list[str]) -> np.ndarray:
-    """64-bit SimHash per text (int64, offset by -2^63 so it round-trips
-    Arrow/DuckDB BIGINT). Word hashes memoized per worker; the bit-vote
-    is one vectorized numpy reduction per document."""
-    shifts = np.arange(64, dtype=np.uint64)
-    weights = (np.uint64(1) << shifts).astype(np.uint64)
-    out = np.empty(len(texts), dtype=np.int64)
-    for r, text in enumerate(texts):
-        hs = np.array([_word_hash(w) for w in text.split(" ")], dtype=np.uint64)
-        bits = (hs[:, None] >> shifts[None, :]) & np.uint64(1)  # [W, 64]
-        acc = (2 * bits.astype(np.int64) - 1).sum(axis=0)
-        val = int(weights[acc > 0].sum(dtype=np.uint64))
-        out[r] = val - (1 << 63)
-    return out
-
-
-def doc_simhash(sf_dir: str) -> ray.data.Dataset:
-    """64-bit SimHash over whitespace tokens; the driver oracle recomputes
-    the identical value in SQL via md5_number_upper."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        out = _simhash_arr(batch.column("text").to_pylist())
-        return pa.Table.from_arrays(
-            [batch.column("doc_id"), pa.array(out)], names=["doc_id", "simhash"]
-        )
-
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(fn, batch_format="pyarrow")
-
-
-SIMHASH_ORACLE_SQL = """
-WITH w AS (
-  SELECT doc_id, md5_number_upper(unnest(string_split(text, ' '))) AS h FROM documents
-), b AS (
-  SELECT doc_id, i, sum(CASE WHEN (h >> i) & 1 = 1 THEN 1 ELSE -1 END) AS acc
-  FROM w, generate_series(0, 63) g(i) GROUP BY doc_id, i
-)
-SELECT doc_id,
-  (sum(CASE WHEN acc > 0 THEN (1::UBIGINT << i)::HUGEINT ELSE 0 END)
-   - 9223372036854775808::HUGEINT)::BIGINT AS simhash
-FROM b GROUP BY doc_id
-"""
-
-
-# --------------------------------------------------------------------------- #
-# SimHash near-duplicate pairs — hamming-ball search via chunk buckets
-
-_SIMHASH_CHUNKS = 4  # 4×16-bit chunks: hamming ≤ 3 => ≥1 chunk equal
-_SIMHASH_MAX_HAMMING = _SIMHASH_CHUNKS - 1
-
-
-def _popcount64(x: np.ndarray) -> np.ndarray:
-    """Vectorized popcount of a uint64 array."""
-    b = np.unpackbits(np.ascontiguousarray(x).view(np.uint8).reshape(-1, 8), axis=1)
-    return b.sum(axis=1).astype(np.int64)
-
-
-def doc_simhash_neardup_pairs(sf_dir: str) -> ray.data.Dataset:
-    """Near-duplicate pairs with SimHash hamming distance ≤ 3 — the
-    hamming-ball companion to the Jaccard/MinHash family. The 64-bit
-    simhash splits into 4×16-bit chunks; by pigeonhole any pair within
-    hamming 3 agrees on ≥1 chunk, so candidates are exactly the
-    chunk-equality buckets (groupby on salt(chunk_idx, chunk_val) bounded
-    partitions, vectorized triu pair scan, per-bucket doc cap as in LSH).
-    Unlike the text-verified MinHash path, verification needs only the
-    two 64-bit signatures — they ride along with the bucket rows, so the
-    hamming check happens inside the candidate group with one vectorized
-    popcount; no second join. Output: (doc_a, doc_b, hamming)."""
-
-    def to_chunks(batch: pa.Table) -> pa.Table:
-        sims = _simhash_arr(batch.column("text").to_pylist())
-        ids = np.asarray(batch.column("doc_id"), dtype=np.int64)
-        u = sims.view(np.uint64)
-        n = len(ids)
-        ids_r = np.repeat(ids, _SIMHASH_CHUNKS)
-        sims_r = np.repeat(sims, _SIMHASH_CHUNKS)
-        chunk_idx = np.tile(np.arange(_SIMHASH_CHUNKS, dtype=np.int64), n)
-        shifts = (chunk_idx.astype(np.uint64)) * np.uint64(16)
-        chunk_val = (
-            (np.repeat(u, _SIMHASH_CHUNKS) >> shifts) & np.uint64(0xFFFF)
-        ).astype(np.int64)
-        salt = (
-            (chunk_val.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-            ^ (chunk_idx.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F))
-        ) % np.uint64(_MH_N_SALTS)
-        return pa.Table.from_arrays(
-            [pa.array(ids_r), pa.array(chunk_idx), pa.array(chunk_val),
-             pa.array(sims_r), pa.array(salt.astype(np.int64))],
-            names=["doc_id", "chunk_idx", "chunk_val", "simhash", "salt"],
-        )
-
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        g = group[group.duplicated(["chunk_idx", "chunk_val"], keep=False)]
-        empty = pd.DataFrame({
-            "doc_a": pd.Series([], dtype="int64"),
-            "doc_b": pd.Series([], dtype="int64"),
-            "hamming": pd.Series([], dtype="int64"),
-        })
-        if g.empty:
-            return empty
-        a_out, b_out, h_out = [], [], []
-        dropped = 0
-        for _, sub in g.groupby(["chunk_idx", "chunk_val"], sort=False):
-            sub = sub.drop_duplicates("doc_id").sort_values("doc_id")
-            ids = sub["doc_id"].to_numpy(dtype=np.int64)
-            if len(ids) > _LSH_BUCKET_DOC_CAP:
-                dropped += len(ids) - _LSH_BUCKET_DOC_CAP
-                sub = sub.iloc[:_LSH_BUCKET_DOC_CAP]
-                ids = ids[:_LSH_BUCKET_DOC_CAP]
-            sims = sub["simhash"].to_numpy(dtype=np.int64).view(np.uint64)
-            ii, jj = np.triu_indices(len(ids), k=1)
-            ham = _popcount64(sims[ii] ^ sims[jj])
-            keep = ham <= _SIMHASH_MAX_HAMMING
-            a_out.append(ids[ii][keep])
-            b_out.append(ids[jj][keep])
-            h_out.append(ham[keep])
-        if dropped:
-            print(
-                f"[doc_simhash_neardup_pairs] bucket cap {_LSH_BUCKET_DOC_CAP}: "
-                f"dropped {dropped} docs from pair emission"
-            )
-        if not a_out:
-            return empty
-        return pd.DataFrame({
-            "doc_a": pd.Series(np.concatenate(a_out), dtype="int64"),
-            "doc_b": pd.Series(np.concatenate(b_out), dtype="int64"),
-            "hamming": pd.Series(np.concatenate(h_out), dtype="int64"),
-        })
-
-    def tag(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64())] * 4,
-                names=["doc_a", "doc_b", "hamming", "salt"],
-            )
-        a = np.asarray(batch.column("doc_a"), dtype=np.int64)
-        b = np.asarray(batch.column("doc_b"), dtype=np.int64)
-        key = (a << np.int64(32)) ^ b
-        return pa.Table.from_arrays(
-            [batch.column("doc_a"), batch.column("doc_b"),
-             batch.column("hamming"), pa.array(_key_salt(key))],
-            names=["doc_a", "doc_b", "hamming", "salt"],
-        )
-
-    def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.drop_duplicates(["doc_a", "doc_b"])
-        return pd.DataFrame({
-            "doc_a": pd.Series(out["doc_a"].to_numpy(), dtype="int64"),
-            "doc_b": pd.Series(out["doc_b"].to_numpy(), dtype="int64"),
-            "hamming": pd.Series(out["hamming"].to_numpy(), dtype="int64"),
-        })
-
-    cand = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(to_chunks, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
-    return (
-        cand.map_batches(tag, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(distinct, batch_format="pandas")
-    )
-
-
-SIMHASH_NEARDUP_ORACLE_SQL = f"""
-WITH w AS (
-  SELECT doc_id, md5_number_upper(unnest(string_split(text, ' '))) AS h FROM documents
-), bts AS (
-  SELECT doc_id, i, sum(CASE WHEN (h >> i) & 1 = 1 THEN 1 ELSE -1 END) AS acc
-  FROM w, generate_series(0, 63) g(i) GROUP BY doc_id, i
-), sh AS (
-  SELECT doc_id,
-    (sum(CASE WHEN acc > 0 THEN (1::UBIGINT << i)::HUGEINT ELSE 0 END)
-     - 9223372036854775808::HUGEINT)::BIGINT AS simhash
-  FROM bts GROUP BY doc_id
-), chunks AS (
-  SELECT doc_id, simhash, c AS chunk_idx,
-    ((((simhash::HUGEINT + 9223372036854775808::HUGEINT)
-       // (1::HUGEINT << (c * 16))) % 65536))::BIGINT AS chunk_val
-  FROM sh, generate_series(0, {_SIMHASH_CHUNKS - 1}) g(c)
-), capped AS (
-  -- the Ray side caps each bucket at _LSH_BUCKET_DOC_CAP docs, lowest ids
-  -- win (deterministic + logged); reproduce the cap exactly
-  SELECT doc_id, simhash, chunk_idx, chunk_val FROM (
-    SELECT *, row_number() OVER (
-      PARTITION BY chunk_idx, chunk_val ORDER BY doc_id) AS rn
-    FROM chunks) WHERE rn <= {_LSH_BUCKET_DOC_CAP}
-), cand AS (
-  SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b,
-         a.simhash AS sa, b.simhash AS sb
-  FROM capped a JOIN capped b
-    ON a.chunk_idx = b.chunk_idx AND a.chunk_val = b.chunk_val
-   AND a.doc_id < b.doc_id
-)
-SELECT doc_a, doc_b, bit_count(xor(sa, sb))::BIGINT AS hamming
-FROM cand WHERE bit_count(xor(sa, sb)) <= {_SIMHASH_MAX_HAMMING}
-"""
-
+# winnowing fingerprint
 
 def doc_fingerprint(sf_dir: str, window: int = 4) -> ray.data.Dataset:
     """Winnowing document fingerprint: min rolling-hash per window; emits
@@ -856,161 +206,6 @@ WITH d AS (
 )
 SELECT doc_id, count(*)::BIGINT AS n_fp, min(fp) AS min_fp, max(fp) AS max_fp
 FROM fps GROUP BY doc_id
-"""
-
-
-# --------------------------------------------------------------------------- #
-# near-duplicate removal and corpus cleaning (integer-exact vs the SQL oracles)
-
-_DEDUP_KEEP_THRESHOLD = 50  # jaccard % above which doc_b is dropped
-
-
-def doc_dedup_minhash(sf_dir: str) -> ray.data.Dataset:
-    """End-to-end near-duplicate REMOVAL (the operation a training-data
-    pipeline actually runs) — LINEAR in bucket size, never O(m²):
-
-    1. Representative links: inside each duplicated (band, bucket), every
-       doc links to the bucket's min doc_id — one link per doc per band
-       (≤32 links/doc after the cross-band dedup), fully vectorized
-       (groupby.transform('min')). A 10^5-doc duplicate cluster emits
-       10^5 links, not 5·10^9 pairs.
-    2. Verify: exact Jaccard(doc, representative) ≥ 50 % via the same
-       co-partitioned merge machinery as the pair listing (texts cross
-       the shuffle once per partition, not per link).
-    3. Keep-list: emitted directly by the verify pass (emit="keep") —
-       pass 2 is co-partitioned on salt(doc_b) with every doc's row
-       present, so "no verified lower-id link" is a partition-local fact
-       and no separate anti-join stage is needed. A doc is dropped iff it
-       shares a bucket with a lower-id representative it is ≥50 %-
-       Jaccard-similar to; bucket minima themselves are always kept —
-       the canonical min-rep dedup policy, reproduced exactly by the SQL
-       oracle."""
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    bands = docs.map_batches(_mh_to_bands, batch_format="pyarrow")
-
-    def rep_links(group: pd.DataFrame) -> pd.DataFrame:
-        # all (band, bucket) runs of this salt partition, vectorized:
-        # doc -> min doc_id of its bucket (linear, no pair enumeration)
-        g = group[group.duplicated(["band", "bucket"], keep=False)]
-        if g.empty:
-            return pd.DataFrame(
-                {"doc_a": pd.Series([], dtype="int64"), "doc_b": pd.Series([], dtype="int64")}
-            )
-        rep = g.groupby(["band", "bucket"], sort=False)["doc_id"].transform("min")
-        ids = g["doc_id"].to_numpy(dtype=np.int64)
-        reps = rep.to_numpy(dtype=np.int64)
-        mask = ids != reps
-        return pd.DataFrame(
-            {"doc_a": pd.Series(reps[mask], dtype="int64"),
-             "doc_b": pd.Series(ids[mask], dtype="int64")}
-        )
-
-    links = bands.groupby("salt").map_groups(rep_links, batch_format="pandas")
-    # cross-band (rep, doc) link dedup happens inside verification pass 1
-    # (dedup_cand) — no dedicated shuffle; ≤ _MH_BANDS rows per doc either way
-    # emit="keep": verification pass 2 is co-partitioned on salt(doc_b)
-    # with every doc's row present, so the keep-list falls out of the
-    # verify partitions directly — no separate anti-join stage
-    return _verify_candidate_pairs(
-        docs, links, _DEDUP_KEEP_THRESHOLD, emit="keep", dedup_cand=True
-    )
-
-
-_CLEAN_MIN_WORDS = 20
-
-
-def doc_clean_corpus(sf_dir: str) -> ray.data.Dataset:
-    """END-TO-END corpus cleaning — the composition a training-data
-    pipeline actually ships: per-doc quality gate (word count ≥ 20,
-    language == 'en' by the script-ratio heuristic) ∩ the MinHash
-    near-dup keep-list. Signals compute in ONE vectorized map_batches
-    over the documents; the intersection with the (distributed) dedup
-    keep-list is the engine's salted co-partitioned semi-join — no
-    driver materialization anywhere. Emits (doc_id, n_words) of the
-    surviving corpus."""
-    kept = doc_dedup_minhash(sf_dir)
-
-    def signals(batch: pa.Table) -> pa.Table:
-        text = batch.column("text")
-        n_words = pc.add(
-            pc.count_substring(text, " "), pa.scalar(1, pa.int32())
-        )  # words = separators + 1 (documents are single-space joined)
-        cyr = pc.count_substring_regex(text, "[а-яА-ЯёЁ]")
-        lat = pc.count_substring_regex(text, "[a-zA-Z]")
-        ok = pc.and_(
-            pc.greater_equal(n_words, pa.scalar(_CLEAN_MIN_WORDS, pa.int32())),
-            pc.less_equal(cyr, lat),  # 'en' by the doc_langid rule
-        )
-        t = pa.Table.from_arrays(
-            [batch.column("doc_id"), pc.cast(n_words, pa.int64())],
-            names=["doc_id", "n_words"],
-        ).filter(ok)
-        k = np.asarray(t.column("doc_id"), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [t.column("doc_id"), t.column("n_words"), pa.array(_key_salt(k)),
-             pa.array([0] * len(t), pa.int8())],
-            names=["doc_id", "n_words", "salt", "kind"],
-        )
-
-    def tag_kept(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64()), pa.array([], pa.int64()),
-                 pa.array([], pa.int64()), pa.array([], pa.int8())],
-                names=["doc_id", "n_words", "salt", "kind"],
-            )
-        k = np.asarray(batch.column("doc_id"), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [batch.column("doc_id"), pa.nulls(len(k), pa.int64()),
-             pa.array(_key_salt(k)), pa.array([1] * len(k), pa.int8())],
-            names=["doc_id", "n_words", "salt", "kind"],
-        )
-
-    def semi(g: pd.DataFrame) -> pd.DataFrame:
-        keep_ids = set(g.loc[g["kind"] == 1, "doc_id"])
-        q = g[g["kind"] == 0]
-        out = q[q["doc_id"].isin(keep_ids)]
-        return pd.DataFrame({
-            "doc_id": pd.Series(out["doc_id"].to_numpy(), dtype="int64"),
-            "n_words": pd.Series(out["n_words"].to_numpy(), dtype="int64"),
-        })
-
-    both = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        signals, batch_format="pyarrow"
-    ).union(kept.map_batches(tag_kept, batch_format="pyarrow"))
-    return both.groupby("salt").map_groups(semi, batch_format="pandas")
-
-
-def clean_corpus_oracle_sql() -> str:
-    return (
-        "SELECT doc_id, len(string_split(text,' '))::BIGINT AS n_words "
-        "FROM documents "
-        f"WHERE len(string_split(text,' ')) >= {_CLEAN_MIN_WORDS} "
-        "AND len(regexp_extract_all(text,'[а-яА-ЯёЁ]')) <= "
-        "len(regexp_extract_all(text,'[a-zA-Z]')) "
-        f"AND doc_id IN ({dedup_minhash_oracle_sql()})"
-    )
-
-
-def dedup_minhash_oracle_sql() -> str:
-    """SQL mirror of the representative-link dedup: a doc is dropped iff
-    some bucket it occupies has a lower min doc_id (its representative)
-    AND exact Jaccard(doc, representative) ≥ threshold."""
-    return f"""{_mh_band_cte()}, rep AS (
-  SELECT band, bucket, min(doc_id) AS rep FROM band GROUP BY band, bucket
-), link AS (
-  SELECT DISTINCT b.doc_id AS doc_id, r.rep AS rep
-  FROM band b JOIN rep r ON b.band = r.band AND b.bucket = r.bucket
-  WHERE b.doc_id > r.rep
-), dropped AS (
-  SELECT l.doc_id FROM link l
-  JOIN s sa ON l.rep = sa.doc_id JOIN s sb ON l.doc_id = sb.doc_id
-  WHERE len(list_intersect(sa.sh, sb.sh)) > 0
-    AND 100 * len(list_intersect(sa.sh, sb.sh)) //
-        (len(sa.sh) + len(sb.sh) - len(list_intersect(sa.sh, sb.sh)))
-        >= {_DEDUP_KEEP_THRESHOLD}
-)
-SELECT doc_id FROM documents WHERE doc_id NOT IN (SELECT doc_id FROM dropped)
 """
 
 
@@ -1356,9 +551,12 @@ FROM raw
 
 _CMS_W = 1024  # buckets per row
 _CMS_D = 4  # independent hash rows
+# universal hashing (a*h + b) mod the Mersenne prime 2^31-1: products stay
+# below 2^62, so numpy-uint64 and DuckDB-BIGINT arithmetic agree exactly
+_CMS_P = np.uint64((1 << 31) - 1)
 _CMS_RNG = np.random.RandomState(99)
-_CMS_A = _CMS_RNG.randint(1, int(_MH_P), size=_CMS_D).astype(np.uint64)
-_CMS_B = _CMS_RNG.randint(0, int(_MH_P), size=_CMS_D).astype(np.uint64)
+_CMS_A = _CMS_RNG.randint(1, int(_CMS_P), size=_CMS_D).astype(np.uint64)
+_CMS_B = _CMS_RNG.randint(0, int(_CMS_P), size=_CMS_D).astype(np.uint64)
 
 
 def _cms_register_partials(batch: pa.Table) -> pa.Table:
@@ -1379,10 +577,10 @@ def _cms_register_partials(batch: pa.Table) -> pa.Table:
     counts = np.asarray(vc.column("count_all"), dtype=np.int64)
     wh = np.fromiter(
         (_word_hash(w) for w in words), dtype=np.uint64, count=len(words)
-    ) % _MH_P
+    ) % _CMS_P
     grid = np.zeros((_CMS_D, _CMS_W), dtype=np.int64)
     for d in range(_CMS_D):
-        b = ((_CMS_A[d] * wh + _CMS_B[d]) % _MH_P % np.uint64(_CMS_W)).astype(np.int64)
+        b = ((_CMS_A[d] * wh + _CMS_B[d]) % _CMS_P % np.uint64(_CMS_W)).astype(np.int64)
         np.add.at(grid[d], b, counts)
     dd, bb = np.nonzero(grid)
     return pa.Table.from_arrays(
@@ -1397,8 +595,8 @@ def doc_token_cms_registers(sf_dir: str) -> ray.data.Dataset:
     stream. Register sums are associative, so per-batch partials (≤4096
     rows) flow through one tiny groupby-sum; the sketch answers point
     frequency queries with one-sided error cnt_est ≥ cnt_true. Hashing
-    is the engine's md5 word hash mod 2^31-1 under the minhash-style
-    (a·h+b) mod p universal family — BIGINT-safe, SQL-exact."""
+    is the engine's md5 word hash mod 2^31-1 under the (a·h+b) mod p
+    universal family — BIGINT-safe, SQL-exact."""
     part = _docs(sf_dir, ["text"]).map_batches(
         _cms_register_partials, batch_format="pyarrow"
     )
@@ -1435,10 +633,10 @@ def doc_token_cms_estimate(sf_dir: str, k: int = 20) -> pd.DataFrame:
          regs["bucket"].to_numpy(dtype=np.int64)] = regs["cnt"].to_numpy(dtype=np.int64)
     wh = np.fromiter(
         (_word_hash(w) for w in top["token"]), dtype=np.uint64, count=len(top)
-    ) % _MH_P
+    ) % _CMS_P
     ests = np.full(len(top), np.iinfo(np.int64).max, dtype=np.int64)
     for d in range(_CMS_D):
-        b = ((_CMS_A[d] * wh + _CMS_B[d]) % _MH_P % np.uint64(_CMS_W)).astype(np.int64)
+        b = ((_CMS_A[d] * wh + _CMS_B[d]) % _CMS_P % np.uint64(_CMS_W)).astype(np.int64)
         ests = np.minimum(ests, grid[d, b])
     return pd.DataFrame({
         "token": top["token"].astype(str),
@@ -1482,7 +680,7 @@ def _cms_grid(regs: pd.DataFrame) -> np.ndarray:
 def _cms_point_est(grid: np.ndarray, wh: np.ndarray) -> np.ndarray:
     ests = np.full(len(wh), np.iinfo(np.int64).max, dtype=np.int64)
     for d in range(_CMS_D):
-        b = ((_CMS_A[d] * wh + _CMS_B[d]) % _MH_P % np.uint64(_CMS_W)).astype(np.int64)
+        b = ((_CMS_A[d] * wh + _CMS_B[d]) % _CMS_P % np.uint64(_CMS_W)).astype(np.int64)
         ests = np.minimum(ests, grid[d, b])
     return ests
 
@@ -1519,7 +717,7 @@ def doc_token_heavy_hitters(sf_dir: str) -> ray.data.Dataset:
         words = vc.column("token").to_pylist()
         wh = np.fromiter(
             (_word_hash(w) for w in words), dtype=np.uint64, count=len(words)
-        ) % _MH_P
+        ) % _CMS_P
         keep = _cms_point_est(grid, wh) >= threshold
         return pa.Table.from_arrays(
             [vc.column("token").filter(pa.array(keep)),
@@ -1545,7 +743,7 @@ def doc_token_heavy_hitters(sf_dir: str) -> ray.data.Dataset:
         words = batch.column("token").to_pylist()
         wh = np.fromiter(
             (_word_hash(w) for w in words), dtype=np.uint64, count=len(words)
-        ) % _MH_P
+        ) % _CMS_P
         return pa.Table.from_arrays(
             [batch.column("token"), pc.cast(batch.column("freq"), pa.int64()),
              pa.array(_cms_point_est(grid, wh))],
@@ -1582,112 +780,7 @@ SELECT token, freq, est FROM est, thr WHERE est >= thr.t
 
 
 # --------------------------------------------------------------------------- #
-# prefix-filtered exact similarity join (PPJoin-style inverted index) — the
-# recall-1 complement of MinHash LSH
-
-_PFX_SH_DOC_CAP = 256  # max docs emitted per prefix-shingle posting list
-
-
-def doc_jaccard_join_prefix(sf_dir: str, threshold_pct: int = 50) -> ray.data.Dataset:
-    """EXACT Jaccard similarity join at threshold t via prefix filtering
-    (PPJoin/AllPairs family) — unlike the MinHash LSH listing this has a
-    RECALL-1 guarantee: order every doc's shingles by global rarity
-    (document frequency, then hash); any two docs with Jaccard ≥ t must
-    share at least one of each other's first ``n - ceil(t·n) + 1``
-    shingles, so the candidate equi-join on prefix shingles misses
-    nothing (proof: if the prefixes were disjoint, the intersection is
-    confined to the ≤ ceil(t·n)−1 suffix elements of both, too few to
-    reach t).
-
-    Scale shape — three salted co-partitioned exchanges, each bounded:
-    1. postings (shingle → doc) grouped by salt(shingle): ALL postings of
-       a shingle share its partition, so document frequency is a
-       partition-local vectorized count — no separate DF join.
-    2. re-key by salt(doc): per-doc prefix selection is one sort +
-       cumcount over the partition frame.
-    3. re-key prefix rows by salt(shingle): per-shingle pair emission,
-       capped at _PFX_SH_DOC_CAP docs per posting list (deterministic
-       lowest-ids-win, logged) — rarity ordering keeps true posting
-       lists short; only degenerate duplicate clusters hit the cap (the
-       dedup operator handles those linearly).
-    Then exact-Jaccard verification through _verify_candidate_pairs
-    (texts cross the shuffle once per partition, not per pair)."""
-    docs = _docs(sf_dir, ["doc_id", "text"])
-
-    def postings(batch: pa.Table) -> pa.Table:
-        ids, shs = [], []
-        for did, text in zip(
-            batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
-        ):
-            for s in _shingles(text):
-                ids.append(did)
-                shs.append(_shingle_hash(s))
-        sh = np.array(shs, dtype=np.int64)
-        return pa.Table.from_arrays(
-            [pa.array(sh), pa.array(np.array(ids, dtype=np.int64)),
-             pa.array(_key_salt(sh))],
-            names=["sh", "doc_id", "salt"],
-        )
-
-    def attach_df(g: pd.DataFrame) -> pd.DataFrame:
-        # every posting of a shingle is in this partition -> global DF
-        df = g.groupby("sh")["doc_id"].transform("size")
-        ids = g["doc_id"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({
-            "doc_id": pd.Series(ids, dtype="int64"),
-            "sh": g["sh"].astype("int64").reset_index(drop=True),
-            "df": pd.Series(df.to_numpy(dtype=np.int64), dtype="int64"),
-            "salt": pd.Series(_key_salt(ids), dtype="int64"),
-        })
-
-    def prefix_select(g: pd.DataFrame) -> pd.DataFrame:
-        # rank each doc's shingles by (df, sh); keep n - ceil(t*n) + 1
-        g = g.sort_values(["doc_id", "df", "sh"], kind="mergesort")
-        n = g.groupby("doc_id")["sh"].transform("size").to_numpy(dtype=np.int64)
-        rank = g.groupby("doc_id").cumcount().to_numpy(dtype=np.int64)
-        pfx_len = n - (threshold_pct * n + 99) // 100 + 1
-        keep = g[rank < pfx_len]
-        sh = keep["sh"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({
-            "sh": pd.Series(sh, dtype="int64"),
-            "doc_id": keep["doc_id"].astype("int64").reset_index(drop=True),
-            "salt": pd.Series(_key_salt(sh), dtype="int64"),
-        })
-
-    def posting_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        a_out, b_out = [], []
-        dropped = 0
-        dup = g[g.duplicated(["sh"], keep=False)]
-        for _, ids in dup.groupby("sh", sort=False)["doc_id"]:
-            u = np.unique(ids.to_numpy())
-            if len(u) > _PFX_SH_DOC_CAP:
-                dropped += len(u) - _PFX_SH_DOC_CAP
-                u = u[:_PFX_SH_DOC_CAP]
-            ii, jj = np.triu_indices(len(u), k=1)
-            a_out.append(u[ii])
-            b_out.append(u[jj])
-        if dropped:
-            print(
-                f"[doc_jaccard_join_prefix] posting cap {_PFX_SH_DOC_CAP}: "
-                f"dropped {dropped} docs from pair emission"
-            )
-        a = np.concatenate(a_out) if a_out else np.array([], dtype=np.int64)
-        b = np.concatenate(b_out) if b_out else np.array([], dtype=np.int64)
-        return pd.DataFrame({
-            "doc_a": pd.Series(a, dtype="int64"), "doc_b": pd.Series(b, dtype="int64")
-        })
-
-    cand = (
-        docs.map_batches(postings, batch_format="pyarrow")
-        .groupby("salt")
-        .map_groups(attach_df, batch_format="pandas")
-        .groupby("salt")
-        .map_groups(prefix_select, batch_format="pandas")
-        .groupby("salt")
-        .map_groups(posting_pairs, batch_format="pandas")
-    )
-    return _verify_candidate_pairs(docs, cand, threshold_pct, dedup_cand=True)
-
+# TF-IDF: per-document top-k terms
 
 _TFIDF_K = 5
 _TFIDF_IDF_SCALE = 1_000_000
@@ -2010,53 +1103,10 @@ SELECT query_id,
 FROM sc QUALIFY rank <= {k}"""
 
 
-def prefix_join_oracle_sql(threshold_pct: int = 50) -> str:
-    """Reproduces doc_jaccard_join_prefix exactly: same shingles, same
-    md5-mod-2^31-1 rarity ordering, same integer prefix length, same
-    integer Jaccard. Assumes no posting list exceeds _PFX_SH_DOC_CAP at
-    test scale (the Ray side truncates deterministically and logs)."""
-    t = threshold_pct
-    return f"""
-WITH d AS (
-  SELECT doc_id, string_split(text, ' ') AS ws FROM documents
-), s AS (
-  SELECT doc_id, list_distinct(list_transform(
-    generate_series(1, greatest(1, len(ws)-2)),
-    i -> array_to_string(list_slice(ws, i, i+2), ' '))) AS sh
-  FROM d
-), h AS (
-  SELECT doc_id, len(sh) AS n,
-         (md5_number_upper(unnest(sh)) % 2147483647)::BIGINT AS hsh
-  FROM s
-), df AS (
-  SELECT hsh, count(*)::BIGINT AS df FROM h GROUP BY hsh
-), rk AS (
-  SELECT h.doc_id, h.hsh,
-         row_number() OVER (PARTITION BY h.doc_id ORDER BY df.df, h.hsh) AS rn,
-         h.n - ({t} * h.n + 99) // 100 + 1 AS pfx
-  FROM h JOIN df USING (hsh)
-), pfx AS (
-  SELECT doc_id, hsh FROM rk WHERE rn <= pfx
-), cand AS (
-  SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b
-  FROM pfx a JOIN pfx b ON a.hsh = b.hsh AND a.doc_id < b.doc_id
-)
-SELECT c.doc_a, c.doc_b,
-  100 * len(list_intersect(sa.sh, sb.sh)) //
-  (len(sa.sh) + len(sb.sh) - len(list_intersect(sa.sh, sb.sh))) AS jaccard_pct
-FROM cand c JOIN s sa ON c.doc_a = sa.doc_id JOIN s sb ON c.doc_b = sb.doc_id
-WHERE len(list_intersect(sa.sh, sb.sh)) > 0
-  AND 100 * len(list_intersect(sa.sh, sb.sh)) //
-      (len(sa.sh) + len(sb.sh) - len(list_intersect(sa.sh, sb.sh))) >= {t}
-"""
-
-
 # --------------------------------------------------------------------------- #
-# Gopher-style repetition signals, benchmark decontamination, and corpus-level
-# duplicate-window counting — the quality-filter trio a training-data pipeline
-# runs before anything expensive (Rae et al. 2021 repetition heuristics;
-# Lee et al. 2021 substring-level dedup; Brown et al. 2020 test-set
-# decontamination). All signals are integer-valued so DuckDB reproduces them
+# Gopher-style repetition signals — the quality filter a training-data
+# pipeline runs before anything expensive (Rae et al. 2021 repetition
+# heuristics). All signals are integer-valued so DuckDB reproduces them
 # bit-for-bit.
 
 
@@ -2150,198 +1200,6 @@ SELECT d.doc_id,
 FROM documents d
 LEFT JOIN a2 ON a2.doc_id = d.doc_id
 LEFT JOIN a3 ON a3.doc_id = d.doc_id
-"""
-
-
-_DECON_MOD = 97  # doc_id % _DECON_MOD == 0 plays the held-out benchmark
-_DECON_N = 5  # n-gram width for contamination matching
-
-
-def doc_decontaminate(sf_dir: str) -> ray.data.Dataset:
-    """Benchmark decontamination (GPT-3 appendix-C style): flag every
-    training document containing any {_DECON_N}-gram that also appears in
-    the held-out benchmark slice (here: doc_id % {_DECON_MOD} == 0 plays
-    the benchmark). Scale shape: the benchmark is the SMALL side — its
-    distinct n-grams are collected once (driver pull bounded by benchmark
-    size, the same discipline as the entity dictionary)
-    and broadcast via ``ray.put``; the 100-TB training side streams through
-    one pure membership ``map_batches`` (pandas ``isin`` against the
-    broadcast set — C-speed, no shuffle, no join). Emits
-    (doc_id, n_hits, contaminated) for every non-benchmark doc."""
-    docs = _docs(sf_dir, ["doc_id", "text"])
-
-    def bench_grams(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["doc_id"] % _DECON_MOD == 0]
-        if df.empty:
-            return pd.DataFrame({"g": pd.Series([], dtype="object")})
-        doc, w = _explode_tokens(df)
-        _, g = _batch_ngrams(doc, w, _DECON_N)
-        return pd.DataFrame({"g": pd.unique(g)})
-
-    bench = docs.map_batches(bench_grams, batch_format="pandas").to_pandas()
-    ref = ray.put(frozenset(bench["g"]))
-
-    def scan(df: pd.DataFrame) -> pd.DataFrame:
-        bset = ray.get(ref)
-        df = df[df["doc_id"] % _DECON_MOD != 0]
-        out = pd.DataFrame({"doc_id": df["doc_id"].astype("int64")})
-        doc, w = _explode_tokens(df)
-        d, g = _batch_ngrams(doc, w, _DECON_N)
-        hit = pd.Series(g).isin(bset).to_numpy()
-        hits = pd.Series(d[hit]).value_counts()
-        out["n_hits"] = out["doc_id"].map(hits).fillna(0).astype("int64")
-        out["contaminated"] = (out["n_hits"] > 0).astype("int64")
-        return out
-
-    return docs.map_batches(scan, batch_format="pandas")
-
-
-DECONTAMINATE_ORACLE_SQL = f"""
-WITH t AS (
-  SELECT doc_id, string_split(text, ' ') AS w FROM documents
-), g AS (
-  SELECT doc_id, array_to_string(w[i:i+{_DECON_N - 1}], ' ') AS g5
-  FROM t, LATERAL unnest(generate_series(1, len(w)-{_DECON_N - 1})) u(i)
-), bench AS (
-  SELECT DISTINCT g5 FROM g WHERE doc_id % {_DECON_MOD} = 0
-), hits AS (
-  SELECT g.doc_id, count(*)::BIGINT AS n_hits
-  FROM g JOIN bench USING (g5)
-  WHERE g.doc_id % {_DECON_MOD} <> 0
-  GROUP BY g.doc_id
-)
-SELECT d.doc_id, coalesce(h.n_hits, 0)::BIGINT AS n_hits,
-       CASE WHEN coalesce(h.n_hits, 0) > 0 THEN 1 ELSE 0 END::BIGINT
-         AS contaminated
-FROM documents d LEFT JOIN hits h ON h.doc_id = d.doc_id
-WHERE d.doc_id % {_DECON_MOD} <> 0
-"""
-
-
-_DUPSPAN_W = 8  # duplicate-substring window width (tokens)
-
-
-def doc_dup_spans(sf_dir: str) -> ray.data.Dataset:
-    """Corpus-level duplicate-window counting (the discovery pass of
-    Lee et al. substring dedup): an 8-token window position is *duplicated*
-    iff its exact token sequence occurs ≥2 times anywhere in the corpus.
-    Emits (doc_id, n_windows, n_dup_windows) per document.
-
-    Scale shape — two salted co-partitioned exchanges, both bounded:
-    1. per-batch (gram, doc, cnt) partials (a row is a whole doc, so cnt is
-       exact), routed by salt(gram): each partition sums its grams' GLOBAL
-       counts, keeps only grams with total ≥ 2, and re-emits each
-       surviving (doc, cnt) routed by salt(doc) — duplicate mass only.
-    2. per-doc window totals (kind 0) flow straight to salt(doc); the
-       union is one vectorized per-partition merge. Gram STRINGS are the
-       group keys (exact — no hash-collision risk); after exchange 1 only
-       (doc, cnt) integers move. At 100 TB the exchange-1 payload can be
-       shrunk 2-3× by keying on md5(gram) digests instead (collision-free
-       grouping, same result — the doc_dedup_exact discipline); strings
-       are kept here because they are what the SQL oracle groups on."""
-    docs = _docs(sf_dir, ["doc_id", "text"])
-
-    def win_partials(df: pd.DataFrame) -> pd.DataFrame:
-        doc, w = _explode_tokens(df)
-        d, g = _batch_ngrams(doc, w, _DUPSPAN_W)
-        c = (
-            pd.DataFrame({"doc_id": d, "g": g})
-            .groupby(["doc_id", "g"], sort=False).size().reset_index(name="cnt")
-        )
-        return pd.DataFrame({
-            "salt": pd.Series(_term_salt(c["g"]), dtype="int64"),
-            "kind": pd.Series(np.ones(len(c), dtype=np.int8), dtype="int8"),
-            "g": c["g"].astype(str),
-            "doc_id": c["doc_id"].astype("int64"),
-            "cnt": c["cnt"].astype("int64"),
-        })
-
-    def doc_totals(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].to_numpy(dtype=np.int64)
-        nw = (
-            df["text"].str.count(" ").to_numpy(dtype=np.int64)
-            + 1 - (_DUPSPAN_W - 1)
-        )
-        return pd.DataFrame({
-            "salt": pd.Series(_key_salt(ids), dtype="int64"),
-            "kind": pd.Series(np.zeros(len(df), dtype=np.int8), dtype="int8"),
-            "g": pd.Series([""] * len(df), dtype="object"),
-            "doc_id": pd.Series(ids, dtype="int64"),
-            "cnt": pd.Series(np.maximum(nw, 0), dtype="int64"),
-        })
-
-    def dup_mass(g: pd.DataFrame) -> pd.DataFrame:
-        # all partials of a gram share this partition → exact global count
-        if g.empty:
-            return pd.DataFrame({
-                "salt": pd.Series([], dtype="int64"),
-                "kind": pd.Series([], dtype="int8"),
-                "g": pd.Series([], dtype="object"),
-                "doc_id": pd.Series([], dtype="int64"),
-                "cnt": pd.Series([], dtype="int64"),
-            })
-        tot = g.groupby("g", sort=False)["cnt"].transform("sum")
-        keep = g[tot.to_numpy() >= 2]
-        ids = keep["doc_id"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({
-            "salt": pd.Series(_key_salt(ids), dtype="int64"),
-            "kind": pd.Series(np.ones(len(keep), dtype=np.int8), dtype="int8"),
-            "g": pd.Series([""] * len(keep), dtype="object"),
-            "doc_id": pd.Series(ids, dtype="int64"),
-            "cnt": keep["cnt"].astype("int64").reset_index(drop=True),
-        })
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        t = g[g["kind"] == 0]
-        dup = g[g["kind"] == 1].groupby("doc_id", sort=False)["cnt"].sum()
-        return pd.DataFrame({
-            "doc_id": t["doc_id"].astype("int64").reset_index(drop=True),
-            "n_windows": t["cnt"].astype("int64").reset_index(drop=True),
-            "n_dup_windows": t["doc_id"].map(dup).fillna(0).astype("int64")
-            .reset_index(drop=True),
-        })
-
-    row_schema = pa.schema(
-        [("salt", pa.int64()), ("kind", pa.int8()), ("g", pa.string()),
-         ("doc_id", pa.int64()), ("cnt", pa.int64())]
-    )
-
-    def restamp(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return row_schema.empty_table()
-        return batch.select(row_schema.names).cast(row_schema)
-
-    dup_stream = (
-        docs.map_batches(win_partials, batch_format="pandas")
-        .groupby("salt")
-        .map_groups(dup_mass, batch_format="pandas")
-        .map_batches(restamp, batch_format="pyarrow")
-    )
-    totals = docs.map_batches(doc_totals, batch_format="pandas").map_batches(
-        restamp, batch_format="pyarrow"
-    )
-    return totals.union(dup_stream).groupby("salt").map_groups(
-        merge, batch_format="pandas"
-    )
-
-
-DUP_SPANS_ORACLE_SQL = f"""
-WITH t AS (
-  SELECT doc_id, string_split(text, ' ') AS w FROM documents
-), g AS (
-  SELECT doc_id, array_to_string(w[i:i+{_DUPSPAN_W - 1}], ' ') AS g8
-  FROM t, LATERAL unnest(generate_series(1, len(w)-{_DUPSPAN_W - 1})) u(i)
-), tot AS (
-  SELECT g8, count(*) AS c FROM g GROUP BY g8
-), dup AS (
-  SELECT g.doc_id, count(*)::BIGINT AS n_dup
-  FROM g JOIN tot USING (g8) WHERE tot.c >= 2 GROUP BY g.doc_id
-)
-SELECT d.doc_id,
-       greatest(len(string_split(d.text, ' ')) - {_DUPSPAN_W - 1}, 0)::BIGINT
-         AS n_windows,
-       coalesce(dup.n_dup, 0)::BIGINT AS n_dup_windows
-FROM documents d LEFT JOIN dup ON dup.doc_id = d.doc_id
 """
 
 

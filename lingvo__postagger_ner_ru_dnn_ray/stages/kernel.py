@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import pyarrow as pa
 
-from ..textkit.features import IT_EMAIL, IT_NUM, IT_OTHER, IT_URL, to_model_token
+from ..textkit.features import IT_EMAIL, IT_NUM, IT_OTHER, IT_URL, to_model_token_pair
 from ..textkit.sentsplit import Sent
 from ..textkit.tokenizer import split_texts, tokenize_texts
 from .linking import NIL, build_linking_dict, normalize_surface
@@ -206,11 +206,11 @@ class Kernel:
         """Both models' vocabulary ids of id-map key ``k``, stored in the
         map, which is cleared whole at ``_IDS_MAX`` keys."""
         value, it = ("", k) if isinstance(k, int) else (k, IT_OTHER)
+        pos_t, ner_t = to_model_token_pair(value, it, _POS_MEL, _NER_MEL)
         ids = self._ids
         if len(ids) >= _IDS_MAX:
             ids.clear()
-        ids[k] = (self.pos_model.src_vocab.id(to_model_token(value, it, _POS_MEL)),
-                  self.ner_model.src_vocab.id(to_model_token(value, it, _NER_MEL)))
+        ids[k] = (self.pos_model.src_vocab.id(pos_t), self.ner_model.src_vocab.id(ner_t))
         return ids[k]
 
     def _tag(self, sents: list[list]) -> Iterator[Tagged]:

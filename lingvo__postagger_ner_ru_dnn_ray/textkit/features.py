@@ -11,8 +11,8 @@ Re-implements:
     truncation at ``max_ending_length`` (mel=4 POS / mel=10000 NER); the
     per-char step is one ``str.translate`` over a table built from
     ``xlat.LOWER_INVARIANT`` and its Mn mask, with a per-char loop for a
-    token that holds an astral-plane char;
-  * UmlautesNormalizer (.../Tokenizing/UmlautesNormalizer.cs:16-85).
+    token that holds an astral-plane char. ``to_model_token_pair`` folds a
+    word once and cuts both models' endings from that fold.
 """
 from __future__ import annotations
 
@@ -79,17 +79,6 @@ NER_TYPE_OF = {"PER": "PER", "ORG": "ORG", "LOC": "LOC"}
 _CT = xlat.CHARTYPE_L
 _ROMAN = frozenset(ord(c) for c in "IVXLCDM")
 _UMLAUTS = {ord(c) for c in "äöüÄÖÜß"}
-_UMLAUT_MAP = {
-    "ä": "ae", "ö": "oe", "ü": "ue", "Ä": "Ae", "Ö": "Oe", "Ü": "Ue", "ß": "ss",
-}
-_UMLAUT_MAP_UPPER = {
-    "ä": "AE", "ö": "OE", "ü": "UE", "Ä": "AE", "Ö": "OE", "Ü": "UE", "ß": "SS",
-}
-
-
-def normalize_umlautes(s: str, upper: bool = False) -> str:
-    m = _UMLAUT_MAP_UPPER if upper else _UMLAUT_MAP
-    return "".join(m.get(c, c) for c in s)
 
 
 def get_input_type(u, start: int, length: int) -> tuple[int, int]:
@@ -200,11 +189,7 @@ _LO = xlat.LOWER_INVARIANT
 
 def to_model_token(value: str, input_type: int, max_ending_length: int) -> str:
     """Tokenizer.ToPosTaggerToken (Tokenizer.cs:1282-1334)."""
-    if input_type == IT_NUM:
-        return NUM_PLACEHOLDER
-    if input_type in (IT_URL, IT_EMAIL):
-        return URL_PLACEHOLDER
-    return to_model_token_str(value, max_ending_length)
+    return to_model_token_pair(value, input_type, max_ending_length, max_ending_length)[0]
 
 
 def _model_token_table() -> dict[int, str | None]:
@@ -221,22 +206,43 @@ _MODEL_TOKEN_TABLE = _model_token_table()
 _ASTRAL = re.compile("[\U00010000-\U0010ffff]").search
 
 
-def to_model_token_str(token: str, max_ending_length: int) -> str:
-    """ToPosTaggerToken of a word whose input type does not make it a
-    placeholder (``to_model_token`` decides that first)."""
-    if token == NUM_PLACEHOLDER:
-        return NUM_PLACEHOLDER
+def _fold(token: str) -> str:
+    """ToPosTaggerToken's per-char step: lower-invariant, ё→е, Mn dropped."""
     if _ASTRAL(token) is None:
-        s = token.translate(_MODEL_TOKEN_TABLE)
-    else:  # astral plane: per char; only BMP chars are lowered
-        chars = []
-        for c in token:
-            ch = chr(_LO[ord(c)]) if ord(c) < 0x10000 else c
-            if ch == "ё":
-                ch = "е"
-            if unicodedata.category(ch) != "Mn":  # NonSpacingMark
-                chars.append(ch)
-        s = "".join(chars)
+        return token.translate(_MODEL_TOKEN_TABLE)
+    chars = []  # astral plane: per char; only BMP chars are lowered
+    for c in token:
+        ch = chr(_LO[ord(c)]) if ord(c) < 0x10000 else c
+        if ch == "ё":
+            ch = "е"
+        if unicodedata.category(ch) != "Mn":  # NonSpacingMark
+            chars.append(ch)
+    return "".join(chars)
+
+
+def _ending(s: str, max_ending_length: int) -> str:
+    """A fold longer than ``max_ending_length`` becomes "_" + its ending."""
     if len(s) > max_ending_length:
         return "_" + s[len(s) - max_ending_length :]
     return s
+
+
+def to_model_token_str(token: str, max_ending_length: int) -> str:
+    """ToPosTaggerToken of a word whose input type does not make it a
+    placeholder (``to_model_token`` decides that first)."""
+    return to_model_token_pair(token, IT_OTHER, max_ending_length, max_ending_length)[0]
+
+
+def to_model_token_pair(value: str, input_type: int, mel_a: int, mel_b: int) -> tuple[str, str]:
+    """ToPosTaggerToken of one word at max ending lengths ``mel_a`` and
+    ``mel_b`` (the kernel's POS and NER models), folding ``value`` once: by
+    input type first (Num → the num placeholder, Url/Email → the URL
+    placeholder), by value otherwise."""
+    if input_type == IT_NUM:
+        return NUM_PLACEHOLDER, NUM_PLACEHOLDER
+    if input_type in (IT_URL, IT_EMAIL):
+        return URL_PLACEHOLDER, URL_PLACEHOLDER
+    if value == NUM_PLACEHOLDER:
+        return NUM_PLACEHOLDER, NUM_PLACEHOLDER
+    s = _fold(value)
+    return _ending(s, mel_a), _ending(s, mel_b)

@@ -40,23 +40,19 @@ import numpy as np
 
 from . import xlat
 from .features import (
-    EX_HAS_UMLAUTES,
     EX_INTEGER_NUMBER,
     EX_PUNCTUATION,
     IT_EMAIL,
     IT_NUM,
     IT_URL,
     get_input_type,
-    normalize_umlautes,
 )
 from .resources import DIGITS_SPEC_ENDS, NUM_PLACEHOLDER
 from .sentsplit import Sent, sent_end_hits, split_sents
 from .urls import EMAIL, scan_urls, url_triggers
 
 _CT = xlat.CHARTYPE_L          # scalar per-char path (list: faster indexing)
-_SP = xlat.SPECTYPE_L
 _UP = xlat.UPPER_INVARIANT_L
-_UPN = xlat.UPPER_INVARIANT    # vectorized path
 
 _WS = xlat.IS_WHITESPACE
 _LD = xlat.IS_LETTER | xlat.IS_DIGIT
@@ -74,25 +70,23 @@ _FRONT_TEXTS = 512
 
 
 class Word:
-    __slots__ = ("value", "upper", "start", "length", "input_type", "extra", "upper_umlauts")
+    __slots__ = ("value", "start", "length", "input_type", "extra")
 
-    def __init__(self, value, upper, start, length, input_type, extra, upper_umlauts=None):
+    def __init__(self, value, start, length, input_type, extra):
         self.value = value
-        self.upper = upper
         self.start = start
         self.length = length
         self.input_type = input_type
         self.extra = extra
-        self.upper_umlauts = upper_umlauts
 
     def __repr__(self):  # pragma: no cover
         return f"Word({self.value!r}@{self.start}+{self.length},it={self.input_type},ex={self.extra})"
 
 
 # Token-intern cache: every derived attribute of a token (canonical value,
-# upper form, input type, flags) is a pure function of its code units, and
-# token frequency is Zipfian — one dict probe replaces two string builds +
-# the per-char feature scan for every repeated token. A number token
+# input type, flags) is a pure function of its code units, and token
+# frequency is Zipfian — one dict probe replaces the string build + the
+# per-char feature scan for every repeated token. A number token
 # (IsDigits_WithPunctuations_WithSpecEnds, also a pure function of the code
 # units) is stored as ``_IS_NUM`` alone: with replace_nums it becomes the
 # [%NUM%] placeholder, and nothing else of it is read. Per-worker, bounded.
@@ -216,7 +210,7 @@ class _SentTokenizer:
             if hit is _IS_NUM:
                 if not self.is_prev_num:
                     self.is_prev_num = True
-                    w = Word(NUM_PLACEHOLDER, NUM_PLACEHOLDER, start, length, IT_NUM, EX_INTEGER_NUMBER)
+                    w = Word(NUM_PLACEHOLDER, start, length, IT_NUM, EX_INTEGER_NUMBER)
                     self.last_num = w
                     self.words.append(w)
                 self.start_index += length
@@ -234,20 +228,18 @@ class _SentTokenizer:
             self.is_prev_num = False
         elif hit is _IS_NUM:
             hit = self._fields(key, start, length)  # a plain word without replace_nums
-        value, upper, input_type, extra, upper_uml = hit
-        self.words.append(Word(value, upper, start, length, input_type, extra, upper_uml))
+        value, input_type, extra = hit
+        self.words.append(Word(value, start, length, input_type, extra))
         self.start_index += length
         self.cur_len = 0
 
     def _fields(self, key: bytes, start: int, length: int) -> tuple:
-        """(value, upper, input_type, extra, upper_umlauts) of the token
-        whose code units are ``key``, at ``start``."""
+        """(value, input_type, extra) of the token whose code units are
+        ``key``, at ``start``."""
         value = key.decode(xlat._ENC, "surrogatepass")
-        upper = xlat.from_u16(_UPN[self.u[start : start + length]], 0, length)
         input_type, extra = (self.itp or get_input_type)(self.ul, start, length)
-        upper_uml = normalize_umlautes(upper, upper=True) if extra & EX_HAS_UMLAUTES else None
         value = _clear_value_original(value, extra, self.u, start, length)
-        return value, upper, input_type, extra, upper_uml
+        return value, input_type, extra
 
     # -- MergePunctuation (Tokenizer.cs:1131-1171); returns (ok, new_i) --
     def _merge_punct(self, i: int, begin_ch: int, end: int) -> tuple[bool, int]:
@@ -436,7 +428,7 @@ class _SentTokenizer:
             for us in urls:
                 value = xlat.from_u16(self.u, us.start, us.length)
                 it = IT_EMAIL if us.type == EMAIL else IT_URL
-                self.words.append(Word(value, value, us.start, us.length, it, 0))
+                self.words.append(Word(value, us.start, us.length, it, 0))
             self.words.sort(key=lambda w: w.start)
         return self.words
 

@@ -11,14 +11,18 @@ from test_link_texts import _fixture_sentences
 from test_model import _mixed_batch
 
 from lingvo__postagger_ner_ru_dnn_ray.model.lexicon import taggers
+from lingvo__postagger_ner_ru_dnn_ray.model.vocab import UNK_ID
 from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import _NER_MEL, _POS_MEL, Kernel
 from lingvo__postagger_ner_ru_dnn_ray.stages.tag import _model_token_cached
 from lingvo__postagger_ner_ru_dnn_ray.textkit.features import (
     EX_INTEGER_NUMBER,
+    IT_EMAIL,
     IT_NUM,
     IT_OTHER,
+    IT_URL,
     to_model_token,
 )
+from lingvo__postagger_ner_ru_dnn_ray.textkit.resources import NUM_PLACEHOLDER, URL_PLACEHOLDER
 from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import Word, tokenize_texts
 
 
@@ -41,20 +45,43 @@ def id_inputs(monkeypatch):
     return seen
 
 
+# (value, input type, POS model token at mel 4, NER model token at mel 10000),
+# derived by hand from ToPosTaggerToken: lower-invariant, ё→е, non-spacing
+# marks dropped, then a fold longer than mel becomes "_" + its last mel chars
+_EDGE_WORDS = [
+    ("Иван", IT_OTHER, "иван", "иван"),                     # fold of exactly 4
+    ("Павел", IT_OTHER, "_авел", "павел"),                  # fold of exactly 5
+    ("Па\u0301вел", IT_OTHER, "_авел", "павел"),            # acute dropped: 6 units, fold 5
+    ("Па\U0001D167вел", IT_OTHER, "_авел", "павел"),        # astral Mn dropped
+    ("Фёдоров", IT_OTHER, "_оров", "федоров"),
+    ("ФЁДОРОВ", IT_OTHER, "_оров", "федоров"),
+    ("Ёж", IT_OTHER, "еж", "еж"),
+    ("𝔘𝔫𝔦𝔳𝔢", IT_OTHER, "_𝔫𝔦𝔳𝔢", "𝔘𝔫𝔦𝔳𝔢"),           # astral letters stay
+    ("_банк", IT_OTHER, "_банк", "_банк"),                  # value starts with "_"
+    ("_Газпром", IT_OTHER, "_пром", "_газпром"),
+    ("1999", IT_NUM, NUM_PLACEHOLDER, NUM_PLACEHOLDER),
+    ("Павел", IT_NUM, NUM_PLACEHOLDER, NUM_PLACEHOLDER),
+    ("http://Павел.рф", IT_URL, URL_PLACEHOLDER, URL_PLACEHOLDER),
+    ("Ivan@Pavel.ru", IT_EMAIL, URL_PLACEHOLDER, URL_PLACEHOLDER),
+    (NUM_PLACEHOLDER, IT_OTHER, NUM_PLACEHOLDER, NUM_PLACEHOLDER),
+]
+
+
 def test_id_map_equals_model_token_ids(id_inputs):
     """One kernel's id map gives each word ``vocab.id(to_model_token(value,
     input_type, mel))`` for both models, and ``_labels`` equals
     ``predict_batch`` over ``_model_token_cached`` strings: on the reference
-    sentences, on ``_mixed_batch()``, and on the reference lines typed by a
-    processor that types every word as Num. The same kernel sees a value
-    under several input types, so a map keyed by value alone (or by value
-    and the type it was first seen with) fails."""
+    sentences, on ``_mixed_batch()``, on the reference lines typed by a
+    processor that types every word as Num, and on ``_EDGE_WORDS``. The
+    same kernel sees a value under several input types, so a map keyed by
+    value alone (or by value and the type it was first seen with) fails."""
     pos, ner = taggers()
     lines = [" ".join(w.value for w in ws) for ws in _fixture_sentences()]
     groups = [
         _fixture_sentences(),
-        [[Word(t, None, 0, len(t), IT_OTHER, 0) for t in toks] for toks in _mixed_batch()],
+        [[Word(t, 0, len(t), IT_OTHER, 0) for t in toks] for toks in _mixed_batch()],
         [ws for sents in tokenize_texts(lines, input_type_processor=_all_num) for ws in sents],
+        [[Word(v, 0, len(v), it, 0) for v, it, _, _ in _EDGE_WORDS]],
     ]
     assert all(w.input_type == IT_NUM for ws in groups[2] for w in ws)
     # values the kernel sees typed otherwise first, then as Num
@@ -71,6 +98,17 @@ def test_id_map_equals_model_token_ids(id_inputs):
             strings = [[_model_token_cached(w.value, w.input_type, mel) for w in ws]
                        for ws in sents]
             assert k._labels(model, sents) == model.predict_batch(strings)
+
+
+def test_model_token_edge_cases():
+    """``to_model_token`` gives each of ``_EDGE_WORDS`` its hand-derived
+    model tokens, so the id map, which equals their vocabulary ids, folds
+    once and cuts the fold. The POS tokens of the 4-, 5- and 6-unit words
+    and of "_банк" are in the POS vocabulary, so cutting the raw value
+    instead of its fold, or dropping the "_", also changes their ids."""
+    for v, it, pos_t, ner_t in _EDGE_WORDS:
+        assert (to_model_token(v, it, _POS_MEL), to_model_token(v, it, _NER_MEL)) == (pos_t, ner_t)
+    assert UNK_ID not in taggers()[0].src_vocab.ids(["иван", "_авел", "_банк"])
 
 
 def test_out_of_vocabulary_variants_forward_once():

@@ -97,7 +97,7 @@ def _fixture_sentences() -> list[list]:
 
     fx = os.path.join(os.path.dirname(__file__), "..", "fixtures", "reference_input_tokens.json")
     type_id = {name: i for i, name in enumerate(INPUT_TYPE_NAMES)}
-    return [[Word(w["v"], None, w["s"], w["l"], type_id[w["t"]], w["x"]) for w in s]
+    return [[Word(w["v"], w["s"], w["l"], type_id[w["t"]], w["x"]) for w in s]
             for line in json.load(open(fx, encoding="utf-8"))
             for s in line["simple"] + [line["console"]]]
 

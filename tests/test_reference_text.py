@@ -248,7 +248,7 @@ def test_fixture_tokens_label_snapshot():
         sents += t_line["simple"] + [t_line["console"]]
         expect += w_line["simple"] + [w_line["console"]]
     type_id = {name: i for i, name in enumerate(INPUT_TYPE_NAMES)}
-    words = [[Word(w["v"], None, w["s"], w["l"], type_id[w["t"]], w["x"]) for w in s]
+    words = [[Word(w["v"], w["s"], w["l"], type_id[w["t"]], w["x"]) for w in s]
              for s in sents]
     assert len({len(s) for s in sents}) > 10  # a real mix of lengths
     out = Kernel().tag_sentences(words)

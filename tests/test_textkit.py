@@ -289,7 +289,7 @@ def _fixture_lines() -> list[str]:
 
 
 def _fields(sents) -> list:
-    return [[(w.value, w.upper, w.start, w.length, w.input_type, w.extra, w.upper_umlauts)
+    return [[(w.value, w.start, w.length, w.input_type, w.extra)
              for w in ws] for ws in sents]
 
 
