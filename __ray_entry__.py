@@ -1,16 +1,14 @@
 """Driver contract (Ray Data target).
 
 ``entry()`` — flagship KG pipeline on sf0.001-scaled synthetic transcripts.
-``queries()`` — one callable per implemented operator (SURVEY.md §2 +
-training-data ops); each takes ``sf_dir`` and returns a Dataset / DataFrame
-/ pyarrow Table.
-``oracle_sql()`` — DuckDB-equivalent SQL per query. For the KG pipeline
-(tokenizer + DNN tagging is not SQL-expressible) the oracle is the
-SINGLE-PROCESS reference implementation (pipelines/oracle.py — same pure
-transforms run sequentially without Ray) materialized to Parquet and read
-via read_parquet(): the comparison therefore checks that the distributed
-execution adds no nondeterminism. Pure-SQL semantic oracles cover the
-document operators over the driver's ``documents`` table.
+``queries()`` — the nine entries of the KG job and its boundaries; each
+takes ``sf_dir`` and returns a Dataset / DataFrame / pyarrow Table.
+``oracle_sql()`` — DuckDB-equivalent SQL per query. Tokenizer + DNN tagging
+is not SQL-expressible, so the oracle is the SINGLE-PROCESS reference
+implementation (pipelines/oracle.py — same pure transforms run sequentially
+without Ray) materialized to Parquet and read via read_parquet(): the
+comparison therefore checks that the distributed execution adds no
+nondeterminism.
 
 Ray is initialised by the driver BEFORE this module is imported; nothing
 here calls ray.init()/ray.shutdown().
@@ -355,13 +353,10 @@ def _kg_edges_artifact(sf_dir: str):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """One callable per operator, keyed by name; each takes ``sf_dir``.
-    The nine ``kg_*`` / ``seqlabel_f1`` / ``web_json_tagged`` entries run
-    the KG job and its boundaries; the rest are the document-statistics
-    operators of ``stages/dataops.py``. Order carries no meaning.
+    """One callable per entry, keyed by name; each takes ``sf_dir``. The
+    nine ``kg_*`` / ``seqlabel_f1`` / ``web_json_tagged`` entries run the
+    KG job and its boundaries. Order carries no meaning.
     """
-    from lingvo__postagger_ner_ru_dnn_ray.stages import dataops as d
-
     return {
         "kg_edges_artifact": _kg_edges_artifact,
         # the batch JSON boundary (web surface replay): web-JSON tasks vs
@@ -374,26 +369,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_pos_label_counts": _kg_pos_label_counts,
         "kg_sentence_len_histogram": _kg_sentence_len_histogram,
         "seqlabel_f1": _seqlabel_f1,
-        "doc_token_cms_registers": d.doc_token_cms_registers,
-        "doc_token_hll_registers": d.doc_token_hll_registers,
-        "doc_token_freq": d.doc_token_freq,
-        "doc_bm25_topk": d.doc_bm25_topk,
-        "doc_charlm_ppl": d.doc_charlm_ppl,
-        "doc_token_cms_estimate": d.doc_token_cms_estimate,
-        "doc_token_heavy_hitters": d.doc_token_heavy_hitters,
-        "doc_tfidf_topk": d.doc_tfidf_topk,
-        "doc_sample": d.doc_sample,
-        "doc_sample_stratified": d.doc_sample_stratified,
-        "doc_table_checksum": d.doc_table_checksum,
-        "doc_quality": d.doc_quality,
-        "doc_token_count": d.doc_token_count,
-        "doc_fingerprint": d.doc_fingerprint,
-        "doc_langid": d.doc_langid,
-        "doc_len_histogram": d.doc_len_histogram,
-        "doc_token_hll_estimate": d.doc_token_hll_estimate,
-        "doc_rep_ngram_signals": d.doc_rep_ngram_signals,
-        "doc_bpe_pair_counts": d.doc_bpe_pair_counts,
-        "doc_posting_lists": d.doc_posting_lists,
     }
 
 
@@ -414,58 +389,6 @@ def _kg_sql(orc: str) -> dict[str, str]:
     }
 
 
-def _dataops_sql() -> dict[str, str]:
-    """Pure-SQL semantic oracles (no side effects; unit-testable at any sf).
-    The md5-hash-seeded operators (fingerprint and the sketches) are
-    reproduced EXACTLY in SQL via DuckDB's md5_number_upper — see the
-    *_ORACLE_SQL constants next to each operator in stages/dataops.py."""
-    from lingvo__postagger_ner_ru_dnn_ray.stages import dataops as d
-
-    return {
-        "doc_fingerprint": d.FINGERPRINT_ORACLE_SQL,
-        "doc_charlm_ppl": d.CHARLM_ORACLE_SQL,
-        "doc_len_histogram": (
-            "SELECT length(text) // 100 AS len_bucket, count(*)::BIGINT AS n_docs "
-            "FROM documents GROUP BY length(text) // 100"
-        ),
-        "doc_token_count": (
-            "SELECT doc_id, len(string_split(text,' '))::BIGINT AS n_ws_tokens, "
-            "len(regexp_extract_all(text,'\\w+|[^\\w\\s]'))::BIGINT AS n_rx_tokens, "
-            "length(text)::BIGINT AS n_chars FROM documents"
-        ),
-        "doc_quality": (
-            "SELECT doc_id, len(string_split(text,' '))::BIGINT AS n_words, "
-            "len(list_filter(string_split(text,' '), x -> x IN "
-            "('the','a','of','and','to')))::BIGINT AS n_stop, "
-            "list_max(list_transform(string_split(text,' '), x -> length(x)))::BIGINT "
-            "AS max_word_len FROM documents"
-        ),
-        "doc_langid": (
-            "SELECT doc_id, CASE WHEN len(regexp_extract_all(text,'[а-яА-ЯёЁ]')) > "
-            "len(regexp_extract_all(text,'[a-zA-Z]')) THEN 'ru' ELSE 'en' END AS lang_pred "
-            "FROM documents"
-        ),
-        "doc_token_freq": (
-            "SELECT token, count(*)::BIGINT AS freq FROM ("
-            "SELECT unnest(string_split(text,' ')) AS token FROM documents) "
-            "GROUP BY token ORDER BY freq DESC, token LIMIT 100"
-        ),
-        "doc_sample": d.doc_sample_oracle_sql(),
-        "doc_sample_stratified": d.stratified_sample_oracle_sql(),
-        "doc_token_hll_registers": d.HLL_REGISTERS_ORACLE_SQL,
-        "doc_token_hll_estimate": d.HLL_ESTIMATE_ORACLE_SQL,
-        "doc_posting_lists": d.POSTING_LISTS_ORACLE_SQL,
-        "doc_bpe_pair_counts": d.BPE_PAIR_ORACLE_SQL,
-        "doc_table_checksum": d.TABLE_CHECKSUM_ORACLE_SQL,
-        "doc_token_cms_registers": d.CMS_REGISTERS_ORACLE_SQL,
-        "doc_token_cms_estimate": d.CMS_ESTIMATE_ORACLE_SQL,
-        "doc_token_heavy_hitters": d.HEAVY_HITTERS_ORACLE_SQL,
-        "doc_tfidf_topk": d.tfidf_oracle_sql(),
-        "doc_bm25_topk": d.bm25_oracle_sql(),
-        "doc_rep_ngram_signals": d.REP_NGRAM_ORACLE_SQL,
-    }
-
-
 def oracle_sql() -> dict[str, str]:
     # The driver's correctness gate runs both sides at sf0.01, so the kg_*
     # and web_json_tagged oracles read single-process reference runs
@@ -478,9 +401,8 @@ def oracle_sql() -> dict[str, str]:
         seqlabel_f1_oracle_sql,
     )
 
-    sql = _dataops_sql()
     orc = _ensure_kg_oracle(sf)
-    sql.update(_kg_sql(orc))
+    sql = _kg_sql(orc)
     sql["web_json_tagged"] = (
         f"SELECT * FROM read_parquet('{_ensure_webjson_oracle(sf)}')"
     )

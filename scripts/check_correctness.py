@@ -1,8 +1,8 @@
 """Local correctness gate: run every queries() entry and compare it
 against its oracle_sql() query in DuckDB (row count, column names,
-order-insensitive values). The KG oracles read Parquet that oracle_sql()
-materializes from the single-process run; the operator oracles read the
-input tables, registered here as DuckDB views over ``sf_dir``. Usage:
+order-insensitive values). The oracles read Parquet that oracle_sql()
+materializes from the single-process run. Exits 1 if any entry mismatches
+or errors. Usage:
 
     python scripts/check_correctness.py [sf_dir] [name,name,...]
 
@@ -24,7 +24,6 @@ SF_DIR = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
 # unset and pins sf0.01)
 os.environ.setdefault("GRAFT_ORACLE_SF_DIR", SF_DIR)
 ONLY = set(sys.argv[2].split(",")) if len(sys.argv) > 2 else None
-TABLES = ["documents"]
 
 
 def to_pandas(obj):
@@ -66,12 +65,9 @@ def main():
     import __ray_entry__ as e
 
     con = duckdb.connect()
-    for t in TABLES:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF_DIR}/{t}.parquet')")
-
     qs = e.queries()
     sqls = e.oracle_sql()
-    results = {}
+    results = {name: "UNKNOWN: no such queries() entry" for name in (ONLY or set()) - set(qs)}
     for name, fn in qs.items():
         if ONLY is not None and name not in ONLY:
             continue
@@ -105,7 +101,8 @@ def main():
     bad = {k: v for k, v in results.items() if not v.startswith("OK")}
     print(json.dumps({"total": len(results), "bad": bad}, ensure_ascii=False, indent=1))
     ray.shutdown()
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

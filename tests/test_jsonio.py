@@ -1,22 +1,18 @@
 """Batch JSON boundary (sources/jsonio.py): the bulk replay of the
 reference's web request/response surface must produce, for the bundled
-reference input lines, exactly the sentence/token/label structure pinned
-in fixtures/reference_input_labels.json (the "simple" sentence-split
-path — the shape the web UI renders, VM.cs:10-62)."""
+reference input lines (``reference_lines()``), exactly the
+sentence/token/label structure pinned in fixtures/reference_input_labels.json
+(the "simple" sentence-split path — the shape the web UI renders,
+VM.cs:10-62)."""
 import json
 from pathlib import Path
 
 import pytest
+from reference_lines import reference_lines
 
 FIXTURE = json.load(
     (Path(__file__).resolve().parents[1] / "fixtures" / "reference_input_labels.json")
     .open(encoding="utf-8")
-)
-_REF_INPUT = Path("/root/reference/[resources]/input-text/input_pos_tagger_ru.txt")
-INPUT_LINES = (
-    [l for l in _REF_INPUT.read_text(encoding="utf-8-sig").splitlines() if l.strip()]
-    if _REF_INPUT.exists()
-    else None
 )
 
 
@@ -44,9 +40,7 @@ def test_webjson_matches_pinned_labels(ray_session, tmp_path, model_type):
     from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import run_webjson_job
     from lingvo__postagger_ner_ru_dnn_ray.textkit import resources  # noqa: F401
 
-    lines = INPUT_LINES
-    if lines is None:
-        pytest.skip(f"reference raw input absent: {_REF_INPUT}")
+    lines = reference_lines()
     in_path = _write_requests(tmp_path, lines)
     out_dir = str(tmp_path / f"out_{model_type}")
     run_webjson_job(in_path, out_dir, model_type=model_type)

@@ -266,14 +266,13 @@ def test_driver_entry_contract(ray_session):
     assert {"conv_id", "turn_idx", "subj", "pred", "obj", "subj_id", "obj_id"} <= cols
     qs = e.queries()
     sqls = e.oracle_sql()
-    # every query has an oracle and every oracle a query; the nine KG
-    # entries are among them
-    assert set(qs) == set(sqls)
-    assert {
+    # every query has an oracle and every oracle a query, and they are
+    # exactly the nine KG entries
+    assert set(qs) == set(sqls) == {
         "kg_triples", "kg_mentions", "kg_edges", "kg_nodes",
         "kg_pos_label_counts", "kg_sentence_len_histogram", "seqlabel_f1",
         "kg_edges_artifact", "web_json_tagged",
-    } <= set(qs)
+    }
 
 
 def test_extreme_conv_skew(ray_session, tmp_path):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pyarrow as pa
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_textkit import _fixture_lines
+from reference_lines import reference_lines
 
 from lingvo__postagger_ner_ru_dnn_ray.pipelines.oracle import oracle_tables
 from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcripts_table
@@ -44,7 +44,7 @@ def test_memo_equals_full_tagging_on_fixtures_and_workloads():
     batches of 50 through one kernel; each input goes through twice, the
     second time at other batch boundaries, so that most sentences hit."""
     wl = _workloads()
-    texts = (_fixture_lines()
+    texts = (reference_lines()
              + wl.transcripts(300, 1).column("text").to_pylist()
              + wl.transcripts(300, 1, unique=True).column("text").to_pylist())
     k = Kernel()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_lines import reference_lines
 
 from lingvo__postagger_ner_ru_dnn_ray.textkit import xlat
 from lingvo__postagger_ner_ru_dnn_ray.textkit.features import (
@@ -270,24 +271,6 @@ def test_sentence_split_inside_url_span():
 
 
 # --------------------------- batch front ------------------------------------
-def _fixture_lines() -> list[str]:
-    """The 15 lines of fixtures/reference_input_tokens.json, rebuilt from
-    their console tokens (spans over spaces; a number placeholder becomes
-    digits of its length)."""
-    import json
-    from pathlib import Path
-
-    fx = Path(__file__).resolve().parents[1] / "fixtures" / "reference_input_tokens.json"
-    lines = []
-    for line in json.loads(fx.read_text(encoding="utf-8")):
-        chars = [" "] * max(w["s"] + w["l"] for w in line["console"])
-        for w in line["console"]:
-            v = w["v"] if len(w["v"]) == w["l"] else "7" * w["l"]
-            chars[w["s"]:w["s"] + w["l"]] = v
-        lines.append("".join(chars))
-    return lines
-
-
 def _fields(sents) -> list:
     return [[(w.value, w.start, w.length, w.input_type, w.extra)
              for w in ws] for ws in sents]
@@ -309,7 +292,7 @@ def test_front_independent_of_batch_neighbours():
     batch longer than a front's slice and in batches cut at odd points."""
     from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcripts_table
 
-    lines = _fixture_lines()
+    lines = reference_lines()
     assert len(lines) == 15 and all(tokenize_text(x) for x in lines)
     synth = synth_transcripts_table(300, seed=7).column("text").to_pylist()
     _assert_batch_independent([lines, lines[::-1] + [None, ""] + lines])
@@ -379,7 +362,7 @@ def _memo_texts() -> list[str]:
     from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcripts_table
 
     synth = synth_transcripts_table(60, seed=7).column("text").to_pylist()
-    return _fixture_lines() + _PIECES + synth
+    return reference_lines() + _PIECES + synth
 
 
 def test_token_memo_cold_equals_warm():
