@@ -86,14 +86,6 @@ def _softmax_keys_(att: np.ndarray) -> np.ndarray:
     return att
 
 
-def _softmax_(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place."""
-    x -= x.max(axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
-    return x
-
-
 class SeqLabelModel:
     """Holds weights + vocabs; one instance per (POS|NER) model per actor."""
 
@@ -217,32 +209,6 @@ class SeqLabelModel:
             for r, lab in zip(rows, self._label_arr[self.forward_ids(ids)].tolist()):
                 results[r] = lab
         return results
-
-    def topk_class_probs(self, sents: list[list[str]], k: int = 3) -> list[list[list[tuple[str, float]]]]:
-        """Per-token top-k (label, probability) ranked by probability desc
-        — the UI's class-probability sort (SeqLabel.cs:205-213; comparer
-        BaseSeq2SeqFramework.cs:34-46). Ties broken by label id (stable
-        argsort), matching the reference's stable OrderByDescending."""
-        out: list[list[list[tuple[str, float]]]] = [[] for _ in sents]
-        for rows, ids in self._chunks([self.src_vocab.ids(toks) for toks in sents]):
-            probs = _softmax_(self._forward_logits(ids))  # [B, L, C]
-            order = np.argsort(-probs, axis=-1, kind="stable")[..., :k]
-            for b, r in enumerate(rows):
-                out[r] = [[(self.labels[c], float(probs[b, j, c])) for c in order[b, j]]
-                          for j in range(ids.shape[1])]
-        return out
-
-    def words_in_dict_ratio(self, sents: list[list[str]]) -> list[float]:
-        """Fraction of tokens found in the source vocab per sentence
-        (SeqLabel.cs:194-216 WordsInDictRatio)."""
-        vocab = self.src_vocab.word_to_index
-        out = []
-        for toks in sents:
-            if not toks:
-                out.append(1.0)
-                continue
-            out.append(sum(1 for t in toks if t in vocab) / len(toks))
-        return out
 
 
 def build_lexical_tagger(

@@ -2,13 +2,10 @@
 
 Mirrors Models/Vocab.cs:14-57,154-194 and Corpus/BuildInTokens.cs:13-15:
 ids 0=</s> (EOS/pad), 1=<s>, 2=<unk>; real entries start at 3
-(START_MEANING_INDEX). Vocab build = frequency-desc truncation
-(CorpusBatch.cs:171-221); ties broken by token string for determinism
-(the reference's SortedDictionary enumeration order is unspecified).
+(START_MEANING_INDEX), in the order the items are given.
 """
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 
 EOS = "</s>"
@@ -40,10 +37,3 @@ class Vocab:
 
     def word(self, idx: int) -> str:
         return self.index_to_word.get(idx, UNK)
-
-    @classmethod
-    def build(cls, token_counts: Counter, vocab_size: int | None = None) -> "Vocab":
-        items = sorted(token_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if vocab_size is not None:
-            items = items[: max(0, vocab_size - START_MEANING_INDEX)]
-        return cls(w for w, _ in items)

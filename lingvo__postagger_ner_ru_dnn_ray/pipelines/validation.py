@@ -17,17 +17,16 @@ counters from the sequential oracle run's sentences — checking both the
 distributed counter aggregation and the perturbation arithmetic.
 
 Output: (label, hyp_count, ref_count, match_count) — integer counters
-(exact under any distribution); P/R/F1 are single IEEE divisions computed
-downstream (functions/metrics.py:seq_fscore).
+(exact under any distribution), from which P/R/F1 are single divisions.
 """
 from __future__ import annotations
+
+import hashlib
 
 import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..functions.hashing import _md5_u64
-from ..functions.metrics import fscore_counts_batch
 from ..textkit.features import POS_LABELS
 
 _PERTURB_MOD = 7
@@ -37,12 +36,37 @@ _NEXT_LABEL = {
 }
 
 
+def _md5_u64(s: str) -> int:
+    """First 8 bytes of md5, little-endian == DuckDB md5_number_upper()."""
+    return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little")
+
+
 def perturb_ref(value: str, gold: str) -> str:
     """Deterministic annotation noise: every token whose md5 ≡ 0 (mod 7)
     gets the next label in the POS list as its reference label."""
     if _md5_u64(value) % _PERTURB_MOD == 0:
         return _NEXT_LABEL.get(gold, gold)
     return gold
+
+
+def fscore_counts_batch(refs: list[list[str]], hyps: list[list[str]]) -> pa.Table:
+    """Partial counts per label over the sentences' aligned (ref, hyp)
+    labels, each sentence compared over min(len(ref), len(hyp)) positions
+    (SeqLabelFscoreMetric.cs:23-53)."""
+    counts: dict[str, list[int]] = {}
+    for ref, hyp in zip(refs, hyps):
+        for r, h in zip(ref, hyp):
+            cr = counts.setdefault(r, [0, 0, 0])
+            cr[1] += 1  # ref_count
+            counts.setdefault(h, [0, 0, 0])[0] += 1  # hyp_count
+            if r == h:
+                cr[2] += 1  # match
+    labels = sorted(counts)
+    return pa.Table.from_arrays(
+        [pa.array(labels, pa.string())]
+        + [pa.array([counts[lab][i] for lab in labels], pa.int64()) for i in range(3)],
+        names=["label", "hyp_count", "ref_count", "match_count"],
+    )
 
 
 def seqlabel_f1_counts(sents: ray.data.Dataset) -> ray.data.Dataset:
@@ -55,11 +79,7 @@ def seqlabel_f1_counts(sents: ray.data.Dataset) -> ray.data.Dataset:
             [perturb_ref(v, g) for v, g in zip(vs, gs)]
             for vs, gs in zip(values, pos)
         ]
-        t = pa.Table.from_arrays(
-            [pa.array(refs, pa.list_(pa.string())), batch.column("pos")],
-            names=["ref", "hyp"],
-        )
-        return fscore_counts_batch(t, "ref", "hyp")
+        return fscore_counts_batch(refs, pos)
 
     part = sents.map_batches(perturb_and_count, batch_format="pyarrow")
     return part.groupby("label").aggregate(

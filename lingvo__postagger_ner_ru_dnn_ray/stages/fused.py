@@ -76,17 +76,11 @@ class KgStage:
     """transcript rows -> linked triple rows (the kernel: both DNNs, the
     entity dictionary and the sentence memo, built once)."""
 
-    def __init__(self, dict_ref=None, artifact_dir: str | None = None,
-                 input_type_processor: str | None = None):
+    def __init__(self, dict_ref=None, artifact_dir: str | None = None):
         """``dict_ref``: an object ref of a ``build_linking_dict()`` map;
-        default: build it here. ``input_type_processor``: NAME of a
-        registered plug-in (plugins.input_type_processor) — the
-        TokenizerConfig PosTaggerInputTypeProcessor slot; names (not
-        callables) so the kwarg serializes cleanly into task arguments."""
-        from ..plugins import input_type_processor as _resolve
-
+        default: build it here."""
         lookup = None if dict_ref is None else ray.get(dict_ref)
-        self.kernel = Kernel(artifact_dir, lookup, _resolve(input_type_processor))
+        self.kernel = Kernel(artifact_dir, lookup)
         self._memo_stats = _memo_stats_handle()
 
     def __call__(self, batch: pa.Table) -> pa.Table:

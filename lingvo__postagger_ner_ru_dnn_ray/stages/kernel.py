@@ -113,11 +113,9 @@ def _pad(labels: list, n: int, fill: str) -> list:
 
 
 class Kernel:
-    """The state of both steps: the two models, the entity dictionary and
-    the tokenizer's input-type processor."""
+    """The state of both steps: the two models and the entity dictionary."""
 
-    def __init__(self, artifact_dir: str | None = None, lookup: dict | None = None,
-                 input_type_processor=None):
+    def __init__(self, artifact_dir: str | None = None, lookup: dict | None = None):
         """``artifact_dir``: load the models from its sha-verified .npz
         artifacts (model/artifact.py) instead of the lexicon-built
         singletons. ``lookup``: the normalized-surface → (entity_id,
@@ -131,7 +129,6 @@ class Kernel:
 
             self.pos_model, self.ner_model = load_taggers(artifact_dir)
         self.lookup = build_linking_dict() if lookup is None else lookup
-        self.itp = input_type_processor
         self._memo: dict[bytes | tuple, tuple | None] = {}
         self._ids: dict[str | int, tuple[int, int]] = {}  # key → (POS id, NER id)
         self.missed_texts = 0
@@ -140,7 +137,7 @@ class Kernel:
         """Each text's tagged sentences, in order. Lazy: a caller that
         consumes text by text holds one text's ``Tagged`` at a time, which
         keeps the garbage collector's young generations small."""
-        per_text = tokenize_texts(texts, input_type_processor=self.itp)
+        per_text = tokenize_texts(texts)
         tagged = self._tag([ws for sents in per_text for ws in sents])
         for sents in per_text:
             yield [next(tagged) for _ in sents]
@@ -161,7 +158,7 @@ class Kernel:
         that missed the memo."""
         memo, todo, split = self._memo, {}, {}
         uniq = list(dict.fromkeys(texts))
-        for x, (tk, sents) in zip(uniq, split_texts(uniq, input_type_processor=self.itp)):
+        for x, (tk, sents) in zip(uniq, split_texts(uniq)):
             keys = split[x] = [(_sent_key(tk.ub, s), s.start) for s in sents]
             for (key, o), s in zip(keys, sents):
                 if key not in memo and key not in todo:

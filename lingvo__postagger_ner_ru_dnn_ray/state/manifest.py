@@ -3,8 +3,9 @@
 The reference checkpoints a single model file (BaseSeq2SeqFramework.cs:
 172-203 .bak/.latest routine); a batch data pipeline's equivalent is a
 partitioned output directory where each partition carries a manifest
-recording its lineage (input selector, row count, config hash). A resumed
-run skips partitions whose manifest is complete and re-processes the rest;
+recording its lineage (input selector, row count, config hash) and its
+files (name, bytes, rows). A resumed run skips partitions whose manifest is
+complete and whose files still match it, and re-processes the rest;
 partition assignment is a deterministic pure function of the data
 (hash(conv_id) % P with P fixed per output), so a re-run reproduces the
 same partition contents byte-for-byte given the same inputs and config.
@@ -57,7 +58,19 @@ def write_manifest(out_dir: str | Path, part: int, cfg_hash: str, inputs: dict |
     return m
 
 
+def _files_intact(pdir: Path, m: dict) -> bool:
+    """Every file manifest ``m`` lists is in ``pdir`` with its listed size,
+    and no other ``*.parquet`` lies beside them (stat calls only)."""
+    try:
+        sizes = {f.name: f.stat().st_size for f in pdir.glob("*.parquet")}
+    except OSError:  # a file removed between the listing and its stat
+        return False
+    return sizes == {f["name"]: f["bytes"] for f in m.get("files", [])}
+
+
 def completed_partitions(out_dir: str | Path, cfg_hash: str) -> set[int]:
+    """The partitions under ``out_dir`` whose manifest is complete, of
+    config ``cfg_hash``, and matches the partition's files."""
     done: set[int] = set()
     root = Path(out_dir)
     if not root.exists():
@@ -70,6 +83,6 @@ def completed_partitions(out_dir: str | Path, cfg_hash: str) -> set[int]:
             m = json.loads(mf.read_text())
         except (OSError, json.JSONDecodeError):
             continue
-        if m.get("complete") and m.get("config_hash") == cfg_hash:
+        if m.get("complete") and m.get("config_hash") == cfg_hash and _files_intact(pdir, m):
             done.add(int(m["partition"]))
     return done

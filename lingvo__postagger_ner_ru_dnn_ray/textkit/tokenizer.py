@@ -144,11 +144,10 @@ class _SentTokenizer:
     __slots__ = (
         "u", "ul", "ub", "n", "s", "end", "words", "start_index", "cur_len",
         "is_prev_num", "last_num", "replace_nums", "dot_variant", "cts", "sps",
-        "itp", "nxt", "off", "urls",
+        "nxt", "off", "urls",
     )
 
-    def __init__(self, front: _Front, k: int, replace_nums: bool, dot_variant: str = "simple",
-                 input_type_processor=None):
+    def __init__(self, front: _Front, k: int, replace_nums: bool, dot_variant: str = "simple"):
         o, e = front.offs[k], front.offs[k + 1]
         self.off, self.n = o, e - o
         self.u = front.u[o:e]
@@ -163,9 +162,6 @@ class _SentTokenizer:
         # "console": keep a dot in the word; flush immediately when the next
         #            char is uppercase (batch path, Tokenizer.cs:491-497)
         self.dot_variant = dot_variant
-        # pluggable graphemic classifier — the IPosTaggerInputTypeProcessor
-        # config slot (TokenizerConfig.cs:20); None = the default _En port
-        self.itp = input_type_processor
 
     def ch(self, i: int) -> int:
         return self.ul[i] if 0 <= i < self.n else 0
@@ -193,19 +189,12 @@ class _SentTokenizer:
             return
         start, length = self.start_index, self.cur_len
         key = self.ub[2 * start : 2 * (start + length)]
-        # the shared memo is only valid for the default processor — a
-        # custom input_type_processor computes uncached
-        cache = self.itp is None
-        hit = _TOKEN_MEMO.get(key) if cache else None
+        hit = _TOKEN_MEMO.get(key)
         if hit is None:
-            if (cache or self.replace_nums) and self._is_num_token(start, length):
-                hit = _IS_NUM
-            else:
-                hit = self._fields(key, start, length)
-            if cache:
-                if len(_TOKEN_MEMO) > _TOKEN_MEMO_MAX:
-                    _TOKEN_MEMO.clear()
-                _TOKEN_MEMO[key] = hit
+            hit = _IS_NUM if self._is_num_token(start, length) else self._fields(key, start, length)
+            if len(_TOKEN_MEMO) > _TOKEN_MEMO_MAX:
+                _TOKEN_MEMO.clear()
+            _TOKEN_MEMO[key] = hit
         if self.replace_nums:
             if hit is _IS_NUM:
                 if not self.is_prev_num:
@@ -237,7 +226,7 @@ class _SentTokenizer:
         """(value, input_type, extra) of the token whose code units are
         ``key``, at ``start``."""
         value = key.decode(xlat._ENC, "surrogatepass")
-        input_type, extra = (self.itp or get_input_type)(self.ul, start, length)
+        input_type, extra = get_input_type(self.ul, start, length)
         value = _clear_value_original(value, extra, self.u, start, length)
         return value, input_type, extra
 
@@ -477,32 +466,28 @@ def _clear_value_original(v: str, extra: int, u, start: int, length: int) -> str
     return v
 
 
-def split_texts(texts: list[str | None], replace_nums: bool = True,
-                input_type_processor=None) -> Iterator[tuple[_SentTokenizer, list[Sent]]]:
+def split_texts(texts: list[str | None],
+                replace_nums: bool = True) -> Iterator[tuple[_SentTokenizer, list[Sent]]]:
     """Each text's FSM and its sentences, with one front per slice of
     ``_FRONT_TEXTS`` texts; ``tk.tokenize(sent)`` gives a sentence's words
     (possibly none). None and "" yield no sentences."""
     for lo in range(0, len(texts), _FRONT_TEXTS):
         front = _Front(texts[lo:lo + _FRONT_TEXTS])
         for k in range(len(front)):
-            tk = _SentTokenizer(front, k, replace_nums, input_type_processor=input_type_processor)
+            tk = _SentTokenizer(front, k, replace_nums)
             yield tk, split_sents(tk.ul, front.sent_hits_of(k), tk.urls) if tk.n else []
 
 
-def tokenize_texts(texts: list[str | None], replace_nums: bool = True,
-                   input_type_processor=None) -> list[list[list[Word]]]:
+def tokenize_texts(texts: list[str | None], replace_nums: bool = True) -> list[list[list[Word]]]:
     """``tokenize_text`` of each text, over ``split_texts``."""
     return [[ws for ws in map(tk.tokenize, sents) if ws]
-            for tk, sents in split_texts(texts, replace_nums, input_type_processor)]
+            for tk, sents in split_texts(texts, replace_nums)]
 
 
-def tokenize_text(text: str, replace_nums: bool = True,
-                  input_type_processor=None) -> list[list[Word]]:
+def tokenize_text(text: str, replace_nums: bool = True) -> list[list[Word]]:
     """TryTokenizeBySents (PosTaggerExtensions.cs:61-72): Simple sentence
-    split + Simple tokenize per sentence, empty sentences dropped.
-    ``input_type_processor`` swaps the graphemic classifier (the
-    IPosTaggerInputTypeProcessor slot); None = the default _En port."""
-    return tokenize_texts([text], replace_nums, input_type_processor)[0]
+    split + Simple tokenize per sentence, empty sentences dropped."""
+    return tokenize_texts([text], replace_nums)[0]
 
 
 def tokenize_text_console(text: str, replace_nums: bool = True) -> list[Word]:

@@ -35,7 +35,7 @@ sys.path.insert(0, {repo!r})
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 import ray
-ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count()),
          include_dashboard=False, logging_level="ERROR")
 import logging
 from ray.data import DataContext

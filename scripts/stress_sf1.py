@@ -101,7 +101,7 @@ def main() -> None:
 
     ray.init(
         address="local",
-        num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+        num_cpus=int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count()),
         include_dashboard=False,
         logging_level="ERROR",
     )

@@ -26,11 +26,6 @@ from lingvo__postagger_ner_ru_dnn_ray.textkit.resources import NUM_PLACEHOLDER, 
 from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import Word, tokenize_texts
 
 
-def _all_num(u, start, length):
-    """An input-type processor that types every word as Num."""
-    return IT_NUM, EX_INTEGER_NUMBER
-
-
 @pytest.fixture
 def id_inputs(monkeypatch):
     """The id sentences each model's ``predict_ids`` receives, by model."""
@@ -71,8 +66,8 @@ def test_id_map_equals_model_token_ids(id_inputs):
     """One kernel's id map gives each word ``vocab.id(to_model_token(value,
     input_type, mel))`` for both models, and ``_labels`` equals
     ``predict_batch`` over ``_model_token_cached`` strings: on the reference
-    sentences, on ``_mixed_batch()``, on the reference lines typed by a
-    processor that types every word as Num, and on ``_EDGE_WORDS``. The
+    sentences, on ``_mixed_batch()``, on the tokenized reference lines with
+    every word retyped as Num, and on ``_EDGE_WORDS``. The
     same kernel sees a value under several input types, so a map keyed by
     value alone (or by value and the type it was first seen with) fails."""
     pos, ner = taggers()
@@ -80,7 +75,8 @@ def test_id_map_equals_model_token_ids(id_inputs):
     groups = [
         _fixture_sentences(),
         [[Word(t, 0, len(t), IT_OTHER, 0) for t in toks] for toks in _mixed_batch()],
-        [ws for sents in tokenize_texts(lines, input_type_processor=_all_num) for ws in sents],
+        [[Word(w.value, w.start, w.length, IT_NUM, EX_INTEGER_NUMBER) for w in ws]
+         for sents in tokenize_texts(lines) for ws in sents],
         [[Word(v, 0, len(v), it, 0) for v, it, _, _ in _EDGE_WORDS]],
     ]
     assert all(w.input_type == IT_NUM for ws in groups[2] for w in ws)

@@ -1,6 +1,5 @@
 """Tagger model + vocab tests (SURVEY.md §2.2 rows 10-13, §2.3 row 1)."""
 import pickle
-from collections import Counter
 
 import numpy as np
 
@@ -25,13 +24,6 @@ def test_vocab_reserved_ids():
     assert v.id("<unk>") == UNK_ID == 2
     assert v.id("a") == 3 and v.id("b") == 4
     assert v.id("zzz") == UNK_ID
-
-
-def test_vocab_build_freq_desc():
-    v = Vocab.build(Counter({"x": 5, "y": 9, "z": 5}), vocab_size=5)
-    assert v.id("y") == 3  # highest frequency first
-    assert v.id("x") == 4  # tie broken by token
-    assert v.id("z") == UNK_ID  # truncated
 
 
 def test_tagger_reproduces_lexicon():
@@ -169,22 +161,6 @@ def test_ensure_default_artifacts_idempotent(tmp_path):
     assert pos.max_ending_length == 4 and ner.max_ending_length == 10000
 
 
-def test_topk_class_probs():
-    """Class-probability ranking per token (SeqLabel.cs:205-213) — top-1
-    must agree with argmax predict, probs sorted desc and sum≈softmax."""
-    pos, _ = taggers()
-    toks = list(pos_token_label())[:20]
-    ranked = pos.topk_class_probs([toks], k=3)[0]
-    argmax = pos.predict_batch([toks])[0]
-    assert len(ranked) == len(toks)
-    for token_ranks, top_label in zip(ranked, argmax):
-        labels = [l for l, _ in token_ranks]
-        probs = [p for _, p in token_ranks]
-        assert labels[0] == top_label
-        assert probs == sorted(probs, reverse=True)
-        assert 0.0 < probs[0] <= 1.0
-
-
 def _mixed_batch():
     """Three sentences of every length 1..40 drawn from the POS vocab plus
     unknown words, each twice, and one 250-token sentence (> 10% over
@@ -288,8 +264,7 @@ def _reference_logits(m, toks):
 def test_forward_matches_reference_transformer():
     """With random weights in EVERY block (the lexicon weights zero wo and
     w2, so attention and FFN there cannot move a label), the exact-length
-    chunked forward equals a per-sentence reference transformer, and
-    topk_class_probs maps each chunk row back to its sentence."""
+    chunked forward equals a per-sentence reference transformer."""
     pos, _ = taggers()
     rng = np.random.RandomState(0)
     w = {k: rng.normal(0, 0.3, v.shape).astype(np.float32) for k, v in pos.w.items()}
@@ -305,11 +280,3 @@ def test_forward_matches_reference_transformer():
                                        rtol=1e-3, atol=1e-3)
         n_chunks += 1
     assert n_chunks > len({len(s) for s in sents})
-    ranked = m.topk_class_probs(sents, k=2)
-    for toks, r in zip(sents, ranked):
-        ref = _reference_logits(m, toks)
-        ref = np.exp(ref - ref.max(-1, keepdims=True))
-        assert len(r) == len(toks)
-        np.testing.assert_allclose([tok_ranks[0][1] for tok_ranks in r],
-                                   (ref / ref.sum(-1, keepdims=True)).max(-1),
-                                   rtol=1e-3, atol=1e-4)

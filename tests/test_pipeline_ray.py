@@ -783,3 +783,92 @@ def test_reduce_stats_text(fixture_path, tmp_path):
     n, ran_s, total_s = _reduce_stats(step.stats())
     assert n == 4 and ran_s == pytest.approx(step.elapsed_s, abs=1e-6)
     assert total_s > 0 and total_s == pytest.approx(sum(step.task_s), abs=1e-6)
+
+
+def _assert_job_equals_oracle(out: Path, oracle) -> None:
+    """The job's triples, and the global views of its edges and nodes,
+    equal the oracle's."""
+    got = pq.read_table(out / "triples").drop(["part"])
+    assert _sorted_df(got, TRIPLE_KEYS).equals(_sorted_df(oracle["triples"], TRIPLE_KEYS))
+    edge_keys = ["subj_id", "pred", "obj_id"]
+    assert _global(pq.read_table(out / "edges"), edge_keys, EDGE_AGG).equals(
+        _sorted_df(oracle["edges"], edge_keys))
+    assert _global(pq.read_table(out / "nodes"), ["entity_id"], NODE_AGG).equals(
+        _sorted_df(oracle["nodes"], ["entity_id"]))
+
+
+def test_resume_checks_manifest_files(fixture_path, oracle, tmp_path):
+    """A complete manifest counts only while its partition holds exactly
+    the files it lists, at their listed sizes. (a) One listed triples
+    file of part=1 and all of edges/part=1 gone: the resume tags part 1
+    again instead of building its edges from the triples left. (b)
+    edges/part=2's data file gone under its complete manifest: the resume
+    rebuilds it instead of reporting the job done. (c) An unlisted copy of
+    a triples file beside part=3's files: the resume rewrites part 3
+    instead of reading the copy's rows twice."""
+    out = tmp_path / "kg"
+    run_kg_job(fixture_path, str(out), num_partitions=4)
+    listed = json.loads((out / "triples" / "part=1" / "_manifest.json").read_text())["files"]
+    (out / "triples" / "part=1" / listed[0]["name"]).unlink()
+    shutil.rmtree(out / "edges" / "part=1")
+    assert run_kg_job(fixture_path, str(out), num_partitions=4)["partitions_run"] == [1]
+    _assert_job_equals_oracle(out, oracle)
+
+    (out / "edges" / "part=2" / "data.parquet").unlink()
+    assert run_kg_job(fixture_path, str(out), num_partitions=4)["partitions_run"] == [2]
+    _assert_job_equals_oracle(out, oracle)
+
+    part3 = out / "triples" / "part=3"
+    shutil.copy(next(part3.glob("*.parquet")), part3 / "copy.parquet")
+    assert run_kg_job(fixture_path, str(out), num_partitions=4)["partitions_run"] == [3]
+    _assert_job_equals_oracle(out, oracle)
+
+
+class _CountingDict(dict):
+    """A dict that counts its clears."""
+
+    clears = 0
+
+    def clear(self) -> None:
+        self.clears += 1
+        super().clear()
+
+
+def test_batch_splits_and_cache_clears(fixture_path, oracle, tmp_path, monkeypatch):
+    """The job's stage gives the oracle's triples at any batch size, also
+    when its caches clear mid-batch. One ``KgStage`` takes the fixture's
+    turns, 60 of them again under other conversations, and the reference
+    lines, at batch sizes 1, 7, 64 and 512, with the caps of the id map,
+    the sentence memo and the token memo small, so that each clears
+    during every pass. ``run_kg_job`` at ``tag_batch_size=7`` equals the
+    oracle too."""
+    from reference_lines import reference_lines
+
+    from lingvo__postagger_ner_ru_dnn_ray.stages import kernel as kernel_mod
+    from lingvo__postagger_ner_ru_dnn_ray.stages.fused import KgStage
+    from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer as tz
+
+    base = synth_transcripts_table(N_TURNS, seed=SEED).select(["conv_id", "turn_idx", "text"])
+    rows = base.to_pylist()
+    rows += [dict(r, conv_id="again-" + r["conv_id"]) for r in rows[:60]]
+    rows += [{"conv_id": "ref", "turn_idx": i, "text": x} for i, x in enumerate(reference_lines())]
+    table = pa.Table.from_pylist(rows, schema=base.schema)
+    key = lambda r: (r["conv_id"], r["turn_idx"], r["sent_idx"], r["triple_idx"])  # noqa: E731
+    want = sorted(oracle_tables(table)["triples"].to_pylist(), key=key)
+
+    monkeypatch.setattr(kernel_mod, "_IDS_MAX", 100)
+    monkeypatch.setattr(kernel_mod, "_MEMO_SENTS", 50)
+    monkeypatch.setattr(tz, "_TOKEN_MEMO_MAX", 100)
+    monkeypatch.setattr(tz, "_TOKEN_MEMO", _CountingDict())
+    stage = KgStage()
+    stage.kernel._ids, stage.kernel._memo = _CountingDict(), _CountingDict()
+    caches = [stage.kernel._ids, stage.kernel._memo, tz._TOKEN_MEMO]
+    for size in (1, 7, 64, 512):
+        before = [c.clears for c in caches]
+        got = [stage(table.slice(a, size)) for a in range(0, table.num_rows, size)]
+        assert all(c.clears > n for c, n in zip(caches, before)), size
+        assert sorted(pa.concat_tables(got).to_pylist(), key=key) == want, size
+
+    out = tmp_path / "kg"
+    run_kg_job(fixture_path, str(out), num_partitions=4, tag_batch_size=7)
+    _assert_job_equals_oracle(out, oracle)
