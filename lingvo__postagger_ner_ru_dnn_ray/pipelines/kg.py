@@ -380,75 +380,39 @@ def run_kg_job(
 
 
 def _num_partitions(run_dirs: list[str]) -> int:
-    """The one ``num_partitions`` every run's edges manifests record; raise
-    if the runs do not share one (their ``part=k`` would hold different
-    conversations, so a per-partition merge would be wrong)."""
-    found = {
-        d: {json.loads(m.read_text())["inputs"].get("num_partitions")
-            for m in Path(d).glob(f"edges/part=*/{mf.MANIFEST_NAME}")}
-        for d in run_dirs
-    }
-    ps = set().union(*found.values())
-    if len(ps) != 1 or None in ps or not all(found.values()):
+    """The one ``num_partitions`` P every run records, each run holding an
+    intact edges manifest (``mf.intact_manifests``) for every partition
+    0..P-1; raise otherwise: a per-partition merge of runs of different P,
+    or of a partition that lost or gained files, would be wrong."""
+    found = {d: mf.intact_manifests(f"{d}/edges") for d in run_dirs}
+    recorded = {d: {m["inputs"].get("num_partitions") for m in ms.values()}
+                for d, ms in found.items()}
+    ps = set().union(*recorded.values())
+    if len(ps) != 1 or None in ps:
         raise ValueError(
             "merge_kg_runs: runs must share one num_partitions recorded in their "
-            f"edges manifests; found {found}"
+            f"intact edges manifests; found {recorded}"
         )
-    return ps.pop()
+    p = ps.pop()
+    missing = {d: sorted(set(range(p)) - ms.keys()) for d, ms in found.items()}
+    missing = {d: parts for d, parts in missing.items() if parts}
+    if missing:
+        raise ValueError(
+            f"merge_kg_runs: every run needs an intact edges manifest for each of "
+            f"its num_partitions={p} partitions; missing or damaged: {missing}"
+        )
+    return p
 
 
 def _assert_disjoint_runs(run_dirs: list[str], p: int) -> None:
-    """Raise if two delta runs share a conversation — merged edge weights
-    would silently double-count. Two layers:
-
-    1. manifest fast path: identical triples config hashes AND identical
-       per-partition content stats (rows + file layout from the
-       manifests) raise without touching data — the same input truly
-       processed twice. A config-hash collision with DIFFERENT content
-       (two disjoint drops staged through the same overwritten input
-       path share {v, partitions, path}) only warns and falls through to
-       the exact check, which decides;
-    2. exact check: the runs share ``p``, so a conversation lives in the
-       same ``part=k`` of every run; one task per partition reads the
-       runs' triples ``conv_id`` column there and raises on any conv seen
-       in >= 2 runs. Each task returns at most a 5-row sample of its
-       violations. A run dir whose triples/ directory is absent (pruned
-       fact log / edges-only run) is skipped with a warning — the merge
-       itself only reads edges/.
-    """
+    """Raise if two runs share a conversation: merged edge weights would
+    double-count. The runs share ``p``, so a conversation lives in the
+    same ``part=k`` of every run; one task per partition reads the runs'
+    triples ``conv_id`` column there and raises on any conversation seen
+    in >= 2 runs, naming at most 5. A run without a triples/ directory (a
+    pruned fact log, or a merged view) is left out of the check with a
+    warning: the merge itself reads only edges/."""
     import warnings
-
-    seen_cfg: dict[str, tuple[str, str]] = {}  # cfg_hash -> (dir, content_fp)
-    for d in run_dirs:
-        sig: list = []
-        chs: set[str] = set()
-        for mpath in sorted(Path(d).glob("triples/part=*/" + mf.MANIFEST_NAME)):
-            try:
-                m = json.loads(mpath.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if m.get("config_hash"):
-                chs.add(m["config_hash"])
-                sig.append([m.get("partition"), m.get("rows"),
-                            [[f.get("name"), f.get("rows")] for f in m.get("files", [])]])
-        fp = mf.config_hash({"sig": sig})
-        for ch in chs:
-            if ch in seen_cfg and seen_cfg[ch][0] != d:
-                if seen_cfg[ch][1] == fp:
-                    raise ValueError(
-                        f"merge_kg_runs: runs {seen_cfg[ch][0]!r} and {d!r} carry the "
-                        f"same triples config hash {ch} and identical content stats — "
-                        "the same input was processed twice; deltas must cover "
-                        "disjoint conversation sets"
-                    )
-                warnings.warn(
-                    f"merge_kg_runs: runs {seen_cfg[ch][0]!r} and {d!r} share triples "
-                    f"config hash {ch} but differ in content (same staging path "
-                    "reused?) — relying on the exact conv_id overlap check",
-                    stacklevel=2,
-                )
-            else:
-                seen_cfg[ch] = (d, fp)
 
     checked = []
     for d in run_dirs:
@@ -461,14 +425,7 @@ def _assert_disjoint_runs(run_dirs: list[str], p: int) -> None:
                 stacklevel=2,
             )
     if len(checked) < 2:
-        if len(run_dirs) >= 2:
-            warnings.warn(
-                "merge_kg_runs: fewer than 2 runs have a readable triples/ "
-                "directory — the exact conv_id overlap check is VACUOUS for "
-                "this merge; disjointness is the caller's responsibility",
-                stacklevel=2,
-            )
-        return  # 0/1 checkable runs: nothing left to compare
+        return
 
     def overlaps(part: int) -> list[str]:
         runs_of = Counter()
@@ -482,26 +439,24 @@ def _assert_disjoint_runs(run_dirs: list[str], p: int) -> None:
     if sample:
         raise ValueError(
             "merge_kg_runs: delta runs overlap — conversations present in "
-            f">=2 runs (sample: {sample}); merging would double-count edge "
-            "weights. Pass check_overlap=False only for provably disjoint drops."
+            f">=2 runs (sample: {sample}); merging would double-count edge weights"
         )
 
 
-def merge_kg_runs(
-    run_dirs: list[str], out_dir: str, *, check_overlap: bool = True,
-    overwrite: bool = False,
-) -> dict:
+def merge_kg_runs(run_dirs: list[str], out_dir: str, *, overwrite: bool = False) -> dict:
     """Incremental KG maintenance: merge the AGGREGATED graph views of
     several delta runs (disjoint conversation sets — e.g. daily transcript
     drops each processed by ``run_kg_job``) into one edges/nodes view
     WITHOUT re-running extraction.
 
-    The runs must share ``num_partitions`` (read from their edges
-    manifests); otherwise this raises before anything is written.
-    ``check_overlap`` (default on) verifies the disjointness contract
-    (see ``_assert_disjoint_runs``) — exact, column-pruned, one task per
-    partition, raising before any output is written. Disable only when
-    disjointness is guaranteed upstream.
+    Accepted inputs are finished runs of ``run_kg_job`` and merged views:
+    each run records one shared ``num_partitions`` P and holds an intact
+    edges manifest for every partition 0..P-1 (``_num_partitions``, by
+    the rule a resume uses). Disjointness has one rule: no conversation
+    may appear in the triples of two runs (``_assert_disjoint_runs``,
+    exact, column-pruned, one task per partition); a run without
+    triples/ is left out of it with a warning. Any violation raises
+    before anything is written.
 
     Edge rows are aggregates keyed (part, subj_id, pred, obj_id) with
     mergeable stats (weight = sum, canon/type = min), so the merge of
@@ -535,11 +490,8 @@ def merge_kg_runs(
             "merge_kg_runs: out_dir is one of the input run dirs — the "
             "merged write (or an overwrite rmtree) would clobber an input"
         )
-    # validate the non-destructive preconditions FIRST: a failed check
-    # must leave a pre-existing merged view intact, so the overwrite
-    # rmtree happens only after every check has passed (and reads of the
-    # run dirs happen before anything under out_dir is touched, in case
-    # out_dir nests near an input)
+    # every check runs before anything under out_dir is touched: a failed
+    # check must leave a pre-existing merged view intact
     out = {t: str(Path(out_dir) / t) for t in ("edges", "nodes")}
     for tdir in map(Path, out.values()):
         if tdir.exists() and any(tdir.iterdir()) and not overwrite:
@@ -549,8 +501,7 @@ def merge_kg_runs(
                 "replace, or merge into a fresh out_dir."
             )
     p = _num_partitions(run_dirs)
-    if check_overlap:
-        _assert_disjoint_runs(run_dirs, p)
+    _assert_disjoint_runs(run_dirs, p)
     for tdir in map(Path, out.values()):
         if tdir.exists():
             shutil.rmtree(tdir)

@@ -3,12 +3,17 @@
 The reference checkpoints a single model file (BaseSeq2SeqFramework.cs:
 172-203 .bak/.latest routine); a batch data pipeline's equivalent is a
 partitioned output directory where each partition carries a manifest
-recording its lineage (input selector, row count, config hash) and its
-files (name, bytes, rows). A resumed run skips partitions whose manifest is
-complete and whose files still match it, and re-processes the rest;
-partition assignment is a deterministic pure function of the data
-(hash(conv_id) % P with P fixed per output), so a re-run reproduces the
-same partition contents byte-for-byte given the same inputs and config.
+recording its lineage (inputs, row count, config hash) and its files
+(name, bytes, rows). Partition assignment is a pure function of the data
+(hash(conv_id) % P with P fixed per output), so a re-run over the same
+input files reproduces each partition's contents.
+
+``intact_manifests`` is the one rule for trusting a partition, used by
+resume (``completed_partitions``: the intact ones of its config hash) and
+by ``merge_kg_runs``: the manifest is complete and lists exactly the
+``*.parquet`` files beside it, at their sizes. The config hash covers
+``v``, ``num_partitions``, the input path and the artifact path, not the
+files' contents: an input rewritten in place is not noticed.
 """
 from __future__ import annotations
 
@@ -68,21 +73,20 @@ def _files_intact(pdir: Path, m: dict) -> bool:
     return sizes == {f["name"]: f["bytes"] for f in m.get("files", [])}
 
 
-def completed_partitions(out_dir: str | Path, cfg_hash: str) -> set[int]:
-    """The partitions under ``out_dir`` whose manifest is complete, of
-    config ``cfg_hash``, and matches the partition's files."""
-    done: set[int] = set()
-    root = Path(out_dir)
-    if not root.exists():
-        return done
-    for pdir in root.glob("part=*"):
-        mf = pdir / MANIFEST_NAME
-        if not mf.exists():
-            continue
+def intact_manifests(out_dir: str | Path) -> dict[int, dict]:
+    """{partition: manifest} for every partition under ``out_dir`` whose
+    manifest parses, is complete, and matches the partition's files."""
+    found: dict[int, dict] = {}
+    for pdir in Path(out_dir).glob("part=*"):
         try:
-            m = json.loads(mf.read_text())
+            m = json.loads((pdir / MANIFEST_NAME).read_text())
         except (OSError, json.JSONDecodeError):
             continue
-        if m.get("complete") and m.get("config_hash") == cfg_hash and _files_intact(pdir, m):
-            done.add(int(m["partition"]))
-    return done
+        if m.get("complete") and _files_intact(pdir, m):
+            found[int(m["partition"])] = m
+    return found
+
+
+def completed_partitions(out_dir: str | Path, cfg_hash: str) -> set[int]:
+    """The intact partitions under ``out_dir`` of config ``cfg_hash``."""
+    return {k for k, m in intact_manifests(out_dir).items() if m.get("config_hash") == cfg_hash}

@@ -26,6 +26,9 @@ count the token rows each model forwarded. The collector's passes, by
 generation, are timed through ``gc.callbacks``; they are included in the
 layer they interrupt and also shown on their own (``tokenize_gc``: the
 passes inside the tokenizer's parts).
+The summary gives, per column, each side's median and quartiles and the
+pairs in which the change read lower, with ``seeds`` and ``quartiles``
+from ``ab_pairs.py``.
 It imports ``perfbench/workloads.py`` and ``perfbench/run.py`` read-only
 from this checkout and edits nothing.
 """
@@ -34,10 +37,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from ab_pairs import quartiles, seeds
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BATCH_TURNS = 512  # the job's tag_batch_size
@@ -45,15 +49,6 @@ TOKENIZE = ["front", "init", "split", "fsm"]
 COLUMNS = ["total", *TOKENIZE, "ner", "pos", "ner_fwd", "pos_fwd", "rest", "gc0", "gc1", "gc2",
            "gc2_passes", "tokenize_gc", "misses", "ner_rows", "pos_rows"]
 COUNTS = {"gc2_passes", "misses", "ner_rows", "pos_rows"}
-
-
-def seeds(specs: list[str]) -> list[int]:
-    """``["11-14", "21"]`` → [11, 12, 13, 14, 21]."""
-    out = []
-    for spec in specs:
-        a, _, b = spec.partition("-")
-        out += range(int(a), int(b or a) + 1)
-    return out
 
 
 def child(root: str, workload: str, seed: int) -> dict:
@@ -173,13 +168,16 @@ def main(argv: list[str]) -> int:
             sides[side].append(rec)
             print(f"pair {i} seed {seed} {side:6s} "
                   + " ".join(f"{k}={fmt(k, rec[k])}" for k in COLUMNS), flush=True)
-    print(f"{args.workload}: median over {len(sides['parent'])} runs a side "
-          "(process CPU s; gc inside the layers)")
+    n = len(sides["parent"])
+    print(f"{args.workload}: {n} pairs, median (q1-q3) a side (process CPU s; gc inside "
+          "the layers); won: pairs in which the change read lower")
     for k in COLUMNS:
-        a = statistics.median(r[k] for r in sides["parent"])
-        b = statistics.median(r[k] for r in sides["change"])
-        rel = f"{(b - a) / a:+.1%}" if a else "n/a"
-        print(f"  {k:11s} {fmt(k, a):>8s} -> {fmt(k, b):>8s}  {rel}")
+        pv, cv = [r[k] for r in sides["parent"]], [r[k] for r in sides["change"]]
+        (p1, p2, p3), (c1, c2, c3) = quartiles(pv), quartiles(cv)
+        rel = f"{(c2 - p2) / p2:+.1%}" if p2 else "n/a"
+        won = sum(c < p for p, c in zip(pv, cv))
+        print(f"  {k:11s} {f'{fmt(k, p2)} ({fmt(k, p1)}-{fmt(k, p3)})':>23s} ->"
+              f" {f'{fmt(k, c2)} ({fmt(k, c1)}-{fmt(k, c3)})':>23s} {rel:>7s} {won}/{n}")
     return 0
 
 

@@ -5,10 +5,13 @@ completed ONLY the partitions missing their lineage manifests — the
 north-rule's "resumable from checkpoint with per-partition lineage"
 demonstrated at 240k turns / 16 partitions, not just the pytest fixture.
 
-    python scripts/stress_resume.py [n_turns] [kill_after_s]
+    python scripts/stress_resume.py [n_turns]
 
-Runs three jobs: reference (uninterrupted), victim (SIGKILLed after
-kill_after_s), resume (same out_dir as victim). Prints one JSON line.
+Runs three jobs: reference (uninterrupted), victim (SIGKILLed as soon as
+its first triples manifest is published), resume (same out_dir as
+victim). Prints one JSON line. Exits non-zero if the victim finished
+before it could be killed, or if no triples manifest existed at the kill:
+a resume from nothing is a full re-run and checks no partial resume.
 """
 from __future__ import annotations
 
@@ -26,8 +29,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 N_TURNS = int(sys.argv[1]) if len(sys.argv) > 1 else 240_000
-KILL_AFTER_S = float(sys.argv[2]) if len(sys.argv) > 2 else 6.0
 PARTS = 16
+POLL_S = 0.005  # how often the victim's triples manifests are looked for
 
 _CHILD = """
 import os, sys
@@ -51,16 +54,24 @@ ray.shutdown()
 """
 
 
-def _run_child(tpath: str, out: str, kill_after: float | None) -> tuple[int, str]:
+def _run_child(tpath: str, out: str, kill: bool = False) -> tuple[int, str]:
+    """Run one job and return its exit status and stdout; with ``kill``,
+    SIGKILL it as soon as a triples manifest appears under ``out``."""
+    from lingvo__postagger_ner_ru_dnn_ray.state.manifest import MANIFEST_NAME
+
     code = _CHILD.format(repo=str(Path(__file__).resolve().parents[1]),
                          tpath=tpath, out=out, parts=PARTS)
     proc = subprocess.Popen([sys.executable, "-c", code],
                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                             text=True, start_new_session=True)
-    if kill_after is None:
+    if not kill:
         out_txt, _ = proc.communicate()
         return proc.returncode, out_txt
-    time.sleep(kill_after)
+    while not any(Path(out).glob(f"triples/part=*/{MANIFEST_NAME}")):
+        if proc.poll() is not None:
+            sys.exit("stress_resume: the victim finished before it published a "
+                     "triples manifest; nothing to resume")
+        time.sleep(POLL_S)
     # SIGKILL the whole process group: driver AND its local Ray workers
     # die instantly — no graceful teardown, the crash case lineage
     # manifests exist for
@@ -79,11 +90,14 @@ def main() -> None:
     for d in (ref_dir, vic_dir):
         shutil.rmtree(d, ignore_errors=True)
 
-    rc, _ = _run_child(tpath, ref_dir, None)
+    rc, _ = _run_child(tpath, ref_dir)
     assert rc == 0, "reference run failed"
 
-    rc, _ = _run_child(tpath, vic_dir, KILL_AFTER_S)
-    assert rc != 0, "victim was supposed to die"
+    t0 = time.perf_counter()
+    rc, _ = _run_child(tpath, vic_dir, kill=True)
+    killed_after_s = round(time.perf_counter() - t0, 2)
+    if rc == 0:
+        sys.exit("stress_resume: the victim finished before the kill landed")
     from lingvo__postagger_ner_ru_dnn_ray.state import manifest as mf
 
     # partitions with a published manifest at kill time (config-hash check
@@ -93,8 +107,10 @@ def main() -> None:
                   for p in Path(vic_dir).glob(f"{t}/part=*/{mf.MANIFEST_NAME}"))
         for t in ("triples", "edges", "nodes")
     }
+    if not survived["triples"]:
+        sys.exit("stress_resume: no triples manifest existed at the kill")
     t0 = time.perf_counter()
-    rc, out_txt = _run_child(tpath, vic_dir, None)
+    rc, out_txt = _run_child(tpath, vic_dir)
     assert rc == 0, "resume run failed"
     resume_s = round(time.perf_counter() - t0, 1)
 
@@ -127,7 +143,7 @@ def main() -> None:
         mismatch[t] = diff1 + diff2
     print(json.dumps({
         "n_turns": N_TURNS,
-        "kill_after_s": KILL_AFTER_S,
+        "killed_after_s": killed_after_s,
         "partitions_with_manifest_at_kill": {k: len(v) for k, v in survived.items()},
         "survived_detail": survived,
         "resume_wall_s": resume_s,

@@ -418,13 +418,13 @@ def test_kg_incremental_merge(ray_session, tmp_path):
     # overlapping deltas must raise BEFORE writing anything: run "a" and
     # the full run share conversations, so merging them would silently
     # double-count edge weights
-    with pytest.raises(ValueError, match="overlap|processed twice"):
+    with pytest.raises(ValueError, match="overlap"):
         merge_kg_runs([str(outs["a"]), str(outs["full"])],
                       str(tmp_path / "kg_bad"))
     assert not (tmp_path / "kg_bad" / "edges").exists()
     # merging the SAME run twice is the same mistake — caught upfront by
     # the duplicate-path guard (works even for pruned edges-only runs
-    # that the manifest/exact checks can't see)
+    # that the exact check can't see)
     with pytest.raises(ValueError, match="appears twice"):
         merge_kg_runs([str(outs["a"]), str(outs["a"])],
                       str(tmp_path / "kg_bad2"))
@@ -437,7 +437,7 @@ def test_kg_incremental_merge(ray_session, tmp_path):
     merged_keep = tmp_path / "kg_keep"
     merge_kg_runs([str(outs["a"]), str(outs["b"])], str(merged_keep))
     before = sorted(p.name for p in (merged_keep / "edges").rglob("*.parquet"))
-    with pytest.raises(ValueError, match="overlap|processed twice"):
+    with pytest.raises(ValueError, match="overlap"):
         merge_kg_runs([str(outs["a"]), str(outs["full"])], str(merged_keep),
                       overwrite=True)
     after = sorted(p.name for p in (merged_keep / "edges").rglob("*.parquet"))
@@ -449,9 +449,10 @@ def test_kg_merge_output_guard_and_pruned_triples(ray_session, tmp_path):
     holds edges/ or nodes/ partitions raises (a hive write would APPEND
     beside them and double-count the merged view) unless overwrite=True,
     which replaces them and reproduces the fresh-merge output exactly;
-    (2) a run dir whose triples/ was pruned (edges-only retention) merges
-    with a warning — the exact conv_id overlap check is skipped for it,
-    not failed."""
+    (2) two disjoint runs staged through the same input path (so their
+    manifests share one config hash) merge; (3) a run dir whose triples/
+    was pruned (edges-only retention) merges with a warning — the exact
+    conv_id overlap check is skipped for it, not failed."""
     import warnings
 
     import pyarrow as pa
@@ -465,9 +466,8 @@ def test_kg_merge_output_guard_and_pruned_triples(ray_session, tmp_path):
     outs = {}
     # both deltas staged through the SAME input path (the production
     # drop-dir pattern): their manifests share config_hash {v, partitions,
-    # input path} even though the content is disjoint — the manifest fast
-    # path must WARN and defer to the exact conv_id check, not raise
-    # (round-4 ADVICE item)
+    # input path} even though the content is disjoint — the exact conv_id
+    # check decides, and finds no overlap
     src = tmp_path / "drop_dir"
     for name, mask in (("a", base["conv_id"].isin(half)),
                        ("b", ~base["conv_id"].isin(half))):
@@ -484,12 +484,7 @@ def test_kg_merge_output_guard_and_pruned_triples(ray_session, tmp_path):
 
     runs = [str(outs["a"]), str(outs["b"])]
     merged = tmp_path / "kg_merged"
-    with warnings.catch_warnings(record=True) as w:
-        warnings.simplefilter("always")
-        merge_kg_runs(runs, str(merged))
-    assert any("differ in content" in str(x.message) for x in w), (
-        "same staging path should trigger the hash-collision warning"
-    )
+    merge_kg_runs(runs, str(merged))
     edges_before = pq_mod.read_table(merged / "edges").to_pandas()
 
     # re-merge into the SAME dir: must refuse (append would double-count)
@@ -694,6 +689,86 @@ def test_kg_merge_refuses_mismatched_partitions(ray_session, tmp_path):
     with pytest.raises(ValueError, match="num_partitions"):
         merge_kg_runs(runs, str(merged))
     assert not merged.exists()
+
+
+def _disjoint_runs(tbl, n: int, root: Path, p: int) -> list[str]:
+    """``tbl``'s sorted conversations cut into ``n`` consecutive slices,
+    one ``run_kg_job`` with ``p`` partitions over each."""
+    convs = sorted(set(tbl.column("conv_id").to_pylist()))
+    runs = []
+    for i in range(n):
+        part = pa.array(convs[i * len(convs) // n:(i + 1) * len(convs) // n])
+        src = _write_input(tbl.filter(pc.is_in(tbl.column("conv_id"), value_set=part)),
+                           root / f"src_{i}")
+        runs.append(str(root / f"kg_{i}"))
+        run_kg_job(src, runs[-1], num_partitions=p)
+    return runs
+
+
+def test_kg_merge_refuses_damaged_runs(ray_session, tmp_path):
+    """The merge trusts a run's edges partition only when its manifest is
+    intact, by the rule a resume uses. A listed data file deleted, a
+    manifest deleted, or an unlisted copy beside a listed file each raise
+    before ``out_dir/edges`` exists; with the damage undone the merge
+    succeeds. A run directory copied under another name holds the same
+    conversations, so merging it with its original raises "overlap"."""
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import DATA_FILE, merge_kg_runs
+
+    runs = _disjoint_runs(synth_transcripts_table(120, seed=13), 2, tmp_path, p=4)
+    pdir = next(d for d in sorted((Path(runs[1]) / "edges").glob("part=*"))
+                if (d / DATA_FILE).exists())
+    data, manifest, copy = pdir / DATA_FILE, pdir / "_manifest.json", pdir / "copy.parquet"
+    saved = {f: f.read_bytes() for f in (data, manifest)}
+    out = tmp_path / "kg_merged"
+
+    def refused(match: str) -> None:
+        with pytest.raises(ValueError, match=match):
+            merge_kg_runs(runs, str(out))
+        assert not (out / "edges").exists()
+
+    data.unlink()
+    refused(rf"missing or damaged: .*kg_1.*\[{pdir.name[5:]}\]")
+    data.write_bytes(saved[data])
+    manifest.unlink()
+    refused("missing or damaged")
+    manifest.write_bytes(saved[manifest])
+    shutil.copy(data, copy)
+    refused("missing or damaged")
+    copy.unlink()
+    merge_kg_runs(runs, str(out))
+
+    twin = tmp_path / "kg_twin"
+    shutil.copytree(runs[0], twin)
+    with pytest.raises(ValueError, match="overlap"):
+        merge_kg_runs([runs[0], str(twin)], str(tmp_path / "kg_bad"))
+    assert not (tmp_path / "kg_bad" / "edges").exists()
+
+
+def test_kg_merged_view_merges_again(ray_session, tmp_path):
+    """A merged view is an accepted merge input: merge(merge(a, b), c)
+    equals one run over a ∪ b ∪ c, for edges and nodes summed over
+    ``part``. The view has no triples/, so the second merge warns once,
+    naming it, that its overlap check leaves it out."""
+    import warnings
+
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import merge_kg_runs
+
+    tbl = synth_transcripts_table(150, seed=17)
+    a, b, c = _disjoint_runs(tbl, 3, tmp_path, p=4)
+    full = tmp_path / "kg_full"
+    run_kg_job(_write_input(tbl, tmp_path / "src_full"), str(full), num_partitions=4)
+    ab, abc = tmp_path / "kg_ab", tmp_path / "kg_abc"
+    merge_kg_runs([a, b], str(ab))
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        merge_kg_runs([str(ab), c], str(abc))
+    msgs = [str(x.message) for x in w if str(x.message).startswith("merge_kg_runs")]
+    assert len(msgs) == 1 and "no triples/ directory" in msgs[0] and str(ab) in msgs[0]
+    edge_keys = ["subj_id", "pred", "obj_id"]
+    assert _global(pq.read_table(abc / "edges"), edge_keys, EDGE_AGG).equals(
+        _global(pq.read_table(full / "edges"), edge_keys, EDGE_AGG))
+    assert _global(pq.read_table(abc / "nodes"), ["entity_id"], NODE_AGG).equals(
+        _global(pq.read_table(full / "nodes"), ["entity_id"], NODE_AGG))
 
 
 def _manifest_mtimes(table_dir: Path) -> dict:
