@@ -286,22 +286,23 @@ def _seqlabel_f1(sf_dir: str):
     """Per-class validation counters (Validator.cs:36-67 analogue) over
     the tagged sentences, with deterministically perturbed ref labels —
     see pipelines/validation.py."""
-    from lingvo__postagger_ner_ru_dnn_ray.pipelines.validation import seqlabel_f1_counts
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.validation import seqlabel_f1_partials
 
-    return seqlabel_f1_counts(_kg_table(sf_dir, "sentences"))
+    return _sum_sentence_partials(sf_dir, seqlabel_f1_partials, "label",
+                                  ["hyp_count", "ref_count", "match_count"])
 
 
-def _sum_sentence_partials(sf_dir: str, partials, key: str, count: str):
+def _sum_sentence_partials(sf_dir: str, partials, key: str, counts: list[str]):
     """``partials`` maps each block of the shared run's sentences to
-    (key, count) rows; the driver sums those few rows with one Arrow
-    aggregation."""
+    (key, *counts) rows; the driver sums those few rows per key with one
+    Arrow aggregation."""
     import pyarrow as pa
     import ray
 
     from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import arrow_agg
 
     part = _kg_table(sf_dir, "sentences").map_batches(partials, batch_format="pyarrow")
-    return arrow_agg(pa.concat_tables(ray.get(part.to_arrow_refs())), [key], [count], [])
+    return arrow_agg(pa.concat_tables(ray.get(part.to_arrow_refs())), [key], counts, [])
 
 
 def _kg_sentence_len_histogram(sf_dir: str):
@@ -317,7 +318,7 @@ def _kg_sentence_len_histogram(sf_dir: str):
         g = t.group_by(["len_bucket"]).aggregate([([], "count_all")])
         return g.rename_columns(["len_bucket", "n_sents"])
 
-    return _sum_sentence_partials(sf_dir, partials, "len_bucket", "n_sents")
+    return _sum_sentence_partials(sf_dir, partials, "len_bucket", ["n_sents"])
 
 
 def _kg_pos_label_counts(sf_dir: str):
@@ -330,7 +331,7 @@ def _kg_pos_label_counts(sf_dir: str):
         g = t.group_by(["pos"]).aggregate([([], "count_all")])
         return g.rename_columns(["pos", "n_tokens"])
 
-    return _sum_sentence_partials(sf_dir, partials, "pos", "n_tokens")
+    return _sum_sentence_partials(sf_dir, partials, "pos", ["n_tokens"])
 
 
 def _kg_edges_artifact(sf_dir: str):

@@ -71,17 +71,16 @@ def save_artifact(model: SeqLabelModel, path: str | Path) -> dict:
     return manifest
 
 
-def load_artifact(path: str | Path, verify: bool = True) -> SeqLabelModel:
-    """Load a model artifact; with ``verify`` the manifest sha256 is
-    recomputed and mismatches raise (corrupt/partial artifact)."""
+def load_artifact(path: str | Path) -> SeqLabelModel:
+    """Load a model artifact; its manifest's format is checked and its
+    sha256 recomputed, and a mismatch raises (corrupt/partial artifact)."""
     path = Path(path)
-    if verify:
-        manifest = json.loads(Path(str(path) + ".manifest.json").read_text())
-        if manifest.get("format") != _FORMAT:
-            raise ValueError(f"unknown artifact format: {manifest.get('format')}")
-        sha = hashlib.sha256(path.read_bytes()).hexdigest()
-        if sha != manifest["sha256"]:
-            raise ValueError(f"artifact hash mismatch for {path}: {sha} != {manifest['sha256']}")
+    manifest = json.loads(Path(str(path) + ".manifest.json").read_text())
+    if manifest.get("format") != _FORMAT:
+        raise ValueError(f"unknown artifact format: {manifest.get('format')}")
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    if sha != manifest["sha256"]:
+        raise ValueError(f"artifact hash mismatch for {path}: {sha} != {manifest['sha256']}")
     npz = np.load(path)
     meta = json.loads(bytes(npz["meta"]))
     weights = {k[len("w__"):]: npz[k] for k in npz.files if k.startswith("w__")}

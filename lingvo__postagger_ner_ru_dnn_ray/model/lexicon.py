@@ -101,12 +101,12 @@ def _iter_word_labels():
 
 
 @lru_cache(maxsize=1)
-def pos_token_label(max_ending_length: int = 4) -> dict[str, str]:
+def pos_token_label() -> dict[str, str]:
     """model-token (mel=4 ending) → POS label; first assignment wins
     deterministically (iteration order is the fixed lexicon order)."""
     out: dict[str, str] = {}
     for w, pos, _ner in _iter_word_labels():
-        t = to_model_token_str(w, max_ending_length)
+        t = to_model_token_str(w, 4)
         out.setdefault(t, pos)
     return out
 

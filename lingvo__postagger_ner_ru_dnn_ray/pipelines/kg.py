@@ -81,11 +81,11 @@ def _sentences_batch(batch: pa.Table) -> pa.Table:
     return sentence_table(turn_keys(batch), kernel().tag_texts(batch.column("text").to_pylist()))
 
 
-def tagged_sentences(ds: ray.data.Dataset, *, tag_batch_size: int = 512) -> ray.data.Dataset:
+def tagged_sentences(ds: ray.data.Dataset) -> ray.data.Dataset:
     """transcripts → tagged sentence rows (stages/kernel.py SENT_SCHEMA):
-    the kernel's first step as stateless tasks, models loaded once per
-    worker process."""
-    return ds.map_batches(_sentences_batch, batch_format="pyarrow", batch_size=tag_batch_size)
+    the kernel's first step as stateless tasks of 512 turns, models loaded
+    once per worker process."""
+    return ds.map_batches(_sentences_batch, batch_format="pyarrow", batch_size=512)
 
 
 def mention_rows(sent_ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -524,21 +524,24 @@ def _main() -> None:
     import argparse
     import json
 
-    parser = argparse.ArgumentParser(description="KG construction job")
+    # a flag not given is left out, so run_kg_job's own default applies
+    parser = argparse.ArgumentParser(description="KG construction job",
+                                     argument_default=argparse.SUPPRESS)
     parser.add_argument("--input", required=True, help="transcript Parquet dir")
     parser.add_argument("--out", required=True, help="output dir (triples/edges/nodes)")
-    parser.add_argument("--partitions", type=int, default=16)
-    parser.add_argument("--no-resume", action="store_true")
-    parser.add_argument("--batch-size", type=int, default=512)
-    parser.add_argument("--num-cpus", type=int, default=None)
-    args = parser.parse_args()
+    parser.add_argument("--partitions", type=int, dest="num_partitions")
+    parser.add_argument("--no-resume", action="store_false", dest="resume")
+    parser.add_argument("--batch-size", type=int, dest="tag_batch_size")
+    parser.add_argument("--num-cpus", type=int)
+    kw = vars(parser.parse_args())
+    input_path, out_dir, num_cpus = kw.pop("input"), kw.pop("out"), kw.pop("num_cpus", None)
 
     import ray as _ray
 
     if not _ray.is_initialized():
         _ray.init(
             address="local",
-            num_cpus=args.num_cpus,
+            num_cpus=num_cpus,
             include_dashboard=False,
             ignore_reinit_error=True,
             logging_level="ERROR",
@@ -546,13 +549,7 @@ def _main() -> None:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    res = run_kg_job(
-        args.input,
-        args.out,
-        num_partitions=args.partitions,
-        resume=not args.no_resume,
-        tag_batch_size=args.batch_size,
-    )
+    res = run_kg_job(input_path, out_dir, **kw)
     print(json.dumps(res))
     _ray.shutdown()
 

@@ -24,8 +24,6 @@ from __future__ import annotations
 import hashlib
 
 import pyarrow as pa
-import ray.data
-from ray.data.aggregate import Sum
 
 from ..textkit.features import POS_LABELS
 
@@ -69,24 +67,14 @@ def fscore_counts_batch(refs: list[list[str]], hyps: list[list[str]]) -> pa.Tabl
     )
 
 
-def seqlabel_f1_counts(sents: ray.data.Dataset) -> ray.data.Dataset:
-    """sentence rows (values, pos) → per-class mergeable counters."""
-
-    def perturb_and_count(batch: pa.Table) -> pa.Table:
-        values = batch.column("values").to_pylist()
-        pos = batch.column("pos").to_pylist()
-        refs = [
-            [perturb_ref(v, g) for v, g in zip(vs, gs)]
-            for vs, gs in zip(values, pos)
-        ]
-        return fscore_counts_batch(refs, pos)
-
-    part = sents.map_batches(perturb_and_count, batch_format="pyarrow")
-    return part.groupby("label").aggregate(
-        Sum("hyp_count", alias_name="hyp_count"),
-        Sum("ref_count", alias_name="ref_count"),
-        Sum("match_count", alias_name="match_count"),
-    )
+def seqlabel_f1_partials(batch: pa.Table) -> pa.Table:
+    """Sentence rows (values, pos) of one block → its per-class counters,
+    against the perturbed ref labels; summed per label over the blocks
+    they give the report."""
+    pos = batch.column("pos").to_pylist()
+    refs = [[perturb_ref(v, g) for v, g in zip(vs, gs)]
+            for vs, gs in zip(batch.column("values").to_pylist(), pos)]
+    return fscore_counts_batch(refs, pos)
 
 
 def seqlabel_f1_oracle_sql(oracle_sentences_parquet: str) -> str:

@@ -12,7 +12,7 @@ VM shape above, sentences in document order, one tuple per token.
 
 Design notes (scale):
 - The whole request → response path is ONE ``map_batches`` of stateless
-  tasks (models load once per worker process, keyed by ``artifact_dir``),
+  tasks (models load once per worker process),
   so it needs no pool size and runs on any cluster, one CPU included: a
   request's text is a single input row, so every sentence it produces
   exists inside the same batch and assembly is batch-local — no
@@ -69,8 +69,7 @@ def _content_id(text: str | None) -> str:
     return hashlib.md5((text or "").encode("utf-8")).hexdigest()
 
 
-def webjson_batch(batch: pa.Table, model_type: str = "ner",
-                  artifact_dir: str | None = None) -> pa.Table:
+def webjson_batch(batch: pa.Table, model_type: str = "ner") -> pa.Table:
     """Request rows → one VM-shaped JSON record per request, through this
     process's kernel (models load once per worker process)."""
     from ..stages.kernel import kernel
@@ -83,7 +82,7 @@ def webjson_batch(batch: pa.Table, model_type: str = "ner",
     for cid, text in zip(batch.column("conv_id").to_pylist(),
                          batch.column("text").to_pylist()):
         first.setdefault(cid, text)
-    tagged = kernel(artifact_dir).tag_texts(list(first.values()))
+    tagged = kernel().tag_texts(list(first.values()))
     # one row per request, empty-text requests included with sents: []
     sents = [
         json.dumps([{"tuples": [{"word": w, "label": l}
@@ -97,32 +96,18 @@ def webjson_batch(batch: pa.Table, model_type: str = "ner",
     )
 
 
-def tag_requests(
-    requests: ray.data.Dataset,
-    model_type: str = "ner",
-    artifact_dir: str | None = None,
-) -> ray.data.Dataset:
+def tag_requests(requests: ray.data.Dataset, model_type: str = "ner") -> ray.data.Dataset:
     """Request rows → ``(id, sents_json)`` rows, as stateless tasks."""
-    return requests.map_batches(
-        webjson_batch,
-        batch_format="pyarrow",
-        fn_kwargs={"model_type": model_type, "artifact_dir": artifact_dir},
-    )
+    return requests.map_batches(webjson_batch, batch_format="pyarrow",
+                                fn_kwargs={"model_type": model_type})
 
 
-def run_webjson_job(
-    in_path: str,
-    out_dir: str,
-    model_type: str = "ner",
-    artifact_dir: str | None = None,
-) -> None:
+def run_webjson_job(in_path: str, out_dir: str, model_type: str = "ner") -> None:
     """End-to-end batch replay of the web surface: JSONL requests at
     ``in_path`` → tagged VM-shaped JSONL under ``out_dir`` (one
     ``{"id", "sents"}`` object per line; sents parsed back from the
     stage's JSON string so the on-disk record is the nested VM shape)."""
-    tagged = tag_requests(
-        read_json_requests(in_path), model_type=model_type, artifact_dir=artifact_dir
-    )
+    tagged = tag_requests(read_json_requests(in_path), model_type=model_type)
 
     def to_record(batch: pa.Table):
         import pandas as pd

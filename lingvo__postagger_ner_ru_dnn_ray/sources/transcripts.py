@@ -160,8 +160,8 @@ def sf_of_dir(sf_dir: str) -> float:
     return 0.001
 
 
-def transcripts_for_sf(sf_dir: str, seed: int = 42) -> str:
+def transcripts_for_sf(sf_dir: str) -> str:
     """Deterministic transcript fixture scaled like the driver tables:
     sf0.001→600 turns, sf0.01→6k, sf0.1→60k."""
     n = max(200, int(600_000 * sf_of_dir(sf_dir)))
-    return ensure_transcripts(n, seed=seed)
+    return ensure_transcripts(n, seed=42)

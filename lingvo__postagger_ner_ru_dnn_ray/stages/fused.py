@@ -76,11 +76,14 @@ class KgStage:
     """transcript rows -> linked triple rows (the kernel: both DNNs, the
     entity dictionary and the sentence memo, built once)."""
 
-    def __init__(self, dict_ref=None, artifact_dir: str | None = None):
-        """``dict_ref``: an object ref of a ``build_linking_dict()`` map;
-        default: build it here."""
-        lookup = None if dict_ref is None else ray.get(dict_ref)
-        self.kernel = Kernel(artifact_dir, lookup)
+    def __init__(self, dict_ref: None = None, artifact_dir: str | None = None):
+        """``dict_ref`` accepts only None: the kernel builds its own
+        entity dictionary."""
+        if dict_ref is not None:
+            raise ValueError(
+                f"KgStage: dict_ref {dict_ref!r} passes a shared entity dictionary, "
+                "which is gone; the kernel builds its own, pass None")
+        self.kernel = Kernel(artifact_dir)
         self._memo_stats = _memo_stats_handle()
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -18,9 +18,12 @@ boundary, with ``sentence_table`` and ``linked_table``.
    Vocabulary ids are the models' token currency: each word maps to both
    models' ids through the kernel's id map (``Kernel._labels``), which
    gives what ``vocab.id(to_model_token(value, input_type, mel))`` gives
-   without building the model-token string again. Its key is decided the
-   way ``to_model_token`` decides: by input type first (Num → the num
-   placeholder, Url/Email → the URL placeholder), by value otherwise.
+   without building the model-token string again; ``mel`` is the model's
+   own ``max_ending_length``, as the reference gives each model its own
+   MaxEndingLength (4 in predict_pos.json:8-9, 10000 in
+   predict_ner.json:6-7). Its key is decided the way ``to_model_token``
+   decides: by input type first (Num → the num placeholder, Url/Email →
+   the URL placeholder), by value otherwise.
    Each kernel has its own map, because artifact weights carry their own
    vocabularies.
 2. ``Kernel.link``: a tagged sentence → its triples (stages/triples.py),
@@ -55,10 +58,6 @@ from .tag import _correct_pos
 from .triples import TRIPLE_SCHEMA, can_form_triple, span_triples
 
 _STR_LIST = pa.list_(pa.string())
-
-# the model-token max ending length of each model (predict_pos.json:8-9,
-# predict_ner.json:6-7)
-_POS_MEL, _NER_MEL = 4, 10000
 
 # sentences ``link_texts`` keeps before it clears its memo whole
 _MEMO_SENTS = 1 << 18
@@ -115,11 +114,11 @@ def _pad(labels: list, n: int, fill: str) -> list:
 class Kernel:
     """The state of both steps: the two models and the entity dictionary."""
 
-    def __init__(self, artifact_dir: str | None = None, lookup: dict | None = None):
+    def __init__(self, artifact_dir: str | None = None):
         """``artifact_dir``: load the models from its sha-verified .npz
         artifacts (model/artifact.py) instead of the lexicon-built
-        singletons. ``lookup``: the normalized-surface → (entity_id,
-        canonical) dictionary; default ``build_linking_dict()``."""
+        singletons. ``lookup``, the normalized-surface → (entity_id,
+        canonical) dictionary, is ``build_linking_dict()``."""
         if artifact_dir is None:
             from ..model.lexicon import taggers
 
@@ -128,7 +127,7 @@ class Kernel:
             from ..model.artifact import load_taggers
 
             self.pos_model, self.ner_model = load_taggers(artifact_dir)
-        self.lookup = build_linking_dict() if lookup is None else lookup
+        self.lookup = build_linking_dict()
         self._memo: dict[bytes | tuple, tuple | None] = {}
         self._ids: dict[str | int, tuple[int, int]] = {}  # key → (POS id, NER id)
         self.missed_texts = 0
@@ -165,8 +164,7 @@ class Kernel:
                     todo[key] = (tk.tokenize(s), o)  # missed key → (words, offset)
         per_text = [split[x] for x in texts]
         got = {k: memo[k] for keys in split.values() for k, _ in keys if k not in todo}
-        # every missed sentence with words, once per sentence as in tag_texts
-        misses = [k for keys in per_text for k, _ in keys if k in todo and todo[k][0]]
+        misses = [k for k, (words, _) in todo.items() if words]
         self.missed_texts = sum(any(k in todo for k, _ in keys) for keys in per_text)
         for key, rows in zip(misses, self.link_sentences([todo[k][0] for k in misses])):
             got[key] = tuple(_shift(r, -todo[key][1]) for r in rows) if rows else ()
@@ -203,7 +201,8 @@ class Kernel:
         """Both models' vocabulary ids of id-map key ``k``, stored in the
         map, which is cleared whole at ``_IDS_MAX`` keys."""
         value, it = ("", k) if isinstance(k, int) else (k, IT_OTHER)
-        pos_t, ner_t = to_model_token_pair(value, it, _POS_MEL, _NER_MEL)
+        pos_t, ner_t = to_model_token_pair(value, it, self.pos_model.max_ending_length,
+                                           self.ner_model.max_ending_length)
         ids = self._ids
         if len(ids) >= _IDS_MAX:
             ids.clear()
@@ -254,11 +253,12 @@ def _shift(row: tuple, d: int) -> tuple:
     return row[:6] + (row[6] + d, row[7], row[8] + d) + row[9:]
 
 
-@lru_cache(maxsize=None)
-def kernel(artifact_dir: str | None = None) -> Kernel:
-    """This process's kernel for ``artifact_dir``: what stateless Ray tasks
-    call, so a worker process loads its models once and reuses them."""
-    return Kernel(artifact_dir)
+@lru_cache(maxsize=1)
+def kernel() -> Kernel:
+    """This process's kernel of the lexicon-built models: what stateless
+    Ray tasks call, so a worker process loads its models once and reuses
+    them."""
+    return Kernel()
 
 
 def turn_keys(batch: pa.Table) -> list[tuple]:

@@ -88,8 +88,8 @@ class Word:
 # frequency is Zipfian — one dict probe replaces the string build + the
 # per-char feature scan for every repeated token. A number token
 # (IsDigits_WithPunctuations_WithSpecEnds, also a pure function of the code
-# units) is stored as ``_IS_NUM`` alone: with replace_nums it becomes the
-# [%NUM%] placeholder, and nothing else of it is read. Per-worker, bounded.
+# units) is stored as ``_IS_NUM`` alone: it becomes the [%NUM%]
+# placeholder, and nothing else of it is read. Per-worker, bounded.
 _TOKEN_MEMO: dict[bytes, tuple | object] = {}
 _TOKEN_MEMO_MAX = 1_000_000
 _IS_NUM = object()
@@ -143,11 +143,11 @@ class _SentTokenizer:
 
     __slots__ = (
         "u", "ul", "ub", "n", "s", "end", "words", "start_index", "cur_len",
-        "is_prev_num", "last_num", "replace_nums", "dot_variant", "cts", "sps",
+        "is_prev_num", "last_num", "dot_variant", "cts", "sps",
         "nxt", "off", "urls",
     )
 
-    def __init__(self, front: _Front, k: int, replace_nums: bool, dot_variant: str = "simple"):
+    def __init__(self, front: _Front, k: int, dot_variant: str = "simple"):
         o, e = front.offs[k], front.offs[k + 1]
         self.off, self.n = o, e - o
         self.u = front.u[o:e]
@@ -157,7 +157,6 @@ class _SentTokenizer:
         self.sps = front.sps[o:e]
         self.nxt = front.nxt
         self.urls = scan_urls(self.ul, front.url_triggers_of(k))
-        self.replace_nums = replace_nums
         # "simple": always unstick dots (WebService path, Tokenizer.cs:732-744)
         # "console": keep a dot in the word; flush immediately when the next
         #            char is uppercase (batch path, Tokenizer.cs:491-497)
@@ -195,28 +194,25 @@ class _SentTokenizer:
             if len(_TOKEN_MEMO) > _TOKEN_MEMO_MAX:
                 _TOKEN_MEMO.clear()
             _TOKEN_MEMO[key] = hit
-        if self.replace_nums:
-            if hit is _IS_NUM:
-                if not self.is_prev_num:
-                    self.is_prev_num = True
-                    w = Word(NUM_PLACEHOLDER, start, length, IT_NUM, EX_INTEGER_NUMBER)
-                    self.last_num = w
-                    self.words.append(w)
-                self.start_index += length
-                self.cur_len = 0
-                return
-            if self.last_num is not None:
-                i = 1
-                ln = start - self.last_num.start
-                while i < ln:
-                    if not (_CT[self.ch(start - i)] & _WS):
-                        break
-                    i += 1
-                self.last_num.length = start - self.last_num.start - i + 1
-                self.last_num = None
-            self.is_prev_num = False
-        elif hit is _IS_NUM:
-            hit = self._fields(key, start, length)  # a plain word without replace_nums
+        if hit is _IS_NUM:
+            if not self.is_prev_num:
+                self.is_prev_num = True
+                w = Word(NUM_PLACEHOLDER, start, length, IT_NUM, EX_INTEGER_NUMBER)
+                self.last_num = w
+                self.words.append(w)
+            self.start_index += length
+            self.cur_len = 0
+            return
+        if self.last_num is not None:
+            i = 1
+            ln = start - self.last_num.start
+            while i < ln:
+                if not (_CT[self.ch(start - i)] & _WS):
+                    break
+                i += 1
+            self.last_num.length = start - self.last_num.start - i + 1
+            self.last_num = None
+        self.is_prev_num = False
         value, input_type, extra = hit
         self.words.append(Word(value, start, length, input_type, extra))
         self.start_index += length
@@ -466,35 +462,34 @@ def _clear_value_original(v: str, extra: int, u, start: int, length: int) -> str
     return v
 
 
-def split_texts(texts: list[str | None],
-                replace_nums: bool = True) -> Iterator[tuple[_SentTokenizer, list[Sent]]]:
+def split_texts(texts: list[str | None]) -> Iterator[tuple[_SentTokenizer, list[Sent]]]:
     """Each text's FSM and its sentences, with one front per slice of
     ``_FRONT_TEXTS`` texts; ``tk.tokenize(sent)`` gives a sentence's words
     (possibly none). None and "" yield no sentences."""
     for lo in range(0, len(texts), _FRONT_TEXTS):
         front = _Front(texts[lo:lo + _FRONT_TEXTS])
         for k in range(len(front)):
-            tk = _SentTokenizer(front, k, replace_nums)
+            tk = _SentTokenizer(front, k)
             yield tk, split_sents(tk.ul, front.sent_hits_of(k), tk.urls) if tk.n else []
 
 
-def tokenize_texts(texts: list[str | None], replace_nums: bool = True) -> list[list[list[Word]]]:
+def tokenize_texts(texts: list[str | None]) -> list[list[list[Word]]]:
     """``tokenize_text`` of each text, over ``split_texts``."""
     return [[ws for ws in map(tk.tokenize, sents) if ws]
-            for tk, sents in split_texts(texts, replace_nums)]
+            for tk, sents in split_texts(texts)]
 
 
-def tokenize_text(text: str, replace_nums: bool = True) -> list[list[Word]]:
+def tokenize_text(text: str) -> list[list[Word]]:
     """TryTokenizeBySents (PosTaggerExtensions.cs:61-72): Simple sentence
     split + Simple tokenize per sentence, empty sentences dropped."""
-    return tokenize_texts([text], replace_nums)[0]
+    return tokenize_texts([text])[0]
 
 
-def tokenize_text_console(text: str, replace_nums: bool = True) -> list[Word]:
+def tokenize_text_console(text: str) -> list[Word]:
     """Run_NoSentsAllocate (Tokenizer.cs:368-383): the console batch path —
     the whole line is ONE sentence (no sentence splitting), URLs detected,
     plain dot variant (dot kept in the word, uppercase-next flushes; this
     is how 'U.N.' / '2010г.' stay single tokens on the console path)."""
-    tk = _SentTokenizer(_Front([text]), 0, replace_nums, dot_variant="console")
+    tk = _SentTokenizer(_Front([text]), 0, dot_variant="console")
     return tk.tokenize(Sent(0, tk.n, tuple(tk.urls)))
 

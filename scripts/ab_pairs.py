@@ -15,9 +15,11 @@ It prints every session's ``job_cpu_s``, ``job_steal_s`` and metrics as
 the runs finish, then, for every metric of the result lines that
 ``BENCHMARK.json`` declares, each side's median and quartiles and the
 number of pairs the change won (strictly better in the declared
-direction). It only invokes perfbench and writes nothing under either
-root except what perfbench itself writes. Exit status 1 if any run was
-not correct.
+direction). A run that dies without a result line has its whole stderr
+printed, is named in the summary and is left out of its side's medians
+and of the pairs counted. It only invokes perfbench and writes nothing
+under either root except what perfbench itself writes. Exit status 1 if
+any run died or was not correct.
 """
 from __future__ import annotations
 
@@ -41,7 +43,8 @@ def seeds(specs: list[str]) -> list[int]:
 
 
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run from ``root``: its session records and result."""
+    """One perfbench run from ``root``: its session records and result
+    (None, with its stderr printed, if it printed no result line)."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     p = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
@@ -55,15 +58,15 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
         elif "metrics" in rec:
             result = rec
     if result is None:
-        sys.stderr.write(p.stderr[-2000:])
-        result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+        sys.stderr.write(p.stderr)
     return {"sessions": sessions, "result": result}
 
 
 def quartiles(vals: list[float]) -> tuple[float, float, float]:
+    """q1, median, q3, each within the observed values."""
     if len(vals) < 2:
         return vals[0], vals[0], vals[0]
-    q1, q2, q3 = statistics.quantiles(vals, n=4)
+    q1, q2, q3 = statistics.quantiles(vals, n=4, method="inclusive")
     return q1, q2, q3
 
 
@@ -81,14 +84,13 @@ def main(argv: list[str]) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     seconds = bench["run_seconds"]
 
-    results: dict[str, list[dict]] = {"parent": [], "change": []}
-    ok = True
+    results: dict[str, list[dict | None]] = {"parent": [], "change": []}
+    ok, dead = True, []
     for i, seed in enumerate(seeds(args.seeds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             r = run(roots[side], args.workload, seed, seconds, args.trace)
             results[side].append(r["result"])
-            ok &= r["result"]["correct"]
             for s in r["sessions"]:
                 print(f"pair {i} seed {seed} {side:6} session {s['session']}"
                       f" ok={s['ok']} job_cpu_s={s.get('job_cpu_s', 0):.3f}"
@@ -96,26 +98,37 @@ def main(argv: list[str]) -> int:
                       f" setup_s={s.get('setup_s', 0):.3f}"
                       f" turns_per_cpu_s={s.get('turns_per_cpu_s', 0):.1f}"
                       f" peak_rss_mb={s.get('peak_rss_mb', 0):.1f}", flush=True)
+            if r["result"] is None:
+                dead.append(f"pair {i} seed {seed} {side}")
+                print(f"pair {i} seed {seed} {side:6} died without a result line", flush=True)
+                continue
+            ok &= r["result"]["correct"]
             m = r["result"]["metrics"]
             print(f"pair {i} seed {seed} {side:6} correct={r['result']['correct']} "
                   + " ".join(f"{k}={v['value']:.4g}" for k, v in m.items()), flush=True)
 
-    names = [k for k in results["parent"][0]["metrics"] if k in better] if results["parent"] else []
-    n = len(results["parent"])
-    print(f"\n{args.workload}, {n} pairs, seconds={seconds}, trace={args.trace}, "
-          f"every run correct: {ok}")
+    live = {side: [r for r in rs if r is not None] for side, rs in results.items()}
+    pairs = [(p, c) for p, c in zip(results["parent"], results["change"]) if p and c]
+    names = ([k for k in live["parent"][0]["metrics"] if k in better]
+             if live["parent"] and live["change"] else [])
+    n = len(pairs)
+    print(f"\n{args.workload}, {n} complete pairs, seconds={seconds}, trace={args.trace}, "
+          f"every finished run correct: {ok}")
+    if dead:
+        print(f"died without a result (left out below): {'; '.join(dead)}")
     print(f"{'metric':32} {'parent median (q1-q3)':>28} {'change median (q1-q3)':>28}"
           f" {'delta':>8} {'won':>6}")
     for k in names:
-        pv = [r["metrics"][k]["value"] for r in results["parent"]]
-        cv = [r["metrics"][k]["value"] for r in results["change"]]
+        pv = [r["metrics"][k]["value"] for r in live["parent"]]
+        cv = [r["metrics"][k]["value"] for r in live["change"]]
         sign = 1 if better[k] == "higher" else -1
-        won = sum(sign * (c - p) > 0 for p, c in zip(pv, cv))
+        won = sum(sign * (c["metrics"][k]["value"] - p["metrics"][k]["value"]) > 0
+                  for p, c in pairs)
         (p1, p2, p3), (c1, c2, c3) = quartiles(pv), quartiles(cv)
         delta = f"{(c2 - p2) / p2:+.1%}" if p2 else "n/a"
         print(f"{k:32} {f'{p2:.4g} ({p1:.4g}-{p3:.4g})':>28}"
               f" {f'{c2:.4g} ({c1:.4g}-{c3:.4g})':>28} {delta:>8} {f'{won}/{n}':>6}")
-    return 0 if ok else 1
+    return 0 if ok and not dead else 1
 
 
 if __name__ == "__main__":

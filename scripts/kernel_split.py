@@ -62,9 +62,10 @@ def child(root: str, workload: str, seed: int) -> dict:
     import run
     import workloads
 
+    from lingvo__postagger_ner_ru_dnn_ray.model.lexicon import taggers
     from lingvo__postagger_ner_ru_dnn_ray.model.tagger import SeqLabelModel
     from lingvo__postagger_ner_ru_dnn_ray.stages import fused
-    from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import _NER_MEL, Kernel
+    from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
     from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer as tz
 
     clock = time.process_time
@@ -93,8 +94,9 @@ def child(root: str, workload: str, seed: int) -> dict:
     static = isinstance(inspect.getattr_static(Kernel, "_labels"), staticmethod)
     labels = Kernel._labels  # the plain function in either form
     ner, pos = timed("ner", labels), timed("pos", labels)
-    if static:  # (model, sents, mel)
-        Kernel._labels = staticmethod(lambda *a: (ner if a[2] == _NER_MEL else pos)(*a))
+    if static:  # (model, sents, mel); the stage's models are the lexicon ones
+        ner_model = taggers()[1]
+        Kernel._labels = staticmethod(lambda *a: (ner if a[0] is ner_model else pos)(*a))
     else:  # (self, model, sents)
         Kernel._labels = lambda *a: (ner if a[1] is a[0].ner_model else pos)(*a)
 

@@ -1,7 +1,9 @@
 """Kill-mid-job resume stress at bench scale: SIGKILL a running kg job,
 re-run it with resume=True, and verify (1) the resumed output is
-row-for-row identical to an uninterrupted run and (2) the resume
-completed ONLY the partitions missing their lineage manifests — the
+row-for-row identical to an uninterrupted run, (2) the resume
+completed ONLY the partitions missing their lineage manifests and (3) it
+did not tag again the partitions whose triples survived the kill: each
+of their ``_manifest.json`` files keeps its bytes, inode and mtime — the
 north-rule's "resumable from checkpoint with per-partition lineage"
 demonstrated at 240k turns / 16 partitions, not just the pytest fixture.
 
@@ -9,9 +11,11 @@ demonstrated at 240k turns / 16 partitions, not just the pytest fixture.
 
 Runs three jobs: reference (uninterrupted), victim (SIGKILLed as soon as
 its first triples manifest is published), resume (same out_dir as
-victim). Prints one JSON line. Exits non-zero if the victim finished
-before it could be killed, or if no triples manifest existed at the kill:
-a resume from nothing is a full re-run and checks no partial resume.
+victim). Prints one JSON line, ``triples_partitions_retagged`` listing
+the survivors whose manifest the resume rewrote. Exits non-zero if the
+victim finished before it could be killed, if no triples manifest existed
+at the kill (a resume from nothing is a full re-run and checks no partial
+resume), or if the resume re-tagged a surviving partition.
 """
 from __future__ import annotations
 
@@ -45,8 +49,7 @@ from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 logging.getLogger("ray.data").setLevel(logging.ERROR)
 from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import run_kg_job
-res = run_kg_job({tpath!r}, {out!r}, num_partitions={parts}, resume=True,
-                 tag_batch_size=512)
+res = run_kg_job({tpath!r}, {out!r}, num_partitions={parts}, resume=True)
 import json
 print("DONE " + json.dumps({{"run": res.get("partitions_run") or [],
                              "done": res.get("partitions_done") or []}}))
@@ -109,10 +112,22 @@ def main() -> None:
     }
     if not survived["triples"]:
         sys.exit("stress_resume: no triples manifest existed at the kill")
+
+    def triples_manifest(part: int) -> tuple:
+        """A triples manifest's bytes, inode and mtime: a re-tagged
+        partition gets a manifest written anew."""
+        p = mf.partition_dir(f"{vic_dir}/triples", part) / mf.MANIFEST_NAME
+        if not p.exists():
+            return ()
+        st = p.stat()
+        return p.read_bytes(), st.st_ino, st.st_mtime_ns
+
+    at_kill = {k: triples_manifest(k) for k in survived["triples"]}
     t0 = time.perf_counter()
     rc, out_txt = _run_child(tpath, vic_dir)
     assert rc == 0, "resume run failed"
     resume_s = round(time.perf_counter() - t0, 1)
+    retagged = [k for k, m in at_kill.items() if triples_manifest(k) != m]
 
     # invariant (2): the resume re-ran EXACTLY the complement of the
     # fully-manifested partitions (a regression that ignores manifests
@@ -148,9 +163,12 @@ def main() -> None:
         "survived_detail": survived,
         "resume_wall_s": resume_s,
         "resume_partitions_run": sorted(ran),
+        "triples_partitions_retagged": retagged,
         "row_set_mismatch_vs_uninterrupted": mismatch,
         "exact": all(v == 0 for v in mismatch.values()),
     }))
+    if retagged:
+        sys.exit(f"stress_resume: the resume re-tagged surviving triples partitions {retagged}")
 
 
 if __name__ == "__main__":

@@ -127,7 +127,7 @@ def main() -> None:
     sampler = MemSampler()
     sampler.start()
     t0 = time.perf_counter()
-    res = run_kg_job(tpath, out_dir, num_partitions=64, resume=False, tag_batch_size=512)
+    res = run_kg_job(tpath, out_dir, num_partitions=64, resume=False)
     dt = round(time.perf_counter() - t0, 1)
     shutil.rmtree(out_dir, ignore_errors=True)
     result = {"sec": dt, "rows": res["rows"]["triples"], "fixture_gen_s": gen_s,

@@ -10,9 +10,11 @@ import pytest
 from test_link_texts import _fixture_sentences
 from test_model import _mixed_batch
 
-from lingvo__postagger_ner_ru_dnn_ray.model.lexicon import taggers
+from lingvo__postagger_ner_ru_dnn_ray.model.artifact import save_artifact
+from lingvo__postagger_ner_ru_dnn_ray.model.lexicon import _iter_word_labels, taggers
+from lingvo__postagger_ner_ru_dnn_ray.model.tagger import build_lexical_tagger
 from lingvo__postagger_ner_ru_dnn_ray.model.vocab import UNK_ID
-from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import _NER_MEL, _POS_MEL, Kernel
+from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
 from lingvo__postagger_ner_ru_dnn_ray.stages.tag import _model_token_cached
 from lingvo__postagger_ner_ru_dnn_ray.textkit.features import (
     EX_INTEGER_NUMBER,
@@ -20,7 +22,9 @@ from lingvo__postagger_ner_ru_dnn_ray.textkit.features import (
     IT_NUM,
     IT_OTHER,
     IT_URL,
+    POS_LABELS,
     to_model_token,
+    to_model_token_str,
 )
 from lingvo__postagger_ner_ru_dnn_ray.textkit.resources import NUM_PLACEHOLDER, URL_PLACEHOLDER
 from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import Word, tokenize_texts
@@ -87,7 +91,8 @@ def test_id_map_equals_model_token_ids(id_inputs):
     for sents in groups:
         del id_inputs["pos"][:], id_inputs["ner"][:]
         k.tag_sentences(sents)
-        for name, model, mel in (("pos", pos, _POS_MEL), ("ner", ner, _NER_MEL)):
+        for name, model in (("pos", pos), ("ner", ner)):
+            mel = model.max_ending_length
             want = [[model.src_vocab.id(to_model_token(w.value, w.input_type, mel)) for w in ws]
                     for ws in sents]
             assert id_inputs[name] == want
@@ -102,9 +107,33 @@ def test_model_token_edge_cases():
     once and cuts the fold. The POS tokens of the 4-, 5- and 6-unit words
     and of "_банк" are in the POS vocabulary, so cutting the raw value
     instead of its fold, or dropping the "_", also changes their ids."""
+    pos, ner = taggers()
+    mels = pos.max_ending_length, ner.max_ending_length
+    assert mels == (4, 10000)  # predict_pos.json:8-9, predict_ner.json:6-7
     for v, it, pos_t, ner_t in _EDGE_WORDS:
-        assert (to_model_token(v, it, _POS_MEL), to_model_token(v, it, _NER_MEL)) == (pos_t, ner_t)
-    assert UNK_ID not in taggers()[0].src_vocab.ids(["иван", "_авел", "_банк"])
+        assert tuple(to_model_token(v, it, mel) for mel in mels) == (pos_t, ner_t)
+    assert UNK_ID not in pos.src_vocab.ids(["иван", "_авел", "_банк"])
+
+
+def test_id_map_uses_each_models_ending_length(tmp_path):
+    """A kernel loaded from artifacts cuts each word's model token at the
+    ``max_ending_length`` its model carries: with a POS model built at
+    ending length 3, ``_labels`` equals ``predict_batch`` over the mel-3
+    model tokens, which label the fixture sentences with more than one
+    class."""
+    token_label: dict[str, str] = {}
+    for w, label, _ner in _iter_word_labels():
+        token_label.setdefault(to_model_token_str(w, 3), label)
+    pos3 = build_lexical_tagger(token_label, POS_LABELS, max_ending_length=3, seed=42)
+    save_artifact(pos3, tmp_path / "pos.npz")
+    save_artifact(taggers()[1], tmp_path / "ner.npz")
+    k = Kernel(str(tmp_path))
+    assert k.pos_model.max_ending_length == 3
+    sents = _fixture_sentences()
+    want = k.pos_model.predict_batch(
+        [[to_model_token(w.value, w.input_type, 3) for w in ws] for ws in sents])
+    assert len({lab for labs in want for lab in labs}) > 1
+    assert k._labels(k.pos_model, sents) == want
 
 
 def test_out_of_vocabulary_variants_forward_once():

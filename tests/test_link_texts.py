@@ -16,9 +16,10 @@ import pytest
 
 from lingvo__postagger_ner_ru_dnn_ray.pipelines.oracle import oracle_tables
 from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcripts_table
-from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
+from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel, _sent_key
 from lingvo__postagger_ner_ru_dnn_ray.stages.tag import _model_token_cached
 from lingvo__postagger_ner_ru_dnn_ray.stages.triples import extract_sentence_triples
+from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import split_texts
 
 _TRIPLE_AT_218 = "штаб " * 218 + "Иван Смирнов купил Газпром "
 _CHUNKED = _TRIPLE_AT_218 + "штаб " * 27 + "."  # 250 tokens
@@ -91,6 +92,18 @@ def _pos_tokens(s) -> list[int]:
         _model_token_cached(v, it, 4) for v, it in zip(s.values, s.input_types))
 
 
+def _pos_tokens_once(texts: list[str], tagged: list) -> list[list[int]]:
+    """``_pos_tokens`` of the sentences of ``texts`` that can form a triple,
+    given their ``tag_texts`` sentences ``tagged``, once per memo key
+    (``_sent_key``): ``link_texts`` forwards each missed sentence once."""
+    keys = [_sent_key(tk.ub, s) for tk, sents in split_texts(texts) for s in sents
+            if tk.tokenize(s)]
+    first = {}
+    for key, s in zip(keys, tagged, strict=True):
+        first.setdefault(key, s)
+    return [_pos_tokens(s) for s in first.values() if _can_form(s)]
+
+
 def _fixture_sentences() -> list[list]:
     from lingvo__postagger_ner_ru_dnn_ray.textkit.features import INPUT_TYPE_NAMES
     from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import Word
@@ -122,8 +135,9 @@ def test_edge_cases_stage_equals_oracle(pos_inputs):
 
 
 def test_pos_forward_only_on_gap_sentences(pos_inputs):
-    """243 of the table's 611 sentences reach POS; an appended sentence of
-    two adjacent mentions (no synthetic turn has one) does not."""
+    """239 distinct sentences of the table's 611 reach POS, each once; an
+    appended sentence of two adjacent mentions (no synthetic turn has one)
+    does not."""
     texts = synth_transcripts_table(300, seed=7).column("text").to_pylist()
     adjacent = EDGE_TURNS["text"][0].as_py()
     k = Kernel()
@@ -131,8 +145,8 @@ def test_pos_forward_only_on_gap_sentences(pos_inputs):
     del pos_inputs[:]
     rows = k.link_texts(texts + [adjacent])
     assert sum(map(len, rows)) == len(tagged) + 1 == 612
-    assert pos_inputs == [_pos_tokens(s) for s in tagged if _can_form(s)]
-    assert len(pos_inputs) == 243
+    assert pos_inputs == _pos_tokens_once(texts, tagged)
+    assert len(pos_inputs) == 239
 
 
 def test_link_equals_link_over_full_tagging(pos_inputs):
@@ -140,7 +154,7 @@ def test_link_equals_link_over_full_tagging(pos_inputs):
     fixture's tokenized reference sentences: ``link_texts`` and
     ``link_sentences`` rows equal ``link`` over ``tag_texts`` and
     ``tag_sentences``, and POS saw exactly the sentences that can form a
-    triple."""
+    triple, each sentence of ``link_texts`` once."""
     k = Kernel()
     texts = (synth_transcripts_table(300, seed=7).column("text").to_pylist()
              + EDGE_TURNS["text"].to_pylist())
@@ -150,7 +164,7 @@ def test_link_equals_link_over_full_tagging(pos_inputs):
     del pos_inputs[:]
 
     assert k.link_texts(texts) == [[k.link(s) for s in ss] for ss in full_texts]
-    assert pos_inputs == [_pos_tokens(s) for ss in full_texts for s in ss if _can_form(s)]
+    assert pos_inputs == _pos_tokens_once(texts, [s for ss in full_texts for s in ss])
     del pos_inputs[:]
     assert k.link_sentences(words) == [k.link(s) for s in full_words]
     assert pos_inputs == [_pos_tokens(s) for s in full_words if _can_form(s)]

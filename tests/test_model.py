@@ -141,9 +141,6 @@ def test_artifact_tamper_detection(tmp_path):
 
     with pytest.raises(ValueError, match="hash mismatch"):
         load_artifact(tmp_path / "pos.npz")
-    # pristine artifact + verify=False skips the integrity check
-    save_artifact(pos, tmp_path / "pos2.npz")
-    load_artifact(tmp_path / "pos2.npz", verify=False)
 
 
 def test_ensure_default_artifacts_idempotent(tmp_path):

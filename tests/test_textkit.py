@@ -367,24 +367,16 @@ def _memo_texts() -> list[str]:
 
 def test_token_memo_cold_equals_warm():
     """The words of the fixture texts are the same with a cold token memo
-    and with a memo warmed by either tokenizer configuration: replace_nums
-    on and off."""
+    and with a warm one."""
     from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer as tz
     from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import tokenize_texts
 
     texts = _memo_texts()
-    configs = [True, False]
 
-    def words(replace_nums):
-        return [_fields(sents) for sents in tokenize_texts(texts, replace_nums)]
+    def words():
+        return [_fields(sents) for sents in tokenize_texts(texts)]
 
-    cold = {}
-    for cfg in configs:
-        tz._TOKEN_MEMO.clear()
-        cold[cfg] = words(cfg)
-    assert cold[True] != cold[False]  # the configurations differ
-    for warm_with in configs:
-        for cfg in configs:
-            tz._TOKEN_MEMO.clear()
-            words(warm_with)
-            assert words(cfg) == cold[cfg], (warm_with, cfg)
+    tz._TOKEN_MEMO.clear()
+    cold = words()
+    assert tz._TOKEN_MEMO  # the cold pass warmed the memo
+    assert words() == cold
