@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import re
+import shutil
 import zlib
 from collections.abc import Callable
 from pathlib import Path
@@ -38,29 +39,59 @@ def _code_fingerprint() -> str:
     return f"{h:08x}"
 
 
+def _remove(p: Path) -> None:
+    if p.is_dir():
+        shutil.rmtree(p, ignore_errors=True)
+    else:
+        p.unlink(missing_ok=True)
+
+
 def _evict_stale() -> None:
     """Delete the cache entries that other code wrote: each one whose name
     carries a fingerprint other than the current one. Entries without a
     fingerprint (the transcript inputs) and other scales stay."""
-    import shutil
-
     fp = _code_fingerprint()
     for p in _CACHE.glob("*"):
         m = _FP_IN_NAME.search(p.name)
         if m and m.group(1) != fp:
-            if p.is_dir():
-                shutil.rmtree(p, ignore_errors=True)
-            else:
-                p.unlink(missing_ok=True)
+            _remove(p)
+
+
+def _build_once(path: str, build: Callable[[str], None]) -> str:
+    """``path``, a cache entry (file or directory) that ``build(tmp)``
+    writes the first time it is asked for. The entry is built under a
+    temporary name and renamed into place whole, so one that exists is
+    complete. Before a build, an interrupted build's leftover goes, and so
+    does every stale entry (``_evict_stale``)."""
+    p = Path(path)
+    if not p.exists():
+        tmp = Path(path + ".tmp")
+        _remove(tmp)
+        _evict_stale()
+        _CACHE.mkdir(parents=True, exist_ok=True)
+        build(str(tmp))
+        os.replace(tmp, p)
+    return path
+
+
+def _n_turns(sf_dir: str) -> int:
+    """The synthetic transcript turns the driver replays at this scale."""
+    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import sf_of_dir
+
+    return max(200, int(600_000 * sf_of_dir(sf_dir)))
+
+
+def _synth_turns(sf_dir: str):
+    """The synthetic transcript table the driver replays at this scale."""
+    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcripts_table
+
+    return synth_transcripts_table(_n_turns(sf_dir), seed=42)
 
 
 def _kg_dirs(sf_dir: str) -> tuple[str, str]:
     """(ray_products_dir, oracle_dir) for this scale — both deterministic,
     cached by (n_turns, seed, code fingerprint)."""
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import sf_of_dir
-
-    n = max(200, int(600_000 * sf_of_dir(sf_dir)))
-    fp = _code_fingerprint()
+    n, fp = _n_turns(sf_dir), _code_fingerprint()
     return str(_CACHE / f"kg_ray_n{n}_{fp}"), str(_CACHE / f"kg_oracle_n{n}_{fp}")
 
 
@@ -69,27 +100,13 @@ def _ensure_kg_oracle(sf_dir: str) -> str:
     import pyarrow.parquet as pq
 
     from lingvo__postagger_ner_ru_dnn_ray.pipelines.oracle import oracle_tables
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import (
-        sf_of_dir,
-        synth_transcripts_table,
-    )
 
-    _, out = _kg_dirs(sf_dir)
-    outp = Path(out)
-    if (outp / "_SUCCESS").exists():
-        return out
-    if outp.exists():
-        import shutil
+    def build(out: str) -> None:
+        Path(out).mkdir()
+        for name, tbl in oracle_tables(_synth_turns(sf_dir)).items():
+            pq.write_table(tbl, f"{out}/{name}.parquet")
 
-        shutil.rmtree(outp)
-    _evict_stale()
-    n = max(200, int(600_000 * sf_of_dir(sf_dir)))
-    tables = oracle_tables(synth_transcripts_table(n, seed=42))
-    outp.mkdir(parents=True, exist_ok=True)
-    for name, tbl in tables.items():
-        pq.write_table(tbl, outp / f"{name}.parquet")
-    (outp / "_SUCCESS").touch()
-    return out
+    return _build_once(_kg_dirs(sf_dir)[1], build)
 
 
 def _ensure_kg_ray(sf_dir: str) -> str:
@@ -108,22 +125,14 @@ def _ensure_kg_ray(sf_dir: str) -> str:
     )
     from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import transcripts_for_sf
 
-    out, _ = _kg_dirs(sf_dir)
-    outp = Path(out)
-    if (outp / "_SUCCESS").exists():
-        return out
-    if outp.exists():
-        import shutil
+    def build(out: str) -> None:
+        path = transcripts_for_sf(sf_dir)
+        run_kg_job(path, out)
+        tagged_sentences(read_transcripts(path)).write_parquet(f"{out}/sentences")
+        sents = ray.data.read_parquet(f"{out}/sentences")
+        mention_rows(sents).write_parquet(f"{out}/mentions")
 
-        shutil.rmtree(outp)
-    _evict_stale()
-    path = transcripts_for_sf(sf_dir)
-    run_kg_job(path, out)
-    tagged_sentences(read_transcripts(path)).write_parquet(str(outp / "sentences"))
-    sents = ray.data.read_parquet(str(outp / "sentences"))
-    mention_rows(sents).write_parquet(str(outp / "mentions"))
-    (outp / "_SUCCESS").touch()
-    return out
+    return _build_once(_kg_dirs(sf_dir)[0], build)
 
 
 def _kg_table(sf_dir: str, name: str):
@@ -158,10 +167,7 @@ def _webjson_paths(sf_dir: str) -> tuple[str, str, str]:
     """(requests_jsonl, ray_out_dir, oracle_parquet) for the batch JSON
     boundary at this scale — all deterministic, keyed by (n_turns, code
     fingerprint) like the kg fixtures."""
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import sf_of_dir
-
-    n = max(200, int(600_000 * sf_of_dir(sf_dir)))
-    fp = _code_fingerprint()
+    n, fp = _n_turns(sf_dir), _code_fingerprint()
     return (
         str(_CACHE / f"webjson_reqs_n{n}_{fp}.jsonl"),
         str(_CACHE / f"webjson_ray_n{n}_{fp}"),
@@ -175,13 +181,7 @@ def _webjson_requests_table(sf_dir: str):
     replays), already in the transcript shape webjson_batch consumes."""
     import pyarrow as pa
 
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import (
-        sf_of_dir,
-        synth_transcripts_table,
-    )
-
-    n = max(200, int(600_000 * sf_of_dir(sf_dir)))
-    tbl = synth_transcripts_table(n, seed=42)
+    tbl = _synth_turns(sf_dir)
     ids = [
         f"{c}:{t}"
         for c, t in zip(tbl.column("conv_id").to_pylist(), tbl.column("turn_idx").to_pylist())
@@ -201,21 +201,15 @@ def _ensure_webjson_requests(sf_dir: str) -> str:
     """Write (once) the request JSONL the Ray side ingests."""
     import json
 
-    reqs_path, _, _ = _webjson_paths(sf_dir)
-    p = Path(reqs_path)
-    if p.exists():
-        return reqs_path
-    _evict_stale()
-    tbl = _webjson_requests_table(sf_dir)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(reqs_path + ".tmp")
-    with tmp.open("w", encoding="utf-8") as f:
-        for cid, text in zip(
-            tbl.column("conv_id").to_pylist(), tbl.column("text").to_pylist()
-        ):
-            f.write(json.dumps({"id": cid, "text": text}, ensure_ascii=False) + "\n")
-    os.replace(tmp, p)
-    return reqs_path
+    def build(out: str) -> None:
+        tbl = _webjson_requests_table(sf_dir)
+        with open(out, "w", encoding="utf-8") as f:
+            for cid, text in zip(
+                tbl.column("conv_id").to_pylist(), tbl.column("text").to_pylist()
+            ):
+                f.write(json.dumps({"id": cid, "text": text}, ensure_ascii=False) + "\n")
+
+    return _build_once(_webjson_paths(sf_dir)[0], build)
 
 
 def _ensure_webjson_ray(sf_dir: str) -> str:
@@ -227,19 +221,11 @@ def _ensure_webjson_ray(sf_dir: str) -> str:
         tag_requests,
     )
 
-    _, out, _ = _webjson_paths(sf_dir)
-    outp = Path(out)
-    if (outp / "_SUCCESS").exists():
-        return out
-    if outp.exists():
-        import shutil
+    def build(out: str) -> None:
+        reqs = read_json_requests(_ensure_webjson_requests(sf_dir))
+        tag_requests(reqs, model_type="ner").write_parquet(out)
 
-        shutil.rmtree(outp)
-    _evict_stale()
-    reqs = read_json_requests(_ensure_webjson_requests(sf_dir))
-    tag_requests(reqs, model_type="ner").write_parquet(out)
-    (outp / "_SUCCESS").touch()
-    return out
+    return _build_once(_webjson_paths(sf_dir)[1], build)
 
 
 def _ensure_webjson_oracle(sf_dir: str) -> str:
@@ -250,17 +236,10 @@ def _ensure_webjson_oracle(sf_dir: str) -> str:
 
     from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import webjson_batch
 
-    _, _, orc = _webjson_paths(sf_dir)
-    p = Path(orc)
-    if p.exists():
-        return orc
-    _evict_stale()
-    out = webjson_batch(_webjson_requests_table(sf_dir), model_type="ner")
-    p.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(orc + ".tmp")
-    pq.write_table(out, tmp)
-    os.replace(tmp, p)
-    return orc
+    def build(out: str) -> None:
+        pq.write_table(webjson_batch(_webjson_requests_table(sf_dir), model_type="ner"), out)
+
+    return _build_once(_webjson_paths(sf_dir)[2], build)
 
 
 def _web_json_tagged(sf_dir: str):

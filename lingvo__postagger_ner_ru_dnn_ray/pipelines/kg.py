@@ -58,6 +58,8 @@ from ..stages.mentions import mentions_batch
 from ..state import manifest as mf
 
 TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text"]
+# turns per task of the fused stage and of the sentence stage
+TAG_BATCH_TURNS = 512
 
 
 def _crc_parts(conv_ids: list[str], p: int) -> np.ndarray:
@@ -83,9 +85,9 @@ def _sentences_batch(batch: pa.Table) -> pa.Table:
 
 def tagged_sentences(ds: ray.data.Dataset) -> ray.data.Dataset:
     """transcripts → tagged sentence rows (stages/kernel.py SENT_SCHEMA):
-    the kernel's first step as stateless tasks of 512 turns, models loaded
-    once per worker process."""
-    return ds.map_batches(_sentences_batch, batch_format="pyarrow", batch_size=512)
+    the kernel's first step as stateless tasks of ``TAG_BATCH_TURNS``
+    turns, models loaded once per worker process."""
+    return ds.map_batches(_sentences_batch, batch_format="pyarrow", batch_size=TAG_BATCH_TURNS)
 
 
 def mention_rows(sent_ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -93,7 +95,7 @@ def mention_rows(sent_ds: ray.data.Dataset) -> ray.data.Dataset:
 
 
 def fused_linked_triples(
-    ds: ray.data.Dataset, *, batch_size: int = 256, artifact_dir: str | None = None,
+    ds: ray.data.Dataset, *, batch_size: int = TAG_BATCH_TURNS, artifact_dir: str | None = None,
 ) -> ray.data.Dataset:
     """transcripts → linked triples in ONE fused stage (stages/fused.py),
     as stateless tasks. ``artifact_dir`` loads the models from its
@@ -259,7 +261,7 @@ def run_kg_job(
     num_partitions: int = 8,
     resume: bool = True,
     tag_concurrency: None = None,
-    tag_batch_size: int = 512,
+    tag_batch_size: int = TAG_BATCH_TURNS,
     stats_out: list | None = None,
     artifact_dir: str | None = None,
 ) -> dict:

@@ -13,7 +13,6 @@ whole table at once.
 from __future__ import annotations
 
 import gc
-import os
 
 import pyarrow as pa
 import ray
@@ -24,38 +23,31 @@ _MEMO_STATS_ACTOR = "graft_kg_memo_stats"
 
 
 class _MemoStats:
-    """Cluster-wide memo counters (opt-in, GRAFT_KG_MEMO_STATS=1): the
-    share of turns the stage computed, i.e. non-empty turns with a sentence
-    that missed the kernel's sentence memo (``Kernel.missed_texts``). Workers
-    post per-batch deltas fire-and-forget; the driver reads the aggregate
-    after the job (approximate by a few in-flight batches)."""
+    """Cluster-wide memo counters, on while the driver runs this actor
+    (``start_memo_stats``): the non-empty turns the stage saw and those it
+    computed, i.e. with a sentence that missed the kernel's sentence memo
+    (``Kernel.missed_texts``). Workers post per-batch deltas
+    fire-and-forget; the driver reads the aggregate after the job
+    (approximate by a few in-flight batches)."""
 
     def __init__(self):
         self.reset()
 
     def reset(self):
-        self.turns = 0          # non-empty turns seen
-        self.unique = 0         # after WITHIN-batch dedup
-        self.computed = 0       # a sentence missed the sentence memo
+        self.turns = 0
+        self.computed = 0
 
-    def add(self, turns: int, unique: int, computed: int) -> None:
+    def add(self, turns: int, computed: int) -> None:
         self.turns += turns
-        self.unique += unique
         self.computed += computed
 
     def get(self) -> dict:
-        return {
-            "turns": self.turns,
-            "unique_in_batch": self.unique,
-            "computed": self.computed,
-            "unique_compute_fraction": round(self.computed / self.turns, 4) if self.turns else None,
-        }
+        return {"turns": self.turns, "computed": self.computed}
 
 
 def start_memo_stats():
-    """Driver-side: create (or fetch) the named counter actor. Pair with
-    os.environ['GRAFT_KG_MEMO_STATS']='1' set BEFORE ray.init so workers
-    inherit the flag and post their deltas."""
+    """Driver-side: create (or fetch) the named counter actor. A stage
+    built while it runs posts to it."""
     return (
         ray.remote(num_cpus=0)(_MemoStats)
         .options(name=_MEMO_STATS_ACTOR, get_if_exists=True)
@@ -64,12 +56,14 @@ def start_memo_stats():
 
 
 def _memo_stats_handle():
-    if os.environ.get("GRAFT_KG_MEMO_STATS") != "1":
+    """The counter actor, or None when Ray is not initialised or no driver
+    started it."""
+    if not ray.is_initialized():
         return None
     try:
         return ray.get_actor(_MEMO_STATS_ACTOR)
-    except Exception:
-        return None  # flag set but no driver-side actor: counters off
+    except ValueError:
+        return None
 
 
 class KgStage:
@@ -92,8 +86,7 @@ class KgStage:
         text = batch.column("text").to_pylist()
         links = self.kernel.link_texts(text)
         if self._memo_stats is not None:
-            self._memo_stats.add.remote(sum(1 for x in text if x), len({x for x in text if x}),
-                                        self.kernel.missed_texts)
+            self._memo_stats.add.remote(sum(1 for x in text if x), self.kernel.missed_texts)
         return linked_table([(c, t, si) + row for c, t, sents in zip(conv, turn, links)
                              for si, rows in enumerate(sents) for row in rows])
 

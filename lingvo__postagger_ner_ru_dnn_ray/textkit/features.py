@@ -73,8 +73,6 @@ POS_LABEL_TO_ID = {s: i for i, s in enumerate(POS_LABELS)}
 
 # NER BIO labels (README.md:69-100; rendering map WebService wwwroot/js/main.js:81-89)
 NER_LABELS = ("O", "B-PER", "I-PER", "B-ORG", "I-ORG", "B-LOC", "I-LOC")
-NER_LABEL_TO_ID = {s: i for i, s in enumerate(NER_LABELS)}
-NER_TYPE_OF = {"PER": "PER", "ORG": "ORG", "LOC": "LOC"}
 
 _CT = xlat.CHARTYPE_L
 _ROMAN = frozenset(ord(c) for c in "IVXLCDM")

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import xlat
 from .resources import STREETS_ENDS_COMPLEX_SUFFIX, STREETS_ENDS_SEPARATE
-from .urls import UrlSpan, allocate_urls
+from .urls import UrlSpan
 
 _CT = xlat.CHARTYPE_L          # scalar per-char path
 _SC = xlat.SENTCHARTYPE_L
@@ -68,14 +68,6 @@ def sent_end_hits(u16: np.ndarray) -> np.ndarray:
     return np.flatnonzero(_IS_HIT[u16])
 
 
-def split_sents_simple(text: str, u16=None, urls: list[UrlSpan] | None = None) -> list[Sent]:
-    if u16 is None:
-        u16 = xlat.to_u16(text)
-    if urls is None:
-        urls = allocate_urls(text, u16)
-    return split_sents(u16.tolist(), sent_end_hits(u16).tolist(), urls)
-
-
 def split_sents(ul: list[int], hits: list[int], urls: list[UrlSpan]) -> list[Sent]:
     """The sentences of the text whose code units are ``ul``, given its
     ``sent_end_hits`` and its URL spans."""
@@ -102,10 +94,16 @@ def split_sents(ul: list[int], hits: list[int], urls: list[UrlSpan]) -> list[Sen
             return
         # all-punct-or-ws drop check: early-exit scan (almost every kept
         # sentence starts with a letter, so this is O(1) in practice;
-        # the dropped ones are short punctuation runs)
+        # the dropped ones are short punctuation runs). A kept sentence
+        # starts at its first non-whitespace unit, so the same sentence
+        # at a text's start and after a newline has the same span text.
+        first = -1
         for k in range(start, end):
-            if not (_CT[ul[k]] & _BAD):
-                sents.append(Sent(start, length, tuple(cur_urls)))
+            ct = _CT[ul[k]]
+            if first < 0 and not (ct & _WS):
+                first = k
+            if not (ct & _BAD):
+                sents.append(Sent(first, end - first, tuple(cur_urls)))
                 break
         cur_urls = []
         sent_start, sent_len = start, length

@@ -103,14 +103,14 @@ class _Front:
     FSM's sentence-end cap absorbs. The trigger and sentence-end hits are
     cut per text with ``searchsorted``."""
 
-    __slots__ = ("offs", "u", "ub", "ul", "cts", "sps", "nxt",
+    __slots__ = ("offs", "ub", "ul", "cts", "sps", "nxt",
                  "url_hits", "url_cut", "sent_hits", "sent_cut")
 
     def __init__(self, texts: list[str | None]):
         bs = [x.encode(xlat._ENC) if x else b"" for x in texts]
         self.offs = [0, *accumulate(len(b) >> 1 for b in bs)]
         self.ub = b"".join(bs)
-        u = self.u = np.frombuffer(self.ub, dtype=np.uint16)
+        u = np.frombuffer(self.ub, dtype=np.uint16)
         self.ul = u.tolist()
         self.cts = xlat.CHARTYPE[u].tolist()
         self.sps = xlat.SPECTYPE[u].tolist()
@@ -142,7 +142,7 @@ class _SentTokenizer:
     offset ``off``."""
 
     __slots__ = (
-        "u", "ul", "ub", "n", "s", "end", "words", "start_index", "cur_len",
+        "ul", "ub", "n", "s", "end", "words", "start_index", "cur_len",
         "is_prev_num", "last_num", "dot_variant", "cts", "sps",
         "nxt", "off", "urls",
     )
@@ -150,7 +150,6 @@ class _SentTokenizer:
     def __init__(self, front: _Front, k: int, dot_variant: str = "simple"):
         o, e = front.offs[k], front.offs[k + 1]
         self.off, self.n = o, e - o
-        self.u = front.u[o:e]
         self.ul = front.ul[o:e]  # per-char access path
         self.ub = front.ub[2 * o:2 * e]  # bytes-slice memo keys (2 bytes per unit)
         self.cts = front.cts[o:e]
@@ -223,11 +222,15 @@ class _SentTokenizer:
         ``key``, at ``start``."""
         value = key.decode(xlat._ENC, "surrogatepass")
         input_type, extra = get_input_type(self.ul, start, length)
-        value = _clear_value_original(value, extra, self.u, start, length)
+        value = _clear_value_original(value, extra, length)
         return value, input_type, extra
 
-    # -- MergePunctuation (Tokenizer.cs:1131-1171); returns (ok, new_i) --
-    def _merge_punct(self, i: int, begin_ch: int, end: int) -> tuple[bool, int]:
+    # -- MergePunctuation (Tokenizer.cs:1131-1171) --
+    def _merge_punct(self, i: int, begin_ch: int, end: int) -> int:
+        """Flush the word before the run of ``begin_ch`` at ``i``, then the
+        run, and return the run's last position; a run that reaches ``end``
+        returns ``end`` and is left for the caller's final flush."""
+        self._try_create()
         self.cur_len = 1
         i += 1
         ws_len = 0
@@ -250,8 +253,9 @@ class _SentTokenizer:
         if i > end:
             if self.cur_len == 1 and self.ch(end) == 0:
                 self.cur_len = 0
-            return False, i
-        return True, i - ws_len - 1
+            return end
+        self._try_create()
+        return i - ws_len - 1
 
     # -- SkipNonLetterAndNonDigitToTheEnd (Tokenizer.cs:985-1012) --
     def _trim_end(self, s: int, e0: int) -> int:
@@ -330,44 +334,26 @@ class _SentTokenizer:
                     i += 1
                     continue
                 if not self._is_digit_at(i + 1, end):
-                    self._try_create()
-                    ok, i = self._merge_punct(i, c, end)
-                    if not ok:
-                        break
-                    self._try_create()
-                    i += 1
+                    i = self._merge_punct(i, c, end) + 1
                     continue
 
             if sp & xlat.SP_BETWEEN_LETTER_OR_DIGIT:
                 if not (ct & xlat.IS_HYPHEN) and self._is_between(i, s, end, _LD):
                     self.cur_len += 1
                 else:
-                    self._try_create()
-                    ok, i = self._merge_punct(i, c, end)
-                    if not ok:
-                        break
-                    self._try_create()
+                    i = self._merge_punct(i, c, end)
                 i += 1
                 continue
             if sp & xlat.SP_BETWEEN_DIGIT:
                 if self._is_between(i, s, end, xlat.IS_DIGIT):
                     self.cur_len += 1
                 else:
-                    self._try_create()
-                    ok, i = self._merge_punct(i, c, end)
-                    if not ok:
-                        break
-                    self._try_create()
+                    i = self._merge_punct(i, c, end)
                 i += 1
                 continue
 
             if sp & xlat.SP_TOKENIZE_DIFFERENT_SEPARATELY:
-                self._try_create()
-                ok, i = self._merge_punct(i, c, end)
-                if not ok:
-                    break
-                self._try_create()
-                i += 1
+                i = self._merge_punct(i, c, end) + 1
                 continue
 
             if sp & xlat.SP_INTERPRETE_AS_WHITESPACE:
@@ -392,12 +378,7 @@ class _SentTokenizer:
                 continue
             sp = sps[i]
             if sp & xlat.SP_TOKENIZE_DIFFERENT_SEPARATELY:
-                self._try_create()
-                ok, i = self._merge_punct(i, c, realy_end)
-                if not ok:
-                    break
-                self._try_create()
-                i += 1
+                i = self._merge_punct(i, c, realy_end) + 1
                 continue
             if sp & xlat.SP_INTERPRETE_AS_WHITESPACE:
                 self._try_create()
@@ -411,7 +392,8 @@ class _SentTokenizer:
 
         if urls:
             for us in urls:
-                value = xlat.from_u16(self.u, us.start, us.length)
+                value = self.ub[2 * us.start:2 * (us.start + us.length)].decode(
+                    xlat._ENC, "surrogatepass")
                 it = IT_EMAIL if us.type == EMAIL else IT_URL
                 self.words.append(Word(value, us.start, us.length, it, 0))
             self.words.sort(key=lambda w: w.start)
@@ -439,7 +421,7 @@ class _SentTokenizer:
         return bool(self.cts[p] & mask)
 
 
-def _clear_value_original(v: str, extra: int, u, start: int, length: int) -> str:
+def _clear_value_original(v: str, extra: int, length: int) -> str:
     # Clear_valueOriginal (Tokenizer.cs:1213-1278)
     if not (extra & EX_PUNCTUATION):
         return v

@@ -242,14 +242,6 @@ class _Scanner:
         return False
 
 
-def allocate_urls(text: str, u16=None) -> list[UrlSpan]:
-    """Scan ``text`` for URL / e-mail spans (AllocateUrls, UrlDetector.cs:234-311)."""
-    if u16 is None:
-        u16 = xlat.to_u16(text)
-    hits = url_triggers(u16)
-    return scan_urls(u16.tolist(), hits.tolist()) if len(hits) else []
-
-
 def scan_urls(ul: list[int], hits: list[int]) -> list[UrlSpan]:
     """The spans of the text whose code units are ``ul``, scanning from its
     trigger positions ``hits`` (ascending) instead of from every char (same

@@ -212,11 +212,6 @@ def to_u16(text: str) -> np.ndarray:
     return np.frombuffer(text.encode(enc), dtype=np.uint16)
 
 
-def from_u16(units, start: int, length: int) -> str:
-    enc = _ENC
-    return np.asarray(units[start : start + length], dtype=np.uint16).tobytes().decode(enc, "surrogatepass")
-
-
 def upper_invariant(text: str) -> str:
     u = to_u16(text)
     enc = _ENC

@@ -15,11 +15,10 @@ holds the modules a Ray Data worker holds.
 It reports process CPU seconds: the whole pass; the tokenizer's parts,
 timed at names that every checkout since the batch front calls (the front,
 ``_Front``; the per-text ``_SentTokenizer`` init; ``split_sents``; the FSM,
-``_SentTokenizer.tokenize``); the NER and the POS steps (``Kernel._labels``,
-a staticmethod ``(model, sents, mel)`` before the kernel's id map and a
-method ``(self, model, sents)`` since; either form is wrapped), and inside
-each the forward alone (``ner_fwd``, ``pos_fwd``: ``SeqLabelModel._forward_logits``),
-so the forward and the glue around it are split; and the rest. ``misses``
+``_SentTokenizer.tokenize``); the NER and the POS steps (the method
+``Kernel._labels(self, model, sents)``), and inside each the forward alone
+(``ner_fwd``, ``pos_fwd``: ``SeqLabelModel._forward_logits``), so the
+forward and the glue around it are split; and the rest. ``misses``
 counts the sentences the FSM tokenized, i.e. those that missed whatever
 cache the checkout keeps ahead of the FSM; ``ner_rows`` and ``pos_rows``
 count the token rows each model forwarded. The collector's passes, by
@@ -54,7 +53,6 @@ COUNTS = {"gc2_passes", "misses", "ner_rows", "pos_rows"}
 def child(root: str, workload: str, seed: int) -> dict:
     """One pass of the fused stage from ``root``, in this process."""
     import gc
-    import inspect
     import time
 
     sys.path[:0] = [root, str(PERFBENCH)]
@@ -62,7 +60,6 @@ def child(root: str, workload: str, seed: int) -> dict:
     import run
     import workloads
 
-    from lingvo__postagger_ner_ru_dnn_ray.model.lexicon import taggers
     from lingvo__postagger_ner_ru_dnn_ray.model.tagger import SeqLabelModel
     from lingvo__postagger_ner_ru_dnn_ray.stages import fused
     from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
@@ -91,14 +88,9 @@ def child(root: str, workload: str, seed: int) -> dict:
     tz._SentTokenizer.__init__ = timed("init", tz._SentTokenizer.__init__)
     tz.split_sents = timed("split", tz.split_sents)
     tz._SentTokenizer.tokenize = timed("fsm", fsm)
-    static = isinstance(inspect.getattr_static(Kernel, "_labels"), staticmethod)
-    labels = Kernel._labels  # the plain function in either form
-    ner, pos = timed("ner", labels), timed("pos", labels)
-    if static:  # (model, sents, mel); the stage's models are the lexicon ones
-        ner_model = taggers()[1]
-        Kernel._labels = staticmethod(lambda *a: (ner if a[0] is ner_model else pos)(*a))
-    else:  # (self, model, sents)
-        Kernel._labels = lambda *a: (ner if a[1] is a[0].ner_model else pos)(*a)
+    ner, pos = timed("ner", Kernel._labels), timed("pos", Kernel._labels)
+    Kernel._labels = lambda self, model, sents: (
+        ner if model is self.ner_model else pos)(self, model, sents)
 
     def forward(model, ids, fwd=SeqLabelModel._forward_logits):
         t0 = clock()

@@ -9,6 +9,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+import ray
 import ray.data
 
 from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import (
@@ -23,6 +24,7 @@ from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import (
     ensure_transcripts,
     synth_transcripts_table,
 )
+from lingvo__postagger_ner_ru_dnn_ray.stages.fused import KgStage, start_memo_stats
 from lingvo__postagger_ner_ru_dnn_ray.stages.mentions import decode_bio
 
 N_TURNS = 300
@@ -94,6 +96,22 @@ def test_mentions_match_oracle(fixture_path, oracle):
     want = oracle["mentions"].to_pandas()
     keys = ["conv_id", "turn_idx", "sent_idx", "mention_idx"]
     assert _sorted_df(m, keys).equals(_sorted_df(want, keys))
+
+
+def test_memo_counters_follow_the_actor(ray_session):
+    """A stage built without the counter actor posts nothing; one built
+    while ``start_memo_stats`` runs posts its turns and computed turns."""
+    table = synth_transcripts_table(20, seed=SEED).select(["conv_id", "turn_idx", "text"])
+    stage = KgStage()
+    assert stage._memo_stats is None
+    stage(table)
+    memo = start_memo_stats()
+    try:
+        KgStage()(table)
+        got = ray.get(memo.get.remote())
+        assert got["turns"] > 0 and got["computed"] > 0
+    finally:
+        ray.kill(memo)
 
 
 def test_bio_decode():

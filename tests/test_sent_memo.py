@@ -8,6 +8,7 @@ sentence "ru/Иван Смирнов купил Газпром." holds the URL "
 takes "Иван" out of the subject. The same code units alone form a sentence
 with no URL, so a key without the spans returns the wrong subject."""
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import pyarrow as pa
@@ -20,6 +21,7 @@ from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcrip
 from lingvo__postagger_ner_ru_dnn_ray.stages import kernel as kernel_mod
 from lingvo__postagger_ner_ru_dnn_ray.stages.fused import KgStage
 from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
+from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -95,3 +97,49 @@ def test_memo_overflow_mid_batch(monkeypatch):
     key = lambda r: (r["conv_id"], r["turn_idx"], r["sent_idx"], r["triple_idx"])  # noqa: E731
     want = oracle_tables(table)["triples"].to_pylist()
     assert sorted(pa.concat_tables(out).to_pylist(), key=key) == sorted(want, key=key)
+
+
+def test_sentence_after_newline_shares_its_key():
+    """A sentence is keyed from its first word, so at a text's start and
+    after a newline it is one memo key."""
+    k = Kernel()
+    texts = ["Ущерб составил более 9,5 млн руб.", "Да.\nУщерб составил более 9,5 млн руб."]
+    assert k.link_texts(texts) == [[k.link(s) for s in ss] for ss in k.tag_texts(texts)]
+    assert len(k._memo) == 2
+
+
+_SYLLABLES = ["ба", "ве", "гу", "до", "жи", "зя", "ко", "лу",
+              "ми", "но", "пы", "ре", "су", "ти", "фа", "хо"]
+
+
+def _pseudo_word(i: int) -> str:
+    """A word no lexicon holds, one per ``i`` < 16**4."""
+    return "".join(_SYLLABLES[(i >> 4 * d) & 15] for d in range(4))
+
+
+def test_caches_stay_bounded_on_a_unique_stream(monkeypatch):
+    """20,000 sentences, each with its own pseudo-word (every eighth can
+    form a triple), in batches of 512 through one kernel whose sentence
+    memo, id map and token memo are capped at 1,024 entries each. The
+    traced memory that the batches after the fifth leave allocated is
+    bounded. Measured on this input, it read 0.12-0.38 MB after each batch
+    with the caps (at most 0.56 MB over 60,000 such sentences), and 8.2 MB
+    at the end with the caps left at their defaults; the bound of 2 MB
+    sits between."""
+    for mod, name in ((kernel_mod, "_MEMO_SENTS"), (kernel_mod, "_IDS_MAX"),
+                      (tokenizer, "_TOKEN_MEMO_MAX")):
+        monkeypatch.setattr(mod, name, 1024)
+    texts = [f"Смирнов купил {_pseudo_word(i)} в Москве." if i % 8 == 0
+             else f"{_pseudo_word(i)} пишет." for i in range(20_000)]
+    batches = [texts[a:a + 512] for a in range(0, len(texts), 512)]
+    k = Kernel()
+    for batch in batches[:5]:
+        k.link_texts(batch)
+    tracemalloc.start()
+    try:
+        for batch in batches[5:]:
+            k.link_texts(batch)
+        growth = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert growth < 2_000_000

@@ -15,14 +15,23 @@ from lingvo__postagger_ner_ru_dnn_ray.textkit.features import (
     get_input_type,
     to_model_token_str,
 )
-from lingvo__postagger_ner_ru_dnn_ray.textkit.sentsplit import split_sents_simple
-from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import tokenize_text
-from lingvo__postagger_ner_ru_dnn_ray.textkit.urls import EMAIL, URL, allocate_urls
+from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import split_texts, tokenize_text
+from lingvo__postagger_ner_ru_dnn_ray.textkit.urls import EMAIL, URL
 
 
 def toks(text, si=0):
     sents = tokenize_text(text)
     return [w.value for w in sents[si]] if sents else []
+
+
+def sents_of(text):
+    """The sentences ``split_texts`` gives ``text``."""
+    return next(split_texts([text]))[1]
+
+
+def urls_of(text):
+    """The URL spans ``split_texts`` finds in ``text``."""
+    return next(split_texts([text]))[0].urls
 
 
 # --------------------------- xlat ------------------------------------------
@@ -51,28 +60,30 @@ def test_chartype_flags():
 def test_dot_splits_only_before_newline_or_eof():
     # dot at EOF splits; mid-line dot does not (SentSplitter.cs:571,1566-1582)
     s = "Варкалось. Хливкие шорьки пырялись."
-    assert [x.start for x in split_sents_simple(s)] == [0]
+    assert [x.start for x in sents_of(s)] == [0]
     s2 = "Первое предложение.\nВторое предложение."
-    got = split_sents_simple(s2)
+    got = sents_of(s2)
     assert len(got) == 2
     assert s2[got[0].start : got[0].start + got[0].length] == "Первое предложение."
+    # a kept sentence starts at its first word, not at the newline before it
+    assert s2[got[1].start : got[1].start + got[1].length] == "Второе предложение."
 
 
 def test_qmep_split_midline():
     s = "Это так! А это уже второе? И третье…"
-    got = split_sents_simple(s)
+    got = sents_of(s)
     assert len(got) == 3
 
 
 def test_threedot_not_end_before_lowercase():
     # '…' followed by lowercase continues the sentence (IsEndOfSentTDQMEP)
     s = "Он думал… и молчал."
-    assert len(split_sents_simple(s)) == 1
+    assert len(sents_of(s)) == 1
 
 
 def test_all_punct_sent_dropped():
     s = "Хорошо!!! ... \nДа."
-    got = split_sents_simple(s)
+    got = sents_of(s)
     texts = [s[x.start : x.start + x.length] for x in got]
     assert texts[0] == "Хорошо!!!"
     assert all("Да." in t or "Хорошо" in t for t in texts)
@@ -80,24 +91,24 @@ def test_all_punct_sent_dropped():
 
 def test_streets_ends_suppresses_split():
     s = "Wir wohnen an der Muster-Str.\nDas Haus ist neu."
-    assert len(split_sents_simple(s)) == 1
+    assert len(sents_of(s)) == 1
 
 
 # --------------------------- URL detector ----------------------------------
 def test_url_by_www():
-    u = allocate_urls("сайт www.example.ru открыт")
+    u = urls_of("сайт www.example.ru открыт")
     assert len(u) == 1 and u[0].type == URL
     assert "www.example.ru".find("www") == 0
 
 
 def test_url_by_scheme_and_email():
-    u = allocate_urls("см. http://example.com/path и пишите на info@mail.ru всем")
+    u = urls_of("см. http://example.com/path и пишите на info@mail.ru всем")
     types = sorted(x.type for x in u)
     assert URL in types and EMAIL in types
 
 
 def test_url_by_first_level_domain():
-    u = allocate_urls("адрес example.ru указан")
+    u = urls_of("адрес example.ru указан")
     assert len(u) == 1
 
 
@@ -236,7 +247,7 @@ def test_soft_hyphen_kept_degree_currency_split():
 def test_email_with_at_pattern():
     from lingvo__postagger_ner_ru_dnn_ray.textkit.urls import EMAIL
 
-    u = allocate_urls("напиши на info(at)mail.ru быстро")
+    u = urls_of("напиши на info(at)mail.ru быстро")
     assert len(u) == 1 and u[0].type == EMAIL
     assert toks("напиши на info(at)mail.ru быстро") == [
         "напиши", "на", "info(at)mail.ru", "быстро",
@@ -261,7 +272,7 @@ def test_sentence_split_inside_url_span():
     the sentence does. This pins today's behaviour only: it has not been
     checked against the reference's AllocateSents_Simple (SURVEY.md)."""
     text = "http…'/.ru/Иван Смирнов купил Газпром."
-    assert allocate_urls(text) == [(6, 9, URL)]
+    assert urls_of(text) == [(6, 9, URL)]
     got = [[(w.value, w.start, w.length) for w in s] for s in tokenize_text(text)]
     assert got == [
         [("http", 0, 4), ("…", 4, 1), ("'", 5, 1), ("/", 6, 1), (".", 7, 1)],
