@@ -16,18 +16,18 @@ stateless tasks: each worker process keeps one ``KgStage`` per
 ``artifact_dir`` (stages/fused.py), so the scheduler uses every free CPU
 and no pool size is tuned. The partition id is a pure function of the
 data, so a resumed run reproduces identical partition contents. Every
-stage is idempotent and deterministic, and nothing sorts: every output row
-is keyed by (conv_id, turn_idx, ...), so the row set does not depend on
-block order.
+stage is idempotent and deterministic: every output row is keyed by
+(conv_id, turn_idx, ...), so the row set does not depend on block order,
+and an edges file is sorted by its key, so its bytes do not either.
 
 Skew. Extraction is per turn (no cross-turn state) and the fused stage
 splits work by row ranges, never by conv_id, so a huge conversation
-spreads across map tasks. Edges and nodes are keyed by (part, ...), and
-``triples/part=k/`` holds every triple of partition k, so each partition's
-edges and nodes are aggregated by ONE task reading that directory — no
-exchange. The partition is therefore the unit of reduce work: a task holds
-its whole partition (about turns / P, plus the whole of any conversation
-hashing into it) in memory, so P must grow with the input.
+spreads across map tasks and so across triples files. Edges and nodes are
+keyed by (part, ...), and ``triples/part=k/`` holds every triple of
+partition k, so each partition's edges and nodes are aggregated by ONE
+task reading that directory — no exchange. The task folds the directory
+one file at a time (``_fold_edges``), so it holds its largest file plus
+the partition's distinct edges, never the partition's triples.
 ``test_extreme_conv_skew`` checks both sides: the map tasks' triples and
 the reduce output of a partition holding one dominant conversation.
 """
@@ -51,7 +51,7 @@ import ray.data
 from ray.data.block import BlockAccessor
 from ray.data.datasource import Datasink
 
-from ..stages.conflate import combine_edges, edge_node_partials, edge_partials
+from ..stages.conflate import EDGE_KEYS, combine_edges, edge_node_partials, edge_partials
 from ..stages.fused import kg_stage_fn
 from ..stages.kernel import kernel, sentence_table, turn_keys
 from ..stages.mentions import mentions_batch
@@ -67,15 +67,18 @@ def _crc_parts(conv_ids: list[str], p: int) -> np.ndarray:
 
 
 def read_transcripts(input_path: str, override_num_blocks: int | None = None) -> ray.data.Dataset:
-    """Column-pruned read; ``override_num_blocks`` sets the number of read
-    tasks. The blocks carry the input's column types without its schema
-    metadata: pandas-written Parquet stores a ``pandas`` entry there, and
-    Ray cannot hash such schemas when it unifies blocks, so every task
-    would log "Failed to hash the schemas"."""
+    """Column-pruned read of ``TRANSCRIPT_COLUMNS``, ``role`` only when the
+    input has it (``turn_keys`` reads a missing one as "");
+    ``override_num_blocks`` sets the number of read tasks. The blocks
+    carry the input's column types without its schema metadata:
+    pandas-written Parquet stores a ``pandas`` entry there, and Ray cannot
+    hash such schemas when it unifies blocks, so every task would log
+    "Failed to hash the schemas"."""
     schema = pads.dataset(input_path, format="parquet").schema
+    cols = [c for c in TRANSCRIPT_COLUMNS if c != "role" or c in schema.names]
     return ray.data.read_parquet(
-        input_path, columns=TRANSCRIPT_COLUMNS, override_num_blocks=override_num_blocks,
-        schema=pa.schema([schema.field(c) for c in TRANSCRIPT_COLUMNS]),
+        input_path, columns=cols, override_num_blocks=override_num_blocks,
+        schema=pa.schema([schema.field(c) for c in cols]),
     )
 
 
@@ -119,14 +122,25 @@ def _drop_done_parts(p: int, done: set[int]):
 DATA_FILE = "data.parquet"  # the one file of an edges/ or nodes/ partition
 
 
-def _read_part(base: str | Path, part: int, columns: list[str] | None = None) -> pa.Table | None:
-    """Rows of ``base/part=k/*.parquet`` (``part`` itself is not a column),
-    or None when the partition holds no data file."""
-    files = sorted(mf.partition_dir(base, part).glob("*.parquet"))
-    if not files:
-        return None
-    return pa.concat_tables([pq.read_table(f, columns=columns) for f in files],
-                            promote_options="default")
+def _part_files(base: str | Path, part: int) -> list[Path]:
+    """The data files of ``base/part=k/`` (``part`` itself is not a column)."""
+    return sorted(mf.partition_dir(base, part).glob("*.parquet"))
+
+
+def _fold_edges(files: list[Path], per_file) -> pa.Table | None:
+    """The edges of ``files``, or None when there are none: each file is
+    read alone, reduced by ``per_file`` (None when it holds edges
+    already) and folded into the running edges with ``combine_edges``. So
+    the caller holds one file and the distinct edges, never every row of
+    ``files``. The fold's row order depends on how the rows are split into
+    files; the result is sorted by ``EDGE_KEYS``, so it does not."""
+    edges = None
+    for f in files:
+        t = pq.read_table(f)
+        t = per_file(t) if per_file else t
+        edges = t if edges is None else combine_edges(
+            pa.concat_tables([edges, t], promote_options="default"))
+    return None if edges is None else edges.sort_by([(k, "ascending") for k in EDGE_KEYS])
 
 
 def _run_part(fn, part: int) -> tuple:
@@ -186,24 +200,24 @@ def _write_data(base: str, part: int, table: pa.Table | None) -> int:
     return table.num_rows
 
 
-def _edges_then_nodes(srcs: list[str], kernel, out: dict[str, str],
+def _edges_then_nodes(srcs: list[str], per_file, out: dict[str, str],
                       edge_parts: list[int], node_parts: list[int]) -> _Step:
     """One task per partition k of ``edge_parts`` ∪ ``node_parts``. For k in
-    ``edge_parts``, ``edges/part=k`` = ``kernel`` over the rows of
-    ``src/part=k/`` of every ``src``; for any other k the task reads the
-    written ``edges/part=k`` and leaves it untouched. For k in
-    ``node_parts``, ``nodes/part=k`` is then derived from the edges table
-    the task holds. Each task's result is its {part, edges, nodes} row
-    counts."""
+    ``edge_parts``, ``edges/part=k`` = ``_fold_edges`` over the files of
+    ``src/part=k/`` of every ``src``, each reduced by ``per_file``; for
+    any other k the task reads the written ``edges/part=k`` and leaves it
+    untouched. For k in ``node_parts``, ``nodes/part=k`` is then derived
+    from the edges table the task holds. Each task's result is its
+    {part, edges, nodes} row counts."""
     need_edges, need_nodes = set(edge_parts), set(node_parts)
 
     def build(part: int) -> dict:
         if part in need_edges:
-            tables = [t for t in (_read_part(s, part) for s in srcs) if t is not None]
-            edges = kernel(pa.concat_tables(tables, promote_options="default")) if tables else None
+            edges = _fold_edges([f for s in srcs for f in _part_files(s, part)], per_file)
             n_edges = _write_data(out["edges"], part, edges)
         else:
-            edges, n_edges = _read_part(out["edges"], part), 0
+            f = mf.partition_dir(out["edges"], part) / DATA_FILE
+            edges, n_edges = (pq.read_table(f) if f.exists() else None), 0
         n_nodes = 0
         if part in need_nodes:
             nodes = None if edges is None else edge_node_partials(edges)
@@ -410,10 +424,10 @@ def _assert_disjoint_runs(run_dirs: list[str], p: int) -> None:
     """Raise if two runs share a conversation: merged edge weights would
     double-count. The runs share ``p``, so a conversation lives in the
     same ``part=k`` of every run; one task per partition reads the runs'
-    triples ``conv_id`` column there and raises on any conversation seen
-    in >= 2 runs, naming at most 5. A run without a triples/ directory (a
-    pruned fact log, or a merged view) is left out of the check with a
-    warning: the merge itself reads only edges/."""
+    triples ``conv_id`` column there, one file at a time, and raises on
+    any conversation seen in >= 2 runs, naming at most 5. A run without a
+    triples/ directory (a pruned fact log, or a merged view) is left out
+    of the check with a warning: the merge itself reads only edges/."""
     import warnings
 
     checked = []
@@ -432,9 +446,8 @@ def _assert_disjoint_runs(run_dirs: list[str], p: int) -> None:
     def overlaps(part: int) -> list[str]:
         runs_of = Counter()
         for base in checked:
-            t = _read_part(base, part, columns=["conv_id"])
-            if t is not None:
-                runs_of.update(pc.unique(t.column("conv_id")).to_pylist())
+            runs_of.update({c for f in _part_files(base, part) for c in pc.unique(
+                pq.read_table(f, columns=["conv_id"]).column("conv_id")).to_pylist()})
         return sorted(c for c, n in runs_of.items() if n > 1)[:5]
 
     sample = [c for bad in _per_partition(list(range(p)), overlaps).results for c in bad][:5]
@@ -462,15 +475,16 @@ def merge_kg_runs(run_dirs: list[str], out_dir: str, *, overwrite: bool = False)
 
     Edge rows are aggregates keyed (part, subj_id, pred, obj_id) with
     mergeable stats (weight = sum, canon/type = min), so the merge of
-    partition k is one in-task combine of the runs' ``edges/part=k`` —
-    input size O(distinct edges), never O(triples). The same task then
-    derives the partition's nodes from the merged edges it holds (each
-    triple contributes 1 to each endpoint, same identity ``run_kg_job``
-    uses): one task per partition for both tables. Both tables get
-    manifests, so a merged view can itself be merged. Triples stay where
-    each delta wrote them: they are an append-only fact log partitioned by
-    hash(conv_id), and conversation-disjoint deltas never produce the same
-    triple twice, so their union needs no rewrite.
+    partition k folds the runs' ``edges/part=k`` files one at a time with
+    ``combine_edges``, as ``run_kg_job`` folds its triples files
+    (``_fold_edges``): it holds O(distinct edges), never O(triples). The
+    same task then derives the partition's nodes from the merged edges it
+    holds (each triple contributes 1 to each endpoint, same identity
+    ``run_kg_job`` uses): one task per partition for both tables. Both
+    tables get manifests, so a merged view can itself be merged. Triples
+    stay where each delta wrote them: they are an append-only fact log
+    partitioned by hash(conv_id), and conversation-disjoint deltas never
+    produce the same triple twice, so their union needs no rewrite.
 
     ``out_dir`` must not already hold edges/ or nodes/ partitions: merging
     into a previous merge's directory would silently mix two views.
@@ -510,7 +524,7 @@ def merge_kg_runs(run_dirs: list[str], out_dir: str, *, overwrite: bool = False)
     cfg = {"v": 1, "num_partitions": p, "merged_from": sorted(seen_paths)}
     ch = mf.config_hash(cfg)
     parts = list(range(p))
-    built = _edges_then_nodes([f"{d}/edges" for d in run_dirs], combine_edges, out,
+    built = _edges_then_nodes([f"{d}/edges" for d in run_dirs], None, out,
                               parts, parts).results
     counts = {t: sum(r[t] for r in built) for t in ("edges", "nodes")}
     for table in ("edges", "nodes"):

@@ -10,11 +10,11 @@ The kernels are plain Arrow hash aggregations (``Table.group_by``):
 ``edge_partials`` (triples → edges), ``node_partials`` (triples → nodes),
 ``edge_node_partials`` (edges → nodes: each triple contributes exactly 1 to
 its subject and to its object, so the per-endpoint sum of edge weights is
-the node's mention count) and ``combine_edges`` (edges → edges, for merging
-runs). Applied to ALL rows of a key, each is the final aggregate: that is
-how ``pipelines.kg`` uses them, one task per hive partition, because every
-key carries its partition and ``triples/part=k/`` holds every triple of
-partition k.
+the node's mention count) and ``combine_edges`` (edges → edges). Applied
+to ALL rows of a key, each is the final aggregate: ``pipelines.kg`` takes
+``edge_partials`` of each triples file of a hive partition and folds them
+with ``combine_edges``, one task per partition, because every key carries
+its partition and ``triples/part=k/`` holds every triple of partition k.
 
 ``conflate_edges`` and ``nodes_from_edges`` are the Dataset-level forms for
 streams that are not partitioned by key: the kernel runs per batch as a
@@ -52,7 +52,7 @@ def edge_partials(batch: pa.Table, extra_keys: list[str] | None = None) -> pa.Ta
 
 
 def combine_edges(edges: pa.Table) -> pa.Table:
-    """Edge rows of several runs → one row per edge key."""
+    """Edge rows of several files or runs → one row per edge key."""
     return arrow_agg(edges, EDGE_KEYS, ["weight"], EDGE_MINS)
 
 

@@ -141,7 +141,6 @@ def split_sents(ul: list[int], hits: list[int], urls: list[UrlSpan]) -> list[Sen
 
     def is_end_tdqmep(i: int, sct: int) -> bool:
         if sct & xlat.SC_THREE_DOT:
-            was_punct = False
             j = i + 1
             ct = 0
             while True:
@@ -151,9 +150,7 @@ def split_sents(ul: list[int], hits: list[int], urls: list[UrlSpan]) -> list[Sen
                 ct = (_CT[c])
                 if (ct & xlat.IS_BRACKET_RIGHT) == xlat.IS_BRACKET_RIGHT:
                     return True  # _OpenBrakets == 0 on the Simple path
-                if _SC[c] & xlat.SC_AFTER_THREE_DOT_ALLOWED_PUNCT:
-                    was_punct = True
-                elif not (ct & _WS):
+                if not (_SC[c] & xlat.SC_AFTER_THREE_DOT_ALLOWED_PUNCT or ct & _WS):
                     break
                 j += 1
             return not (ct & xlat.IS_LOWER)

@@ -85,45 +85,29 @@ class _Scanner:
     # -- FindUrlEndOnTheLeft (UrlDetector.cs:566-626) --
     def _left_end(self, offset: int) -> tuple[int, int]:
         left = offset
-        url_type = URL
         while True:
             p = self.i - left
-            if p <= 0:
-                while p < 0:
-                    p += 1
-                    left -= 1
-                while left >= 0:
-                    c = self.ch(self.i - left)
-                    if c == 0x2F:
-                        break
-                    ct = _CT[c]
-                    if ct & xlat.IS_WHITESPACE:
-                        left -= 1
-                        continue
-                    if not (ct & xlat.IS_PUNCTUATION):
-                        if self._is_email(left):
-                            url_type = EMAIL
-                        break
-                    left -= 1
-                break
+            if p <= 0:  # the text's start: step back onto it
+                return self._trim_left(left + p)
             if _CT[self.ch(p)] & xlat.IS_URL_BREAK:
-                left -= 1
-                while left >= 0:
-                    c = self.ch(self.i - left)
-                    if c == 0x2F:
-                        break
-                    ct = _CT[c]
-                    if ct & xlat.IS_WHITESPACE:
-                        left -= 1
-                        continue
-                    if not (ct & xlat.IS_PUNCTUATION):
-                        if self._is_email(left):
-                            url_type = EMAIL
-                        break
-                    left -= 1
-                break
+                return self._trim_left(left - 1)
             left += 1
-        return (left if left > 0 else 0), url_type
+
+    def _trim_left(self, left: int) -> tuple[int, int]:
+        """Skip whitespace and punctuation back to '/'; at any other char,
+        the URL is an e-mail if ``_is_email`` finds its '@'."""
+        url_type = URL
+        while left >= 0:
+            c = self.ch(self.i - left)
+            if c == 0x2F:
+                break
+            ct = _CT[c]
+            if not (ct & (xlat.IS_WHITESPACE | xlat.IS_PUNCTUATION)):
+                if self._is_email(left):
+                    url_type = EMAIL
+                break
+            left -= 1
+        return max(left, 0), url_type
 
     def _is_email(self, start: int) -> bool:
         # UrlDetector.cs:628-651 — look for '@' / '(at)' / '[at]'

@@ -91,6 +91,15 @@ def test_read_transcripts_drops_schema_metadata(ray_session, tmp_path):
     assert batch.schema.metadata is None
 
 
+def test_job_reads_input_without_role(ray_session, tmp_path):
+    """The job needs ``conv_id``, ``turn_idx`` and ``text``: an input
+    without ``role`` is read, and its job equals the oracle."""
+    tbl = synth_transcripts_table(60, seed=7).drop(["role"])
+    out = tmp_path / "kg"
+    run_kg_job(_write_input(tbl, tmp_path / "src"), str(out), num_partitions=2)
+    _assert_job_equals_oracle(out, oracle_tables(tbl))
+
+
 def test_mentions_match_oracle(fixture_path, oracle):
     m = mention_rows(tagged_sentences(read_transcripts(fixture_path))).to_pandas()
     want = oracle["mentions"].to_pandas()
@@ -351,6 +360,85 @@ def test_extreme_conv_skew(ray_session, tmp_path):
         _sorted_df(oracle["edges"], edge_keys))
     assert _global(pq_mod.read_table(out / "nodes"), ["entity_id"], NODE_AGG).equals(
         _sorted_df(oracle["nodes"], ["entity_id"]))
+
+
+def _row_range_files(tbl: pa.Table, n: int, pdir: Path) -> list[Path]:
+    """``tbl`` cut into ``n`` consecutive row ranges, one triples file
+    each under ``pdir``, as ``n`` map tasks write one partition."""
+    pdir.mkdir(parents=True)
+    m = tbl.num_rows
+    for i in range(n):
+        pq.write_table(tbl.slice(i * m // n, (i + 1) * m // n - i * m // n),
+                       pdir / f"t{i:05d}.parquet")
+    return sorted(pdir.glob("*.parquet"))
+
+
+# one partition's edge build in a fresh process, its Arrow allocations
+# counted by one proxy pool installed before the first; the process ends
+# by os._exit, so no buffer outlives the pool
+_FOLD_PEAK = """
+import json, os, sys
+import pyarrow as pa
+pool = pa.proxy_memory_pool(pa.default_memory_pool())
+pa.set_memory_pool(pool)
+from pathlib import Path
+from lingvo__postagger_ner_ru_dnn_ray.pipelines import kg
+from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import edge_partials
+edges = kg._fold_edges(sorted(Path(sys.argv[1]).glob("*.parquet")), edge_partials)
+print(json.dumps({"peak": pool.max_memory(), "edges": edges.nbytes}), flush=True)
+os._exit(0)
+"""
+
+
+def test_partition_edges_hold_one_file(tmp_path):
+    """A partition's edge build holds its largest triples file plus its
+    distinct edges, not the partition's triples: on the hot partition of
+    ``test_extreme_conv_skew``'s input, written as 8 row-range files, the
+    build's peak Arrow allocation is at most 2 × (largest file's table +
+    the output edges). Reading every file at once peaks at about the
+    whole partition, above that bound."""
+    import subprocess
+    import sys
+
+    import numpy as np
+
+    from lingvo__postagger_ner_ru_dnn_ray.state.manifest import partition_of
+
+    tbl = synth_transcripts_table(3000, seed=11)
+    hot = int(tbl.num_rows * 0.95)
+    convs = tbl.column("conv_id").to_pylist()
+    turns = tbl.column("turn_idx").to_pylist()
+    tbl = tbl.set_column(0, "conv_id", pa.array(["conv-hot"] * hot + convs[hot:]))
+    tbl = tbl.set_column(1, "turn_idx", pa.array(list(range(hot)) + turns[hot:], pa.int32()))
+    triples = oracle_tables(tbl)["triples"]
+    parts = np.array([partition_of(c, 4) for c in triples.column("conv_id").to_pylist()])
+    triples = triples.filter(pa.array(parts == partition_of("conv-hot", 4)))
+    files = _row_range_files(triples, 8, tmp_path / "part=0")
+    largest = max(pq.read_table(f).nbytes for f in files)
+    assert largest * 4 < triples.nbytes
+
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _FOLD_PEAK, str(files[0].parent)],
+                          cwd=root, capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got["peak"] <= 2 * (largest + got["edges"]), (got, largest, triples.nbytes)
+
+
+def test_partition_bytes_do_not_depend_on_files(ray_session, oracle, tmp_path):
+    """The same triples as 1 file and as 8 files give byte-identical edges
+    and nodes data files: the fold's row order depends on the files, the
+    written edges are sorted by their key."""
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import DATA_FILE, _edges_then_nodes
+    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import edge_partials
+
+    written = {}
+    for n in (1, 8):
+        src = tmp_path / f"triples_{n}"
+        _row_range_files(oracle["triples"], n, src / "part=0")
+        out = {t: str(tmp_path / f"out_{n}" / t) for t in ("edges", "nodes")}
+        _edges_then_nodes([str(src)], edge_partials, out, [0], [0])
+        written[n] = {t: (Path(d) / "part=0" / DATA_FILE).read_bytes() for t, d in out.items()}
+    assert written[1] == written[8]
 
 
 def test_triples_sink_retry_safe(tmp_path):
