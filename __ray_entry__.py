@@ -75,10 +75,15 @@ def _build_once(path: str, build: Callable[[str], None]) -> str:
 
 
 def _n_turns(sf_dir: str) -> int:
-    """The synthetic transcript turns the driver replays at this scale."""
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import sf_of_dir
-
-    return max(200, int(600_000 * sf_of_dir(sf_dir)))
+    """The synthetic transcript turns replayed at the scale
+    factor sf that names ``sf_dir`` (``sf0.01``; 0.001 for another name):
+    600,000 × sf, at least 200."""
+    name = Path(sf_dir).name
+    try:
+        sf = float(name[2:]) if name.startswith("sf") else 0.001
+    except ValueError:
+        sf = 0.001
+    return max(200, int(600_000 * sf))
 
 
 def _synth_turns(sf_dir: str):
@@ -123,10 +128,10 @@ def _ensure_kg_ray(sf_dir: str) -> str:
         run_kg_job,
         tagged_sentences,
     )
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import transcripts_for_sf
+    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import ensure_transcripts
 
     def build(out: str) -> None:
-        path = transcripts_for_sf(sf_dir)
+        path = ensure_transcripts(_n_turns(sf_dir), seed=42)
         run_kg_job(path, out)
         tagged_sentences(read_transcripts(path)).write_parquet(f"{out}/sentences")
         sents = ray.data.read_parquet(f"{out}/sentences")
@@ -255,9 +260,9 @@ def entry() -> Any:
         fused_linked_triples,
         read_transcripts,
     )
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import transcripts_for_sf
+    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import ensure_transcripts
 
-    path = transcripts_for_sf("/root/testdata/sf0.001")
+    path = ensure_transcripts(_n_turns("sf0.001"), seed=42)
     return fused_linked_triples(read_transcripts(path))
 
 
@@ -324,11 +329,12 @@ def _kg_edges_artifact(sf_dir: str):
     repeated call a no-op."""
     from lingvo__postagger_ner_ru_dnn_ray.model.artifact import ensure_default_artifacts
     from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import run_kg_job
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import transcripts_for_sf
+    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import ensure_transcripts
 
     out = _kg_dirs(sf_dir)[0] + "_artifact"
     _evict_stale()
-    run_kg_job(transcripts_for_sf(sf_dir), out, artifact_dir=ensure_default_artifacts())
+    run_kg_job(ensure_transcripts(_n_turns(sf_dir), seed=42), out,
+               artifact_dir=ensure_default_artifacts())
     return _global_edges(out)
 
 

@@ -1,8 +1,8 @@
 """Token↔id vocabulary with the reference's reserved ids.
 
 Mirrors Models/Vocab.cs:14-57,154-194 and Corpus/BuildInTokens.cs:13-15:
-ids 0=</s> (EOS/pad), 1=<s>, 2=<unk>; real entries start at 3
-(START_MEANING_INDEX), in the order the items are given.
+ids 0=</s> (EOS/pad), 1=<s>, 2=<unk>; real entries start at 3, in the
+order the items are given.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ EOS = "</s>"
 BOS = "<s>"
 UNK = "<unk>"
 EOS_ID, BOS_ID, UNK_ID = 0, 1, 2
-START_MEANING_INDEX = 3
 
 PREDEFINED = (EOS, BOS, UNK)
 

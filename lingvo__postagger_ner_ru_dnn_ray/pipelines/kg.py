@@ -4,14 +4,16 @@
       -> [resume filter: drop conversations whose triples partition is done]
       -> map_batches(kg_stage_fn)      # fused tokenize → tag → extract → link
       -> TriplesSink: part = crc32(conv_id) % P, file triples/part=k/t<task>.parquet
+      -> triples manifests
       -> one task per partition k: triples/part=k -> edges/part=k -> nodes/part=k
-      -> per-table, per-partition manifests
+      -> edges and nodes manifests
 
 One Ray Data execution, then one plain Ray task per partition: Ray fuses
 the read, the fused stage and the sink into one operator, so each map task
 writes its own rows and nothing is exchanged; then one ``ray.remote`` task
-per partition (``_per_partition``) builds that partition's edges and, from
-the edges table it holds, its nodes. The fused stage runs as
+per partition (``_build_graph``) builds that partition's edges and, from
+the edges table it holds, its nodes: a partition's graph, which resumes
+and publishes as one unit. The fused stage runs as
 stateless tasks: each worker process keeps one ``KgStage`` per
 ``artifact_dir`` (stages/fused.py), so the scheduler uses every free CPU
 and no pool size is tuned. The partition id is a pure function of the
@@ -33,7 +35,6 @@ the reduce output of a partition holding one dominant conversation.
 """
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import time
@@ -53,7 +54,7 @@ from ray.data.datasource import Datasink
 
 from ..stages.conflate import EDGE_KEYS, combine_edges, edge_node_partials, edge_partials
 from ..stages.fused import kg_stage_fn
-from ..stages.kernel import kernel, sentence_table, turn_keys
+from ..stages.kernel import check_turn_keys, kernel, sentence_table, turn_keys
 from ..stages.mentions import mentions_batch
 from ..state import manifest as mf
 
@@ -112,6 +113,7 @@ def _drop_done_parts(p: int, done: set[int]):
     done_arr = pa.array(sorted(done), pa.int32())
 
     def fn(batch: pa.Table) -> pa.Table:
+        check_turn_keys(batch)
         parts = pa.array(_crc_parts(batch.column("conv_id").to_pylist(), p), pa.int32())
         keep = pc.invert(pc.is_in(parts, value_set=done_arr))
         return batch.filter(keep)
@@ -186,45 +188,38 @@ def _per_partition(parts: list[int], fn) -> _Step:
     return _Step([r for r, _ in done], [s for _, s in done], time.perf_counter() - t0)
 
 
-def _write_data(base: str, part: int, table: pa.Table | None) -> int:
+def _write_data(base: str, part: int, table: pa.Table | None) -> None:
     """``base/part=k/DATA_FILE`` = ``table``, written through a temp file
-    and ``os.replace``; None writes no file (the manifest records 0 rows).
-    Returns the rows written."""
+    and ``os.replace``; None writes no file (the manifest records 0 rows)."""
     if table is None:
-        return 0
+        return
     pdir = mf.partition_dir(base, part)
     pdir.mkdir(parents=True, exist_ok=True)
     tmp = pdir / (DATA_FILE + ".tmp")
     pq.write_table(table, tmp)
     os.replace(tmp, pdir / DATA_FILE)
-    return table.num_rows
 
 
-def _edges_then_nodes(srcs: list[str], per_file, out: dict[str, str],
-                      edge_parts: list[int], node_parts: list[int]) -> _Step:
-    """One task per partition k of ``edge_parts`` ∪ ``node_parts``. For k in
-    ``edge_parts``, ``edges/part=k`` = ``_fold_edges`` over the files of
-    ``src/part=k/`` of every ``src``, each reduced by ``per_file``; for
-    any other k the task reads the written ``edges/part=k`` and leaves it
-    untouched. For k in ``node_parts``, ``nodes/part=k`` is then derived
-    from the edges table the task holds. Each task's result is its
-    {part, edges, nodes} row counts."""
-    need_edges, need_nodes = set(edge_parts), set(node_parts)
+def _build_graph(srcs: list[str], per_file, out: dict[str, str], parts: list[int],
+                 cfg: dict) -> tuple[_Step, dict[str, int]]:
+    """A partition's edges and nodes, built and published as one unit. One
+    task per partition k of ``parts`` writes ``edges/part=k`` =
+    ``_fold_edges`` over the files of ``src/part=k/`` of every ``src``,
+    each reduced by ``per_file``, then ``nodes/part=k`` from the edges it
+    holds. Once every task has ended, both tables' manifests of ``parts``
+    publish with lineage config ``cfg``. Returns the step and the rows each
+    table published."""
 
-    def build(part: int) -> dict:
-        if part in need_edges:
-            edges = _fold_edges([f for s in srcs for f in _part_files(s, part)], per_file)
-            n_edges = _write_data(out["edges"], part, edges)
-        else:
-            f = mf.partition_dir(out["edges"], part) / DATA_FILE
-            edges, n_edges = (pq.read_table(f) if f.exists() else None), 0
-        n_nodes = 0
-        if part in need_nodes:
-            nodes = None if edges is None else edge_node_partials(edges)
-            n_nodes = _write_data(out["nodes"], part, nodes)
-        return {"part": part, "edges": n_edges, "nodes": n_nodes}
+    def build(part: int) -> None:
+        edges = _fold_edges([f for s in srcs for f in _part_files(s, part)], per_file)
+        _write_data(out["edges"], part, edges)
+        _write_data(out["nodes"], part, None if edges is None else edge_node_partials(edges))
 
-    return _per_partition(sorted(need_edges | need_nodes), build)
+    step = _per_partition(parts, build)
+    ch = mf.config_hash(cfg)
+    rows = {t: sum(mf.write_manifest(out[t], k, ch, inputs=cfg)["rows"] for k in parts)
+            for t in ("edges", "nodes")}
+    return step, rows
 
 
 class TriplesSink(Datasink):
@@ -282,15 +277,22 @@ def run_kg_job(
     """End-to-end job: writes triples/, edges/, nodes/ under ``out_dir``,
     each hash-partitioned by conv_id (edges/nodes aggregated per partition —
     the global view is the sum over partitions) with lineage manifests.
-    Returns summary counts. Idempotent: re-running after a partial failure
-    completes only missing (table, partition) pairs — manifests publish
-    PER TABLE after the step that wrote the table, so a kill after
-    the triples are published resumes by rebuilding only the aggregates
-    from the written triples (the expensive tagging stage is skipped), and
-    partitions being (re)computed are first cleared of any un-manifested
-    orphan files a dead run flushed (they would otherwise sit beside the
-    new files and double-count). Each edges/nodes partition is one file
-    written by one task from that partition's directory alone.
+    Every input turn needs a ``conv_id`` and a ``turn_idx``: a null in
+    either raises ``ValueError`` before its batch writes, and no manifest
+    publishes.
+
+    Idempotent: a partition has two resume states, its triples and its
+    graph (its edges and nodes, which one task builds from that
+    partition's triples and one step publishes, ``_build_graph``). A
+    re-run after a partial failure completes only the missing states: a
+    kill after the triples are published rebuilds only the graph (the
+    expensive tagging stage is skipped), and a partition missing either
+    graph table rebuilds both. Partitions being (re)computed are first
+    cleared of any un-manifested orphan files a dead run flushed (they
+    would otherwise sit beside the new files and double-count).
+    Returns {"skipped", "partitions_done", "partitions_run", "rows"}, where
+    ``rows`` counts, per table, the rows this run published (0 for a table
+    it did not write); a job with nothing to do returns only the first two.
 
     The read makes ``2 × cluster CPUs`` blocks: two map tasks per CPU
     balance the load, and each writes at most one triples file per
@@ -299,11 +301,10 @@ def run_kg_job(
     model weights (see ``fused_linked_triples``) and is part of the
     lineage config.
     ``stats_out``: optional list that receives (name, stats text) per
-    step, named after the first table it built: "triples" (the Ray Data
-    execution's ``ds.stats()``), then "edges" — which also builds the
-    nodes — or "nodes" when only nodes were missing (``_Step.stats``: the
-    task count, the elapsed seconds and the tasks' summed wall time);
-    perfbench reads it for its per-layer metrics.
+    step: "triples" (the Ray Data execution's ``ds.stats()``), then
+    "edges", the graph step, which also builds the nodes
+    (``_Step.stats``: the task count, the elapsed seconds and the tasks'
+    summed wall time); perfbench reads it for its per-layer metrics.
     ``tag_concurrency`` accepts only None: the actor-pool mode it selected
     is gone."""
     if tag_concurrency is not None:
@@ -322,15 +323,15 @@ def run_kg_job(
 
     done_by = {t: (mf.completed_partitions(out[t], ch) if resume else set())
                for t in tables}
-    done = done_by["triples"] & done_by["edges"] & done_by["nodes"]
+    done_by["graph"] = done_by["edges"] & done_by["nodes"]
+    done = done_by["triples"] & done_by["graph"]
     todo = sorted(set(range(p)) - done)
     if not todo:
         return {"skipped": True, "partitions_done": sorted(done)}
-    # per-TABLE work lists: a kill after the triples manifests are
-    # published leaves edges/nodes missing — the resume then skips the
-    # expensive tagging stage entirely and rebuilds only the aggregates
-    # from the written triples
-    need = {t: [part for part in todo if part not in done_by[t]] for t in tables}
+    # a kill after the triples manifests are published leaves the graph
+    # missing: the resume then skips the expensive tagging stage entirely
+    # and rebuilds only the graph from the written triples
+    need = {s: [part for part in todo if part not in done_by[s]] for s in ("triples", "graph")}
 
     # crash hygiene: a killed run may have flushed partition files WITHOUT
     # publishing their manifests, and a config change reuses partition
@@ -340,28 +341,27 @@ def run_kg_job(
     # num_partitions=8 run's part=4..7 holds the same conversations a
     # num_partitions=4 rerun hashes into part=0..3). Invariant after this
     # pass: every partition dir present under out_dir holds a complete
-    # SAME-CONFIG manifest — anything else (orphans of a dead run,
-    # any-config stale dirs, out-of-range parts) is cleared; done
-    # partitions are never touched.
+    # SAME-CONFIG manifest, in both graph tables for an edges or nodes dir
+    # — anything else (orphans of a dead run, any-config stale dirs,
+    # out-of-range parts, half a graph) is cleared; done partitions are
+    # never touched.
     for t in tables:
         root = Path(out[t])
         if not root.exists():
             continue
+        keep = done_by["triples" if t == "triples" else "graph"]
         for pdir in root.glob("part=*"):
             try:
                 part = int(pdir.name.split("=", 1)[1])
             except ValueError:
                 part = -1
-            if part not in done_by[t]:
+            if part not in keep:
                 if pdir.is_dir() and not pdir.is_symlink():
                     shutil.rmtree(pdir)
                 else:  # stray file / dangling or linked entry: heal, not crash
                     pdir.unlink()
 
-    def _publish(table: str) -> None:
-        for part in need[table]:
-            mf.write_manifest(out[table], part, ch, inputs=cfg)
-
+    rows = dict.fromkeys(tables, 0)
     if need["triples"]:
         cpus = int(ray.cluster_resources().get("CPU", 8))
         ds = read_transcripts(input_path, override_num_blocks=2 * cpus)
@@ -373,25 +373,17 @@ def run_kg_job(
         triples.write_datasink(TriplesSink(out["triples"], p))
         if stats_out is not None:
             stats_out.append(("triples", triples.stats()))
-        _publish("triples")
+        rows["triples"] = sum(mf.write_manifest(out["triples"], part, ch, inputs=cfg)["rows"]
+                              for part in need["triples"])
 
     # edges and nodes are keyed by (part, ...): each partition's are built
     # from its own directory, so only the partitions being rebuilt are read
-    if need["edges"] or need["nodes"]:
-        built = _edges_then_nodes([out["triples"]], edge_partials, out,
-                                  need["edges"], need["nodes"])
+    if need["graph"]:
+        built, graph_rows = _build_graph([out["triples"]], edge_partials, out,
+                                         need["graph"], cfg)
+        rows.update(graph_rows)
         if stats_out is not None:
-            stats_out.append(("edges" if need["edges"] else "nodes", built.stats()))
-        _publish("edges")
-        _publish("nodes")
-
-    rows = {}
-    for t in tables:
-        n = 0
-        for part in todo:
-            mp = mf.partition_dir(out[t], part) / mf.MANIFEST_NAME
-            n += json.loads(mp.read_text())["rows"]
-        rows[t] = n
+            stats_out.append(("edges", built.stats()))
     return {"skipped": False, "partitions_done": sorted(done), "partitions_run": todo, "rows": rows}
 
 
@@ -480,11 +472,13 @@ def merge_kg_runs(run_dirs: list[str], out_dir: str, *, overwrite: bool = False)
     (``_fold_edges``): it holds O(distinct edges), never O(triples). The
     same task then derives the partition's nodes from the merged edges it
     holds (each triple contributes 1 to each endpoint, same identity
-    ``run_kg_job`` uses): one task per partition for both tables. Both
-    tables get manifests, so a merged view can itself be merged. Triples
-    stay where each delta wrote them: they are an append-only fact log
-    partitioned by hash(conv_id), and conversation-disjoint deltas never
-    produce the same triple twice, so their union needs no rewrite.
+    ``run_kg_job`` uses): the job's graph step, ``_build_graph``, which
+    then publishes both tables' manifests, so a merged view can itself be
+    merged. Returns the rows each table published and the runs' triples
+    dirs. Triples stay where each delta wrote them: they are an
+    append-only fact log partitioned by hash(conv_id), and
+    conversation-disjoint deltas never produce the same triple twice, so
+    their union needs no rewrite.
 
     ``out_dir`` must not already hold edges/ or nodes/ partitions: merging
     into a previous merge's directory would silently mix two views.
@@ -522,15 +516,8 @@ def merge_kg_runs(run_dirs: list[str], out_dir: str, *, overwrite: bool = False)
         if tdir.exists():
             shutil.rmtree(tdir)
     cfg = {"v": 1, "num_partitions": p, "merged_from": sorted(seen_paths)}
-    ch = mf.config_hash(cfg)
-    parts = list(range(p))
-    built = _edges_then_nodes([f"{d}/edges" for d in run_dirs], None, out,
-                              parts, parts).results
-    counts = {t: sum(r[t] for r in built) for t in ("edges", "nodes")}
-    for table in ("edges", "nodes"):
-        for part in parts:
-            mf.write_manifest(out[table], part, ch, inputs=cfg)
-    return {**counts, "triples_dirs": [f"{d}/triples" for d in run_dirs]}
+    _, rows = _build_graph([f"{d}/edges" for d in run_dirs], None, out, list(range(p)), cfg)
+    return {**rows, "triples_dirs": [f"{d}/triples" for d in run_dirs]}
 
 
 def _main() -> None:

@@ -12,12 +12,14 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..stages.conflate import edge_partials, node_partials
-from ..stages.kernel import Kernel, linked_table, sentence_table, turn_keys
+from ..stages.kernel import Kernel, check_turn_keys, linked_table, sentence_table, turn_keys
 from ..stages.mentions import mentions_batch
 
 
 def oracle_tables(transcripts: pa.Table) -> dict[str, pa.Table]:
-    """sentences, mentions, triples, edges, nodes from a transcripts table."""
+    """sentences, mentions, triples, edges, nodes from a transcripts table;
+    a null key raises, as in the job (``check_turn_keys``)."""
+    check_turn_keys(transcripts)
     transcripts = transcripts.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
     k = Kernel()
     keys = turn_keys(transcripts)

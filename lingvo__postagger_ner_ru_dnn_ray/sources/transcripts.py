@@ -124,10 +124,11 @@ def synth_transcripts_table(n_turns: int, seed: int = 42) -> pa.Table:
 def ensure_transcripts(n_turns: int, seed: int = 42, n_files: int = 8,
                        root: str = "/tmp/graft_data") -> str:
     """Materialize (once) the deterministic transcript fixture as multiple
-    Parquet files; returns the directory. Cached by (n_turns, seed)."""
+    Parquet files; returns the directory. Cached by (n_turns, seed). The
+    directory is built under a temporary name and renamed into place
+    whole, so one that exists is complete."""
     out = Path(root) / f"transcripts_n{n_turns}_s{seed}"
-    marker = out / "_SUCCESS"
-    if marker.exists():
+    if out.exists():
         return str(out)
     tbl = synth_transcripts_table(n_turns, seed)
     tmp = Path(str(out) + ".tmp")
@@ -140,28 +141,5 @@ def ensure_transcripts(n_turns: int, seed: int = 42, n_files: int = 8,
     step = max(1, (n + n_files - 1) // n_files)
     for i, ofs in enumerate(range(0, n, step)):
         pq.write_table(tbl.slice(ofs, step), tmp / f"part-{i:04d}.parquet")
-    (tmp / "_SUCCESS").touch()
-    if out.exists():
-        import shutil
-
-        shutil.rmtree(out)
     os.replace(tmp, out)
     return str(out)
-
-
-def sf_of_dir(sf_dir: str) -> float:
-    """Parse the scale factor from a /root/testdata/sf0.01-style path."""
-    name = Path(sf_dir).name
-    if name.startswith("sf"):
-        try:
-            return float(name[2:])
-        except ValueError:
-            pass
-    return 0.001
-
-
-def transcripts_for_sf(sf_dir: str) -> str:
-    """Deterministic transcript fixture scaled like the driver tables:
-    sf0.001→600 turns, sf0.01→6k, sf0.1→60k."""
-    n = max(200, int(600_000 * sf_of_dir(sf_dir)))
-    return ensure_transcripts(n, seed=42)

@@ -6,7 +6,7 @@ POS only where a triple can form, link rows memoized per sentence) plus
 the row keys: every step after the read is a pure per-turn function, so
 the chain runs over Python structures and builds ONE Arrow table at the
 end. The memo, the batching and Ray must add nothing to the kernel:
-tests/test_pipeline_ray.py::test_fused_equals_modular checks the stage
+tests/test_pipeline_ray.py::test_distributed_equals_oracle checks the stage
 against the single-process oracle, which runs the same kernel over the
 whole table at once.
 """
@@ -17,7 +17,7 @@ import gc
 import pyarrow as pa
 import ray
 
-from .kernel import Kernel, linked_table
+from .kernel import Kernel, check_turn_keys, linked_table
 
 _MEMO_STATS_ACTOR = "graft_kg_memo_stats"
 
@@ -81,6 +81,7 @@ class KgStage:
         self._memo_stats = _memo_stats_handle()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        check_turn_keys(batch)
         conv = batch.column("conv_id").to_pylist()
         turn = batch.column("turn_idx").to_pylist()
         text = batch.column("text").to_pylist()

@@ -269,6 +269,17 @@ def turn_keys(batch: pa.Table) -> list[tuple]:
                     batch.column("turn_idx").to_pylist(), role))
 
 
+def check_turn_keys(batch: pa.Table) -> None:
+    """Raise ``ValueError`` if ``conv_id`` or ``turn_idx`` holds a null:
+    every output row is keyed by them, and the partition of a turn is a
+    function of its ``conv_id``."""
+    for col in ("conv_id", "turn_idx"):
+        n = batch.column(col).null_count
+        if n:
+            raise ValueError(f"{n} turn(s) with a null {col}: every turn needs a "
+                             "conv_id and a turn_idx")
+
+
 def _table(rows: list[tuple], schema: pa.Schema) -> pa.Table:
     # lists, not the tuples zip yields: pa.array converts a tuple ~6× slower
     cols = [list(c) for c in zip(*rows)] if rows else [[]] * len(schema)

@@ -54,11 +54,9 @@ SP_DOT = 1 << 4
 
 # --- SentCharType flags (SentSplitterModel.cs:96-110) ----------------------
 SC_UNCONDITIONAL = 0x1
-SC_SMILE_BEGIN = 1 << 1
 SC_EXCLUDE_IN_BRACKET_AND_QUOTE = 1 << 2
 SC_DOT = 1 << 3
 SC_THREE_DOT = 1 << 4
-SC_ROMAN_DIGIT = 1 << 5
 SC_AFTER_THREE_DOT_ALLOWED_PUNCT = 1 << 6
 SC_AFTER_BRACKET_ALLOWED_PUNCT_4QMEP = 1 << 7
 
@@ -182,8 +180,6 @@ def _build_sentchartype(ct: np.ndarray) -> np.ndarray:
     qu = (ct & IS_QUOTE) == IS_QUOTE
     sc[hy] |= SC_AFTER_THREE_DOT_ALLOWED_PUNCT | SC_AFTER_BRACKET_ALLOWED_PUNCT_4QMEP
     sc[qu & ~hy] |= SC_AFTER_THREE_DOT_ALLOWED_PUNCT
-    for s in "IVXCLM":
-        sc[ord(s)] |= SC_ROMAN_DIGIT
     return sc
 
 
@@ -196,7 +192,6 @@ SENTCHARTYPE: np.ndarray = _build_sentchartype(CHARTYPE)
 # ~4× faster than numpy scalar indexing in tight FSM loops; the numpy
 # arrays remain the vectorized (whole-string) path.
 CHARTYPE_L: list[int] = CHARTYPE.tolist()
-SPECTYPE_L: list[int] = SPECTYPE.tolist()
 SENTCHARTYPE_L: list[int] = SENTCHARTYPE.tolist()
 UPPER_INVARIANT_L: list[int] = UPPER_INVARIANT.tolist()
 

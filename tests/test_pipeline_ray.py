@@ -49,16 +49,14 @@ def _sorted_df(tbl, keys):
 TRIPLE_KEYS = ["conv_id", "turn_idx", "sent_idx", "triple_idx"]
 
 
-@pytest.mark.parametrize("num_blocks", [2, 16])
+@pytest.mark.parametrize("num_blocks", [None, 2, 16])
 def test_distributed_equals_oracle(fixture_path, oracle, num_blocks):
-    ds = read_transcripts(fixture_path).repartition(num_blocks)
+    """The fused stage's triples equal the oracle's as read (None) and
+    repartitioned into ``num_blocks`` blocks."""
+    ds = read_transcripts(fixture_path)
+    if num_blocks is not None:
+        ds = ds.repartition(num_blocks)
     tri = fused_linked_triples(ds, batch_size=64).to_pandas()
-    want = oracle["triples"].to_pandas()
-    assert _sorted_df(tri, TRIPLE_KEYS).equals(_sorted_df(want, TRIPLE_KEYS))
-
-
-def test_fused_equals_modular(fixture_path, oracle):
-    tri = fused_linked_triples(read_transcripts(fixture_path), batch_size=64).to_pandas()
     want = oracle["triples"].to_pandas()
     assert _sorted_df(tri, TRIPLE_KEYS).equals(_sorted_df(want, TRIPLE_KEYS))
 
@@ -428,7 +426,7 @@ def test_partition_bytes_do_not_depend_on_files(ray_session, oracle, tmp_path):
     """The same triples as 1 file and as 8 files give byte-identical edges
     and nodes data files: the fold's row order depends on the files, the
     written edges are sorted by their key."""
-    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import DATA_FILE, _edges_then_nodes
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import DATA_FILE, _build_graph
     from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import edge_partials
 
     written = {}
@@ -436,7 +434,7 @@ def test_partition_bytes_do_not_depend_on_files(ray_session, oracle, tmp_path):
         src = tmp_path / f"triples_{n}"
         _row_range_files(oracle["triples"], n, src / "part=0")
         out = {t: str(tmp_path / f"out_{n}" / t) for t in ("edges", "nodes")}
-        _edges_then_nodes([str(src)], edge_partials, out, [0], [0])
+        _build_graph([str(src)], edge_partials, out, [0], {})
         written[n] = {t: (Path(d) / "part=0" / DATA_FILE).read_bytes() for t, d in out.items()}
     assert written[1] == written[8]
 
@@ -732,8 +730,9 @@ NODE_AGG = [("n_mentions", "sum"), ("canonical", "min"), ("type", "min")]
 def test_kg_job_empty_partitions_and_nodes_resume(ray_session, tmp_path):
     """More partitions than conversations: the empty partitions still get
     a complete 0-row manifest in every table and the output equals the
-    oracle. Deleting only some nodes partitions rebuilds exactly those,
-    from the written edges, which stay untouched."""
+    oracle. Deleting only some nodes partitions rebuilds those partitions'
+    edges and nodes from their triples, and leaves every other file
+    untouched."""
     tbl = synth_transcripts_table(60, seed=7)
     n_convs = len(set(tbl.column("conv_id").to_pylist()))
     p = n_convs + 8
@@ -761,7 +760,7 @@ def test_kg_job_empty_partitions_and_nodes_resume(ray_session, tmp_path):
         _sorted_df(oracle["nodes"], ["entity_id"]))
 
     nodes_before = pq.read_table(out / "nodes")
-    edge_mtimes = {f: f.stat().st_mtime_ns for f in (out / "edges").rglob("*")}
+    edge_mtimes = {f: f.stat().st_mtime_ns for f in (out / "edges").rglob("*.parquet")}
     full = sorted(set(range(p)) - empty)
     gone = [full[0], full[-1], sorted(empty)[0]]
     for k in gone:
@@ -769,11 +768,62 @@ def test_kg_job_empty_partitions_and_nodes_resume(ray_session, tmp_path):
     stats: list = []
     res = run_kg_job(src, str(out), num_partitions=p, stats_out=stats)
     assert res["partitions_run"] == sorted(gone)
-    assert [s[0] for s in stats] == ["nodes"]
-    assert {f: f.stat().st_mtime_ns for f in (out / "edges").rglob("*")} == edge_mtimes
+    assert [s[0] for s in stats] == ["edges"]
+    now = {f: f.stat().st_mtime_ns for f in (out / "edges").rglob("*.parquet")}
+    assert now.keys() == edge_mtimes.keys()
+    assert {f for f in now if now[f] != edge_mtimes[f]} == {
+        out / "edges" / f"part={k}" / "data.parquet" for k in gone if k not in empty}
     keys = ["part", "entity_id"]
     assert _sorted_df(pq.read_table(out / "nodes"), keys).equals(
         _sorted_df(nodes_before, keys))
+
+
+def test_resume_rows_count_what_it_published(fixture_path, tmp_path):
+    """``rows`` counts the rows of the manifests the run published: a
+    resume that rebuilds only the graphs of partitions 0 (edges deleted)
+    and 1 (nodes deleted) reports 0 triples, and the edges and nodes rows
+    of the manifests it wrote for those two partitions."""
+    out = tmp_path / "kg"
+    res = run_kg_job(fixture_path, str(out), num_partitions=4)
+    tables = ("triples", "edges", "nodes")
+    assert res["rows"] == {t: pq.read_table(out / t).num_rows for t in tables}
+    shutil.rmtree(out / "edges" / "part=0")
+    shutil.rmtree(out / "nodes" / "part=1")
+    res = run_kg_job(fixture_path, str(out), num_partitions=4)
+    assert res["partitions_run"] == [0, 1]
+    published = {t: sum(json.loads((out / t / f"part={k}" / "_manifest.json").read_text())["rows"]
+                        for k in (0, 1)) for t in ("edges", "nodes")}
+    assert res["rows"] == {"triples": 0, **published}
+    assert published["edges"] > 0 and published["nodes"] > 0
+
+
+@pytest.mark.parametrize("col, yields_triples",
+                         [("conv_id", True), ("conv_id", False), ("turn_idx", True)])
+def test_null_key_raises_before_any_write(ray_session, tmp_path, col, yields_triples):
+    """One turn with a null ``conv_id`` or ``turn_idx``, on a turn that
+    yields triples or not: the oracle, the resume filter and the job each
+    raise a ValueError that names the column and the count, and the job
+    publishes no manifest. Through Ray Data the error arrives wrapped, so
+    its message is matched."""
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import _drop_done_parts
+
+    tbl = synth_transcripts_table(60, seed=7)
+    tri = oracle_tables(tbl)["triples"]
+    keyed = set(zip(tri.column("conv_id").to_pylist(), tri.column("turn_idx").to_pylist()))
+    rows = tbl.to_pylist()
+    i = next(i for i, r in enumerate(rows)
+             if ((r["conv_id"], r["turn_idx"]) in keyed) == yields_triples)
+    rows[i][col] = None
+    bad = pa.Table.from_pylist(rows, schema=tbl.schema)
+    msg = rf"1 turn\(s\) with a null {col}"
+    with pytest.raises(ValueError, match=msg):
+        oracle_tables(bad)
+    with pytest.raises(ValueError, match=msg):
+        _drop_done_parts(2, {0})(bad)
+    out = tmp_path / "kg"
+    with pytest.raises(Exception, match=msg):
+        run_kg_job(_write_input(bad, tmp_path / "src"), str(out), num_partitions=2)
+    assert not list(out.glob("*/part=*/_manifest.json"))
 
 
 def test_kg_merge_refuses_mismatched_partitions(ray_session, tmp_path):
@@ -946,7 +996,7 @@ def test_reduce_stats_text(fixture_path, tmp_path):
     """The reduce step's ``stats_out`` entry states its task count, its
     elapsed seconds and the tasks' summed wall time, which is the sum of
     the per-task times."""
-    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import _edges_then_nodes
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import _build_graph
     from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import edge_partials
 
     out = tmp_path / "kg"
@@ -958,8 +1008,8 @@ def test_reduce_stats_text(fixture_path, tmp_path):
 
     parts = [0, 1, 2, 3]
     rebuilt = {t: str(tmp_path / "again" / t) for t in ("edges", "nodes")}
-    step = _edges_then_nodes([str(out / "triples")], edge_partials, rebuilt, parts, parts)
-    assert [r["part"] for r in step.results] == parts
+    step, rows = _build_graph([str(out / "triples")], edge_partials, rebuilt, parts, {})
+    assert rows == {t: pq.read_table(d).num_rows for t, d in rebuilt.items()}
     assert len(step.task_s) == 4 and all(s > 0 for s in step.task_s)
     n, ran_s, total_s = _reduce_stats(step.stats())
     assert n == 4 and ran_s == pytest.approx(step.elapsed_s, abs=1e-6)
