@@ -8,7 +8,9 @@ is not SQL-expressible, so the oracle is the SINGLE-PROCESS reference
 implementation (pipelines/oracle.py — same pure transforms run sequentially
 without Ray) materialized to Parquet and read via read_parquet(): the
 comparison therefore checks that the distributed execution adds no
-nondeterminism.
+nondeterminism. Both sides read the same input files, the cached
+transcripts and the web-JSON request file written from them, so a stale
+input cannot make the two sides differ.
 
 Ray is initialised by the driver BEFORE this module is imported; nothing
 here calls ray.init()/ray.shutdown().
@@ -24,8 +26,9 @@ from pathlib import Path
 from typing import Any
 
 _PKG = Path(__file__).parent / "lingvo__postagger_ner_ru_dnn_ray"
-# the driver's result caches; an entry's name carries the fingerprint of the
-# code that wrote it
+# the driver's caches, inputs and results, each built by ``_build_once``; a
+# name carries the fingerprint of the code that wrote it, except an input
+# that no package edit changes (the transcripts)
 _CACHE = Path("/tmp/graft_data")
 _FP_IN_NAME = re.compile(r"_([0-9a-f]{8})(?=[_.]|$)")
 
@@ -86,11 +89,35 @@ def _n_turns(sf_dir: str) -> int:
     return max(200, int(600_000 * sf))
 
 
-def _synth_turns(sf_dir: str):
-    """The synthetic transcript table the driver replays at this scale."""
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcripts_table
+def _transcripts(n_turns: int, n_files: int = 8) -> str:
+    """The synthetic transcripts of ``n_turns`` turns (seed 42) as
+    ``n_files`` Parquet files. The name carries no fingerprint:
+    tests/test_kernel_pin.py pins the generator."""
+    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import (
+        synth_transcripts_table,
+        write_transcripts,
+    )
 
-    return synth_transcripts_table(_n_turns(sf_dir), seed=42)
+    def build(out: str) -> None:
+        write_transcripts(synth_transcripts_table(n_turns, seed=42), out, n_files)
+
+    return _build_once(str(_CACHE / f"transcripts_n{n_turns}_s42_f{n_files}"), build)
+
+
+def _artifacts() -> str:
+    """The lexicon-built models saved as the artifact directory that
+    ``run_kg_job(artifact_dir=)`` loads; keyed by the code fingerprint."""
+    from lingvo__postagger_ner_ru_dnn_ray.model.artifact import save_taggers
+
+    return _build_once(str(_CACHE / f"models_{_code_fingerprint()}"), save_taggers)
+
+
+def _synth_turns(sf_dir: str):
+    """The transcript table the driver replays at this scale: the files
+    that ``run_kg_job`` reads."""
+    import pyarrow.parquet as pq
+
+    return pq.read_table(_transcripts(_n_turns(sf_dir)))
 
 
 def _kg_dirs(sf_dir: str) -> tuple[str, str]:
@@ -128,10 +155,9 @@ def _ensure_kg_ray(sf_dir: str) -> str:
         run_kg_job,
         tagged_sentences,
     )
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import ensure_transcripts
 
     def build(out: str) -> None:
-        path = ensure_transcripts(_n_turns(sf_dir), seed=42)
+        path = _transcripts(_n_turns(sf_dir))
         run_kg_job(path, out)
         tagged_sentences(read_transcripts(path)).write_parquet(f"{out}/sentences")
         sents = ray.data.read_parquet(f"{out}/sentences")
@@ -180,39 +206,18 @@ def _webjson_paths(sf_dir: str) -> tuple[str, str, str]:
     )
 
 
-def _webjson_requests_table(sf_dir: str):
-    """The request set: one ``{"id": "conv:turn", "text": ...}`` record per
-    synthetic transcript turn (the same deterministic fixture the kg family
-    replays), already in the transcript shape webjson_batch consumes."""
-    import pyarrow as pa
-
-    tbl = _synth_turns(sf_dir)
-    ids = [
-        f"{c}:{t}"
-        for c, t in zip(tbl.column("conv_id").to_pylist(), tbl.column("turn_idx").to_pylist())
-    ]
-    return pa.Table.from_arrays(
-        [
-            pa.array(ids, pa.string()),
-            pa.array([0] * len(ids), pa.int32()),
-            pa.array(["user"] * len(ids), pa.string()),
-            tbl.column("text"),
-        ],
-        names=["conv_id", "turn_idx", "role", "text"],
-    )
-
-
 def _ensure_webjson_requests(sf_dir: str) -> str:
-    """Write (once) the request JSONL the Ray side ingests."""
+    """Write (once) the request JSONL that both sides read: one
+    ``{"id": "conv:turn", "text": ...}`` record per transcript turn."""
     import json
 
     def build(out: str) -> None:
-        tbl = _webjson_requests_table(sf_dir)
+        tbl = _synth_turns(sf_dir)
         with open(out, "w", encoding="utf-8") as f:
-            for cid, text in zip(
-                tbl.column("conv_id").to_pylist(), tbl.column("text").to_pylist()
-            ):
-                f.write(json.dumps({"id": cid, "text": text}, ensure_ascii=False) + "\n")
+            for c, t, text in zip(*(tbl.column(k).to_pylist()
+                                    for k in ("conv_id", "turn_idx", "text"))):
+                rec = {"id": f"{c}:{t}", "text": text}
+                f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
     return _build_once(_webjson_paths(sf_dir)[0], build)
 
@@ -235,14 +240,17 @@ def _ensure_webjson_ray(sf_dir: str) -> str:
 
 def _ensure_webjson_oracle(sf_dir: str) -> str:
     """Single-process oracle for the batch JSON boundary: ONE webjson_batch
-    call over the whole request table (the FIXTURES.md F5 pattern — same
-    pure transforms, no Ray), materialized to Parquet for the SQL side."""
+    call over the request file the Ray side reads (the FIXTURES.md F5
+    pattern — same pure transforms, no Ray), materialized to Parquet for
+    the SQL side."""
+    import pyarrow.json as pj
     import pyarrow.parquet as pq
 
-    from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import webjson_batch
+    from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import requests_table, webjson_batch
 
     def build(out: str) -> None:
-        pq.write_table(webjson_batch(_webjson_requests_table(sf_dir), model_type="ner"), out)
+        reqs = requests_table(pj.read_json(_ensure_webjson_requests(sf_dir)))
+        pq.write_table(webjson_batch(reqs, model_type="ner"), out)
 
     return _build_once(_webjson_paths(sf_dir)[2], build)
 
@@ -260,10 +268,8 @@ def entry() -> Any:
         fused_linked_triples,
         read_transcripts,
     )
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import ensure_transcripts
 
-    path = ensure_transcripts(_n_turns("sf0.001"), seed=42)
-    return fused_linked_triples(read_transcripts(path))
+    return fused_linked_triples(read_transcripts(_transcripts(_n_turns("sf0.001"))))
 
 
 def _seqlabel_f1(sf_dir: str):
@@ -325,17 +331,13 @@ def _kg_edges_artifact(sf_dir: str):
     model-shipped-as-file layout (ConcurrentFactory.cs:56-108 /
     BaseSeq2SeqFramework.cs:204-228). The oracle is the same edges table
     as kg_edges: the artifact round-trip is exact, so the two weight
-    sources must produce identical graphs. The job's manifests make a
-    repeated call a no-op."""
-    from lingvo__postagger_ner_ru_dnn_ray.model.artifact import ensure_default_artifacts
+    sources must produce identical graphs."""
     from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import run_kg_job
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import ensure_transcripts
 
-    out = _kg_dirs(sf_dir)[0] + "_artifact"
-    _evict_stale()
-    run_kg_job(ensure_transcripts(_n_turns(sf_dir), seed=42), out,
-               artifact_dir=ensure_default_artifacts())
-    return _global_edges(out)
+    def build(out: str) -> None:
+        run_kg_job(_transcripts(_n_turns(sf_dir)), out, artifact_dir=_artifacts())
+
+    return _global_edges(_build_once(_kg_dirs(sf_dir)[0] + "_artifact", build))
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -1,26 +1,26 @@
 """Model-artifact save/load: the production path for shipping trained
-weights to inference actors.
+weights to inference tasks. This module only writes and reads artifacts;
+it builds no cache.
 
 Mirror of the reference's serialized-model round trip — SaveModelRoutine
 writes the weights+vocab `.s2s` protobuf with a `.bak` backup
 (Network/BaseSeq2SeqFramework.cs:172-203) and LoadModelRoutine reads it
 once at predictor construction (BaseSeq2SeqFramework.cs:204-228,
 Models/Model_4_ProtoBufSerializer.cs:1-57). Here the container has no
-onnxruntime/protobuf-net, so the artifact is a `.npz` weight archive plus
-a JSON manifest carrying a sha256 content hash (integrity check on load,
-the analogue of protobuf-net's framing) and the hyperparameters
-(Model.cs:12-60: HiddenDim/EncoderLayerDepth/MultiHeadNum + vocabs).
+onnxruntime/protobuf-net, so the artifact is a `.npz` archive of the
+weights and, in its ``meta`` entry, the hyperparameters (Model.cs:12-60:
+HiddenDim/EncoderLayerDepth/MultiHeadNum + vocabs), plus a JSON sidecar
+holding what a load checks: the format and a sha256 content hash (the
+analogue of protobuf-net's framing).
 
-Actors receive a PATH and load once in ``__init__`` — the same
-load-once-per-predictor contract as the reference's
-WeakReference<Predictor> pool (ConcurrentFactory.cs:90-108).
+Tasks receive a PATH, and each worker process loads it once (the
+kernel's ``__init__``) — the same load-once-per-predictor contract as the
+reference's WeakReference<Predictor> pool (ConcurrentFactory.cs:90-108).
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import uuid
 from pathlib import Path
 
 import numpy as np
@@ -48,24 +48,14 @@ def save_artifact(model: SeqLabelModel, path: str | Path) -> dict:
         "vocab": [model.src_vocab.word(i) for i in range(len(PREDEFINED), len(model.src_vocab))],
     }
     arrays = {f"w__{k}": v for k, v in model.w.items()}
-    # unique temp name: concurrent writers (two actors racing on a shared
-    # cache dir) must not clobber each other's in-flight file
-    tmp = path.with_suffix(path.suffix + f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}")
+    tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as f:
         np.savez_compressed(
             f, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays
         )
     tmp.rename(path)
     sha = hashlib.sha256(path.read_bytes()).hexdigest()
-    manifest = {
-        "format": _FORMAT,
-        "sha256": sha,
-        "n_weight_tensors": len(arrays),
-        "dim": model.dim,
-        "n_layers": model.n_layers,
-        "vocab_size": len(model.src_vocab),
-        "n_labels": len(model.labels),
-    }
+    manifest = {"format": _FORMAT, "sha256": sha}
     mpath = Path(str(path) + ".manifest.json")
     mpath.write_text(json.dumps(manifest, indent=1))
     return manifest
@@ -96,46 +86,15 @@ def load_artifact(path: str | Path) -> SeqLabelModel:
     )
 
 
-def _model_code_fingerprint() -> str:
-    """Hash of the source files that determine the default artifacts'
-    contents — keys the /tmp cache so a code change invalidates it
-    instead of silently reusing stale weights."""
-    h = hashlib.sha256()
-    here = Path(__file__).parent
-    for name in sorted(p.name for p in here.glob("*.py")):
-        h.update((here / name).read_bytes())
-    return h.hexdigest()[:12]
-
-
-def ensure_default_artifacts(base_dir: str | Path | None = None) -> str:
-    """Build the two lexicon-constructed models once and persist them as
-    artifacts under ``base_dir`` (default: a /tmp dir keyed by a hash of
-    the model package source, so artifacts built by older code are never
-    silently reused). Returns the directory holding pos.npz / ner.npz.
-
-    This is the driver-side step a production deployment replaces with
-    "copy the trained ONNX/npz from the model registry"; actors then load
-    from the returned path in __init__."""
-    from .lexicon import taggers
-
-    base = (
-        Path(base_dir)
-        if base_dir
-        else Path(f"/tmp/graft_models/default_{_model_code_fingerprint()}")
-    )
-    pos_p, ner_p = base / "pos.npz", base / "ner.npz"
-    try:
-        load_artifact(pos_p)
-        load_artifact(ner_p)
-        return str(base)
-    except Exception:
-        pass
-    pos, ner = taggers()
-    save_artifact(pos, pos_p)
-    save_artifact(ner, ner_p)
-    return str(base)
-
-
 def load_taggers(artifact_dir: str | Path) -> tuple[SeqLabelModel, SeqLabelModel]:
     base = Path(artifact_dir)
     return load_artifact(base / "pos.npz"), load_artifact(base / "ner.npz")
+
+
+def save_taggers(artifact_dir: str | Path) -> None:
+    """Write the two lexicon-built models to ``artifact_dir`` as the
+    pos.npz / ner.npz pair that ``load_taggers`` reads."""
+    from .lexicon import taggers
+
+    for name, model in zip(("pos", "ner"), taggers()):
+        save_artifact(model, Path(artifact_dir) / f"{name}.npz")

@@ -450,7 +450,7 @@ def _assert_disjoint_runs(run_dirs: list[str], p: int) -> None:
         )
 
 
-def merge_kg_runs(run_dirs: list[str], out_dir: str, *, overwrite: bool = False) -> dict:
+def merge_kg_runs(run_dirs: list[str], out_dir: str) -> dict:
     """Incremental KG maintenance: merge the AGGREGATED graph views of
     several delta runs (disjoint conversation sets — e.g. daily transcript
     drops each processed by ``run_kg_job``) into one edges/nodes view
@@ -481,9 +481,9 @@ def merge_kg_runs(run_dirs: list[str], out_dir: str, *, overwrite: bool = False)
     their union needs no rewrite.
 
     ``out_dir`` must not already hold edges/ or nodes/ partitions: merging
-    into a previous merge's directory would silently mix two views.
-    Non-empty targets raise; ``overwrite=True`` replaces them
-    (rmtree then write).
+    into a previous merge's directory would silently mix two views, so a
+    non-empty target raises. An input run is such a target too (its
+    edges/ is never empty). To redo a merge, delete its out_dir first.
 
     This merged-view-equals-one-shot-run identity is pinned by
     tests/test_pipeline_ray.py::test_kg_incremental_merge."""
@@ -495,26 +495,16 @@ def merge_kg_runs(run_dirs: list[str], out_dir: str, *, overwrite: bool = False)
         if rp in seen_paths:
             raise ValueError(f"merge_kg_runs: {d!r} appears twice in run_dirs")
         seen_paths.add(rp)
-    if str(Path(out_dir).resolve()) in seen_paths:
-        raise ValueError(
-            "merge_kg_runs: out_dir is one of the input run dirs — the "
-            "merged write (or an overwrite rmtree) would clobber an input"
-        )
-    # every check runs before anything under out_dir is touched: a failed
-    # check must leave a pre-existing merged view intact
+    # every check runs before anything is written
     out = {t: str(Path(out_dir) / t) for t in ("edges", "nodes")}
     for tdir in map(Path, out.values()):
-        if tdir.exists() and any(tdir.iterdir()) and not overwrite:
+        if tdir.exists() and any(tdir.iterdir()):
             raise FileExistsError(
                 f"merge_kg_runs: {tdir} already contains output — merging "
-                "into it would mix two views. Pass overwrite=True to "
-                "replace, or merge into a fresh out_dir."
+                "into it would mix two views. Merge into a fresh out_dir."
             )
     p = _num_partitions(run_dirs)
     _assert_disjoint_runs(run_dirs, p)
-    for tdir in map(Path, out.values()):
-        if tdir.exists():
-            shutil.rmtree(tdir)
     cfg = {"v": 1, "num_partitions": p, "merged_from": sorted(seen_paths)}
     _, rows = _build_graph([f"{d}/edges" for d in run_dirs], None, out, list(range(p)), cfg)
     return {**rows, "triples_dirs": [f"{d}/triples" for d in run_dirs]}

@@ -17,10 +17,9 @@ Design notes (scale):
   request's text is a single input row, so every sentence it produces
   exists inside the same batch and assembly is batch-local — no
   groupby/shuffle anywhere, the pipeline streams.
-- Requests are keyed by ``id`` when present, else by an md5 content
-  fingerprint; duplicate keys inside a batch collapse to one response
-  (idempotent, cache-like semantics — the natural contract for a batch
-  boundary re-playing web traffic).
+- Every request gets exactly one response, whatever batch it lands in.
+  Its ``id`` is the request's own, else an md5 fingerprint of its text;
+  two requests with one id both get a response.
 - ``model_type`` mirrors the request's ``modelType`` → ModelInfos routing
   (WebService Program.cs:36-74): ``"pos"`` labels tuples with the corrected
   PosTaggerOutputType names, ``"ner"`` with the BIO tags.
@@ -36,64 +35,38 @@ import ray.data
 _MODEL_TYPES = ("pos", "ner")
 
 
+def requests_table(records: pa.Table) -> pa.Table:
+    """JSON request records → ``(id, text)`` rows. ``id`` is optional: an
+    absent one becomes the md5 of the text; a missing text becomes ""."""
+    text = [t if t is not None else "" for t in records.column("text").to_pylist()]
+    raw = (records.column("id").to_pylist() if "id" in records.column_names
+           else [None] * len(text))
+    ids = [str(r) if r is not None else hashlib.md5(t.encode("utf-8")).hexdigest()
+           for r, t in zip(raw, text)]
+    return pa.table({"id": pa.array(ids, pa.string()), "text": pa.array(text, pa.string())})
+
+
 def read_json_requests(path: str) -> ray.data.Dataset:
-    """JSONL request records → transcript-shaped rows (conv_id, turn_idx,
-    role, text) ready for the engine's tokenize/tag stages. ``id`` is
-    optional; absent ids become md5(text) content fingerprints."""
-    ds = ray.data.read_json(path)
-
-    def stamp(batch: pa.Table) -> pa.Table:
-        text = batch.column("text").to_pylist()
-        if "id" in batch.column_names:
-            raw = batch.column("id").to_pylist()
-            ids = [
-                str(r) if r is not None else _content_id(t)
-                for r, t in zip(raw, text)
-            ]
-        else:
-            ids = [_content_id(t) for t in text]
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.string()),
-                pa.array([0] * len(ids), pa.int32()),
-                pa.array(["user"] * len(ids), pa.string()),
-                pa.array([t if t is not None else "" for t in text], pa.string()),
-            ],
-            names=["conv_id", "turn_idx", "role", "text"],
-        )
-
-    return ds.map_batches(stamp, batch_format="pyarrow")
-
-
-def _content_id(text: str | None) -> str:
-    return hashlib.md5((text or "").encode("utf-8")).hexdigest()
+    """The JSONL request records at ``path`` as ``(id, text)`` rows."""
+    return ray.data.read_json(path).map_batches(requests_table, batch_format="pyarrow")
 
 
 def webjson_batch(batch: pa.Table, model_type: str = "ner") -> pa.Table:
-    """Request rows → one VM-shaped JSON record per request, through this
-    process's kernel (models load once per worker process)."""
+    """``(id, text)`` request rows → one VM-shaped JSON record per row,
+    through this process's kernel (models load once per worker process)."""
     from ..stages.kernel import kernel
 
     if model_type not in _MODEL_TYPES:
         raise ValueError(f"model_type must be one of {_MODEL_TYPES}")
-    # batch-local request registry, first occurrence wins (duplicate keys
-    # collapse — see module docstring)
-    first: dict[str, str] = {}
-    for cid, text in zip(batch.column("conv_id").to_pylist(),
-                         batch.column("text").to_pylist()):
-        first.setdefault(cid, text)
-    tagged = kernel().tag_texts(list(first.values()))
-    # one row per request, empty-text requests included with sents: []
+    tagged = kernel().tag_texts(batch.column("text").to_pylist())
+    # empty-text requests get sents: []
     sents = [
         json.dumps([{"tuples": [{"word": w, "label": l}
                                 for w, l in zip(s.values, getattr(s, model_type))]}
                     for s in ss], ensure_ascii=False)
         for ss in tagged
     ]
-    return pa.Table.from_arrays(
-        [pa.array(list(first), pa.string()), pa.array(sents, pa.string())],
-        names=["id", "sents_json"],
-    )
+    return pa.table({"id": batch.column("id"), "sents_json": pa.array(sents, pa.string())})
 
 
 def tag_requests(requests: ray.data.Dataset, model_type: str = "ner") -> ray.data.Dataset:

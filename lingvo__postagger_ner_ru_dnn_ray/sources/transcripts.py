@@ -1,4 +1,6 @@
-"""Deterministic synthesis of the transcript input table (FIXTURES.md F1).
+"""Deterministic synthesis of the transcript input table (FIXTURES.md F1)
+and its writer: ``synth_transcripts_table`` builds the table from a seed,
+``write_transcripts`` writes it as Parquet files. Neither caches anything.
 
 Schema = input_hint exactly:
     conv_id:string, turn_idx:int32, role:string, text:string, tool:string,
@@ -14,7 +16,6 @@ re-sort by (conv_id, turn_idx). Seeded — no wall clock, no external data.
 """
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -121,25 +122,10 @@ def synth_transcripts_table(n_turns: int, seed: int = 42) -> pa.Table:
     )
 
 
-def ensure_transcripts(n_turns: int, seed: int = 42, n_files: int = 8,
-                       root: str = "/tmp/graft_data") -> str:
-    """Materialize (once) the deterministic transcript fixture as multiple
-    Parquet files; returns the directory. Cached by (n_turns, seed). The
-    directory is built under a temporary name and renamed into place
-    whole, so one that exists is complete."""
-    out = Path(root) / f"transcripts_n{n_turns}_s{seed}"
-    if out.exists():
-        return str(out)
-    tbl = synth_transcripts_table(n_turns, seed)
-    tmp = Path(str(out) + ".tmp")
-    if tmp.exists():
-        import shutil
-
-        shutil.rmtree(tmp)
-    tmp.mkdir(parents=True, exist_ok=True)
-    n = tbl.num_rows
-    step = max(1, (n + n_files - 1) // n_files)
-    for i, ofs in enumerate(range(0, n, step)):
-        pq.write_table(tbl.slice(ofs, step), tmp / f"part-{i:04d}.parquet")
-    os.replace(tmp, out)
-    return str(out)
+def write_transcripts(table: pa.Table, out_dir: str, n_files: int) -> None:
+    """Write ``table`` to ``out_dir`` as at most ``n_files`` Parquet files
+    of consecutive rows."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    step = max(1, -(-table.num_rows // n_files))
+    for i, ofs in enumerate(range(0, table.num_rows, step)):
+        pq.write_table(table.slice(ofs, step), f"{out_dir}/part-{i:04d}.parquet")

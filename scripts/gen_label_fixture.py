@@ -2,6 +2,12 @@
 sequences for every sentence of the reference's bundled input text, on
 both tokenizer dot variants (Simple web path / console batch path).
 
+The lines are ``tests/reference_lines.py:reference_lines()``, the 15
+lines rebuilt from fixtures/reference_input_tokens.json, so the script
+needs no copy of the reference. From them it rebuilds the fixture byte
+for byte: after ``python scripts/gen_label_fixture.py``, ``git diff``
+shows nothing.
+
 Hand-review guide (the invariants the snapshot pins, traceable to the
 reference's rules):
   * [%NUM%] tokens       -> POS 'Numeral'   (PosTaggerExtensions.cs:23-26)
@@ -18,14 +24,15 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
 from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import (
     tokenize_text,
     tokenize_text_console,
 )
+from reference_lines import reference_lines
 
-REF = "/root/reference/[resources]/input-text/input_pos_tagger_ru.txt"
 OUT = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                    "reference_input_labels.json")
 
@@ -36,11 +43,9 @@ def tag(sent_words, k):
 
 
 def main():
-    lines = [l for l in open(REF, encoding="utf-8-sig").read().splitlines()
-             if l.strip()]
     k = Kernel()
     snap = []
-    for i, line in enumerate(lines):
+    for i, line in enumerate(reference_lines()):
         simple_sents = tokenize_text(line)
         s_pos, s_ner = tag(simple_sents, k)
         console_words = tokenize_text_console(line)

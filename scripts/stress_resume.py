@@ -84,9 +84,9 @@ def _run_child(tpath: str, out: str, kill: bool = False) -> tuple[int, str]:
 
 
 def main() -> None:
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import ensure_transcripts
+    import __ray_entry__
 
-    tpath = ensure_transcripts(N_TURNS, seed=42, n_files=64)
+    tpath = __ray_entry__._transcripts(N_TURNS, n_files=64)
     import shutil
 
     ref_dir, vic_dir = "/tmp/resume_ref", "/tmp/resume_victim"

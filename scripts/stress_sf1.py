@@ -110,14 +110,14 @@ def main() -> None:
 
     from ray.data import DataContext
 
+    import __ray_entry__
     from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import run_kg_job
-    from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import ensure_transcripts
 
     DataContext.get_current().enable_progress_bars = False
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
     t0 = time.perf_counter()
-    tpath = ensure_transcripts(N_TURNS, seed=42, n_files=64)
+    tpath = __ray_entry__._transcripts(N_TURNS, n_files=64)
     gen_s = round(time.perf_counter() - t0, 1)
     out_dir = "/tmp/stress_kg_out"
     shutil.rmtree(out_dir, ignore_errors=True)

@@ -67,22 +67,47 @@ def test_webjson_empty_text_and_content_ids(ray_session, tmp_path):
     with p.open("w", encoding="utf-8") as f:
         f.write(json.dumps({"text": ""}) + "\n")
         f.write(json.dumps({"text": "Он приехал в Петербурге."}, ensure_ascii=False) + "\n")
-        # duplicate content, no id -> collapses to the same response key
+        # duplicate content, no id -> the same content id, its own response
         f.write(json.dumps({"text": "Он приехал в Петербурге."}, ensure_ascii=False) + "\n")
 
     reqs = read_json_requests(str(p)).repartition(1)
     out = tag_requests(reqs, model_type="ner").to_pandas()
-    # 3 requests, 2 distinct contents -> 2 records (duplicate collapsed)
-    assert len(out) == 2
-    by_id = {r["id"]: json.loads(r["sents_json"]) for _, r in out.iterrows()}
-    empties = [s for s in by_id.values() if s == []]
+    # one record per request; the two with one content share id and reply
+    assert len(out) == 3
+    empties = [r for _, r in out.iterrows() if json.loads(r["sents_json"]) == []]
     assert len(empties) == 1  # empty text -> sents: []
-    tagged = [s for s in by_id.values() if s]
-    assert len(tagged) == 1
-    words = [t["word"] for t in tagged[0][0]["tuples"]]
+    tagged = out[out["id"] != empties[0]["id"]]
+    assert len(tagged) == 2
+    assert tagged["id"].nunique() == 1 and tagged["sents_json"].nunique() == 1
+    words = [t["word"] for t in json.loads(tagged["sents_json"].iloc[0])[0]["tuples"]]
     assert words[0] == "Он" and words[-1] == "."
-    labels = [t["label"] for t in tagged[0][0]["tuples"]]
+    labels = [t["label"] for t in json.loads(tagged["sents_json"].iloc[0])[0]["tuples"]]
     assert labels[words.index("Петербурге")] == "B-LOC"
+
+
+def test_webjson_answers_each_request_in_any_batch(ray_session, tmp_path):
+    """Two requests with one id in two blocks get two responses from the
+    tasks, as from one single-process ``webjson_batch`` over the file."""
+    import pyarrow.json as pj
+
+    from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import (
+        read_json_requests,
+        requests_table,
+        tag_requests,
+        webjson_batch,
+    )
+
+    p = tmp_path / "reqs.jsonl"
+    with p.open("w", encoding="utf-8") as f:
+        for text in ("Он приехал в Петербурге.", "Козлов работает в Москве."):
+            f.write(json.dumps({"id": "x", "text": text}, ensure_ascii=False) + "\n")
+
+    reqs = read_json_requests(str(p)).repartition(2).materialize()
+    assert reqs.num_blocks() == 2
+    ray_df = tag_requests(reqs).to_pandas().sort_values("sents_json")
+    orc_df = webjson_batch(requests_table(pj.read_json(p))).to_pandas().sort_values("sents_json")
+    assert len(ray_df) == 2
+    assert ray_df.reset_index(drop=True).equals(orc_df.reset_index(drop=True))
 
 
 def test_webjson_driver_query_matches_single_process_oracle(ray_session, monkeypatch):
@@ -125,16 +150,16 @@ def test_webjson_driver_query_matches_single_process_oracle(ray_session, monkeyp
 
 def test_driver_cache_evicts_other_fingerprints(tmp_path, monkeypatch):
     """Writing a driver cache entry deletes every entry that other code
-    wrote (its `_artifact` twin too), and keeps the current code's entries
-    at other scales and the transcript inputs, whose names carry no
-    fingerprint."""
+    wrote (its `_artifact` twin and its saved models too), and keeps the
+    current code's entries at other scales and the transcript inputs,
+    whose names carry no fingerprint."""
     import __ray_entry__ as e
 
     monkeypatch.setattr(e, "_CACHE", tmp_path)
     fp = e._code_fingerprint()
     stale = f"{int(fp, 16) ^ 1:08x}"
     for name in (f"kg_ray_n6000_{stale}", f"kg_ray_n6000_{stale}_artifact",
-                 f"kg_oracle_n6000_{fp}", "transcripts_n6000_s42"):
+                 f"models_{stale}", f"kg_oracle_n6000_{fp}", "transcripts_n6000_s42_f8"):
         (tmp_path / name).mkdir()
         (tmp_path / name / "_SUCCESS").touch()
 
@@ -142,7 +167,8 @@ def test_driver_cache_evicts_other_fingerprints(tmp_path, monkeypatch):
 
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         f"kg_oracle_n6000_{fp}",
-        "transcripts_n6000_s42",
+        "transcripts_n6000_s42_f8",
+        "transcripts_n600_s42_f8",
         f"webjson_reqs_n600_{fp}.jsonl",
     ]
 

@@ -21,8 +21,8 @@ from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import (
 )
 from lingvo__postagger_ner_ru_dnn_ray.pipelines.oracle import oracle_tables
 from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import (
-    ensure_transcripts,
     synth_transcripts_table,
+    write_transcripts,
 )
 from lingvo__postagger_ner_ru_dnn_ray.stages.fused import KgStage, start_memo_stats
 from lingvo__postagger_ner_ru_dnn_ray.stages.mentions import decode_bio
@@ -32,13 +32,15 @@ SEED = 7
 
 
 @pytest.fixture(scope="module")
-def fixture_path(ray_session):
-    return ensure_transcripts(N_TURNS, seed=SEED, n_files=4)
+def fixture_path(ray_session, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("transcripts"))
+    write_transcripts(synth_transcripts_table(N_TURNS, seed=SEED), out, 4)
+    return out
 
 
 @pytest.fixture(scope="module")
 def oracle(fixture_path):
-    return oracle_tables(synth_transcripts_table(N_TURNS, seed=SEED))
+    return oracle_tables(pq.read_table(fixture_path))
 
 
 def _sorted_df(tbl, keys):
@@ -65,9 +67,10 @@ def test_fused_from_artifact(fixture_path, oracle, tmp_path_factory):
     """The fused stage loading the sha-verified .npz artifacts in each
     worker process (the production model-shipped-as-file path) must
     reproduce the oracle exactly."""
-    from lingvo__postagger_ner_ru_dnn_ray.model.artifact import ensure_default_artifacts
+    from lingvo__postagger_ner_ru_dnn_ray.model.artifact import save_taggers
 
-    adir = ensure_default_artifacts(tmp_path_factory.mktemp("models"))
+    adir = str(tmp_path_factory.mktemp("models"))
+    save_taggers(adir)
     ds = read_transcripts(fixture_path)
     tri = fused_linked_triples(ds, batch_size=64, artifact_dir=adir).to_pandas()
     want = oracle["triples"].to_pandas()
@@ -532,27 +535,25 @@ def test_kg_incremental_merge(ray_session, tmp_path):
     with pytest.raises(ValueError, match="appears twice"):
         merge_kg_runs([str(outs["a"]), str(outs["a"])],
                       str(tmp_path / "kg_bad2"))
-    # out_dir colliding with an input would rmtree an input on overwrite
-    with pytest.raises(ValueError, match="out_dir is one of"):
-        merge_kg_runs([str(outs["a"]), str(outs["b"])], str(outs["a"]),
-                      overwrite=True)
-    # a FAILED overlap check must leave a pre-existing merged view intact
-    # even with overwrite=True (validation precedes the destructive rmtree)
+    # an input run as out_dir holds output already (its edges/ is never
+    # empty), so the merge refuses it
+    with pytest.raises(FileExistsError, match="already contains output"):
+        merge_kg_runs([str(outs["a"]), str(outs["b"])], str(outs["a"]))
+    # a failed merge into a pre-existing merged view leaves it intact
     merged_keep = tmp_path / "kg_keep"
     merge_kg_runs([str(outs["a"]), str(outs["b"])], str(merged_keep))
     before = sorted(p.name for p in (merged_keep / "edges").rglob("*.parquet"))
-    with pytest.raises(ValueError, match="overlap"):
-        merge_kg_runs([str(outs["a"]), str(outs["full"])], str(merged_keep),
-                      overwrite=True)
+    with pytest.raises(FileExistsError, match="already contains output"):
+        merge_kg_runs([str(outs["a"]), str(outs["full"])], str(merged_keep))
     after = sorted(p.name for p in (merged_keep / "edges").rglob("*.parquet"))
-    assert before == after and before, "failed check must not destroy output"
+    assert before == after and before, "failed merge must not destroy output"
 
 
 def test_kg_merge_output_guard_and_pruned_triples(ray_session, tmp_path):
     """Round-5 merge hardening: (1) merging into an out_dir that already
     holds edges/ or nodes/ partitions raises (a hive write would APPEND
-    beside them and double-count the merged view) unless overwrite=True,
-    which replaces them and reproduces the fresh-merge output exactly;
+    beside them and double-count the merged view); deleting it and
+    merging again reproduces the first merge exactly;
     (2) two disjoint runs staged through the same input path (so their
     manifests share one config hash) merge; (3) a run dir whose triples/
     was pruned (edges-only retention) merges with a warning — the exact
@@ -594,8 +595,9 @@ def test_kg_merge_output_guard_and_pruned_triples(ray_session, tmp_path):
     # re-merge into the SAME dir: must refuse (append would double-count)
     with pytest.raises(FileExistsError, match="already contains output"):
         merge_kg_runs(runs, str(merged))
-    # overwrite=True replaces and reproduces the same view
-    merge_kg_runs(runs, str(merged), overwrite=True)
+    # delete-then-merge reproduces the same view
+    shutil.rmtree(merged)
+    merge_kg_runs(runs, str(merged))
     edges_after = pq_mod.read_table(merged / "edges").to_pandas()
     keys = ["part", "subj_id", "pred", "obj_id"]
     for df in (edges_before, edges_after):
@@ -633,9 +635,9 @@ def test_kg_job_artifact_path(ray_session, tmp_path, tmp_path_factory):
     import pyarrow.parquet as pq_mod
 
     from lingvo__postagger_ner_ru_dnn_ray.model.artifact import (
-        ensure_default_artifacts,
         load_artifact,
         save_artifact,
+        save_taggers,
     )
     from lingvo__postagger_ner_ru_dnn_ray.model.tagger import SeqLabelModel
     from lingvo__postagger_ner_ru_dnn_ray.stages.fused import KgStage
@@ -644,7 +646,8 @@ def test_kg_job_artifact_path(ray_session, tmp_path, tmp_path_factory):
     src.mkdir()
     t = synth_transcripts_table(200, seed=31)
     pq_mod.write_table(t, src / "part-0.parquet")
-    adir = ensure_default_artifacts(tmp_path_factory.mktemp("models2"))
+    adir = str(tmp_path_factory.mktemp("models2"))
+    save_taggers(adir)
 
     out_lex = tmp_path / "kg_lex"
     out_art = tmp_path / "kg_art"
