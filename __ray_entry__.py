@@ -28,9 +28,11 @@ from typing import Any
 _PKG = Path(__file__).parent / "lingvo__postagger_ner_ru_dnn_ray"
 # the driver's caches, inputs and results, each built by ``_build_once``; a
 # name carries the fingerprint of the code that wrote it, except an input
-# that no package edit changes (the transcripts)
+# that no package edit changes (the transcripts, named as ``_transcripts``
+# names them, a build's ``.tmp`` included)
 _CACHE = Path("/tmp/graft_data")
 _FP_IN_NAME = re.compile(r"_([0-9a-f]{8})(?=[_.]|$)")
+_TRANSCRIPTS_NAME = re.compile(r"transcripts_n\d+_s42_f\d+(\.tmp)?")
 
 
 def _code_fingerprint() -> str:
@@ -51,12 +53,15 @@ def _remove(p: Path) -> None:
 
 def _evict_stale() -> None:
     """Delete the cache entries that other code wrote: each one whose name
-    carries a fingerprint other than the current one. Entries without a
-    fingerprint (the transcript inputs) and other scales stay."""
+    carries a fingerprint other than the current one, and each one without
+    a fingerprint that is not a transcript input ``_transcripts`` names
+    (an input of an older name). The current code's entries at other
+    scales stay."""
     fp = _code_fingerprint()
     for p in _CACHE.glob("*"):
         m = _FP_IN_NAME.search(p.name)
-        if m and m.group(1) != fp:
+        stale = m.group(1) != fp if m else not _TRANSCRIPTS_NAME.fullmatch(p.name)
+        if stale:
             _remove(p)
 
 

@@ -68,7 +68,7 @@ def _memo_stats_handle():
 
 class KgStage:
     """transcript rows -> linked triple rows (the kernel: both DNNs, the
-    entity dictionary and the sentence memo, built once)."""
+    entity dictionary and the kernel's caches, built once)."""
 
     def __init__(self, dict_ref: None = None, artifact_dir: str | None = None):
         """``dict_ref`` accepts only None: the kernel builds its own
@@ -100,8 +100,8 @@ def kg_stage_fn(batch: pa.Table, artifact_dir: str | None = None) -> pa.Table:
     ``artifact_dir``, built on first use. Ray reuses task workers across
     executions, so a warm cluster loads the models once per process, and
     the scheduler spreads tasks over every free CPU with no pool size.
-    Keyed by ``artifact_dir``, so neither the models nor the sentence memo
-    are shared between weight sources.
+    Keyed by ``artifact_dir``, so neither the models nor the kernel's
+    caches are shared between weight sources.
 
     Once the stage is built, ``gc.freeze()`` moves every object the
     process holds (models, vocabularies, dictionary, imported modules)

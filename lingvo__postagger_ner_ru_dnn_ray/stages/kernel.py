@@ -21,25 +21,19 @@ boundary, with ``sentence_table`` and ``linked_table``.
    without building the model-token string again; ``mel`` is the model's
    own ``max_ending_length``, as the reference gives each model its own
    MaxEndingLength (4 in predict_pos.json:8-9, 10000 in
-   predict_ner.json:6-7). Its key is decided the way ``to_model_token``
-   decides: by input type first (Num → the num placeholder, Url/Email →
-   the URL placeholder), by value otherwise.
-   Each kernel has its own map, because artifact weights carry their own
-   vocabularies.
+   predict_ner.json:6-7). Its key (``_PLACEHOLDER_KEY``) is decided the
+   way ``to_model_token`` decides: by input type first, value otherwise.
 2. ``Kernel.link``: a tagged sentence → its triples (stages/triples.py),
    each with both surfaces looked up in the entity dictionary
    (stages/linking.py; a miss keeps the NIL id and the normalized surface).
 
-``Kernel.link_texts`` (and ``link_sentences`` for tokenized sentences) is
-steps 1 and 2 for a caller that needs the links alone, tagged in the order
-extraction reads the labels: NER on every sentence, then POS only on the
-sentences where a triple can form (``can_form_triple``); every other
-sentence has no link rows. It builds no ``Tagged``, and its rows equal
-``link`` over ``tag_texts``. The job's stage uses it; the oracle, the
-driver and web-JSON tag every sentence, because their sentence tables
-need POS everywhere, and keep no memo. ``link_texts`` memoizes each
-sentence's link rows (``_sent_key``), the job's one cross-batch cache of
-results; the id map is the kernel's other cache, one entry per word key.
+``Kernel.link_texts`` is steps 1 and 2 for a caller that needs the links
+alone, tagged in the order extraction reads the labels: NER on every
+sentence, then POS only on the sentences where a triple can form
+(``can_form_triple``); every other sentence has no link rows. It builds no
+``Tagged``, and its rows equal ``link`` over ``tag_texts``. The job's stage
+uses it; the oracle, the driver and web-JSON tag every sentence, because
+their sentence tables need POS everywhere.
 """
 from __future__ import annotations
 
@@ -59,14 +53,14 @@ from .triples import TRIPLE_SCHEMA, can_form_triple, span_triples
 
 _STR_LIST = pa.list_(pa.string())
 
-# sentences ``link_texts`` keeps before it clears its memo whole
-_MEMO_SENTS = 1 << 18
+# entries the three caches hold together before a call clears them: ~107 MB
+# at most at 409 bytes (a memo sentence, the dearest entry on kg_unique), and
+# 8x the 32,527 entries a perfbench run fills
+_CACHE_ENTRIES = 1 << 18
 
 # the id map's key of a word whose input type alone decides its model token
 # (a placeholder); every other word's key is its value
 _PLACEHOLDER_KEY = {IT_NUM: IT_NUM, IT_URL: IT_URL, IT_EMAIL: IT_URL}
-# keys the id map keeps before it is cleared whole
-_IDS_MAX = 1_000_000
 
 # one row per sentence; pos = corrected PosTaggerOutputType names
 # (PosTaggerExtensions.cs:16-59), pos_raw = raw model labels, ner = BIO tags
@@ -112,7 +106,12 @@ def _pad(labels: list, n: int, fill: str) -> list:
 
 
 class Kernel:
-    """The state of both steps: the two models and the entity dictionary."""
+    """The state of both steps: the two models, the entity dictionary and
+    three caches, each a pure function of its key: the sentence memo
+    (``link_texts``' rows by ``_sent_key``), the id map (per kernel, as
+    artifact weights carry their own vocabularies) and the FSM's token
+    memo. A public call that reads them first clears all three once they
+    hold ``_CACHE_ENTRIES`` together, so none is cleared mid-call."""
 
     def __init__(self, artifact_dir: str | None = None):
         """``artifact_dir``: load the models from its sha-verified .npz
@@ -130,51 +129,57 @@ class Kernel:
         self.lookup = build_linking_dict()
         self._memo: dict[bytes | tuple, tuple | None] = {}
         self._ids: dict[str | int, tuple[int, int]] = {}  # key → (POS id, NER id)
+        self._tokens: dict[bytes, tuple | object] = {}  # the FSM's token memo
         self.missed_texts = 0
+
+    def _bound_caches(self) -> None:
+        """Clear the three caches together once they hold ``_CACHE_ENTRIES``."""
+        if len(self._memo) + len(self._ids) + len(self._tokens) >= _CACHE_ENTRIES:
+            for c in (self._memo, self._ids, self._tokens):
+                c.clear()
 
     def tag_texts(self, texts: list[str]) -> Iterator[list[Tagged]]:
         """Each text's tagged sentences, in order. Lazy: a caller that
         consumes text by text holds one text's ``Tagged`` at a time, which
         keeps the garbage collector's young generations small."""
-        per_text = tokenize_texts(texts)
+        self._bound_caches()
+        per_text = tokenize_texts(texts, self._tokens)
         tagged = self._tag([ws for sents in per_text for ws in sents])
         for sents in per_text:
             yield [next(tagged) for _ in sents]
 
     def tag_sentences(self, sents: list[list]) -> list[Tagged]:
         """Tokenized sentences (lists of textkit ``Word``) → ``Tagged``."""
+        self._bound_caches()
         return list(self._tag(sents))
 
     def link_texts(self, texts: list[str]) -> list[list[list[tuple]]]:
         """Each text's sentences' ``link`` rows, in order, with no
-        ``Tagged`` built (see ``link_sentences``). Each distinct text of the
-        call is split into sentences; a sentence in the memo takes its
+        ``Tagged`` built (see ``_link_sentences``). Each distinct text of
+        the call is split into sentences; a sentence in the memo takes its
         stored rows, shifted by its offset. The others are tokenized once
-        per key and all go through one ``link_sentences``. A sentence with
+        per key and all go through one ``_link_sentences``. A sentence with
         no words is stored as None and takes no ``sent_idx``; one with no
-        rows as ``()``. ``got`` holds the call's rows, so a clear of the
-        memo loses none. ``missed_texts``: the call's texts with a sentence
+        rows as ``()``. ``missed_texts``: the call's texts with a sentence
         that missed the memo."""
+        self._bound_caches()
         memo, todo, split = self._memo, {}, {}
         uniq = list(dict.fromkeys(texts))
-        for x, (tk, sents) in zip(uniq, split_texts(uniq)):
+        for x, (tk, sents) in zip(uniq, split_texts(uniq, self._tokens)):
             keys = split[x] = [(_sent_key(tk.ub, s), s.start) for s in sents]
             for (key, o), s in zip(keys, sents):
                 if key not in memo and key not in todo:
                     todo[key] = (tk.tokenize(s), o)  # missed key → (words, offset)
         per_text = [split[x] for x in texts]
-        got = {k: memo[k] for keys in split.values() for k, _ in keys if k not in todo}
         misses = [k for k, (words, _) in todo.items() if words]
         self.missed_texts = sum(any(k in todo for k, _ in keys) for keys in per_text)
-        for key, rows in zip(misses, self.link_sentences([todo[k][0] for k in misses])):
-            got[key] = tuple(_shift(r, -todo[key][1]) for r in rows) if rows else ()
-        if len(memo) + len(todo) > _MEMO_SENTS:
-            memo.clear()
-        memo.update((k, got.setdefault(k, None)) for k in todo)  # None: no words
-        return [[[_shift(r, o) for r in got[k]] for k, o in keys if got[k] is not None]
+        for k, rows in zip(misses, self._link_sentences([todo[k][0] for k in misses])):
+            memo[k] = tuple(_shift(r, -todo[k][1]) for r in rows)
+        memo.update((k, None) for k, (words, _) in todo.items() if not words)
+        return [[[_shift(r, o) for r in memo[k]] for k, o in keys if memo[k] is not None]
                 for keys in per_text]
 
-    def link_sentences(self, sents: list[list]) -> list[list[tuple]]:
+    def _link_sentences(self, sents: list[list]) -> list[list[tuple]]:
         """Each tokenized sentence's ``link`` rows. NER labels every
         sentence; POS labels only those whose spans ``can_form_triple``,
         since ``link`` of any other sentence is []."""
@@ -198,16 +203,12 @@ class Kernel:
                                          for w in ws]) for ws in sents])
 
     def _new_ids(self, k: str | int) -> tuple[int, int]:
-        """Both models' vocabulary ids of id-map key ``k``, stored in the
-        map, which is cleared whole at ``_IDS_MAX`` keys."""
+        """Both models' vocabulary ids of id-map key ``k``, stored in the map."""
         value, it = ("", k) if isinstance(k, int) else (k, IT_OTHER)
         pos_t, ner_t = to_model_token_pair(value, it, self.pos_model.max_ending_length,
                                            self.ner_model.max_ending_length)
-        ids = self._ids
-        if len(ids) >= _IDS_MAX:
-            ids.clear()
-        ids[k] = (self.pos_model.src_vocab.id(pos_t), self.ner_model.src_vocab.id(ner_t))
-        return ids[k]
+        self._ids[k] = (self.pos_model.src_vocab.id(pos_t), self.ner_model.src_vocab.id(ner_t))
+        return self._ids[k]
 
     def _tag(self, sents: list[list]) -> Iterator[Tagged]:
         pos_raw = self._labels(self.pos_model, sents)

@@ -89,9 +89,7 @@ class Word:
 # per-char feature scan for every repeated token. A number token
 # (IsDigits_WithPunctuations_WithSpecEnds, also a pure function of the code
 # units) is stored as ``_IS_NUM`` alone: it becomes the [%NUM%]
-# placeholder, and nothing else of it is read. Per-worker, bounded.
-_TOKEN_MEMO: dict[bytes, tuple | object] = {}
-_TOKEN_MEMO_MAX = 1_000_000
+# placeholder, and nothing else of it is read. The caller owns the cache.
 _IS_NUM = object()
 
 
@@ -138,16 +136,13 @@ class _Front:
 
 class _SentTokenizer:
     """The FSM over one text of a ``_Front``: list slices of the front's
-    arrays, its URL spans, and the front's jump table read at the text's
-    offset ``off``."""
+    arrays, its URL spans, the front's jump table read at the text's
+    offset ``off``, and the token memo ``tokens`` (code units → fields)."""
 
-    __slots__ = (
-        "ul", "ub", "n", "s", "end", "words", "start_index", "cur_len",
-        "is_prev_num", "last_num", "dot_variant", "cts", "sps",
-        "nxt", "off", "urls",
-    )
+    __slots__ = ("ul", "ub", "n", "words", "start_index", "cur_len", "is_prev_num", "last_num",
+                 "dot_variant", "cts", "sps", "nxt", "off", "urls", "tokens")
 
-    def __init__(self, front: _Front, k: int, dot_variant: str = "simple"):
+    def __init__(self, front: _Front, k: int, tokens: dict, dot_variant: str = "simple"):
         o, e = front.offs[k], front.offs[k + 1]
         self.off, self.n = o, e - o
         self.ul = front.ul[o:e]  # per-char access path
@@ -156,6 +151,7 @@ class _SentTokenizer:
         self.sps = front.sps[o:e]
         self.nxt = front.nxt
         self.urls = scan_urls(self.ul, front.url_triggers_of(k))
+        self.tokens = tokens
         # "simple": always unstick dots (WebService path, Tokenizer.cs:732-744)
         # "console": keep a dot in the word; flush immediately when the next
         #            char is uppercase (batch path, Tokenizer.cs:491-497)
@@ -187,12 +183,10 @@ class _SentTokenizer:
             return
         start, length = self.start_index, self.cur_len
         key = self.ub[2 * start : 2 * (start + length)]
-        hit = _TOKEN_MEMO.get(key)
+        hit = self.tokens.get(key)
         if hit is None:
             hit = _IS_NUM if self._is_num_token(start, length) else self._fields(key, start, length)
-            if len(_TOKEN_MEMO) > _TOKEN_MEMO_MAX:
-                _TOKEN_MEMO.clear()
-            _TOKEN_MEMO[key] = hit
+            self.tokens[key] = hit
         if hit is _IS_NUM:
             if not self.is_prev_num:
                 self.is_prev_num = True
@@ -444,21 +438,23 @@ def _clear_value_original(v: str, extra: int, length: int) -> str:
     return v
 
 
-def split_texts(texts: list[str | None]) -> Iterator[tuple[_SentTokenizer, list[Sent]]]:
+def split_texts(texts: list[str | None],
+                tokens: dict) -> Iterator[tuple[_SentTokenizer, list[Sent]]]:
     """Each text's FSM and its sentences, with one front per slice of
     ``_FRONT_TEXTS`` texts; ``tk.tokenize(sent)`` gives a sentence's words
-    (possibly none). None and "" yield no sentences."""
+    (possibly none) through the token memo ``tokens``. None and "" yield
+    no sentences."""
     for lo in range(0, len(texts), _FRONT_TEXTS):
         front = _Front(texts[lo:lo + _FRONT_TEXTS])
         for k in range(len(front)):
-            tk = _SentTokenizer(front, k)
+            tk = _SentTokenizer(front, k, tokens)
             yield tk, split_sents(tk.ul, front.sent_hits_of(k), tk.urls) if tk.n else []
 
 
-def tokenize_texts(texts: list[str | None]) -> list[list[list[Word]]]:
-    """``tokenize_text`` of each text, over ``split_texts``."""
+def tokenize_texts(texts: list[str | None], tokens: dict | None = None) -> list[list[list[Word]]]:
+    """``tokenize_text`` of each text, over ``split_texts`` (fresh memo if ``tokens`` is None)."""
     return [[ws for ws in map(tk.tokenize, sents) if ws]
-            for tk, sents in split_texts(texts)]
+            for tk, sents in split_texts(texts, {} if tokens is None else tokens)]
 
 
 def tokenize_text(text: str) -> list[list[Word]]:
@@ -472,6 +468,6 @@ def tokenize_text_console(text: str) -> list[Word]:
     the whole line is ONE sentence (no sentence splitting), URLs detected,
     plain dot variant (dot kept in the word, uppercase-next flushes; this
     is how 'U.N.' / '2010г.' stay single tokens on the console path)."""
-    tk = _SentTokenizer(_Front([text]), 0, dot_variant="console")
+    tk = _SentTokenizer(_Front([text]), 0, {}, dot_variant="console")
     return tk.tokenize(Sent(0, tk.n, tuple(tk.urls)))
 

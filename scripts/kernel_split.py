@@ -24,7 +24,11 @@ cache the checkout keeps ahead of the FSM; ``ner_rows`` and ``pos_rows``
 count the token rows each model forwarded. The collector's passes, by
 generation, are timed through ``gc.callbacks``; they are included in the
 layer they interrupt and also shown on their own (``tokenize_gc``: the
-passes inside the tokenizer's parts).
+passes inside the tokenizer's parts). After the pass it counts the
+entries of the worker's caches: the sentence memo, the id map and the
+token memo (``memo``, ``ids``, ``tokens``: the kernel's, or a checkout's
+module-level ``_TOKEN_MEMO``), their sum (``entries``) and the kernel's
+``_CACHE_ENTRIES`` (``bound``, 0 in a checkout without one).
 The summary gives, per column, each side's median and quartiles and the
 pairs in which the change read lower, with ``seeds`` and ``quartiles``
 from ``ab_pairs.py``.
@@ -46,8 +50,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BATCH_TURNS = 512  # the job's tag_batch_size
 TOKENIZE = ["front", "init", "split", "fsm"]
 COLUMNS = ["total", *TOKENIZE, "ner", "pos", "ner_fwd", "pos_fwd", "rest", "gc0", "gc1", "gc2",
-           "gc2_passes", "tokenize_gc", "misses", "ner_rows", "pos_rows"]
-COUNTS = {"gc2_passes", "misses", "ner_rows", "pos_rows"}
+           "gc2_passes", "tokenize_gc", "misses", "ner_rows", "pos_rows",
+           "memo", "ids", "tokens", "entries", "bound"]
+COUNTS = {"gc2_passes", "misses", "ner_rows", "pos_rows", "memo", "ids", "tokens", "entries",
+          "bound"}
 
 
 def child(root: str, workload: str, seed: int) -> dict:
@@ -62,6 +68,7 @@ def child(root: str, workload: str, seed: int) -> dict:
 
     from lingvo__postagger_ner_ru_dnn_ray.model.tagger import SeqLabelModel
     from lingvo__postagger_ner_ru_dnn_ray.stages import fused
+    from lingvo__postagger_ner_ru_dnn_ray.stages import kernel as kernel_mod
     from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
     from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer as tz
 
@@ -128,6 +135,11 @@ def child(root: str, workload: str, seed: int) -> dict:
     acc["total"] = clock() - t0
     gc.callbacks.remove(on_gc)
     acc["rest"] = acc["total"] - sum(acc[k] for k in (*TOKENIZE, "ner", "pos"))
+    kern = fused._STAGES[None].kernel
+    tokens = kern._tokens if hasattr(kern, "_tokens") else tz._TOKEN_MEMO
+    acc.update(memo=len(kern._memo), ids=len(kern._ids), tokens=len(tokens),
+               bound=getattr(kernel_mod, "_CACHE_ENTRIES", 0))
+    acc["entries"] = acc["memo"] + acc["ids"] + acc["tokens"]
     return acc
 
 

@@ -20,3 +20,23 @@ def ray_session():
     logging.getLogger("ray.data").setLevel(logging.ERROR)
     yield
     ray.shutdown()
+
+
+class _CountingDict(dict):
+    """A dict that counts its clears."""
+
+    clears = 0
+
+    def clear(self) -> None:
+        self.clears += 1
+        super().clear()
+
+
+@pytest.fixture
+def counting_caches():
+    """``counting_caches(kernel)`` swaps the kernel's sentence memo, id map
+    and token memo for dicts that count their clears and returns them."""
+    def swap(k):
+        k._memo, k._ids, k._tokens = _CountingDict(), _CountingDict(), _CountingDict()
+        return k._memo, k._ids, k._tokens
+    return swap

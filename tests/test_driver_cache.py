@@ -47,3 +47,15 @@ def test_artifacts_build_once_per_fingerprint(tmp_path, monkeypatch):
     assert Path(second).name == "models_0123abcd"
     assert not Path(first).exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["models_0123abcd"]
+
+
+def test_old_input_names_are_evicted(tmp_path, monkeypatch):
+    """A transcript input under a name that ``_transcripts`` no longer
+    writes goes at the next build, beside one under the current name,
+    which stays."""
+    monkeypatch.setattr(e, "_CACHE", tmp_path)
+    for name in ("transcripts_n6000_s42", "transcripts_n300_s7", "transcripts_n6000_s42_f8"):
+        (tmp_path / name).mkdir()
+    e._transcripts(300, n_files=4)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "transcripts_n300_s42_f4", "transcripts_n6000_s42_f8"]

@@ -96,7 +96,7 @@ def _pos_tokens_once(texts: list[str], tagged: list) -> list[list[int]]:
     """``_pos_tokens`` of the sentences of ``texts`` that can form a triple,
     given their ``tag_texts`` sentences ``tagged``, once per memo key
     (``_sent_key``): ``link_texts`` forwards each missed sentence once."""
-    keys = [_sent_key(tk.ub, s) for tk, sents in split_texts(texts) for s in sents
+    keys = [_sent_key(tk.ub, s) for tk, sents in split_texts(texts, {}) for s in sents
             if tk.tokenize(s)]
     first = {}
     for key, s in zip(keys, tagged, strict=True):
@@ -154,7 +154,7 @@ def test_pos_forward_only_on_gap_sentences(pos_inputs):
 def test_link_equals_link_over_full_tagging(pos_inputs):
     """On the synthetic table with the edge turns appended, and on the
     fixture's tokenized reference sentences: ``link_texts`` and
-    ``link_sentences`` rows equal ``link`` over ``tag_texts`` and
+    ``_link_sentences`` rows equal ``link`` over ``tag_texts`` and
     ``tag_sentences``, and POS saw exactly the sentences that can form a
     triple, each sentence of ``link_texts`` once."""
     k = Kernel()
@@ -168,6 +168,6 @@ def test_link_equals_link_over_full_tagging(pos_inputs):
     assert k.link_texts(texts) == [[k.link(s) for s in ss] for ss in full_texts]
     assert pos_inputs == _pos_tokens_once(texts, [s for ss in full_texts for s in ss])
     del pos_inputs[:]
-    assert k.link_sentences(words) == [k.link(s) for s in full_words]
+    assert k._link_sentences(words) == [k.link(s) for s in full_words]
     assert pos_inputs == [_pos_tokens(s) for s in full_words if _can_form(s)]
     assert len(pos_inputs) == 9

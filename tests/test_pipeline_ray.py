@@ -1058,29 +1058,19 @@ def test_resume_checks_manifest_files(fixture_path, oracle, tmp_path):
     _assert_job_equals_oracle(out, oracle)
 
 
-class _CountingDict(dict):
-    """A dict that counts its clears."""
-
-    clears = 0
-
-    def clear(self) -> None:
-        self.clears += 1
-        super().clear()
-
-
-def test_batch_splits_and_cache_clears(fixture_path, oracle, tmp_path, monkeypatch):
+def test_batch_splits_and_cache_clears(fixture_path, oracle, tmp_path, monkeypatch,
+                                       counting_caches):
     """The job's stage gives the oracle's triples at any batch size, also
-    when its caches clear mid-batch. One ``KgStage`` takes the fixture's
-    turns, 60 of them again under other conversations, and the reference
-    lines, at batch sizes 1, 7, 64 and 512, with the caps of the id map,
-    the sentence memo and the token memo small, so that each clears
-    during every pass. ``run_kg_job`` at ``tag_batch_size=7`` equals the
-    oracle too."""
+    when its caches clear between batches. One ``KgStage`` takes the
+    fixture's turns, 60 of them again under other conversations, and the
+    reference lines, at batch sizes 1, 7, 64 and 512, with the bound of
+    the id map, the sentence memo and the token memo small, so that all
+    three clear during every pass. ``run_kg_job`` at ``tag_batch_size=7``
+    equals the oracle too."""
     from reference_lines import reference_lines
 
     from lingvo__postagger_ner_ru_dnn_ray.stages import kernel as kernel_mod
     from lingvo__postagger_ner_ru_dnn_ray.stages.fused import KgStage
-    from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer as tz
 
     base = synth_transcripts_table(N_TURNS, seed=SEED).select(["conv_id", "turn_idx", "text"])
     rows = base.to_pylist()
@@ -1090,13 +1080,9 @@ def test_batch_splits_and_cache_clears(fixture_path, oracle, tmp_path, monkeypat
     key = lambda r: (r["conv_id"], r["turn_idx"], r["sent_idx"], r["triple_idx"])  # noqa: E731
     want = sorted(oracle_tables(table)["triples"].to_pylist(), key=key)
 
-    monkeypatch.setattr(kernel_mod, "_IDS_MAX", 100)
-    monkeypatch.setattr(kernel_mod, "_MEMO_SENTS", 50)
-    monkeypatch.setattr(tz, "_TOKEN_MEMO_MAX", 100)
-    monkeypatch.setattr(tz, "_TOKEN_MEMO", _CountingDict())
+    monkeypatch.setattr(kernel_mod, "_CACHE_ENTRIES", 250)
     stage = KgStage()
-    stage.kernel._ids, stage.kernel._memo = _CountingDict(), _CountingDict()
-    caches = [stage.kernel._ids, stage.kernel._memo, tz._TOKEN_MEMO]
+    caches = counting_caches(stage.kernel)
     for size in (1, 7, 64, 512):
         before = [c.clears for c in caches]
         got = [stage(table.slice(a, size)) for a in range(0, table.num_rows, size)]

@@ -24,7 +24,7 @@ _ru_text = st.text(
 def test_sents_are_disjoint_ordered_spans(text):
     u = xlat.to_u16(text)
     prev_end = 0
-    for s in next(split_texts([text]))[1]:
+    for s in next(split_texts([text], {}))[1]:
         assert 0 <= s.start <= len(u)
         assert s.length > 0
         assert s.start >= prev_end
@@ -42,7 +42,7 @@ def test_leading_whitespace_adds_no_words(text):
     def words(tk, s):
         return [(w.value, w.start, w.length, w.input_type, w.extra) for w in tk.tokenize(s)]
 
-    tk, sents = next(split_texts([text]))
+    tk, sents = next(split_texts([text], {}))
     for s in sents:
         j = s.start
         while j > 0 and xlat.CHARTYPE[tk.ul[j - 1]] & xlat.IS_WHITESPACE:
@@ -87,7 +87,7 @@ def test_non_placeholder_tokens_reconstruct_from_text(text):
 @given(_text)
 def test_url_detector_never_crashes_and_spans_valid(text):
     u = xlat.to_u16(text)
-    for span in next(split_texts([text]))[0].urls:
+    for span in next(split_texts([text], {}))[0].urls:
         assert 0 <= span.start < max(1, len(u))
         assert span.length >= 1
         assert span.start + span.length <= len(u)

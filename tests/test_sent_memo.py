@@ -21,7 +21,7 @@ from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcrip
 from lingvo__postagger_ner_ru_dnn_ray.stages import kernel as kernel_mod
 from lingvo__postagger_ner_ru_dnn_ray.stages.fused import KgStage
 from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
-from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer
+from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import tokenize_texts
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,24 +79,50 @@ def test_memo_equals_full_tagging_on_repeats(batches):
     _assert_memo_exact(Kernel(), batches)
 
 
-def test_memo_overflow_mid_batch(monkeypatch):
-    """A batch whose sentences straddle a clear of the memo (some were
-    stored by the batch before, the rest push it past its cap) emits every
-    turn's rows, equal to the oracle's."""
+def _entries(k: Kernel) -> int:
+    return len(k._memo) + len(k._ids) + len(k._tokens)
+
+
+def test_memo_clears_between_calls(monkeypatch):
+    """A batch that finds the caches at their bound clears them before it
+    reads any, so every one of its turns misses the memo (at the full memo
+    some hit), and the two batches' rows equal the oracle's."""
     table = synth_transcripts_table(300, seed=7).select(["conv_id", "turn_idx", "text"])
-    first, second = table.slice(0, 100), table.slice(100)
+    first, second = table.slice(0, 150), table.slice(150)
     stage = KgStage()
     out = [stage(first)]
-    memo = stage.kernel._memo
-    before = dict(memo)
-    monkeypatch.setattr(kernel_mod, "_MEMO_SENTS", len(memo))
+    k = stage.kernel
+    stored = set(k._memo)
+    monkeypatch.setattr(kernel_mod, "_CACHE_ENTRIES", _entries(k))
     out.append(stage(second))
-    turns = sum(1 for x in second.column("text").to_pylist() if x)
-    assert stage.kernel.missed_texts < turns  # some turns hit the memo
-    assert not before.keys() <= memo.keys()  # and then it was cleared
+    assert k.missed_texts == sum(1 for x in second.column("text").to_pylist() if x)
+    assert not stored <= k._memo.keys()
     key = lambda r: (r["conv_id"], r["turn_idx"], r["sent_idx"], r["triple_idx"])  # noqa: E731
     want = oracle_tables(table)["triples"].to_pylist()
     assert sorted(pa.concat_tables(out).to_pylist(), key=key) == sorted(want, key=key)
+
+
+def test_entries_stay_within_the_bound_plus_one_call(monkeypatch, counting_caches):
+    """After each call of a kernel, its three caches hold at most the bound
+    plus the entries that call added, and they clear all together or not
+    at all. ``link_texts``, ``tag_texts`` and ``tag_sentences`` take turns
+    over the fixture table, 20 turns a call, with the bound at 200."""
+    monkeypatch.setattr(kernel_mod, "_CACHE_ENTRIES", 200)
+    texts = synth_transcripts_table(300, seed=7).column("text").to_pylist()
+    k = Kernel()
+    caches = counting_caches(k)
+    calls = (k.link_texts, lambda b: list(k.tag_texts(b)),
+             lambda b: k.tag_sentences([ws for ss in tokenize_texts(b) for ws in ss]))
+    clears = 0
+    for i, a in enumerate(range(0, len(texts), 20)):
+        before = _entries(k)
+        calls[i % 3](texts[a:a + 20])
+        assert len({c.clears for c in caches}) == 1, i  # all three or none
+        cleared = caches[0].clears > clears
+        clears = caches[0].clears
+        added = _entries(k) - (0 if cleared else before)
+        assert _entries(k) <= 200 + added, i
+    assert clears >= 3
 
 
 def test_sentence_after_newline_shares_its_key():
@@ -120,15 +146,13 @@ def _pseudo_word(i: int) -> str:
 def test_caches_stay_bounded_on_a_unique_stream(monkeypatch):
     """20,000 sentences, each with its own pseudo-word (every eighth can
     form a triple), in batches of 512 through one kernel whose sentence
-    memo, id map and token memo are capped at 1,024 entries each. The
-    traced memory that the batches after the fifth leave allocated is
-    bounded. Measured on this input, it read 0.12-0.38 MB after each batch
-    with the caps (at most 0.56 MB over 60,000 such sentences), and 8.2 MB
-    at the end with the caps left at their defaults; the bound of 2 MB
-    sits between."""
-    for mod, name in ((kernel_mod, "_MEMO_SENTS"), (kernel_mod, "_IDS_MAX"),
-                      (tokenizer, "_TOKEN_MEMO_MAX")):
-        monkeypatch.setattr(mod, name, 1024)
+    memo, id map and token memo hold at most 3,072 entries together before
+    a call clears them. The traced memory that the batches after the fifth
+    leave allocated is bounded. Measured on this input, it read 0.18-0.56
+    MB after each batch with that bound (at most 0.61 MB over 60,000 such
+    sentences), and 8.2 MB at the end with the bound at its default; the
+    bound of 2 MB sits between."""
+    monkeypatch.setattr(kernel_mod, "_CACHE_ENTRIES", 3 * 1024)
     texts = [f"Смирнов купил {_pseudo_word(i)} в Москве." if i % 8 == 0
              else f"{_pseudo_word(i)} пишет." for i in range(20_000)]
     batches = [texts[a:a + 512] for a in range(0, len(texts), 512)]

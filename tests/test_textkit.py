@@ -26,12 +26,12 @@ def toks(text, si=0):
 
 def sents_of(text):
     """The sentences ``split_texts`` gives ``text``."""
-    return next(split_texts([text]))[1]
+    return next(split_texts([text], {}))[1]
 
 
 def urls_of(text):
     """The URL spans ``split_texts`` finds in ``text``."""
-    return next(split_texts([text]))[0].urls
+    return next(split_texts([text], {}))[0].urls
 
 
 # --------------------------- xlat ------------------------------------------
@@ -378,16 +378,13 @@ def _memo_texts() -> list[str]:
 
 def test_token_memo_cold_equals_warm():
     """The words of the fixture texts are the same with a cold token memo
-    and with a warm one."""
-    from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer as tz
+    and with the one a kernel warmed by tagging them."""
+    from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
     from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import tokenize_texts
 
     texts = _memo_texts()
-
-    def words():
-        return [_fields(sents) for sents in tokenize_texts(texts)]
-
-    tz._TOKEN_MEMO.clear()
-    cold = words()
-    assert tz._TOKEN_MEMO  # the cold pass warmed the memo
-    assert words() == cold
+    cold = [_fields(sents) for sents in tokenize_texts(texts)]
+    k = Kernel()
+    list(k.tag_texts(texts))
+    assert k._tokens  # tagging warmed the kernel's memo
+    assert [_fields(sents) for sents in tokenize_texts(texts, k._tokens)] == cold
