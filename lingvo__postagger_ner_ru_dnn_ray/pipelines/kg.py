@@ -289,7 +289,9 @@ def run_kg_job(
     expensive tagging stage is skipped), and a partition missing either
     graph table rebuilds both. Partitions being (re)computed are first
     cleared of any un-manifested orphan files a dead run flushed (they
-    would otherwise sit beside the new files and double-count).
+    would otherwise sit beside the new files and double-count). So the
+    job holds ``out_dir``'s writer lock (``mf.writer_lock``) from before
+    it reads that state: a second writer raises at once.
     Returns {"skipped", "partitions_done", "partitions_run", "rows"}, where
     ``rows`` counts, per table, the rows this run published (0 for a table
     it did not write); a job with nothing to do returns only the first two.
@@ -321,70 +323,74 @@ def run_kg_job(
     tables = ("triples", "edges", "nodes")
     out = {t: str(Path(out_dir) / t) for t in tables}
 
-    done_by = {t: (mf.completed_partitions(out[t], ch) if resume else set())
-               for t in tables}
-    done_by["graph"] = done_by["edges"] & done_by["nodes"]
-    done = done_by["triples"] & done_by["graph"]
-    todo = sorted(set(range(p)) - done)
-    if not todo:
-        return {"skipped": True, "partitions_done": sorted(done)}
-    # a kill after the triples manifests are published leaves the graph
-    # missing: the resume then skips the expensive tagging stage entirely
-    # and rebuilds only the graph from the written triples
-    need = {s: [part for part in todo if part not in done_by[s]] for s in ("triples", "graph")}
+    # one writer at a time: a second job's clearing pass below would remove
+    # the files of partitions this one has not published yet
+    with mf.writer_lock(out_dir):
+        done_by = {t: (mf.completed_partitions(out[t], ch) if resume else set())
+                   for t in tables}
+        done_by["graph"] = done_by["edges"] & done_by["nodes"]
+        done = done_by["triples"] & done_by["graph"]
+        todo = sorted(set(range(p)) - done)
+        if not todo:
+            return {"skipped": True, "partitions_done": sorted(done)}
+        # a kill after the triples manifests are published leaves the graph
+        # missing: the resume then skips the expensive tagging stage entirely
+        # and rebuilds only the graph from the written triples
+        need = {s: [part for part in todo if part not in done_by[s]] for s in ("triples", "graph")}
 
-    # crash hygiene: a killed run may have flushed partition files WITHOUT
-    # publishing their manifests, and a config change reuses partition
-    # paths with stale contents — either way the new files would land
-    # BESIDE the orphans and duplicate rows in the read-back view
-    # (out-of-range stale dirs double-count too: a previous
-    # num_partitions=8 run's part=4..7 holds the same conversations a
-    # num_partitions=4 rerun hashes into part=0..3). Invariant after this
-    # pass: every partition dir present under out_dir holds a complete
-    # SAME-CONFIG manifest, in both graph tables for an edges or nodes dir
-    # — anything else (orphans of a dead run, any-config stale dirs,
-    # out-of-range parts, half a graph) is cleared; done partitions are
-    # never touched.
-    for t in tables:
-        root = Path(out[t])
-        if not root.exists():
-            continue
-        keep = done_by["triples" if t == "triples" else "graph"]
-        for pdir in root.glob("part=*"):
-            try:
-                part = int(pdir.name.split("=", 1)[1])
-            except ValueError:
-                part = -1
-            if part not in keep:
-                if pdir.is_dir() and not pdir.is_symlink():
-                    shutil.rmtree(pdir)
-                else:  # stray file / dangling or linked entry: heal, not crash
-                    pdir.unlink()
+        # crash hygiene: a killed run may have flushed partition files WITHOUT
+        # publishing their manifests, and a config change reuses partition
+        # paths with stale contents — either way the new files would land
+        # BESIDE the orphans and duplicate rows in the read-back view
+        # (out-of-range stale dirs double-count too: a previous
+        # num_partitions=8 run's part=4..7 holds the same conversations a
+        # num_partitions=4 rerun hashes into part=0..3). Invariant after this
+        # pass: every partition dir present under out_dir holds a complete
+        # SAME-CONFIG manifest, in both graph tables for an edges or nodes dir
+        # — anything else (orphans of a dead run, any-config stale dirs,
+        # out-of-range parts, half a graph) is cleared; done partitions are
+        # never touched.
+        for t in tables:
+            root = Path(out[t])
+            if not root.exists():
+                continue
+            keep = done_by["triples" if t == "triples" else "graph"]
+            for pdir in root.glob("part=*"):
+                try:
+                    part = int(pdir.name.split("=", 1)[1])
+                except ValueError:
+                    part = -1
+                if part not in keep:
+                    if pdir.is_dir() and not pdir.is_symlink():
+                        shutil.rmtree(pdir)
+                    else:  # stray file / dangling or linked entry: heal, not crash
+                        pdir.unlink()
 
-    rows = dict.fromkeys(tables, 0)
-    if need["triples"]:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        ds = read_transcripts(input_path, override_num_blocks=2 * cpus)
-        skip = set(range(p)) - set(need["triples"])
-        if skip:
-            ds = ds.map_batches(_drop_done_parts(p, skip), batch_format="pyarrow")
-        triples = fused_linked_triples(ds, batch_size=tag_batch_size,
-                                       artifact_dir=artifact_dir)
-        triples.write_datasink(TriplesSink(out["triples"], p))
-        if stats_out is not None:
-            stats_out.append(("triples", triples.stats()))
-        rows["triples"] = sum(mf.write_manifest(out["triples"], part, ch, inputs=cfg)["rows"]
-                              for part in need["triples"])
+        rows = dict.fromkeys(tables, 0)
+        if need["triples"]:
+            cpus = int(ray.cluster_resources().get("CPU", 8))
+            ds = read_transcripts(input_path, override_num_blocks=2 * cpus)
+            skip = set(range(p)) - set(need["triples"])
+            if skip:
+                ds = ds.map_batches(_drop_done_parts(p, skip), batch_format="pyarrow")
+            triples = fused_linked_triples(ds, batch_size=tag_batch_size,
+                                           artifact_dir=artifact_dir)
+            triples.write_datasink(TriplesSink(out["triples"], p))
+            if stats_out is not None:
+                stats_out.append(("triples", triples.stats()))
+            rows["triples"] = sum(mf.write_manifest(out["triples"], part, ch, inputs=cfg)["rows"]
+                                  for part in need["triples"])
 
-    # edges and nodes are keyed by (part, ...): each partition's are built
-    # from its own directory, so only the partitions being rebuilt are read
-    if need["graph"]:
-        built, graph_rows = _build_graph([out["triples"]], edge_partials, out,
-                                         need["graph"], cfg)
-        rows.update(graph_rows)
-        if stats_out is not None:
-            stats_out.append(("edges", built.stats()))
-    return {"skipped": False, "partitions_done": sorted(done), "partitions_run": todo, "rows": rows}
+        # edges and nodes are keyed by (part, ...): each partition's are built
+        # from its own directory, so only the partitions being rebuilt are read
+        if need["graph"]:
+            built, graph_rows = _build_graph([out["triples"]], edge_partials, out,
+                                             need["graph"], cfg)
+            rows.update(graph_rows)
+            if stats_out is not None:
+                stats_out.append(("edges", built.stats()))
+        return {"skipped": False, "partitions_done": sorted(done), "partitions_run": todo,
+                "rows": rows}
 
 
 def _num_partitions(run_dirs: list[str]) -> int:
@@ -412,26 +418,41 @@ def _num_partitions(run_dirs: list[str]) -> int:
     return p
 
 
+def _recorded_triples(run: str, gone: list[str]) -> list[str]:
+    """The triples directories that hold ``run``'s conversations: its own
+    triples/, or for a merged view, which has none, those of the runs its
+    edges manifests record in ``merged_from``, expanded the same way. A run
+    with neither, whose triples are gone, is appended to ``gone``."""
+    if Path(run, "triples").exists():
+        return [f"{run}/triples"]
+    merged = sorted({r for m in mf.intact_manifests(f"{run}/edges").values()
+                     for r in m["inputs"].get("merged_from", [])})
+    if not merged:
+        gone.append(run)
+    return [t for r in merged for t in _recorded_triples(r, gone)]
+
+
 def _assert_disjoint_runs(run_dirs: list[str], p: int) -> None:
     """Raise if two runs share a conversation: merged edge weights would
-    double-count. The runs share ``p``, so a conversation lives in the
-    same ``part=k`` of every run; one task per partition reads the runs'
-    triples ``conv_id`` column there, one file at a time, and raises on
-    any conversation seen in >= 2 runs, naming at most 5. A run without a
-    triples/ directory (a pruned fact log, or a merged view) is left out
-    of the check with a warning: the merge itself reads only edges/."""
+    double-count. Each run is checked through its triples, a merged view
+    through those of the runs it records (``_recorded_triples``), so a
+    run merged again beside a view that holds it is caught. The runs share
+    ``p``, so a conversation lives in the same ``part=k`` of every run;
+    one task per partition reads the triples ``conv_id`` column there, one
+    file at a time, and raises on any conversation seen in >= 2 of them,
+    naming at most 5. A run whose triples are gone (a pruned fact log) is
+    left out of the check with a warning: the merge itself reads only
+    edges/."""
     import warnings
 
-    checked = []
-    for d in run_dirs:
-        if Path(d, "triples").exists():
-            checked.append(f"{d}/triples")
-        else:
-            warnings.warn(
-                f"merge_kg_runs: {d!r} has no triples/ directory (edges-only or "
-                "pruned run) — skipping its exact conv_id overlap check",
-                stacklevel=2,
-            )
+    gone: list[str] = []
+    checked = [t for d in run_dirs for t in _recorded_triples(d, gone)]
+    for d in gone:
+        warnings.warn(
+            f"merge_kg_runs: {d!r} has no triples/ directory and records no merged "
+            "runs (a pruned fact log) — skipping its exact conv_id overlap check",
+            stacklevel=2,
+        )
     if len(checked) < 2:
         return
 
@@ -460,10 +481,11 @@ def merge_kg_runs(run_dirs: list[str], out_dir: str) -> dict:
     each run records one shared ``num_partitions`` P and holds an intact
     edges manifest for every partition 0..P-1 (``_num_partitions``, by
     the rule a resume uses). Disjointness has one rule: no conversation
-    may appear in the triples of two runs (``_assert_disjoint_runs``,
-    exact, column-pruned, one task per partition); a run without
-    triples/ is left out of it with a warning. Any violation raises
-    before anything is written.
+    may appear in the triples of two runs, a merged view's being those of
+    the runs it records (``_assert_disjoint_runs``, exact, column-pruned,
+    one task per partition); a run whose triples are gone is left out of
+    it with a warning. Any violation raises before anything is written,
+    and the writing holds ``out_dir``'s writer lock, as a job does.
 
     Edge rows are aggregates keyed (part, subj_id, pred, obj_id) with
     mergeable stats (weight = sum, canon/type = min), so the merge of
@@ -497,17 +519,25 @@ def merge_kg_runs(run_dirs: list[str], out_dir: str) -> dict:
         seen_paths.add(rp)
     # every check runs before anything is written
     out = {t: str(Path(out_dir) / t) for t in ("edges", "nodes")}
+    _refuse_written(out)
+    p = _num_partitions(run_dirs)
+    _assert_disjoint_runs(run_dirs, p)
+    cfg = {"v": 1, "num_partitions": p, "merged_from": sorted(seen_paths)}
+    with mf.writer_lock(out_dir):
+        _refuse_written(out)  # again: another writer may have written since
+        _, rows = _build_graph([f"{d}/edges" for d in run_dirs], None, out, list(range(p)),
+                               cfg)
+    return {**rows, "triples_dirs": [f"{d}/triples" for d in run_dirs]}
+
+
+def _refuse_written(out: dict[str, str]) -> None:
+    """Raise ``FileExistsError`` if the merge's edges/ or nodes/ holds anything."""
     for tdir in map(Path, out.values()):
         if tdir.exists() and any(tdir.iterdir()):
             raise FileExistsError(
                 f"merge_kg_runs: {tdir} already contains output — merging "
                 "into it would mix two views. Merge into a fresh out_dir."
             )
-    p = _num_partitions(run_dirs)
-    _assert_disjoint_runs(run_dirs, p)
-    cfg = {"v": 1, "num_partitions": p, "merged_from": sorted(seen_paths)}
-    _, rows = _build_graph([f"{d}/edges" for d in run_dirs], None, out, list(range(p)), cfg)
-    return {**rows, "triples_dirs": [f"{d}/triples" for d in run_dirs]}
 
 
 def _main() -> None:

@@ -53,7 +53,7 @@ from .triples import TRIPLE_SCHEMA, can_form_triple, span_triples
 
 _STR_LIST = pa.list_(pa.string())
 
-# entries the three caches hold together before a call clears them: ~107 MB
+# entries the four caches hold together before a call clears them: ~107 MB
 # at most at 409 bytes (a memo sentence, the dearest entry on kg_unique), and
 # 8x the 32,527 entries a perfbench run fills
 _CACHE_ENTRIES = 1 << 18
@@ -107,11 +107,13 @@ def _pad(labels: list, n: int, fill: str) -> list:
 
 class Kernel:
     """The state of both steps: the two models, the entity dictionary and
-    three caches, each a pure function of its key: the sentence memo
+    four caches, each a pure function of its key: the sentence memo
     (``link_texts``' rows by ``_sent_key``), the id map (per kernel, as
-    artifact weights carry their own vocabularies) and the FSM's token
-    memo. A public call that reads them first clears all three once they
-    hold ``_CACHE_ENTRIES`` together, so none is cleared mid-call."""
+    artifact weights carry their own vocabularies), the FSM's token memo
+    and the surface memo (a triple surface → its entity_id and canonical,
+    ``_link_rows``). A public call that fills them first clears all four
+    once they hold ``_CACHE_ENTRIES`` together, so none is cleared
+    mid-call."""
 
     def __init__(self, artifact_dir: str | None = None):
         """``artifact_dir``: load the models from its sha-verified .npz
@@ -130,12 +132,14 @@ class Kernel:
         self._memo: dict[bytes | tuple, tuple | None] = {}
         self._ids: dict[str | int, tuple[int, int]] = {}  # key → (POS id, NER id)
         self._tokens: dict[bytes, tuple | object] = {}  # the FSM's token memo
+        self._surfaces: dict[str, tuple[str, str]] = {}  # surface → (entity_id, canonical)
         self.missed_texts = 0
 
     def _bound_caches(self) -> None:
-        """Clear the three caches together once they hold ``_CACHE_ENTRIES``."""
-        if len(self._memo) + len(self._ids) + len(self._tokens) >= _CACHE_ENTRIES:
-            for c in (self._memo, self._ids, self._tokens):
+        """Clear the four caches together once they hold ``_CACHE_ENTRIES``."""
+        caches = (self._memo, self._ids, self._tokens, self._surfaces)
+        if sum(map(len, caches)) >= _CACHE_ENTRIES:
+            for c in caches:
                 c.clear()
 
     def tag_texts(self, texts: list[str]) -> Iterator[list[Tagged]]:
@@ -225,16 +229,19 @@ class Kernel:
     def link(self, s: Tagged) -> list[tuple]:
         """(triple_idx, *triple, subj_id, subj_canon, obj_id, obj_canon) rows:
         LINKED_SCHEMA from triple_idx on."""
+        self._bound_caches()
         return self._link_rows(s.values, s.starts, s.lens, s.pos, decode_bio(s.ner))
 
     def _link_rows(self, vals, starts, lens, pos, spans) -> list[tuple]:
-        lookup = self.lookup
+        lookup, surfaces = self.lookup, self._surfaces
         rows = []
         for ti, tup in enumerate(span_triples(vals, starts, lens, pos, spans)):
             link: tuple = ()
             for surface in (tup[0], tup[3]):
-                norm = normalize_surface(surface)
-                link += lookup.get(norm, (NIL, norm))
+                if (found := surfaces.get(surface)) is None:
+                    norm = normalize_surface(surface)
+                    found = surfaces[surface] = lookup.get(norm, (NIL, norm))
+                link += found
             rows.append((ti,) + tup + link)
         return rows
 

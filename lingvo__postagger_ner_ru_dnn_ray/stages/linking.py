@@ -15,19 +15,15 @@ mel=10000: lower-invariant + ё→е + NonSpacingMark strip
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ..model.lexicon import entity_dictionary
 from ..textkit.features import to_model_token_str
 
 NIL = "NIL"
 
 
-@lru_cache(maxsize=1 << 17)
 def normalize_surface(surface: str) -> str:
-    # memoized per worker process: real corpora draw surfaces from a
-    # heavy-tailed distribution, so the cache absorbs the per-char
-    # normalization cost (bounded LRU keeps memory flat at stream scale)
+    # the kernel memoizes each surface's link (Kernel._link_rows), under the
+    # bound of its other caches
     return " ".join(to_model_token_str(w, 10000) for w in surface.split(" "))
 
 

@@ -14,15 +14,23 @@ by ``merge_kg_runs``: the manifest is complete and lists exactly the
 ``*.parquet`` files beside it, at their sizes. The config hash covers
 ``v``, ``num_partitions``, the input path and the artifact path, not the
 files' contents: an input rewritten in place is not noticed.
+
+One process writes an output directory at a time (``writer_lock``): a
+second job's clearing pass would otherwise remove the files of partitions
+the first has not yet published.
 """
 from __future__ import annotations
 
 import json
 import os
+import socket
 import zlib
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 MANIFEST_NAME = "_manifest.json"
+LOCK_NAME = "_writer.lock"
 
 
 def partition_of(key: str, num_partitions: int) -> int:
@@ -90,3 +98,78 @@ def intact_manifests(out_dir: str | Path) -> dict[int, dict]:
 def completed_partitions(out_dir: str | Path, cfg_hash: str) -> set[int]:
     """The intact partitions under ``out_dir`` of config ``cfg_hash``."""
     return {k for k, m in intact_manifests(out_dir).items() if m.get("config_hash") == cfg_hash}
+
+
+def _start_time(pid: int) -> int | None:
+    """The start time of process ``pid`` in clock ticks since boot (field
+    22 of ``/proc/<pid>/stat``), or None without such a file."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return int(stat.rsplit(")", 1)[1].split()[19])
+
+
+def _holds(holder: dict) -> bool:
+    """Whether the process a lock records may still hold it: one on another
+    host always may; one on this host while it runs, which a reused pid
+    (another start time) does not."""
+    if holder.get("host") != socket.gethostname():
+        return True
+    try:
+        os.kill(holder["pid"], 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass
+    return _start_time(holder["pid"]) == holder.get("start")
+
+
+def _take_over(path: Path, seen: str) -> None:
+    """Remove the lock at ``path`` if it still holds ``seen``: it is moved
+    aside first, so two takers cannot both remove it, and put back if a
+    new holder's lock was moved instead."""
+    aside = path.with_name(f"{path.name}.{os.getpid()}")
+    try:
+        os.rename(path, aside)
+    except FileNotFoundError:
+        return  # another taker removed it first
+    if aside.read_text() != seen:
+        os.link(aside, path)
+    aside.unlink()
+
+
+@contextmanager
+def writer_lock(out_dir: str | Path) -> Iterator[None]:
+    """Hold ``out_dir/_writer.lock`` while the body runs: created with
+    ``O_CREAT | O_EXCL``, recording this host, pid and the pid's start
+    time, and removed when the body ends. If another writer holds it this
+    raises ``RuntimeError`` at once, naming the holder; a lock whose
+    holder has died on this host is taken over."""
+    path = Path(out_dir) / LOCK_NAME
+    path.parent.mkdir(parents=True, exist_ok=True)
+    pid = os.getpid()
+    me = json.dumps({"host": socket.gethostname(), "pid": pid, "start": _start_time(pid)})
+    while True:
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+            break
+        except FileExistsError:
+            try:
+                seen = path.read_text()
+            except FileNotFoundError:
+                continue  # released between the two calls
+        try:
+            holder = json.loads(seen)
+        except json.JSONDecodeError:
+            holder = None  # a holder that has not written it yet
+        if holder is None or _holds(holder):
+            raise RuntimeError(f"{out_dir} has another writer: {path} holds "
+                               f"{seen or 'nothing yet'}")
+        _take_over(path, seen)
+    with os.fdopen(fd, "w") as f:
+        f.write(me)
+    try:
+        yield
+    finally:
+        path.unlink(missing_ok=True)

@@ -51,7 +51,7 @@ from .resources import DIGITS_SPEC_ENDS, NUM_PLACEHOLDER
 from .sentsplit import Sent, sent_end_hits, split_sents
 from .urls import EMAIL, scan_urls, url_triggers
 
-_CT = xlat.CHARTYPE_L          # scalar per-char path (list: faster indexing)
+_CT = xlat.CHARTYPE_L          # scalar per-char path
 _UP = xlat.UPPER_INVARIANT_L
 
 _WS = xlat.IS_WHITESPACE

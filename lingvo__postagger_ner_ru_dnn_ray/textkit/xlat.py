@@ -8,8 +8,9 @@ tokenizer's SpecialCharType map
 SentCharType map
 (.../sentSplitting/SentSplitterModel.cs:96-110,197-277).
 
-All tables are numpy arrays of size 65536 indexed by UTF-16 code unit, so
-both single-char classification and whole-string classification vectorize.
+All tables have 65536 entries indexed by UTF-16 code unit. Each is a numpy
+array for whole-string classification; the three that the per-char FSMs
+read also come as a compact buffer over the same memory (``*_L``).
 Strings are viewed as uint16 arrays via ``encode('utf-16-le')`` which gives
 exactly .NET's char semantics (surrogate pairs count as two units).
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import sys
 import unicodedata
+from array import array
 
 import numpy as np
 
@@ -129,8 +131,8 @@ def _map_yo(c: int) -> int:
 
 
 def _build_case_maps() -> tuple[np.ndarray, np.ndarray]:
-    up = np.arange(_N, dtype=np.uint32)
-    lo = np.arange(_N, dtype=np.uint32)
+    up = np.arange(_N, dtype=np.uint16)  # every value is a UTF-16 code unit
+    lo = np.arange(_N, dtype=np.uint16)
     for c in range(_N):
         c2 = _map_yo(c)
         ch = chr(c2)
@@ -183,17 +185,22 @@ def _build_sentchartype(ct: np.ndarray) -> np.ndarray:
     return sc
 
 
+def _compact(table: np.ndarray) -> tuple[np.ndarray, array | bytes]:
+    """``table``'s values as a compact buffer (``bytes`` for uint8, else
+    ``array('H')``) and a numpy view of that buffer. The per-char FSM paths
+    index the buffer, which returns a plain int as a list would, while a
+    64K-entry list of ints would cost about 1 MB in every process."""
+    buf = table.tobytes() if table.dtype == np.uint8 else array("H", table.tobytes())
+    return np.frombuffer(buf, dtype=table.dtype), buf
+
+
 CHARTYPE, NON_SPACING_MARK = _build_chartype()
 UPPER_INVARIANT, LOWER_INVARIANT = _build_case_maps()
 SPECTYPE: np.ndarray = _build_spectype(CHARTYPE)
 SENTCHARTYPE: np.ndarray = _build_sentchartype(CHARTYPE)
-
-# Python-list mirrors for the scalar (per-char) hot paths: list indexing is
-# ~4× faster than numpy scalar indexing in tight FSM loops; the numpy
-# arrays remain the vectorized (whole-string) path.
-CHARTYPE_L: list[int] = CHARTYPE.tolist()
-SENTCHARTYPE_L: list[int] = SENTCHARTYPE.tolist()
-UPPER_INVARIANT_L: list[int] = UPPER_INVARIANT.tolist()
+CHARTYPE, CHARTYPE_L = _compact(CHARTYPE)
+UPPER_INVARIANT, UPPER_INVARIANT_L = _compact(UPPER_INVARIANT)
+SENTCHARTYPE, SENTCHARTYPE_L = _compact(SENTCHARTYPE)
 
 
 _ENC = "utf-16-le" if sys.byteorder == "little" else "utf-16-be"
@@ -210,13 +217,13 @@ def to_u16(text: str) -> np.ndarray:
 def upper_invariant(text: str) -> str:
     u = to_u16(text)
     enc = _ENC
-    return UPPER_INVARIANT[u].astype(np.uint16).tobytes().decode(enc, "surrogatepass")
+    return UPPER_INVARIANT[u].tobytes().decode(enc, "surrogatepass")
 
 
 def lower_invariant(text: str) -> str:
     u = to_u16(text)
     enc = _ENC
-    return LOWER_INVARIANT[u].astype(np.uint16).tobytes().decode(enc, "surrogatepass")
+    return LOWER_INVARIANT[u].tobytes().decode(enc, "surrogatepass")
 
 
 def is_dot(c: int) -> bool:

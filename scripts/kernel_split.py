@@ -25,13 +25,17 @@ count the token rows each model forwarded. The collector's passes, by
 generation, are timed through ``gc.callbacks``; they are included in the
 layer they interrupt and also shown on their own (``tokenize_gc``: the
 passes inside the tokenizer's parts). After the pass it counts the
-entries of the worker's caches: the sentence memo, the id map and the
-token memo (``memo``, ``ids``, ``tokens``: the kernel's, or a checkout's
-module-level ``_TOKEN_MEMO``), their sum (``entries``) and the kernel's
+entries of the worker's caches: the sentence memo, the id map, the token
+memo and the surface memo (``memo``, ``ids``, ``tokens``, ``surfaces``:
+the kernel's, or a checkout's module-level ``_TOKEN_MEMO`` and
+``normalize_surface`` LRU), their sum (``entries``) and the kernel's
 ``_CACHE_ENTRIES`` (``bound``, 0 in a checkout without one).
 The summary gives, per column, each side's median and quartiles and the
 pairs in which the change read lower, with ``seeds`` and ``quartiles``
-from ``ab_pairs.py``.
+from ``ab_pairs.py``; then the same for each timed column's share of its
+run's ``total``. The host's speed drifts between runs by as much as a
+layer change (two identical trees read ``total`` 11% apart), and a share
+cancels that drift.
 It imports ``perfbench/workloads.py`` and ``perfbench/run.py`` read-only
 from this checkout and edits nothing.
 """
@@ -51,9 +55,10 @@ BATCH_TURNS = 512  # the job's tag_batch_size
 TOKENIZE = ["front", "init", "split", "fsm"]
 COLUMNS = ["total", *TOKENIZE, "ner", "pos", "ner_fwd", "pos_fwd", "rest", "gc0", "gc1", "gc2",
            "gc2_passes", "tokenize_gc", "misses", "ner_rows", "pos_rows",
-           "memo", "ids", "tokens", "entries", "bound"]
-COUNTS = {"gc2_passes", "misses", "ner_rows", "pos_rows", "memo", "ids", "tokens", "entries",
-          "bound"}
+           "memo", "ids", "tokens", "surfaces", "entries", "bound"]
+COUNTS = {"gc2_passes", "misses", "ner_rows", "pos_rows", "memo", "ids", "tokens", "surfaces",
+          "entries", "bound"}
+SHARES = [k for k in COLUMNS if k not in COUNTS and k != "total"]
 
 
 def child(root: str, workload: str, seed: int) -> dict:
@@ -69,6 +74,7 @@ def child(root: str, workload: str, seed: int) -> dict:
     from lingvo__postagger_ner_ru_dnn_ray.model.tagger import SeqLabelModel
     from lingvo__postagger_ner_ru_dnn_ray.stages import fused
     from lingvo__postagger_ner_ru_dnn_ray.stages import kernel as kernel_mod
+    from lingvo__postagger_ner_ru_dnn_ray.stages import linking
     from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
     from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer as tz
 
@@ -137,9 +143,11 @@ def child(root: str, workload: str, seed: int) -> dict:
     acc["rest"] = acc["total"] - sum(acc[k] for k in (*TOKENIZE, "ner", "pos"))
     kern = fused._STAGES[None].kernel
     tokens = kern._tokens if hasattr(kern, "_tokens") else tz._TOKEN_MEMO
-    acc.update(memo=len(kern._memo), ids=len(kern._ids), tokens=len(tokens),
+    surfaces = (len(kern._surfaces) if hasattr(kern, "_surfaces")
+                else linking.normalize_surface.cache_info().currsize)
+    acc.update(memo=len(kern._memo), ids=len(kern._ids), tokens=len(tokens), surfaces=surfaces,
                bound=getattr(kernel_mod, "_CACHE_ENTRIES", 0))
-    acc["entries"] = acc["memo"] + acc["ids"] + acc["tokens"]
+    acc["entries"] = acc["memo"] + acc["ids"] + acc["tokens"] + acc["surfaces"]
     return acc
 
 
@@ -177,13 +185,22 @@ def main(argv: list[str]) -> int:
     n = len(sides["parent"])
     print(f"{args.workload}: {n} pairs, median (q1-q3) a side (process CPU s; gc inside "
           "the layers); won: pairs in which the change read lower")
-    for k in COLUMNS:
-        pv, cv = [r[k] for r in sides["parent"]], [r[k] for r in sides["change"]]
+    summarize(sides, COLUMNS, lambda r, k: r[k], fmt)
+    print("share of total, per run")
+    summarize(sides, SHARES, lambda r, k: r[k] / r["total"], lambda k, v: f"{v:.1%}")
+
+
+def summarize(sides: dict, cols: list[str], get, show) -> None:
+    """One line per column: each side's median (q1-q3) of ``get(rec, col)``,
+    the change's median relative to the parent's, and the pairs won."""
+    n = len(sides["parent"])
+    for k in cols:
+        pv, cv = [get(r, k) for r in sides["parent"]], [get(r, k) for r in sides["change"]]
         (p1, p2, p3), (c1, c2, c3) = quartiles(pv), quartiles(cv)
         rel = f"{(c2 - p2) / p2:+.1%}" if p2 else "n/a"
         won = sum(c < p for p, c in zip(pv, cv))
-        print(f"  {k:11s} {f'{fmt(k, p2)} ({fmt(k, p1)}-{fmt(k, p3)})':>23s} ->"
-              f" {f'{fmt(k, c2)} ({fmt(k, c1)}-{fmt(k, c3)})':>23s} {rel:>7s} {won}/{n}")
+        print(f"  {k:11s} {f'{show(k, p2)} ({show(k, p1)}-{show(k, p3)})':>23s} ->"
+              f" {f'{show(k, c2)} ({show(k, c1)}-{show(k, c3)})':>23s} {rel:>7s} {won}/{n}")
     return 0
 
 

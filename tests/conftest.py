@@ -34,9 +34,10 @@ class _CountingDict(dict):
 
 @pytest.fixture
 def counting_caches():
-    """``counting_caches(kernel)`` swaps the kernel's sentence memo, id map
-    and token memo for dicts that count their clears and returns them."""
+    """``counting_caches(kernel)`` swaps the kernel's sentence memo, id map,
+    token memo and surface memo for dicts that count their clears and
+    returns them."""
     def swap(k):
-        k._memo, k._ids, k._tokens = _CountingDict(), _CountingDict(), _CountingDict()
-        return k._memo, k._ids, k._tokens
+        k._memo, k._ids, k._tokens, k._surfaces = (_CountingDict() for _ in range(4))
+        return k._memo, k._ids, k._tokens, k._surfaces
     return swap

@@ -906,8 +906,9 @@ def test_kg_merge_refuses_damaged_runs(ray_session, tmp_path):
 def test_kg_merged_view_merges_again(ray_session, tmp_path):
     """A merged view is an accepted merge input: merge(merge(a, b), c)
     equals one run over a ∪ b ∪ c, for edges and nodes summed over
-    ``part``. The view has no triples/, so the second merge warns once,
-    naming it, that its overlap check leaves it out."""
+    ``part``. The view has no triples/, so the second merge checks it
+    through the triples of a and b, which its manifests record, and warns
+    of nothing."""
     import warnings
 
     from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import merge_kg_runs
@@ -921,13 +922,103 @@ def test_kg_merged_view_merges_again(ray_session, tmp_path):
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
         merge_kg_runs([str(ab), c], str(abc))
-    msgs = [str(x.message) for x in w if str(x.message).startswith("merge_kg_runs")]
-    assert len(msgs) == 1 and "no triples/ directory" in msgs[0] and str(ab) in msgs[0]
+    assert not [x for x in w if str(x.message).startswith("merge_kg_runs")]
     edge_keys = ["subj_id", "pred", "obj_id"]
     assert _global(pq.read_table(abc / "edges"), edge_keys, EDGE_AGG).equals(
         _global(pq.read_table(full / "edges"), edge_keys, EDGE_AGG))
     assert _global(pq.read_table(abc / "nodes"), ["entity_id"], NODE_AGG).equals(
         _global(pq.read_table(full / "nodes"), ["entity_id"], NODE_AGG))
+
+
+def test_kg_merge_checks_a_view_through_its_runs(ray_session, tmp_path):
+    """merge(merge(a, b), a) would count a's conversations twice. The view
+    has no triples/, but its manifests record a and b, so the overlap check
+    reads their triples and raises before the merge writes anything."""
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import merge_kg_runs
+
+    a, b = _disjoint_runs(synth_transcripts_table(80, seed=17), 2, tmp_path, p=2)
+    ab = tmp_path / "kg_ab"
+    merge_kg_runs([a, b], str(ab))
+    out = tmp_path / "kg_again"
+    with pytest.raises(ValueError, match="overlap"):
+        merge_kg_runs([str(ab), a], str(out))
+    assert not out.exists()
+
+
+def test_second_writer_raises_before_it_clears(fixture_path, oracle, tmp_path, monkeypatch):
+    """Two jobs on one ``out_dir``: the second starts just as the first is
+    about to publish its first triples manifest, and dies after its
+    clearing pass. It raises at once, naming the first as the lock's
+    holder, and removes nothing, so the first job publishes and returns
+    every row of the oracle and releases the lock."""
+    import os
+
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines import kg
+
+    out, publish, second = tmp_path / "kg", kg.mf.write_manifest, []
+
+    def dies(*args, **kwargs):
+        raise RuntimeError("the second job died after its clearing pass")
+
+    def second_job_first(*args, **kwargs):
+        if not second:
+            with monkeypatch.context() as m:
+                m.setattr(kg, "read_transcripts", dies)
+                try:
+                    run_kg_job(fixture_path, str(out), num_partitions=4)
+                except RuntimeError as e:
+                    second.append(str(e))
+        return publish(*args, **kwargs)
+
+    monkeypatch.setattr(kg.mf, "write_manifest", second_job_first)
+    res = run_kg_job(fixture_path, str(out), num_partitions=4)
+    assert "another writer" in second[0] and f'"pid": {os.getpid()}' in second[0]
+    assert res["rows"]["triples"] == oracle["triples"].num_rows
+    _assert_job_equals_oracle(out, oracle)
+    assert not (out / "_writer.lock").exists()
+
+
+_DIE_HOLDING_LOCK = """
+import os, sys
+from lingvo__postagger_ner_ru_dnn_ray.state.manifest import writer_lock
+held = writer_lock(sys.argv[1])
+held.__enter__()
+os._exit(0)
+"""
+
+
+def test_dead_writers_lock_is_taken_over(fixture_path, oracle, tmp_path):
+    """A writer that dies holding ``out_dir``'s lock leaves it behind; the
+    next job on this host finds the holder dead, takes the lock over and
+    equals the oracle. A lock of a live process, of another host, or
+    that its holder has not written yet is not taken over; one with a
+    live pid but another start time (a reused pid) is."""
+    import json
+    import os
+    import socket
+    import subprocess
+    import sys
+
+    from lingvo__postagger_ner_ru_dnn_ray.state import manifest as mf
+
+    out = tmp_path / "kg"
+    subprocess.run([sys.executable, "-c", _DIE_HOLDING_LOCK, str(out)],
+                   cwd=Path(__file__).resolve().parents[1], check=True)
+    lock = out / mf.LOCK_NAME
+    assert json.loads(lock.read_text())["pid"] != os.getpid()
+    run_kg_job(fixture_path, str(out), num_partitions=4)
+    _assert_job_equals_oracle(out, oracle)
+    assert not lock.exists()
+
+    me = {"host": socket.gethostname(), "pid": os.getpid(), "start": mf._start_time(os.getpid())}
+    for holder in (me, dict(me, host=me["host"] + "-elsewhere"), None):
+        lock.write_text("" if holder is None else json.dumps(holder))
+        with pytest.raises(RuntimeError, match="another writer"):
+            run_kg_job(fixture_path, str(out), num_partitions=4)
+    lock.write_text(json.dumps(dict(me, start=me["start"] + 1)))
+    with mf.writer_lock(out):
+        assert json.loads(lock.read_text()) == me
+    assert not lock.exists()
 
 
 def _manifest_mtimes(table_dir: Path) -> dict:
@@ -1064,8 +1155,8 @@ def test_batch_splits_and_cache_clears(fixture_path, oracle, tmp_path, monkeypat
     when its caches clear between batches. One ``KgStage`` takes the
     fixture's turns, 60 of them again under other conversations, and the
     reference lines, at batch sizes 1, 7, 64 and 512, with the bound of
-    the id map, the sentence memo and the token memo small, so that all
-    three clear during every pass. ``run_kg_job`` at ``tag_batch_size=7``
+    the id map, the sentence memo, the token memo and the surface memo
+    small, so that all four clear during every pass. ``run_kg_job`` at ``tag_batch_size=7``
     equals the oracle too."""
     from reference_lines import reference_lines
 

@@ -56,6 +56,46 @@ def test_chartype_flags():
     assert not (ct[ord(".")] & xlat.IS_URL_BREAK)
 
 
+# sha256 of each table's 65,536 values as little-endian uint32, pinned from
+# the tables as Python lists (CHARTYPE_L, SENTCHARTYPE_L, UPPER_INVARIANT_L)
+# and as a uint32 array (LOWER_INVARIANT)
+_TABLE_DIGESTS = {
+    "CHARTYPE": ("H", "748ab8b7d02459164bb352fe9f8cc73b62a679d2e4a42164cc8000eae0f6b5e9"),
+    "SENTCHARTYPE": (None, "0eaa1d913f7075aa0056474a708f215ab2f0e2e0ca1c5661ce42b74445c2c4a8"),
+    "UPPER_INVARIANT": ("H", "f23a264f56dec2a93654504d4b1d75b44c0b73392ac7eefa0c8777266ab14495"),
+}
+_LOWER_DIGEST = "014a874c4317114018fff053527f307e273829a135b87e38d5f5e6799d624a7c"
+
+
+def _digest(values) -> str:
+    import hashlib
+
+    return hashlib.sha256(np.array(list(values), dtype="<u4").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_DIGESTS))
+def test_compact_tables_hold_the_pinned_values(name):
+    """The per-char paths' tables are compact buffers (``array('H')``, or
+    ``bytes`` for SENTCHARTYPE) that hold, at all 65,536 code units, the
+    values pinned from their list form; the numpy table reads the same."""
+    from array import array
+
+    code, digest = _TABLE_DIGESTS[name]
+    compact = getattr(xlat, name + "_L")
+    if code is None:
+        assert type(compact) is bytes
+    else:
+        assert type(compact) is array and compact.typecode == code
+    assert len(compact) == 0x10000 and _digest(compact) == digest
+    assert np.array_equal(getattr(xlat, name), np.array(list(compact)))
+
+
+def test_case_maps_are_utf16_units():
+    """Both case maps are uint16 and LOWER_INVARIANT holds its pinned values."""
+    assert xlat.UPPER_INVARIANT.dtype == xlat.LOWER_INVARIANT.dtype == np.uint16
+    assert _digest(xlat.LOWER_INVARIANT.tolist()) == _LOWER_DIGEST
+
+
 # --------------------------- sentence splitter -----------------------------
 def test_dot_splits_only_before_newline_or_eof():
     # dot at EOF splits; mid-line dot does not (SentSplitter.cs:571,1566-1582)
