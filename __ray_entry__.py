@@ -1,7 +1,7 @@
 """Driver contract (Ray Data target).
 
 ``entry()`` — flagship KG pipeline on sf0.001-scaled synthetic transcripts.
-``queries()`` — the nine entries of the KG job and its boundaries; each
+``queries()`` — the eight entries of the KG job and its boundaries; each
 takes ``sf_dir`` and returns a Dataset / DataFrame / pyarrow Table.
 ``oracle_sql()`` — DuckDB-equivalent SQL per query. Tokenizer + DNN tagging
 is not SQL-expressible, so the oracle is the SINGLE-PROCESS reference
@@ -277,16 +277,6 @@ def entry() -> Any:
     return fused_linked_triples(read_transcripts(_transcripts(_n_turns("sf0.001"))))
 
 
-def _seqlabel_f1(sf_dir: str):
-    """Per-class validation counters (Validator.cs:36-67 analogue) over
-    the tagged sentences, with deterministically perturbed ref labels —
-    see pipelines/validation.py."""
-    from lingvo__postagger_ner_ru_dnn_ray.pipelines.validation import seqlabel_f1_partials
-
-    return _sum_sentence_partials(sf_dir, seqlabel_f1_partials, "label",
-                                  ["hyp_count", "ref_count", "match_count"])
-
-
 def _sum_sentence_partials(sf_dir: str, partials, key: str, counts: list[str]):
     """``partials`` maps each block of the shared run's sentences to
     (key, *counts) rows; the driver sums those few rows per key with one
@@ -347,8 +337,8 @@ def _kg_edges_artifact(sf_dir: str):
 
 def queries() -> dict[str, Callable[[str], Any]]:
     """One callable per entry, keyed by name; each takes ``sf_dir``. The
-    nine ``kg_*`` / ``seqlabel_f1`` / ``web_json_tagged`` entries run the
-    KG job and its boundaries. Order carries no meaning.
+    eight ``kg_*`` / ``web_json_tagged`` entries run the KG job and its
+    boundaries. Order carries no meaning.
     """
     return {
         "kg_edges_artifact": _kg_edges_artifact,
@@ -361,7 +351,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_nodes": lambda sf: _global_nodes(_ensure_kg_ray(sf)),
         "kg_pos_label_counts": _kg_pos_label_counts,
         "kg_sentence_len_histogram": _kg_sentence_len_histogram,
-        "seqlabel_f1": _seqlabel_f1,
     }
 
 
@@ -390,16 +379,11 @@ def oracle_sql() -> dict[str, str]:
     # scripts/check_correctness.py /root/testdata/sf0.1) — the driver
     # never sets it, so its behavior is unchanged.
     sf = os.environ.get("GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01")
-    from lingvo__postagger_ner_ru_dnn_ray.pipelines.validation import (
-        seqlabel_f1_oracle_sql,
-    )
-
     orc = _ensure_kg_oracle(sf)
     sql = _kg_sql(orc)
     sql["web_json_tagged"] = (
         f"SELECT * FROM read_parquet('{_ensure_webjson_oracle(sf)}')"
     )
-    sql["seqlabel_f1"] = seqlabel_f1_oracle_sql(f"{orc}/sentences.parquet")
     sql["kg_sentence_len_histogram"] = (
         "SELECT len(\"values\") // 10 AS len_bucket, count(*)::BIGINT AS n_sents "
         f"FROM read_parquet('{orc}/sentences.parquet') GROUP BY len(\"values\") // 10"

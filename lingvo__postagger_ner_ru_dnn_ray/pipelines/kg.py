@@ -200,20 +200,36 @@ def _write_data(base: str, part: int, table: pa.Table | None) -> None:
     os.replace(tmp, pdir / DATA_FILE)
 
 
+def _sum(t: pa.Table | None, col: str) -> int:
+    """Σ ``col`` of ``t``; 0 for no table or no rows."""
+    return 0 if t is None else pc.sum(t.column(col)).as_py() or 0
+
+
 def _build_graph(srcs: list[str], per_file, out: dict[str, str], parts: list[int],
-                 cfg: dict) -> tuple[_Step, dict[str, int]]:
+                 cfg: dict, weights: dict[int, int] | None = None) -> tuple[_Step, dict[str, int]]:
     """A partition's edges and nodes, built and published as one unit. One
     task per partition k of ``parts`` writes ``edges/part=k`` =
     ``_fold_edges`` over the files of ``src/part=k/`` of every ``src``,
     each reduced by ``per_file``, then ``nodes/part=k`` from the edges it
-    holds. Once every task has ended, both tables' manifests of ``parts``
-    publish with lineage config ``cfg``. Returns the step and the rows each
-    table published."""
+    holds. Before it writes, the task checks that Σ ``n_mentions`` is
+    twice Σ ``weight`` (each edge has two endpoints) and, when
+    ``weights`` is given, that Σ ``weight`` equals ``weights[k]``, a count
+    recorded when the partition's input was published; it raises on a
+    violation. Once every task has ended, both tables' manifests of
+    ``parts`` publish with lineage config ``cfg``. Returns the step and
+    the rows each table published."""
 
     def build(part: int) -> None:
         edges = _fold_edges([f for s in srcs for f in _part_files(s, part)], per_file)
+        nodes = None if edges is None else edge_node_partials(edges)
+        weight, mentions = _sum(edges, "weight"), _sum(nodes, "n_mentions")
+        want = weight if weights is None else weights[part]
+        if weight != want or mentions != 2 * weight:
+            raise RuntimeError(
+                f"graph of partition {part}: Σ weight {weight}, Σ n_mentions {mentions}; "
+                f"want Σ weight = {want} and Σ n_mentions = 2 × Σ weight")
         _write_data(out["edges"], part, edges)
-        _write_data(out["nodes"], part, None if edges is None else edge_node_partials(edges))
+        _write_data(out["nodes"], part, nodes)
 
     step = _per_partition(parts, build)
     ch = mf.config_hash(cfg)
@@ -286,8 +302,9 @@ def run_kg_job(
     partition's triples and one step publishes, ``_build_graph``). A
     re-run after a partial failure completes only the missing states: a
     kill after the triples are published rebuilds only the graph (the
-    expensive tagging stage is skipped), and a partition missing either
-    graph table rebuilds both. Partitions being (re)computed are first
+    expensive tagging stage is skipped), a partition missing either
+    graph table rebuilds both, and one whose triples are re-tagged
+    rebuilds its graph too. Partitions being (re)computed are first
     cleared of any un-manifested orphan files a dead run flushed (they
     would otherwise sit beside the new files and double-count). So the
     job holds ``out_dir``'s writer lock (``mf.writer_lock``) from before
@@ -328,15 +345,16 @@ def run_kg_job(
     with mf.writer_lock(out_dir):
         done_by = {t: (mf.completed_partitions(out[t], ch) if resume else set())
                    for t in tables}
-        done_by["graph"] = done_by["edges"] & done_by["nodes"]
-        done = done_by["triples"] & done_by["graph"]
+        # a graph is built from its partition's triples, so it stands only
+        # while they do: every partition this run re-tags gets a new graph
+        done = done_by["graph"] = done_by["triples"] & done_by["edges"] & done_by["nodes"]
         todo = sorted(set(range(p)) - done)
         if not todo:
             return {"skipped": True, "partitions_done": sorted(done)}
         # a kill after the triples manifests are published leaves the graph
         # missing: the resume then skips the expensive tagging stage entirely
         # and rebuilds only the graph from the written triples
-        need = {s: [part for part in todo if part not in done_by[s]] for s in ("triples", "graph")}
+        retag = [part for part in todo if part not in done_by["triples"]]
 
         # crash hygiene: a killed run may have flushed partition files WITHOUT
         # publishing their manifests, and a config change reuses partition
@@ -346,10 +364,10 @@ def run_kg_job(
         # num_partitions=8 run's part=4..7 holds the same conversations a
         # num_partitions=4 rerun hashes into part=0..3). Invariant after this
         # pass: every partition dir present under out_dir holds a complete
-        # SAME-CONFIG manifest, in both graph tables for an edges or nodes dir
-        # — anything else (orphans of a dead run, any-config stale dirs,
-        # out-of-range parts, half a graph) is cleared; done partitions are
-        # never touched.
+        # SAME-CONFIG manifest, for an edges or nodes dir in the triples and
+        # both graph tables — anything else (orphans of a dead run,
+        # any-config stale dirs, out-of-range parts, half a graph, the graph
+        # of re-tagged triples) is cleared; done partitions are never touched.
         for t in tables:
             root = Path(out[t])
             if not root.exists():
@@ -367,10 +385,10 @@ def run_kg_job(
                         pdir.unlink()
 
         rows = dict.fromkeys(tables, 0)
-        if need["triples"]:
+        if retag:
             cpus = int(ray.cluster_resources().get("CPU", 8))
             ds = read_transcripts(input_path, override_num_blocks=2 * cpus)
-            skip = set(range(p)) - set(need["triples"])
+            skip = set(range(p)) - set(retag)
             if skip:
                 ds = ds.map_batches(_drop_done_parts(p, skip), batch_format="pyarrow")
             triples = fused_linked_triples(ds, batch_size=tag_batch_size,
@@ -379,16 +397,18 @@ def run_kg_job(
             if stats_out is not None:
                 stats_out.append(("triples", triples.stats()))
             rows["triples"] = sum(mf.write_manifest(out["triples"], part, ch, inputs=cfg)["rows"]
-                                  for part in need["triples"])
+                                  for part in retag)
 
         # edges and nodes are keyed by (part, ...): each partition's are built
         # from its own directory, so only the partitions being rebuilt are read
-        if need["graph"]:
-            built, graph_rows = _build_graph([out["triples"]], edge_partials, out,
-                                             need["graph"], cfg)
-            rows.update(graph_rows)
-            if stats_out is not None:
-                stats_out.append(("edges", built.stats()))
+        # each triple adds 1 to its edge's weight: Σ weight is the rows its
+        # triples manifest recorded when they were published
+        recorded = mf.intact_manifests(out["triples"])
+        built, graph_rows = _build_graph([out["triples"]], edge_partials, out, todo, cfg,
+                                         {k: recorded[k]["rows"] for k in todo})
+        rows.update(graph_rows)
+        if stats_out is not None:
+            stats_out.append(("edges", built.stats()))
         return {"skipped": False, "partitions_done": sorted(done), "partitions_run": todo,
                 "rows": rows}
 

@@ -53,9 +53,10 @@ from .triples import TRIPLE_SCHEMA, can_form_triple, span_triples
 
 _STR_LIST = pa.list_(pa.string())
 
-# entries the four caches hold together before a call clears them: ~107 MB
-# at most at 409 bytes (a memo sentence, the dearest entry on kg_unique), and
-# 8x the 32,527 entries a perfbench run fills
+# entries the four caches hold together before a call clears them: ~111 MB
+# at most at 425 bytes (a memo sentence, the dearest entry; a token-memo entry
+# takes ~227 and an id-map entry ~85), and 13x the 20,217 entries that one
+# pass over perfbench's kg_unique turns fills
 _CACHE_ENTRIES = 1 << 18
 
 # the id map's key of a word whose input type alone decides its model token
@@ -108,12 +109,13 @@ def _pad(labels: list, n: int, fill: str) -> list:
 class Kernel:
     """The state of both steps: the two models, the entity dictionary and
     four caches, each a pure function of its key: the sentence memo
-    (``link_texts``' rows by ``_sent_key``), the id map (per kernel, as
-    artifact weights carry their own vocabularies), the FSM's token memo
-    and the surface memo (a triple surface → its entity_id and canonical,
-    ``_link_rows``). A public call that fills them first clears all four
-    once they hold ``_CACHE_ENTRIES`` together, so none is cleared
-    mid-call."""
+    (``link_texts``' rows by ``_sent_key``, only of sentences whose tokens
+    the token memo held already: a sentence with a first-seen token is
+    not stored), the id map (per kernel, as artifact weights carry their
+    own vocabularies), the FSM's token memo and the surface memo (a triple
+    surface → its entity_id and canonical, ``_link_rows``). A public call
+    that fills them first clears all four once they hold
+    ``_CACHE_ENTRIES`` together, so none is cleared mid-call."""
 
     def __init__(self, artifact_dir: str | None = None):
         """``artifact_dir``: load the models from its sha-verified .npz
@@ -162,25 +164,34 @@ class Kernel:
         ``Tagged`` built (see ``_link_sentences``). Each distinct text of
         the call is split into sentences; a sentence in the memo takes its
         stored rows, shifted by its offset. The others are tokenized once
-        per key and all go through one ``_link_sentences``. A sentence with
-        no words is stored as None and takes no ``sent_idx``; one with no
-        rows as ``()``. ``missed_texts``: the call's texts with a sentence
-        that missed the memo."""
+        per key and all go through one ``_link_sentences``. A missed
+        sentence is stored only if tokenizing it added no entry to the
+        token memo: one with a first-seen token is not stored until its
+        next sighting, while one of known tokens is stored at once, even
+        if it is never seen again. A sentence with no words is stored as
+        None and takes no ``sent_idx``; one with no rows as ``()``.
+        ``missed_texts``: the call's texts with a sentence that missed the
+        memo."""
         self._bound_caches()
-        memo, todo, split = self._memo, {}, {}
+        memo, tokens, todo, split, known = self._memo, self._tokens, {}, {}, set()
         uniq = list(dict.fromkeys(texts))
-        for x, (tk, sents) in zip(uniq, split_texts(uniq, self._tokens)):
+        for x, (tk, sents) in zip(uniq, split_texts(uniq, tokens)):
             keys = split[x] = [(_sent_key(tk.ub, s), s.start) for s in sents]
             for (key, o), s in zip(keys, sents):
                 if key not in memo and key not in todo:
+                    n = len(tokens)
                     todo[key] = (tk.tokenize(s), o)  # missed key → (words, offset)
+                    if len(tokens) == n:
+                        known.add(key)
         per_text = [split[x] for x in texts]
         misses = [k for k, (words, _) in todo.items() if words]
         self.missed_texts = sum(any(k in todo for k, _ in keys) for keys in per_text)
+        got = dict.fromkeys(todo)  # missed key → its rows, None for no words
         for k, rows in zip(misses, self._link_sentences([todo[k][0] for k in misses])):
-            memo[k] = tuple(_shift(r, -todo[k][1]) for r in rows)
-        memo.update((k, None) for k, (words, _) in todo.items() if not words)
-        return [[[_shift(r, o) for r in memo[k]] for k, o in keys if memo[k] is not None]
+            got[k] = tuple(_shift(r, -todo[k][1]) for r in rows)
+        memo.update((k, got[k]) for k in known)
+        return [[[_shift(r, o) for r in rows] for k, o in keys
+                 if (rows := got[k] if k in got else memo[k]) is not None]
                 for keys in per_text]
 
     def _link_sentences(self, sents: list[list]) -> list[list[tuple]]:

@@ -24,9 +24,11 @@ SentSplitterProcessSentCallback_Simple path
 ``split_texts`` splits a batch. Its front (``_Front``) does the
 character work once per slice of ``_FRONT_TEXTS`` texts: the UTF-16
 encode, the char-class gathers, the FSM's jump table and the URL-trigger
-and sentence-end scans. Each text's URL scanner, sentence splitter and FSM
-then read that text's slice of those arrays, so a text's tokens do not
-depend on its batch neighbours. ``tokenize_text`` is a one-text batch.
+and sentence-end scans, kept as numpy buffers. Each text turns only its
+own slice of them into lists, which its URL scanner, sentence splitter and
+FSM read, so a text's tokens do not depend on its batch neighbours and a
+front holds no Python int per code unit. ``tokenize_text`` is a one-text
+batch.
 
 Pure function of text + static LUTs: run as stateless Ray tasks; the LUTs
 are module-level singletons built once per worker process.
@@ -94,28 +96,33 @@ _IS_NUM = object()
 
 
 class _Front:
-    """The character arrays of a batch of texts, each built by one numpy
-    pass over the concatenated UTF-16 code units; text k owns the units
-    ``offs[k]:offs[k + 1]``. ``nxt[i]`` is the smallest j >= i whose char
-    the FSM must inspect; it may point past the end of i's text, which the
-    FSM's sentence-end cap absorbs. The trigger and sentence-end hits are
-    cut per text with ``searchsorted``."""
+    """The character arrays of a batch of texts as numpy buffers, each
+    built by one numpy pass over the concatenated UTF-16 code units; text
+    k owns the units ``offs[k]:offs[k + 1]``, and its ``_SentTokenizer``
+    turns only that slice into lists, so the front holds a few bytes per
+    code unit and no Python int per unit. ``nxt[i]`` is the smallest j >= i
+    whose char the FSM must inspect, counted from the start of i's text;
+    it may point past the end of that text, which the FSM's sentence-end
+    cap absorbs. The trigger and sentence-end hits, a few per text, are
+    lists cut per text with ``searchsorted``."""
 
-    __slots__ = ("offs", "ub", "ul", "cts", "sps", "nxt",
+    __slots__ = ("offs", "ub", "u", "cts", "sps", "nxt",
                  "url_hits", "url_cut", "sent_hits", "sent_cut")
 
     def __init__(self, texts: list[str | None]):
         bs = [x.encode(xlat._ENC) if x else b"" for x in texts]
         self.offs = [0, *accumulate(len(b) >> 1 for b in bs)]
         self.ub = b"".join(bs)
-        u = np.frombuffer(self.ub, dtype=np.uint16)
-        self.ul = u.tolist()
-        self.cts = xlat.CHARTYPE[u].tolist()
-        self.sps = xlat.SPECTYPE[u].tolist()
+        del bs  # the front keeps the joined copy alone
+        self.u = u = np.frombuffer(self.ub, dtype=np.uint16)
+        self.cts = xlat.CHARTYPE[u]
+        self.sps = xlat.SPECTYPE[u]
         n = len(u)
-        idx = np.where(_INSPECT[u], np.arange(n), n)
-        self.nxt = np.minimum.accumulate(idx[::-1])[::-1].tolist()
-        offs = np.asarray(self.offs)
+        idx = np.arange(n, dtype=np.int32)
+        idx[~_INSPECT[u]] = n
+        offs = np.asarray(self.offs, dtype=np.int32)
+        self.nxt = np.minimum.accumulate(idx[::-1])[::-1]
+        self.nxt -= np.repeat(offs[:-1], np.diff(offs))  # text-relative
         uh, sh = url_triggers(u), sent_end_hits(u)
         self.url_hits, self.url_cut = uh.tolist(), np.searchsorted(uh, offs).tolist()
         self.sent_hits, self.sent_cut = sh.tolist(), np.searchsorted(sh, offs).tolist()
@@ -135,21 +142,21 @@ class _Front:
 
 
 class _SentTokenizer:
-    """The FSM over one text of a ``_Front``: list slices of the front's
-    arrays, its URL spans, the front's jump table read at the text's
-    offset ``off``, and the token memo ``tokens`` (code units → fields)."""
+    """The FSM over one text of a ``_Front``: its slices of the front's
+    arrays as lists (the jump table ``nxt`` relative to the text's start),
+    its URL spans and the token memo ``tokens`` (code units → fields)."""
 
     __slots__ = ("ul", "ub", "n", "words", "start_index", "cur_len", "is_prev_num", "last_num",
-                 "dot_variant", "cts", "sps", "nxt", "off", "urls", "tokens")
+                 "dot_variant", "cts", "sps", "nxt", "urls", "tokens")
 
     def __init__(self, front: _Front, k: int, tokens: dict, dot_variant: str = "simple"):
         o, e = front.offs[k], front.offs[k + 1]
-        self.off, self.n = o, e - o
-        self.ul = front.ul[o:e]  # per-char access path
+        self.n = e - o
+        self.ul = front.u[o:e].tolist()  # per-char access path
         self.ub = front.ub[2 * o:2 * e]  # bytes-slice memo keys (2 bytes per unit)
-        self.cts = front.cts[o:e]
-        self.sps = front.sps[o:e]
-        self.nxt = front.nxt
+        self.cts = front.cts[o:e].tolist()
+        self.sps = front.sps[o:e].tolist()
+        self.nxt = front.nxt[o:e].tolist()
         self.urls = scan_urls(self.ul, front.url_triggers_of(k))
         self.tokens = tokens
         # "simple": always unstick dots (WebService path, Tokenizer.cs:732-744)
@@ -284,7 +291,7 @@ class _SentTokenizer:
 
         end = self._trim_end(s, realy_end)
 
-        ul, cts, sps, nxt, off = self.ul, self.cts, self.sps, self.nxt, self.off
+        ul, cts, sps, nxt = self.ul, self.cts, self.sps, self.nxt
         i = s
         while i <= end:
             if next_url_start <= i:
@@ -300,7 +307,7 @@ class _SentTokenizer:
 
             # consume the whole plain letter/digit run to the next char the
             # FSM must inspect (capped at sentence end and the next URL)
-            j = nxt[off + i] - off
+            j = nxt[i]
             if j > i:
                 if j > end + 1:
                     j = end + 1

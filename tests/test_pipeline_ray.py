@@ -295,10 +295,10 @@ def test_driver_entry_contract(ray_session):
     qs = e.queries()
     sqls = e.oracle_sql()
     # every query has an oracle and every oracle a query, and they are
-    # exactly the nine KG entries
+    # exactly the eight KG entries
     assert set(qs) == set(sqls) == {
         "kg_triples", "kg_mentions", "kg_edges", "kg_nodes",
-        "kg_pos_label_counts", "kg_sentence_len_histogram", "seqlabel_f1",
+        "kg_pos_label_counts", "kg_sentence_len_histogram",
         "kg_edges_artifact", "web_json_tagged",
     }
 
@@ -798,6 +798,49 @@ def test_resume_rows_count_what_it_published(fixture_path, tmp_path):
                         for k in (0, 1)) for t in ("edges", "nodes")}
     assert res["rows"] == {"triples": 0, **published}
     assert published["edges"] > 0 and published["nodes"] > 0
+
+
+def test_resume_rebuilds_the_graph_of_retagged_triples(ray_session, tmp_path):
+    """A partition whose triples a resume re-tags gets its graph rebuilt
+    from them. The input is rewritten in place (seed 4 over seed 3, the
+    same file names) and part 0's triples manifest deleted; the resume
+    re-tags part 0, and in every partition Σ edge ``weight`` equals its
+    triples rows and Σ node ``n_mentions`` twice that. A resume that kept
+    part 0's old graph left 342 triples beside edges summing to 307."""
+    src = tmp_path / "in"
+    write_transcripts(synth_transcripts_table(2000, seed=3), str(src), 4)
+    out = tmp_path / "kg"
+    run_kg_job(str(src), str(out), num_partitions=4)
+    write_transcripts(synth_transcripts_table(2000, seed=4), str(src), 4)
+    (out / "triples" / "part=0" / "_manifest.json").unlink()
+    res = run_kg_job(str(src), str(out), num_partitions=4)
+    assert res["partitions_run"] == [0]
+    for k in range(4):
+        rows = pq.read_table(out / "triples" / f"part={k}").num_rows
+        weight = pc.sum(pq.read_table(out / "edges" / f"part={k}").column("weight")).as_py()
+        mentions = pc.sum(pq.read_table(out / "nodes" / f"part={k}").column("n_mentions")).as_py()
+        assert (weight, mentions) == (rows, 2 * rows), k
+
+
+def test_graph_that_breaks_a_conservation_law_publishes_nothing(ray_session, oracle, tmp_path):
+    """A per-file step that doubles the edge weights makes the graph task
+    raise before it writes, as Σ weight then exceeds the triples rows
+    recorded for the partition, and no manifest publishes."""
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import _build_graph
+    from lingvo__postagger_ner_ru_dnn_ray.stages.conflate import edge_partials
+
+    def doubled(t):
+        e = edge_partials(t)
+        return e.set_column(e.schema.get_field_index("weight"), "weight",
+                            pc.multiply(e.column("weight"), 2))
+
+    src = tmp_path / "triples"
+    _row_range_files(oracle["triples"], 2, src / "part=0")
+    out = {t: str(tmp_path / t) for t in ("edges", "nodes")}
+    rows = oracle["triples"].num_rows
+    with pytest.raises(RuntimeError, match=f"Σ weight {2 * rows}, .*want Σ weight = {rows}"):
+        _build_graph([str(src)], doubled, out, [0], {}, {0: rows})
+    assert not [f for t in out.values() for f in Path(t).rglob("*")]  # no data, no manifest
 
 
 @pytest.mark.parametrize("col, yields_triples",

@@ -133,11 +133,33 @@ def test_entries_stay_within_the_bound_plus_one_call(monkeypatch, counting_cache
 
 def test_sentence_after_newline_shares_its_key():
     """A sentence is keyed from its first word, so at a text's start and
-    after a newline it is one memo key."""
+    after a newline it is one memo key. ``tag_texts`` warms the token
+    memo first, so ``link_texts`` stores both sentences."""
     k = Kernel()
     texts = ["Ущерб составил более 9,5 млн руб.", "Да.\nУщерб составил более 9,5 млн руб."]
-    assert k.link_texts(texts) == [[k.link(s) for s in ss] for ss in k.tag_texts(texts)]
+    want = [[k.link(s) for s in ss] for ss in k.tag_texts(texts)]
+    assert k.link_texts(texts) == want
     assert len(k._memo) == 2
+
+
+def test_sentence_with_a_first_seen_token_is_stored_at_its_second_sighting():
+    """A sentence whose tokenizing adds an entry to the token memo gets
+    its rows but is not stored; at its next sighting every token of it is
+    known, so it is stored, and the sighting after that hits. Each time its
+    rows equal ``link`` over ``tag_texts`` of a fresh kernel."""
+    k = Kernel()
+    k.link_texts(["Иван Смирнов купил Газпром."])
+    stored = set(k._memo)
+    text = [f"Иван Смирнов купил Газпром в {_pseudo_word(7).capitalize()}."]
+    fresh = Kernel()
+    want = [[fresh.link(s) for s in ss] for ss in fresh.tag_texts(text)]
+    assert want[0][0]  # the sentence links a triple
+    assert k.link_texts(text) == want
+    assert k._memo.keys() == stored and k.missed_texts == 1
+    assert k.link_texts(text) == want
+    assert len(k._memo) == len(stored) + 1 and k.missed_texts == 1
+    assert k.link_texts(text) == want
+    assert k.missed_texts == 0
 
 
 _SYLLABLES = ["ба", "ве", "гу", "до", "жи", "зя", "ко", "лу",
