@@ -125,7 +125,10 @@ class SeqLabelModel:
         """Logits [B,L,C] for a chunk of B sentences of exactly L tokens:
         no padding, so no attention mask. Every projection is one 2-D GEMM
         over the B·L token rows; the scores are keys against queries, so
-        the softmax reduces over axis 2."""
+        the softmax reduces over axis 2. Each step's arrays are dropped
+        once read and each residual is added in place, so a layer holds
+        few temporaries at a time (an IEEE sum does not depend on the
+        order of its two terms)."""
         B, L = ids.shape
         D, H = self.dim, self.n_heads
         dh = D // H
@@ -137,13 +140,21 @@ class SeqLabelModel:
             k = qkv[:, :, 1].transpose(0, 2, 1, 3)  # [B,H,Lk,dh]
             v = qkv[:, :, 2].transpose(0, 2, 1, 3)  # [B,H,Lk,dh]
             att = k @ q  # [B,H,Lk,Lq]
+            del q, k
             att /= scale
             ctx = (_softmax_keys_(att).transpose(0, 1, 3, 2) @ v).transpose(0, 2, 1, 3)
-            x = _layer_norm_(x + ctx.reshape(B * L, D) @ wo, ln1g, ln1b)
+            del att, v, qkv
+            y = ctx.reshape(B * L, D) @ wo
+            del ctx
+            y += x
+            x = _layer_norm_(y, ln1g, ln1b)
             h = x @ w1
             h += b1
             np.maximum(h, 0.0, out=h)
-            x = _layer_norm_(x + h @ w2, ln2g, ln2b)
+            y = h @ w2
+            del h
+            y += x
+            x = _layer_norm_(y, ln2g, ln2b)
         return (x @ self.w["head_w"] + self.w["head_b"]).reshape(B, L, -1)
 
     # ------------------------------------------------------------------ #

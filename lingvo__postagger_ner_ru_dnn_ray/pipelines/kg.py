@@ -206,7 +206,8 @@ def _sum(t: pa.Table | None, col: str) -> int:
 
 
 def _build_graph(srcs: list[str], per_file, out: dict[str, str], parts: list[int],
-                 cfg: dict, weights: dict[int, int] | None = None) -> tuple[_Step, dict[str, int]]:
+                 cfg: dict, weights: dict[int, int] | None = None,
+                 digests: dict[int, str] | None = None) -> tuple[_Step, dict[str, int]]:
     """A partition's edges and nodes, built and published as one unit. One
     task per partition k of ``parts`` writes ``edges/part=k`` =
     ``_fold_edges`` over the files of ``src/part=k/`` of every ``src``,
@@ -216,8 +217,10 @@ def _build_graph(srcs: list[str], per_file, out: dict[str, str], parts: list[int
     ``weights`` is given, that Σ ``weight`` equals ``weights[k]``, a count
     recorded when the partition's input was published; it raises on a
     violation. Once every task has ended, both tables' manifests of
-    ``parts`` publish with lineage config ``cfg``. Returns the step and
-    the rows each table published."""
+    ``parts`` publish with lineage config ``cfg``, their inputs also
+    recording ``digests[k]`` as "triples" when given: the digest of the
+    triples manifest the graph was built from. Returns the step and the
+    rows each table published."""
 
     def build(part: int) -> None:
         edges = _fold_edges([f for s in srcs for f in _part_files(s, part)], per_file)
@@ -233,7 +236,8 @@ def _build_graph(srcs: list[str], per_file, out: dict[str, str], parts: list[int
 
     step = _per_partition(parts, build)
     ch = mf.config_hash(cfg)
-    rows = {t: sum(mf.write_manifest(out[t], k, ch, inputs=cfg)["rows"] for k in parts)
+    inputs = {k: cfg if digests is None else {**cfg, "triples": digests[k]} for k in parts}
+    rows = {t: sum(mf.write_manifest(out[t], k, ch, inputs=inputs[k])["rows"] for k in parts)
             for t in ("edges", "nodes")}
     return step, rows
 
@@ -304,7 +308,10 @@ def run_kg_job(
     kill after the triples are published rebuilds only the graph (the
     expensive tagging stage is skipped), a partition missing either
     graph table rebuilds both, and one whose triples are re-tagged
-    rebuilds its graph too. Partitions being (re)computed are first
+    rebuilds its graph too. A graph stands only while its edges manifest
+    records the digest (``mf.files_digest``) of the partition's current
+    triples manifest, so triples replaced by any other means also get
+    their graph rebuilt. Partitions being (re)computed are first
     cleared of any un-manifested orphan files a dead run flushed (they
     would otherwise sit beside the new files and double-count). So the
     job holds ``out_dir``'s writer lock (``mf.writer_lock``) from before
@@ -343,11 +350,16 @@ def run_kg_job(
     # one writer at a time: a second job's clearing pass below would remove
     # the files of partitions this one has not published yet
     with mf.writer_lock(out_dir):
-        done_by = {t: (mf.completed_partitions(out[t], ch) if resume else set())
-                   for t in tables}
+        found = {t: {k: m for k, m in (mf.intact_manifests(out[t]) if resume else {}).items()
+                     if m.get("config_hash") == ch} for t in tables}
+        done_by = {t: set(found[t]) for t in tables}
         # a graph is built from its partition's triples, so it stands only
-        # while they do: every partition this run re-tags gets a new graph
-        done = done_by["graph"] = done_by["triples"] & done_by["edges"] & done_by["nodes"]
+        # while they do and are the ones it was built from: every partition
+        # this run re-tags gets a new graph, and so does one whose triples
+        # manifest differs from the one its edges manifest records
+        done = done_by["graph"] = {
+            k for k in done_by["triples"] & done_by["edges"] & done_by["nodes"]
+            if found["edges"][k]["inputs"].get("triples") == mf.files_digest(found["triples"][k])}
         todo = sorted(set(range(p)) - done)
         if not todo:
             return {"skipped": True, "partitions_done": sorted(done)}
@@ -405,7 +417,8 @@ def run_kg_job(
         # triples manifest recorded when they were published
         recorded = mf.intact_manifests(out["triples"])
         built, graph_rows = _build_graph([out["triples"]], edge_partials, out, todo, cfg,
-                                         {k: recorded[k]["rows"] for k in todo})
+                                         {k: recorded[k]["rows"] for k in todo},
+                                         {k: mf.files_digest(recorded[k]) for k in todo})
         rows.update(graph_rows)
         if stats_out is not None:
             stats_out.append(("edges", built.stats()))

@@ -16,7 +16,7 @@ boundary, with ``sentence_table`` and ``linked_table``.
    SENT_SCHEMA row.
 
    Vocabulary ids are the models' token currency: each word maps to both
-   models' ids through the kernel's id map (``Kernel._labels``), which
+   models' ids through the kernel's id map (``Kernel._word_ids``), which
    gives what ``vocab.id(to_model_token(value, input_type, mel))`` gives
    without building the model-token string again; ``mel`` is the model's
    own ``max_ending_length``, as the reference gives each model its own
@@ -53,11 +53,21 @@ from .triples import TRIPLE_SCHEMA, can_form_triple, span_triples
 
 _STR_LIST = pa.list_(pa.string())
 
-# entries the four caches hold together before a call clears them: ~111 MB
-# at most at 425 bytes (a memo sentence, the dearest entry; a token-memo entry
-# takes ~227 and an id-map entry ~85), and 13x the 20,217 entries that one
-# pass over perfbench's kg_unique turns fills
+# entries the four caches and the doorkeeper's insertions reach together
+# before a call clears them all: ~111 MB at most at 425 bytes (a memo
+# sentence, the dearest entry; a token-memo entry takes ~227 and an id-map
+# entry ~85). A word enters the token memo and the id map at its second
+# sighting, so one pass over perfbench's kg_unique turns, whose pseudo-words
+# occur once, leaves a few hundred entries and ~20,100 insertions
 _CACHE_ENTRIES = 1 << 18
+
+# the doorkeeper's bits (128 KB), and the salt of the id map's key hashes:
+# CPython hashes a str of 2-byte chars as its code units, so a Cyrillic
+# word's unsalted hash would equal that of its token-memo key, and its first
+# sighting in the token memo would admit it to the id map
+_DOOR_LOG2 = 20
+_DOOR_BITS = 1 << _DOOR_LOG2
+_ID_SALT = 0x5BD1E995
 
 # the id map's key of a word whose input type alone decides its model token
 # (a placeholder); every other word's key is its value
@@ -106,16 +116,47 @@ def _pad(labels: list, n: int, fill: str) -> list:
     return labels + [fill] * (n - len(labels)) if len(labels) < n else labels
 
 
+class _Doorkeeper:
+    """TinyLFU's doorkeeper (Einziger et al., ACM TOS 2017): a bit array
+    that admits a key to a cache at its second sighting. ``seen(h)`` is
+    true if the two bits that hash ``h`` selects are set, and sets them
+    otherwise; a false positive only stores a key at its first sighting.
+    ``inserts`` counts the calls that set bits."""
+
+    __slots__ = ("bits", "inserts")
+
+    def __init__(self):
+        self.bits = bytearray(_DOOR_BITS >> 3)
+        self.inserts = 0
+
+    def seen(self, h: int) -> bool:
+        a, b = h & (_DOOR_BITS - 1), (h >> _DOOR_LOG2) & (_DOOR_BITS - 1)
+        bits, ma, mb = self.bits, 1 << (a & 7), 1 << (b & 7)
+        if bits[a >> 3] & ma and bits[b >> 3] & mb:
+            return True
+        bits[a >> 3] |= ma
+        bits[b >> 3] |= mb
+        self.inserts += 1
+        return False
+
+    def clear(self) -> None:
+        self.bits[:] = bytes(len(self.bits))
+        self.inserts = 0
+
+
 class Kernel:
     """The state of both steps: the two models, the entity dictionary and
     four caches, each a pure function of its key: the sentence memo
-    (``link_texts``' rows by ``_sent_key``, only of sentences whose tokens
-    the token memo held already: a sentence with a first-seen token is
-    not stored), the id map (per kernel, as artifact weights carry their
-    own vocabularies), the FSM's token memo and the surface memo (a triple
-    surface → its entity_id and canonical, ``_link_rows``). A public call
-    that fills them first clears all four once they hold
-    ``_CACHE_ENTRIES`` together, so none is cleared mid-call."""
+    (``link_texts``' rows by ``_sent_key``, only of sentences that hold no
+    token at its first sighting), the id map (per kernel, as artifact
+    weights carry their own vocabularies), the FSM's token memo and the
+    surface memo (a triple surface → its entity_id and canonical,
+    ``_link_rows``). A word enters the token memo and the id map at its
+    second sighting: the doorkeeper ``_door`` decides, for both, whether
+    a missed key was seen before. A public call that fills them first
+    clears all four and the doorkeeper once the caches' entries and its
+    insertions reach ``_CACHE_ENTRIES`` together, so none is cleared
+    mid-call."""
 
     def __init__(self, artifact_dir: str | None = None):
         """``artifact_dir``: load the models from its sha-verified .npz
@@ -135,13 +176,15 @@ class Kernel:
         self._ids: dict[str | int, tuple[int, int]] = {}  # key → (POS id, NER id)
         self._tokens: dict[bytes, tuple | object] = {}  # the FSM's token memo
         self._surfaces: dict[str, tuple[str, str]] = {}  # surface → (entity_id, canonical)
+        self._door = _Doorkeeper()
         self.missed_texts = 0
 
     def _bound_caches(self) -> None:
-        """Clear the four caches together once they hold ``_CACHE_ENTRIES``."""
+        """Clear the four caches and the doorkeeper together once their
+        entries and its insertions reach ``_CACHE_ENTRIES``."""
         caches = (self._memo, self._ids, self._tokens, self._surfaces)
-        if sum(map(len, caches)) >= _CACHE_ENTRIES:
-            for c in caches:
+        if sum(map(len, caches)) + self._door.inserts >= _CACHE_ENTRIES:
+            for c in (*caches, self._door):
                 c.clear()
 
     def tag_texts(self, texts: list[str]) -> Iterator[list[Tagged]]:
@@ -149,7 +192,7 @@ class Kernel:
         consumes text by text holds one text's ``Tagged`` at a time, which
         keeps the garbage collector's young generations small."""
         self._bound_caches()
-        per_text = tokenize_texts(texts, self._tokens)
+        per_text = tokenize_texts(texts, self._tokens, self._door.seen)
         tagged = self._tag([ws for sents in per_text for ws in sents])
         for sents in per_text:
             yield [next(tagged) for _ in sents]
@@ -165,23 +208,24 @@ class Kernel:
         the call is split into sentences; a sentence in the memo takes its
         stored rows, shifted by its offset. The others are tokenized once
         per key and all go through one ``_link_sentences``. A missed
-        sentence is stored only if tokenizing it added no entry to the
-        token memo: one with a first-seen token is not stored until its
-        next sighting, while one of known tokens is stored at once, even
-        if it is never seen again. A sentence with no words is stored as
-        None and takes no ``sent_idx``; one with no rows as ``()``.
+        sentence is stored only if the FSM met none of its tokens at the
+        token's first sighting (a word enters at its second sighting): one
+        with a first-seen token is not stored until its next sighting,
+        while one of tokens seen before is stored at once, even if it is
+        never seen again. A sentence with no words is stored as None and
+        takes no ``sent_idx``; one with no rows as ``()``.
         ``missed_texts``: the call's texts with a sentence that missed the
         memo."""
         self._bound_caches()
-        memo, tokens, todo, split, known = self._memo, self._tokens, {}, {}, set()
+        memo, todo, split, known = self._memo, {}, {}, set()
         uniq = list(dict.fromkeys(texts))
-        for x, (tk, sents) in zip(uniq, split_texts(uniq, tokens)):
+        for x, (tk, sents) in zip(uniq, split_texts(uniq, self._tokens, self._door.seen)):
             keys = split[x] = [(_sent_key(tk.ub, s), s.start) for s in sents]
             for (key, o), s in zip(keys, sents):
                 if key not in memo and key not in todo:
-                    n = len(tokens)
+                    n = tk.first_seen
                     todo[key] = (tk.tokenize(s), o)  # missed key → (words, offset)
-                    if len(tokens) == n:
+                    if tk.first_seen == n:
                         known.add(key)
         per_text = [split[x] for x in texts]
         misses = [k for k, (words, _) in todo.items() if words]
@@ -197,37 +241,49 @@ class Kernel:
     def _link_sentences(self, sents: list[list]) -> list[list[tuple]]:
         """Each tokenized sentence's ``link`` rows. NER labels every
         sentence; POS labels only those whose spans ``can_form_triple``,
-        since ``link`` of any other sentence is []."""
-        spans = [decode_bio(ner) for ner in self._labels(self.ner_model, sents)]
+        since ``link`` of any other sentence is []. Each word's ids are
+        looked up once, for both."""
+        ids = self._word_ids(sents)
+        spans = [decode_bio(ner) for ner in self._labels(self.ner_model, sents, ids)]
         todo = [i for i, sp in enumerate(spans) if can_form_triple(sp)]
         out: list[list[tuple]] = [[] for _ in sents]
-        for i, praw in zip(todo, self._labels(self.pos_model, [sents[i] for i in todo])):
+        for i, praw in zip(todo, self._labels(self.pos_model, [sents[i] for i in todo],
+                                              [ids[i] for i in todo])):
             ws = sents[i]
             pos = _correct_pos([w.input_type for w in ws], [w.extra for w in ws], praw)
             out[i] = self._link_rows([w.value for w in ws], [w.start for w in ws],
                                      [w.length for w in ws], pos, spans[i])
         return out
 
-    def _labels(self, model, sents: list[list]) -> list[list[str]]:
-        """``model``'s raw labels of each sentence, forwarded on the
-        vocabulary ids the id map holds for its words (``_new_ids`` on a
-        miss)."""
+    def _labels(self, model, sents: list[list], ids: list | None = None) -> list[list[str]]:
+        """``model``'s raw labels of each sentence, forwarded on its
+        words' vocabulary ids: ``ids``, the sentences' ``_word_ids`` when
+        the caller holds them already."""
         j = 1 if model is self.ner_model else 0
+        return model.predict_ids([s[j] for s in (self._word_ids(sents) if ids is None else ids)])
+
+    def _word_ids(self, sents: list[list]) -> list[tuple]:
+        """Each sentence's (POS ids, NER ids), from the id map or
+        ``_new_ids`` on a miss."""
         get, key, new = self._ids.get, _PLACEHOLDER_KEY.get, self._new_ids
-        return model.predict_ids([tuple([(get(k := key(w.input_type, w.value)) or new(k))[j]
-                                         for w in ws]) for ws in sents])
+        return [tuple(zip(*[get(k := key(w.input_type, w.value)) or new(k) for w in ws]))
+                or ((), ()) for ws in sents]
 
     def _new_ids(self, k: str | int) -> tuple[int, int]:
-        """Both models' vocabulary ids of id-map key ``k``, stored in the map."""
+        """Both models' vocabulary ids of id-map key ``k``, stored in the
+        map at its second sighting."""
         value, it = ("", k) if isinstance(k, int) else (k, IT_OTHER)
         pos_t, ner_t = to_model_token_pair(value, it, self.pos_model.max_ending_length,
                                            self.ner_model.max_ending_length)
-        self._ids[k] = (self.pos_model.src_vocab.id(pos_t), self.ner_model.src_vocab.id(ner_t))
-        return self._ids[k]
+        ids = (self.pos_model.src_vocab.id(pos_t), self.ner_model.src_vocab.id(ner_t))
+        if self._door.seen(hash(k) ^ _ID_SALT):
+            self._ids[k] = ids
+        return ids
 
     def _tag(self, sents: list[list]) -> Iterator[Tagged]:
-        pos_raw = self._labels(self.pos_model, sents)
-        ner_raw = self._labels(self.ner_model, sents)
+        ids = self._word_ids(sents)
+        pos_raw = self._labels(self.pos_model, sents, ids)
+        ner_raw = self._labels(self.ner_model, sents, ids)
         for ws, praw, nraw in zip(sents, pos_raw, ner_raw):
             its = [w.input_type for w in ws]
             exs = [w.extra for w in ws]

@@ -9,11 +9,14 @@ recording its lineage (inputs, row count, config hash) and its files
 input files reproduces each partition's contents.
 
 ``intact_manifests`` is the one rule for trusting a partition, used by
-resume (``completed_partitions``: the intact ones of its config hash) and
+resume (the intact ones of its config hash, ``completed_partitions``) and
 by ``merge_kg_runs``: the manifest is complete and lists exactly the
 ``*.parquet`` files beside it, at their sizes. The config hash covers
 ``v``, ``num_partitions``, the input path and the artifact path, not the
-files' contents: an input rewritten in place is not noticed.
+files' contents: an input rewritten in place is not noticed. A job's
+edges and nodes manifests also record ``files_digest`` of the triples
+manifest they were built from, and resume trusts a graph only while that
+digest is the current one's.
 
 One process writes an output directory at a time (``writer_lock``): a
 second job's clearing pass would otherwise remove the files of partitions
@@ -40,6 +43,12 @@ def partition_of(key: str, num_partitions: int) -> int:
 
 def config_hash(cfg: dict) -> str:
     return f"{zlib.crc32(json.dumps(cfg, sort_keys=True).encode()):08x}"
+
+
+def files_digest(m: dict) -> str:
+    """A digest of the files manifest ``m`` lists: their names, sizes and
+    rows."""
+    return config_hash({"files": m.get("files", [])})
 
 
 def partition_dir(out_dir: str | Path, part: int) -> Path:

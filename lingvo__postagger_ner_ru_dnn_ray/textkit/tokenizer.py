@@ -91,7 +91,10 @@ class Word:
 # per-char feature scan for every repeated token. A number token
 # (IsDigits_WithPunctuations_WithSpecEnds, also a pure function of the code
 # units) is stored as ``_IS_NUM`` alone: it becomes the [%NUM%]
-# placeholder, and nothing else of it is read. The caller owns the cache.
+# placeholder, and nothing else of it is read. The caller owns the cache,
+# and may hand the FSM a doorkeeper (``door``): a function of a missed key's
+# hash that is true from the key's second sighting on. A miss is then stored
+# only at its second sighting, so a token seen once is computed and not kept.
 _IS_NUM = object()
 
 
@@ -144,12 +147,16 @@ class _Front:
 class _SentTokenizer:
     """The FSM over one text of a ``_Front``: its slices of the front's
     arrays as lists (the jump table ``nxt`` relative to the text's start),
-    its URL spans and the token memo ``tokens`` (code units → fields)."""
+    its URL spans, the token memo ``tokens`` (code units → fields) and its
+    doorkeeper ``door`` (None: every miss is stored). ``first_seen``
+    counts the tokens the doorkeeper kept out of the memo, i.e. met at
+    their first sighting."""
 
     __slots__ = ("ul", "ub", "n", "words", "start_index", "cur_len", "is_prev_num", "last_num",
-                 "dot_variant", "cts", "sps", "nxt", "urls", "tokens")
+                 "dot_variant", "cts", "sps", "nxt", "urls", "tokens", "door", "first_seen")
 
-    def __init__(self, front: _Front, k: int, tokens: dict, dot_variant: str = "simple"):
+    def __init__(self, front: _Front, k: int, tokens: dict, door=None,
+                 dot_variant: str = "simple"):
         o, e = front.offs[k], front.offs[k + 1]
         self.n = e - o
         self.ul = front.u[o:e].tolist()  # per-char access path
@@ -159,6 +166,8 @@ class _SentTokenizer:
         self.nxt = front.nxt[o:e].tolist()
         self.urls = scan_urls(self.ul, front.url_triggers_of(k))
         self.tokens = tokens
+        self.door = door
+        self.first_seen = 0
         # "simple": always unstick dots (WebService path, Tokenizer.cs:732-744)
         # "console": keep a dot in the word; flush immediately when the next
         #            char is uppercase (batch path, Tokenizer.cs:491-497)
@@ -193,7 +202,10 @@ class _SentTokenizer:
         hit = self.tokens.get(key)
         if hit is None:
             hit = _IS_NUM if self._is_num_token(start, length) else self._fields(key, start, length)
-            self.tokens[key] = hit
+            if self.door is None or self.door(hash(key)):
+                self.tokens[key] = hit
+            else:
+                self.first_seen += 1
         if hit is _IS_NUM:
             if not self.is_prev_num:
                 self.is_prev_num = True
@@ -445,23 +457,25 @@ def _clear_value_original(v: str, extra: int, length: int) -> str:
     return v
 
 
-def split_texts(texts: list[str | None],
-                tokens: dict) -> Iterator[tuple[_SentTokenizer, list[Sent]]]:
+def split_texts(texts: list[str | None], tokens: dict,
+                door=None) -> Iterator[tuple[_SentTokenizer, list[Sent]]]:
     """Each text's FSM and its sentences, with one front per slice of
     ``_FRONT_TEXTS`` texts; ``tk.tokenize(sent)`` gives a sentence's words
-    (possibly none) through the token memo ``tokens``. None and "" yield
-    no sentences."""
+    (possibly none) through the token memo ``tokens``, which stores a
+    miss only once ``door(hash(key))`` is true, at its second sighting
+    (None: at once). None and "" yield no sentences."""
     for lo in range(0, len(texts), _FRONT_TEXTS):
         front = _Front(texts[lo:lo + _FRONT_TEXTS])
         for k in range(len(front)):
-            tk = _SentTokenizer(front, k, tokens)
+            tk = _SentTokenizer(front, k, tokens, door)
             yield tk, split_sents(tk.ul, front.sent_hits_of(k), tk.urls) if tk.n else []
 
 
-def tokenize_texts(texts: list[str | None], tokens: dict | None = None) -> list[list[list[Word]]]:
+def tokenize_texts(texts: list[str | None], tokens: dict | None = None,
+                   door=None) -> list[list[list[Word]]]:
     """``tokenize_text`` of each text, over ``split_texts`` (fresh memo if ``tokens`` is None)."""
     return [[ws for ws in map(tk.tokenize, sents) if ws]
-            for tk, sents in split_texts(texts, {} if tokens is None else tokens)]
+            for tk, sents in split_texts(texts, {} if tokens is None else tokens, door)]
 
 
 def tokenize_text(text: str) -> list[list[Word]]:

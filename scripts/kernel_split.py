@@ -16,20 +16,26 @@ It reports process CPU seconds: the whole pass; the tokenizer's parts,
 timed at names that every checkout since the batch front calls (the front,
 ``_Front``; the per-text ``_SentTokenizer`` init; ``split_sents``; the FSM,
 ``_SentTokenizer.tokenize``); the NER and the POS steps (the method
-``Kernel._labels(self, model, sents)``), and inside each the forward alone
-(``ner_fwd``, ``pos_fwd``: ``SeqLabelModel._forward_logits``), so the
-forward and the glue around it are split; and the rest. ``misses``
+``Kernel._labels(self, model, sents, ...)``; a checkout's
+``Kernel._word_ids``, which looks up a call's word ids once for both
+steps, counts in NER, the step that reads them first), and inside each the
+forward alone (``ner_fwd``, ``pos_fwd``: ``SeqLabelModel._forward_logits``),
+so the forward and the glue around it are split; and the rest. ``misses``
 counts the sentences the FSM tokenized, i.e. those that missed whatever
 cache the checkout keeps ahead of the FSM; ``ner_rows`` and ``pos_rows``
-count the token rows each model forwarded. The collector's passes, by
+count the token rows each model forwarded; ``minflt`` the pass's minor
+page faults (``ru_minflt``). The collector's passes, by
 generation, are timed through ``gc.callbacks``; they are included in the
 layer they interrupt and also shown on their own (``tokenize_gc``: the
 passes inside the tokenizer's parts). After the pass it counts the
 entries of the worker's caches: the sentence memo, the id map, the token
 memo and the surface memo (``memo``, ``ids``, ``tokens``, ``surfaces``:
 the kernel's, or a checkout's module-level ``_TOKEN_MEMO`` and
-``normalize_surface`` LRU), their sum (``entries``) and the kernel's
-``_CACHE_ENTRIES`` (``bound``, 0 in a checkout without one).
+``normalize_surface`` LRU), their sum (``entries``), the doorkeeper's
+insertions and set bits (``door``, ``door_bits``: the kernel's ``_door``,
+which admits a word to the token memo and the id map at its second
+sighting; 0 in a checkout without one) and the kernel's ``_CACHE_ENTRIES``
+(``bound``, 0 in a checkout without one).
 The summary gives, per column, each side's median and quartiles and the
 pairs in which the change read lower, with ``seeds`` and ``quartiles``
 from ``ab_pairs.py``; then the same for each timed column's share of its
@@ -54,16 +60,17 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BATCH_TURNS = 512  # the job's tag_batch_size
 TOKENIZE = ["front", "init", "split", "fsm"]
 COLUMNS = ["total", *TOKENIZE, "ner", "pos", "ner_fwd", "pos_fwd", "rest", "gc0", "gc1", "gc2",
-           "gc2_passes", "tokenize_gc", "misses", "ner_rows", "pos_rows",
-           "memo", "ids", "tokens", "surfaces", "entries", "bound"]
-COUNTS = {"gc2_passes", "misses", "ner_rows", "pos_rows", "memo", "ids", "tokens", "surfaces",
-          "entries", "bound"}
+           "gc2_passes", "tokenize_gc", "misses", "ner_rows", "pos_rows", "minflt",
+           "memo", "ids", "tokens", "surfaces", "entries", "door", "door_bits", "bound"]
+COUNTS = {"gc2_passes", "misses", "ner_rows", "pos_rows", "minflt", "memo", "ids", "tokens",
+          "surfaces", "entries", "door", "door_bits", "bound"}
 SHARES = [k for k in COLUMNS if k not in COUNTS and k != "total"]
 
 
 def child(root: str, workload: str, seed: int) -> dict:
     """One pass of the fused stage from ``root``, in this process."""
     import gc
+    import resource
     import time
 
     sys.path[:0] = [root, str(PERFBENCH)]
@@ -102,8 +109,10 @@ def child(root: str, workload: str, seed: int) -> dict:
     tz.split_sents = timed("split", tz.split_sents)
     tz._SentTokenizer.tokenize = timed("fsm", fsm)
     ner, pos = timed("ner", Kernel._labels), timed("pos", Kernel._labels)
-    Kernel._labels = lambda self, model, sents: (
-        ner if model is self.ner_model else pos)(self, model, sents)
+    Kernel._labels = lambda self, model, *a: (
+        ner if model is self.ner_model else pos)(self, model, *a)
+    if hasattr(Kernel, "_word_ids"):
+        Kernel._word_ids = timed("ner", Kernel._word_ids)
 
     def forward(model, ids, fwd=SeqLabelModel._forward_logits):
         t0 = clock()
@@ -135,10 +144,12 @@ def child(root: str, workload: str, seed: int) -> dict:
     for k in acc:
         acc[k] = 0.0
     gc.callbacks.append(on_gc)
+    flt0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = clock()
     for ofs in range(0, table.num_rows, BATCH_TURNS):
         fused.kg_stage_fn(table.slice(ofs, BATCH_TURNS))
     acc["total"] = clock() - t0
+    acc["minflt"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
     gc.callbacks.remove(on_gc)
     acc["rest"] = acc["total"] - sum(acc[k] for k in (*TOKENIZE, "ner", "pos"))
     kern = fused._STAGES[None].kernel
@@ -148,6 +159,8 @@ def child(root: str, workload: str, seed: int) -> dict:
     acc.update(memo=len(kern._memo), ids=len(kern._ids), tokens=len(tokens), surfaces=surfaces,
                bound=getattr(kernel_mod, "_CACHE_ENTRIES", 0))
     acc["entries"] = acc["memo"] + acc["ids"] + acc["tokens"] + acc["surfaces"]
+    if (door := getattr(kern, "_door", None)) is not None:
+        acc.update(door=door.inserts, door_bits=int.from_bytes(door.bits, "little").bit_count())
     return acc
 
 

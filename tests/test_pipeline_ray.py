@@ -822,6 +822,32 @@ def test_resume_rebuilds_the_graph_of_retagged_triples(ray_session, tmp_path):
         assert (weight, mentions) == (rows, 2 * rows), k
 
 
+def test_resume_rebuilds_a_graph_whose_triples_were_replaced(ray_session, tmp_path):
+    """Each partition's graph records the triples manifest it was built
+    from. Part 0's triples and triples manifest are replaced with those
+    of a same-config run over other input (seed 4 over seed 3 at the same
+    path), its edges and nodes kept: every manifest is intact, yet the
+    resume rebuilds part 0's graph alone, and its Σ ``weight`` equals the
+    new triples rows. A resume that trusted intact manifests alone kept
+    the old graph and returned ``skipped``."""
+    src, out, other = tmp_path / "in", tmp_path / "kg", tmp_path / "other"
+    write_transcripts(synth_transcripts_table(2000, seed=3), str(src), 4)
+    run_kg_job(str(src), str(out), num_partitions=4)
+    write_transcripts(synth_transcripts_table(2000, seed=4), str(src), 4)
+    run_kg_job(str(src), str(other), num_partitions=4)
+    shutil.rmtree(out / "triples" / "part=0")
+    shutil.copytree(other / "triples" / "part=0", out / "triples" / "part=0")
+    rows = pq.read_table(out / "triples" / "part=0").num_rows
+    old = pc.sum(pq.read_table(out / "edges" / "part=0").column("weight")).as_py()
+    assert old != rows  # the kept graph disagrees with the new triples
+    res = run_kg_job(str(src), str(out), num_partitions=4)
+    assert res["partitions_run"] == [0] and res["rows"]["triples"] == 0
+    weight = pc.sum(pq.read_table(out / "edges" / "part=0").column("weight")).as_py()
+    mentions = pc.sum(pq.read_table(out / "nodes" / "part=0").column("n_mentions")).as_py()
+    assert (weight, mentions) == (rows, 2 * rows)
+    assert run_kg_job(str(src), str(out), num_partitions=4)["skipped"]
+
+
 def test_graph_that_breaks_a_conservation_law_publishes_nothing(ray_session, oracle, tmp_path):
     """A per-file step that doubles the edge weights makes the graph task
     raise before it writes, as Σ weight then exceeds the triples rows

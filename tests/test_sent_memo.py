@@ -25,6 +25,7 @@ from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcrip
 from lingvo__postagger_ner_ru_dnn_ray.stages import kernel as kernel_mod
 from lingvo__postagger_ner_ru_dnn_ray.stages.fused import KgStage
 from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
+from lingvo__postagger_ner_ru_dnn_ray.textkit import xlat
 from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import tokenize_texts
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -195,6 +196,59 @@ def test_caches_stay_bounded_on_a_unique_stream(monkeypatch):
     finally:
         tracemalloc.stop()
     assert growth < 2_000_000
+
+
+def test_a_word_is_stored_at_its_second_sighting():
+    """A word enters the token memo and the id map at its second
+    sighting, not its first, through ``link_texts`` and ``tag_texts``
+    alike; the rows and labels are those of a fresh kernel each time."""
+    word = _pseudo_word(11).capitalize()
+    text = [f"Иван Смирнов купил {word}."]
+    key = word.encode(xlat._ENC)
+    fresh = Kernel()
+    want = [[fresh.link(s) for s in ss] for ss in fresh.tag_texts(text)]
+    for call in (lambda k: k.link_texts(text),
+                 lambda k: [[k.link(s) for s in ss] for ss in k.tag_texts(text)]):
+        k = Kernel()
+        assert call(k) == want
+        assert key not in k._tokens and word not in k._ids
+        assert call(k) == want
+        assert key in k._tokens and word in k._ids
+
+
+def test_a_unique_stream_keeps_its_caches_at_the_lexicon_scale():
+    """perfbench's 5,000 ``kg_unique`` turns, whose sentences each carry a
+    pseudo-word seen once, through one ``KgStage`` in batches of 512: the
+    token memo and the id map hold the words that recur, about 230
+    entries, where storing every word at its first sighting held about
+    20,500."""
+    table = _workloads().transcripts(5000, 1, unique=True).select(["conv_id", "turn_idx", "text"])
+    stage = KgStage()
+    for a in range(0, table.num_rows, 512):
+        stage(table.slice(a, 512))
+    k = stage.kernel
+    assert len(k._tokens) + len(k._ids) < 1000
+    assert k._door.inserts > 20_000  # each pseudo-word's two first sightings
+
+
+def test_doorkeeper_insertions_count_toward_the_bound(monkeypatch, counting_caches):
+    """200 sentences, each with a word seen once, leave the caches far
+    below a bound of 300 entries but the doorkeeper with an insertion per
+    first sighting (token memo and id map), and those count: the next
+    call clears the four caches and the doorkeeper, so it meets the same
+    words at their first sighting again and stores none of them."""
+    monkeypatch.setattr(kernel_mod, "_CACHE_ENTRIES", 300)
+    words = [_pseudo_word(i) for i in range(200)]
+    texts = [f"{w} пишет." for w in words]
+    k = Kernel()
+    caches = counting_caches(k)
+    k.link_texts(texts)
+    assert _entries(k) < 300 <= _entries(k) + k._door.inserts
+    assert [c.clears for c in caches] == [0] * 4
+    k.link_texts(texts)
+    assert [c.clears for c in caches] == [1] * 4
+    assert not {w.encode(xlat._ENC) for w in words} & k._tokens.keys()
+    assert not set(words) & k._ids.keys()
 
 
 _SURNAMES = [last for _, forms in PERSONS for _, last in forms]
