@@ -15,14 +15,14 @@ boundary, with ``sentence_table`` and ``linked_table``.
    tokenized. A sentence comes back as a ``Tagged``: the payload of one
    SENT_SCHEMA row.
 
-   Vocabulary ids are the models' token currency: each word maps to both
-   models' ids through the kernel's id map (``Kernel._word_ids``), which
-   gives what ``vocab.id(to_model_token(value, input_type, mel))`` gives
-   without building the model-token string again; ``mel`` is the model's
-   own ``max_ending_length``, as the reference gives each model its own
-   MaxEndingLength (4 in predict_pos.json:8-9, 10000 in
-   predict_ner.json:6-7). Its key (``_PLACEHOLDER_KEY``) is decided the
-   way ``to_model_token`` decides: by input type first, value otherwise.
+   Vocabulary ids are the models' token currency: a word's ids for both
+   models, ``vocab.id(to_model_token(value, input_type, mel))``, are
+   computed when the FSM's token memo misses it and kept in its entry
+   (``Kernel._admit``); ``mel`` is the model's own ``max_ending_length``,
+   as the reference gives each model its own MaxEndingLength (4 in
+   predict_pos.json:8-9, 10000 in predict_ner.json:6-7). A placeholder
+   takes its type's fixed ids; a word built outside the kernel gets its
+   ids computed afresh (``Kernel._word_ids``).
 2. ``Kernel.link``: a tagged sentence → its triples (stages/triples.py),
    each with both surfaces looked up in the entity dictionary
    (stages/linking.py; a miss keeps the NIL id and the normalized surface).
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import pyarrow as pa
 
-from ..textkit.features import IT_EMAIL, IT_NUM, IT_OTHER, IT_URL, to_model_token_pair
+from ..textkit.features import IT_EMAIL, IT_NUM, IT_URL, to_model_token_pair
 from ..textkit.sentsplit import Sent
 from ..textkit.tokenizer import split_texts, tokenize_texts
 from .linking import NIL, build_linking_dict, normalize_surface
@@ -53,25 +53,16 @@ from .triples import TRIPLE_SCHEMA, can_form_triple, span_triples
 
 _STR_LIST = pa.list_(pa.string())
 
-# entries the four caches and the doorkeeper's insertions reach together
+# entries the three caches and the doorkeeper's insertions reach together
 # before a call clears them all: ~111 MB at most at 425 bytes (a memo
-# sentence, the dearest entry; a token-memo entry takes ~227 and an id-map
-# entry ~85). A word enters the token memo and the id map at its second
-# sighting, so one pass over perfbench's kg_unique turns, whose pseudo-words
-# occur once, leaves a few hundred entries and ~20,100 insertions
+# sentence, the dearest entry; a token-memo entry with its ids ~295). One
+# pass over perfbench's kg_unique turns, whose pseudo-words occur once,
+# leaves a few hundred entries and ~10,100 insertions
 _CACHE_ENTRIES = 1 << 18
 
-# the doorkeeper's bits (128 KB), and the salt of the id map's key hashes:
-# CPython hashes a str of 2-byte chars as its code units, so a Cyrillic
-# word's unsalted hash would equal that of its token-memo key, and its first
-# sighting in the token memo would admit it to the id map
+# the doorkeeper's bits (128 KB)
 _DOOR_LOG2 = 20
 _DOOR_BITS = 1 << _DOOR_LOG2
-_ID_SALT = 0x5BD1E995
-
-# the id map's key of a word whose input type alone decides its model token
-# (a placeholder); every other word's key is its value
-_PLACEHOLDER_KEY = {IT_NUM: IT_NUM, IT_URL: IT_URL, IT_EMAIL: IT_URL}
 
 # one row per sentence; pos = corrected PosTaggerOutputType names
 # (PosTaggerExtensions.cs:16-59), pos_raw = raw model labels, ner = BIO tags
@@ -146,17 +137,16 @@ class _Doorkeeper:
 
 class Kernel:
     """The state of both steps: the two models, the entity dictionary and
-    four caches, each a pure function of its key: the sentence memo
+    three caches, each a pure function of its key: the sentence memo
     (``link_texts``' rows by ``_sent_key``, only of sentences that hold no
-    token at its first sighting), the id map (per kernel, as artifact
-    weights carry their own vocabularies), the FSM's token memo and the
-    surface memo (a triple surface → its entity_id and canonical,
-    ``_link_rows``). A word enters the token memo and the id map at its
-    second sighting: the doorkeeper ``_door`` decides, for both, whether
-    a missed key was seen before. A public call that fills them first
-    clears all four and the doorkeeper once the caches' entries and its
-    insertions reach ``_CACHE_ENTRIES`` together, so none is cleared
-    mid-call."""
+    token at its first sighting), the FSM's token memo (a token's fields
+    and both models' ids, per kernel, as artifact weights carry their own
+    vocabularies) and the surface memo (a triple surface → its entity_id
+    and canonical, ``_link_rows``). A word enters the token memo at its
+    second sighting: the doorkeeper ``_door`` decides whether a missed key
+    was seen before. A public call that fills them first clears all three
+    and the doorkeeper once the caches' entries and its insertions reach
+    ``_CACHE_ENTRIES`` together, so none is cleared mid-call."""
 
     def __init__(self, artifact_dir: str | None = None):
         """``artifact_dir``: load the models from its sha-verified .npz
@@ -173,16 +163,17 @@ class Kernel:
             self.pos_model, self.ner_model = load_taggers(artifact_dir)
         self.lookup = build_linking_dict()
         self._memo: dict[bytes | tuple, tuple | None] = {}
-        self._ids: dict[str | int, tuple[int, int]] = {}  # key → (POS id, NER id)
         self._tokens: dict[bytes, tuple | object] = {}  # the FSM's token memo
         self._surfaces: dict[str, tuple[str, str]] = {}  # surface → (entity_id, canonical)
         self._door = _Doorkeeper()
+        # a placeholder's ids: its input type alone decides its model token
+        self._fixed_ids = {it: self._model_ids("", it) for it in (IT_NUM, IT_URL, IT_EMAIL)}
         self.missed_texts = 0
 
     def _bound_caches(self) -> None:
-        """Clear the four caches and the doorkeeper together once their
+        """Clear the three caches and the doorkeeper together once their
         entries and its insertions reach ``_CACHE_ENTRIES``."""
-        caches = (self._memo, self._ids, self._tokens, self._surfaces)
+        caches = (self._memo, self._tokens, self._surfaces)
         if sum(map(len, caches)) + self._door.inserts >= _CACHE_ENTRIES:
             for c in (*caches, self._door):
                 c.clear()
@@ -192,7 +183,7 @@ class Kernel:
         consumes text by text holds one text's ``Tagged`` at a time, which
         keeps the garbage collector's young generations small."""
         self._bound_caches()
-        per_text = tokenize_texts(texts, self._tokens, self._door.seen)
+        per_text = tokenize_texts(texts, self._tokens, self._admit)
         tagged = self._tag([ws for sents in per_text for ws in sents])
         for sents in per_text:
             yield [next(tagged) for _ in sents]
@@ -219,13 +210,13 @@ class Kernel:
         self._bound_caches()
         memo, todo, split, known = self._memo, {}, {}, set()
         uniq = list(dict.fromkeys(texts))
-        for x, (tk, sents) in zip(uniq, split_texts(uniq, self._tokens, self._door.seen)):
+        for x, (tk, sents) in zip(uniq, split_texts(uniq, self._tokens, self._admit)):
             keys = split[x] = [(_sent_key(tk.ub, s), s.start) for s in sents]
             for (key, o), s in zip(keys, sents):
                 if key not in memo and key not in todo:
-                    n = tk.first_seen
+                    n = self._door.inserts  # a token at its first sighting inserts
                     todo[key] = (tk.tokenize(s), o)  # missed key → (words, offset)
-                    if tk.first_seen == n:
+                    if self._door.inserts == n:
                         known.add(key)
         per_text = [split[x] for x in texts]
         misses = [k for k, (words, _) in todo.items() if words]
@@ -263,22 +254,26 @@ class Kernel:
         return model.predict_ids([s[j] for s in (self._word_ids(sents) if ids is None else ids)])
 
     def _word_ids(self, sents: list[list]) -> list[tuple]:
-        """Each sentence's (POS ids, NER ids), from the id map or
-        ``_new_ids`` on a miss."""
-        get, key, new = self._ids.get, _PLACEHOLDER_KEY.get, self._new_ids
-        return [tuple(zip(*[get(k := key(w.input_type, w.value)) or new(k) for w in ws]))
-                or ((), ()) for ws in sents]
+        """Each sentence's (POS ids, NER ids): those its words carry from
+        the token memo, a placeholder's fixed ids, or ids computed afresh."""
+        fixed, new = self._fixed_ids.get, self._model_ids
+        return [tuple(zip(*[w.ids or fixed(w.input_type) or new(w.value, w.input_type)
+                            for w in ws])) or ((), ()) for ws in sents]
 
-    def _new_ids(self, k: str | int) -> tuple[int, int]:
-        """Both models' vocabulary ids of id-map key ``k``, stored in the
-        map at its second sighting."""
-        value, it = ("", k) if isinstance(k, int) else (k, IT_OTHER)
-        pos_t, ner_t = to_model_token_pair(value, it, self.pos_model.max_ending_length,
+    def _model_ids(self, value: str, input_type: int) -> tuple[int, int]:
+        """Both models' vocabulary ids of a word."""
+        pos_t, ner_t = to_model_token_pair(value, input_type, self.pos_model.max_ending_length,
                                            self.ner_model.max_ending_length)
-        ids = (self.pos_model.src_vocab.id(pos_t), self.ner_model.src_vocab.id(ner_t))
-        if self._door.seen(hash(k) ^ _ID_SALT):
-            self._ids[k] = ids
-        return ids
+        return self.pos_model.src_vocab.id(pos_t), self.ner_model.src_vocab.id(ner_t)
+
+    def _admit(self, key: bytes, entry: tuple | object) -> tuple | object:
+        """The FSM's hook for a token-memo miss: the entry with its word's
+        ids (a number's marker takes none), stored at the second sighting."""
+        if isinstance(entry, tuple):
+            entry = (*entry[:3], self._model_ids(entry[0], entry[1]))
+        if self._door.seen(hash(key)):
+            self._tokens[key] = entry
+        return entry
 
     def _tag(self, sents: list[list]) -> Iterator[Tagged]:
         ids = self._word_ids(sents)

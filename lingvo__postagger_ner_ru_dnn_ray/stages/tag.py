@@ -8,8 +8,8 @@ steps around it:
 
   * ``_model_token_cached`` — the token → model-token projection
     (Tokenizer.ToPosTaggerToken), mel=4 for POS and mel=10000 for NER, as
-    strings. It is off the job's path (the kernel maps words to vocabulary
-    ids with its own id map) and kept for perfbench's layer pass, which
+    strings. It is off the job's path (each word carries its vocabulary
+    ids from the kernel's token memo) and kept for perfbench's layer pass, which
     measures this string path, and for the tests that compare the kernel
     with it;
   * ``_correct_pos`` — SetPosTaggerOutputType (PosTaggerExtensions.cs:

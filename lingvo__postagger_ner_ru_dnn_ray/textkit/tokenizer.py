@@ -72,14 +72,17 @@ _FRONT_TEXTS = 512
 
 
 class Word:
-    __slots__ = ("value", "start", "length", "input_type", "extra")
+    """A token; ``ids``: its (POS id, NER id) from the token memo, or None."""
 
-    def __init__(self, value, start, length, input_type, extra):
+    __slots__ = ("value", "start", "length", "input_type", "extra", "ids")
+
+    def __init__(self, value, start, length, input_type, extra, ids=None):
         self.value = value
         self.start = start
         self.length = length
         self.input_type = input_type
         self.extra = extra
+        self.ids = ids
 
     def __repr__(self):  # pragma: no cover
         return f"Word({self.value!r}@{self.start}+{self.length},it={self.input_type},ex={self.extra})"
@@ -91,10 +94,11 @@ class Word:
 # per-char feature scan for every repeated token. A number token
 # (IsDigits_WithPunctuations_WithSpecEnds, also a pure function of the code
 # units) is stored as ``_IS_NUM`` alone: it becomes the [%NUM%]
-# placeholder, and nothing else of it is read. The caller owns the cache,
-# and may hand the FSM a doorkeeper (``door``): a function of a missed key's
-# hash that is true from the key's second sighting on. A miss is then stored
-# only at its second sighting, so a token seen once is computed and not kept.
+# placeholder, and nothing else of it is read; any other entry is (value,
+# input type, extra, ids). The caller owns the cache, and may hand the FSM a
+# hook that every miss goes through (``admit(key, entry) -> entry``): the
+# kernel's adds both models' ids and stores the entry only at its second
+# sighting. Without one, every miss is stored, with ids None.
 _IS_NUM = object()
 
 
@@ -147,15 +151,14 @@ class _Front:
 class _SentTokenizer:
     """The FSM over one text of a ``_Front``: its slices of the front's
     arrays as lists (the jump table ``nxt`` relative to the text's start),
-    its URL spans, the token memo ``tokens`` (code units → fields) and its
-    doorkeeper ``door`` (None: every miss is stored). ``first_seen``
-    counts the tokens the doorkeeper kept out of the memo, i.e. met at
-    their first sighting."""
+    its URL spans, the token memo ``tokens`` (code units → entry) and the
+    hook ``admit`` that a miss's entry goes through (None: the miss is
+    stored as it is)."""
 
     __slots__ = ("ul", "ub", "n", "words", "start_index", "cur_len", "is_prev_num", "last_num",
-                 "dot_variant", "cts", "sps", "nxt", "urls", "tokens", "door", "first_seen")
+                 "dot_variant", "cts", "sps", "nxt", "urls", "tokens", "admit")
 
-    def __init__(self, front: _Front, k: int, tokens: dict, door=None,
+    def __init__(self, front: _Front, k: int, tokens: dict, admit=None,
                  dot_variant: str = "simple"):
         o, e = front.offs[k], front.offs[k + 1]
         self.n = e - o
@@ -166,8 +169,7 @@ class _SentTokenizer:
         self.nxt = front.nxt[o:e].tolist()
         self.urls = scan_urls(self.ul, front.url_triggers_of(k))
         self.tokens = tokens
-        self.door = door
-        self.first_seen = 0
+        self.admit = tokens.setdefault if admit is None else admit
         # "simple": always unstick dots (WebService path, Tokenizer.cs:732-744)
         # "console": keep a dot in the word; flush immediately when the next
         #            char is uppercase (batch path, Tokenizer.cs:491-497)
@@ -201,11 +203,8 @@ class _SentTokenizer:
         key = self.ub[2 * start : 2 * (start + length)]
         hit = self.tokens.get(key)
         if hit is None:
-            hit = _IS_NUM if self._is_num_token(start, length) else self._fields(key, start, length)
-            if self.door is None or self.door(hash(key)):
-                self.tokens[key] = hit
-            else:
-                self.first_seen += 1
+            hit = self.admit(key, _IS_NUM if self._is_num_token(start, length)
+                             else self._fields(key, start, length))
         if hit is _IS_NUM:
             if not self.is_prev_num:
                 self.is_prev_num = True
@@ -225,18 +224,18 @@ class _SentTokenizer:
             self.last_num.length = start - self.last_num.start - i + 1
             self.last_num = None
         self.is_prev_num = False
-        value, input_type, extra = hit
-        self.words.append(Word(value, start, length, input_type, extra))
+        value, input_type, extra, ids = hit
+        self.words.append(Word(value, start, length, input_type, extra, ids))
         self.start_index += length
         self.cur_len = 0
 
     def _fields(self, key: bytes, start: int, length: int) -> tuple:
-        """(value, input_type, extra) of the token whose code units are
-        ``key``, at ``start``."""
+        """(value, input_type, extra, None) of the token whose code units
+        are ``key``, at ``start``."""
         value = key.decode(xlat._ENC, "surrogatepass")
         input_type, extra = get_input_type(self.ul, start, length)
         value = _clear_value_original(value, extra, length)
-        return value, input_type, extra
+        return value, input_type, extra, None
 
     # -- MergePunctuation (Tokenizer.cs:1131-1171) --
     def _merge_punct(self, i: int, begin_ch: int, end: int) -> int:
@@ -458,24 +457,23 @@ def _clear_value_original(v: str, extra: int, length: int) -> str:
 
 
 def split_texts(texts: list[str | None], tokens: dict,
-                door=None) -> Iterator[tuple[_SentTokenizer, list[Sent]]]:
+                admit=None) -> Iterator[tuple[_SentTokenizer, list[Sent]]]:
     """Each text's FSM and its sentences, with one front per slice of
     ``_FRONT_TEXTS`` texts; ``tk.tokenize(sent)`` gives a sentence's words
-    (possibly none) through the token memo ``tokens``, which stores a
-    miss only once ``door(hash(key))`` is true, at its second sighting
-    (None: at once). None and "" yield no sentences."""
+    (possibly none) through the token memo ``tokens``, whose misses go
+    through ``admit`` (see ``_IS_NUM``). None and "" yield no sentences."""
     for lo in range(0, len(texts), _FRONT_TEXTS):
         front = _Front(texts[lo:lo + _FRONT_TEXTS])
         for k in range(len(front)):
-            tk = _SentTokenizer(front, k, tokens, door)
+            tk = _SentTokenizer(front, k, tokens, admit)
             yield tk, split_sents(tk.ul, front.sent_hits_of(k), tk.urls) if tk.n else []
 
 
 def tokenize_texts(texts: list[str | None], tokens: dict | None = None,
-                   door=None) -> list[list[list[Word]]]:
+                   admit=None) -> list[list[list[Word]]]:
     """``tokenize_text`` of each text, over ``split_texts`` (fresh memo if ``tokens`` is None)."""
     return [[ws for ws in map(tk.tokenize, sents) if ws]
-            for tk, sents in split_texts(texts, {} if tokens is None else tokens, door)]
+            for tk, sents in split_texts(texts, {} if tokens is None else tokens, admit)]
 
 
 def tokenize_text(text: str) -> list[list[Word]]:

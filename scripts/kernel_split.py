@@ -31,11 +31,13 @@ passes inside the tokenizer's parts). After the pass it counts the
 entries of the worker's caches: the sentence memo, the id map, the token
 memo and the surface memo (``memo``, ``ids``, ``tokens``, ``surfaces``:
 the kernel's, or a checkout's module-level ``_TOKEN_MEMO`` and
-``normalize_surface`` LRU), their sum (``entries``), the doorkeeper's
-insertions and set bits (``door``, ``door_bits``: the kernel's ``_door``,
-which admits a word to the token memo and the id map at its second
-sighting; 0 in a checkout without one) and the kernel's ``_CACHE_ENTRIES``
-(``bound``, 0 in a checkout without one).
+``normalize_surface`` LRU; ``ids`` is 0 in a checkout whose token memo
+carries each word's ids, with no id map), their sum (``entries``), the
+doorkeeper's insertions and set bits (``door``, ``door_bits``: the
+kernel's ``_door``, which admits a word to the token memo, and in older
+checkouts to the id map, at its second sighting; 0 in a checkout without
+one) and the kernel's ``_CACHE_ENTRIES`` (``bound``, 0 in a checkout
+without one).
 The summary gives, per column, each side's median and quartiles and the
 pairs in which the change read lower, with ``seeds`` and ``quartiles``
 from ``ab_pairs.py``; then the same for each timed column's share of its
@@ -156,8 +158,8 @@ def child(root: str, workload: str, seed: int) -> dict:
     tokens = kern._tokens if hasattr(kern, "_tokens") else tz._TOKEN_MEMO
     surfaces = (len(kern._surfaces) if hasattr(kern, "_surfaces")
                 else linking.normalize_surface.cache_info().currsize)
-    acc.update(memo=len(kern._memo), ids=len(kern._ids), tokens=len(tokens), surfaces=surfaces,
-               bound=getattr(kernel_mod, "_CACHE_ENTRIES", 0))
+    acc.update(memo=len(kern._memo), ids=len(getattr(kern, "_ids", ())), tokens=len(tokens),
+               surfaces=surfaces, bound=getattr(kernel_mod, "_CACHE_ENTRIES", 0))
     acc["entries"] = acc["memo"] + acc["ids"] + acc["tokens"] + acc["surfaces"]
     if (door := getattr(kern, "_door", None)) is not None:
         acc.update(door=door.inserts, door_bits=int.from_bytes(door.bits, "little").bit_count())

@@ -1,5 +1,5 @@
-"""The kernel's id path: each word maps to both models' vocabulary ids
-through the kernel's id map, the tagger deduplicates and forwards
+"""The kernel's id path: each word maps to both models' vocabulary ids,
+kept in the kernel's token memo with the word, the tagger deduplicates and forwards
 sentences by their id tuples, and the job's stage runs each batch with the
 cyclic collector paused. Each test checks the id path against the string
 path it replaces (``_model_token_cached`` and ``predict_batch``)."""
@@ -67,13 +67,16 @@ _EDGE_WORDS = [
 
 
 def test_id_map_equals_model_token_ids(id_inputs):
-    """One kernel's id map gives each word ``vocab.id(to_model_token(value,
+    """One kernel gives each word ``vocab.id(to_model_token(value,
     input_type, mel))`` for both models, and ``_labels`` equals
     ``predict_batch`` over ``_model_token_cached`` strings: on the reference
     sentences, on ``_mixed_batch()``, on the tokenized reference lines with
     every word retyped as Num, and on ``_EDGE_WORDS``. The
-    same kernel sees a value under several input types, so a map keyed by
-    value alone (or by value and the type it was first seen with) fails."""
+    same kernel sees a value under several input types, so ids keyed by
+    value alone (or by value and the type it was first seen with) fail.
+    Then the reference lines go through the kernel's own tokenizer
+    (``tag_texts``) three times: the second pass stores each word's entry,
+    with its ids, and the third reads every word's ids from the memo."""
     pos, ner = taggers()
     lines = [" ".join(w.value for w in ws) for ws in _fixture_sentences()]
     groups = [
@@ -99,6 +102,17 @@ def test_id_map_equals_model_token_ids(id_inputs):
             strings = [[_model_token_cached(w.value, w.input_type, mel) for w in ws]
                        for ws in sents]
             assert k._labels(model, sents) == model.predict_batch(strings)
+    for _ in range(3):
+        del id_inputs["pos"][:], id_inputs["ner"][:]
+        tagged = [s for ss in k.tag_texts(lines) for s in ss]
+        for name, model in (("pos", pos), ("ner", ner)):
+            mel = model.max_ending_length
+            want = [[model.src_vocab.id(to_model_token(v, it, mel))
+                     for v, it in zip(s.values, s.input_types)] for s in tagged]
+            assert id_inputs[name] == want
+    entries = [e for e in k._tokens.values() if isinstance(e, tuple)]
+    assert len(entries) > 100
+    assert all(e[3] == k._model_ids(e[0], e[1]) for e in entries)
 
 
 def test_model_token_edge_cases():

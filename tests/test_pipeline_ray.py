@@ -1224,8 +1224,8 @@ def test_batch_splits_and_cache_clears(fixture_path, oracle, tmp_path, monkeypat
     when its caches clear between batches. One ``KgStage`` takes the
     fixture's turns, 60 of them again under other conversations, and the
     reference lines, at batch sizes 1, 7, 64 and 512, with the bound of
-    the id map, the sentence memo, the token memo and the surface memo
-    small, so that all four clear during every pass. ``run_kg_job`` at ``tag_batch_size=7``
+    the sentence memo, the token memo and the surface memo small, so that
+    all three clear during every pass. ``run_kg_job`` at ``tag_batch_size=7``
     equals the oracle too."""
     from reference_lines import reference_lines
 

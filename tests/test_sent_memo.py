@@ -85,7 +85,7 @@ def test_memo_equals_full_tagging_on_repeats(batches):
 
 
 def _entries(k: Kernel) -> int:
-    return len(k._memo) + len(k._ids) + len(k._tokens) + len(k._surfaces)
+    return len(k._memo) + len(k._tokens) + len(k._surfaces)
 
 
 def test_memo_clears_between_calls(monkeypatch):
@@ -108,7 +108,7 @@ def test_memo_clears_between_calls(monkeypatch):
 
 
 def test_entries_stay_within_the_bound_plus_one_call(monkeypatch, counting_caches):
-    """After each call of a kernel, its four caches hold at most the bound
+    """After each call of a kernel, its three caches hold at most the bound
     plus the entries that call added, and they clear all together or not
     at all. ``link_texts``, ``tag_texts``, ``tag_sentences`` and ``link``
     over ``tag_texts`` take turns over the fixture table, 20 turns a call,
@@ -124,7 +124,7 @@ def test_entries_stay_within_the_bound_plus_one_call(monkeypatch, counting_cache
     for i, a in enumerate(range(0, len(texts), 20)):
         before = _entries(k)
         calls[i % len(calls)](texts[a:a + 20])
-        assert len({c.clears for c in caches}) == 1, i  # all four or none
+        assert len({c.clears for c in caches}) == 1, i  # all three or none
         cleared = caches[0].clears > clears
         clears = caches[0].clears
         added = _entries(k) - (0 if cleared else before)
@@ -175,8 +175,8 @@ def _pseudo_word(i: int) -> str:
 def test_caches_stay_bounded_on_a_unique_stream(monkeypatch):
     """20,000 sentences, each with its own pseudo-word (every eighth can
     form a triple), in batches of 512 through one kernel whose sentence
-    memo, id map and token memo hold at most 3,072 entries together before
-    a call clears them. The traced memory that the batches after the fifth
+    memo and token memo hold at most 3,072 entries together before a call
+    clears them. The traced memory that the batches after the fifth
     leave allocated is bounded. Measured on this input, it read 0.18-0.56
     MB after each batch with that bound (at most 0.61 MB over 60,000 such
     sentences), and 8.2 MB at the end with the bound at its default; the
@@ -199,7 +199,7 @@ def test_caches_stay_bounded_on_a_unique_stream(monkeypatch):
 
 
 def test_a_word_is_stored_at_its_second_sighting():
-    """A word enters the token memo and the id map at its second
+    """A word enters the token memo, with its ids, at its second
     sighting, not its first, through ``link_texts`` and ``tag_texts``
     alike; the rows and labels are those of a fresh kernel each time."""
     word = _pseudo_word(11).capitalize()
@@ -211,44 +211,57 @@ def test_a_word_is_stored_at_its_second_sighting():
                  lambda k: [[k.link(s) for s in ss] for ss in k.tag_texts(text)]):
         k = Kernel()
         assert call(k) == want
-        assert key not in k._tokens and word not in k._ids
+        assert key not in k._tokens
         assert call(k) == want
-        assert key in k._tokens and word in k._ids
+        assert k._tokens[key][3] == k._model_ids(word, k._tokens[key][1])
 
 
 def test_a_unique_stream_keeps_its_caches_at_the_lexicon_scale():
     """perfbench's 5,000 ``kg_unique`` turns, whose sentences each carry a
     pseudo-word seen once, through one ``KgStage`` in batches of 512: the
-    token memo and the id map hold the words that recur, about 230
-    entries, where storing every word at its first sighting held about
-    20,500."""
+    token memo holds the words that recur, about 120 entries, where
+    storing every word at its first sighting held about 10,270."""
     table = _workloads().transcripts(5000, 1, unique=True).select(["conv_id", "turn_idx", "text"])
     stage = KgStage()
     for a in range(0, table.num_rows, 512):
         stage(table.slice(a, 512))
     k = stage.kernel
-    assert len(k._tokens) + len(k._ids) < 1000
-    assert k._door.inserts > 20_000  # each pseudo-word's two first sightings
+    assert len(k._tokens) < 1000
+    assert k._door.inserts > 10_000  # each pseudo-word's first sighting
 
 
 def test_doorkeeper_insertions_count_toward_the_bound(monkeypatch, counting_caches):
-    """200 sentences, each with a word seen once, leave the caches far
+    """300 sentences, each with a word seen once, leave the caches far
     below a bound of 300 entries but the doorkeeper with an insertion per
-    first sighting (token memo and id map), and those count: the next
-    call clears the four caches and the doorkeeper, so it meets the same
-    words at their first sighting again and stores none of them."""
+    first sighting, and those count: the next call clears the three caches
+    and the doorkeeper, so it meets the same words at their first sighting
+    again and stores none of them."""
     monkeypatch.setattr(kernel_mod, "_CACHE_ENTRIES", 300)
-    words = [_pseudo_word(i) for i in range(200)]
+    words = [_pseudo_word(i) for i in range(300)]
     texts = [f"{w} пишет." for w in words]
     k = Kernel()
     caches = counting_caches(k)
     k.link_texts(texts)
     assert _entries(k) < 300 <= _entries(k) + k._door.inserts
-    assert [c.clears for c in caches] == [0] * 4
+    assert [c.clears for c in caches] == [0] * 3
     k.link_texts(texts)
-    assert [c.clears for c in caches] == [1] * 4
+    assert [c.clears for c in caches] == [1] * 3
     assert not {w.encode(xlat._ENC) for w in words} & k._tokens.keys()
-    assert not set(words) & k._ids.keys()
+
+
+def test_a_word_takes_one_doorkeeper_insertion():
+    """200 distinct pseudo-words through one ``link_texts`` insert into the
+    doorkeeper once per token met at its first sighting: the 200 words and
+    the other tokens of their sentences, each of which recurs and so is
+    stored. A word's ids take no probe of their own."""
+    words = [_pseudo_word(i) for i in range(200)]
+    texts = [f"Смирнов купил {w}." if i % 2 else f"{w} пишет." for i, w in enumerate(words)]
+    others = {w.value for ss in tokenize_texts(texts) for ws in ss for w in ws} - set(words)
+    assert len(others) == 4
+    k = Kernel()
+    k.link_texts(texts)
+    assert k._door.inserts == len(words) + len(others)
+    assert len(k._tokens) == len(others)
 
 
 _SURNAMES = [last for _, forms in PERSONS for _, last in forms]
@@ -257,8 +270,8 @@ _SURNAMES = [last for _, forms in PERSONS for _, last in forms]
 def test_surface_memo_stays_bounded_on_unique_surfaces(monkeypatch, counting_caches):
     """5,000 sentences, each with a subject surface of its own ("Сергей"
     and three surname forms, one PER span), in batches of 128 through one
-    kernel whose four caches hold at most 512 entries together before a
-    call clears them. Each call clears all four exactly when it finds them
+    kernel whose three caches hold at most 512 entries together before a
+    call clears them. Each call clears all three exactly when it finds them
     at the bound, and the traced memory that the batches after the fourth
     leave allocated stays under 1 MB: measured 0.10-0.27 MB, against 1.8 MB
     when a per-process memo outside the kernel's bound kept every surface."""
@@ -275,7 +288,7 @@ def test_surface_memo_stays_bounded_on_unique_surfaces(monkeypatch, counting_cac
         for batch in batches[4:]:
             before, clears = _entries(k), caches[0].clears
             k.link_texts(batch)
-            assert len({c.clears for c in caches}) == 1  # all four or none
+            assert len({c.clears for c in caches}) == 1  # all three or none
             assert (caches[0].clears > clears) == (before >= 512)
             assert len(k._surfaces) > len(batch)  # one per sentence, and Газпром
             growth = tracemalloc.get_traced_memory()[0]
