@@ -350,8 +350,7 @@ def run_kg_job(
     # one writer at a time: a second job's clearing pass below would remove
     # the files of partitions this one has not published yet
     with mf.writer_lock(out_dir):
-        found = {t: {k: m for k, m in (mf.intact_manifests(out[t]) if resume else {}).items()
-                     if m.get("config_hash") == ch} for t in tables}
+        found = {t: mf.completed_partitions(out[t], ch) if resume else {} for t in tables}
         done_by = {t: set(found[t]) for t in tables}
         # a graph is built from its partition's triples, so it stands only
         # while they do and are the ones it was built from: every partition

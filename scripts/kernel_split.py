@@ -13,10 +13,9 @@ model load is not timed. ``ray.data`` is imported first, so the process
 holds the modules a Ray Data worker holds.
 
 It reports process CPU seconds: the whole pass; the tokenizer's parts,
-timed at names that every checkout since the batch front calls (the front,
-``_Front``; the per-text ``_SentTokenizer`` init; ``split_sents``; the FSM,
-``_SentTokenizer.tokenize``); the NER and the POS steps (the method
-``Kernel._labels(self, model, sents, ...)``; a checkout's
+timed at the front (``_Front``), the per-text ``_SentTokenizer`` init,
+``split_sents`` and the FSM (``_SentTokenizer.tokenize``); the NER and the
+POS steps (the method ``Kernel._labels(self, model, sents, ...)``;
 ``Kernel._word_ids``, which looks up a call's word ids once for both
 steps, counts in NER, the step that reads them first), and inside each the
 forward alone (``ner_fwd``, ``pos_fwd``: ``SeqLabelModel._forward_logits``),
@@ -28,16 +27,13 @@ page faults (``ru_minflt``). The collector's passes, by
 generation, are timed through ``gc.callbacks``; they are included in the
 layer they interrupt and also shown on their own (``tokenize_gc``: the
 passes inside the tokenizer's parts). After the pass it counts the
-entries of the worker's caches: the sentence memo, the id map, the token
-memo and the surface memo (``memo``, ``ids``, ``tokens``, ``surfaces``:
-the kernel's, or a checkout's module-level ``_TOKEN_MEMO`` and
-``normalize_surface`` LRU; ``ids`` is 0 in a checkout whose token memo
-carries each word's ids, with no id map), their sum (``entries``), the
-doorkeeper's insertions and set bits (``door``, ``door_bits``: the
-kernel's ``_door``, which admits a word to the token memo, and in older
-checkouts to the id map, at its second sighting; 0 in a checkout without
-one) and the kernel's ``_CACHE_ENTRIES`` (``bound``, 0 in a checkout
-without one).
+entries of the kernel's caches: the sentence memo, the token memo and the
+surface memo (``memo``, ``tokens``, ``surfaces``), their sum
+(``entries``), the doorkeeper's insertions and set bits (``door``,
+``door_bits``: the kernel's ``_door``, which admits a word to the token
+memo at its second sighting) and the kernel's ``_CACHE_ENTRIES``
+(``bound``). Both checkouts must have these names: the script reads them
+without a fallback.
 The summary gives, per column, each side's median and quartiles and the
 pairs in which the change read lower, with ``seeds`` and ``quartiles``
 from ``ab_pairs.py``; then the same for each timed column's share of its
@@ -63,8 +59,8 @@ BATCH_TURNS = 512  # the job's tag_batch_size
 TOKENIZE = ["front", "init", "split", "fsm"]
 COLUMNS = ["total", *TOKENIZE, "ner", "pos", "ner_fwd", "pos_fwd", "rest", "gc0", "gc1", "gc2",
            "gc2_passes", "tokenize_gc", "misses", "ner_rows", "pos_rows", "minflt",
-           "memo", "ids", "tokens", "surfaces", "entries", "door", "door_bits", "bound"]
-COUNTS = {"gc2_passes", "misses", "ner_rows", "pos_rows", "minflt", "memo", "ids", "tokens",
+           "memo", "tokens", "surfaces", "entries", "door", "door_bits", "bound"]
+COUNTS = {"gc2_passes", "misses", "ner_rows", "pos_rows", "minflt", "memo", "tokens",
           "surfaces", "entries", "door", "door_bits", "bound"}
 SHARES = [k for k in COLUMNS if k not in COUNTS and k != "total"]
 
@@ -83,7 +79,6 @@ def child(root: str, workload: str, seed: int) -> dict:
     from lingvo__postagger_ner_ru_dnn_ray.model.tagger import SeqLabelModel
     from lingvo__postagger_ner_ru_dnn_ray.stages import fused
     from lingvo__postagger_ner_ru_dnn_ray.stages import kernel as kernel_mod
-    from lingvo__postagger_ner_ru_dnn_ray.stages import linking
     from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
     from lingvo__postagger_ner_ru_dnn_ray.textkit import tokenizer as tz
 
@@ -113,8 +108,7 @@ def child(root: str, workload: str, seed: int) -> dict:
     ner, pos = timed("ner", Kernel._labels), timed("pos", Kernel._labels)
     Kernel._labels = lambda self, model, *a: (
         ner if model is self.ner_model else pos)(self, model, *a)
-    if hasattr(Kernel, "_word_ids"):
-        Kernel._word_ids = timed("ner", Kernel._word_ids)
+    Kernel._word_ids = timed("ner", Kernel._word_ids)
 
     def forward(model, ids, fwd=SeqLabelModel._forward_logits):
         t0 = clock()
@@ -155,14 +149,11 @@ def child(root: str, workload: str, seed: int) -> dict:
     gc.callbacks.remove(on_gc)
     acc["rest"] = acc["total"] - sum(acc[k] for k in (*TOKENIZE, "ner", "pos"))
     kern = fused._STAGES[None].kernel
-    tokens = kern._tokens if hasattr(kern, "_tokens") else tz._TOKEN_MEMO
-    surfaces = (len(kern._surfaces) if hasattr(kern, "_surfaces")
-                else linking.normalize_surface.cache_info().currsize)
-    acc.update(memo=len(kern._memo), ids=len(getattr(kern, "_ids", ())), tokens=len(tokens),
-               surfaces=surfaces, bound=getattr(kernel_mod, "_CACHE_ENTRIES", 0))
-    acc["entries"] = acc["memo"] + acc["ids"] + acc["tokens"] + acc["surfaces"]
-    if (door := getattr(kern, "_door", None)) is not None:
-        acc.update(door=door.inserts, door_bits=int.from_bytes(door.bits, "little").bit_count())
+    acc.update(memo=len(kern._memo), tokens=len(kern._tokens), surfaces=len(kern._surfaces),
+               door=kern._door.inserts,
+               door_bits=int.from_bytes(kern._door.bits, "little").bit_count(),
+               bound=kernel_mod._CACHE_ENTRIES)
+    acc["entries"] = acc["memo"] + acc["tokens"] + acc["surfaces"]
     return acc
 
 

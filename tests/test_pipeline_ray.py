@@ -1057,11 +1057,10 @@ os._exit(0)
 
 
 def test_dead_writers_lock_is_taken_over(fixture_path, oracle, tmp_path):
-    """A writer that dies holding ``out_dir``'s lock leaves it behind; the
-    next job on this host finds the holder dead, takes the lock over and
-    equals the oracle. A lock of a live process, of another host, or
-    that its holder has not written yet is not taken over; one with a
-    live pid but another start time (a reused pid) is."""
+    """A writer that dies holding ``out_dir``'s lock leaves its file behind;
+    the kernel released its ``flock``, so the next job equals the oracle
+    and removes the file. Any leftover file blocks nothing, whatever it
+    records: a live pid that holds no lock, another host, or nothing."""
     import json
     import os
     import socket
@@ -1079,15 +1078,45 @@ def test_dead_writers_lock_is_taken_over(fixture_path, oracle, tmp_path):
     _assert_job_equals_oracle(out, oracle)
     assert not lock.exists()
 
-    me = {"host": socket.gethostname(), "pid": os.getpid(), "start": mf._start_time(os.getpid())}
-    for holder in (me, dict(me, host=me["host"] + "-elsewhere"), None):
-        lock.write_text("" if holder is None else json.dumps(holder))
-        with pytest.raises(RuntimeError, match="another writer"):
+    me = {"host": socket.gethostname(), "pid": os.getpid()}
+    for left in (json.dumps(me), json.dumps(dict(me, host=me["host"] + "-elsewhere")), ""):
+        lock.write_text(left)
+        run_kg_job(fixture_path, str(out), num_partitions=4)
+        _assert_job_equals_oracle(out, oracle)
+        assert not lock.exists()
+
+
+_HOLD_LOCK = """
+import select, sys
+from lingvo__postagger_ner_ru_dnn_ray.state.manifest import writer_lock
+with writer_lock(sys.argv[1]):
+    print("held", flush=True)
+    select.select([sys.stdin], [], [], 5.0)  # until stdin closes, at most 5 s
+"""
+
+
+def test_live_writer_in_another_process_is_refused(fixture_path, tmp_path):
+    """A job on an ``out_dir`` whose lock another live process holds raises
+    at once, naming that process's pid. The holder releases after at most
+    5 s, so a lock that waits for it fails here rather than hanging."""
+    import subprocess
+    import sys
+    import time
+
+    out = tmp_path / "kg"
+    holder = subprocess.Popen([sys.executable, "-c", _HOLD_LOCK, str(out)],
+                              cwd=Path(__file__).resolve().parents[1],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "held\n"
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match=f'another writer.*"pid": {holder.pid}'):
             run_kg_job(fixture_path, str(out), num_partitions=4)
-    lock.write_text(json.dumps(dict(me, start=me["start"] + 1)))
-    with mf.writer_lock(out):
-        assert json.loads(lock.read_text()) == me
-    assert not lock.exists()
+        assert time.monotonic() - t0 < 2.0
+    finally:
+        holder.stdin.close()
+        assert holder.wait(timeout=30) == 0
+    assert not (out / "_writer.lock").exists()
 
 
 def _manifest_mtimes(table_dir: Path) -> dict:
