@@ -59,7 +59,7 @@ from ..stages.mentions import mentions_batch
 from ..state import manifest as mf
 
 TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text"]
-# turns per task of the fused stage and of the sentence stage
+# turns per task of the fused stage and of the sentence stage, read per call
 TAG_BATCH_TURNS = 512
 
 
@@ -98,14 +98,13 @@ def mention_rows(sent_ds: ray.data.Dataset) -> ray.data.Dataset:
     return sent_ds.map_batches(mentions_batch, batch_format="pyarrow")
 
 
-def fused_linked_triples(
-    ds: ray.data.Dataset, *, batch_size: int = TAG_BATCH_TURNS, artifact_dir: str | None = None,
-) -> ray.data.Dataset:
+def fused_linked_triples(ds: ray.data.Dataset, *,
+                         artifact_dir: str | None = None) -> ray.data.Dataset:
     """transcripts → linked triples in ONE fused stage (stages/fused.py),
-    as stateless tasks. ``artifact_dir`` loads the models from its
-    sha-verified .npz artifacts (model/artifact.py) instead of the
-    lexicon-built ones; each worker process loads them once."""
-    return ds.map_batches(kg_stage_fn, batch_format="pyarrow", batch_size=batch_size,
+    as stateless tasks of ``TAG_BATCH_TURNS`` turns. ``artifact_dir`` loads
+    the models from its sha-verified .npz artifacts (model/artifact.py)
+    instead of the lexicon-built ones; each worker process loads them once."""
+    return ds.map_batches(kg_stage_fn, batch_format="pyarrow", batch_size=TAG_BATCH_TURNS,
                           fn_kwargs={"artifact_dir": artifact_dir})
 
 
@@ -290,16 +289,19 @@ def run_kg_job(
     num_partitions: int = 8,
     resume: bool = True,
     tag_concurrency: None = None,
-    tag_batch_size: int = TAG_BATCH_TURNS,
     stats_out: list | None = None,
     artifact_dir: str | None = None,
 ) -> dict:
     """End-to-end job: writes triples/, edges/, nodes/ under ``out_dir``,
     each hash-partitioned by conv_id (edges/nodes aggregated per partition —
     the global view is the sum over partitions) with lineage manifests.
-    Every input turn needs a ``conv_id`` and a ``turn_idx``: a null in
-    either raises ``ValueError`` before its batch writes, and no manifest
-    publishes.
+    Input: ``conv_id`` of a string type (string, large_string or a
+    dictionary of either), ``turn_idx`` of an integer type that fits in
+    int32, ``text`` of a string type (null: no text), ``role`` optional. A
+    null key, or one of another type or range, raises ``ValueError``
+    naming the column before its batch writes, and no manifest publishes.
+    A repeated ``(conv_id, turn_idx)`` is not checked: its triples count
+    once per row.
 
     Idempotent: a partition has two resume states, its triples and its
     graph (its edges and nodes, which one task builds from that
@@ -402,8 +404,7 @@ def run_kg_job(
             skip = set(range(p)) - set(retag)
             if skip:
                 ds = ds.map_batches(_drop_done_parts(p, skip), batch_format="pyarrow")
-            triples = fused_linked_triples(ds, batch_size=tag_batch_size,
-                                           artifact_dir=artifact_dir)
+            triples = fused_linked_triples(ds, artifact_dir=artifact_dir)
             triples.write_datasink(TriplesSink(out["triples"], p))
             if stats_out is not None:
                 stats_out.append(("triples", triples.stats()))
@@ -586,7 +587,6 @@ def _main() -> None:
     parser.add_argument("--out", required=True, help="output dir (triples/edges/nodes)")
     parser.add_argument("--partitions", type=int, dest="num_partitions")
     parser.add_argument("--no-resume", action="store_false", dest="resume")
-    parser.add_argument("--batch-size", type=int, dest="tag_batch_size")
     parser.add_argument("--num-cpus", type=int)
     kw = vars(parser.parse_args())
     input_path, out_dir, num_cpus = kw.pop("input"), kw.pop("out"), kw.pop("num_cpus", None)

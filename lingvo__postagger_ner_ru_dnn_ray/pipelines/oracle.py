@@ -18,8 +18,11 @@ from ..stages.mentions import mentions_batch
 
 def oracle_tables(transcripts: pa.Table) -> dict[str, pa.Table]:
     """sentences, mentions, triples, edges, nodes from a transcripts table;
-    a null key raises, as in the job (``check_turn_keys``)."""
+    a key the job refuses raises, as in the job (``check_turn_keys``)."""
     check_turn_keys(transcripts)
+    i = transcripts.schema.get_field_index("conv_id")
+    if pa.types.is_dictionary(transcripts.schema[i].type):  # sort_by cannot order one
+        transcripts = transcripts.set_column(i, "conv_id", transcripts[i].cast(pa.string()))
     transcripts = transcripts.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
     k = Kernel()
     keys = turn_keys(transcripts)

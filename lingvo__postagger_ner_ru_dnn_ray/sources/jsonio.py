@@ -2,13 +2,13 @@
 request/response surface (PosTaggerController.cs:33-60 routes POST
 ``{text, modelType}`` through the shared predictor pool; Models/VM.cs:10-62
 shapes the reply as ``{sents: [{tuples: [{word, label}, ...]}, ...]}``),
-re-expressed Ray-Data-first: JSONL request records in, one tagged JSON
-record per request out, with the tokenizing and tagging done by the same
+re-expressed Ray-Data-first: JSONL request records in, one tagged row
+per request out, with the tokenizing and tagging done by the same
 per-turn kernel (stages/kernel.py) the rest of the engine uses.
 
 Request  (one JSON object per line): ``{"text": "...", "id": "..."?}``
-Response (one JSON object per line): ``{"id": ..., "sents": [...]}`` in the
-VM shape above, sentences in document order, one tuple per token.
+Response (one row per request): ``(id, sents_json)``, the VM ``sents`` list
+above as JSON, sentences in document order, one tuple per token.
 
 Design notes (scale):
 - The whole request → response path is ONE ``map_batches`` of stateless
@@ -73,25 +73,3 @@ def tag_requests(requests: ray.data.Dataset, model_type: str = "ner") -> ray.dat
     """Request rows → ``(id, sents_json)`` rows, as stateless tasks."""
     return requests.map_batches(webjson_batch, batch_format="pyarrow",
                                 fn_kwargs={"model_type": model_type})
-
-
-def run_webjson_job(in_path: str, out_dir: str, model_type: str = "ner") -> None:
-    """End-to-end batch replay of the web surface: JSONL requests at
-    ``in_path`` → tagged VM-shaped JSONL under ``out_dir`` (one
-    ``{"id", "sents"}`` object per line; sents parsed back from the
-    stage's JSON string so the on-disk record is the nested VM shape)."""
-    tagged = tag_requests(read_json_requests(in_path), model_type=model_type)
-
-    def to_record(batch: pa.Table):
-        import pandas as pd
-
-        return pd.DataFrame(
-            {
-                "id": batch.column("id").to_pylist(),
-                "sents": [json.loads(s) for s in batch.column("sents_json").to_pylist()],
-            }
-        )
-
-    # pandas-block JSON sink: object columns serialize as nested JSON, so
-    # each output line is the exact VM record shape
-    tagged.map_batches(to_record, batch_format="pyarrow").write_json(out_dir)

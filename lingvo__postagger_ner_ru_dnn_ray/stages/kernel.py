@@ -42,6 +42,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..textkit.features import IT_EMAIL, IT_NUM, IT_URL, to_model_token_pair
 from ..textkit.sentsplit import Sent
@@ -235,23 +236,21 @@ class Kernel:
         since ``link`` of any other sentence is []. Each word's ids are
         looked up once, for both."""
         ids = self._word_ids(sents)
-        spans = [decode_bio(ner) for ner in self._labels(self.ner_model, sents, ids)]
+        spans = [decode_bio(ner) for ner in self._labels(self.ner_model, ids)]
         todo = [i for i, sp in enumerate(spans) if can_form_triple(sp)]
         out: list[list[tuple]] = [[] for _ in sents]
-        for i, praw in zip(todo, self._labels(self.pos_model, [sents[i] for i in todo],
-                                              [ids[i] for i in todo])):
+        for i, praw in zip(todo, self._labels(self.pos_model, [ids[i] for i in todo])):
             ws = sents[i]
             pos = _correct_pos([w.input_type for w in ws], [w.extra for w in ws], praw)
             out[i] = self._link_rows([w.value for w in ws], [w.start for w in ws],
                                      [w.length for w in ws], pos, spans[i])
         return out
 
-    def _labels(self, model, sents: list[list], ids: list | None = None) -> list[list[str]]:
+    def _labels(self, model, ids: list[tuple]) -> list[list[str]]:
         """``model``'s raw labels of each sentence, forwarded on its
-        words' vocabulary ids: ``ids``, the sentences' ``_word_ids`` when
-        the caller holds them already."""
+        words' vocabulary ids, the sentences' ``_word_ids``."""
         j = 1 if model is self.ner_model else 0
-        return model.predict_ids([s[j] for s in (self._word_ids(sents) if ids is None else ids)])
+        return model.predict_ids([s[j] for s in ids])
 
     def _word_ids(self, sents: list[list]) -> list[tuple]:
         """Each sentence's (POS ids, NER ids): those its words carry from
@@ -277,8 +276,8 @@ class Kernel:
 
     def _tag(self, sents: list[list]) -> Iterator[Tagged]:
         ids = self._word_ids(sents)
-        pos_raw = self._labels(self.pos_model, sents, ids)
-        ner_raw = self._labels(self.ner_model, sents, ids)
+        pos_raw = self._labels(self.pos_model, ids)
+        ner_raw = self._labels(self.ner_model, ids)
         for ws, praw, nraw in zip(sents, pos_raw, ner_raw):
             its = [w.input_type for w in ws]
             exs = [w.extra for w in ws]
@@ -340,14 +339,24 @@ def turn_keys(batch: pa.Table) -> list[tuple]:
 
 
 def check_turn_keys(batch: pa.Table) -> None:
-    """Raise ``ValueError`` if ``conv_id`` or ``turn_idx`` holds a null:
-    every output row is keyed by them, and the partition of a turn is a
-    function of its ``conv_id``."""
-    for col in ("conv_id", "turn_idx"):
-        n = batch.column(col).null_count
-        if n:
-            raise ValueError(f"{n} turn(s) with a null {col}: every turn needs a "
+    """Raise ``ValueError`` naming the column if ``conv_id`` or ``turn_idx``
+    holds a null, ``conv_id`` is not a string type (string, large_string or
+    a dictionary of either) or ``turn_idx`` is not an integer type that
+    fits in int32: every output row is keyed by them as a string and an
+    int32, and the partition of a turn is a function of its ``conv_id``."""
+    conv, turn = batch.column("conv_id"), batch.column("turn_idx")
+    for col, a in (("conv_id", conv), ("turn_idx", turn)):
+        if a.null_count:
+            raise ValueError(f"{a.null_count} turn(s) with a null {col}: every turn needs a "
                              "conv_id and a turn_idx")
+    t = conv.type.value_type if pa.types.is_dictionary(conv.type) else conv.type
+    if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
+        raise ValueError(f"conv_id has type {conv.type}: it must be a string type")
+    if not pa.types.is_integer(turn.type):
+        raise ValueError(f"turn_idx has type {turn.type}: it must be an integer type")
+    lo, hi = pc.min_max(turn).values()
+    if lo.is_valid and not (-(1 << 31) <= lo.as_py() and hi.as_py() < 1 << 31):
+        raise ValueError(f"turn_idx holds values in [{lo}, {hi}]: each must fit in int32")
 
 
 def _table(rows: list[tuple], schema: pa.Schema) -> pa.Table:

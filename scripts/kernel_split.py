@@ -5,7 +5,8 @@
 
 For each seed it runs, once from each root, one in-process fused stage
 (``stages.fused.kg_stage_fn``, as a job's worker calls it) over the
-perfbench workload's turns in batches of the job's 512. The parent goes
+perfbench workload's turns in batches of that root's
+``pipelines.kg.TAG_BATCH_TURNS``, as its job cuts them. The parent goes
 first in pairs 0, 2, 4, … and the change in pairs 1, 3, 5, …. Each run is
 a fresh process that imports the package from its root; the stage is built
 on an empty batch first, as a worker builds it in the warm-up job, so the
@@ -15,7 +16,7 @@ holds the modules a Ray Data worker holds.
 It reports process CPU seconds: the whole pass; the tokenizer's parts,
 timed at the front (``_Front``), the per-text ``_SentTokenizer`` init,
 ``split_sents`` and the FSM (``_SentTokenizer.tokenize``); the NER and the
-POS steps (the method ``Kernel._labels(self, model, sents, ...)``;
+POS steps (the method ``Kernel._labels(self, model, ids)``;
 ``Kernel._word_ids``, which looks up a call's word ids once for both
 steps, counts in NER, the step that reads them first), and inside each the
 forward alone (``ner_fwd``, ``pos_fwd``: ``SeqLabelModel._forward_logits``),
@@ -55,7 +56,6 @@ from pathlib import Path
 from ab_pairs import quartiles, seeds
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-BATCH_TURNS = 512  # the job's tag_batch_size
 TOKENIZE = ["front", "init", "split", "fsm"]
 COLUMNS = ["total", *TOKENIZE, "ner", "pos", "ner_fwd", "pos_fwd", "rest", "gc0", "gc1", "gc2",
            "gc2_passes", "tokenize_gc", "misses", "ner_rows", "pos_rows", "minflt",
@@ -77,6 +77,7 @@ def child(root: str, workload: str, seed: int) -> dict:
     import workloads
 
     from lingvo__postagger_ner_ru_dnn_ray.model.tagger import SeqLabelModel
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import TAG_BATCH_TURNS
     from lingvo__postagger_ner_ru_dnn_ray.stages import fused
     from lingvo__postagger_ner_ru_dnn_ray.stages import kernel as kernel_mod
     from lingvo__postagger_ner_ru_dnn_ray.stages.kernel import Kernel
@@ -142,8 +143,8 @@ def child(root: str, workload: str, seed: int) -> dict:
     gc.callbacks.append(on_gc)
     flt0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = clock()
-    for ofs in range(0, table.num_rows, BATCH_TURNS):
-        fused.kg_stage_fn(table.slice(ofs, BATCH_TURNS))
+    for ofs in range(0, table.num_rows, TAG_BATCH_TURNS):
+        fused.kg_stage_fn(table.slice(ofs, TAG_BATCH_TURNS))
     acc["total"] = clock() - t0
     acc["minflt"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
     gc.callbacks.remove(on_gc)

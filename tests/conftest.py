@@ -1,7 +1,28 @@
 import logging
+import signal
 
 import pytest
 import ray
+
+# the longest a test may run before it fails: pytest-timeout is not a
+# dependency, so each test arms SIGALRM (tests run in the main thread)
+TEST_TIMEOUT_S = 300
+
+
+@pytest.fixture(autouse=True)
+def _bounded_test():
+    """Fail a test that runs longer than ``TEST_TIMEOUT_S`` instead of
+    letting it hang the suite."""
+    def expire(signum, frame):
+        pytest.fail(f"the test ran longer than {TEST_TIMEOUT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIMEOUT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -101,7 +101,7 @@ def test_id_map_equals_model_token_ids(id_inputs):
             assert id_inputs[name] == want
             strings = [[_model_token_cached(w.value, w.input_type, mel) for w in ws]
                        for ws in sents]
-            assert k._labels(model, sents) == model.predict_batch(strings)
+            assert k._labels(model, k._word_ids(sents)) == model.predict_batch(strings)
     for _ in range(3):
         del id_inputs["pos"][:], id_inputs["ner"][:]
         tagged = [s for ss in k.tag_texts(lines) for s in ss]
@@ -147,7 +147,7 @@ def test_id_map_uses_each_models_ending_length(tmp_path):
     want = k.pos_model.predict_batch(
         [[to_model_token(w.value, w.input_type, 3) for w in ws] for ws in sents])
     assert len({lab for labs in want for lab in labs}) > 1
-    assert k._labels(k.pos_model, sents) == want
+    assert k._labels(k.pos_model, k._word_ids(sents)) == want
 
 
 def test_out_of_vocabulary_variants_forward_once():

@@ -1,9 +1,9 @@
 """Batch JSON boundary (sources/jsonio.py): the bulk replay of the
-reference's web request/response surface must produce, for the bundled
-reference input lines (``reference_lines()``), exactly the
-sentence/token/label structure pinned in fixtures/reference_input_labels.json
-(the "simple" sentence-split path — the shape the web UI renders,
-VM.cs:10-62)."""
+reference's web request/response surface (``read_json_requests`` →
+``tag_requests``) must produce, for the bundled reference input lines
+(``reference_lines()``), exactly the sentence/token/label structure pinned
+in fixtures/reference_input_labels.json (the "simple" sentence-split path
+— the shape the web UI renders, VM.cs:10-62)."""
 import json
 from pathlib import Path
 
@@ -24,27 +24,19 @@ def _write_requests(tmp_path, lines):
     return str(p)
 
 
-def _read_records(out_dir):
-    recs = {}
-    for part in Path(out_dir).glob("*.json"):
-        with part.open(encoding="utf-8") as f:
-            for line in f:
-                if line.strip():
-                    r = json.loads(line)
-                    recs[r["id"]] = r["sents"]
-    return recs
+def _tag_file(in_path, **kwargs):
+    """The ``(id, sents_json)`` rows of the requests at ``in_path``, as
+    ``{id: sents}`` with each ``sents_json`` parsed."""
+    from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import read_json_requests, tag_requests
+
+    rows = tag_requests(read_json_requests(in_path), **kwargs).take_all()
+    return {r["id"]: json.loads(r["sents_json"]) for r in rows}
 
 
 @pytest.mark.parametrize("model_type", ["pos", "ner"])
 def test_webjson_matches_pinned_labels(ray_session, tmp_path, model_type):
-    from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import run_webjson_job
-    from lingvo__postagger_ner_ru_dnn_ray.textkit import resources  # noqa: F401
-
     lines = reference_lines()
-    in_path = _write_requests(tmp_path, lines)
-    out_dir = str(tmp_path / f"out_{model_type}")
-    run_webjson_job(in_path, out_dir, model_type=model_type)
-    recs = _read_records(out_dir)
+    recs = _tag_file(_write_requests(tmp_path, lines), model_type=model_type)
     assert len(recs) == len(lines)
     for entry in FIXTURE:
         got = recs[f"line-{entry['line_idx']}"]
@@ -177,8 +169,7 @@ def _two_requests(tmp_path):
     return _write_requests(tmp_path, ["Он приехал в Петербурге.", ""])
 
 
-def _check_two_records(out_dir):
-    recs = _read_records(out_dir)
+def _check_two_records(recs):
     assert set(recs) == {"line-0", "line-1"}
     assert recs["line-1"] == []
     labels = {t["word"]: t["label"] for t in recs["line-0"][0]["tuples"]}
@@ -186,35 +177,33 @@ def _check_two_records(out_dir):
 
 
 def test_webjson_default_arguments(ray_session, tmp_path):
-    """``run_webjson_job(in, out)`` with every default: no pool size to
+    """``tag_requests(requests)`` with every default: no pool size to
     choose, NER labels."""
-    from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import run_webjson_job
-
-    out_dir = str(tmp_path / "out")
-    run_webjson_job(_two_requests(tmp_path), out_dir)
-    _check_two_records(out_dir)
+    _check_two_records(_tag_file(_two_requests(tmp_path)))
 
 
-_ONE_CPU_JOB = """
-import sys
+_ONE_CPU_SESSION = """
+import json, sys
 import ray
 ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import run_webjson_job
-run_webjson_job(sys.argv[1], sys.argv[2])
+from lingvo__postagger_ner_ru_dnn_ray.sources.jsonio import read_json_requests, tag_requests
+rows = tag_requests(read_json_requests(sys.argv[1])).take_all()
+with open(sys.argv[2], "w", encoding="utf-8") as f:
+    json.dump({r["id"]: json.loads(r["sents_json"]) for r in rows}, f)
 ray.shutdown()
 """
 
 
 def test_webjson_finishes_on_one_cpu(tmp_path):
-    """The web-JSON job on a 1-CPU cluster finishes (its own Ray session,
-    in a subprocess) instead of waiting forever for a CPU."""
+    """Reading and tagging requests on a 1-CPU cluster finishes (its own
+    Ray session, in a subprocess) instead of waiting forever for a CPU."""
     import subprocess
     import sys
 
     root = Path(__file__).resolve().parents[1]
-    out_dir = str(tmp_path / "out")
-    subprocess.run([sys.executable, "-c", _ONE_CPU_JOB, _two_requests(tmp_path), out_dir],
+    out = tmp_path / "out.json"
+    subprocess.run([sys.executable, "-c", _ONE_CPU_SESSION, _two_requests(tmp_path), str(out)],
                    cwd=root, check=True, timeout=120)
-    _check_two_records(out_dir)
+    _check_two_records(json.loads(out.read_text(encoding="utf-8")))

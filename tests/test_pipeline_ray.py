@@ -12,6 +12,7 @@ import pytest
 import ray
 import ray.data
 
+from lingvo__postagger_ner_ru_dnn_ray.pipelines import kg
 from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import (
     fused_linked_triples,
     mention_rows,
@@ -52,18 +53,19 @@ TRIPLE_KEYS = ["conv_id", "turn_idx", "sent_idx", "triple_idx"]
 
 
 @pytest.mark.parametrize("num_blocks", [None, 2, 16])
-def test_distributed_equals_oracle(fixture_path, oracle, num_blocks):
-    """The fused stage's triples equal the oracle's as read (None) and
-    repartitioned into ``num_blocks`` blocks."""
+def test_distributed_equals_oracle(fixture_path, oracle, num_blocks, monkeypatch):
+    """The fused stage's triples, at 64-turn batches, equal the oracle's
+    as read (None) and repartitioned into ``num_blocks`` blocks."""
+    monkeypatch.setattr(kg, "TAG_BATCH_TURNS", 64)
     ds = read_transcripts(fixture_path)
     if num_blocks is not None:
         ds = ds.repartition(num_blocks)
-    tri = fused_linked_triples(ds, batch_size=64).to_pandas()
+    tri = fused_linked_triples(ds).to_pandas()
     want = oracle["triples"].to_pandas()
     assert _sorted_df(tri, TRIPLE_KEYS).equals(_sorted_df(want, TRIPLE_KEYS))
 
 
-def test_fused_from_artifact(fixture_path, oracle, tmp_path_factory):
+def test_fused_from_artifact(fixture_path, oracle, tmp_path_factory, monkeypatch):
     """The fused stage loading the sha-verified .npz artifacts in each
     worker process (the production model-shipped-as-file path) must
     reproduce the oracle exactly."""
@@ -71,8 +73,9 @@ def test_fused_from_artifact(fixture_path, oracle, tmp_path_factory):
 
     adir = str(tmp_path_factory.mktemp("models"))
     save_taggers(adir)
+    monkeypatch.setattr(kg, "TAG_BATCH_TURNS", 64)
     ds = read_transcripts(fixture_path)
-    tri = fused_linked_triples(ds, batch_size=64, artifact_dir=adir).to_pandas()
+    tri = fused_linked_triples(ds, artifact_dir=adir).to_pandas()
     want = oracle["triples"].to_pandas()
     assert _sorted_df(tri, TRIPLE_KEYS).equals(_sorted_df(want, TRIPLE_KEYS))
 
@@ -251,7 +254,7 @@ def test_edges_nodes_global_view(fixture_path, oracle, tmp_path):
     assert _sorted_df(n_glob, ["entity_id"]).equals(_sorted_df(oracle["nodes"], ["entity_id"]))
 
 
-def test_long_turn_chunking_e2e(ray_session):
+def test_long_turn_chunking_e2e(ray_session, monkeypatch):
     """A turn with a 500+-token sentence exercises Predict_Full chunking
     (SeqLabel.cs:259-311) through the full distributed pipeline."""
     import pyarrow as pa
@@ -271,8 +274,9 @@ def test_long_turn_chunking_e2e(ray_session):
             "ts": pa.array([0, 1], pa.timestamp("us")),
         }
     )
+    monkeypatch.setattr(kg, "TAG_BATCH_TURNS", 8)
     ds = ray.data.from_arrow(tbl)
-    got = fused_linked_triples(ds, batch_size=8).to_pandas()
+    got = fused_linked_triples(ds).to_pandas()
     want = oracle_tables(tbl)["triples"].to_pandas()
     keys = ["conv_id", "turn_idx", "sent_idx", "triple_idx"]
     assert len(got) == len(want) > 50
@@ -898,6 +902,54 @@ def test_null_key_raises_before_any_write(ray_session, tmp_path, col, yields_tri
     assert not list(out.glob("*/part=*/_manifest.json"))
 
 
+def _with_column(tbl: pa.Table, col: str, arr) -> pa.Table:
+    return tbl.set_column(tbl.schema.get_field_index(col), col, arr)
+
+
+@pytest.mark.parametrize("col", ["conv_id", "turn_idx"])
+def test_key_of_another_type_or_range_raises(col):
+    """An int64 ``conv_id``, or an int64 ``turn_idx`` that holds 2^40 on a
+    turn that yields triples: the stage, the resume filter and the oracle
+    each raise a ValueError that names the column, not an Arrow error from
+    the output build."""
+    from lingvo__postagger_ner_ru_dnn_ray.pipelines.kg import _drop_done_parts
+    from lingvo__postagger_ner_ru_dnn_ray.stages.fused import kg_stage_fn
+
+    tbl = synth_transcripts_table(60, seed=7)
+    convs, turns = tbl.column("conv_id").to_pylist(), tbl.column("turn_idx").to_pylist()
+    if col == "conv_id":
+        code = {c: i for i, c in enumerate(sorted(set(convs)))}
+        bad = _with_column(tbl, col, pa.array([code[c] for c in convs], pa.int64()))
+    else:
+        tri = oracle_tables(tbl)["triples"]
+        hit = (tri.column("conv_id")[0].as_py(), tri.column("turn_idx")[0].as_py())
+        bad = _with_column(tbl, col, pa.array(
+            [1 << 40 if (c, t) == hit else t for c, t in zip(convs, turns)], pa.int64()))
+    for fn in (kg_stage_fn, _drop_done_parts(2, {0}), oracle_tables):
+        with pytest.raises(ValueError, match=col):
+            fn(bad)
+
+
+@pytest.mark.parametrize("col, retype", [("text", lambda a: a.cast(pa.large_string())),
+                                         ("conv_id", pc.dictionary_encode),
+                                         ("turn_idx", lambda a: a.cast(pa.int64()))],
+                         ids=["text", "conv_id", "turn_idx"])
+def test_column_types_that_fit_equal_the_oracle(col, retype):
+    """A large_string ``text``, a dictionary-encoded ``conv_id`` and an
+    int64 ``turn_idx`` whose values fit in int32 are read as the plain
+    types: the stage and the oracle over such a table give the triples of
+    the oracle over the plain one."""
+    from lingvo__postagger_ner_ru_dnn_ray.stages.fused import kg_stage_fn
+
+    tbl = synth_transcripts_table(60, seed=7)
+    retyped = _with_column(tbl, col, retype(tbl.column(col)))
+    key = lambda r: (r["conv_id"], r["turn_idx"], r["sent_idx"], r["triple_idx"])  # noqa: E731
+    want = sorted(oracle_tables(tbl)["triples"].to_pylist(), key=key)
+    assert len(want) > 10
+    assert sorted(kg_stage_fn(retyped).to_pylist(), key=key) == want
+    assert sorted(oracle_tables(retyped)["triples"].to_pylist(), key=key) == want
+
+
 def test_kg_merge_refuses_mismatched_partitions(ray_session, tmp_path):
     """Runs written with different num_partitions hash a conversation into
     different part=k, so a per-partition merge would be wrong: refuse,
@@ -1019,24 +1071,32 @@ def test_second_writer_raises_before_it_clears(fixture_path, oracle, tmp_path, m
     about to publish its first triples manifest, and dies after its
     clearing pass. It raises at once, naming the first as the lock's
     holder, and removes nothing, so the first job publishes and returns
-    every row of the oracle and releases the lock."""
+    every row of the oracle and releases the lock. The second job runs in
+    a thread that must end within 30 s, so a lock that waits for its
+    holder fails here rather than hanging."""
     import os
-
-    from lingvo__postagger_ner_ru_dnn_ray.pipelines import kg
+    import threading
 
     out, publish, second = tmp_path / "kg", kg.mf.write_manifest, []
 
     def dies(*args, **kwargs):
         raise RuntimeError("the second job died after its clearing pass")
 
+    def second_job():
+        try:
+            run_kg_job(fixture_path, str(out), num_partitions=4)
+        except RuntimeError as e:
+            second.append(str(e))
+
     def second_job_first(*args, **kwargs):
         if not second:
             with monkeypatch.context() as m:
                 m.setattr(kg, "read_transcripts", dies)
-                try:
-                    run_kg_job(fixture_path, str(out), num_partitions=4)
-                except RuntimeError as e:
-                    second.append(str(e))
+                t = threading.Thread(target=second_job, daemon=True)
+                t.start()
+                t.join(timeout=30)
+                if t.is_alive():
+                    pytest.fail("the second job still waits for the lock after 30 s")
         return publish(*args, **kwargs)
 
     monkeypatch.setattr(kg.mf, "write_manifest", second_job_first)
@@ -1254,8 +1314,8 @@ def test_batch_splits_and_cache_clears(fixture_path, oracle, tmp_path, monkeypat
     fixture's turns, 60 of them again under other conversations, and the
     reference lines, at batch sizes 1, 7, 64 and 512, with the bound of
     the sentence memo, the token memo and the surface memo small, so that
-    all three clear during every pass. ``run_kg_job`` at ``tag_batch_size=7``
-    equals the oracle too."""
+    all three clear during every pass. ``run_kg_job`` at 7-turn batches
+    (``TAG_BATCH_TURNS``) equals the oracle too."""
     from reference_lines import reference_lines
 
     from lingvo__postagger_ner_ru_dnn_ray.stages import kernel as kernel_mod
@@ -1279,5 +1339,6 @@ def test_batch_splits_and_cache_clears(fixture_path, oracle, tmp_path, monkeypat
         assert sorted(pa.concat_tables(got).to_pylist(), key=key) == want, size
 
     out = tmp_path / "kg"
-    run_kg_job(fixture_path, str(out), num_partitions=4, tag_batch_size=7)
+    monkeypatch.setattr(kg, "TAG_BATCH_TURNS", 7)
+    run_kg_job(fixture_path, str(out), num_partitions=4)
     _assert_job_equals_oracle(out, oracle)
