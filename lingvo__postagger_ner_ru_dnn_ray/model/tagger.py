@@ -47,6 +47,7 @@ MAX_PREDICT_SENT_LENGTH = 220  # Options.cs:31-32
 CUT_DROPOUT = 0.1  # SeqLabel.cs:259 cutDropout
 
 _ALPHA = 8.0
+_SCORE_AREA = 1 << 19  # see SeqLabelModel._AREA_CAP
 
 
 def sinusoidal_pos_emb(max_len: int, dim: int) -> np.ndarray:
@@ -112,8 +113,9 @@ class SeqLabelModel:
         ]
         self._label_arr = np.array(labels, dtype=object)
 
-    # exact-length chunks hold at most this many token slots (B·L), which
-    # bounds the peak memory of one forward
+    # exact-length chunks hold at most this many token slots (B·L), and
+    # _SCORE_AREA attention scores per head (B·L²), which bounds the peak
+    # memory of one forward; every L <= 16 keeps the chunks B·L alone gives
     _AREA_CAP = 1 << 15
 
     # ------------------------------------------------------------------ #
@@ -200,14 +202,15 @@ class SeqLabelModel:
 
     def _chunks(self, sents: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], np.ndarray]]:
         """Group the id sentences ``sents`` by exact length and split each
-        group so that B·L ≤ _AREA_CAP. Yields (positions in ``sents``,
-        ids [B, L]) per chunk; empty sentences are in no chunk."""
+        group so that B·L ≤ _AREA_CAP and B·L² ≤ _SCORE_AREA. Yields
+        (positions in ``sents``, ids [B, L]) per chunk; empty sentences are
+        in no chunk."""
         by_len: dict[int, list[int]] = {}
         for i, ids in enumerate(sents):
             by_len.setdefault(len(ids), []).append(i)
         by_len.pop(0, None)
         for L, rows in sorted(by_len.items()):
-            step = max(1, self._AREA_CAP // L)
+            step = max(1, min(self._AREA_CAP // L, _SCORE_AREA // (L * L)))
             for a in range(0, len(rows), step):
                 chunk = rows[a : a + step]
                 yield chunk, np.array([sents[r] for r in chunk], dtype=np.int32)

@@ -298,8 +298,9 @@ def run_kg_job(
     Input: ``conv_id`` of a string type (string, large_string or a
     dictionary of either), ``turn_idx`` of an integer type that fits in
     int32, ``text`` of a string type (null: no text), ``role`` optional. A
-    null key, or one of another type or range, raises ``ValueError``
-    naming the column before its batch writes, and no manifest publishes.
+    null key, or a key or ``text`` of another type or range, raises
+    ``ValueError`` naming the column before its batch writes, and no
+    manifest publishes.
     A repeated ``(conv_id, turn_idx)`` is not checked: its triples count
     once per row.
 

@@ -340,18 +340,22 @@ def turn_keys(batch: pa.Table) -> list[tuple]:
 
 def check_turn_keys(batch: pa.Table) -> None:
     """Raise ``ValueError`` naming the column if ``conv_id`` or ``turn_idx``
-    holds a null, ``conv_id`` is not a string type (string, large_string or
-    a dictionary of either) or ``turn_idx`` is not an integer type that
-    fits in int32: every output row is keyed by them as a string and an
-    int32, and the partition of a turn is a function of its ``conv_id``."""
+    holds a null, ``conv_id`` or ``text`` is not a string type (string,
+    large_string or a dictionary of either) or ``turn_idx`` is not an
+    integer type that fits in int32: every output row carries ``conv_id``
+    as a string and ``turn_idx`` as an int32, a turn's partition is a
+    function of its ``conv_id``, and the tokenizer reads ``text`` (a null
+    one has no sentences)."""
     conv, turn = batch.column("conv_id"), batch.column("turn_idx")
     for col, a in (("conv_id", conv), ("turn_idx", turn)):
         if a.null_count:
             raise ValueError(f"{a.null_count} turn(s) with a null {col}: every turn needs a "
                              "conv_id and a turn_idx")
-    t = conv.type.value_type if pa.types.is_dictionary(conv.type) else conv.type
-    if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
-        raise ValueError(f"conv_id has type {conv.type}: it must be a string type")
+    for col in ("conv_id", "text"):
+        typ = batch.column(col).type
+        t = typ.value_type if pa.types.is_dictionary(typ) else typ
+        if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
+            raise ValueError(f"{col} has type {typ}: it must be a string type")
     if not pa.types.is_integer(turn.type):
         raise ValueError(f"turn_idx has type {turn.type}: it must be an integer type")
     lo, hi = pc.min_max(turn).values()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -79,9 +80,9 @@ _ROMAN = frozenset(ord(c) for c in "IVXLCDM")
 _UMLAUTS = {ord(c) for c in "äöüÄÖÜß"}
 
 
-def get_input_type(u, start: int, length: int) -> tuple[int, int]:
+def get_input_type(u: Sequence[int], start: int, length: int) -> tuple[int, int]:
     """Port of PosTaggerInputTypeProcessor_En.GetPosTaggerInputType
-    (PosTaggerInputTypeProcessor.cs:90-312). ``u`` is a uint16 array."""
+    (PosTaggerInputTypeProcessor.cs:90-312) over the code units ``u``."""
     digit = upper = hyphen = punct = lower = dot = roman = 0
     has_umlautes = 0
     for k in range(start, start + length):

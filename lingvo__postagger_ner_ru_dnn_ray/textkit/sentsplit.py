@@ -30,6 +30,7 @@ Pure function of the text + static resources; safe in stateless Ray tasks.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +69,7 @@ def sent_end_hits(u16: np.ndarray) -> np.ndarray:
     return np.flatnonzero(_IS_HIT[u16])
 
 
-def split_sents(ul: list[int], hits: list[int], urls: list[UrlSpan]) -> list[Sent]:
+def split_sents(ul: Sequence[int], hits: list[int], urls: list[UrlSpan]) -> list[Sent]:
     """The sentences of the text whose code units are ``ul``, given its
     ``sent_end_hits`` and its URL spans."""
     n = len(ul)

@@ -23,12 +23,12 @@ SentSplitterProcessSentCallback_Simple path
 
 ``split_texts`` splits a batch. Its front (``_Front``) does the
 character work once per slice of ``_FRONT_TEXTS`` texts: the UTF-16
-encode, the char-class gathers, the FSM's jump table and the URL-trigger
-and sentence-end scans, kept as numpy buffers. Each text turns only its
-own slice of them into lists, which its URL scanner, sentence splitter and
-FSM read, so a text's tokens do not depend on its batch neighbours and a
-front holds no Python int per code unit. ``tokenize_text`` is a one-text
-batch.
+encode, the FSM's jump table and the URL-trigger and sentence-end scans,
+kept as buffers. Each text reads its own slice of them in place, through
+``memoryview``s that its URL scanner, sentence splitter and FSM index, and
+reads a code unit's classes from xlat's compact tables; so a text's tokens
+do not depend on its batch neighbours, and neither the front nor a text
+holds a Python int per code unit. ``tokenize_text`` is a one-text batch.
 
 Pure function of text + static LUTs: run as stateless Ray tasks; the LUTs
 are module-level singletons built once per worker process.
@@ -54,6 +54,7 @@ from .sentsplit import Sent, sent_end_hits, split_sents
 from .urls import EMAIL, scan_urls, url_triggers
 
 _CT = xlat.CHARTYPE_L          # scalar per-char path
+_SP = xlat.SPECTYPE_L
 _UP = xlat.UPPER_INVARIANT_L
 
 _WS = xlat.IS_WHITESPACE
@@ -103,27 +104,25 @@ _IS_NUM = object()
 
 
 class _Front:
-    """The character arrays of a batch of texts as numpy buffers, each
-    built by one numpy pass over the concatenated UTF-16 code units; text
-    k owns the units ``offs[k]:offs[k + 1]``, and its ``_SentTokenizer``
-    turns only that slice into lists, so the front holds a few bytes per
-    code unit and no Python int per unit. ``nxt[i]`` is the smallest j >= i
-    whose char the FSM must inspect, counted from the start of i's text;
-    it may point past the end of that text, which the FSM's sentence-end
-    cap absorbs. The trigger and sentence-end hits, a few per text, are
-    lists cut per text with ``searchsorted``."""
+    """The character arrays of a batch of texts as buffers: the
+    concatenated UTF-16 code units ``ub`` and the jump table ``nxt``, built
+    by one numpy pass over them. Text k owns the units
+    ``offs[k]:offs[k + 1]``, and its ``_SentTokenizer`` reads that slice in
+    place, so the front holds a few bytes per code unit and no Python int
+    per unit. ``nxt[i]`` is the smallest j >= i whose char the FSM must
+    inspect, counted from the start of i's text; it may point past the end
+    of that text, which the FSM's sentence-end cap absorbs. The trigger
+    and sentence-end hits, a few per text, are lists cut per text with
+    ``searchsorted``."""
 
-    __slots__ = ("offs", "ub", "u", "cts", "sps", "nxt",
-                 "url_hits", "url_cut", "sent_hits", "sent_cut")
+    __slots__ = ("offs", "ub", "nxt", "url_hits", "url_cut", "sent_hits", "sent_cut")
 
     def __init__(self, texts: list[str | None]):
         bs = [x.encode(xlat._ENC) if x else b"" for x in texts]
         self.offs = [0, *accumulate(len(b) >> 1 for b in bs)]
         self.ub = b"".join(bs)
         del bs  # the front keeps the joined copy alone
-        self.u = u = np.frombuffer(self.ub, dtype=np.uint16)
-        self.cts = xlat.CHARTYPE[u]
-        self.sps = xlat.SPECTYPE[u]
+        u = np.frombuffer(self.ub, dtype=np.uint16)
         n = len(u)
         idx = np.arange(n, dtype=np.int32)
         idx[~_INSPECT[u]] = n
@@ -150,23 +149,23 @@ class _Front:
 
 class _SentTokenizer:
     """The FSM over one text of a ``_Front``: its slices of the front's
-    arrays as lists (the jump table ``nxt`` relative to the text's start),
-    its URL spans, the token memo ``tokens`` (code units → entry) and the
-    hook ``admit`` that a miss's entry goes through (None: the miss is
-    stored as it is)."""
+    buffers as ``memoryview``s, which index to a plain int as a list does
+    (the code units ``ul``, and the jump table ``nxt`` relative to the
+    text's start), its URL spans, the token memo ``tokens`` (code units →
+    entry) and the hook ``admit`` that a miss's entry goes through (None:
+    the miss is stored as it is). A char's classes are read from xlat's
+    compact tables by its code unit (``_CT[c]``, ``_SP[c]``)."""
 
     __slots__ = ("ul", "ub", "n", "words", "start_index", "cur_len", "is_prev_num", "last_num",
-                 "dot_variant", "cts", "sps", "nxt", "urls", "tokens", "admit")
+                 "dot_variant", "nxt", "urls", "tokens", "admit")
 
     def __init__(self, front: _Front, k: int, tokens: dict, admit=None,
                  dot_variant: str = "simple"):
         o, e = front.offs[k], front.offs[k + 1]
         self.n = e - o
-        self.ul = front.u[o:e].tolist()  # per-char access path
         self.ub = front.ub[2 * o:2 * e]  # bytes-slice memo keys (2 bytes per unit)
-        self.cts = front.cts[o:e].tolist()
-        self.sps = front.sps[o:e].tolist()
-        self.nxt = front.nxt[o:e].tolist()
+        self.ul = memoryview(self.ub).cast("H")  # per-char access path
+        self.nxt = memoryview(front.nxt)[o:e]
         self.urls = scan_urls(self.ul, front.url_triggers_of(k))
         self.tokens = tokens
         self.admit = tokens.setdefault if admit is None else admit
@@ -181,10 +180,9 @@ class _SentTokenizer:
     # -- IsDigits_WithPunctuations_WithSpecEnds (Tokenizer.cs:1193-1211) --
     def _is_num_token(self, start: int, length: int) -> bool:
         has_digits = False
-        ul = self.ul
-        cts = self.cts
+        ul, ctab = self.ul, _CT
         for k in range(start, start + length):
-            ct = cts[k]
+            ct = ctab[ul[k]]
             if ct & xlat.IS_DIGIT:
                 has_digits = True
                 continue
@@ -246,17 +244,14 @@ class _SentTokenizer:
         self.cur_len = 1
         i += 1
         ws_len = 0
-        ul, cts, sps = self.ul, self.cts, self.sps
+        ul, ctab, stab = self.ul, _CT, _SP
         while i <= end:
-            if cts[i] & _WS:
+            c = ul[i]
+            if ctab[c] & _WS or stab[c] & xlat.SP_INTERPRETE_AS_WHITESPACE:
                 ws_len += 1
                 i += 1
                 continue
-            if sps[i] & xlat.SP_INTERPRETE_AS_WHITESPACE:
-                ws_len += 1
-                i += 1
-                continue
-            if ul[i] == begin_ch:
+            if c == begin_ch:
                 self.cur_len += ws_len + 1
                 ws_len = 0
                 i += 1
@@ -272,9 +267,9 @@ class _SentTokenizer:
     # -- SkipNonLetterAndNonDigitToTheEnd (Tokenizer.cs:985-1012) --
     def _trim_end(self, s: int, e0: int) -> int:
         ptr = e0
-        cts = self.cts
+        ul, ctab = self.ul, _CT
         while ptr >= s:
-            ct = cts[ptr]
+            ct = ctab[ul[ptr]]
             if ct & _LD:
                 if ct & xlat.IS_UPPER:
                     p = ptr - 1
@@ -302,7 +297,7 @@ class _SentTokenizer:
 
         end = self._trim_end(s, realy_end)
 
-        ul, cts, sps, nxt = self.ul, self.cts, self.sps, self.nxt
+        ul, nxt, ctab, stab = self.ul, self.nxt, _CT, _SP
         i = s
         while i <= end:
             if next_url_start <= i:
@@ -329,23 +324,24 @@ class _SentTokenizer:
                 continue
 
             c = ul[i]
-            ct = cts[i]
+            ct = ctab[c]
             if ct & _WS:
                 self._try_create()
                 self.start_index += 1
                 i += 1
                 continue
 
-            sp = sps[i]
+            sp = stab[c]
             if sp & xlat.SP_DOT:
                 if self.dot_variant == "console":
                     # plain callback: dot accumulates; uppercase-next flushes
+                    # (IsUpperNextChar, Tokenizer.cs:1080-1104)
                     self.cur_len += 1
-                    if self._is_upper_at(i + 1, end):
+                    if i < end and ctab[ul[i + 1]] & xlat.IS_UPPER:
                         self._try_create()
                     i += 1
                     continue
-                if not self._is_digit_at(i + 1, end):
+                if not (i < end and ctab[ul[i + 1]] & xlat.IS_DIGIT):
                     i = self._merge_punct(i, c, end) + 1
                     continue
 
@@ -382,13 +378,13 @@ class _SentTokenizer:
         # tail region: trailing non-letter/digit chars (Tokenizer.cs:829-879)
         while i <= realy_end:
             c = ul[i]
-            ct = cts[i]
+            ct = ctab[c]
             if ct & _WS:
                 self._try_create()
                 self.start_index += 1
                 i += 1
                 continue
-            sp = sps[i]
+            sp = stab[c]
             if sp & xlat.SP_TOKENIZE_DIFFERENT_SEPARATELY:
                 i = self._merge_punct(i, c, realy_end) + 1
                 continue
@@ -411,26 +407,15 @@ class _SentTokenizer:
             self.words.sort(key=lambda w: w.start)
         return self.words
 
-    def _is_digit_at(self, p: int, end: int) -> bool:
-        if p > end:
-            return False
-        return bool(self.cts[p] & xlat.IS_DIGIT)
-
-    def _is_upper_at(self, p: int, end: int) -> bool:
-        # IsUpperNextChar (Tokenizer.cs:1080-1104)
-        if p > end:
-            return False
-        return bool(self.cts[p] & xlat.IS_UPPER)
-
     def _is_between(self, i: int, s: int, end: int, mask: int) -> bool:
         if i <= s:
             return False
-        if not (self.cts[i - 1] & mask):
+        if not (_CT[self.ul[i - 1]] & mask):
             return False
         p = i + 1
         if p > end:
             return False
-        return bool(self.cts[p] & mask)
+        return bool(_CT[self.ul[p]] & mask)
 
 
 def _clear_value_original(v: str, extra: int, length: int) -> str:

@@ -19,6 +19,7 @@ then splits per text), and ``scan_urls`` runs the scanner from each.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +57,7 @@ def url_triggers(u16: np.ndarray) -> np.ndarray:
 class _Scanner:
     __slots__ = ("ul", "n", "i")
 
-    def __init__(self, ul: list[int]):
+    def __init__(self, ul: Sequence[int]):
         self.ul = ul
         self.n = len(ul)
         self.i = 0
@@ -226,7 +227,7 @@ class _Scanner:
         return False
 
 
-def scan_urls(ul: list[int], hits: list[int]) -> list[UrlSpan]:
+def scan_urls(ul: Sequence[int], hits: list[int]) -> list[UrlSpan]:
     """The spans of the text whose code units are ``ul``, scanning from its
     trigger positions ``hits`` (ascending) instead of from every char (same
     FSM, same scanner state transitions)."""

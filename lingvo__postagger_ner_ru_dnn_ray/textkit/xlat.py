@@ -9,7 +9,7 @@ SentCharType map
 (.../sentSplitting/SentSplitterModel.cs:96-110,197-277).
 
 All tables have 65536 entries indexed by UTF-16 code unit. Each is a numpy
-array for whole-string classification; the three that the per-char FSMs
+array for whole-string classification; the four that the per-char FSMs
 read also come as a compact buffer over the same memory (``*_L``).
 Strings are viewed as uint16 arrays via ``encode('utf-16-le')`` which gives
 exactly .NET's char semantics (surrogate pairs count as two units).
@@ -200,6 +200,7 @@ SPECTYPE: np.ndarray = _build_spectype(CHARTYPE)
 SENTCHARTYPE: np.ndarray = _build_sentchartype(CHARTYPE)
 CHARTYPE, CHARTYPE_L = _compact(CHARTYPE)
 UPPER_INVARIANT, UPPER_INVARIANT_L = _compact(UPPER_INVARIANT)
+SPECTYPE, SPECTYPE_L = _compact(SPECTYPE)
 SENTCHARTYPE, SENTCHARTYPE_L = _compact(SENTCHARTYPE)
 
 

@@ -930,6 +930,26 @@ def test_key_of_another_type_or_range_raises(col):
             fn(bad)
 
 
+@pytest.mark.parametrize("typ", [pa.int64(), pa.binary()], ids=["int64", "binary"])
+def test_text_of_a_non_string_type_raises(typ):
+    """An int64 or a binary ``text``: the stage and the oracle each raise a
+    ValueError that names ``text``, not an error from inside the tokenizer.
+    A null ``text`` in a string column stays a turn without sentences."""
+    from lingvo__postagger_ner_ru_dnn_ray.stages.fused import kg_stage_fn
+
+    tbl = synth_transcripts_table(8, seed=7)
+    n = tbl.num_rows
+    texts = tbl.column("text").to_pylist()
+    bad = _with_column(tbl, "text", pa.array(
+        list(range(n)) if typ == pa.int64() else [x.encode() for x in texts], typ))
+    for fn in (kg_stage_fn, oracle_tables):
+        with pytest.raises(ValueError, match="text has type"):
+            fn(bad)
+    nulled = _with_column(tbl, "text", pa.array([None] * n, pa.string()))
+    assert kg_stage_fn(nulled).num_rows == 0
+    assert oracle_tables(nulled)["sentences"].num_rows == 0
+
+
 @pytest.mark.parametrize("col, retype", [("text", lambda a: a.cast(pa.large_string())),
                                          ("conv_id", pc.dictionary_encode),
                                          ("turn_idx", lambda a: a.cast(pa.int64()))],

@@ -2,7 +2,7 @@
 from the reference rules cited in SURVEY.md §2.2."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_lines import reference_lines
 
@@ -57,11 +57,12 @@ def test_chartype_flags():
 
 
 # sha256 of each table's 65,536 values as little-endian uint32, pinned from
-# the tables as Python lists (CHARTYPE_L, SENTCHARTYPE_L, UPPER_INVARIANT_L)
-# and as a uint32 array (LOWER_INVARIANT)
+# the tables as Python lists (CHARTYPE_L, SENTCHARTYPE_L, UPPER_INVARIANT_L,
+# and SPECTYPE's numpy table as a list) and as a uint32 array (LOWER_INVARIANT)
 _TABLE_DIGESTS = {
     "CHARTYPE": ("H", "748ab8b7d02459164bb352fe9f8cc73b62a679d2e4a42164cc8000eae0f6b5e9"),
     "SENTCHARTYPE": (None, "0eaa1d913f7075aa0056474a708f215ab2f0e2e0ca1c5661ce42b74445c2c4a8"),
+    "SPECTYPE": (None, "1198cd606a409b173dbe404e2ed8210463f381c728cb8f681986a8a72f9595ce"),
     "UPPER_INVARIANT": ("H", "f23a264f56dec2a93654504d4b1d75b44c0b73392ac7eefa0c8777266ab14495"),
 }
 _LOWER_DIGEST = "014a874c4317114018fff053527f307e273829a135b87e38d5f5e6799d624a7c"
@@ -76,8 +77,9 @@ def _digest(values) -> str:
 @pytest.mark.parametrize("name", sorted(_TABLE_DIGESTS))
 def test_compact_tables_hold_the_pinned_values(name):
     """The per-char paths' tables are compact buffers (``array('H')``, or
-    ``bytes`` for SENTCHARTYPE) that hold, at all 65,536 code units, the
-    values pinned from their list form; the numpy table reads the same."""
+    ``bytes`` for SENTCHARTYPE and SPECTYPE) that hold, at all 65,536 code
+    units, the values pinned from their list form; the numpy table reads
+    the same."""
     from array import array
 
     code, digest = _TABLE_DIGESTS[name]
@@ -337,9 +339,17 @@ def _assert_batch_independent(batches: list[list]) -> None:
             assert _fields(sents) == _fields(tokenize_text(text)), text
 
 
+# texts whose edges are where an in-place read of a batch could cross into
+# a neighbour: URLs at a text's first and last unit, astral characters
+# (surrogate pairs) at both edges, and empty texts mid-batch
+_EDGE_TEXTS = ["www.rbc.ru открыт", "", "𝔘𝔫𝔦 слово 𝔢", "пишите на info@mail.ru", None,
+               "сайт http://example.com/path?q=1", "𝔘", "", "www.example.ru"]
+
+
 def test_front_independent_of_batch_neighbours():
     """Each text's words from a batch front equal the text tokenized
-    alone: on the fixture lines, and on the synthetic transcripts in one
+    alone: on the fixture lines, on texts with a URL or an astral character
+    at an edge between empty texts, and on the synthetic transcripts in one
     batch longer than a front's slice and in batches cut at odd points."""
     from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcripts_table
 
@@ -347,6 +357,9 @@ def test_front_independent_of_batch_neighbours():
     assert len(lines) == 15 and all(tokenize_text(x) for x in lines)
     synth = synth_transcripts_table(300, seed=7).column("text").to_pylist()
     _assert_batch_independent([lines, lines[::-1] + [None, ""] + lines])
+    assert urls_of(_EDGE_TEXTS[-1]) == [(0, 14, URL)]
+    assert urls_of(_EDGE_TEXTS[3]) == [(10, 12, EMAIL)]
+    _assert_batch_independent([_EDGE_TEXTS, _EDGE_TEXTS[::-1], lines[:3] + _EDGE_TEXTS])
     _assert_batch_independent([synth + lines + synth[::-1]])
     _assert_batch_independent([synth[a:b] for a, b in ((0, 7), (7, 120), (120, 121), (121, 300))])
 
@@ -357,6 +370,7 @@ _PIECES = [
     "сайт www.example.ru открыт", "см. http://example.com/path?q=1", "info@mail.ru",
     "адрес example.ru/x.", "info(at)mail.ru", "Гло́кая ку́здра", "Ёж é", "𝔘𝔫𝔦 𝔠𝔬𝔡𝔢",
     "С.Козлов", "U.N.", "Str.", ":", ".", " ", "\n", "«Чарт-Пилот»", "слово\xadперенос",
+    "www.example.ru", "𝔘",
 ]
 _piece_text = st.lists(
     st.one_of(st.sampled_from(_PIECES),
@@ -368,6 +382,7 @@ _batch_texts = st.lists(st.one_of(st.none(), st.just(""), _piece_text), max_size
 
 @settings(max_examples=120, deadline=None)
 @given(_batch_texts, st.lists(st.integers(0, 14), max_size=4))
+@example(_EDGE_TEXTS, [3])
 def test_front_independent_property(texts, cuts):
     bounds = [0, *sorted(c for c in cuts if c <= len(texts)), len(texts)]
     _assert_batch_independent([texts[a:b] for a, b in zip(bounds, bounds[1:])])
@@ -375,9 +390,10 @@ def test_front_independent_property(texts, cuts):
 
 def test_front_allocates_a_few_bytes_per_code_unit():
     """Building one front over 512 synthetic transcripts peaks under 40 B
-    of traced memory per UTF-16 code unit: it keeps numpy buffers, and each
-    text turns only its own slice into lists. Measured about 18 B, against
-    about 110 B when the front held each array as a list of Python ints."""
+    of traced memory per UTF-16 code unit: it keeps the code units and the
+    jump table as buffers, which each text reads in place. Measured about
+    15 B (18 B while it also gathered both class arrays), against about
+    110 B when the front held each array as a list of Python ints."""
     import tracemalloc
 
     from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcripts_table
@@ -392,6 +408,66 @@ def test_front_allocates_a_few_bytes_per_code_unit():
     finally:
         tracemalloc.stop()
     assert peak < 40 * units, (peak, units)
+
+
+_LONG_TURN_TRACE = """
+import json, tracemalloc
+import pyarrow as pa
+from lingvo__postagger_ner_ru_dnn_ray.sources.transcripts import synth_transcripts_table
+from lingvo__postagger_ner_ru_dnn_ray.stages.fused import kg_stage_fn
+from lingvo__postagger_ner_ru_dnn_ray.textkit.tokenizer import tokenize_text
+
+tbl = synth_transcripts_table(64, seed=3)
+kg_stage_fn(tbl)  # the stage and its models are built before tracing
+base = "\\n".join(x for x in tbl.column("text").to_pylist() if x)
+sents = "\\n".join([base] * (300_000 // len(base) + 1))[:300_000]
+one = sents.translate({ord(c): " " for c in "\\n!?…"})
+assert len(tokenize_text(sents[:2 * len(base)])) > 100
+assert len(tokenize_text(one[:2 * len(base)])) == 1
+out = {}
+for name, turn in (("sents", sents), ("one", one)):
+    tracemalloc.start()
+    kg_stage_fn(pa.table({"conv_id": ["c"], "turn_idx": [0], "text": [turn]}))
+    out[name] = tracemalloc.get_traced_memory()[1] / (len(turn.encode("utf-16-le")) // 2)
+    tracemalloc.stop()
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def long_turn_peaks() -> dict:
+    """Traced peak bytes per UTF-16 code unit of ``kg_stage_fn`` on one
+    300,000-unit turn, in a fresh process whose stage is built first:
+    ``sents`` repeats the synthetic transcripts (about 6,800 sentences),
+    ``one`` is the same turn with every sentence end made a space."""
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    done = subprocess.run([sys.executable, "-c", _LONG_TURN_TRACE],
+                          cwd=Path(__file__).resolve().parents[1],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_long_turn_of_sentences_allocates_a_few_bytes_per_code_unit(long_turn_peaks):
+    """The tokenizer reads a text's slice of its front in place, so a long
+    turn of many sentences peaks under 40 B per code unit. Measured about
+    22 B, against about 112 B when each text copied its code units,
+    classes and jump table into lists."""
+    assert long_turn_peaks["sents"] < 40, long_turn_peaks
+
+
+def test_long_turn_without_a_sentence_end_allocates_little_per_code_unit(long_turn_peaks):
+    """One 300,000-unit sentence: the tokenizer's in-place reads and the
+    forward's chunks, which bound their attention scores (B·L²) as well as
+    their token slots, keep the peak under 120 B per code unit. Measured
+    about 72 B, against about 577 B with both the list copies and chunks
+    of 148 pieces of 220 tokens, and about 492 B with the copies gone
+    alone."""
+    assert long_turn_peaks["one"] < 120, long_turn_peaks
 
 
 # --------------------------- model token and token memo ---------------------
